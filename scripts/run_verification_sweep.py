@@ -69,4 +69,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except ValueError as exc:  # e.g. a --poly-choice past the last primitive polynomial
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

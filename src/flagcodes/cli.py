@@ -39,7 +39,7 @@ from .flags import (
     load_flag_code,
 )
 from .matgf import DEFAULT_ORDER_CAP
-from .subspace import SubspaceCode, subspace_distance
+from .subspace import SubspaceCode
 
 __all__ = ["RunConfig", "main"]
 
@@ -101,8 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, default_fmt in (("verify", "text"), ("report", "json")):
         pv = sub.add_parser(name, help="run the claim suite and report pass/fail")
         add_params(pv)
-        pv.add_argument("--family", choices=FAMILIES, default="longer",
-                        help="accepted for symmetry; loaded codes are matched by their type vector")
         pv.add_argument("--code", help="also verify this serialized flag code file")
         fmts = ("json", "text", "csv") if default_fmt == "json" else ("text", "json", "csv")
         add_io(pv, fmts)
@@ -249,28 +247,23 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 
 def _cmd_spectrum(cfg: RunConfig) -> int:
-    words = None
     if cfg.code_path is not None:
         text = cfg.code_path.read_text()
         head = next((ln for ln in text.splitlines() if ln.strip()), "")
         if head.startswith("flagcode"):
             code = load_flag_code(text)
         else:
-            words = SubspaceCode.load(text).words
+            code = SubspaceCode.load(text)
     else:
         if not cfg.param_grid:
             raise ValueError("spectrum needs either --code or --q/--k/--h/--s")
         code = _construct_family(cfg, _single_params(cfg))
-    counts: Counter[int] = Counter()
-    if words is not None:
-        for i, u in enumerate(words):
-            for v in words[i + 1 :]:
-                counts[subspace_distance(u, v)] += 1
+    if isinstance(code, SubspaceCode):
+        counts = code.spectrum()
     else:
-        flags = code.flags
-        for i, f in enumerate(flags):
-            for g in flags[i + 1 :]:
-                counts[flag_distance(f, g)] += 1
+        counts = Counter()
+        for vec, pairs in code.distance_profile().items():
+            counts[sum(vec)] += pairs
     lines = [f"{d},{counts[d]}" for d in sorted(counts)]
     _emit(cfg, "\n".join(lines) + ("\n" if lines else ""))
     return 0

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .field import DEFAULT_FACTOR_BUDGET, FieldSpec, field_from_order, iter_primitive_polys
 from .flags import (
+    Classification,
     FlagCode,
     TypeVector,
     ab_indices,
@@ -180,10 +181,15 @@ def expected_restricted_distance(params: ConstructionParams, tv: TypeVector) -> 
 
 
 def _primitive_poly(params: ConstructionParams, degree: int):
-    it = iter_primitive_polys(params.field, degree, params.factor_budget)
-    for _ in range(params.poly_choice):
-        next(it)
-    return next(it)
+    found = 0
+    for poly in iter_primitive_polys(params.field, degree, params.factor_budget):
+        if found == params.poly_choice:
+            return poly
+        found += 1
+    raise ValueError(
+        f"poly_choice {params.poly_choice} needs {params.poly_choice + 1} primitive "
+        f"polynomials of degree {degree} over {params.field}; there are only {found}"
+    )
 
 
 def build_P(params: ConstructionParams, i: int) -> MatrixGF:
@@ -699,14 +705,6 @@ def verify_maximality(
     return rep
 
 
-def _label_for_deficit(ell: int) -> str:
-    if ell == 0:
-        return "optimum"
-    if ell == 1:
-        return "quasi-optimum"
-    return f"general({ell})"
-
-
 def _deficit_claims(
     rep: VerificationReport, prefix: str, code: FlagCode
 ) -> None:
@@ -813,11 +811,11 @@ def run_claim_suite(
             True,
             lambda: is_cardinality_consistent(full_code),
         )
-        expected_ell = (max_flag_distance(full_code.type) - expected_d) // 2
+        top = max_flag_distance(full_code.type)
         rep.check(
             "full.classification",
             "classification of the full-type code",
-            _label_for_deficit(expected_ell),
+            Classification(expected_d, top, (top - expected_d) // 2).label,
             lambda: classify(full_code).label,
         )
     _deficit_claims(rep, "full", full_code)
@@ -916,12 +914,14 @@ def _optimum_claims(
 
 def _projected_equivalence(code: FlagCode) -> bool:
     tv = code.type
+    profile = code.distance_profile()
     consistent = is_cardinality_consistent(code)
+    # Projected codes are deduplicated: a pair of flags sharing their i-th
+    # part is no pair of the i-th projected code, so its minimum distance is
+    # the smallest nonzero i-th entry (None when it has a single word).
     all_max = all(
-        len(projected_code(code, idx)) >= 2
-        and code_min_distance(projected_code(code, idx))
-        == 2 * min(tv.dims[idx - 1], tv.n - tv.dims[idx - 1])
-        for idx in range(1, tv.r + 1)
+        min((vec[i] for vec in profile if vec[i]), default=None) == 2 * min(d, tv.n - d)
+        for i, d in enumerate(tv.dims)
     )
     return (consistent and all_max) == classify(code).is_optimum
 

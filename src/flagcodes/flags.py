@@ -11,6 +11,7 @@ distance.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ from .errors import (
     TypeMismatch,
 )
 from .matgf import MatrixGF, matrix_to_text, read_matrix
-from .subspace import Subspace, SubspaceCode, code_min_distance, subspace_distance, subspace_of
+from .subspace import Subspace, SubspaceCode, _distance_profile, subspace_distance, subspace_of
 
 __all__ = [
     "AbIndices",
@@ -211,7 +212,7 @@ def flag_from_matrix(w: MatrixGF, type_: TypeVector) -> Flag:
 class FlagCode:
     """A set of flags sharing one type vector, stored sorted and deduped."""
 
-    __slots__ = ("type", "flags")
+    __slots__ = ("type", "flags", "_profile")
 
     def __init__(self, type_: TypeVector, flags: Iterable[Flag]):
         seen: dict[tuple, Flag] = {}
@@ -221,6 +222,20 @@ class FlagCode:
             seen[f.key] = f
         self.type = type_
         self.flags = tuple(seen[k] for k in sorted(seen))
+        self._profile = None
+
+    def distance_profile(self) -> Counter:
+        """(d(U_1, V_1), ..., d(U_r, V_r)) -> number of unordered flag pairs
+        with those component distances.
+
+        Computed by one exhaustive scan on first use and cached; the same
+        Counter is returned on every later call.  Flag distances are the
+        vector sums, and entry i-1 of each vector is the pair's distance in
+        the i-th projected code.
+        """
+        if self._profile is None:
+            self._profile = _distance_profile([f.parts for f in self.flags])
+        return self._profile
 
     def __len__(self) -> int:
         return len(self.flags)
@@ -251,23 +266,10 @@ def max_flag_distance(tv: TypeVector) -> int:
 
 
 def code_flag_min_distance(code: FlagCode) -> int:
-    """Exhaustive pairwise minimum of the flag distance."""
+    """Minimum pairwise flag distance, from the code's distance profile."""
     if len(code) < 2:
         raise TooFewFlags("minimum distance needs at least two flags")
-    flags = code.flags
-    best = None
-    for i, f in enumerate(flags):
-        fparts = f.parts
-        for g in flags[i + 1 :]:
-            total = 0
-            for u, v in zip(fparts, g.parts):
-                total += subspace_distance(u, v)
-                if best is not None and total >= best:
-                    break
-            else:
-                if best is None or total < best:
-                    best = total
-    return best
+    return min(sum(vec) for vec in code.distance_profile())
 
 
 def projected_code(code: FlagCode, i: int) -> SubspaceCode:
@@ -297,7 +299,14 @@ class Classification:
     min_distance: int
     max_distance: int
     deficit: int  # min_distance == max_distance - 2 * deficit
-    label: str
+
+    @property
+    def label(self) -> str:
+        if self.deficit == 0:
+            return "optimum"
+        if self.deficit == 1:
+            return "quasi-optimum"
+        return f"general({self.deficit})"
 
     @property
     def is_optimum(self) -> bool:
@@ -314,14 +323,7 @@ def classify(code: FlagCode) -> Classification:
         raise TheoremViolated(
             f"distance {d} vs maximum {top}: the gap must be even and nonnegative"
         )
-    ell = gap // 2
-    if ell == 0:
-        label = "optimum"
-    elif ell == 1:
-        label = "quasi-optimum"
-    else:
-        label = f"general({ell})"
-    return Classification(d, top, ell, label)
+    return Classification(d, top, gap // 2)
 
 
 def optimum_check_ab(code: FlagCode) -> bool:
@@ -336,14 +338,13 @@ def optimum_check_ab(code: FlagCode) -> bool:
         raise TooFewFlags("optimality check needs at least two flags")
     tv = code.type
     ab = ab_indices(tv)
+    profile = code.distance_profile()
     ok = True
     for idx in sorted({i for i in (ab.a, ab.b) if i is not None}):
-        ci = projected_code(code, idx)
         dim = tv.dims[idx - 1]
-        if len(ci) != len(code):
-            ok = False
-            break
-        if code_min_distance(ci) != 2 * min(dim, tv.n - dim):
+        # a zero entry is a pair of flags sharing their idx-th part, i.e. a
+        # projected code smaller than the code, so it fails this test too
+        if min(vec[idx - 1] for vec in profile) != 2 * min(dim, tv.n - dim):
             ok = False
             break
     direct = classify(code).is_optimum
@@ -426,13 +427,13 @@ def _parse_type_line(line: str, n: int) -> TypeVector:
 def dump_flag(flag: Flag) -> str:
     """Serialize as a type line plus either the t_r x n generator matrix
     (when the flag kept one) or each component matrix in order."""
-    lines = [_type_line(flag.type)]
+    return "\n".join([_type_line(flag.type), *_flag_body(flag)]) + "\n"
+
+
+def _flag_body(flag: Flag) -> list[str]:
     if flag.source is not None:
-        lines.append(matrix_to_text(flag.source.first_rows(flag.type.dims[-1])))
-    else:
-        for part in flag.parts:
-            lines.append(matrix_to_text(part.canon))
-    return "\n".join(lines) + "\n"
+        return [matrix_to_text(flag.source.first_rows(flag.type.dims[-1]))]
+    return [matrix_to_text(part.canon) for part in flag.parts]
 
 
 def _read_flag_body(lines: Iterator[str], tv: TypeVector) -> Flag:
@@ -464,11 +465,7 @@ def dump_flag_code(code: FlagCode) -> str:
     q = field.q if field else 0
     lines = [f"flagcode {code.type.n} {q} {len(code)}", _type_line(code.type)]
     for f in code:
-        if f.source is not None:
-            lines.append(matrix_to_text(f.source.first_rows(code.type.dims[-1])))
-        else:
-            for part in f.parts:
-                lines.append(matrix_to_text(part.canon))
+        lines.extend(_flag_body(f))
     return "\n".join(lines) + "\n"
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 
 from .errors import (
     BlockDimMismatch,
@@ -28,7 +27,6 @@ from .field import FieldElement, FieldSpec, Poly, parse_field_name
 __all__ = [
     "DEFAULT_ORDER_CAP",
     "MatrixGF",
-    "RowSlice",
     "block",
     "companion",
     "mat_mul",
@@ -41,35 +39,6 @@ __all__ = [
 ]
 
 DEFAULT_ORDER_CAP = 1 << 20
-
-
-@dataclass(frozen=True)
-class RowSlice:
-    """A 1-based row-slice request: which rows of a matrix to keep."""
-
-    kind: str  # "first" | "after" | "single" | "range"
-    i: int
-    j: int = 0
-
-    @classmethod
-    def first(cls, j: int) -> RowSlice:
-        """Rows 1..j."""
-        return cls("first", j)
-
-    @classmethod
-    def after(cls, j: int) -> RowSlice:
-        """Rows j+1..last."""
-        return cls("after", j)
-
-    @classmethod
-    def single(cls, j: int) -> RowSlice:
-        """Row j alone."""
-        return cls("single", j)
-
-    @classmethod
-    def range(cls, i: int, j: int) -> RowSlice:
-        """Rows i..j inclusive."""
-        return cls("range", i, j)
 
 
 def _pack(row: Sequence[int]) -> int:
@@ -255,17 +224,12 @@ class MatrixGF:
             ordered = [r for r in rows if any(r)]
             ordered += [tuple([0] * self.ncols)] * (self.nrows - len(ordered))
             reduced = MatrixGF(self.field, ordered, ncols=self.ncols)
-            reduced._rref = (reduced, rank, tuple(pivots))
-            self._rref = (reduced, rank, tuple(pivots))
-        return self._rref[0], self._rref[1]
+            reduced._rref = (reduced, rank)
+            self._rref = (reduced, rank)
+        return self._rref
 
     def rank(self) -> int:
         return self.rref()[1]
-
-    def pivot_columns(self) -> tuple[int, ...]:
-        """0-based pivot columns of the reduced form."""
-        self.rref()
-        return self._rref[2]
 
     # -- row slicing (1-based, mirroring the constructions) -------------------
 
@@ -292,17 +256,6 @@ class MatrixGF:
         if not 1 <= i <= j <= self.nrows:
             raise SliceOutOfRange(f"rows {i}..{j} of a {self.nrows}-row matrix")
         return MatrixGF(self.field, self._rows[i - 1 : j], ncols=self.ncols)
-
-    def slice(self, s: RowSlice) -> MatrixGF:
-        if s.kind == "first":
-            return self.first_rows(s.i)
-        if s.kind == "after":
-            return self.rows_after(s.i)
-        if s.kind == "single":
-            return self.single_row(s.i)
-        if s.kind == "range":
-            return self.row_range(s.i, s.j)
-        raise ValueError(f"unknown slice kind {s.kind!r}")
 
 
 def mat_mul(a: MatrixGF, b: MatrixGF) -> MatrixGF:

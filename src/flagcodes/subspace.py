@@ -9,7 +9,8 @@ with their stabilizers build on that.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import (
@@ -19,7 +20,7 @@ from .errors import (
     TooFewWords,
     ZeroRank,
 )
-from .matgf import DEFAULT_ORDER_CAP, MatrixGF, matrix_order, matrix_to_text, read_matrix
+from .matgf import MatrixGF, matrix_to_text, read_matrix
 
 __all__ = [
     "GroupElementSeq",
@@ -112,45 +113,48 @@ def _check_ambient(u: Subspace, v: Subspace) -> None:
         )
 
 
+def _insert(piv: dict, row, field) -> bool:
+    """Reduce ``row`` against the echelon rows in ``piv`` and keep a nonzero
+    remainder as a new pivot row; True iff ``row`` was independent.
+
+    Over GF(2) rows are bitmasks keyed by their lowest set bit; otherwise
+    rows are tuples of element codes keyed by their leading column, whose
+    entry is 1.
+    """
+    if field.q == 2:
+        while row:
+            low = row & -row
+            base = piv.get(low)
+            if base is None:
+                piv[low] = row
+                return True
+            row ^= base
+        return False
+    sub, mul = field.sub, field.mul
+    c = 0
+    n = len(row)
+    while c < n:
+        x = row[c]
+        if not x:
+            c += 1
+            continue
+        base = piv.get(c)
+        if base is None:
+            if x != 1:
+                xi = field.inv(x)
+                row = [mul(xi, y) for y in row]
+            piv[c] = tuple(row)
+            return True
+        row = [sub(a, mul(x, b)) for a, b in zip(row, base)]
+        c += 1
+    return False
+
+
 def _stacked_rank(u: Subspace, v: Subspace) -> int:
     """rk of the stacked canonical generators, seeded with u's pivots."""
-    if u.field.q == 2:
-        piv = dict(u._piv)
-        rank = u.dim
-        for w in v.canon.packed_rows():
-            while w:
-                low = w & -w
-                row = piv.get(low)
-                if row is None:
-                    piv[low] = w
-                    rank += 1
-                    break
-                w ^= row
-        return rank
-    field = u.field
-    sub, mul, inv = field.sub, field.mul, field.inv
     piv = dict(u._piv)
-    rank = u.dim
-    for vrow in v.canon.int_rows():
-        row = list(vrow)
-        c = 0
-        n = len(row)
-        while c < n:
-            x = row[c]
-            if not x:
-                c += 1
-                continue
-            base = piv.get(c)
-            if base is None:
-                if x != 1:
-                    xi = inv(x)
-                    row = [mul(xi, y) for y in row]
-                piv[c] = tuple(row)
-                rank += 1
-                break
-            row = [sub(a_, mul(x, b_)) for a_, b_ in zip(row, base)]
-            c += 1
-    return rank
+    field = u.field
+    return u.dim + sum(_insert(piv, row, field) for row in v._piv.values())
 
 
 def subspace_distance(u: Subspace, v: Subspace) -> int:
@@ -167,7 +171,7 @@ def intersection_dim(u: Subspace, v: Subspace) -> int:
 class SubspaceCode:
     """A set of subspaces of a common ambient space, stored sorted and deduped."""
 
-    __slots__ = ("ambient", "words", "constant_dim")
+    __slots__ = ("ambient", "words", "constant_dim", "_spectrum")
 
     def __init__(self, ambient: int, words: Iterable[Subspace]):
         seen: dict[tuple, Subspace] = {}
@@ -182,6 +186,18 @@ class SubspaceCode:
         self.ambient = ambient
         self.words = ordered
         self.constant_dim = dims.pop() if len(dims) == 1 else None
+        self._spectrum = None
+
+    def spectrum(self) -> Counter:
+        """Distance -> number of unordered word pairs at that distance.
+
+        Computed by one exhaustive scan on first use and cached; the same
+        Counter is returned on every later call.
+        """
+        if self._spectrum is None:
+            profile = _distance_profile([(w,) for w in self.words])
+            self._spectrum = Counter({vec[0]: n for vec, n in profile.items()})
+        return self._spectrum
 
     def __len__(self) -> int:
         return len(self.words)
@@ -232,42 +248,67 @@ class SubspaceCode:
         return cls(n, words)
 
 
+def _distance_profile(chains: Sequence[Sequence[Subspace]]) -> Counter:
+    """Per-level distance vectors over every unordered pair of nested chains.
+
+    Each chain is a sequence of nested subspaces (one word of a subspace
+    code, or the parts of a flag); all chains have the same length.  The
+    result maps (d(U_1, V_1), ..., d(U_r, V_r)) to its number of pairs.
+    Because the parts are nested, a pair needs one elimination basis: level
+    i inserts the rows that U_i and V_i add to U_(i-1) and V_(i-1), after
+    which the basis rank is rk[U_i; V_i].  This is the package's only
+    pairwise loop.
+    """
+    if not chains:
+        return Counter()
+    first = chains[0][0]
+    for chain in chains:
+        # the parts of one chain share a field, as Flag checks their nesting
+        _check_ambient(first, chain[0])
+    field = first.field
+    levels = []
+    for chain in chains:
+        piv: dict = {}
+        levels.append([
+            ([row for row in part._piv.values() if _insert(piv, row, field)], part.dim)
+            for part in chain
+        ])
+    profile: Counter = Counter()
+    for i, a in enumerate(levels):
+        for b in levels[i + 1 :]:
+            piv = {}
+            rank = 0
+            vec = []
+            for (rows_a, dim_a), (rows_b, dim_b) in zip(a, b):
+                for row in rows_a:
+                    rank += _insert(piv, row, field)
+                for row in rows_b:
+                    rank += _insert(piv, row, field)
+                vec.append(2 * rank - dim_a - dim_b)
+            profile[tuple(vec)] += 1
+    return profile
+
+
 def code_min_distance(code: SubspaceCode) -> int:
-    """Minimum pairwise subspace distance, by exhaustive scan."""
+    """Minimum pairwise subspace distance, from the code's spectrum."""
     if len(code) < 2:
         raise TooFewWords("minimum distance needs at least two words")
-    words = code.words
-    best = None
-    for i, u in enumerate(words):
-        for v in words[i + 1 :]:
-            d = subspace_distance(u, v)
-            if best is None or d < best:
-                best = d
-    return best
+    return min(code.spectrum())
 
 
 def is_partial_spread(code: SubspaceCode) -> bool:
     """True iff all pairs of distinct words intersect trivially."""
     if code.constant_dim is None:
         raise NotConstantDim("partial spreads are constant dimension codes")
-    words = code.words
-    for i, u in enumerate(words):
-        for v in words[i + 1 :]:
-            if intersection_dim(u, v) != 0:
-                return False
-    return True
+    return is_equidistant_c(code, 0)
 
 
 def is_equidistant_c(code: SubspaceCode, c: int) -> bool:
     """True iff every pairwise intersection has dimension exactly ``c``."""
     if code.constant_dim is None:
         raise NotConstantDim("equidistant codes are constant dimension codes")
-    words = code.words
-    for i, u in enumerate(words):
-        for v in words[i + 1 :]:
-            if intersection_dim(u, v) != c:
-                return False
-    return True
+    # d(U, V) = 2 dim U - 2 dim(U int V) for equal dimensions
+    return all(d == 2 * (code.constant_dim - c) for d in code.spectrum())
 
 
 def max_partial_spread_size(q: int, k: int, n: int) -> int:
@@ -311,10 +352,6 @@ class GroupElementSeq:
             raise ValueError("group order must be positive")
         if g**self.order != MatrixGF.identity(g.field, g.nrows):
             raise ValueError("generator**order is not the identity")
-
-    @classmethod
-    def from_generator(cls, g: MatrixGF, cap: int = DEFAULT_ORDER_CAP) -> GroupElementSeq:
-        return cls(g, matrix_order(g, cap))
 
     @property
     def ambient(self) -> int:

@@ -4,12 +4,15 @@ acceptance suite.
 Everything here recomputes its target by a route independent of the code it
 checks: vector-set enumeration instead of rank arithmetic, successive
 multiplication instead of factored order tests, explicit row-times-matrix
-products instead of the shift structure being verified.
+products instead of the shift structure being verified, and pair-by-pair
+``subspace_distance`` / ``flag_distance`` calls instead of the cached
+level-by-level code scan.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import flagcodes as fc
@@ -229,3 +232,36 @@ def check_split_additivity_exhaustive(max_n: int) -> int:
                     assert fc.distance_decomposition_check(tv, ell)
                     checked += 1
     return checked
+
+
+# -- the cached code scan against the single-pair API ------------------------------
+
+
+def pairwise_spectrum(code: fc.SubspaceCode) -> Counter:
+    """Distance -> pair count of a subspace code, one subspace_distance per pair."""
+    return Counter(fc.subspace_distance(u, v) for u, v in combinations(code.words, 2))
+
+
+def check_scan_against_pairwise(code: fc.FlagCode) -> int:
+    """The code's cached distance profile, its flag-distance spectrum, and
+    every projected code's spectrum and minimum distance must match the
+    pair-by-pair oracle.  Returns the number of flag pairs checked."""
+    profile: Counter = Counter()
+    sums: Counter = Counter()
+    for f, g in combinations(code.flags, 2):
+        profile[tuple(fc.subspace_distance(u, v) for u, v in zip(f.parts, g.parts))] += 1
+        sums[fc.flag_distance(f, g)] += 1
+    assert code.distance_profile() == profile
+    if len(code) >= 2:
+        assert fc.code_flag_min_distance(code) == min(sums)
+    for i in range(1, code.type.r + 1):
+        projected = fc.projected_code(code, i)
+        oracle = pairwise_spectrum(projected)
+        assert projected.spectrum() == oracle
+        # the deduplication rule: the projected minimum is the smallest
+        # nonzero i-th entry of the profile
+        nonzero = [vec[i - 1] for vec in profile if vec[i - 1]]
+        assert bool(nonzero) == (len(projected) >= 2)
+        if nonzero:
+            assert fc.code_min_distance(projected) == min(oracle) == min(nonzero)
+    return sum(profile.values())

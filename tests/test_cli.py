@@ -176,6 +176,15 @@ class TestVerify:
         )
         assert rc == 3 and "error" in stderr
 
+    def test_poly_choice_past_last_polynomial(self, capsys):
+        # GF(2) has a single primitive quadratic
+        rc, _, stderr = run(
+            capsys, "verify", "--q", "2", "--k", "2", "--h", "0", "--s", "2",
+            "--poly-choice", "1",
+        )
+        assert rc == 2
+        assert stderr.count("\n") == 1 and "degree 2 over GF(2)" in stderr
+
 
 class TestSpectrum:
     def test_smallest_instance(self, capsys):

@@ -1,0 +1,78 @@
+"""Every claim-suite verdict of the standard sweep, pinned.
+
+``data/golden_verdicts.json`` holds ``run_claim_suite(...).to_json_obj()``
+with every ``seconds`` key removed, for each sweep instance at poly_choice 0
+and, where the field has a second primitive polynomial of every degree the
+construction needs, poly_choice 1.  A change that only restructures code
+must leave every report identical.  When a verdict changes on purpose,
+re-record with
+
+    PYTHONPATH=src python tests/test_golden_verdicts.py
+
+and say in the change log which claims changed and why.
+"""
+
+from __future__ import annotations
+
+import json
+from itertools import islice
+from pathlib import Path
+
+import pytest
+
+import flagcodes as fc
+
+GOLDEN = Path(__file__).parent / "data" / "golden_verdicts.json"
+
+# scripts/run_verification_sweep.py INSTANCES
+SWEEP = [(2, 2, 0, 2), (2, 2, 1, 2), (2, 3, 2, 2), (3, 2, 1, 2), (2, 2, 0, 3), (2, 2, 1, 3), (2, 2, 1, 4)]
+
+
+def _strip_seconds(obj):
+    if isinstance(obj, dict):
+        return {k: _strip_seconds(v) for k, v in obj.items() if k != "seconds"}
+    if isinstance(obj, list):
+        return [_strip_seconds(v) for v in obj]
+    return obj
+
+
+def _poly_choices(q: int, k: int, h: int, s: int) -> list[int]:
+    field = fc.field_from_order(q)
+    return [
+        c for c in (0, 1)
+        if all(len(list(islice(fc.iter_primitive_polys(field, i * k + h), c + 1))) > c
+               for i in range(1, s))
+    ]
+
+
+def _verdicts(q: int, k: int, h: int, s: int, choice: int) -> dict:
+    params = fc.ConstructionParams.make(q, k, h, s, poly_choice=choice)
+    return _strip_seconds(fc.run_claim_suite(params).to_json_obj())
+
+
+def _record() -> dict:
+    return {
+        f"{q},{k},{h},{s},{c}": _verdicts(q, k, h, s, c)
+        for q, k, h, s in SWEEP
+        for c in _poly_choices(q, k, h, s)
+    }
+
+
+# a missing file fails test_every_instance_pinned rather than collection
+_golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+
+
+@pytest.mark.parametrize("key", sorted(_golden))
+def test_verdicts_unchanged(key):
+    q, k, h, s, choice = (int(t) for t in key.split(","))
+    assert _verdicts(q, k, h, s, choice) == _golden[key]
+
+
+def test_every_instance_pinned():
+    assert sorted(_golden) == sorted(
+        f"{q},{k},{h},{s},{c}" for q, k, h, s in SWEEP for c in _poly_choices(q, k, h, s)
+    )
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(_record(), indent=1, sort_keys=True) + "\n")

@@ -153,13 +153,6 @@ class TestSlices:
         i3 = fc.MatrixGF.identity(gf2, 3)
         assert i3.single_row(3) == M(gf2, [[0, 0, 1]])
 
-    def test_dispatch(self, gf2):
-        i4 = fc.MatrixGF.identity(gf2, 4)
-        assert i4.slice(fc.RowSlice.first(2)) == i4.first_rows(2)
-        assert i4.slice(fc.RowSlice.after(1)) == i4.rows_after(1)
-        assert i4.slice(fc.RowSlice.single(2)) == i4.single_row(2)
-        assert i4.slice(fc.RowSlice.range(2, 3)) == i4.row_range(2, 3)
-
     def test_bounds(self, gf2):
         i3 = fc.MatrixGF.identity(gf2, 3)
         with pytest.raises(SliceOutOfRange):
