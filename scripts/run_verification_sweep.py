@@ -5,9 +5,12 @@ claim.
 
 Usage:
     python scripts/run_verification_sweep.py [--json OUT.json] [--big]
+        [--poly-choice C]
 
 --big adds the n = 11 instance (hundreds of thousands of pairwise
-distances; expect a few minutes).
+distances).  --poly-choice C builds every instance from the C-th smallest
+primitive polynomials; an instance whose field has fewer than C + 1 of some
+degree it needs is reported as skipped and left out of the JSON dump.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from time import perf_counter
 
 import flagcodes as fc
@@ -34,6 +38,20 @@ BIG_INSTANCES: list[tuple[int, int, int, int]] = [
 ]
 
 
+def missing_polynomials(params: fc.ConstructionParams) -> str | None:
+    """Why the field lacks a primitive polynomial the instance needs at
+    params.poly_choice, or None when every degree has one."""
+    need = params.poly_choice + 1
+    for i in range(1, params.s):
+        degree = i * params.k + params.h
+        polys = fc.iter_primitive_polys(params.field, degree, params.factor_budget)
+        found = len(list(islice(polys, need)))
+        if found < need:
+            return (f"poly_choice {params.poly_choice} needs {need} primitive polynomials "
+                    f"of degree {degree} over {params.field}; there are only {found}")
+    return None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--json", help="write all claims to this JSON file")
@@ -48,6 +66,11 @@ def main() -> int:
           f"{'failed':>6} {'time':>8}")
     for q, k, h, s in grid:
         params = fc.ConstructionParams.make(q, k, h, s, poly_choice=args.poly_choice)
+        reason = missing_polynomials(params)
+        if reason is not None:
+            print(f"{q:>2} {k:>2} {h:>2} {s:>2} {params.n:>3} {params.expected_size:>5} "
+                  f"skipped: {reason}")
+            continue
         start = perf_counter()
         rep = fc.run_claim_suite(params)
         elapsed = perf_counter() - start
@@ -71,6 +94,6 @@ def main() -> int:
 if __name__ == "__main__":
     try:
         sys.exit(main())
-    except ValueError as exc:  # e.g. a --poly-choice past the last primitive polynomial
+    except ValueError as exc:  # e.g. a negative --poly-choice
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)

@@ -21,6 +21,7 @@ pass/fail reports rather than aborting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 from time import perf_counter
 from typing import Callable
 
@@ -28,11 +29,13 @@ from .errors import (
     CardinalityMismatch,
     HypothesisUnmet,
     NotASubsequence,
+    RankDeficientPrefix,
     TheoremViolated,
 )
-from .field import DEFAULT_FACTOR_BUDGET, FieldSpec, field_from_order, iter_primitive_polys
+from .field import DEFAULT_FACTOR_BUDGET, FieldSpec, Poly, field_from_order, iter_primitive_polys
 from .flags import (
     Classification,
+    Flag,
     FlagCode,
     TypeVector,
     ab_indices,
@@ -45,6 +48,7 @@ from .flags import (
     max_flag_distance,
     optimum_check_ab,
     projected_code,
+    projected_code_at_dim,
     split_type,
     subsequence_code,
 )
@@ -180,22 +184,28 @@ def expected_restricted_distance(params: ConstructionParams, tv: TypeVector) -> 
     return total
 
 
-def _primitive_poly(params: ConstructionParams, degree: int):
+@lru_cache(maxsize=None)
+def _primitive_poly(field: FieldSpec, degree: int, choice: int, budget: int) -> Poly:
+    """The choice-th smallest primitive polynomial, searched once per
+    argument tuple (a failed search is not cached and raises again)."""
     found = 0
-    for poly in iter_primitive_polys(params.field, degree, params.factor_budget):
-        if found == params.poly_choice:
+    for poly in iter_primitive_polys(field, degree, budget):
+        if found == choice:
             return poly
         found += 1
     raise ValueError(
-        f"poly_choice {params.poly_choice} needs {params.poly_choice + 1} primitive "
-        f"polynomials of degree {degree} over {params.field}; there are only {found}"
+        f"poly_choice {choice} needs {choice + 1} primitive polynomials of degree "
+        f"{degree} over {field}; there are only {found}"
     )
 
 
 def build_P(params: ConstructionParams, i: int) -> MatrixGF:
     """Companion matrix of the chosen primitive polynomial of degree ik+h."""
     _check_family_index(params, i)
-    return companion(_primitive_poly(params, i * params.k + params.h))
+    poly = _primitive_poly(
+        params.field, i * params.k + params.h, params.poly_choice, params.factor_budget
+    )
+    return companion(poly)
 
 
 def _check_family_index(params: ConstructionParams, i: int) -> None:
@@ -286,13 +296,19 @@ def _assert_hyperplane(params: ConstructionParams, m: MatrixGF, label: str) -> N
 
 @dataclass(frozen=True)
 class GeneratorEntry:
-    """One generator matrix with its provenance inside the family."""
+    """One generator matrix with its provenance inside the family and the
+    full-type flag of its row prefixes."""
 
     kind: str  # "A" | "B" | "M"
     index: int | None  # family index i, None for M
     power: int | None  # group-element exponent t, only for kind "A"
     matrix: MatrixGF
-    space: Subspace
+    flag: Flag
+
+    @property
+    def space(self) -> Subspace:
+        """The row space of the whole matrix: the flag's top part."""
+        return self.flag.parts[-1]
 
     @property
     def label(self) -> str:
@@ -305,11 +321,18 @@ class GeneratorEntry:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """All generator matrices of the construction, with deduplicated spaces."""
+    """All generator matrices of the construction, with deduplicated spaces
+    and the full-type code of their flags.
+
+    Every typed and projected code of the construction is a restriction of
+    ``full``; an injective one reads the full code's cached distance profile
+    instead of scanning its own pairs.
+    """
 
     params: ConstructionParams
     entries: tuple[GeneratorEntry, ...]
     spaces: tuple[Subspace, ...]
+    full: FlagCode
 
     @property
     def expected_size(self) -> int:
@@ -322,13 +345,12 @@ class GeneratorSet:
         raise KeyError(f"no generator entry ({kind}, {index}, {power})")
 
     def flag_code(self, tv: TypeVector) -> FlagCode:
-        return FlagCode(tv, (flag_from_matrix(e.matrix, tv) for e in self.entries))
+        """The code of type ``tv``: the full code restricted to its dimensions."""
+        return subsequence_code(self.full, tv)
 
     def projected_at_dim(self, m: int) -> SubspaceCode:
         """Row spaces of the first m rows of every generator matrix."""
-        return SubspaceCode(
-            self.params.n, (subspace_of(e.matrix.first_rows(m)) for e in self.entries)
-        )
+        return projected_code_at_dim(self.full, m)
 
 
 def build_generator_set(params: ConstructionParams) -> GeneratorSet:
@@ -338,6 +360,7 @@ def build_generator_set(params: ConstructionParams) -> GeneratorSet:
     spaces against sum q^(ik+h) + 1."""
     entries: list[GeneratorEntry] = []
     n = params.n
+    full_tv = TypeVector.full(n)
     ident_n = MatrixGF.identity(params.field, n)
     for i in range(1, params.s):
         p_i = build_P(params, i)
@@ -354,16 +377,17 @@ def build_generator_set(params: ConstructionParams) -> GeneratorSet:
                 raise TheoremViolated(
                     f"A_{i} g^{t} does not match its block form"
                 )
-            space = subspace_of(m_t)
-            if space.dim != n - 1:
-                raise TheoremViolated(f"A_{i} g^{t} lost row rank")
-            entries.append(GeneratorEntry("A", i, t, m_t, space))
+            try:
+                flag = flag_from_matrix(m_t, full_tv)
+            except RankDeficientPrefix:
+                raise TheoremViolated(f"A_{i} g^{t} lost row rank") from None
+            entries.append(GeneratorEntry("A", i, t, m_t, flag))
         if g_t != ident_n:
             raise TheoremViolated(f"G_{i} generator order does not divide {order}")
         b_i = build_B(params, i)
-        entries.append(GeneratorEntry("B", i, None, b_i, subspace_of(b_i)))
+        entries.append(GeneratorEntry("B", i, None, b_i, flag_from_matrix(b_i, full_tv)))
     m_mat = build_M(params)
-    entries.append(GeneratorEntry("M", None, None, m_mat, subspace_of(m_mat)))
+    entries.append(GeneratorEntry("M", None, None, m_mat, flag_from_matrix(m_mat, full_tv)))
 
     distinct = {e.space.key: e.space for e in entries}
     if len(distinct) != params.expected_size:
@@ -371,7 +395,8 @@ def build_generator_set(params: ConstructionParams) -> GeneratorSet:
             f"{len(distinct)} distinct row spaces, expected {params.expected_size}"
         )
     spaces = tuple(distinct[k] for k in sorted(distinct))
-    return GeneratorSet(params, tuple(entries), spaces)
+    full = FlagCode(full_tv, (e.flag for e in entries))
+    return GeneratorSet(params, tuple(entries), spaces, full)
 
 
 def build_full_flag_code(
@@ -379,7 +404,7 @@ def build_full_flag_code(
 ) -> FlagCode:
     """One full-type flag per generator matrix, via its row prefixes."""
     gen = gen or build_generator_set(params)
-    code = gen.flag_code(TypeVector.full(params.n))
+    code = gen.full
     if len(code) != params.expected_size:
         raise CardinalityMismatch(
             f"{len(code)} full flags, expected {params.expected_size}"
@@ -614,11 +639,10 @@ def verify_intermediate_distances(
 
 
 def _witness_distance(gen: GeneratorSet, i: int, m: int) -> int:
-    a_entry = gen.entry("A", i, gen.params.k)
-    b_entry = gen.entry("B", i)
-    u = subspace_of(a_entry.matrix.first_rows(m))
-    v = subspace_of(b_entry.matrix.first_rows(m))
-    return subspace_distance(u, v)
+    # part m-1 of a full-type flag is the row space of the first m rows
+    a_flag = gen.entry("A", i, gen.params.k).flag
+    b_flag = gen.entry("B", i).flag
+    return subspace_distance(a_flag.parts[m - 1], b_flag.parts[m - 1])
 
 
 def verify_orbit_decomposition(
@@ -943,14 +967,11 @@ def _loaded_claims(
         size,
         lambda: len(loaded),
     )
-    reference: FlagCode | None = None
-    if tv == TypeVector.full(params.n):
-        reference = build_full_flag_code(params, gen)
-    elif tv == admissible_type(params):
-        reference = gen.flag_code(tv)
-    elif tv.is_subsequence_of(master_type(params)):
-        reference = gen.flag_code(tv)
-    if reference is None:
+    constructible = (
+        tv in (TypeVector.full(params.n), admissible_type(params))
+        or tv.is_subsequence_of(master_type(params))
+    )
+    if not constructible:
         rep.check(
             f"{label}.type_recognized",
             f"the loaded type {tv.dims} matches a constructible family",
@@ -958,7 +979,7 @@ def _loaded_claims(
             lambda: False,
         )
         return
-    ref = reference
+    ref = gen.flag_code(tv)
     rep.check(
         f"{label}.matches_construction",
         f"the loaded code equals the constructed type {tv.dims} family",

@@ -27,7 +27,14 @@ from .errors import (
     TypeMismatch,
 )
 from .matgf import MatrixGF, matrix_to_text, read_matrix
-from .subspace import Subspace, SubspaceCode, _distance_profile, subspace_distance, subspace_of
+from .subspace import (
+    Subspace,
+    SubspaceCode,
+    _distance_profile,
+    _restrict_profile,
+    subspace_distance,
+    subspace_of,
+)
 
 __all__ = [
     "AbIndices",
@@ -212,7 +219,7 @@ def flag_from_matrix(w: MatrixGF, type_: TypeVector) -> Flag:
 class FlagCode:
     """A set of flags sharing one type vector, stored sorted and deduped."""
 
-    __slots__ = ("type", "flags", "_profile")
+    __slots__ = ("type", "flags", "_profile", "_parent")
 
     def __init__(self, type_: TypeVector, flags: Iterable[Flag]):
         seen: dict[tuple, Flag] = {}
@@ -223,18 +230,26 @@ class FlagCode:
         self.type = type_
         self.flags = tuple(seen[k] for k in sorted(seen))
         self._profile = None
+        # (flag code, positions) when this code is an injective restriction
+        self._parent = None
 
     def distance_profile(self) -> Counter:
         """(d(U_1, V_1), ..., d(U_r, V_r)) -> number of unordered flag pairs
         with those component distances.
 
-        Computed by one exhaustive scan on first use and cached; the same
-        Counter is returned on every later call.  Flag distances are the
-        vector sums, and entry i-1 of each vector is the pair's distance in
-        the i-th projected code.
+        Computed on first use and cached; the same Counter is returned on
+        every later call.  An injective restriction of another code reads
+        that code's profile at its positions, since each of its pairs is
+        exactly one parent pair; any other code makes its own exhaustive
+        scan.  Flag distances are the vector sums, and entry i-1 of each
+        vector is the pair's distance in the i-th projected code.
         """
         if self._profile is None:
-            self._profile = _distance_profile([f.parts for f in self.flags])
+            if self._parent is None:
+                self._profile = _distance_profile([f.parts for f in self.flags])
+            else:
+                parent, positions = self._parent
+                self._profile = _restrict_profile(parent.distance_profile(), positions)
         return self._profile
 
     def __len__(self) -> int:
@@ -276,7 +291,10 @@ def projected_code(code: FlagCode, i: int) -> SubspaceCode:
     """The deduplicated set of i-th components (1-based index into the type)."""
     if not 1 <= i <= code.type.r:
         raise IndexOutOfRange(f"index {i} outside 1..{code.type.r}")
-    return SubspaceCode(code.type.n, (f.parts[i - 1] for f in code))
+    out = SubspaceCode(code.type.n, (f.parts[i - 1] for f in code))
+    if len(out) == len(code):
+        out._parent = (code, (i - 1,))
+    return out
 
 
 def projected_code_at_dim(code: FlagCode, dim: int) -> SubspaceCode:
@@ -361,12 +379,13 @@ def subsequence_code(code: FlagCode, sub: TypeVector) -> FlagCode:
     tv = code.type
     if not sub.is_subsequence_of(tv):
         raise NotASubsequence(f"{sub.dims} is not a subsequence of {tv.dims}")
-    positions = [tv.dims.index(d) for d in sub.dims]
-    out = []
-    for f in code:
-        parts = [f.parts[p] for p in positions]
-        out.append(Flag(sub, parts, source=f.source))
-    return FlagCode(sub, out)
+    positions = tuple(tv.dims.index(d) for d in sub.dims)
+    out = FlagCode(
+        sub, (Flag(sub, [f.parts[p] for p in positions], source=f.source) for f in code)
+    )
+    if len(out) == len(code):
+        out._parent = (code, positions)
+    return out
 
 
 def split_type(tv: TypeVector, ell: int) -> tuple[TypeVector, TypeVector]:

@@ -134,6 +134,21 @@ class MatrixGF:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _of_codes(
+        cls, field: FieldSpec, rows: tuple[tuple[int, ...], ...], ncols: int
+    ) -> MatrixGF:
+        """Wrap a tuple grid of element codes already valid in ``field``
+        (taken from, or computed on, matrices over it) without re-coercing."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.nrows = len(rows)
+        m.ncols = ncols
+        m._rows = rows
+        m._hash = None
+        m._rref = None
+        return m
+
+    @classmethod
     def identity(cls, field: FieldSpec, n: int) -> MatrixGF:
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
 
@@ -223,7 +238,7 @@ class MatrixGF:
             rank = len(pivots)
             ordered = [r for r in rows if any(r)]
             ordered += [tuple([0] * self.ncols)] * (self.nrows - len(ordered))
-            reduced = MatrixGF(self.field, ordered, ncols=self.ncols)
+            reduced = MatrixGF._of_codes(self.field, tuple(ordered), self.ncols)
             reduced._rref = (reduced, rank)
             self._rref = (reduced, rank)
         return self._rref
@@ -235,27 +250,25 @@ class MatrixGF:
 
     def first_rows(self, j: int) -> MatrixGF:
         """The submatrix of the first j rows; requires 1 <= j <= nrows."""
-        if not 1 <= j <= self.nrows:
-            raise SliceOutOfRange(f"first {j} rows of a {self.nrows}-row matrix")
-        return MatrixGF(self.field, self._rows[:j], ncols=self.ncols)
+        return self._rows_between(1, j, 1 <= j <= self.nrows, f"first {j} rows")
 
     def rows_after(self, j: int) -> MatrixGF:
         """The submatrix of rows j+1..nrows; requires 1 <= j < nrows."""
-        if not 1 <= j < self.nrows:
-            raise SliceOutOfRange(f"rows after {j} of a {self.nrows}-row matrix")
-        return MatrixGF(self.field, self._rows[j:], ncols=self.ncols)
+        return self._rows_between(j + 1, self.nrows, 1 <= j < self.nrows, f"rows after {j}")
 
     def single_row(self, j: int) -> MatrixGF:
         """Row j as a 1-row matrix; requires 1 <= j <= nrows."""
-        if not 1 <= j <= self.nrows:
-            raise SliceOutOfRange(f"row {j} of a {self.nrows}-row matrix")
-        return MatrixGF(self.field, [self._rows[j - 1]], ncols=self.ncols)
+        return self._rows_between(j, j, 1 <= j <= self.nrows, f"row {j}")
 
     def row_range(self, i: int, j: int) -> MatrixGF:
         """Rows i..j inclusive; requires 1 <= i <= j <= nrows."""
-        if not 1 <= i <= j <= self.nrows:
-            raise SliceOutOfRange(f"rows {i}..{j} of a {self.nrows}-row matrix")
-        return MatrixGF(self.field, self._rows[i - 1 : j], ncols=self.ncols)
+        return self._rows_between(i, j, 1 <= i <= j <= self.nrows, f"rows {i}..{j}")
+
+    def _rows_between(self, i: int, j: int, valid: bool, what: str) -> MatrixGF:
+        """Rows i..j inclusive, or SliceOutOfRange naming ``what``."""
+        if not valid:
+            raise SliceOutOfRange(f"{what} of a {self.nrows}-row matrix")
+        return MatrixGF._of_codes(self.field, self._rows[i - 1 : j], self.ncols)
 
 
 def mat_mul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
@@ -274,7 +287,7 @@ def mat_mul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
                 if v:
                     acc ^= brows[j]
             out.append(_unpack(acc, b.ncols))
-        return MatrixGF(field, out, ncols=b.ncols)
+        return MatrixGF._of_codes(field, tuple(out), b.ncols)
     add, mul = field.add, field.mul
     out = [[0] * b.ncols for _ in range(a.nrows)]
     brows = b.int_rows()
@@ -286,7 +299,7 @@ def mat_mul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
                 for c, w in enumerate(brow):
                     if w:
                         orow[c] = add(orow[c], mul(v, w))
-    return MatrixGF(field, out, ncols=b.ncols)
+    return MatrixGF._of_codes(field, tuple(map(tuple, out)), b.ncols)
 
 
 def vstack(mats: Sequence[MatrixGF]) -> MatrixGF:
@@ -302,7 +315,7 @@ def vstack(mats: Sequence[MatrixGF]) -> MatrixGF:
         if m.ncols != ncols:
             raise DimMismatch(f"stacking {ncols}-column and {m.ncols}-column matrices")
         rows.extend(m.int_rows())
-    return MatrixGF(field, rows, ncols=ncols)
+    return MatrixGF._of_codes(field, tuple(rows), ncols)
 
 
 def block(field: FieldSpec, cells: Sequence[Sequence[MatrixGF | None]]) -> MatrixGF:
@@ -334,7 +347,7 @@ def block(field: FieldSpec, cells: Sequence[Sequence[MatrixGF | None]]) -> Matri
                 )
     if any(h is None for h in heights) or any(w is None for w in widths):
         raise BlockDimMismatch("a full block row or column has no sized cell")
-    out: list[list[int]] = []
+    out: list[tuple[int, ...]] = []
     for i, row in enumerate(cells):
         for r in range(heights[i]):
             line: list[int] = []
@@ -343,8 +356,8 @@ def block(field: FieldSpec, cells: Sequence[Sequence[MatrixGF | None]]) -> Matri
                     line.extend([0] * widths[j])
                 else:
                     line.extend(cell.int_rows()[r])
-            out.append(line)
-    return MatrixGF(field, out, ncols=sum(widths))
+            out.append(tuple(line))
+    return MatrixGF._of_codes(field, tuple(out), sum(widths))
 
 
 def companion(f: Poly) -> MatrixGF:

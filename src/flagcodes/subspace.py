@@ -171,7 +171,7 @@ def intersection_dim(u: Subspace, v: Subspace) -> int:
 class SubspaceCode:
     """A set of subspaces of a common ambient space, stored sorted and deduped."""
 
-    __slots__ = ("ambient", "words", "constant_dim", "_spectrum")
+    __slots__ = ("ambient", "words", "constant_dim", "_spectrum", "_parent")
 
     def __init__(self, ambient: int, words: Iterable[Subspace]):
         seen: dict[tuple, Subspace] = {}
@@ -187,15 +187,23 @@ class SubspaceCode:
         self.words = ordered
         self.constant_dim = dims.pop() if len(dims) == 1 else None
         self._spectrum = None
+        # (flag code, (position,)) when this code is an injective projection
+        self._parent = None
 
     def spectrum(self) -> Counter:
         """Distance -> number of unordered word pairs at that distance.
 
-        Computed by one exhaustive scan on first use and cached; the same
-        Counter is returned on every later call.
+        Computed on first use and cached; the same Counter is returned on
+        every later call.  An injective projection of a flag code reads the
+        flag code's profile, where each of its pairs is exactly one pair;
+        any other code makes its own exhaustive scan.
         """
         if self._spectrum is None:
-            profile = _distance_profile([(w,) for w in self.words])
+            if self._parent is None:
+                profile = _distance_profile([(w,) for w in self.words])
+            else:
+                parent, positions = self._parent
+                profile = _restrict_profile(parent.distance_profile(), positions)
             self._spectrum = Counter({vec[0]: n for vec, n in profile.items()})
         return self._spectrum
 
@@ -287,6 +295,18 @@ def _distance_profile(chains: Sequence[Sequence[Subspace]]) -> Counter:
                 vec.append(2 * rank - dim_a - dim_b)
             profile[tuple(vec)] += 1
     return profile
+
+
+def _restrict_profile(profile: Counter, positions: Sequence[int]) -> Counter:
+    """A distance profile projected onto some of its (0-based) levels.
+
+    Exact for a restriction that keeps every chain distinct: each restricted
+    pair is then exactly one pair of the profile.
+    """
+    out: Counter = Counter()
+    for vec, n in profile.items():
+        out[tuple(vec[p] for p in positions)] += n
+    return out
 
 
 def code_min_distance(code: SubspaceCode) -> int:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 import flagcodes as fc
+from flagcodes import construct
 from flagcodes.errors import NotASubsequence
 
 P223 = fc.ConstructionParams.make(2, 2, 1, 3)
@@ -41,6 +42,27 @@ class TestBuildP:
     def test_index_range(self):
         with pytest.raises(ValueError):
             fc.build_P(P223, 3)
+
+
+class TestPrimitivePolySearch:
+    def test_searched_once_per_degree(self, monkeypatch):
+        construct._primitive_poly.cache_clear()
+        searched = []
+        search = construct.iter_primitive_polys
+
+        def counting(field, degree, budget):
+            searched.append(degree)
+            return search(field, degree, budget)
+
+        monkeypatch.setattr(construct, "iter_primitive_polys", counting)
+        assert fc.run_claim_suite(fc.ConstructionParams.make(2, 2, 1, 3)).all_pass
+        assert sorted(searched) == [3, 5]
+
+    def test_missing_polynomial_raises_every_time(self):
+        params = fc.ConstructionParams.make(2, 2, 0, 2, poly_choice=1)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="there are only 1"):
+                fc.build_P(params, 1)
 
 
 class TestBuildGroupGenerator:

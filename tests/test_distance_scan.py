@@ -1,7 +1,9 @@
 """The cached level-by-level code scan against the pair-by-pair oracle.
 
-Every code caches one scan: ``SubspaceCode.spectrum`` and
-``FlagCode.distance_profile``.  These tests compare both with
+Every code caches its profile: ``SubspaceCode.spectrum`` and
+``FlagCode.distance_profile``.  A code restricted injectively from another
+(``subsequence_code``, ``projected_code``) reads its parent's profile; any
+other code scans its own pairs.  These tests compare both routes with
 ``subspace_distance`` / ``flag_distance`` called pair by pair, on the
 construction's codes, on flags built from explicit parts, and on codes whose
 projected codes deduplicate.
@@ -24,14 +26,67 @@ from _checks import check_scan_against_pairwise, pairwise_spectrum
 SWEEP = [(2, 2, 0, 2), (2, 2, 1, 2), (2, 3, 2, 2), (3, 2, 1, 2), (2, 2, 0, 3), (2, 2, 1, 3), (2, 2, 1, 4)]
 
 
+def _forbid_scans(monkeypatch):
+    def rescan(chains):
+        raise AssertionError("a code was scanned on its own")
+
+    monkeypatch.setattr(flagcodes.flags, "_distance_profile", rescan)
+    monkeypatch.setattr(flagcodes.subspace, "_distance_profile", rescan)
+
+
+def _counting_scans(monkeypatch) -> list:
+    """Record the chains of every scan, as tuples of part keys."""
+    scanned = []
+    scan = flagcodes.subspace._distance_profile
+
+    def counting(chains):
+        scanned.append([tuple(part.key for part in chain) for chain in chains])
+        return scan(chains)
+
+    monkeypatch.setattr(flagcodes.flags, "_distance_profile", counting)
+    monkeypatch.setattr(flagcodes.subspace, "_distance_profile", counting)
+    return scanned
+
+
 @pytest.mark.parametrize("qkhs", SWEEP, ids=lambda t: "q{}k{}h{}s{}".format(*t))
 def test_construction_codes_match_oracle(qkhs):
+    # the full-type code is the one code of a generator set that scans
+    code = fc.build_generator_set(fc.ConstructionParams.make(*qkhs)).full
+    n = len(code)
+    assert check_scan_against_pairwise(code) == n * (n - 1) // 2
+
+
+def _split_restrictions(code):
+    """The inner and outer restrictions _deficit_claims takes of ``code``."""
+    ell = fc.classify(code).deficit
+    ab = fc.ab_indices(code.type)
+    if ab.a is None or ab.b is None or not 1 <= ell <= min(ab.a - 1, code.type.r - ab.b):
+        return []
+    return [fc.subsequence_code(code, tv) for tv in fc.split_type(code.type, ell)]
+
+
+@pytest.mark.parametrize("qkhs", SWEEP, ids=lambda t: "q{}k{}h{}s{}".format(*t))
+def test_restrictions_of_the_full_code_match_oracle(qkhs, monkeypatch):
     params = fc.ConstructionParams.make(*qkhs)
     gen = fc.build_generator_set(params)
-    for tv in (fc.TypeVector.full(params.n), fc.admissible_type(params)):
-        code = gen.flag_code(tv)
-        n = len(code)
-        assert check_scan_against_pairwise(code) == n * (n - 1) // 2
+    gen.full.distance_profile()
+    _forbid_scans(monkeypatch)
+    admissible = gen.flag_code(fc.admissible_type(params))
+    master = gen.flag_code(fc.master_type(params))
+    codes = [admissible, master] + _split_restrictions(gen.full) + _split_restrictions(master)
+    dims = sorted({params.k, params.n - params.k, *fc.middle_dims(params)})
+    projected = [gen.projected_at_dim(m) for m in dims]
+    for code in codes:
+        assert len(code) == params.expected_size
+        code.distance_profile()
+    for words in projected:
+        assert len(words) == params.expected_size
+        words.spectrum()
+    monkeypatch.undo()
+    for code in codes:
+        check_scan_against_pairwise(code)
+    for words in projected:
+        assert words.spectrum() == pairwise_spectrum(words)
 
 
 def _parts_built_code(field, tv, count, seed):
@@ -57,13 +112,17 @@ def test_parts_built_flags_match_oracle(field_args):
         check_scan_against_pairwise(code)
 
 
-def test_deduplicating_projections_match_oracle(gf2):
-    # all 21 full flags of GF(2)^3: 7 points and 7 lines, each shared
-    every = fc.FlagCode(fc.TypeVector.full(3), (
+def _every_full_flag_of_gf2_3(gf2):
+    """All 21 full flags of GF(2)^3: 7 points and 7 lines, each shared."""
+    return fc.FlagCode(fc.TypeVector.full(3), (
         fc.flag_from_matrix(fc.MatrixGF(gf2, [[(v >> j) & 1 for j in range(3)] for v in (a, b)]),
                             fc.TypeVector.full(3))
         for a in range(1, 8) for b in range(1, 8) if a != b
     ))
+
+
+def test_deduplicating_projections_match_oracle(gf2):
+    every = _every_full_flag_of_gf2_3(gf2)
     assert len(every) == 21 and not fc.is_cardinality_consistent(every)
     assert check_scan_against_pairwise(every) == 210
     assert fc.classify(every).label == "quasi-optimum"
@@ -72,6 +131,21 @@ def test_deduplicating_projections_match_oracle(gf2):
     pencil = fc.FlagCode(every.type, (f for f in every if f.parts[0] == every.flags[0].parts[0]))
     assert len(pencil) == 3 and len(fc.projected_code(pencil, 1)) == 1
     check_scan_against_pairwise(pencil)
+
+
+def test_non_injective_restrictions_scan_their_own(gf2, monkeypatch):
+    every = _every_full_flag_of_gf2_3(gf2)
+    every.distance_profile()
+    points = fc.subsequence_code(every, fc.TypeVector(3, (1,)))
+    lines = fc.projected_code(every, 2)
+    assert len(points) == len(lines) == 7
+    scanned = _counting_scans(monkeypatch)
+    check_scan_against_pairwise(points)
+    assert lines.spectrum() == pairwise_spectrum(lines)
+    assert scanned == [
+        [tuple(part.key for part in f.parts) for f in points],
+        [(w.key,) for w in lines],
+    ]
 
 
 def test_mixed_fields_raise(gf2, gf3):
@@ -93,12 +167,7 @@ def test_second_query_reads_the_cache(monkeypatch):
     words = gen.projected_at_dim(2)
     profile = code.distance_profile()
     spectrum = words.spectrum()
-
-    def rescan(chains):
-        raise AssertionError("a cached code was scanned again")
-
-    monkeypatch.setattr(flagcodes.flags, "_distance_profile", rescan)
-    monkeypatch.setattr(flagcodes.subspace, "_distance_profile", rescan)
+    _forbid_scans(monkeypatch)
     assert code.distance_profile() is profile
     assert words.spectrum() is spectrum
     fc.classify(code)
@@ -109,14 +178,12 @@ def test_second_query_reads_the_cache(monkeypatch):
 
 
 def test_claim_suite_scans_each_code_once(monkeypatch):
-    scanned = []
-    scan = flagcodes.subspace._distance_profile
-
-    def counting(chains):
-        scanned.append(tuple(tuple(part.key for part in chain) for chain in chains))
-        return scan(chains)
-
-    monkeypatch.setattr(flagcodes.flags, "_distance_profile", counting)
-    monkeypatch.setattr(flagcodes.subspace, "_distance_profile", counting)
-    assert fc.run_claim_suite(fc.ConstructionParams.make(2, 2, 1, 3)).all_pass
-    assert scanned and len(set(scanned)) == len(scanned)
+    # every code of the suite is a restriction of the full-type code, so
+    # the suite makes exactly one scan: the full-type chains
+    scanned = _counting_scans(monkeypatch)
+    for qkhs in SWEEP:
+        params = fc.ConstructionParams.make(*qkhs)
+        full = [tuple(part.key for part in f.parts) for f in fc.build_full_flag_code(params)]
+        scanned.clear()
+        assert fc.run_claim_suite(params).all_pass
+        assert scanned == [full], qkhs

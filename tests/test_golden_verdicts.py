@@ -15,6 +15,9 @@ and say in the change log which claims changed and why.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from itertools import islice
 from pathlib import Path
 
@@ -23,6 +26,7 @@ import pytest
 import flagcodes as fc
 
 GOLDEN = Path(__file__).parent / "data" / "golden_verdicts.json"
+ROOT = Path(__file__).resolve().parent.parent
 
 # scripts/run_verification_sweep.py INSTANCES
 SWEEP = [(2, 2, 0, 2), (2, 2, 1, 2), (2, 3, 2, 2), (3, 2, 1, 2), (2, 2, 0, 3), (2, 2, 1, 3), (2, 2, 1, 4)]
@@ -72,6 +76,30 @@ def test_every_instance_pinned():
     assert sorted(_golden) == sorted(
         f"{q},{k},{h},{s},{c}" for q, k, h, s in SWEEP for c in _poly_choices(q, k, h, s)
     )
+
+
+def _run_sweep(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_verification_sweep.py"), *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_sweep_script_skips_instances_without_a_second_polynomial(tmp_path):
+    out = tmp_path / "claims.json"
+    proc = _run_sweep("--poly-choice", "1", "--json", str(out))
+    assert proc.returncode == 0, proc.stderr
+    runnable = [qkhs for qkhs in SWEEP if 1 in _poly_choices(*qkhs)]
+    assert proc.stdout.count("skipped: ") == len(SWEEP) - len(runnable)
+    reports = [_strip_seconds(r) for r in json.loads(out.read_text())["reports"]]
+    assert reports == [_golden["{},{},{},{},1".format(*qkhs)] for qkhs in runnable]
+
+
+def test_sweep_script_rejects_negative_poly_choice():
+    proc = _run_sweep("--poly-choice", "-1")
+    assert proc.returncode == 2
+    assert "poly_choice must be nonnegative" in proc.stderr
 
 
 if __name__ == "__main__":

@@ -166,6 +166,13 @@ class TestSlices:
         with pytest.raises(SliceOutOfRange):
             i3.entry(4, 1)
 
+    def test_bounds_of_each_slicer(self, gf2):
+        i3 = fc.MatrixGF.identity(gf2, 3)
+        for bad in (lambda: i3.rows_after(0), lambda: i3.single_row(0),
+                    lambda: i3.single_row(4), lambda: i3.row_range(3, 2)):
+            with pytest.raises(SliceOutOfRange):
+                bad()
+
     def test_entry_is_field_element(self, gf3):
         m = M(gf3, [[0, 2]])
         assert m.entry(1, 2) == gf3.element(2)
@@ -287,3 +294,31 @@ class TestText:
     def test_bad_header(self):
         with pytest.raises(ValueError):
             fc.matrix_from_text("nonsense")
+
+
+class TestDerivedMatrices:
+    """Slices, RREF results, products and assembled blocks reuse the element
+    codes of the matrices they come from; they must equal a fully validated
+    rebuild of the same grid."""
+
+    @pytest.mark.parametrize("field_args", [(2,), (3,), (2, 2)], ids=["GF2", "GF3", "GF4"])
+    def test_equal_validated_rebuild(self, field_args):
+        field = fc.field_make(*field_args)
+        rng = random.Random(5)
+        a = fc.MatrixGF(field, [[rng.randrange(field.q) for _ in range(4)] for _ in range(3)])
+        b = fc.MatrixGF(field, [[rng.randrange(field.q) for _ in range(3)] for _ in range(4)])
+        derived = [
+            a.first_rows(2), a.rows_after(1), a.single_row(3), a.row_range(2, 3),
+            a.rref()[0], a @ b, fc.vstack([a, a]), fc.block(field, [[a, None], [None, b]]),
+        ]
+        for m in derived:
+            rebuilt = fc.MatrixGF(field, m.int_rows(), ncols=m.ncols)
+            assert m == rebuilt and hash(m) == hash(rebuilt)
+            assert (m.nrows, m.ncols) == (rebuilt.nrows, rebuilt.ncols)
+            assert all(isinstance(row, tuple) for row in m.int_rows())
+
+    def test_public_constructor_still_validates(self, gf4):
+        with pytest.raises(ValueError):
+            fc.MatrixGF(gf4, [[0, 4]])
+        with pytest.raises(ValueError):
+            fc.matrix_from_text("1 2 GF(2^2)\n0 4")
