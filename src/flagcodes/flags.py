@@ -31,6 +31,7 @@ from .subspace import (
     Subspace,
     SubspaceCode,
     _distance_profile,
+    _prefix_spaces,
     _restrict_profile,
     subspace_distance,
     subspace_of,
@@ -149,10 +150,12 @@ class Flag:
     """A strictly nested chain of subspaces matching a type vector.
 
     ``source`` optionally keeps a generator matrix whose row prefixes produce
-    the chain; it is ignored by equality and hashing.
+    the chain; it is ignored by equality and hashing.  ``field`` is the
+    parts' common field (the nesting check rejects parts over different
+    fields), and it takes part in equality and hashing.
     """
 
-    __slots__ = ("type", "parts", "source", "_key")
+    __slots__ = ("type", "field", "parts", "source", "_key")
 
     def __init__(
         self,
@@ -179,6 +182,7 @@ class Flag:
                     f"component of dim {lower.dim} not inside the next of dim {upper.dim}"
                 )
         self.type = type_
+        self.field = parts[0].field
         self.parts = parts
         self.source = source
         self._key = tuple(p.key for p in parts)
@@ -190,10 +194,14 @@ class Flag:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Flag):
             return NotImplemented
-        return self.type == other.type and self._key == other._key
+        return (
+            self.type == other.type
+            and self.field == other.field
+            and self._key == other._key
+        )
 
     def __hash__(self) -> int:
-        return hash((self.type, self._key))
+        return hash((self.type, self.field, self._key))
 
     def __repr__(self) -> str:
         return f"Flag(type {self.type.dims} in GF(q)^{self.type.n})"
@@ -208,24 +216,32 @@ def flag_from_matrix(w: MatrixGF, type_: TypeVector) -> Flag:
             f"{w.nrows} rows cannot produce a flag of type {type_.dims}"
         )
     parts = []
-    for t in type_.dims:
-        prefix = w.first_rows(t)
-        if prefix.rank() != t:
-            raise RankDeficientPrefix(f"first {t} rows have rank {prefix.rank()}")
-        parts.append(subspace_of(prefix))
+    for t, (rank, part) in zip(type_.dims, _prefix_spaces(w, type_.dims)):
+        if rank != t:
+            raise RankDeficientPrefix(f"first {t} rows have rank {rank}")
+        parts.append(part)
     return Flag(type_, parts, source=w)
 
 
 class FlagCode:
-    """A set of flags sharing one type vector, stored sorted and deduped."""
+    """A set of flags sharing one type vector and one field, stored sorted and
+    deduped."""
 
     __slots__ = ("type", "flags", "_profile", "_parent")
 
     def __init__(self, type_: TypeVector, flags: Iterable[Flag]):
         seen: dict[tuple, Flag] = {}
+        field = None
         for f in flags:
             if f.type != type_:
                 raise TypeMismatch(f"flag of type {f.type.dims} in a {type_.dims} code")
+            if field is None:
+                field = f.field
+            elif f.field != field:
+                raise AmbientMismatch(
+                    f"flag over {f.field} (modulus {f.field.modulus}) in a code "
+                    f"over {field} (modulus {field.modulus})"
+                )
             seen[f.key] = f
         self.type = type_
         self.flags = tuple(seen[k] for k in sorted(seen))
@@ -480,7 +496,7 @@ def load_flag(text: str) -> Flag:
 def dump_flag_code(code: FlagCode) -> str:
     """Serialize as ``flagcode n q |C|``, a shared type line, then one flag
     matrix block per flag."""
-    field = code.flags[0].parts[0].field if len(code) else None
+    field = code.flags[0].field if len(code) else None
     q = field.q if field else 0
     lines = [f"flagcode {code.type.n} {q} {len(code)}", _type_line(code.type)]
     for f in code:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import product
 
 from .errors import (
     BlockDimMismatch,
@@ -49,8 +50,16 @@ def _pack(row: Sequence[int]) -> int:
     return bits
 
 
+# the 8 entries a byte of a packed row stands for, lowest bit first
+_BYTE_ROWS = tuple(bits[::-1] for bits in product((0, 1), repeat=8))
+
+
 def _unpack(bits: int, ncols: int) -> tuple[int, ...]:
-    return tuple((bits >> j) & 1 for j in range(ncols))
+    row: tuple[int, ...] = ()
+    while len(row) < ncols:
+        row += _BYTE_ROWS[bits & 255]
+        bits >>= 8
+    return row[:ncols]
 
 
 def _rref_gf2(packed: list[int], ncols: int) -> tuple[list[int], list[int]]:
@@ -150,11 +159,13 @@ class MatrixGF:
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> MatrixGF:
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
+        # codes 0 and 1 are zero and one in every field: nothing to coerce
+        rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        return cls._of_codes(field, rows, n)
 
     @classmethod
     def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> MatrixGF:
-        return cls(field, [[0] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls._of_codes(field, ((0,) * ncols,) * nrows, ncols)
 
     # -- inspection ----------------------------------------------------------
 

@@ -20,7 +20,8 @@ from .errors import (
     TooFewWords,
     ZeroRank,
 )
-from .matgf import MatrixGF, matrix_to_text, read_matrix
+from .field import FieldSpec
+from .matgf import MatrixGF, _pack, _unpack, matrix_to_text, read_matrix
 
 __all__ = [
     "GroupElementSeq",
@@ -43,21 +44,13 @@ class Subspace:
 
     __slots__ = ("ambient", "dim", "canon", "_piv", "_key")
 
-    def __init__(self, canon: MatrixGF):
-        # canon must already be a full-rank RREF matrix; use subspace_of()
-        self.ambient = canon.ncols
-        self.dim = canon.nrows
-        self.canon = canon
-        rows = canon.int_rows()
-        if canon.field.q == 2:
-            packed = canon.packed_rows()
-            self._piv = {b & -b: b for b in packed}
-        else:
-            piv: dict[int, tuple[int, ...]] = {}
-            for row in rows:
-                c = next(j for j, v in enumerate(row) if v)
-                piv[c] = row
-            self._piv = piv
+    def __init__(self, field: FieldSpec, ambient: int, piv: dict, rows: tuple):
+        # piv must be a fully reduced basis in pivot order and rows its rows
+        # as code tuples, which is then the RREF generator; use subspace_of()
+        self.ambient = ambient
+        self.dim = len(rows)
+        self.canon = MatrixGF._of_codes(field, rows, ambient)
+        self._piv = piv
         self._key = (self.dim, rows)
 
     @property
@@ -100,10 +93,10 @@ class Subspace:
 
 def subspace_of(a: MatrixGF) -> Subspace:
     """The row space of ``a`` as a canonical Subspace."""
-    reduced, rank = a.rref()
+    rank, space = next(_prefix_spaces(a, (a.nrows,)))
     if rank == 0:
         raise ZeroRank("the zero matrix spans no subspace")
-    return Subspace(reduced.first_rows(rank))
+    return space
 
 
 def _check_ambient(u: Subspace, v: Subspace) -> None:
@@ -148,6 +141,77 @@ def _insert(piv: dict, row, field) -> bool:
         row = [sub(a, mul(x, b)) for a, b in zip(row, base)]
         c += 1
     return False
+
+
+def _reduce_into(basis: dict, row, field) -> None:
+    """Add ``row`` to the fully reduced basis ``basis``, keyed as in _insert.
+
+    The row is cleared at every existing pivot; a nonzero remainder becomes
+    a pivot row with its pivot scaled to 1, and its pivot column is cleared
+    from the older rows.  Every pivot column then holds a single nonzero
+    entry, so the rows sorted by pivot are the RREF of their span.
+    """
+    if field.q == 2:
+        for low, base in basis.items():
+            if row & low:
+                row ^= base
+        if row:
+            low = row & -row
+            for p, base in basis.items():
+                if base & low:
+                    basis[p] = base ^ row
+            basis[low] = row
+        return
+    sub, mul = field.sub, field.mul
+    for c, base in basis.items():
+        x = row[c]
+        if x:
+            row = tuple([sub(a, mul(x, b)) for a, b in zip(row, base)])
+    c = next((j for j, x in enumerate(row) if x), None)
+    if c is None:
+        return
+    x = row[c]
+    if x != 1:
+        xi = field.inv(x)
+        row = tuple([mul(xi, y) for y in row])
+    for p, base in basis.items():
+        y = base[c]
+        if y:
+            basis[p] = tuple([sub(a, mul(y, b)) for a, b in zip(base, row)])
+    basis[c] = row
+
+
+def _prefix_spaces(w: MatrixGF, lengths: Iterable[int]) -> Iterator[tuple[int, Subspace | None]]:
+    """(rank, row space) of the first t rows of ``w`` for each t of the
+    nondecreasing ``lengths``; the space is None when the rank is 0.
+
+    The prefixes are nested, so one fully reduced basis takes the rows one
+    at a time and each requested prefix is read off it: no prefix is reduced
+    twice.  Over GF(2) a basis row is unpacked once and the tuple is shared
+    by every prefix space that holds it.
+    """
+    field, ncols = w.field, w.ncols
+    gf2 = field.q == 2
+    rows = w.int_rows()
+    basis: dict = {}
+    unpacked: dict[int, tuple[int, ...]] = {}  # GF(2) bitmask -> its row tuple
+    done = 0
+    for t in lengths:
+        for row in rows[done:t]:
+            _reduce_into(basis, _pack(row) if gf2 else row, field)
+        done = t
+        if not basis:
+            yield 0, None
+            continue
+        piv = dict(sorted(basis.items()))
+        if gf2:
+            canon = tuple([
+                unpacked.get(b) or unpacked.setdefault(b, _unpack(b, ncols))
+                for b in piv.values()
+            ])
+        else:
+            canon = tuple(piv.values())
+        yield len(piv), Subspace(field, ncols, piv, canon)
 
 
 def _stacked_rank(u: Subspace, v: Subspace) -> int:

@@ -265,3 +265,38 @@ def check_scan_against_pairwise(code: fc.FlagCode) -> int:
         if nonzero:
             assert fc.code_min_distance(projected) == min(oracle) == min(nonzero)
     return sum(profile.values())
+
+
+# -- prefix subspaces through a fresh RREF per prefix ------------------------------
+
+
+def prefix_subspace_oracle(w: fc.MatrixGF, t: int) -> tuple[int, fc.Subspace | None]:
+    """(rank, row space) of the first t rows of ``w``, the space rebuilt from
+    ``w.first_rows(t).rref()`` alone: its first ``rank`` rows are the
+    canonical generator, and the pivot basis is read off them (bitmasks keyed
+    by their lowest set bit over GF(2), rows keyed by their leading column
+    otherwise).  The space is None at rank 0, as for a 0-row matrix."""
+    if t == 0:
+        return 0, None
+    reduced, rank = w.first_rows(t).rref()
+    if rank == 0:
+        return 0, None
+    rows = reduced.first_rows(rank).int_rows()
+    if w.field.q == 2:
+        packed = [sum(v << j for j, v in enumerate(row)) for row in rows]
+        piv = {b & -b: b for b in packed}
+    else:
+        piv = {next(j for j, v in enumerate(row) if v): row for row in rows}
+    return rank, fc.Subspace(w.field, w.ncols, piv, rows)
+
+
+def assert_same_subspace(got: fc.Subspace, want: fc.Subspace) -> None:
+    """Equal canonical generator, key, pivot basis (in pivot order), hash."""
+    assert got.canon == want.canon
+    assert got.dim == got.canon.nrows and got.ambient == got.canon.ncols
+    assert got.key == (want.canon.nrows, want.canon.int_rows())
+    assert got.canon.int_rows() == want.canon.int_rows()
+    assert got.key == want.key
+    assert list(got._piv.items()) == list(want._piv.items())
+    assert hash(got) == hash(want)
+    assert got == want

@@ -156,9 +156,9 @@ def test_mixed_fields_raise(gf2, gf3):
         with pytest.raises(AmbientMismatch):
             query(code)
     tv = fc.TypeVector(3, (1,))
-    flags = fc.FlagCode(tv, [fc.Flag(tv, [u]), fc.Flag(tv, [v])])
+    # a flag code refuses mixed fields when it is built, before any scan
     with pytest.raises(AmbientMismatch):
-        fc.code_flag_min_distance(flags)
+        fc.FlagCode(tv, [fc.Flag(tv, [u]), fc.Flag(tv, [v])])
 
 
 def test_second_query_reads_the_cache(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import flagcodes as fc
 from flagcodes.errors import (
+    AmbientMismatch,
     EllOutOfRange,
     IndexOutOfRange,
     NotASubsequence,
@@ -98,6 +99,33 @@ class TestFlagFromMatrix:
         b = fc.subspace_of(fc.MatrixGF(gf2, [[0, 1, 0, 0], [0, 0, 1, 0]]))
         with pytest.raises(RankDeficientPrefix):
             fc.Flag(fc.TypeVector(4, (1, 2)), [a, b])
+
+
+class TestFieldIdentity:
+    """GF(8) under two moduli: the same rows span different flags."""
+
+    def _pair(self):
+        f1 = fc.field_make(2, 3)
+        f2 = fc.field_make(2, 3, [1, 0, 1, 1])
+        assert f1 != f2
+        rows = [[1, 0, 0], [0, 1, 0]]
+        tv = fc.TypeVector.full(3)
+        return tv, fc.flag_from_matrix(fc.MatrixGF(f1, rows), tv), fc.flag_from_matrix(
+            fc.MatrixGF(f2, rows), tv
+        )
+
+    def test_flags_over_different_moduli_differ(self):
+        tv, a, b = self._pair()
+        assert a.key == b.key  # the sort key stays field-free
+        assert a.field != b.field
+        assert a != b and hash(a) != hash(b)
+        assert len({a, b}) == 2
+
+    def test_flag_code_rejects_mixed_fields(self):
+        tv, a, b = self._pair()
+        with pytest.raises(AmbientMismatch, match="modulus"):
+            fc.FlagCode(tv, [a, b])
+        assert len(fc.FlagCode(tv, [a, a])) == 1
 
 
 class TestFlagDistance:

@@ -322,3 +322,22 @@ class TestDerivedMatrices:
             fc.MatrixGF(gf4, [[0, 4]])
         with pytest.raises(ValueError):
             fc.matrix_from_text("1 2 GF(2^2)\n0 4")
+
+    @pytest.mark.parametrize(
+        "field_args", [(2,), (3,), (2, 2), (3, 2)], ids=["GF2", "GF3", "GF4", "GF9"]
+    )
+    def test_identity_and_zeros_equal_validated_build(self, field_args):
+        # both skip element coercion: 0 and 1 are valid codes in every field
+        field = fc.field_make(*field_args)
+        for n in range(4):
+            ident = fc.MatrixGF.identity(field, n)
+            rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+            rebuilt = fc.MatrixGF(field, rows, ncols=n)
+            assert ident == rebuilt and hash(ident) == hash(rebuilt)
+            assert (ident.nrows, ident.ncols) == (n, n)
+        for nrows, ncols in [(0, 0), (0, 3), (3, 0), (2, 3), (3, 1)]:
+            zeros = fc.MatrixGF.zeros(field, nrows, ncols)
+            rebuilt = fc.MatrixGF(field, [[0] * ncols for _ in range(nrows)], ncols=ncols)
+            assert zeros == rebuilt and hash(zeros) == hash(rebuilt)
+            assert (zeros.nrows, zeros.ncols) == (nrows, ncols)
+            assert zeros.int_rows() == rebuilt.int_rows()
