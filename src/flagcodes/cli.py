@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
@@ -38,30 +37,11 @@ from .flags import (
     load_flag,
     load_flag_code,
 )
-from .matgf import DEFAULT_ORDER_CAP
 from .subspace import SubspaceCode
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 FAMILIES = ("full", "optimum", "longer")
-
-
-@dataclass
-class RunConfig:
-    """Validated bundle of one CLI invocation."""
-
-    command: str
-    param_grid: list[tuple[int, int, int, int]]  # (q, k, h, s) combinations
-    type_dims: tuple[int, ...] | None
-    modulus: str | None
-    family: str
-    out: Path | None
-    fmt: str
-    sweep: bool
-    order_cap: int
-    factor_cap: int
-    poly_choice: int
-    code_path: Path | None
 
 
 def _int_list(text: str) -> list[int]:
@@ -84,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--modulus",
                        help="extension-field modulus as 'x^2+x+1 over GF(2)' or '[1,1,1] @ GF(2)'")
         p.add_argument("--sweep", action="store_true", help="treat --q/--k/--h/--s as comma lists")
-        p.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
         p.add_argument("--factor-cap", type=int, default=DEFAULT_FACTOR_BUDGET)
         p.add_argument("--poly-choice", type=int, default=0,
                        help="use the n-th smallest primitive polynomials (0 = smallest)")
@@ -118,83 +97,71 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    grid: list[tuple[int, int, int, int]] = []
-    if getattr(args, "q", None) is not None:
-        qs, ks, hs, ss = (_int_list(getattr(args, name)) for name in ("q", "k", "h", "s"))
-        if not args.sweep and any(len(v) != 1 for v in (qs, ks, hs, ss)):
-            raise ValueError("comma lists need --sweep")
-        grid = list(product(qs, ks, hs, ss))
-    type_dims = tuple(_int_list(args.type)) if getattr(args, "type", None) else None
-    return RunConfig(
-        command=args.command,
-        param_grid=grid,
-        type_dims=type_dims,
-        modulus=getattr(args, "modulus", None),
-        family=getattr(args, "family", "full"),
-        out=Path(args.out) if getattr(args, "out", None) else None,
-        fmt=getattr(args, "format", "text"),
-        sweep=getattr(args, "sweep", False),
-        order_cap=getattr(args, "order_cap", DEFAULT_ORDER_CAP),
-        factor_cap=getattr(args, "factor_cap", DEFAULT_FACTOR_BUDGET),
-        poly_choice=getattr(args, "poly_choice", 0),
-        code_path=Path(args.code) if getattr(args, "code", None) else None,
-    )
+def _param_grid(args: argparse.Namespace) -> list[tuple[int, int, int, int]]:
+    """Every (q, k, h, s) combination named by --q/--k/--h/--s."""
+    if args.q is None:
+        return []
+    qs, ks, hs, ss = (_int_list(v) for v in (args.q, args.k, args.h, args.s))
+    if not args.sweep and any(len(v) != 1 for v in (qs, ks, hs, ss)):
+        raise ValueError("comma lists need --sweep")
+    return list(product(qs, ks, hs, ss))
 
 
-def _params_for(cfg: RunConfig, q: int, k: int, h: int, s: int) -> ConstructionParams:
-    kwargs = dict(
-        poly_choice=cfg.poly_choice,
-        factor_budget=cfg.factor_cap,
-        order_cap=cfg.order_cap,
-    )
-    if cfg.modulus is None:
+def _type_dims(args: argparse.Namespace) -> tuple[int, ...]:
+    return tuple(_int_list(args.type)) if args.type else ()
+
+
+def _params_for(args: argparse.Namespace, q: int, k: int, h: int, s: int) -> ConstructionParams:
+    kwargs = dict(poly_choice=args.poly_choice, factor_budget=args.factor_cap)
+    if args.modulus is None:
         return ConstructionParams.make(q, k, h, s, **kwargs)
-    factors = factorize(q, cfg.factor_cap)
+    factors = factorize(q, args.factor_cap)
     if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")
     ((p, e),) = factors.items()
-    field = field_make(p, e, poly_from_text(cfg.modulus))
+    field = field_make(p, e, poly_from_text(args.modulus))
     return ConstructionParams(field, k, h, s, **kwargs)
 
 
-def _single_params(cfg: RunConfig) -> ConstructionParams:
-    if len(cfg.param_grid) != 1:
+def _single_params(args: argparse.Namespace) -> ConstructionParams:
+    grid = _param_grid(args)
+    if len(grid) != 1:
         raise ValueError("exactly one (q, k, h, s) combination expected here")
-    return _params_for(cfg, *cfg.param_grid[0])
+    return _params_for(args, *grid[0])
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out is not None:
-        cfg.out.write_text(text)
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
         if text and not text.endswith("\n"):
             sys.stdout.write("\n")
 
 
-def _construct_family(cfg: RunConfig, params: ConstructionParams) -> FlagCode:
+def _construct_family(args: argparse.Namespace, params: ConstructionParams) -> FlagCode:
     gen = build_generator_set(params)
-    if cfg.family == "full":
-        if cfg.type_dims:
+    dims = _type_dims(args)
+    if args.family == "full":
+        if dims:
             raise ValueError("--type applies to the longer family only")
         return build_full_flag_code(params, gen)
-    if cfg.family == "optimum":
-        if cfg.type_dims:
+    if args.family == "optimum":
+        if dims:
             raise ValueError("--type applies to the longer family only")
         return build_optimum_code(params, gen)
-    tv = TypeVector(params.n, cfg.type_dims) if cfg.type_dims else None
+    tv = TypeVector(params.n, dims) if dims else None
     return build_longer_type_code(params, tv, gen)
 
 
-def _cmd_construct(cfg: RunConfig) -> int:
-    params = _single_params(cfg)
-    code = _construct_family(cfg, params)
+def _cmd_construct(args: argparse.Namespace) -> int:
+    params = _single_params(args)
+    code = _construct_family(args, params)
     serialized = dump_flag_code(code)
     dims = ",".join(str(d) for d in code.type.dims)
     summary = f"{len(code)} flags, n = {params.n}, type ({dims})\n"
-    if cfg.out is not None:
-        cfg.out.write_text(serialized)
+    if args.out:
+        Path(args.out).write_text(serialized)
         sys.stdout.write(summary)
     else:
         sys.stdout.write(serialized)
@@ -223,41 +190,44 @@ def _reports_csv(reports: list[VerificationReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
+    grid = _param_grid(args)
     loaded = None
-    if cfg.code_path is not None:
-        if cfg.sweep:
+    if args.code:
+        if args.sweep:
             raise ValueError("--code cannot be combined with --sweep")
-        loaded = load_flag_code(cfg.code_path.read_text())
+        loaded = load_flag_code(Path(args.code).read_text())
+    dims = _type_dims(args)
     reports: list[VerificationReport] = []
-    for q, k, h, s in cfg.param_grid:
-        params = _params_for(cfg, q, k, h, s)
-        tv = TypeVector(params.n, cfg.type_dims) if cfg.type_dims else None
+    for q, k, h, s in grid:
+        params = _params_for(args, q, k, h, s)
+        tv = TypeVector(params.n, dims) if dims else None
         reports.append(run_claim_suite(params, tv, loaded=loaded))
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = reports[0].to_json_obj() if len(reports) == 1 else {
             "reports": [r.to_json_obj() for r in reports]
         }
-        _emit(cfg, json.dumps(payload, indent=2) + "\n")
-    elif cfg.fmt == "csv":
-        _emit(cfg, _reports_csv(reports))
+        _emit(args, json.dumps(payload, indent=2) + "\n")
+    elif args.format == "csv":
+        _emit(args, _reports_csv(reports))
     else:
-        _emit(cfg, _reports_text(reports))
+        _emit(args, _reports_text(reports))
     return 0 if all(r.all_pass for r in reports) else 1
 
 
-def _cmd_spectrum(cfg: RunConfig) -> int:
-    if cfg.code_path is not None:
-        text = cfg.code_path.read_text()
+def _cmd_spectrum(args: argparse.Namespace) -> int:
+    grid = _param_grid(args)
+    if args.code:
+        text = Path(args.code).read_text()
         head = next((ln for ln in text.splitlines() if ln.strip()), "")
         if head.startswith("flagcode"):
             code = load_flag_code(text)
         else:
             code = SubspaceCode.load(text)
     else:
-        if not cfg.param_grid:
+        if not grid:
             raise ValueError("spectrum needs either --code or --q/--k/--h/--s")
-        code = _construct_family(cfg, _single_params(cfg))
+        code = _construct_family(args, _single_params(args))
     if isinstance(code, SubspaceCode):
         counts = code.spectrum()
     else:
@@ -265,14 +235,14 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
         for vec, pairs in code.distance_profile().items():
             counts[sum(vec)] += pairs
     lines = [f"{d},{counts[d]}" for d in sorted(counts)]
-    _emit(cfg, "\n".join(lines) + ("\n" if lines else ""))
+    _emit(args, "\n".join(lines) + ("\n" if lines else ""))
     return 0
 
 
-def _cmd_distance(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_distance(args: argparse.Namespace) -> int:
     fa = load_flag(Path(args.flag_a).read_text())
     fb = load_flag(Path(args.flag_b).read_text())
-    _emit(cfg, f"{flag_distance(fa, fb)}\n")
+    _emit(args, f"{flag_distance(fa, fb)}\n")
     return 0
 
 
@@ -280,16 +250,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if cfg.command == "construct":
-            return _cmd_construct(cfg)
-        if cfg.command in ("verify", "report"):
-            return _cmd_verify(cfg)
-        if cfg.command == "spectrum":
-            return _cmd_spectrum(cfg)
-        if cfg.command == "distance":
-            return _cmd_distance(cfg, args)
-        raise ValueError(f"unknown command {cfg.command!r}")
+        if args.command == "construct":
+            return _cmd_construct(args)
+        if args.command in ("verify", "report"):
+            return _cmd_verify(args)
+        if args.command == "spectrum":
+            return _cmd_spectrum(args)
+        if args.command == "distance":
+            return _cmd_distance(args)
+        raise ValueError(f"unknown command {args.command!r}")
     except (TheoremViolated, ResourceBudgetExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -52,7 +52,7 @@ from .flags import (
     split_type,
     subsequence_code,
 )
-from .matgf import DEFAULT_ORDER_CAP, MatrixGF, block, companion, matrix_order
+from .matgf import MatrixGF, block, companion, matrix_order
 from .subspace import (
     GroupElementSeq,
     Subspace,
@@ -109,7 +109,6 @@ class ConstructionParams:
     s: int
     poly_choice: int = 0
     factor_budget: int = DEFAULT_FACTOR_BUDGET
-    order_cap: int = DEFAULT_ORDER_CAP
 
     def __post_init__(self):
         if self.k < 1:
@@ -809,7 +808,7 @@ def run_claim_suite(
             f"group.family{i}.order",
             f"G_{i} has order q^(ik+h) - 1 = {order}",
             order,
-            lambda i=i: matrix_order(build_G_generator(params, i), params.order_cap),
+            lambda i=i: matrix_order(build_G_generator(params, i)),
         )
 
     rep.extend(verify_spread_projections(params, gen))

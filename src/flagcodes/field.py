@@ -10,8 +10,9 @@ generators deterministically.
 
 from __future__ import annotations
 
+import functools
 import re
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import (
     DegreeMismatch,
@@ -26,7 +27,6 @@ from .errors import (
 
 __all__ = [
     "DEFAULT_FACTOR_BUDGET",
-    "FieldElement",
     "FieldSpec",
     "Poly",
     "factorize",
@@ -158,59 +158,29 @@ class FieldSpec:
             return pow(a, -1, self.p)
         return self._inv_t[a]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
+    # -- validation -----------------------------------------------------------
 
-    def pow_code(self, a: int, n: int) -> int:
-        if n < 0:
-            raise ValueError("exponent must be nonnegative")
-        result = 1
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
+    def codes_of(self, values: Iterable[int]) -> tuple[int, ...]:
+        """Validate one row of int element codes.
 
-    # -- element handling ---------------------------------------------------
-
-    def code_of(self, value: int | FieldElement | Sequence[int]) -> int:
-        """Coerce an int residue, element, or coefficient vector to a code."""
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise FieldMismatch(f"element of {value.field} used in {self}")
-            return value.code
-        if isinstance(value, int):
-            if self.e == 1:
-                return value % self.p
-            if 0 <= value < self.q:
-                return value
-            raise ValueError(f"element code {value} out of range for {self}")
-        if isinstance(value, Sequence):
-            coeffs = [int(c) % self.p for c in value]
-            if len(coeffs) > self.e:
-                raise ValueError(f"coefficient vector too long for {self}")
-            coeffs += [0] * (self.e - len(coeffs))
-            return self._code(coeffs)
-        raise TypeError(f"cannot coerce {value!r} into {self}")
-
-    def element(self, value: int | FieldElement | Sequence[int]) -> FieldElement:
-        return FieldElement(self, self.code_of(value))
-
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
-    def elements(self) -> Iterator[FieldElement]:
-        for code in range(self.q):
-            yield FieldElement(self, code)
-
-    def coeffs_of(self, code: int) -> tuple[int, ...]:
-        """Polynomial-basis coefficients of a code, lowest degree first."""
-        return tuple(self._digits(code))
+        Every entry must be an int; GF(p) reduces entries mod p, GF(p^e)
+        rejects codes outside [0, q).  A row of plain in-range ints costs one
+        type scan and one min/max range check, with no per-entry call.
+        """
+        row = tuple(values)
+        if not row:
+            return row
+        if set(map(type, row)) != {int}:
+            for v in row:
+                if not isinstance(v, int):
+                    raise TypeError(f"entry {v!r} is not an int element code of {self}")
+            row = tuple(map(int, row))
+        if min(row) >= 0 and max(row) < self.q:
+            return row
+        if self.e == 1:
+            return tuple(v % self.p for v in row)
+        bad = next(v for v in row if not 0 <= v < self.q)
+        raise ValueError(f"element code {bad} out of range for {self}")
 
     # -- internals ----------------------------------------------------------
 
@@ -291,104 +261,13 @@ class FieldSpec:
         return f"GF({self.p}^{self.e})"
 
 
-class FieldElement:
-    """An element of a FieldSpec, carrying its owning field."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: FieldSpec, code: int):
-        self.field = field
-        self.code = code
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.coeffs_of(self.code)
-
-    def _coerce(self, other: int | FieldElement) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatch(f"{other.field} element combined with {self.field}")
-            return other.code
-        if isinstance(other, int):
-            return self.field.code_of(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        code = self._coerce(other)
-        if code is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.code, code))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        code = self._coerce(other)
-        if code is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.code, code))
-
-    def __rsub__(self, other):
-        code = self._coerce(other)
-        if code is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(code, self.code))
-
-    def __mul__(self, other):
-        code = self._coerce(other)
-        if code is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.code, code))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        code = self._coerce(other)
-        if code is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.code, code))
-
-    def __rtruediv__(self, other):
-        code = self._coerce(other)
-        if code is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(code, self.code))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __pow__(self, n: int):
-        return FieldElement(self.field, self.field.pow_code(self.code, n))
-
-    def inverse(self) -> FieldElement:
-        return FieldElement(self.field, self.field.inv(self.code))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.code == other.code
-        if isinstance(other, int):
-            return self.code == self.field.code_of(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.code))
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def __int__(self) -> int:
-        return self.code
-
-    def __repr__(self) -> str:
-        return f"{self.code}@{self.field}"
-
-
 class Poly:
     """Dense polynomial over GF(q); coefficient codes stored lowest degree first."""
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: FieldSpec, coeffs: Sequence[int | FieldElement]):
-        codes = [field.code_of(c) for c in coeffs]
+    def __init__(self, field: FieldSpec, coeffs: Iterable[int]):
+        codes = list(field.codes_of(coeffs))
         while codes and codes[-1] == 0:
             codes.pop()
         self.field = field
@@ -631,8 +510,13 @@ def find_primitive_poly(
 _FIELD_RE = re.compile(r"^GF\((\d+)(?:\^(\d+))?\)$")
 
 
+@functools.lru_cache(maxsize=None)
 def parse_field_name(token: str) -> FieldSpec:
-    """Parse a field name such as ``GF(2)`` or ``GF(3^2)``."""
+    """Parse a field name such as ``GF(2)`` or ``GF(3^2)``.
+
+    Cached, so every matrix of a file naming the same field shares one
+    FieldSpec and an extension field's tables are built once per process.
+    """
     m = _FIELD_RE.match(token.strip())
     if not m:
         raise ValueError(f"cannot parse field name {token!r}")

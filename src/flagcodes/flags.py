@@ -26,7 +26,7 @@ from .errors import (
     TooFewRows,
     TypeMismatch,
 )
-from .matgf import MatrixGF, matrix_to_text, read_matrix
+from .matgf import MatrixGF, _expect_end, matrix_to_text, read_matrix
 from .subspace import (
     Subspace,
     SubspaceCode,
@@ -512,10 +512,13 @@ def load_flag_code(text: str) -> FlagCode:
     parts = header.split()
     if len(parts) != 4 or parts[0] != "flagcode":
         raise ValueError(f"bad flag code header {header!r}")
-    n, _q, count = int(parts[1]), int(parts[2]), int(parts[3])
+    n, q, count = int(parts[1]), int(parts[2]), int(parts[3])
     type_line = next((ln for ln in lines if ln.strip()), None)
     if type_line is None:
         raise ValueError("flag code file has no type line")
     tv = _parse_type_line(type_line, n)
     flags = [_read_flag_body(lines, tv) for _ in range(count)]
+    _expect_end(lines, f"the {count} flags the header declares")
+    if flags and flags[0].field.q != q:
+        raise ValueError(f"header says q = {q}, but the flags are over {flags[0].field}")
     return FlagCode(tv, flags)

@@ -4,8 +4,8 @@ Provides products, reduced row-echelon forms, ranks, companion matrices,
 block assembly, multiplicative orders, and the 1-based row-slicing accessors
 (first j rows, rows after j, a single row, an inclusive row range) that the
 subspace constructions use throughout.  Matrices are immutable; GF(2) work is
-bit-packed internally while the external contract stays a grid of field
-elements.
+bit-packed internally while the external contract stays a grid of int
+element codes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import (
     Singular,
     SliceOutOfRange,
 )
-from .field import FieldElement, FieldSpec, Poly, parse_field_name
+from .field import FieldSpec, Poly, parse_field_name
 
 __all__ = [
     "DEFAULT_ORDER_CAP",
@@ -118,10 +118,10 @@ class MatrixGF:
     def __init__(
         self,
         field: FieldSpec,
-        rows: Iterable[Iterable[int | FieldElement]],
+        rows: Iterable[Iterable[int]],
         ncols: int | None = None,
     ):
-        norm = tuple(tuple(field.code_of(v) for v in row) for row in rows)
+        norm = tuple(map(field.codes_of, rows))
         widths = {len(r) for r in norm}
         if len(widths) > 1:
             raise DimMismatch(f"ragged rows with widths {sorted(widths)}")
@@ -147,7 +147,7 @@ class MatrixGF:
         cls, field: FieldSpec, rows: tuple[tuple[int, ...], ...], ncols: int
     ) -> MatrixGF:
         """Wrap a tuple grid of element codes already valid in ``field``
-        (taken from, or computed on, matrices over it) without re-coercing."""
+        (taken from, or computed on, matrices over it) without re-validating."""
         m = cls.__new__(cls)
         m.field = field
         m.nrows = len(rows)
@@ -159,7 +159,7 @@ class MatrixGF:
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> MatrixGF:
-        # codes 0 and 1 are zero and one in every field: nothing to coerce
+        # codes 0 and 1 are zero and one in every field: nothing to validate
         rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
         return cls._of_codes(field, rows, n)
 
@@ -168,12 +168,6 @@ class MatrixGF:
         return cls._of_codes(field, ((0,) * ncols,) * nrows, ncols)
 
     # -- inspection ----------------------------------------------------------
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        """The (i, j) entry, 1-based."""
-        if not (1 <= i <= self.nrows and 1 <= j <= self.ncols):
-            raise SliceOutOfRange(f"entry ({i},{j}) outside {self.nrows}x{self.ncols}")
-        return FieldElement(self.field, self._rows[i - 1][j - 1])
 
     def int_rows(self) -> tuple[tuple[int, ...], ...]:
         """The grid of element codes (polynomial-basis codes for extensions)."""
@@ -454,6 +448,13 @@ def read_matrix(lines: Iterator[str], field: FieldSpec | None = None) -> MatrixG
             raise ValueError(f"row has {len(vals)} entries, expected {ncols}")
         rows.append(vals)
     return MatrixGF(named, rows, ncols=ncols)
+
+
+def _expect_end(lines: Iterator[str], what: str) -> None:
+    """Raise ValueError if any non-blank line is left after ``what``."""
+    extra = next((raw.strip() for raw in lines if raw.strip()), None)
+    if extra is not None:
+        raise ValueError(f"text after {what}: {extra[:40]!r}")
 
 
 def matrix_from_text(text: str, field: FieldSpec | None = None) -> MatrixGF:

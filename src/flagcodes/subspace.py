@@ -21,7 +21,7 @@ from .errors import (
     ZeroRank,
 )
 from .field import FieldSpec
-from .matgf import MatrixGF, _pack, _unpack, matrix_to_text, read_matrix
+from .matgf import MatrixGF, _expect_end, _pack, _unpack, matrix_to_text, read_matrix
 
 __all__ = [
     "GroupElementSeq",
@@ -309,14 +309,17 @@ class SubspaceCode:
         parts = header.split()
         if len(parts) != 4:
             raise ValueError(f"bad code header {header!r}")
-        n, k, _q, count = (int(t) for t in parts)
+        n, k, q, count = (int(t) for t in parts)
         words = []
         for _ in range(count):
             m = read_matrix(lines)
             w = subspace_of(m)
             if w.ambient != n or w.dim != k:
                 raise ValueError("word does not match the code header")
+            if w.field.q != q:
+                raise ValueError(f"header says q = {q}, but a word is over {w.field}")
             words.append(w)
+        _expect_end(lines, f"the {count} words the header declares")
         return cls(n, words)
 
 

@@ -100,29 +100,20 @@ class TestFieldMake:
 
 class TestArithmetic:
     def test_char2(self, gf2):
-        assert (gf2.one() + gf2.one()).code == 0
+        assert gf2.add(1, 1) == 0
 
     def test_gf3_inverse(self, gf3):
-        assert gf3.element(2).inverse() == gf3.element(2)
+        assert gf3.inv(2) == 2
 
     def test_gf4_generator_square(self, gf4):
-        x = gf4.element(2)  # the residue of x
-        assert (x * x).code == 3  # x + 1
+        x = 2  # the code of the residue of x
+        assert gf4.mul(x, x) == 3  # x + 1
 
-    def test_field_mismatch(self, gf2, gf3):
-        with pytest.raises(FieldMismatch):
-            gf2.one() + gf3.one()
-
-    def test_division_by_zero(self, gf3):
+    def test_division_by_zero(self, gf3, gf4):
         with pytest.raises(DivisionByZero):
-            gf3.one() / gf3.zero()
+            gf3.inv(0)
         with pytest.raises(DivisionByZero):
-            gf3.zero().inverse()
-
-    def test_pow_nonnegative_only(self, gf3):
-        assert gf3.element(2) ** 0 == gf3.one()
-        with pytest.raises(ValueError):
-            gf3.element(2) ** -1
+            gf4.inv(0)
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
     def test_axioms_exhaustive(self, q):
@@ -140,11 +131,36 @@ class TestArithmetic:
             assert add(a, field.neg(a)) == 0
             if a:
                 assert mul(a, field.inv(a)) == 1
-                assert field.pow_code(a, q - 1) == 1
+                power = 1
+                for _ in range(q - 1):
+                    power = mul(power, a)
+                assert power == 1
 
-    def test_coeff_roundtrip(self, gf4):
-        for el in gf4.elements():
-            assert gf4.element(list(el.coeffs)) == el
+
+class TestCodeValidation:
+    """The one rule for entries of MatrixGF and Poly: int codes only; GF(p)
+    reduces mod p, GF(p^e) refuses codes outside [0, q)."""
+
+    @pytest.mark.parametrize("bad", [1.0, "1", None])
+    def test_non_int_entries_raise_type_error(self, gf3, gf4, bad):
+        for field in (gf3, gf4):
+            with pytest.raises(TypeError):
+                fc.MatrixGF(field, [[0, bad]])
+            with pytest.raises(TypeError):
+                fc.Poly(field, [1, bad])
+
+    def test_prime_field_reduces_mod_p(self, gf3):
+        assert fc.MatrixGF(gf3, [[-1, 4]]).int_rows() == ((2, 1),)
+        assert fc.Poly(gf3, [-1, 4]).coeffs == (2, 1)
+
+    @pytest.mark.parametrize("bad", [4, -1])
+    def test_extension_field_rejects_codes_out_of_range(self, gf4, bad):
+        with pytest.raises(ValueError):
+            fc.MatrixGF(gf4, [[0, 1], [bad, 3]])
+        with pytest.raises(ValueError):
+            fc.Poly(gf4, [bad, 1])
+        with pytest.raises(ValueError):
+            fc.matrix_from_text(f"2 2 GF(2^2)\n0 1\n{bad} 3")
 
 
 class TestIrreducibility:

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flagcodes as fc
+from flagcodes import cli
+from flagcodes import field as field_module
 from flagcodes.errors import (
     AmbientMismatch,
     EllOutOfRange,
@@ -348,6 +350,45 @@ class TestSerialization:
         params = fc.ConstructionParams.make(2, 2, 0, 2)
         code = fc.build_full_flag_code(params)
         assert fc.load_flag_code(fc.dump_flag_code(code)) == code
+
+    @staticmethod
+    def _small_code_text() -> str:
+        text = fc.dump_flag_code(fc.build_full_flag_code(fc.ConstructionParams.make(2, 2, 0, 2)))
+        assert text.splitlines()[0] == "flagcode 4 2 5"
+        return text
+
+    def test_text_after_the_declared_flags_is_rejected(self, tmp_path):
+        text = self._small_code_text().replace("flagcode 4 2 5", "flagcode 4 2 4", 1)
+        with pytest.raises(ValueError, match="text after the 4 flags"):
+            fc.load_flag_code(text)
+        path = tmp_path / "short.code"
+        path.write_text(text)
+        assert cli.main(["spectrum", "--code", str(path)]) == 2
+
+    def test_header_q_must_match_the_field(self, tmp_path):
+        text = self._small_code_text().replace("flagcode 4 2 5", "flagcode 4 3 5", 1)
+        with pytest.raises(ValueError, match="header says q = 3"):
+            fc.load_flag_code(text)
+        path = tmp_path / "q3.code"
+        path.write_text(text)
+        assert cli.main(["spectrum", "--code", str(path)]) == 2
+
+    @pytest.mark.parametrize("q", [4, 9])
+    def test_each_field_token_is_parsed_once(self, q, monkeypatch):
+        text = fc.dump_flag_code(fc.build_full_flag_code(fc.ConstructionParams.make(q, 2, 0, 2)))
+        builds = []
+        real = field_module.field_make
+
+        def counting_field_make(*args):
+            builds.append(args)
+            return real(*args)
+
+        field_module.parse_field_name.cache_clear()
+        monkeypatch.setattr(field_module, "field_make", counting_field_make)
+        code = fc.load_flag_code(text)
+        assert len(code) == q**2 + 1
+        assert len(builds) == 1
+        assert len({id(f.field) for f in code}) == 1
 
 
 @st.composite

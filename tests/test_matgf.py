@@ -163,8 +163,6 @@ class TestSlices:
             i3.rows_after(3)
         with pytest.raises(SliceOutOfRange):
             i3.row_range(2, 4)
-        with pytest.raises(SliceOutOfRange):
-            i3.entry(4, 1)
 
     def test_bounds_of_each_slicer(self, gf2):
         i3 = fc.MatrixGF.identity(gf2, 3)
@@ -172,10 +170,6 @@ class TestSlices:
                     lambda: i3.single_row(4), lambda: i3.row_range(3, 2)):
             with pytest.raises(SliceOutOfRange):
                 bad()
-
-    def test_entry_is_field_element(self, gf3):
-        m = M(gf3, [[0, 2]])
-        assert m.entry(1, 2) == gf3.element(2)
 
 
 class TestBlock:

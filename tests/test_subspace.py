@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flagcodes as fc
+from flagcodes import cli
 from flagcodes.errors import (
     AmbientMismatch,
     HypothesisUnmet,
@@ -132,6 +133,28 @@ class TestCodes:
         text = code.dump()
         assert text.splitlines()[0] == "4 2 2 2"
         assert fc.SubspaceCode.load(text) == code
+
+    @staticmethod
+    def _spread_text(gf2) -> str:
+        u = space(gf2, [[1, 0, 0, 0], [0, 1, 0, 0]])
+        v = space(gf2, [[0, 0, 1, 0], [0, 0, 0, 1]])
+        return fc.SubspaceCode(4, [u, v]).dump()
+
+    def test_load_rejects_text_after_the_declared_words(self, gf2, tmp_path):
+        text = self._spread_text(gf2).replace("4 2 2 2", "4 2 2 1", 1)
+        with pytest.raises(ValueError, match="text after the 1 words"):
+            fc.SubspaceCode.load(text)
+        path = tmp_path / "short.code"
+        path.write_text(text)
+        assert cli.main(["spectrum", "--code", str(path)]) == 2
+
+    def test_load_rejects_a_header_q_other_than_the_field(self, gf2, tmp_path):
+        text = self._spread_text(gf2).replace("4 2 2 2", "4 2 3 2", 1)
+        with pytest.raises(ValueError, match="header says q = 3"):
+            fc.SubspaceCode.load(text)
+        path = tmp_path / "q3.code"
+        path.write_text(text)
+        assert cli.main(["spectrum", "--code", str(path)]) == 2
 
 
 class TestSpreadBound:
