@@ -490,7 +490,10 @@ def load_flag(text: str) -> Flag:
     rest = list(lines)
     probe = read_matrix(iter(rest))
     tv = _parse_type_line(type_line, probe.ncols)
-    return _read_flag_body(iter(rest), tv)
+    body = iter(rest)
+    flag = _read_flag_body(body, tv)
+    _expect_end(body, "the flag")
+    return flag
 
 
 def dump_flag_code(code: FlagCode) -> str:

@@ -63,9 +63,11 @@ class Subspace:
         return self._key
 
     def contains(self, other: Subspace) -> bool:
-        """True iff ``other`` is a subspace of this space."""
+        """True iff ``other`` is a subspace of this space: every row of its
+        basis reduces to zero against this space's basis, which is read in
+        place, not copied."""
         _check_ambient(self, other)
-        return _stacked_rank(self, other) == self.dim
+        return _spans(self._piv, other._piv.values(), self.field)
 
     def transform(self, g: MatrixGF) -> Subspace:
         """The image row space under right multiplication by ``g``."""
@@ -141,6 +143,29 @@ def _insert(piv: dict, row, field) -> bool:
         row = [sub(a, mul(x, b)) for a, b in zip(row, base)]
         c += 1
     return False
+
+
+def _spans(piv: dict, rows: Iterable, field) -> bool:
+    """True iff every row of ``rows`` reduces to zero against the echelon
+    rows in ``piv``, keyed as in _insert; ``piv`` is only read."""
+    if field.q == 2:
+        for row in rows:
+            while row:
+                base = piv.get(row & -row)
+                if base is None:
+                    return False
+                row ^= base
+        return True
+    sub, mul = field.sub, field.mul
+    for row in rows:
+        for c in range(len(row)):
+            x = row[c]
+            if x:
+                base = piv.get(c)
+                if base is None:
+                    return False
+                row = [sub(a, mul(x, b)) for a, b in zip(row, base)]
+    return True
 
 
 def _reduce_into(basis: dict, row, field) -> None:
@@ -331,8 +356,10 @@ def _distance_profile(chains: Sequence[Sequence[Subspace]]) -> Counter:
     result maps (d(U_1, V_1), ..., d(U_r, V_r)) to its number of pairs.
     Because the parts are nested, a pair needs one elimination basis: level
     i inserts the rows that U_i and V_i add to U_(i-1) and V_(i-1), after
-    which the basis rank is rk[U_i; V_i].  This is the package's only
-    pairwise loop.
+    which the basis rank is rk[U_i; V_i].  Over GF(2) one bit-sliced
+    elimination per chain serves all its later partners at once
+    (_gf2_sliced_profile); other fields run one basis per pair.  This is
+    the package's only scan of a code's pairs.
     """
     if not chains:
         return Counter()
@@ -348,6 +375,8 @@ def _distance_profile(chains: Sequence[Sequence[Subspace]]) -> Counter:
             ([row for row in part._piv.values() if _insert(piv, row, field)], part.dim)
             for part in chain
         ])
+    if field.q == 2:
+        return _gf2_sliced_profile(levels, first.ambient)
     profile: Counter = Counter()
     for i, a in enumerate(levels):
         for b in levels[i + 1 :]:
@@ -362,6 +391,122 @@ def _distance_profile(chains: Sequence[Sequence[Subspace]]) -> Counter:
                 vec.append(2 * rank - dim_a - dim_b)
             profile[tuple(vec)] += 1
     return profile
+
+
+def _gf2_sliced_profile(levels: list, n: int) -> Counter:
+    """_distance_profile over GF(2), bit-sliced across partners.
+
+    ``levels[m][l]`` is (the bitmask rows chain m adds at level l, its dim
+    there).  Chain m is bit m of every plane: ``planes[l][j][c]`` holds bit c
+    of chain m's j-th level-l row, for all chains at once (a chain with fewer
+    rows there has a zero row in that slot, which adds no rank).  For each
+    chain a, the planes shifted past a put a's later partners in the low
+    bits, and one elimination runs for all of them: a's own rows enter as
+    all-ones or all-zeros planes, then the partners' rows, level by level.
+    A bit-sliced counter per level adds up the rank that level gains for
+    each partner.  Splitting the partner mask by those counters (and by the
+    partners' dims, for codes of mixed dimension) gives each distance
+    vector's class of partners, counted with int.bit_count().
+    """
+    count_n = len(levels)
+    depth = len(levels[0])
+    planes = [
+        [[0] * n for _ in range(max(len(chain[l][0]) for chain in levels))]
+        for l in range(depth)
+    ]
+    by_dims: dict[tuple[int, ...], int] = {}  # dim vector -> mask of chains
+    for m, chain in enumerate(levels):
+        bit = 1 << m
+        for (rows, _), slots in zip(chain, planes):
+            for row, plane in zip(rows, slots):
+                while row:
+                    low = row & -row
+                    plane[low.bit_length() - 1] |= bit
+                    row ^= low
+        dims = tuple(dim for _, dim in chain)
+        by_dims[dims] = by_dims.get(dims, 0) | bit
+    cols = range(n)
+    profile: Counter = Counter()
+    for a, chain in enumerate(levels[:-1]):
+        shift = a + 1
+        partners = (1 << (count_n - shift)) - 1
+        has = [0] * n  # has[c]: partners whose basis has a pivot row at c
+        pivots = [[0] * n for _ in cols]  # pivots[c][c2]: bit c2 of that row
+        gains = []  # per level, the bit planes of each partner's rank gain
+        for (rows_a, _), slots in zip(chain, planes):
+            rows = [[partners if row >> c & 1 else 0 for c in cols] for row in rows_a]
+            rows += [[p >> shift for p in plane] for plane in slots]
+            gain = [0] * len(rows).bit_length()
+            for row in rows:
+                carry = _sliced_insert(row, has, pivots, partners)
+                b = 0
+                while carry:
+                    gain[b], carry = gain[b] ^ carry, gain[b] & carry
+                    b += 1
+            gains.append(gain)
+        dims_a = [dim for _, dim in chain]
+        for dims_m, mask in by_dims.items():
+            # (distance vector so far, rank so far, partners) per class
+            classes = [((), 0, mask >> shift)]
+            for gain, dim_a, dim_m in zip(gains, dims_a, dims_m):
+                classes = [
+                    (vec + (2 * (rank + g) - dim_a - dim_m,), rank + g, part)
+                    for vec, rank, cls in classes
+                    for g, part in _split_by_counter(cls, gain)
+                ]
+            for vec, _, part in classes:
+                profile[vec] += part.bit_count()
+    return profile
+
+
+def _sliced_insert(row: list[int], has: list[int], pivots: list[list[int]], active: int) -> int:
+    """Insert one row per partner into the partners' bit-sliced echelon
+    bases; return the mask of partners for which it was independent.
+
+    ``row[c]`` is bit c of each partner's row.  Columns go in increasing
+    order, as the pivot of a row is its lowest set bit: at column c the
+    partners still reducing whose row has bit c either clear it with their
+    pivot row there (has[c] set) or take the row as that pivot.
+    """
+    n = len(row)
+    placed = 0
+    for c in range(n):
+        x = row[c] & active
+        if not x:
+            continue
+        pivot = pivots[c]
+        elim = x & has[c]
+        if elim:
+            for c2 in range(c + 1, n):
+                p = pivot[c2]
+                if p:
+                    row[c2] ^= p & elim
+        new = x ^ elim
+        if new:
+            has[c] |= new
+            for c2 in range(c + 1, n):
+                pivot[c2] |= row[c2] & new
+            placed |= new
+            active ^= new
+            if not active:
+                break
+    return placed
+
+
+def _split_by_counter(mask: int, counter: Sequence[int]) -> list[tuple[int, int]]:
+    """(value, partners) for every value the bit-sliced ``counter`` takes on
+    the partners in ``mask``; the partner sets are nonempty and disjoint."""
+    parts = [(0, mask)] if mask else []
+    for b, plane in enumerate(counter):
+        split = []
+        for value, part in parts:
+            high = part & plane
+            if high:
+                split.append((value | 1 << b, high))
+            if high != part:
+                split.append((value, part ^ high))
+        parts = split
+    return parts
 
 
 def _restrict_profile(profile: Counter, positions: Sequence[int]) -> Counter:

@@ -4,9 +4,10 @@ acceptance suite.
 Everything here recomputes its target by a route independent of the code it
 checks: vector-set enumeration instead of rank arithmetic, successive
 multiplication instead of factored order tests, explicit row-times-matrix
-products instead of the shift structure being verified, and pair-by-pair
+products instead of the shift structure being verified, pair-by-pair
 ``subspace_distance`` / ``flag_distance`` calls instead of the cached
-level-by-level code scan.
+level-by-level code scan, and one elimination basis per pair instead of the
+bit-sliced GF(2) scan.
 """
 
 from __future__ import annotations
@@ -265,6 +266,57 @@ def check_scan_against_pairwise(code: fc.FlagCode) -> int:
         if nonzero:
             assert fc.code_min_distance(projected) == min(oracle) == min(nonzero)
     return sum(profile.values())
+
+
+def every_full_flag_of_gf2_3() -> fc.FlagCode:
+    """All 21 full flags of GF(2)^3: 7 points and 7 lines, each shared."""
+    gf2 = fc.field_make(2)
+    return fc.FlagCode(fc.TypeVector.full(3), (
+        fc.flag_from_matrix(fc.MatrixGF(gf2, [[(v >> j) & 1 for j in range(3)] for v in (a, b)]),
+                            fc.TypeVector.full(3))
+        for a in range(1, 8) for b in range(1, 8) if a != b
+    ))
+
+
+def gf2_pairwise_profile(chains) -> Counter:
+    """The per-level distance profile of GF(2) chains, one elimination basis
+    per pair: the scan's per-pair loop, kept here as the oracle for the
+    bit-sliced kernel.  Rows are packed from each part's canonical generator
+    (bit j is column j); a pair's basis takes both chains' new rows level by
+    level, and rk[U_i; V_i] is its rank after level i."""
+
+    def insert(piv: dict, row: int) -> bool:
+        while row:
+            low = row & -row
+            base = piv.get(low)
+            if base is None:
+                piv[low] = row
+                return True
+            row ^= base
+        return False
+
+    levels = []
+    for chain in chains:
+        piv: dict = {}
+        levels.append([
+            ([row for row in (sum(v << j for j, v in enumerate(r)) for r in part.canon.int_rows())
+              if insert(piv, row)], part.dim)
+            for part in chain
+        ])
+    profile: Counter = Counter()
+    for i, a in enumerate(levels):
+        for b in levels[i + 1 :]:
+            piv = {}
+            rank = 0
+            vec = []
+            for (rows_a, dim_a), (rows_b, dim_b) in zip(a, b):
+                for row in rows_a:
+                    rank += insert(piv, row)
+                for row in rows_b:
+                    rank += insert(piv, row)
+                vec.append(2 * rank - dim_a - dim_b)
+            profile[tuple(vec)] += 1
+    return profile
 
 
 # -- prefix subspaces through a fresh RREF per prefix ------------------------------

@@ -215,3 +215,18 @@ def test_criterion_9_choice_independence():
     assert fc.is_cardinality_consistent(longer)
     elapsed = perf_counter() - start
     _report(9, elapsed, "second-smallest primitive polynomials reproduce every verdict")
+
+
+@pytest.mark.slow
+def test_criterion_10_claim_suite_n13():
+    # 3.72 M pairs: about two minutes with one elimination per pair, a few
+    # seconds with the bit-sliced GF(2) scan, so the bound catches a fallback
+    start = perf_counter()
+    params = fc.ConstructionParams.make(2, 2, 1, 6)
+    assert params.n == 13 and params.expected_size == 2729
+    report = fc.run_claim_suite(params)
+    failed = [c.claim_id for c in report.claims if not c.passed]
+    assert report.all_pass, failed
+    elapsed = perf_counter() - start
+    assert elapsed < 60.0
+    _report(10, elapsed, f"n=13 claim suite: 2729 flags, 3722356 pairs, {len(report.claims)} claims pass")

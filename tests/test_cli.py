@@ -268,6 +268,13 @@ class TestDistance:
         rc, _, stderr = run(capsys, "distance", str(a), str(c))
         assert rc == 2 and "error" in stderr
 
+    def test_file_with_two_flags(self, tmp_path, capsys):
+        a, b = self.make_flag_files(tmp_path)
+        both = tmp_path / "both.flag"
+        both.write_text(a.read_text() + b.read_text())
+        rc, stdout, stderr = run(capsys, "distance", str(both), str(b))
+        assert rc == 2 and stdout == "" and "text after the flag" in stderr
+
     def test_missing_file(self, tmp_path, capsys):
         a, _ = self.make_flag_files(tmp_path)
         rc, _, _ = run(capsys, "distance", str(a), str(tmp_path / "nope.flag"))

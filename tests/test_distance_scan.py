@@ -20,7 +20,7 @@ import flagcodes.flags
 import flagcodes.subspace
 from flagcodes.errors import AmbientMismatch
 
-from _checks import check_scan_against_pairwise, pairwise_spectrum
+from _checks import check_scan_against_pairwise, every_full_flag_of_gf2_3, pairwise_spectrum
 
 # the standard sweep instances, n <= 9
 SWEEP = [(2, 2, 0, 2), (2, 2, 1, 2), (2, 3, 2, 2), (3, 2, 1, 2), (2, 2, 0, 3), (2, 2, 1, 3), (2, 2, 1, 4)]
@@ -112,17 +112,8 @@ def test_parts_built_flags_match_oracle(field_args):
         check_scan_against_pairwise(code)
 
 
-def _every_full_flag_of_gf2_3(gf2):
-    """All 21 full flags of GF(2)^3: 7 points and 7 lines, each shared."""
-    return fc.FlagCode(fc.TypeVector.full(3), (
-        fc.flag_from_matrix(fc.MatrixGF(gf2, [[(v >> j) & 1 for j in range(3)] for v in (a, b)]),
-                            fc.TypeVector.full(3))
-        for a in range(1, 8) for b in range(1, 8) if a != b
-    ))
-
-
-def test_deduplicating_projections_match_oracle(gf2):
-    every = _every_full_flag_of_gf2_3(gf2)
+def test_deduplicating_projections_match_oracle():
+    every = every_full_flag_of_gf2_3()
     assert len(every) == 21 and not fc.is_cardinality_consistent(every)
     assert check_scan_against_pairwise(every) == 210
     assert fc.classify(every).label == "quasi-optimum"
@@ -133,8 +124,8 @@ def test_deduplicating_projections_match_oracle(gf2):
     check_scan_against_pairwise(pencil)
 
 
-def test_non_injective_restrictions_scan_their_own(gf2, monkeypatch):
-    every = _every_full_flag_of_gf2_3(gf2)
+def test_non_injective_restrictions_scan_their_own(monkeypatch):
+    every = every_full_flag_of_gf2_3()
     every.distance_profile()
     points = fc.subsequence_code(every, fc.TypeVector(3, (1,)))
     lines = fc.projected_code(every, 2)

@@ -102,6 +102,22 @@ class TestFlagFromMatrix:
         with pytest.raises(RankDeficientPrefix):
             fc.Flag(fc.TypeVector(4, (1, 2)), [a, b])
 
+    @pytest.mark.parametrize("field_args", [(2,), (3,), (2, 2)], ids=["GF2", "GF3", "GF4"])
+    def test_non_nested_parts_sharing_a_pivot_raise(self, field_args):
+        # the lower row has its leading entry in a pivot column of the upper
+        # part, so clearing that column leaves a nonzero remainder
+        field = fc.field_make(*field_args)
+        lower = fc.subspace_of(fc.MatrixGF(field, [[1, 1, 0, 0]]))
+        upper = fc.subspace_of(fc.MatrixGF(field, [[1, 0, 0, 0], [0, 0, 1, 1]]))
+        piv = dict(upper._piv)
+        assert not upper.contains(lower)
+        with pytest.raises(RankDeficientPrefix, match="not inside the next"):
+            fc.Flag(fc.TypeVector(4, (1, 2)), [lower, upper])
+        assert upper._piv == piv  # the check reads the upper basis in place
+        inside = fc.subspace_of(fc.MatrixGF(field, [[1, 0, 1, 1]]))
+        assert upper.contains(inside)
+        assert fc.Flag(fc.TypeVector(4, (1, 2)), [inside, upper]).parts == (inside, upper)
+
 
 class TestFieldIdentity:
     """GF(8) under two moduli: the same rows span different flags."""
@@ -339,6 +355,14 @@ class TestSerialization:
         ]
         f = fc.Flag(tv, parts)  # no source matrix
         assert fc.load_flag(fc.dump_flag(f)) == f
+
+    def test_text_after_the_flag_is_rejected(self, gf2):
+        f = full_flag(gf2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], 4)
+        g = full_flag(gf2, [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], 4)
+        with pytest.raises(ValueError, match="text after the flag"):
+            fc.load_flag(fc.dump_flag(f) + fc.dump_flag(g))
+        # trailing blank lines are not text
+        assert fc.load_flag(fc.dump_flag(f) + "\n\n") == f
 
     def test_flag_code_roundtrip(self, gf2):
         f = full_flag(gf2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], 4)

@@ -16,7 +16,12 @@ from flagcodes.errors import (
     ZeroRank,
 )
 
-from _checks import check_intersection_oracle, check_metric_axioms_exhaustive
+from _checks import (
+    check_intersection_oracle,
+    check_metric_axioms_exhaustive,
+    enumerate_gf2_subspaces,
+    gf2_subspace_from_vectors,
+)
 
 
 def space(field, rows):
@@ -80,6 +85,28 @@ class TestDistance:
 
     def test_intersection_oracle_small(self):
         check_intersection_oracle(3)
+
+    def test_contains_matches_vector_sets(self):
+        # every ordered pair of nonzero subspaces of GF(2)^4
+        vecsets = enumerate_gf2_subspaces(4)
+        subs = [gf2_subspace_from_vectors(vs, 4) for vs in vecsets]
+        for vs_u, u in zip(vecsets, subs):
+            for vs_v, v in zip(vecsets, subs):
+                assert u.contains(v) == (vs_v <= vs_u)
+
+    @pytest.mark.parametrize("field_args", [(3,), (2, 2)], ids=["GF3", "GF4"])
+    def test_contains_matches_intersection_dim(self, field_args):
+        field = fc.field_make(*field_args)
+        rng = random.Random(11)
+        subs = []
+        while len(subs) < 40:
+            rows = [[rng.randrange(field.q) for _ in range(4)] for _ in range(rng.randrange(1, 4))]
+            m = fc.MatrixGF(field, rows, ncols=4)
+            if m.rank():
+                subs.append(fc.subspace_of(m))
+        for u in subs:
+            for v in subs:
+                assert u.contains(v) == (fc.intersection_dim(u, v) == v.dim)
 
 
 class TestCodes:
