@@ -27,8 +27,8 @@ from .construct import (
     build_optimum_code,
     run_claim_suite,
 )
-from .errors import FlagCodesError, ResourceBudgetExceeded, TheoremViolated
-from .field import DEFAULT_FACTOR_BUDGET, factorize, field_make, poly_from_text
+from .errors import FieldMismatch, FlagCodesError, ResourceBudgetExceeded, TheoremViolated
+from .field import DEFAULT_FACTOR_BUDGET, factorize, field_make, field_name, poly_from_text
 from .flags import (
     FlagCode,
     TypeVector,
@@ -201,6 +201,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     reports: list[VerificationReport] = []
     for q, k, h, s in grid:
         params = _params_for(args, q, k, h, s)
+        if loaded is not None and len(loaded) and loaded.flags[0].field != params.field:
+            # the file names its field's modulus unless it is the default one
+            raise FieldMismatch(
+                f"{args.code} is over {field_name(loaded.flags[0].field)}, "
+                f"but the parameters give {field_name(params.field)}"
+            )
         tv = TypeVector(params.n, dims) if dims else None
         reports.append(run_claim_suite(params, tv, loaded=loaded))
     if args.format == "json":

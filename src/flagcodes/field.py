@@ -507,12 +507,13 @@ def find_primitive_poly(
 
 # -- text format --------------------------------------------------------------
 
-_FIELD_RE = re.compile(r"^GF\((\d+)(?:\^(\d+))?\)$")
+_FIELD_RE = re.compile(r"^GF\((\d+)(?:\^(\d+))?(?:,([^\s(),]+))?\)$")
 
 
 @functools.lru_cache(maxsize=None)
 def parse_field_name(token: str) -> FieldSpec:
-    """Parse a field name such as ``GF(2)`` or ``GF(3^2)``.
+    """Parse a field name such as ``GF(2)``, ``GF(3^2)`` or, for a modulus
+    other than the default one, ``GF(2^3,x^3+x^2+1)``.
 
     Cached, so every matrix of a file naming the same field shares one
     FieldSpec and an extension field's tables are built once per process.
@@ -522,7 +523,22 @@ def parse_field_name(token: str) -> FieldSpec:
         raise ValueError(f"cannot parse field name {token!r}")
     p = int(m.group(1))
     e = int(m.group(2) or 1)
-    return field_make(p, e)
+    if m.group(3) is None:
+        return field_make(p, e)
+    if e == 1:
+        raise ValueError(f"prime field with a modulus in {token!r}")
+    return field_make(p, e, poly_from_text(m.group(3), field_make(p)))
+
+
+def field_name(field: FieldSpec) -> str:
+    """The field's name in the text format, which parse_field_name reads
+    back as an equal field: ``GF(p)`` or ``GF(p^e)``, with the modulus
+    appended only when it is not the default one, so files over default
+    fields keep their plain names."""
+    name = repr(field)
+    if field.e == 1 or parse_field_name(name) == field:
+        return name
+    return f"{name[:-1]},{_poly_term_text(field.modulus)})"
 
 
 def _poly_term_text(f: Poly) -> str:

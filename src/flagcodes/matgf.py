@@ -23,7 +23,7 @@ from .errors import (
     Singular,
     SliceOutOfRange,
 )
-from .field import FieldSpec, Poly, parse_field_name
+from .field import FieldSpec, Poly, field_name, parse_field_name
 
 __all__ = [
     "DEFAULT_ORDER_CAP",
@@ -405,13 +405,13 @@ def rows_in_row_space(inner: MatrixGF, outer: MatrixGF) -> bool:
 
 # -- text format ---------------------------------------------------------------
 
-_HEADER_RE = re.compile(r"^(\d+)\s+(\d+)\s+(GF\(\d+(?:\^\d+)?\))$")
+_HEADER_RE = re.compile(r"^(\d+)\s+(\d+)\s+(GF\(\S+\))$")
 
 
 def matrix_to_text(m: MatrixGF) -> str:
-    """Render as a ``rows cols GF(q)`` header plus one line per row of
-    space-separated element codes."""
-    lines = [f"{m.nrows} {m.ncols} {m.field}"]
+    """Render as a ``rows cols GF(q)`` header (the field as field_name
+    writes it) plus one line per row of space-separated element codes."""
+    lines = [f"{m.nrows} {m.ncols} {field_name(m.field)}"]
     for row in m.int_rows():
         lines.append(" ".join(str(v) for v in row))
     return "\n".join(lines)

@@ -356,10 +356,11 @@ def _distance_profile(chains: Sequence[Sequence[Subspace]]) -> Counter:
     result maps (d(U_1, V_1), ..., d(U_r, V_r)) to its number of pairs.
     Because the parts are nested, a pair needs one elimination basis: level
     i inserts the rows that U_i and V_i add to U_(i-1) and V_(i-1), after
-    which the basis rank is rk[U_i; V_i].  Over GF(2) one bit-sliced
-    elimination per chain serves all its later partners at once
-    (_gf2_sliced_profile); other fields run one basis per pair.  This is
-    the package's only scan of a code's pairs.
+    which the basis rank is rk[U_i; V_i].  Over GF(2^e) and GF(3^e) one
+    bit-sliced elimination per chain, over the prime field, serves all its
+    later partners at once (_prime_field_profile); fields of characteristic
+    5 and up run one basis per pair.  This is the package's only scan of a
+    code's pairs.
     """
     if not chains:
         return Counter()
@@ -368,15 +369,18 @@ def _distance_profile(chains: Sequence[Sequence[Subspace]]) -> Counter:
         # the parts of one chain share a field, as Flag checks their nesting
         _check_ambient(first, chain[0])
     field = first.field
+    # nested parts have nested pivot sets, so the rows a level adds are the
+    # rows of its basis whose pivot is not one of the level below
     levels = []
     for chain in chains:
-        piv: dict = {}
-        levels.append([
-            ([row for row in part._piv.values() if _insert(piv, row, field)], part.dim)
-            for part in chain
-        ])
-    if field.q == 2:
-        return _gf2_sliced_profile(levels, first.ambient)
+        prev: dict = {}
+        rows = []
+        for part in chain:
+            rows.append(([row for c, row in part._piv.items() if c not in prev], part.dim))
+            prev = part._piv
+        levels.append(rows)
+    if field.p <= 3:
+        return _prime_field_profile(levels, field, first.ambient)
     profile: Counter = Counter()
     for i, a in enumerate(levels):
         for b in levels[i + 1 :]:
@@ -393,25 +397,85 @@ def _distance_profile(chains: Sequence[Sequence[Subspace]]) -> Counter:
     return profile
 
 
-def _gf2_sliced_profile(levels: list, n: int) -> Counter:
-    """_distance_profile over GF(2), bit-sliced across partners.
+def _prime_field_profile(levels: list, field: FieldSpec, n: int) -> Counter:
+    """_distance_profile over GF(p^e), p = 2 or 3, bit-sliced over GF(p).
 
-    ``levels[m][l]`` is (the bitmask rows chain m adds at level l, its dim
-    there).  Chain m is bit m of every plane: ``planes[l][j][c]`` holds bit c
-    of chain m's j-th level-l row, for all chains at once (a chain with fewer
+    ``levels`` is as in _sliced_profile, with rows as the reduced bases hold
+    them.  A row r over GF(q) becomes the e rows r, x r, ..., x^(e-1) r over
+    GF(p), entry j written as its e base-p digits in columns je .. je+e-1.
+    Their GF(p)-span is, as a set, the GF(q)-span of the rows they came
+    from, so every rank over GF(p) is e times the rank over GF(q): the scan
+    runs on en columns with every dim scaled by e, and each entry of a
+    distance vector it returns is e times the entry over GF(q).
+    """
+    p, e = field.p, field.e
+    if field.q == 2:
+        # the reduced bases already hold GF(2) rows as bitmasks
+        return _sliced_profile(levels, n, 2)
+    cols = e * n
+    # bits[v]: element code v as entry 0 of a GF(p) row, its digit d at
+    # column j being bit (d - 1) cols + j
+    bits = []
+    for v in range(field.q):
+        b = 0
+        for j, d in enumerate(field._digits(v)):
+            if d:
+                b |= 1 << ((d - 1) * cols + j)
+        bits.append(b)
+    mul = field.mul
+    x = p  # the code of the element x of GF(p^e)
+    restricted = []
+    for chain in levels:
+        out = []
+        for rows, dim in chain:
+            prime_rows = []
+            for row in rows:
+                for power in range(e):
+                    if power:
+                        row = [mul(x, v) for v in row]
+                    b = 0
+                    for j, v in enumerate(row):
+                        if v:
+                            b |= bits[v] << (j * e)
+                    prime_rows.append(b)
+            out.append((prime_rows, e * dim))
+        restricted.append(out)
+    profile = _sliced_profile(restricted, cols, p)
+    if e == 1:
+        return profile
+    scaled: Counter = Counter()
+    for vec, count in profile.items():
+        if any(d % e for d in vec):
+            raise ArithmeticError(f"GF({p}) distances {vec} are not {e} times distances over {field}")
+        scaled[tuple(d // e for d in vec)] = count
+    return scaled
+
+
+def _sliced_profile(levels: list, n: int, p: int) -> Counter:
+    """The distance profile of chains of rows over GF(p), p = 2 or 3, on n
+    columns, bit-sliced across partners.
+
+    ``levels[m][l]`` is (the rows chain m adds at level l, its dim there).
+    A row is an int with bit (v - 1) n + c set when its entry at column c
+    is v: over GF(2) its bitmask, over GF(3) a ones plane and a twos plane.
+    Chain m is bit m of every plane: ``planes[l][j][i]`` holds bit i of
+    chain m's j-th level-l row, for all chains at once (a chain with fewer
     rows there has a zero row in that slot, which adds no rank).  For each
     chain a, the planes shifted past a put a's later partners in the low
-    bits, and one elimination runs for all of them: a's own rows enter as
-    all-ones or all-zeros planes, then the partners' rows, level by level.
-    A bit-sliced counter per level adds up the rank that level gains for
-    each partner.  Splitting the partner mask by those counters (and by the
+    bits, and one elimination runs for all of them (_sliced_insert over
+    GF(2), _sliced_insert3 over GF(3)): a's own rows enter as all-ones or
+    all-zeros planes, then the partners' rows, level by level.  A
+    bit-sliced counter per level adds up the rank that level gains for each
+    partner.  Splitting the partner mask by those counters (and by the
     partners' dims, for codes of mixed dimension) gives each distance
     vector's class of partners, counted with int.bit_count().
     """
     count_n = len(levels)
     depth = len(levels[0])
+    width = (p - 1) * n
+    insert = _sliced_insert if p == 2 else _sliced_insert3
     planes = [
-        [[0] * n for _ in range(max(len(chain[l][0]) for chain in levels))]
+        [[0] * width for _ in range(max(len(chain[l][0]) for chain in levels))]
         for l in range(depth)
     ]
     by_dims: dict[tuple[int, ...], int] = {}  # dim vector -> mask of chains
@@ -425,20 +489,20 @@ def _gf2_sliced_profile(levels: list, n: int) -> Counter:
                     row ^= low
         dims = tuple(dim for _, dim in chain)
         by_dims[dims] = by_dims.get(dims, 0) | bit
-    cols = range(n)
+    bits = range(width)
     profile: Counter = Counter()
     for a, chain in enumerate(levels[:-1]):
         shift = a + 1
         partners = (1 << (count_n - shift)) - 1
         has = [0] * n  # has[c]: partners whose basis has a pivot row at c
-        pivots = [[0] * n for _ in cols]  # pivots[c][c2]: bit c2 of that row
+        pivots = [[0] * width for _ in range(n)]  # pivots[c][i]: bit i of that row
         gains = []  # per level, the bit planes of each partner's rank gain
         for (rows_a, _), slots in zip(chain, planes):
-            rows = [[partners if row >> c & 1 else 0 for c in cols] for row in rows_a]
+            rows = [[partners if row >> i & 1 else 0 for i in bits] for row in rows_a]
             rows += [[p >> shift for p in plane] for plane in slots]
             gain = [0] * len(rows).bit_length()
             for row in rows:
-                carry = _sliced_insert(row, has, pivots, partners)
+                carry = insert(row, has, pivots, partners)
                 b = 0
                 while carry:
                     gain[b], carry = gain[b] ^ carry, gain[b] & carry
@@ -460,8 +524,8 @@ def _gf2_sliced_profile(levels: list, n: int) -> Counter:
 
 
 def _sliced_insert(row: list[int], has: list[int], pivots: list[list[int]], active: int) -> int:
-    """Insert one row per partner into the partners' bit-sliced echelon
-    bases; return the mask of partners for which it was independent.
+    """Insert one GF(2) row per partner into the partners' bit-sliced
+    echelon bases; return the mask of partners for which it was independent.
 
     ``row[c]`` is bit c of each partner's row.  Columns go in increasing
     order, as the pivot of a row is its lowest set bit: at column c the
@@ -486,6 +550,62 @@ def _sliced_insert(row: list[int], has: list[int], pivots: list[list[int]], acti
             has[c] |= new
             for c2 in range(c + 1, n):
                 pivot[c2] |= row[c2] & new
+            placed |= new
+            active ^= new
+            if not active:
+                break
+    return placed
+
+
+def _sliced_insert3(row: list[int], has: list[int], pivots: list[list[int]], active: int) -> int:
+    """_sliced_insert over GF(3): ``row[c]`` and ``row[n + c]`` are the
+    partners whose entry at column c is 1 and 2 (Boothby and Bradshaw's
+    two-plane encoding), and every stored pivot entry is 1.
+
+    At column c, partners with a pivot row there whose entry is 1 subtract
+    that row and those whose entry is 2 add it.  A GF(3) sum a + b of two
+    plane pairs is t = (a1 | b2) ^ (a2 | b1), then ones (a2 | b2) ^ t and
+    twos (a1 | b1) ^ t.  A partner that takes the row as a new pivot with
+    entry 2 first negates it, which swaps its two planes.
+    """
+    n = len(has)
+    placed = 0
+    for c in range(n):
+        ones = row[c] & active
+        twos = row[n + c] & active
+        x = ones | twos
+        if not x:
+            continue
+        pivot = pivots[c]
+        elim = x & has[c]
+        if elim:
+            sub = ones & elim
+            add = twos & elim
+            for c2 in range(c + 1, n):
+                p1 = pivot[c2]
+                p2 = pivot[n + c2]
+                if p1 | p2:
+                    # b = pivot row where adding, its negation where subtracting
+                    b1 = (p1 & add) | (p2 & sub)
+                    b2 = (p2 & add) | (p1 & sub)
+                    a1 = row[c2]
+                    a2 = row[n + c2]
+                    t = (a1 | b2) ^ (a2 | b1)
+                    row[c2] = (a2 | b2) ^ t
+                    row[n + c2] = (a1 | b1) ^ t
+        new = x ^ elim
+        if new:
+            has[c] |= new
+            neg = twos & new
+            for c2 in range(c + 1, n):
+                a1 = row[c2]
+                a2 = row[n + c2]
+                if neg:
+                    swap = (a1 ^ a2) & neg
+                    a1 ^= swap
+                    a2 ^= swap
+                pivot[c2] |= a1 & new
+                pivot[n + c2] |= a2 & new
             placed |= new
             active ^= new
             if not active:

@@ -7,7 +7,7 @@ multiplication instead of factored order tests, explicit row-times-matrix
 products instead of the shift structure being verified, pair-by-pair
 ``subspace_distance`` / ``flag_distance`` calls instead of the cached
 level-by-level code scan, and one elimination basis per pair instead of the
-bit-sliced GF(2) scan.
+bit-sliced scan over the prime field.
 """
 
 from __future__ import annotations
@@ -278,29 +278,34 @@ def every_full_flag_of_gf2_3() -> fc.FlagCode:
     ))
 
 
-def gf2_pairwise_profile(chains) -> Counter:
-    """The per-level distance profile of GF(2) chains, one elimination basis
-    per pair: the scan's per-pair loop, kept here as the oracle for the
-    bit-sliced kernel.  Rows are packed from each part's canonical generator
-    (bit j is column j); a pair's basis takes both chains' new rows level by
-    level, and rk[U_i; V_i] is its rank after level i."""
+def pairwise_profile(chains) -> Counter:
+    """The per-level distance profile of nested chains over any field, one
+    elimination basis per pair: the oracle for the bit-sliced scan.  Rows
+    are the code tuples of each part's canonical generator, reduced with
+    the field's own ``sub`` and ``mul``; each chain's level rows are the
+    canonical rows independent of its lower levels, and a pair's basis
+    takes both chains' level rows in turn, rk[U_i; V_i] being its rank
+    after level i."""
 
-    def insert(piv: dict, row: int) -> bool:
-        while row:
-            low = row & -row
-            base = piv.get(low)
-            if base is None:
-                piv[low] = row
-                return True
-            row ^= base
+    def insert(piv: dict, row, field) -> bool:
+        sub, mul = field.sub, field.mul
+        for c in range(len(row)):
+            x = row[c]
+            if x:
+                base = piv.get(c)
+                if base is None:
+                    inv = field.inv(x)
+                    piv[c] = [mul(inv, y) for y in row]
+                    return True
+                row = [sub(a, mul(x, b)) if b else a for a, b in zip(row, base)]
         return False
 
     levels = []
     for chain in chains:
         piv: dict = {}
         levels.append([
-            ([row for row in (sum(v << j for j, v in enumerate(r)) for r in part.canon.int_rows())
-              if insert(piv, row)], part.dim)
+            ([row for row in part.canon.int_rows() if insert(piv, row, part.field)],
+             part.dim, part.field)
             for part in chain
         ])
     profile: Counter = Counter()
@@ -309,11 +314,9 @@ def gf2_pairwise_profile(chains) -> Counter:
             piv = {}
             rank = 0
             vec = []
-            for (rows_a, dim_a), (rows_b, dim_b) in zip(a, b):
-                for row in rows_a:
-                    rank += insert(piv, row)
-                for row in rows_b:
-                    rank += insert(piv, row)
+            for (rows_a, dim_a, field), (rows_b, dim_b, _) in zip(a, b):
+                for row in rows_a + rows_b:
+                    rank += insert(piv, row, field)
                 vec.append(2 * rank - dim_a - dim_b)
             profile[tuple(vec)] += 1
     return profile

@@ -186,6 +186,38 @@ class TestVerify:
         assert stderr.count("\n") == 1 and "degree 2 over GF(2)" in stderr
 
 
+class TestModulusOnDisk:
+    """A code built over a non-default modulus keeps it through its file."""
+
+    MODULUS = "x^3+x^2+1 over GF(2)"  # GF(8)'s default modulus is x^3+x+1
+    PARAMS = ("--q", "8", "--k", "2", "--h", "0", "--s", "2")
+
+    def test_verify_reads_the_modulus_back(self, tmp_path, capsys):
+        out = tmp_path / "c.code"
+        rc, _, _ = run(capsys, "construct", *self.PARAMS, "--modulus", self.MODULUS, "--out", str(out))
+        assert rc == 0
+        assert "GF(2^3,x^3+x^2+1)" in out.read_text()
+        rc, stdout, _ = run(capsys, "verify", *self.PARAMS, "--modulus", self.MODULUS, "--code", str(out))
+        assert rc == 0
+        assert 'loaded.matches_construction True True PASS' in stdout
+        assert 'loaded.min_distance 8 8 PASS' in stdout
+
+    def test_token_that_disagrees_with_the_modulus_is_refused(self, tmp_path, capsys):
+        named = tmp_path / "named.code"
+        plain = tmp_path / "plain.code"
+        run(capsys, "construct", *self.PARAMS, "--modulus", self.MODULUS, "--out", str(named))
+        run(capsys, "construct", *self.PARAMS, "--out", str(plain))
+        assert "GF(2^3)" in plain.read_text() and "GF(2^3," not in plain.read_text()
+        rc, _, stderr = run(capsys, "verify", *self.PARAMS, "--code", str(named))
+        assert rc == 2 and "GF(2^3,x^3+x^2+1)" in stderr
+        # a token without a modulus is read as the default one
+        rc, _, stderr = run(capsys, "verify", *self.PARAMS, "--modulus", self.MODULUS, "--code", str(plain))
+        assert rc == 2 and "GF(2^3)" in stderr
+        rc, _, _ = run(capsys, "verify", *self.PARAMS, "--modulus", "x^3+x+1 over GF(2)",
+                       "--code", str(plain))
+        assert rc == 0
+
+
 class TestSpectrum:
     def test_smallest_instance(self, capsys):
         rc, stdout, _ = run(

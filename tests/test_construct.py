@@ -407,3 +407,30 @@ class TestChoiceIndependence:
         assert fc.code_flag_min_distance(longer) == 16
         # the seed polynomials really differ from the default choice
         assert fc.build_P(alt, 1) != fc.build_P(P223, 1)
+
+
+class TestZeroGuaranteeLevel:
+    """At s = 4 and h = 0 the guarantee at dim 2k + h is 2h = 0: flags of the
+    construction may share that part, so no claim expects the projection
+    there to be injective, and its minimum is read over flag pairs."""
+
+    @pytest.mark.parametrize("qkhs", [(2, 2, 0, 4), (2, 3, 0, 4), (3, 2, 0, 4)])
+    def test_suite_passes(self, qkhs):
+        params = fc.ConstructionParams.make(*qkhs)
+        rep = fc.run_claim_suite(params)
+        assert rep.all_pass, rep.to_text()
+        m = 2 * params.k
+        claims = {c.claim_id: c for c in rep.claims}
+        # these instances do have flags sharing their m-part
+        assert claims[f"middle.dim{m}.min_distance"].computed == 0
+        gen = fc.build_generator_set(params)
+        assert len(gen.projected_at_dim(m)) < params.expected_size
+        for claim_id in (f"middle.dim{m}.cardinality", "longer.cardinality_consistent"):
+            assert claims[claim_id].expected.startswith("skipped: ")
+        code = fc.build_longer_type_code(params, None, gen)
+        assert m in code.type.dims and len(code) == params.expected_size
+
+    def test_positive_guarantee_keeps_the_claims(self):
+        rep = fc.run_claim_suite(fc.ConstructionParams.make(2, 2, 1, 4))
+        assert not any(str(c.expected).startswith("skipped: ") for c in rep.claims
+                       if c.claim_id.startswith(("middle.", "longer.")))

@@ -291,3 +291,40 @@ class TestPolyText:
     def test_field_conflict(self, gf3):
         with pytest.raises(FieldMismatch):
             fc.poly_from_text("x+1 over GF(2)", field=gf3)
+
+
+class TestFieldName:
+    """The text format names a field's modulus unless it is the default one."""
+
+    @pytest.mark.parametrize("p,e,coeffs,name", [
+        (2, 1, None, "GF(2)"),
+        (2, 3, None, "GF(2^3)"),
+        (2, 3, [1, 1, 0, 1], "GF(2^3)"),  # x^3+x+1, the default modulus
+        (2, 3, [1, 0, 1, 1], "GF(2^3,x^3+x^2+1)"),
+        (3, 2, [2, 1, 1], "GF(3^2,x^2+x+2)"),
+    ])
+    def test_round_trip(self, p, e, coeffs, name):
+        from flagcodes.field import field_name, parse_field_name
+
+        field = fc.field_make(p, e, coeffs)
+        assert field_name(field) == name
+        back = parse_field_name(name)
+        assert back == field and back.modulus == field.modulus
+
+    def test_matrix_text_keeps_the_modulus(self):
+        field = fc.field_make(2, 3, [1, 0, 1, 1])
+        m = fc.MatrixGF(field, [[0, 3, 7], [5, 1, 2]])
+        text = fc.matrix_to_text(m)
+        assert text.splitlines()[0] == "2 3 GF(2^3,x^3+x^2+1)"
+        back = fc.matrix_from_text(text)
+        assert back == m and back.field.modulus == field.modulus
+        assert back @ back.transpose() == m @ m.transpose()
+
+    @pytest.mark.parametrize("token", ["GF(3,x+1)", "GF(2^3,x^3+x+)", "GF(2^3,x^2+x+1)", "GF(2^2,x^2+1)"])
+    def test_bad_tokens_rejected(self, token):
+        from flagcodes.field import parse_field_name
+
+        from flagcodes.errors import FlagCodesError
+
+        with pytest.raises((ValueError, FlagCodesError)):
+            parse_field_name(token)

@@ -3,9 +3,10 @@
 ``data/golden_verdicts.json`` holds ``run_claim_suite(...).to_json_obj()``
 with every ``seconds`` key removed, for each sweep instance at poly_choice 0
 and, where the field has a second primitive polynomial of every degree the
-construction needs, poly_choice 1.  A change that only restructures code
-must leave every report identical.  When a verdict changes on purpose,
-re-record with
+construction needs, poly_choice 1, and likewise for the non-binary
+``--big`` instances, whose suites run under the ``slow`` marker.  A change
+that only restructures code must leave every report identical.  When a
+verdict changes on purpose, re-record with
 
     PYTHONPATH=src python tests/test_golden_verdicts.py
 
@@ -20,6 +21,7 @@ import subprocess
 import sys
 from itertools import islice
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -30,6 +32,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # scripts/run_verification_sweep.py INSTANCES
 SWEEP = [(2, 2, 0, 2), (2, 2, 1, 2), (2, 3, 2, 2), (3, 2, 1, 2), (2, 2, 0, 3), (2, 2, 1, 3), (2, 2, 1, 4)]
+# the non-binary scripts/run_verification_sweep.py BIG_INSTANCES (n = 7),
+# first recorded with the per-pair scan that the bit-sliced GF(3) and
+# GF(4) scans replaced
+BIG = [(3, 2, 1, 3), (4, 2, 1, 3)]
+BIG_SECONDS = 10
 
 
 def _strip_seconds(obj):
@@ -54,28 +61,37 @@ def _verdicts(q: int, k: int, h: int, s: int, choice: int) -> dict:
     return _strip_seconds(fc.run_claim_suite(params).to_json_obj())
 
 
+def _keys(instances) -> list[str]:
+    return [f"{q},{k},{h},{s},{c}" for q, k, h, s in instances for c in _poly_choices(q, k, h, s)]
+
+
 def _record() -> dict:
-    return {
-        f"{q},{k},{h},{s},{c}": _verdicts(q, k, h, s, c)
-        for q, k, h, s in SWEEP
-        for c in _poly_choices(q, k, h, s)
-    }
+    return {key: _verdicts(*(int(t) for t in key.split(","))) for key in _keys(SWEEP + BIG)}
 
 
 # a missing file fails test_every_instance_pinned rather than collection
 _golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
 
 
-@pytest.mark.parametrize("key", sorted(_golden))
+@pytest.mark.parametrize("key", _keys(SWEEP))
 def test_verdicts_unchanged(key):
     q, k, h, s, choice = (int(t) for t in key.split(","))
     assert _verdicts(q, k, h, s, choice) == _golden[key]
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("key", _keys(BIG))
+def test_big_verdicts_unchanged(key):
+    q, k, h, s, choice = (int(t) for t in key.split(","))
+    start = perf_counter()
+    verdicts = _verdicts(q, k, h, s, choice)
+    elapsed = perf_counter() - start
+    assert verdicts == _golden[key]
+    assert elapsed < BIG_SECONDS, f"suite took {elapsed:.1f}s"
+
+
 def test_every_instance_pinned():
-    assert sorted(_golden) == sorted(
-        f"{q},{k},{h},{s},{c}" for q, k, h, s in SWEEP for c in _poly_choices(q, k, h, s)
-    )
+    assert sorted(_golden) == sorted(_keys(SWEEP + BIG))
 
 
 def _run_sweep(*args: str) -> subprocess.CompletedProcess:

@@ -1,12 +1,14 @@
-"""The bit-sliced GF(2) scan against the per-pair oracle.
+"""The bit-sliced scans against the per-pair oracle.
 
-Over GF(2), ``subspace._distance_profile`` runs one elimination per chain
-for all of its later partners at once, each partner one bit of a Python
-int.  ``gf2_pairwise_profile`` in ``_checks.py`` is the per-pair loop it
-replaced, with one basis per pair and rows packed from the canonical
-generators; the two must return equal Counters on the construction's codes,
-on restrictions that merge flags, on loaded codes, on codes of mixed
-dimension, and on random codes whose partner masks cross machine words.
+Over GF(2^e) and GF(3^e), ``subspace._distance_profile`` runs one
+elimination per chain over the prime field for all of its later partners at
+once, each partner one bit of a Python int.  ``pairwise_profile`` in
+``_checks.py`` is a per-pair loop over any field, with one basis per pair
+and rows taken from the canonical generators; the two must return equal
+Counters on the construction's codes, on restrictions that merge flags, on
+loaded codes, on codes of mixed dimension, and on random codes whose
+partner masks cross machine words, over GF(2), GF(3), GF(4), GF(8) and
+GF(9).  GF(5) runs the per-pair loop of the scan itself.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ import random
 import pytest
 
 import flagcodes as fc
+from flagcodes import subspace
 from flagcodes.subspace import _distance_profile
 
-from _checks import every_full_flag_of_gf2_3, gf2_pairwise_profile, pairwise_spectrum
+from _checks import every_full_flag_of_gf2_3, pairwise_profile, pairwise_spectrum
 
 GF2_SWEEP = [(2, 2, 0, 2), (2, 2, 1, 2), (2, 3, 2, 2), (2, 2, 0, 3), (2, 2, 1, 3), (2, 2, 1, 4)]
 # GF(2) has a single primitive quadratic, so these have no poly_choice 1
@@ -30,7 +33,7 @@ def check_chains(chains) -> int:
     """The kernel's profile equals the oracle's; returns the pair count."""
     chains = [tuple(chain) for chain in chains]
     got = _distance_profile(chains)
-    assert got == gf2_pairwise_profile(chains)
+    assert got == pairwise_profile(chains)
     n = len(chains)
     assert sum(got.values()) == n * (n - 1) // 2
     return n * (n - 1) // 2
@@ -64,16 +67,16 @@ def test_loaded_codes_match_oracle():
     loaded = fc.load_flag_code(fc.dump_flag_code(gen.full))
     assert loaded == gen.full and loaded._parent is None
     profile = loaded.distance_profile()  # a loaded code scans its own pairs
-    assert profile == gf2_pairwise_profile([f.parts for f in loaded])
+    assert profile == pairwise_profile([f.parts for f in loaded])
     words = fc.SubspaceCode.load(gen.projected_at_dim(2).dump())
     assert words._parent is None and len(words) == 41
     assert words.spectrum() == pairwise_spectrum(words)
     check_chains((w,) for w in words)
 
 
-def _random_space(gf2, rng, n, dim):
+def _random_space(field, rng, n, dim):
     while True:
-        m = fc.MatrixGF(gf2, [[rng.randrange(2) for _ in range(n)] for _ in range(dim)], ncols=n)
+        m = fc.MatrixGF(field, [[rng.randrange(field.q) for _ in range(n)] for _ in range(dim)], ncols=n)
         if m.rank() == dim:
             return fc.subspace_of(m)
 
@@ -91,12 +94,12 @@ def test_mixed_dimension_code_matches_oracle(gf2):
     assert code.spectrum() == pairwise_spectrum(code)
 
 
-def _random_flag_code(gf2, tv, count, seed):
+def _random_flag_code(field, tv, count, seed):
     rng = random.Random(seed)
     flags: dict[tuple, fc.Flag] = {}
     while len(flags) < count:
-        rows = [[rng.randrange(2) for _ in range(tv.n)] for _ in range(tv.dims[-1])]
-        m = fc.MatrixGF(gf2, rows, ncols=tv.n)
+        rows = [[rng.randrange(field.q) for _ in range(tv.n)] for _ in range(tv.dims[-1])]
+        m = fc.MatrixGF(field, rows, ncols=tv.n)
         if all(m.first_rows(t).rank() == t for t in tv.dims):
             f = fc.flag_from_matrix(m, tv)
             flags[f.key] = f
@@ -110,4 +113,116 @@ def test_random_codes_match_oracle(gf2, count, dims):
     code = _random_flag_code(gf2, tv, count, seed=count)
     assert len(code) == count
     check_chains(f.parts for f in code)
-    assert code.distance_profile() == gf2_pairwise_profile([f.parts for f in code])
+    assert code.distance_profile() == pairwise_profile([f.parts for f in code])
+
+
+# -- fields other than GF(2) ---------------------------------------------------
+
+NONBINARY = [3, 4, 8, 9]
+# (q, k, h, s) instances over the fields the restriction to GF(2) or GF(3)
+# serves: e = 1 and 2 over GF(3), e = 2 and 3 over GF(2)
+NONBINARY_SWEEP = [(3, 2, 1, 2), (3, 2, 0, 3), (4, 2, 1, 2), (4, 2, 0, 2), (8, 2, 0, 2), (9, 2, 0, 2)]
+NONBINARY_CHOICES = [(qkhs, c) for qkhs in NONBINARY_SWEEP for c in (0, 1)]
+
+
+@pytest.mark.parametrize(
+    "qkhs,choice", NONBINARY_CHOICES, ids=["q{}k{}h{}s{}-pc{}".format(*t, c) for t, c in NONBINARY_CHOICES]
+)
+def test_nonbinary_construction_codes_match_oracle(qkhs, choice):
+    params = fc.ConstructionParams.make(*qkhs, poly_choice=choice)
+    gen = fc.build_generator_set(params)
+    for code in (gen.full, gen.flag_code(fc.master_type(params))):
+        assert len(code) == params.expected_size
+        check_chains(f.parts for f in code)
+
+
+def _plane_flags(field, points: int) -> fc.FlagCode:
+    """The full flags of GF(q)^3 whose point is one of the first ``points``
+    points (first nonzero entry 1, in code order): every line through each."""
+    q = field.q
+    vectors = [[v // q**j % q for j in range(3)] for v in range(1, q**3)]
+    chosen = [v for v in vectors if v[next(j for j, x in enumerate(v) if x)] == 1][:points]
+    flags = []
+    for a in chosen:
+        for b in vectors:
+            m = fc.MatrixGF(field, [a, b], ncols=3)
+            if m.rank() == 2:
+                flags.append(fc.flag_from_matrix(m, fc.TypeVector.full(3)))
+    return fc.FlagCode(fc.TypeVector.full(3), flags)
+
+
+@pytest.mark.parametrize("q,points", [(3, 13), (4, 21), (8, 4), (9, 4)])
+def test_nonbinary_restrictions_that_merge_match_oracle(q, points):
+    field = fc.field_from_order(q)
+    code = _plane_flags(field, points)
+    assert len(code) == points * (q + 1)
+    point_code = fc.subsequence_code(code, fc.TypeVector(3, (1,)))
+    lines = fc.projected_code(code, 2)
+    assert len(point_code) == points
+    assert len(lines) < len(code)  # lines through two chosen points are shared
+    assert point_code._parent is None and lines._parent is None
+    check_chains(f.parts for f in code)
+    check_chains(f.parts for f in point_code)
+    check_chains((w,) for w in lines)
+    assert lines.spectrum() == pairwise_spectrum(lines)
+    # chains that repeat a flag: distance-zero pairs are counted too
+    check_chains([f.parts for f in code] * 2)
+
+
+@pytest.mark.parametrize("q", [3, 4, 9])
+def test_nonbinary_loaded_codes_match_oracle(q):
+    gen = fc.build_generator_set(fc.ConstructionParams.make(q, 2, 0, 2))
+    loaded = fc.load_flag_code(fc.dump_flag_code(gen.full))
+    assert loaded == gen.full and loaded._parent is None
+    assert loaded.distance_profile() == pairwise_profile([f.parts for f in loaded])
+    words = fc.SubspaceCode.load(gen.projected_at_dim(2).dump())
+    assert words._parent is None and len(words) == q**2 + 1
+    assert words.spectrum() == pairwise_spectrum(words)
+    check_chains((w,) for w in words)
+
+
+@pytest.mark.parametrize("q", NONBINARY)
+def test_nonbinary_mixed_dimension_code_matches_oracle(q):
+    field = fc.field_from_order(q)
+    rng = random.Random(q)
+    words: dict[tuple, fc.Subspace] = {}
+    while len(words) < 70:
+        w = _random_space(field, rng, 5, 1 + len(words) % 4)
+        words[w.key] = w
+    code = fc.SubspaceCode(5, words.values())
+    assert len(code) == 70 and len({w.dim for w in code}) == 4
+    check_chains((w,) for w in code)
+    check_chains((w,) for w in rng.sample(code.words, len(code)))
+    assert code.spectrum() == pairwise_spectrum(code)
+
+
+@pytest.mark.parametrize("count", [2, 65, 130])
+@pytest.mark.parametrize("q", NONBINARY)
+def test_nonbinary_random_codes_match_oracle(q, count):
+    # more than 64 chains: partner masks cross machine words
+    field = fc.field_from_order(q)
+    code = _random_flag_code(field, fc.TypeVector(5, (1, 3, 4)), count, seed=count + q)
+    assert len(code) == count
+    check_chains(f.parts for f in code)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_only_characteristic_five_and_up_scan_per_pair(monkeypatch, q):
+    # GF(5) runs the scan's own per-pair loop against the oracle here
+    calls = []
+    sliced = subspace._sliced_profile
+
+    def spy(levels, n, p):
+        calls.append((n, p))
+        return sliced(levels, n, p)
+
+    monkeypatch.setattr(subspace, "_sliced_profile", spy)
+    field = fc.field_from_order(q)
+    code = _random_flag_code(field, fc.TypeVector(4, (1, 2, 3)), 30, seed=q)
+    check_chains(f.parts for f in code)
+    if field.p <= 3:
+        # one scan over the prime field, on e n columns
+        assert calls == [(field.e * 4, field.p)]
+    else:
+        assert calls == []
+
