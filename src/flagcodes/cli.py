@@ -68,32 +68,32 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--poly-choice", type=int, default=0,
                        help="use the n-th smallest primitive polynomials (0 = smallest)")
 
-    def add_io(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
-        p.add_argument("--format", choices=formats, default=formats[0])
+    def add_out(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     pc = sub.add_parser("construct", help="build a code family and serialize it")
     add_params(pc)
     pc.add_argument("--family", choices=FAMILIES, default="full")
-    add_io(pc, ("text",))
+    add_out(pc)
 
     for name, default_fmt in (("verify", "text"), ("report", "json")):
         pv = sub.add_parser(name, help="run the claim suite and report pass/fail")
         add_params(pv)
         pv.add_argument("--code", help="also verify this serialized flag code file")
         fmts = ("json", "text", "csv") if default_fmt == "json" else ("text", "json", "csv")
-        add_io(pv, fmts)
+        pv.add_argument("--format", choices=fmts, default=default_fmt)
+        add_out(pv)
 
     ps = sub.add_parser("spectrum", help="histogram of pairwise flag distances")
     add_params(ps, required=False)
     ps.add_argument("--family", choices=FAMILIES, default="full")
     ps.add_argument("--code", help="load a serialized flag code instead of constructing")
-    add_io(ps, ("csv",))
+    add_out(ps)
 
     pd = sub.add_parser("distance", help="flag distance between two serialized flags")
     pd.add_argument("flag_a")
     pd.add_argument("flag_b")
-    add_io(pd, ("text",))
+    add_out(pd)
     return parser
 
 

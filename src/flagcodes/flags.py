@@ -471,8 +471,9 @@ def _flag_body(flag: Flag) -> list[str]:
     return [matrix_to_text(part.canon) for part in flag.parts]
 
 
-def _read_flag_body(lines: Iterator[str], tv: TypeVector) -> Flag:
-    first = read_matrix(lines)
+def _read_flag_body(lines: Iterator[str], tv: TypeVector, first: MatrixGF) -> Flag:
+    """The flag whose matrix block starts with ``first``, already read from
+    ``lines``; the rest of the block, if any, is read from ``lines``."""
     if first.nrows == tv.dims[-1]:
         return flag_from_matrix(first, tv)
     parts = [subspace_of(first)]
@@ -486,13 +487,10 @@ def load_flag(text: str) -> Flag:
     type_line = next((ln for ln in lines if ln.strip()), None)
     if type_line is None:
         raise ValueError("empty flag file")
-    # the ambient dimension comes from the first matrix header, so peek ahead
-    rest = list(lines)
-    probe = read_matrix(iter(rest))
-    tv = _parse_type_line(type_line, probe.ncols)
-    body = iter(rest)
-    flag = _read_flag_body(body, tv)
-    _expect_end(body, "the flag")
+    # the ambient dimension comes from the first matrix header
+    first = read_matrix(lines)
+    flag = _read_flag_body(lines, _parse_type_line(type_line, first.ncols), first)
+    _expect_end(lines, "the flag")
     return flag
 
 
@@ -520,7 +518,7 @@ def load_flag_code(text: str) -> FlagCode:
     if type_line is None:
         raise ValueError("flag code file has no type line")
     tv = _parse_type_line(type_line, n)
-    flags = [_read_flag_body(lines, tv) for _ in range(count)]
+    flags = [_read_flag_body(lines, tv, read_matrix(lines)) for _ in range(count)]
     _expect_end(lines, f"the {count} flags the header declares")
     if flags and flags[0].field.q != q:
         raise ValueError(f"header says q = {q}, but the flags are over {flags[0].field}")

@@ -62,52 +62,48 @@ def _unpack(bits: int, ncols: int) -> tuple[int, ...]:
     return row[:ncols]
 
 
-def _rref_gf2(packed: list[int], ncols: int) -> tuple[list[int], list[int]]:
-    work = list(packed)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        mask = 1 << c
-        pr = next((i for i in range(r, len(work)) if work[i] & mask), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        wr = work[r]
-        for i in range(len(work)):
-            if i != r and work[i] & mask:
-                work[i] ^= wr
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work, pivots
+def _reduce_into(basis: dict, row, field: FieldSpec) -> bool:
+    """Add ``row`` to the fully reduced basis ``basis``; True iff ``row``
+    was independent of it.
 
-
-def _rref_generic(rows: list[list[int]], field: FieldSpec) -> tuple[list[list[int]], list[int]]:
-    sub, mul, inv = field.sub, field.mul, field.inv
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        if piv != 1:
-            pi = inv(piv)
-            rows[r] = [mul(pi, x) for x in rows[r]]
-        top = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], top)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+    Over GF(2) rows are bitmasks keyed by their lowest set bit; otherwise
+    rows are tuples of element codes keyed by their leading column, whose
+    entry is 1.  The row is cleared at every existing pivot; a nonzero
+    remainder becomes a pivot row with its pivot scaled to 1, and its pivot
+    column is cleared from the older rows.  Every pivot column then holds a
+    single nonzero entry, so the rows sorted by pivot are the RREF of their
+    span.  This is the package's only step that adds a row to a basis.
+    """
+    if field.q == 2:
+        for low, base in basis.items():
+            if row & low:
+                row ^= base
+        if not row:
+            return False
+        low = row & -row
+        for p, base in basis.items():
+            if base & low:
+                basis[p] = base ^ row
+        basis[low] = row
+        return True
+    sub, mul = field.sub, field.mul
+    for c, base in basis.items():
+        x = row[c]
+        if x:
+            row = tuple([sub(a, mul(x, b)) for a, b in zip(row, base)])
+    c = next((j for j, x in enumerate(row) if x), None)
+    if c is None:
+        return False
+    x = row[c]
+    if x != 1:
+        xi = field.inv(x)
+        row = tuple([mul(xi, y) for y in row])
+    for p, base in basis.items():
+        y = base[c]
+        if y:
+            basis[p] = tuple([sub(a, mul(y, b)) for a, b in zip(base, row)])
+    basis[c] = row
+    return True
 
 
 class MatrixGF:
@@ -229,21 +225,24 @@ class MatrixGF:
     def rref(self) -> tuple[MatrixGF, int]:
         """Reduced row-echelon form and rank.
 
-        Pivots are 1 with their columns otherwise cleared and strictly
-        increasing, so the result is the unique canonical form of the row
-        space, padded with zero rows back to the original shape.
+        The rows go one at a time into a single fully reduced basis
+        (_reduce_into), whose rows in pivot order have pivots 1 with their
+        columns otherwise cleared and strictly increasing: the unique
+        canonical form of the row space, padded with zero rows back to the
+        original shape.
         """
         if self._rref is None:
-            if self.field.q == 2:
-                work, pivots = _rref_gf2(self.packed_rows(), self.ncols)
-                rows = [_unpack(b, self.ncols) for b in work]
-            else:
-                work, pivots = _rref_generic([list(r) for r in self._rows], self.field)
-                rows = [tuple(r) for r in work]
-            rank = len(pivots)
-            ordered = [r for r in rows if any(r)]
-            ordered += [tuple([0] * self.ncols)] * (self.nrows - len(ordered))
-            reduced = MatrixGF._of_codes(self.field, tuple(ordered), self.ncols)
+            field, ncols = self.field, self.ncols
+            gf2 = field.q == 2
+            basis: dict = {}
+            for row in self._rows:
+                _reduce_into(basis, _pack(row) if gf2 else row, field)
+            rows = [basis[c] for c in sorted(basis)]
+            if gf2:
+                rows = [_unpack(b, ncols) for b in rows]
+            rank = len(rows)
+            rows += [(0,) * ncols] * (self.nrows - rank)
+            reduced = MatrixGF._of_codes(field, tuple(rows), ncols)
             reduced._rref = (reduced, rank)
             self._rref = (reduced, rank)
         return self._rref

@@ -21,7 +21,7 @@ from .errors import (
     ZeroRank,
 )
 from .field import FieldSpec
-from .matgf import MatrixGF, _expect_end, _pack, _unpack, matrix_to_text, read_matrix
+from .matgf import MatrixGF, _expect_end, _pack, _reduce_into, _unpack, matrix_to_text, read_matrix
 
 __all__ = [
     "GroupElementSeq",
@@ -108,46 +108,15 @@ def _check_ambient(u: Subspace, v: Subspace) -> None:
         )
 
 
-def _insert(piv: dict, row, field) -> bool:
-    """Reduce ``row`` against the echelon rows in ``piv`` and keep a nonzero
-    remainder as a new pivot row; True iff ``row`` was independent.
-
-    Over GF(2) rows are bitmasks keyed by their lowest set bit; otherwise
-    rows are tuples of element codes keyed by their leading column, whose
-    entry is 1.
-    """
-    if field.q == 2:
-        while row:
-            low = row & -row
-            base = piv.get(low)
-            if base is None:
-                piv[low] = row
-                return True
-            row ^= base
-        return False
-    sub, mul = field.sub, field.mul
-    c = 0
-    n = len(row)
-    while c < n:
-        x = row[c]
-        if not x:
-            c += 1
-            continue
-        base = piv.get(c)
-        if base is None:
-            if x != 1:
-                xi = field.inv(x)
-                row = [mul(xi, y) for y in row]
-            piv[c] = tuple(row)
-            return True
-        row = [sub(a, mul(x, b)) for a, b in zip(row, base)]
-        c += 1
-    return False
-
-
 def _spans(piv: dict, rows: Iterable, field) -> bool:
-    """True iff every row of ``rows`` reduces to zero against the echelon
-    rows in ``piv``, keyed as in _insert; ``piv`` is only read."""
+    """True iff every row of ``rows`` reduces to zero against the reduced
+    basis ``piv``, keyed as in _reduce_into.
+
+    A read-only walk kept apart from _reduce_into: it stops at the first row
+    with a nonzero remainder, and it neither copies ``piv`` nor clears a
+    pivot column from its rows.  Flag nesting checks (Subspace.contains on
+    every adjacent pair of parts) run it for each flag built or loaded.
+    """
     if field.q == 2:
         for row in rows:
             while row:
@@ -166,44 +135,6 @@ def _spans(piv: dict, rows: Iterable, field) -> bool:
                     return False
                 row = [sub(a, mul(x, b)) for a, b in zip(row, base)]
     return True
-
-
-def _reduce_into(basis: dict, row, field) -> None:
-    """Add ``row`` to the fully reduced basis ``basis``, keyed as in _insert.
-
-    The row is cleared at every existing pivot; a nonzero remainder becomes
-    a pivot row with its pivot scaled to 1, and its pivot column is cleared
-    from the older rows.  Every pivot column then holds a single nonzero
-    entry, so the rows sorted by pivot are the RREF of their span.
-    """
-    if field.q == 2:
-        for low, base in basis.items():
-            if row & low:
-                row ^= base
-        if row:
-            low = row & -row
-            for p, base in basis.items():
-                if base & low:
-                    basis[p] = base ^ row
-            basis[low] = row
-        return
-    sub, mul = field.sub, field.mul
-    for c, base in basis.items():
-        x = row[c]
-        if x:
-            row = tuple([sub(a, mul(x, b)) for a, b in zip(row, base)])
-    c = next((j for j, x in enumerate(row) if x), None)
-    if c is None:
-        return
-    x = row[c]
-    if x != 1:
-        xi = field.inv(x)
-        row = tuple([mul(xi, y) for y in row])
-    for p, base in basis.items():
-        y = base[c]
-        if y:
-            basis[p] = tuple([sub(a, mul(y, b)) for a, b in zip(base, row)])
-    basis[c] = row
 
 
 def _prefix_spaces(w: MatrixGF, lengths: Iterable[int]) -> Iterator[tuple[int, Subspace | None]]:
@@ -241,9 +172,9 @@ def _prefix_spaces(w: MatrixGF, lengths: Iterable[int]) -> Iterator[tuple[int, S
 
 def _stacked_rank(u: Subspace, v: Subspace) -> int:
     """rk of the stacked canonical generators, seeded with u's pivots."""
-    piv = dict(u._piv)
+    basis = dict(u._piv)
     field = u.field
-    return u.dim + sum(_insert(piv, row, field) for row in v._piv.values())
+    return u.dim + sum(_reduce_into(basis, row, field) for row in v._piv.values())
 
 
 def subspace_distance(u: Subspace, v: Subspace) -> int:
@@ -358,9 +289,11 @@ def _distance_profile(chains: Sequence[Sequence[Subspace]]) -> Counter:
     i inserts the rows that U_i and V_i add to U_(i-1) and V_(i-1), after
     which the basis rank is rk[U_i; V_i].  Over GF(2^e) and GF(3^e) one
     bit-sliced elimination per chain, over the prime field, serves all its
-    later partners at once (_prime_field_profile); fields of characteristic
-    5 and up run one basis per pair.  This is the package's only scan of a
-    code's pairs.
+    later partners at once (_prime_field_profile).  Fields of
+    characteristic 5 and up run one basis per pair: both chains' level rows
+    go into a fully reduced basis through _reduce_into, the step that also
+    builds every Subspace, and the count of independent rows is the rank.
+    This is the package's only scan of a code's pairs.
     """
     if not chains:
         return Counter()
@@ -384,14 +317,14 @@ def _distance_profile(chains: Sequence[Sequence[Subspace]]) -> Counter:
     profile: Counter = Counter()
     for i, a in enumerate(levels):
         for b in levels[i + 1 :]:
-            piv = {}
+            basis: dict = {}
             rank = 0
             vec = []
             for (rows_a, dim_a), (rows_b, dim_b) in zip(a, b):
                 for row in rows_a:
-                    rank += _insert(piv, row, field)
+                    rank += _reduce_into(basis, row, field)
                 for row in rows_b:
-                    rank += _insert(piv, row, field)
+                    rank += _reduce_into(basis, row, field)
                 vec.append(2 * rank - dim_a - dim_b)
             profile[tuple(vec)] += 1
     return profile

@@ -6,8 +6,10 @@ checks: vector-set enumeration instead of rank arithmetic, successive
 multiplication instead of factored order tests, explicit row-times-matrix
 products instead of the shift structure being verified, pair-by-pair
 ``subspace_distance`` / ``flag_distance`` calls instead of the cached
-level-by-level code scan, and one elimination basis per pair instead of the
-bit-sliced scan over the prime field.
+level-by-level code scan, one elimination basis per pair instead of the
+bit-sliced scan over the prime field, and whole-matrix Gauss-Jordan
+elimination (``rref_oracle``) instead of the one-row-at-a-time fully reduced
+insert that ``MatrixGF.rref``, ``subspace_of`` and ``flag_from_matrix`` share.
 """
 
 from __future__ import annotations
@@ -322,18 +324,86 @@ def pairwise_profile(chains) -> Counter:
     return profile
 
 
-# -- prefix subspaces through a fresh RREF per prefix ------------------------------
+# -- Gauss-Jordan RREF, and prefix subspaces through a fresh RREF per prefix ------
+
+
+def _rref_gf2(packed: list[int], ncols: int) -> tuple[list[int], list[int]]:
+    work = list(packed)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        mask = 1 << c
+        pr = next((i for i in range(r, len(work)) if work[i] & mask), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        wr = work[r]
+        for i in range(len(work)):
+            if i != r and work[i] & mask:
+                work[i] ^= wr
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return work, pivots
+
+
+def _rref_generic(rows: list[list[int]], field: fc.FieldSpec) -> tuple[list[list[int]], list[int]]:
+    sub, mul, inv = field.sub, field.mul, field.inv
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        piv = rows[r][c]
+        if piv != 1:
+            pi = inv(piv)
+            rows[r] = [mul(pi, x) for x in rows[r]]
+        top = rows[r]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], top)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def rref_oracle(m: fc.MatrixGF) -> tuple[fc.MatrixGF, int]:
+    """Reduced row-echelon form and rank of ``m`` by whole-matrix
+    Gauss-Jordan elimination (a column at a time: swap a pivot row up,
+    clear the column from every other row), padded with zero rows to m's
+    shape; independent of the one-row-at-a-time insert ``MatrixGF.rref``
+    runs on."""
+    field, ncols = m.field, m.ncols
+    if field.q == 2:
+        packed = [sum(v << j for j, v in enumerate(r)) for r in m.int_rows()]
+        work, pivots = _rref_gf2(packed, ncols)
+        rows = [tuple((b >> j) & 1 for j in range(ncols)) for b in work]
+    else:
+        work, pivots = _rref_generic([list(r) for r in m.int_rows()], field)
+        rows = [tuple(r) for r in work]
+    rank = len(pivots)
+    ordered = [r for r in rows if any(r)]
+    ordered += [tuple([0] * ncols)] * (m.nrows - len(ordered))
+    return fc.MatrixGF(field, ordered, ncols=ncols), rank
 
 
 def prefix_subspace_oracle(w: fc.MatrixGF, t: int) -> tuple[int, fc.Subspace | None]:
     """(rank, row space) of the first t rows of ``w``, the space rebuilt from
-    ``w.first_rows(t).rref()`` alone: its first ``rank`` rows are the
+    ``rref_oracle(w.first_rows(t))`` alone: its first ``rank`` rows are the
     canonical generator, and the pivot basis is read off them (bitmasks keyed
     by their lowest set bit over GF(2), rows keyed by their leading column
     otherwise).  The space is None at rank 0, as for a 0-row matrix."""
     if t == 0:
         return 0, None
-    reduced, rank = w.first_rows(t).rref()
+    reduced, rank = rref_oracle(w.first_rows(t))
     if rank == 0:
         return 0, None
     rows = reduced.first_rows(rank).int_rows()

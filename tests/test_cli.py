@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
+
+import pytest
 
 import flagcodes as fc
 from flagcodes.cli import main
@@ -74,6 +77,29 @@ class TestConstruct:
             "--modulus", "x^2+1 over GF(2)",
         )
         assert rc == 2  # reducible
+
+    def test_format_flag_removed_output_unchanged(self, tmp_path, capsys):
+        params = ["--q", "2", "--k", "2", "--h", "1", "--s", "3", "--family", "optimum"]
+        # construct, spectrum and distance each had a --format with one choice
+        for argv in (
+            ["construct", *params, "--format", "text"],
+            ["spectrum", *params, "--format", "csv"],
+            ["distance", "a.flag", "b.flag", "--format", "text"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --format" in capsys.readouterr().err
+        rc, stdout, _ = run(capsys, "construct", *params)
+        assert rc == 0
+        # the SHA-256 of this output when --format text was still accepted
+        digest = hashlib.sha256(stdout.encode()).hexdigest()
+        assert digest == "16ce7a92dfdb772da9cd978b73add764bff7809fa709d179fbd4eb6064375b8e"
+        out = tmp_path / "opt.txt"
+        assert run(capsys, "construct", *params, "--out", str(out))[0] == 0
+        assert out.read_text() == stdout
+        rc, spectrum, _ = run(capsys, "spectrum", *params)
+        assert rc == 0 and spectrum == "12,820\n"
 
     def test_invalid_params(self, capsys):
         assert run(capsys, "construct", "--q", "6", "--k", "2", "--h", "0", "--s", "2")[0] == 2

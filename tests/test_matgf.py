@@ -15,7 +15,7 @@ from flagcodes.errors import (
     SliceOutOfRange,
 )
 
-from _checks import check_companion_row_identities, check_row_window_propagation
+from _checks import check_companion_row_identities, check_row_window_propagation, rref_oracle
 
 
 def M(field, rows):
@@ -72,6 +72,37 @@ class TestRref:
     def test_pivot_normalization(self, gf3):
         reduced, rank = M(gf3, [[2, 1]]).rref()
         assert rank == 1 and reduced == M(gf3, [[1, 2]])
+
+    @pytest.mark.parametrize(
+        "field_args", [(2,), (3,), (2, 2), (5,), (3, 2)], ids=["GF2", "GF3", "GF4", "GF5", "GF9"]
+    )
+    def test_matches_gauss_jordan_oracle(self, field_args):
+        field = fc.field_make(*field_args)
+        add, mul = field.add, field.mul
+        rng = random.Random(31 * field.q)
+        shapes = [(0, 0), (0, 4), (3, 0)]
+        shapes += [(rng.randrange(1, 8), rng.randrange(1, 8)) for _ in range(200)]
+        for nrows, ncols in shapes:
+            rows: list[list[int]] = []
+            for _ in range(nrows):
+                roll = rng.random()
+                if roll < 0.1:
+                    row = [0] * ncols
+                elif roll < 0.35 and rows:
+                    # a random combination of earlier rows
+                    row = [0] * ncols
+                    for earlier in rows:
+                        c = rng.randrange(field.q)
+                        row = [add(x, mul(c, y)) for x, y in zip(row, earlier)]
+                else:
+                    row = [rng.randrange(field.q) for _ in range(ncols)]
+                rows.append(row)
+            m = fc.MatrixGF(field, rows, ncols=ncols)
+            reduced, rank = m.rref()
+            want, want_rank = rref_oracle(m)
+            assert rank == want_rank
+            assert reduced == want
+            assert (reduced.nrows, reduced.ncols) == (nrows, ncols)
 
 
 class TestRank:

@@ -3,9 +3,10 @@ of every prefix.
 
 ``flag_from_matrix`` and ``subspace_of`` read every prefix subspace off a
 single fully reduced basis that takes the matrix's rows one at a time.  The
-oracle in ``_checks.py`` reduces each prefix on its own with
-``MatrixGF.rref``; the two must agree in canonical generator, key, pivot
-basis, hash and equality, and fail with the same errors and messages.
+oracle in ``_checks.py`` reduces each prefix on its own with whole-matrix
+Gauss-Jordan elimination (``rref_oracle``); the two must agree in canonical
+generator, key, pivot basis, hash and equality, and fail with the same
+errors and messages.
 """
 
 from __future__ import annotations

@@ -206,9 +206,10 @@ def test_nonbinary_random_codes_match_oracle(q, count):
     check_chains(f.parts for f in code)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25])
 def test_only_characteristic_five_and_up_scan_per_pair(monkeypatch, q):
-    # GF(5) runs the scan's own per-pair loop against the oracle here
+    # GF(5), GF(7) and GF(25) run the scan's own per-pair loop against the
+    # oracle here
     calls = []
     sliced = subspace._sliced_profile
 

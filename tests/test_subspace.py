@@ -94,7 +94,9 @@ class TestDistance:
             for vs_v, v in zip(vecsets, subs):
                 assert u.contains(v) == (vs_v <= vs_u)
 
-    @pytest.mark.parametrize("field_args", [(3,), (2, 2)], ids=["GF3", "GF4"])
+    @pytest.mark.parametrize(
+        "field_args", [(3,), (2, 2), (5,), (5, 2)], ids=["GF3", "GF4", "GF5", "GF25"]
+    )
     def test_contains_matches_intersection_dim(self, field_args):
         field = fc.field_make(*field_args)
         rng = random.Random(11)
