@@ -243,6 +243,8 @@ class FieldSpec:
         self._inv_t = inv_t
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, FieldSpec):
             return NotImplemented
         if self.p != other.p or self.e != other.e:

@@ -3,16 +3,18 @@
 Provides products, reduced row-echelon forms, ranks, companion matrices,
 block assembly, multiplicative orders, and the 1-based row-slicing accessors
 (first j rows, rows after j, a single row, an inclusive row range) that the
-subspace constructions use throughout.  Matrices are immutable; GF(2) work is
-bit-packed internally while the external contract stays a grid of int
-element codes.
+subspace constructions use throughout.  Matrices are immutable.  A GF(2)
+matrix stores its rows as bitmasks and every operation here works on them;
+the external contract stays a grid of int element codes, which int_rows()
+makes from the bitmasks on first request.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import product
+from functools import lru_cache
+from itertools import accumulate, product
 
 from .errors import (
     BlockDimMismatch,
@@ -50,11 +52,23 @@ def _pack(row: Sequence[int]) -> int:
     return bits
 
 
-# the 8 entries a byte of a packed row stands for, lowest bit first
+# the 8 entries a byte of a packed row stands for, lowest bit first, as
+# codes and as the text matrix_to_text writes for them (joined from nibble
+# texts, which keeps the table's share of the import time small)
 _BYTE_ROWS = tuple(bits[::-1] for bits in product((0, 1), repeat=8))
+_NIBBLE_TEXT = [" ".join(f"{n:04b}"[::-1]) for n in range(16)]
+_BYTE_TEXT = tuple(low + " " + high for high in _NIBBLE_TEXT for low in _NIBBLE_TEXT)
+_BIT_TOKENS = frozenset(("0", "1"))
 
 
+@lru_cache(maxsize=1 << 14)
 def _unpack(bits: int, ncols: int) -> tuple[int, ...]:
+    """The GF(2) row of ``ncols`` codes whose bitmask is ``bits``.
+
+    Cached, so one tuple per distinct row is shared by every matrix view and
+    subspace key that holds it: the 91,182 basis rows read off the n = 13
+    generator set (q=2, k=3, h=1, s=4) are 4,095 distinct rows.
+    """
     row: tuple[int, ...] = ()
     while len(row) < ncols:
         row += _BYTE_ROWS[bits & 255]
@@ -107,9 +121,15 @@ def _reduce_into(basis: dict, row, field: FieldSpec) -> bool:
 
 
 class MatrixGF:
-    """An immutable matrix over a FieldSpec, stored as element codes."""
+    """An immutable matrix over a FieldSpec, stored as element codes.
 
-    __slots__ = ("field", "nrows", "ncols", "_rows", "_hash", "_rref")
+    Over GF(2) the stored rows are bitmasks (``_bits``, entry j as bit j)
+    and the tuple grid ``_rows`` is a view that int_rows() builds from them
+    on first use, unless the matrix was made from that grid.  Over every
+    other field ``_bits`` is None and ``_rows`` is the grid.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_bits", "_hash", "_rref")
 
     def __init__(
         self,
@@ -133,22 +153,30 @@ class MatrixGF:
         self.nrows = len(norm)
         self.ncols = width
         self._rows = norm
+        self._bits = tuple(map(_pack, norm)) if field.q == 2 else None
         self._hash = None
         self._rref = None
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _of_codes(
-        cls, field: FieldSpec, rows: tuple[tuple[int, ...], ...], ncols: int
+    def _wrap(
+        cls,
+        field: FieldSpec,
+        ncols: int,
+        rows: tuple | None = None,
+        bits: tuple | None = None,
     ) -> MatrixGF:
-        """Wrap a tuple grid of element codes already valid in ``field``
-        (taken from, or computed on, matrices over it) without re-validating."""
+        """A matrix over ``field`` from rows already valid in it (taken
+        from, or computed on, matrices over it), not re-validated: over
+        GF(2) the bitmasks ``bits``, with their tuple grid ``rows`` when it
+        is at hand; over any other field the tuple grid ``rows``."""
         m = cls.__new__(cls)
         m.field = field
-        m.nrows = len(rows)
+        m.nrows = len(rows if bits is None else bits)
         m.ncols = ncols
         m._rows = rows
+        m._bits = bits
         m._hash = None
         m._rref = None
         return m
@@ -156,41 +184,45 @@ class MatrixGF:
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> MatrixGF:
         # codes 0 and 1 are zero and one in every field: nothing to validate
+        if field.q == 2:
+            return cls._wrap(field, n, bits=tuple([1 << i for i in range(n)]))
         rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        return cls._of_codes(field, rows, n)
+        return cls._wrap(field, n, rows)
 
     @classmethod
     def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> MatrixGF:
-        return cls._of_codes(field, ((0,) * ncols,) * nrows, ncols)
+        if field.q == 2:
+            return cls._wrap(field, ncols, bits=(0,) * nrows)
+        return cls._wrap(field, ncols, ((0,) * ncols,) * nrows)
 
     # -- inspection ----------------------------------------------------------
 
     def int_rows(self) -> tuple[tuple[int, ...], ...]:
         """The grid of element codes (polynomial-basis codes for extensions)."""
-        return self._rows
-
-    def packed_rows(self) -> list[int]:
-        """Rows as bitmasks; GF(2) only."""
-        if self.field.q != 2:
-            raise FieldMismatch("bit packing applies to GF(2) matrices only")
-        return [_pack(r) for r in self._rows]
+        rows = self._rows
+        if rows is None:
+            ncols = self.ncols
+            rows = self._rows = tuple([_unpack(b, ncols) for b in self._bits])
+        return rows
 
     @property
     def is_zero(self) -> bool:
-        return all(not any(r) for r in self._rows)
+        return all(not any(r) for r in self.int_rows())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MatrixGF):
             return NotImplemented
-        return (
-            self.field == other.field
-            and self.ncols == other.ncols
-            and self._rows == other._rows
-        )
+        if self.field != other.field or self.ncols != other.ncols:
+            return False
+        # equal fields store their rows alike: both as bitmasks or neither
+        if self._bits is not None:
+            return self._bits == other._bits
+        return self._rows == other._rows
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.field, self.ncols, self._rows))
+            cells = self._rows if self._bits is None else self._bits
+            self._hash = hash((self.field, self.ncols, cells))
         return self._hash
 
     def __repr__(self) -> str:
@@ -216,9 +248,10 @@ class MatrixGF:
         return result
 
     def transpose(self) -> MatrixGF:
+        rows = self.int_rows()
         return MatrixGF(
             self.field,
-            [[self._rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
+            [[rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
             ncols=self.nrows,
         )
 
@@ -232,17 +265,18 @@ class MatrixGF:
         original shape.
         """
         if self._rref is None:
-            field, ncols = self.field, self.ncols
-            gf2 = field.q == 2
+            field, ncols, bits = self.field, self.ncols, self._bits
             basis: dict = {}
-            for row in self._rows:
-                _reduce_into(basis, _pack(row) if gf2 else row, field)
+            for row in self._rows if bits is None else bits:
+                _reduce_into(basis, row, field)
             rows = [basis[c] for c in sorted(basis)]
-            if gf2:
-                rows = [_unpack(b, ncols) for b in rows]
             rank = len(rows)
-            rows += [(0,) * ncols] * (self.nrows - rank)
-            reduced = MatrixGF._of_codes(field, tuple(rows), ncols)
+            if bits is None:
+                rows += [(0,) * ncols] * (self.nrows - rank)
+                reduced = MatrixGF._wrap(field, ncols, tuple(rows))
+            else:
+                rows += [0] * (self.nrows - rank)
+                reduced = MatrixGF._wrap(field, ncols, bits=tuple(rows))
             reduced._rref = (reduced, rank)
             self._rref = (reduced, rank)
         return self._rref
@@ -272,7 +306,9 @@ class MatrixGF:
         """Rows i..j inclusive, or SliceOutOfRange naming ``what``."""
         if not valid:
             raise SliceOutOfRange(f"{what} of a {self.nrows}-row matrix")
-        return MatrixGF._of_codes(self.field, self._rows[i - 1 : j], self.ncols)
+        if self._bits is None:
+            return MatrixGF._wrap(self.field, self.ncols, self._rows[i - 1 : j])
+        return MatrixGF._wrap(self.field, self.ncols, bits=self._bits[i - 1 : j])
 
 
 def mat_mul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
@@ -283,19 +319,21 @@ def mat_mul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
         raise DimMismatch(f"{a.nrows}x{a.ncols} times {b.nrows}x{b.ncols}")
     field = a.field
     if field.q == 2:
-        brows = b.packed_rows()
+        # row i of a*b is the XOR of the rows of b at the set bits of row i of a
+        brows = b._bits
         out = []
-        for arow in a.int_rows():
+        for arow in a._bits:
             acc = 0
-            for j, v in enumerate(arow):
-                if v:
-                    acc ^= brows[j]
-            out.append(_unpack(acc, b.ncols))
-        return MatrixGF._of_codes(field, tuple(out), b.ncols)
+            while arow:
+                low = arow & -arow
+                acc ^= brows[low.bit_length() - 1]
+                arow ^= low
+            out.append(acc)
+        return MatrixGF._wrap(field, b.ncols, bits=tuple(out))
     add, mul = field.add, field.mul
     out = [[0] * b.ncols for _ in range(a.nrows)]
-    brows = b.int_rows()
-    for i, arow in enumerate(a.int_rows()):
+    brows = b._rows
+    for i, arow in enumerate(a._rows):
         orow = out[i]
         for j, v in enumerate(arow):
             if v:
@@ -303,7 +341,7 @@ def mat_mul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
                 for c, w in enumerate(brow):
                     if w:
                         orow[c] = add(orow[c], mul(v, w))
-    return MatrixGF._of_codes(field, tuple(map(tuple, out)), b.ncols)
+    return MatrixGF._wrap(field, b.ncols, tuple(map(tuple, out)))
 
 
 def vstack(mats: Sequence[MatrixGF]) -> MatrixGF:
@@ -312,14 +350,17 @@ def vstack(mats: Sequence[MatrixGF]) -> MatrixGF:
         raise DimMismatch("nothing to stack")
     field = mats[0].field
     ncols = mats[0].ncols
-    rows: list[tuple[int, ...]] = []
+    gf2 = field.q == 2
+    rows: list = []
     for m in mats:
         if m.field != field:
             raise FieldMismatch("stacking matrices over different fields")
         if m.ncols != ncols:
             raise DimMismatch(f"stacking {ncols}-column and {m.ncols}-column matrices")
-        rows.extend(m.int_rows())
-    return MatrixGF._of_codes(field, tuple(rows), ncols)
+        rows.extend(m._bits if gf2 else m._rows)
+    if gf2:
+        return MatrixGF._wrap(field, ncols, bits=tuple(rows))
+    return MatrixGF._wrap(field, ncols, tuple(rows))
 
 
 def block(field: FieldSpec, cells: Sequence[Sequence[MatrixGF | None]]) -> MatrixGF:
@@ -351,6 +392,18 @@ def block(field: FieldSpec, cells: Sequence[Sequence[MatrixGF | None]]) -> Matri
                 )
     if any(h is None for h in heights) or any(w is None for w in widths):
         raise BlockDimMismatch("a full block row or column has no sized cell")
+    if field.q == 2:
+        # block column j starts at bit offsets[j]; None cells add no bits
+        offsets = [0, *accumulate(widths)]
+        bits: list[int] = []
+        for i, row in enumerate(cells):
+            placed = [(cell._bits, off) for cell, off in zip(row, offsets) if cell is not None]
+            for r in range(heights[i]):
+                acc = 0
+                for cell_bits, off in placed:
+                    acc |= cell_bits[r] << off
+                bits.append(acc)
+        return MatrixGF._wrap(field, offsets[-1], bits=tuple(bits))
     out: list[tuple[int, ...]] = []
     for i, row in enumerate(cells):
         for r in range(heights[i]):
@@ -359,9 +412,9 @@ def block(field: FieldSpec, cells: Sequence[Sequence[MatrixGF | None]]) -> Matri
                 if cell is None:
                     line.extend([0] * widths[j])
                 else:
-                    line.extend(cell.int_rows()[r])
+                    line.extend(cell._rows[r])
             out.append(tuple(line))
-    return MatrixGF._of_codes(field, tuple(out), sum(widths))
+    return MatrixGF._wrap(field, sum(widths), tuple(out))
 
 
 def companion(f: Poly) -> MatrixGF:
@@ -411,8 +464,13 @@ def matrix_to_text(m: MatrixGF) -> str:
     """Render as a ``rows cols GF(q)`` header (the field as field_name
     writes it) plus one line per row of space-separated element codes."""
     lines = [f"{m.nrows} {m.ncols} {field_name(m.field)}"]
-    for row in m.int_rows():
-        lines.append(" ".join(str(v) for v in row))
+    if m._bits is None:
+        lines += [" ".join(map(str, row)) for row in m._rows]
+    else:
+        # a GF(2) row is the text of its bytes, cut to its ncols entries
+        shifts = range(0, m.ncols, 8)
+        end = 2 * m.ncols - 1
+        lines += [" ".join([_BYTE_TEXT[b >> s & 255] for s in shifts])[:end] for b in m._bits]
     return "\n".join(lines)
 
 
@@ -434,19 +492,36 @@ def read_matrix(lines: Iterator[str], field: FieldSpec | None = None) -> MatrixG
         if field != named:
             raise FieldMismatch(f"matrix over {named}, caller expects {field}")
         named = field
+    if ncols == 0:
+        # the rows of a 0-column matrix are empty lines, which are skipped
+        # like the blank lines between matrices: the header gives them all
+        return MatrixGF.zeros(named, nrows, 0)
+    gf2 = named.q == 2
     rows = []
     while len(rows) < nrows:
         raw = next(lines, None)
         if raw is None:
             raise ValueError(f"matrix ended after {len(rows)} of {nrows} rows")
-        raw = raw.strip()
-        if not raw:
+        tokens = raw.split()
+        if not tokens:
             continue
-        vals = [int(t) for t in raw.split()]
-        if len(vals) != ncols:
-            raise ValueError(f"row has {len(vals)} entries, expected {ncols}")
-        rows.append(vals)
+        row = _gf2_row(tokens) if gf2 else [int(t) for t in tokens]
+        if len(tokens) != ncols:
+            raise ValueError(f"row has {len(tokens)} entries, expected {ncols}")
+        rows.append(row)
+    if gf2:
+        return MatrixGF._wrap(named, ncols, bits=tuple(rows))
     return MatrixGF(named, rows, ncols=ncols)
+
+
+def _gf2_row(tokens: list[str]) -> int:
+    """The bitmask of a row of int tokens over GF(2), each reduced mod 2 as
+    FieldSpec.codes_of reduces it; a token that int() refuses raises its
+    ValueError, as on the path for other fields."""
+    if _BIT_TOKENS.issuperset(tokens):
+        # token j is bit j: the reversed tokens read as a binary numeral
+        return int("".join(reversed(tokens)), 2)
+    return _pack([int(t) & 1 for t in tokens])
 
 
 def _expect_end(lines: Iterator[str], what: str) -> None:

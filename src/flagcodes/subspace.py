@@ -21,7 +21,7 @@ from .errors import (
     ZeroRank,
 )
 from .field import FieldSpec
-from .matgf import MatrixGF, _expect_end, _pack, _reduce_into, _unpack, matrix_to_text, read_matrix
+from .matgf import MatrixGF, _expect_end, _reduce_into, _unpack, matrix_to_text, read_matrix
 
 __all__ = [
     "GroupElementSeq",
@@ -49,7 +49,9 @@ class Subspace:
         # as code tuples, which is then the RREF generator; use subspace_of()
         self.ambient = ambient
         self.dim = len(rows)
-        self.canon = MatrixGF._of_codes(field, rows, ambient)
+        # over GF(2) piv holds the rows as bitmasks, the canon's stored form
+        bits = tuple(piv.values()) if field.q == 2 else None
+        self.canon = MatrixGF._wrap(field, ambient, rows, bits)
         self._piv = piv
         self._key = (self.dim, rows)
 
@@ -143,28 +145,25 @@ def _prefix_spaces(w: MatrixGF, lengths: Iterable[int]) -> Iterator[tuple[int, S
 
     The prefixes are nested, so one fully reduced basis takes the rows one
     at a time and each requested prefix is read off it: no prefix is reduced
-    twice.  Over GF(2) a basis row is unpacked once and the tuple is shared
-    by every prefix space that holds it.
+    twice.  Over GF(2) the basis takes w's stored bitmasks, and a basis row
+    is unpacked for the space's key through the cache of matgf._unpack, so
+    the tuple is shared by every space that holds that row.
     """
     field, ncols = w.field, w.ncols
     gf2 = field.q == 2
-    rows = w.int_rows()
+    rows = w._bits if gf2 else w._rows
     basis: dict = {}
-    unpacked: dict[int, tuple[int, ...]] = {}  # GF(2) bitmask -> its row tuple
     done = 0
     for t in lengths:
         for row in rows[done:t]:
-            _reduce_into(basis, _pack(row) if gf2 else row, field)
+            _reduce_into(basis, row, field)
         done = t
         if not basis:
             yield 0, None
             continue
         piv = dict(sorted(basis.items()))
         if gf2:
-            canon = tuple([
-                unpacked.get(b) or unpacked.setdefault(b, _unpack(b, ncols))
-                for b in piv.values()
-            ])
+            canon = tuple([_unpack(b, ncols) for b in piv.values()])
         else:
             canon = tuple(piv.values())
         yield len(piv), Subspace(field, ncols, piv, canon)
@@ -654,17 +653,21 @@ class GroupElementSeq:
 
 def orbit_code(u: Subspace, group: GroupElementSeq) -> SubspaceCode:
     """The set of distinct images of ``u`` under the cyclic group."""
-    if group.ambient != u.ambient:
-        raise AmbientMismatch(
-            f"{group.ambient}x{group.ambient} group acting on ambient {u.ambient}"
-        )
-    return SubspaceCode(u.ambient, (u.transform(g) for _, g in group.powers()))
+    return _orbit_walk(u, group)[0]
 
 
 def stabilizer_order(u: Subspace, group: GroupElementSeq) -> int:
     """Number of group elements fixing ``u``; divides the group order."""
+    return _orbit_walk(u, group)[1]
+
+
+def _orbit_walk(u: Subspace, group: GroupElementSeq) -> tuple[SubspaceCode, int]:
+    """(orbit code, stabilizer order) of ``u`` from one walk over the group:
+    every element transforms ``u`` once, and the images equal to ``u`` are
+    the fixed points."""
     if group.ambient != u.ambient:
         raise AmbientMismatch(
             f"{group.ambient}x{group.ambient} group acting on ambient {u.ambient}"
         )
-    return sum(1 for _, g in group.powers() if u.transform(g) == u)
+    images = [u.transform(g) for _, g in group.powers()]
+    return SubspaceCode(u.ambient, images), images.count(u)

@@ -4,7 +4,8 @@ acceptance suite.
 Everything here recomputes its target by a route independent of the code it
 checks: vector-set enumeration instead of rank arithmetic, successive
 multiplication instead of factored order tests, explicit row-times-matrix
-products instead of the shift structure being verified, pair-by-pair
+products instead of the shift structure being verified and of the packed
+GF(2) product (``mat_mul_oracle``), pair-by-pair
 ``subspace_distance`` / ``flag_distance`` calls instead of the cached
 level-by-level code scan, one elimination basis per pair instead of the
 bit-sliced scan over the prime field, and whole-matrix Gauss-Jordan
@@ -107,6 +108,14 @@ def _row_times_matrix(field: fc.FieldSpec, row: tuple[int, ...], mat: fc.MatrixG
                 if w:
                     out[c] = add(out[c], mul(v, w))
     return tuple(out)
+
+
+def mat_mul_oracle(a: fc.MatrixGF, b: fc.MatrixGF) -> tuple[tuple[int, ...], ...]:
+    """The product a*b as a tuple grid of element codes: one explicit
+    row-times-matrix product per row of ``a``, on the int_rows() grids and
+    the field's add and mul, independent of the packed GF(2) product."""
+    assert a.field == b.field and a.ncols == b.nrows
+    return tuple(_row_times_matrix(a.field, row, b) for row in a.int_rows())
 
 
 def check_companion_row_identities(q: int, k: int) -> None:

@@ -316,6 +316,22 @@ class TestText:
         assert read_matrix(stream) == a
         assert read_matrix(stream) == b
 
+    @pytest.mark.parametrize("field_args", [(2,), (3,)], ids=["GF2", "GF3"])
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 3)])
+    def test_empty_shapes_round_trip(self, field_args, shape):
+        # a 0-column matrix writes its rows as empty lines, which the reader
+        # cannot tell from the blank lines it skips: the header gives them
+        from flagcodes.matgf import read_matrix
+
+        field = fc.field_make(*field_args)
+        m = fc.MatrixGF.zeros(field, *shape)
+        back = fc.matrix_from_text(fc.matrix_to_text(m))
+        assert back == m and (back.nrows, back.ncols) == shape
+        after = M(field, [[1, 0]])
+        stream = iter((fc.matrix_to_text(m) + "\n" + fc.matrix_to_text(after)).splitlines())
+        assert read_matrix(stream) == m
+        assert read_matrix(stream) == after
+
     def test_bad_header(self):
         with pytest.raises(ValueError):
             fc.matrix_from_text("nonsense")

@@ -246,6 +246,24 @@ class TestOrbits:
             orbit = fc.orbit_code(u, group)
             assert len(orbit) * fc.stabilizer_order(u, group) == group.order
 
+    @pytest.mark.parametrize("q,k", [(2, 4), (3, 2), (4, 2)])
+    def test_one_walk_matches_direct_powers(self, q, k):
+        # the orbit and the fixed points come from one walk over the group;
+        # recount both from g**t computed afresh for every t
+        field = fc.field_from_order(q)
+        p = fc.companion(fc.find_primitive_poly(field, k))
+        order = fc.matrix_order(p)
+        group = fc.GroupElementSeq(p, order)
+        rng = random.Random(q * k)
+        for dim in range(1, k):
+            rows = [[rng.randrange(q) for _ in range(k)] for _ in range(dim)]
+            if fc.MatrixGF(field, rows).rank() != dim:
+                continue
+            u = space(field, rows)
+            images = [u.transform(p**t) for t in range(1, order + 1)]
+            assert fc.orbit_code(u, group) == fc.SubspaceCode(k, images)
+            assert fc.stabilizer_order(u, group) == sum(w == u for w in images)
+
     def test_ambient_mismatch(self, gf2):
         group = fc.GroupElementSeq(fc.MatrixGF.identity(gf2, 3), 1)
         with pytest.raises(AmbientMismatch):
