@@ -332,13 +332,17 @@ class GeneratorSet:
 
     Every typed and projected code of the construction is a restriction of
     ``full``; an injective one reads the full code's cached distance profile
-    instead of scanning its own pairs.
+    instead of scanning its own pairs.  Each typed code is restricted once
+    and kept, so every claim on a type reads one code.
     """
 
     params: ConstructionParams
     entries: tuple[GeneratorEntry, ...]
     spaces: tuple[Subspace, ...]
     full: FlagCode
+    _restrictions: dict[TypeVector, FlagCode] = dataclass_field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @property
     def expected_size(self) -> int:
@@ -351,8 +355,12 @@ class GeneratorSet:
         raise KeyError(f"no generator entry ({kind}, {index}, {power})")
 
     def flag_code(self, tv: TypeVector) -> FlagCode:
-        """The code of type ``tv``: the full code restricted to its dimensions."""
-        return subsequence_code(self.full, tv)
+        """The code of type ``tv``: the full code restricted to its dimensions,
+        made on the first request for ``tv`` and the same object after."""
+        code = self._restrictions.get(tv)
+        if code is None:
+            code = self._restrictions[tv] = subsequence_code(self.full, tv)
+        return code
 
     def projected_at_dim(self, m: int) -> SubspaceCode:
         """Row spaces of the first m rows of every generator matrix."""

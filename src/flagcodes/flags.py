@@ -33,6 +33,7 @@ from .subspace import (
     _distance_profile,
     _prefix_spaces,
     _restrict_profile,
+    _spans,
     subspace_distance,
     subspace_of,
 )
@@ -151,8 +152,10 @@ class Flag:
 
     ``source`` optionally keeps a generator matrix whose row prefixes produce
     the chain; it is ignored by equality and hashing.  ``field`` is the
-    parts' common field (the nesting check rejects parts over different
-    fields), and it takes part in equality and hashing.
+    parts' common field (parts over different fields are refused), and it
+    takes part in equality and hashing.  Every chain built from parts has
+    its nesting checked once, here; a restriction of a flag (_restricted)
+    is nested because its parent is, and is not checked again.
     """
 
     __slots__ = ("type", "field", "parts", "source", "_key")
@@ -168,6 +171,7 @@ class Flag:
             raise TypeMismatch(
                 f"{len(parts)} components for a type of length {type_.r}"
             )
+        field = parts[0].field
         for part, dim in zip(parts, type_.dims):
             if part.ambient != type_.n:
                 raise AmbientMismatch(
@@ -175,17 +179,34 @@ class Flag:
                 )
             if part.dim != dim:
                 raise TypeMismatch(f"component of dim {part.dim} where {dim} expected")
+            if part.field != field:
+                raise AmbientMismatch(
+                    f"component over {part.field} (modulus {part.field.modulus}) in "
+                    f"a flag over {field} (modulus {field.modulus})"
+                )
         # nesting is usually automatic from prefix structure; re-verify anyway
         for lower, upper in zip(parts, parts[1:]):
-            if not upper.contains(lower):
+            if not _spans(upper._piv, lower._piv.values(), field):
                 raise RankDeficientPrefix(
                     f"component of dim {lower.dim} not inside the next of dim {upper.dim}"
                 )
         self.type = type_
-        self.field = parts[0].field
+        self.field = field
         self.parts = parts
         self.source = source
         self._key = tuple(p.key for p in parts)
+
+    def _restricted(self, sub: TypeVector, positions: Sequence[int]) -> Flag:
+        """The flag of type ``sub`` made of this flag's parts at the 0-based
+        ``positions``, sharing its parts, part keys, field and source.  A
+        subsequence of a nested chain is nested, so nothing is re-checked."""
+        flag = Flag.__new__(Flag)
+        flag.type = sub
+        flag.field = self.field
+        flag.parts = tuple([self.parts[p] for p in positions])
+        flag.source = self.source
+        flag._key = tuple([self._key[p] for p in positions])
+        return flag
 
     @property
     def key(self) -> tuple:
@@ -391,14 +412,15 @@ def optimum_check_ab(code: FlagCode) -> bool:
 
 
 def subsequence_code(code: FlagCode, sub: TypeVector) -> FlagCode:
-    """Componentwise restriction of a flag code to a subsequence of its type."""
+    """Componentwise restriction of a flag code to a subsequence of its type.
+
+    Each restricted flag shares its parent's parts and is not re-checked for
+    nesting (Flag._restricted)."""
     tv = code.type
     if not sub.is_subsequence_of(tv):
         raise NotASubsequence(f"{sub.dims} is not a subsequence of {tv.dims}")
     positions = tuple(tv.dims.index(d) for d in sub.dims)
-    out = FlagCode(
-        sub, (Flag(sub, [f.parts[p] for p in positions], source=f.source) for f in code)
-    )
+    out = FlagCode(sub, (f._restricted(sub, positions) for f in code))
     if len(out) == len(code):
         out._parent = (code, positions)
     return out

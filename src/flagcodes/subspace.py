@@ -42,22 +42,27 @@ __all__ = [
 class Subspace:
     """A nonzero subspace of GF(q)^n, canonicalized by its RREF generator."""
 
-    __slots__ = ("ambient", "dim", "canon", "_piv", "_key")
+    __slots__ = ("field", "ambient", "dim", "_piv", "_key", "_canon")
 
     def __init__(self, field: FieldSpec, ambient: int, piv: dict, rows: tuple):
         # piv must be a fully reduced basis in pivot order and rows its rows
         # as code tuples, which is then the RREF generator; use subspace_of()
+        self.field = field
         self.ambient = ambient
         self.dim = len(rows)
-        # over GF(2) piv holds the rows as bitmasks, the canon's stored form
-        bits = tuple(piv.values()) if field.q == 2 else None
-        self.canon = MatrixGF._wrap(field, ambient, rows, bits)
         self._piv = piv
         self._key = (self.dim, rows)
+        self._canon = None
 
     @property
-    def field(self):
-        return self.canon.field
+    def canon(self) -> MatrixGF:
+        """The RREF generator as a matrix, made on first read and cached:
+        only serialization and transform() read it."""
+        if self._canon is None:
+            # over GF(2) piv holds the rows as bitmasks, the canon's stored form
+            bits = tuple(self._piv.values()) if self.field.q == 2 else None
+            self._canon = MatrixGF._wrap(self.field, self.ambient, self._key[1], bits)
+        return self._canon
 
     @property
     def key(self) -> tuple:
@@ -116,8 +121,9 @@ def _spans(piv: dict, rows: Iterable, field) -> bool:
 
     A read-only walk kept apart from _reduce_into: it stops at the first row
     with a nonzero remainder, and it neither copies ``piv`` nor clears a
-    pivot column from its rows.  Flag nesting checks (Subspace.contains on
-    every adjacent pair of parts) run it for each flag built or loaded.
+    pivot column from its rows.  Subspace.contains runs it, and so does
+    Flag's nesting check on every adjacent pair of parts of each flag built
+    from parts.
     """
     if field.q == 2:
         for row in rows:
@@ -188,16 +194,26 @@ def intersection_dim(u: Subspace, v: Subspace) -> int:
 
 
 class SubspaceCode:
-    """A set of subspaces of a common ambient space, stored sorted and deduped."""
+    """A set of subspaces of a common ambient space over one field, stored
+    sorted and deduped."""
 
     __slots__ = ("ambient", "words", "constant_dim", "_spectrum", "_parent")
 
     def __init__(self, ambient: int, words: Iterable[Subspace]):
         seen: dict[tuple, Subspace] = {}
+        field = None
         for w in words:
             if w.ambient != ambient:
                 raise AmbientMismatch(
                     f"ambient-{w.ambient} word in an ambient-{ambient} code"
+                )
+            # the key is field-free, so words over two fields could merge
+            if field is None:
+                field = w.field
+            elif w.field != field:
+                raise AmbientMismatch(
+                    f"word over {w.field} (modulus {w.field.modulus}) in a code "
+                    f"over {field} (modulus {field.modulus})"
                 )
             seen[w.key] = w
         ordered = tuple(seen[k] for k in sorted(seen))

@@ -10,16 +10,41 @@ GF(2) product (``mat_mul_oracle``), pair-by-pair
 level-by-level code scan, one elimination basis per pair instead of the
 bit-sliced scan over the prime field, and whole-matrix Gauss-Jordan
 elimination (``rref_oracle``) instead of the one-row-at-a-time fully reduced
-insert that ``MatrixGF.rref``, ``subspace_of`` and ``flag_from_matrix`` share.
+insert that ``MatrixGF.rref``, ``subspace_of`` and ``flag_from_matrix`` share,
+and flags rebuilt through the nesting-checked ``Flag`` constructor instead of
+the unchecked restriction ``subsequence_code`` makes.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, islice
 
 import flagcodes as fc
+
+# scripts/run_verification_sweep.py INSTANCES, as (q, k, h, s)
+SWEEP = [(2, 2, 0, 2), (2, 2, 1, 2), (2, 3, 2, 2), (3, 2, 1, 2), (2, 2, 0, 3), (2, 2, 1, 3), (2, 2, 1, 4)]
+
+
+def poly_choices(q: int, k: int, h: int, s: int) -> list[int]:
+    """The poly_choice values of 0 and 1 for which the field has that many
+    primitive polynomials of every degree the construction needs."""
+    field = fc.field_from_order(q)
+    return [
+        c for c in (0, 1)
+        if all(len(list(islice(fc.iter_primitive_polys(field, i * k + h), c + 1))) > c
+               for i in range(1, s))
+    ]
+
+
+def strip_seconds(obj):
+    """A report's JSON object without its timings: every "seconds" key removed."""
+    if isinstance(obj, dict):
+        return {k: strip_seconds(v) for k, v in obj.items() if k != "seconds"}
+    if isinstance(obj, list):
+        return [strip_seconds(v) for v in obj]
+    return obj
 
 
 # -- GF(2) subspaces as explicit vector sets ------------------------------------
@@ -277,6 +302,28 @@ def check_scan_against_pairwise(code: fc.FlagCode) -> int:
         if nonzero:
             assert fc.code_min_distance(projected) == min(oracle) == min(nonzero)
     return sum(profile.values())
+
+
+def check_restriction(code: fc.FlagCode, sub: fc.TypeVector) -> fc.FlagCode:
+    """subsequence_code against the same restriction built flag by flag
+    through the checked constructor Flag(sub, parts), which re-walks the
+    nesting: equal flags in the same order, with equal keys, fields,
+    sources, parts and hashes, and an equal distance profile, the checked
+    code scanning its own pairs.  Returns the restricted code."""
+    positions = [code.type.dims.index(d) for d in sub.dims]
+    got = fc.subsequence_code(code, sub)
+    want = fc.FlagCode(
+        sub, (fc.Flag(sub, [f.parts[p] for p in positions], source=f.source) for f in code)
+    )
+    assert want._parent is None
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w and hash(g) == hash(w)
+        assert g.type == w.type and g.key == w.key and g.field == w.field
+        assert g.source is w.source
+        assert g.parts == w.parts
+    assert got.distance_profile() == want.distance_profile()
+    return got
 
 
 def every_full_flag_of_gf2_3() -> fc.FlagCode:

@@ -139,6 +139,22 @@ class TestFieldIdentity:
         assert a != b and hash(a) != hash(b)
         assert len({a, b}) == 2
 
+    def test_flag_rejects_parts_over_two_fields(self, gf2, gf4):
+        tv = fc.TypeVector(4, (1, 2))
+        lower = fc.subspace_of(fc.MatrixGF(gf2, [[1, 0, 0, 0]]))
+        upper = fc.subspace_of(fc.MatrixGF(gf4, [[1, 0, 0, 0], [0, 1, 0, 0]]))
+        # as rows of codes the line lies in the plane: only the field check refuses it
+        assert lower.key[1][0] == upper.key[1][0]
+        with pytest.raises(AmbientMismatch, match=r"over GF\(2\^2\) \(modulus .* over GF\(2\) \(modulus"):
+            fc.Flag(tv, [lower, upper])
+        # GF(8) under two moduli: equal codes, different fields
+        f1 = fc.field_make(2, 3)
+        f2 = fc.field_make(2, 3, [1, 0, 1, 1])
+        lower = fc.subspace_of(fc.MatrixGF(f1, [[1, 0, 0, 0]]))
+        upper = fc.subspace_of(fc.MatrixGF(f2, [[1, 0, 0, 0], [0, 1, 0, 0]]))
+        with pytest.raises(AmbientMismatch, match="modulus"):
+            fc.Flag(tv, [lower, upper])
+
     def test_flag_code_rejects_mixed_fields(self):
         tv, a, b = self._pair()
         with pytest.raises(AmbientMismatch, match="modulus"):

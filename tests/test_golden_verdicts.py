@@ -19,7 +19,6 @@ import json
 import os
 import subprocess
 import sys
-from itertools import islice
 from pathlib import Path
 from time import perf_counter
 
@@ -27,11 +26,11 @@ import pytest
 
 import flagcodes as fc
 
+from _checks import SWEEP, poly_choices, strip_seconds
+
 GOLDEN = Path(__file__).parent / "data" / "golden_verdicts.json"
 ROOT = Path(__file__).resolve().parent.parent
 
-# scripts/run_verification_sweep.py INSTANCES
-SWEEP = [(2, 2, 0, 2), (2, 2, 1, 2), (2, 3, 2, 2), (3, 2, 1, 2), (2, 2, 0, 3), (2, 2, 1, 3), (2, 2, 1, 4)]
 # the non-binary scripts/run_verification_sweep.py BIG_INSTANCES (n = 7),
 # first recorded with the per-pair scan that the bit-sliced GF(3) and
 # GF(4) scans replaced
@@ -39,30 +38,13 @@ BIG = [(3, 2, 1, 3), (4, 2, 1, 3)]
 BIG_SECONDS = 10
 
 
-def _strip_seconds(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_seconds(v) for k, v in obj.items() if k != "seconds"}
-    if isinstance(obj, list):
-        return [_strip_seconds(v) for v in obj]
-    return obj
-
-
-def _poly_choices(q: int, k: int, h: int, s: int) -> list[int]:
-    field = fc.field_from_order(q)
-    return [
-        c for c in (0, 1)
-        if all(len(list(islice(fc.iter_primitive_polys(field, i * k + h), c + 1))) > c
-               for i in range(1, s))
-    ]
-
-
 def _verdicts(q: int, k: int, h: int, s: int, choice: int) -> dict:
     params = fc.ConstructionParams.make(q, k, h, s, poly_choice=choice)
-    return _strip_seconds(fc.run_claim_suite(params).to_json_obj())
+    return strip_seconds(fc.run_claim_suite(params).to_json_obj())
 
 
 def _keys(instances) -> list[str]:
-    return [f"{q},{k},{h},{s},{c}" for q, k, h, s in instances for c in _poly_choices(q, k, h, s)]
+    return [f"{q},{k},{h},{s},{c}" for q, k, h, s in instances for c in poly_choices(q, k, h, s)]
 
 
 def _record() -> dict:
@@ -106,9 +88,9 @@ def test_sweep_script_skips_instances_without_a_second_polynomial(tmp_path):
     out = tmp_path / "claims.json"
     proc = _run_sweep("--poly-choice", "1", "--json", str(out))
     assert proc.returncode == 0, proc.stderr
-    runnable = [qkhs for qkhs in SWEEP if 1 in _poly_choices(*qkhs)]
+    runnable = [qkhs for qkhs in SWEEP if 1 in poly_choices(*qkhs)]
     assert proc.stdout.count("skipped: ") == len(SWEEP) - len(runnable)
-    reports = [_strip_seconds(r) for r in json.loads(out.read_text())["reports"]]
+    reports = [strip_seconds(r) for r in json.loads(out.read_text())["reports"]]
     assert reports == [_golden["{},{},{},{},1".format(*qkhs)] for qkhs in runnable]
 
 

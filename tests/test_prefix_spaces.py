@@ -18,12 +18,9 @@ import pytest
 import flagcodes as fc
 from flagcodes.errors import RankDeficientPrefix, ZeroRank
 
-from _checks import assert_same_subspace, prefix_subspace_oracle
+from _checks import SWEEP, assert_same_subspace, poly_choices, prefix_subspace_oracle, rref_oracle
 
-SWEEP = [(2, 2, 0, 2), (2, 2, 1, 2), (2, 3, 2, 2), (3, 2, 1, 2), (2, 2, 0, 3), (2, 2, 1, 3), (2, 2, 1, 4)]
-# GF(2) has a single primitive quadratic, so these have no poly_choice 1
-NO_SECOND_POLY = {(2, 2, 0, 2), (2, 2, 0, 3)}
-SWEEP_CHOICES = [(qkhs, c) for qkhs in SWEEP for c in (0, 1) if not (c and qkhs in NO_SECOND_POLY)]
+SWEEP_CHOICES = [(qkhs, c) for qkhs in SWEEP for c in poly_choices(*qkhs)]
 
 # GF(2), GF(3), GF(4), GF(8), GF(9)
 FIELDS = [(2,), (3,), (2, 2), (2, 3), (3, 2)]
@@ -151,6 +148,29 @@ def test_zero_rows_and_empty_matrices(field_args):
     check_flag(w, fc.TypeVector(4, (1, 2)))
     check_space(w)
     check_space(fc.MatrixGF.identity(field, 4))
+
+
+@pytest.mark.parametrize("field_args", FIELDS, ids=["GF2", "GF3", "GF4", "GF8", "GF9"])
+def test_canon_made_on_first_read(field_args):
+    field = fc.field_make(*field_args)
+    rng = random.Random(31 + sum(field_args))
+    for _ in range(40):
+        n = rng.randrange(2, 7)
+        w = _random_rows(field, rng, rng.randrange(1, n + 1), n)
+        reduced, rank = rref_oracle(w)
+        if rank == 0:
+            continue
+        space = fc.subspace_of(w)
+        assert space._canon is None
+        canon = space.canon
+        assert canon == reduced.first_rows(rank)
+        assert canon.int_rows() == space.key[1]
+        assert space.canon is canon
+        if field.q == 2:
+            # the basis bitmasks are the canon's stored rows
+            assert canon._bits == tuple(space._piv.values())
+        else:
+            assert canon._bits is None
 
 
 def _counting_rref(monkeypatch) -> list:

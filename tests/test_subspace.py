@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -130,6 +131,22 @@ class TestCodes:
         code = fc.SubspaceCode(4, [v, u, again])
         assert len(code) == 2
         assert code.words[0] == v  # lexicographic on canonical entries
+
+    def test_words_over_two_fields_refused(self, gf2, gf4):
+        # equal code rows, so a field-free key would merge the two words
+        u = space(gf2, [[1, 0, 1]])
+        v = space(gf4, [[1, 0, 1]])
+        assert u.key == v.key and u != v
+        with pytest.raises(AmbientMismatch, match=r"over GF\(2\^2\) \(modulus .* over GF\(2\) \(modulus"):
+            fc.SubspaceCode(3, [u, v])
+        f1 = fc.field_make(2, 3)
+        f2 = fc.field_make(2, 3, [1, 0, 1, 1])
+        a = space(f1, [[1, 0, 1]])
+        b = space(f2, [[1, 0, 1]])
+        assert a.key == b.key and a != b
+        with pytest.raises(AmbientMismatch, match=rf"modulus {re.escape(str(f1.modulus))}.*modulus {re.escape(str(f2.modulus))}"):
+            fc.SubspaceCode(3, [b, a])
+        assert len(fc.SubspaceCode(3, [a, space(f1, [[1, 0, 1]])])) == 1
 
     def test_partial_spread(self, gf2):
         u = space(gf2, [[1, 0, 0, 0], [0, 1, 0, 0]])
