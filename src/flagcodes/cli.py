@@ -42,6 +42,8 @@ from .subspace import SubspaceCode
 __all__ = ["main"]
 
 FAMILIES = ("full", "optimum", "longer")
+# the spectrum options that describe a code to construct, not one to load
+_CODE_EXCLUDES = ("q", "k", "h", "s", "type", "family", "modulus", "sweep")
 
 
 def _int_list(text: str) -> list[int]:
@@ -86,7 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("spectrum", help="histogram of pairwise flag distances")
     add_params(ps, required=False)
-    ps.add_argument("--family", choices=FAMILIES, default="full")
+    # no default, so that --family given with --code is refused
+    ps.add_argument("--family", choices=FAMILIES, help="default: full")
     ps.add_argument("--code", help="load a serialized flag code instead of constructing")
     add_out(ps)
 
@@ -101,6 +104,8 @@ def _param_grid(args: argparse.Namespace) -> list[tuple[int, int, int, int]]:
     """Every (q, k, h, s) combination named by --q/--k/--h/--s."""
     if args.q is None:
         return []
+    if None in (args.k, args.h, args.s):
+        raise ValueError("--q, --k, --h and --s go together")
     qs, ks, hs, ss = (_int_list(v) for v in (args.q, args.k, args.h, args.s))
     if not args.sweep and any(len(v) != 1 for v in (qs, ks, hs, ss)):
         raise ValueError("comma lists need --sweep")
@@ -142,7 +147,7 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 def _construct_family(args: argparse.Namespace, params: ConstructionParams) -> FlagCode:
     gen = build_generator_set(params)
     dims = _type_dims(args)
-    if args.family == "full":
+    if args.family in ("full", None):
         if dims:
             raise ValueError("--type applies to the longer family only")
         return build_full_flag_code(params, gen)
@@ -222,8 +227,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    grid = _param_grid(args)
     if args.code:
+        given = [f"--{name}" for name in _CODE_EXCLUDES if getattr(args, name) not in (None, False)]
+        if given:
+            raise ValueError(f"--code cannot be combined with {', '.join(given)}")
         text = Path(args.code).read_text()
         head = next((ln for ln in text.splitlines() if ln.strip()), "")
         if head.startswith("flagcode"):
@@ -231,7 +238,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         else:
             code = SubspaceCode.load(text)
     else:
-        if not grid:
+        if args.q is None:
             raise ValueError("spectrum needs either --code or --q/--k/--h/--s")
         code = _construct_family(args, _single_params(args))
     if isinstance(code, SubspaceCode):

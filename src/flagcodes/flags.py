@@ -11,6 +11,7 @@ distance.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -27,12 +28,12 @@ from .errors import (
     TooFewRows,
     TypeMismatch,
 )
-from .matgf import MatrixGF, _expect_end, matrix_to_text, read_matrix
+from .matgf import MatrixGF, _expect_end, _unpacked, matrix_to_text, read_matrix
 from .subspace import (
+    _KEY,
     Subspace,
     SubspaceCode,
     _distance_profile,
-    _key_rows,
     _part_levels,
     _prefix_bases,
     _restrict_profile,
@@ -286,9 +287,13 @@ def flag_from_matrix(w: MatrixGF, type_: TypeVector) -> Flag:
     The rows go one at a time into one fully reduced basis, and at each
     type dimension t the rank must be t.  There the flag records the part
     key, read off the basis, and the basis rows whose pivots are new at t
-    (bitmasks over GF(2)), which the distance scan reads.  The prefixes of
-    one growing basis are nested, so no nesting walk runs and no Subspace
-    is made: the flag makes its parts from their keys on first read.
+    (bitmasks over GF(2)), which the distance scan reads.  The pivots are
+    kept in one sorted list that takes each level's new pivots, so a key's
+    rows are read in pivot order by a map over the basis (over GF(2)
+    through the table of unpacked rows, as in subspace._key_rows): no sort
+    per level and no Python loop per key row.  The prefixes of one growing
+    basis are nested, so no nesting walk runs and no Subspace is made: the
+    flag makes its parts from their keys on first read.
     """
     if w.ncols != type_.n:
         raise AmbientMismatch(f"{w.ncols}-column matrix for ambient {type_.n}")
@@ -296,15 +301,23 @@ def flag_from_matrix(w: MatrixGF, type_: TypeVector) -> Flag:
         raise TooFewRows(
             f"{w.nrows} rows cannot produce a flag of type {type_.dims}"
         )
-    field, ncols = w.field, w.ncols
+    field = w.field
+    unpack = _unpacked(w.ncols).__getitem__ if field.q == 2 else None
     keys = []
     rows: list = []
+    order: list = []  # the basis pivots, sorted
     for t, basis in zip(type_.dims, _prefix_bases(w, type_.dims)):
         if len(basis) != t:
             raise RankDeficientPrefix(f"first {t} rows have rank {len(basis)}")
-        keys.append((t, _key_rows(basis, field, ncols)))
         # the pivots new at this level were inserted last
-        rows.extend(islice(reversed(basis.values()), t - len(rows)))
+        new = t - len(order)
+        for c in islice(reversed(basis), new):
+            insort(order, c)
+        rows.extend(islice(reversed(basis.values()), new))
+        key_rows = map(basis.__getitem__, order)
+        if unpack is not None:
+            key_rows = map(unpack, key_rows)
+        keys.append((t, tuple(list(key_rows))))
     flag = Flag.__new__(Flag)
     flag.type = type_
     flag.field = field
@@ -317,8 +330,8 @@ def flag_from_matrix(w: MatrixGF, type_: TypeVector) -> Flag:
 
 
 class FlagCode:
-    """A set of flags sharing one type vector and one field, stored sorted and
-    deduped."""
+    """A set of flags sharing one type vector and one field, stored sorted by
+    key and deduped: of flags with equal keys the last one given is kept."""
 
     __slots__ = ("type", "flags", "_profile", "_parent")
 
@@ -337,7 +350,7 @@ class FlagCode:
                 )
             seen[f.key] = f
         self.type = type_
-        self.flags = tuple(seen[k] for k in sorted(seen))
+        self.flags = tuple(sorted(seen.values(), key=_KEY))
         self._profile = None
         # (flag code, positions) when this code is an injective restriction
         self._parent = None
@@ -611,6 +624,8 @@ def load_flag_code(text: str) -> FlagCode:
     if len(parts) != 4 or parts[0] != "flagcode":
         raise ValueError(f"bad flag code header {header!r}")
     n, q, count = int(parts[1]), int(parts[2]), int(parts[3])
+    if count < 0:
+        raise ValueError(f"the header declares {count} flags")
     type_line = next((ln for ln in lines if ln.strip()), None)
     if type_line is None:
         raise ValueError("flag code file has no type line")
@@ -619,4 +634,7 @@ def load_flag_code(text: str) -> FlagCode:
     _expect_end(lines, f"the {count} flags the header declares")
     if flags and flags[0].field.q != q:
         raise ValueError(f"header says q = {q}, but the flags are over {flags[0].field}")
-    return FlagCode(tv, flags)
+    code = FlagCode(tv, flags)
+    if len(code) != count:
+        raise ValueError(f"the header declares {count} flags, but {len(code)} are distinct")
+    return code

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator, Sequence
-from functools import lru_cache
 from itertools import accumulate, product
 
 from .errors import (
@@ -61,19 +60,42 @@ _BYTE_TEXT = tuple(low + " " + high for high in _NIBBLE_TEXT for low in _NIBBLE_
 _BIT_TOKENS = frozenset(("0", "1"))
 
 
-@lru_cache(maxsize=1 << 14)
-def _unpack(bits: int, ncols: int) -> tuple[int, ...]:
-    """The GF(2) row of ``ncols`` codes whose bitmask is ``bits``.
+class _Unpacked(dict):
+    """GF(2) rows of ``ncols`` codes as tuples, keyed by bitmask.  A missing
+    row is unpacked on first read and kept, so each distinct row is made
+    once and its tuple is shared by every matrix view and subspace key that
+    holds it.  Nothing is evicted; a table holds at most 2^ncols - 1 rows.
+    The 91,182 basis rows read off the n = 13 generator set (q=2, k=3, h=1,
+    s=4) are 4,095 distinct rows, those of the n = 15 set (q=2, k=2, h=1,
+    s=7) 24,575."""
 
-    Cached, so one tuple per distinct row is shared by every matrix view and
-    subspace key that holds it: the 91,182 basis rows read off the n = 13
-    generator set (q=2, k=3, h=1, s=4) are 4,095 distinct rows.
-    """
-    row: tuple[int, ...] = ()
-    while len(row) < ncols:
-        row += _BYTE_ROWS[bits & 255]
-        bits >>= 8
-    return row[:ncols]
+    __slots__ = ("ncols",)
+
+    def __init__(self, ncols: int):
+        super().__init__()
+        self.ncols = ncols
+
+    def __missing__(self, bits: int) -> tuple[int, ...]:
+        row: tuple[int, ...] = ()
+        rest = bits
+        while len(row) < self.ncols:
+            row += _BYTE_ROWS[rest & 255]
+            rest >>= 8
+        row = self[bits] = row[: self.ncols]
+        return row
+
+
+# ncols -> the _Unpacked table of that width
+_UNPACKED: dict[int, _Unpacked] = {}
+
+
+def _unpacked(ncols: int) -> _Unpacked:
+    """The one table of unpacked GF(2) rows of width ``ncols``: read a row
+    as ``_unpacked(ncols)[bits]``, or map its __getitem__ over many."""
+    table = _UNPACKED.get(ncols)
+    if table is None:
+        table = _UNPACKED[ncols] = _Unpacked(ncols)
+    return table
 
 
 def _reduce_into(basis: dict, row, field: FieldSpec) -> bool:
@@ -202,7 +224,7 @@ class MatrixGF:
         rows = self._rows
         if rows is None:
             ncols = self.ncols
-            rows = self._rows = tuple([_unpack(b, ncols) for b in self._bits])
+            rows = self._rows = tuple(list(map(_unpacked(ncols).__getitem__, self._bits)))
         return rows
 
     @property

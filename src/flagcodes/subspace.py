@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import (
     AmbientMismatch,
@@ -21,7 +22,7 @@ from .errors import (
     ZeroRank,
 )
 from .field import FieldSpec
-from .matgf import MatrixGF, _expect_end, _pack, _reduce_into, _unpack, matrix_to_text, read_matrix
+from .matgf import MatrixGF, _expect_end, _pack, _reduce_into, _unpacked, matrix_to_text, read_matrix
 
 __all__ = [
     "GroupElementSeq",
@@ -37,6 +38,9 @@ __all__ = [
     "subspace_distance",
     "subspace_of",
 ]
+
+# the sort key of a code's words and flags
+_KEY = attrgetter("_key")
 
 
 class Subspace:
@@ -124,7 +128,7 @@ def subspace_of(a: MatrixGF) -> Subspace:
     if not basis:
         raise ZeroRank("the zero matrix spans no subspace")
     piv = dict(sorted(basis.items()))
-    return Subspace(a.field, a.ncols, piv, _key_rows(piv, a.field, a.ncols))
+    return Subspace(a.field, a.ncols, piv, _key_rows(piv.values(), a.field, a.ncols))
 
 
 def _check_ambient(u: Subspace, v: Subspace) -> None:
@@ -184,14 +188,16 @@ def _prefix_bases(w: MatrixGF, lengths: Iterable[int]) -> Iterator[dict]:
         yield basis
 
 
-def _key_rows(basis: dict, field: FieldSpec, ncols: int) -> tuple:
-    """The RREF generator of a fully reduced basis as code tuples, in pivot
-    order: a Subspace key's rows.  A GF(2) basis row is unpacked through the
-    cache of matgf._unpack, so the tuple is shared by every key that holds
-    that row."""
+def _key_rows(rows: Iterable, field: FieldSpec, ncols: int) -> tuple:
+    """The rows of a fully reduced basis, given in pivot order, as code
+    tuples: a Subspace key's rows.  A GF(2) basis row is read through the
+    table of unpacked rows of its width (matgf._unpacked), so the tuple is
+    shared by every key that holds that row.  The tuple is made from a
+    list, so it has exactly its length (a tuple made from a map may keep a
+    larger block)."""
     if field.q == 2:
-        return tuple([_unpack(basis[c], ncols) for c in sorted(basis)])
-    return tuple([basis[c] for c in sorted(basis)])
+        rows = map(_unpacked(ncols).__getitem__, rows)
+    return tuple(list(rows))
 
 
 def _stacked_rank(u: Subspace, v: Subspace) -> int:
@@ -214,7 +220,8 @@ def intersection_dim(u: Subspace, v: Subspace) -> int:
 
 class SubspaceCode:
     """A set of subspaces of a common ambient space over one field, stored
-    sorted and deduped."""
+    sorted by key and deduped: of words with equal keys the last one given
+    is kept."""
 
     __slots__ = ("ambient", "words", "constant_dim", "_spectrum", "_parent")
 
@@ -235,7 +242,7 @@ class SubspaceCode:
                     f"over {field} (modulus {field.modulus})"
                 )
             seen[w.key] = w
-        ordered = tuple(seen[k] for k in sorted(seen))
+        ordered = tuple(sorted(seen.values(), key=_KEY))
         dims = {w.dim for w in ordered}
         self.ambient = ambient
         self.words = ordered
@@ -303,6 +310,8 @@ class SubspaceCode:
         if len(parts) != 4:
             raise ValueError(f"bad code header {header!r}")
         n, k, q, count = (int(t) for t in parts)
+        if count < 0:
+            raise ValueError(f"the header declares {count} words")
         words = []
         for _ in range(count):
             m = read_matrix(lines)
@@ -313,7 +322,10 @@ class SubspaceCode:
                 raise ValueError(f"header says q = {q}, but a word is over {w.field}")
             words.append(w)
         _expect_end(lines, f"the {count} words the header declares")
-        return cls(n, words)
+        code = cls(n, words)
+        if len(code) != count:
+            raise ValueError(f"the header declares {count} words, but {len(code)} are distinct")
+        return code
 
 
 def _part_levels(chain: Iterable[Subspace]) -> list[tuple[list, int]]:

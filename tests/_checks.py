@@ -451,6 +451,19 @@ def rref_oracle(m: fc.MatrixGF) -> tuple[fc.MatrixGF, int]:
     return fc.MatrixGF(field, ordered, ncols=ncols), rank
 
 
+def flag_key_oracle(w: fc.MatrixGF, dims) -> tuple:
+    """The key of the flag whose components are the row spaces of the first
+    t rows of ``w``, t in ``dims``: per component (t, the rows of
+    ``rref_oracle`` of that prefix), the form Flag.key takes.  Each prefix
+    must have rank t."""
+    key = []
+    for t in dims:
+        reduced, rank = rref_oracle(w.first_rows(t))
+        assert rank == t
+        key.append((t, reduced.first_rows(t).int_rows()))
+    return tuple(key)
+
+
 def prefix_subspace_oracle(w: fc.MatrixGF, t: int) -> tuple[int, fc.Subspace | None]:
     """(rank, row space) of the first t rows of ``w``, the space rebuilt from
     ``rref_oracle(w.first_rows(t))`` alone: its first ``rank`` rows are the

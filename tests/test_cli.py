@@ -279,6 +279,27 @@ class TestSpectrum:
     def test_needs_input(self, capsys):
         assert run(capsys, "spectrum")[0] == 2
 
+    def test_needs_all_four_parameters(self, capsys):
+        rc, _, stderr = run(capsys, "spectrum", "--q", "2", "--k", "2")
+        assert rc == 2 and "--q, --k, --h and --s go together" in stderr
+
+    @pytest.mark.parametrize("extra", [
+        ["--q", "3"],
+        ["--q", "2", "--k", "2", "--h", "0", "--s", "2"],
+        ["--family", "optimum"],
+        ["--family", "full"],
+        ["--type", "1,3"],
+        ["--modulus", "x^2+x+1 over GF(2)"],
+        ["--sweep"],
+    ])
+    def test_code_refuses_construction_options(self, tmp_path, capsys, extra):
+        path = tmp_path / "code.txt"
+        run(capsys, "construct", "--q", "2", "--k", "2", "--h", "0", "--s", "2", "--out", str(path))
+        rc, stdout, stderr = run(capsys, "spectrum", "--code", str(path), *extra)
+        assert rc == 2 and stdout == ""
+        assert f"--code cannot be combined with {extra[0]}" in stderr
+        assert run(capsys, "spectrum", "--code", str(path))[:2] == (0, "8,10\n")
+
     def test_subspace_code_file(self, tmp_path, capsys):
         params = fc.ConstructionParams.make(2, 2, 1, 3)
         gen = fc.build_generator_set(params)

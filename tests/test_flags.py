@@ -413,6 +413,24 @@ class TestSerialization:
         path.write_text(text)
         assert cli.main(["spectrum", "--code", str(path)]) == 2
 
+    def test_a_flag_written_twice_is_refused(self, tmp_path):
+        text = self._small_code_text()
+        first = "".join(text.splitlines(keepends=True)[2:6])
+        text = text.replace("flagcode 4 2 5", "flagcode 4 2 6", 1) + first
+        with pytest.raises(ValueError, match="declares 6 flags, but 5 are distinct"):
+            fc.load_flag_code(text)
+        path = tmp_path / "twice.code"
+        path.write_text(text)
+        assert cli.main(["spectrum", "--code", str(path)]) == 2
+
+    def test_a_negative_count_is_refused(self, tmp_path):
+        text = "flagcode 4 2 -1\ntype 1,2,3\n"
+        with pytest.raises(ValueError, match="declares -1 flags"):
+            fc.load_flag_code(text)
+        path = tmp_path / "negative.code"
+        path.write_text(text)
+        assert cli.main(["spectrum", "--code", str(path)]) == 2
+
     @pytest.mark.parametrize("q", [4, 9])
     def test_each_field_token_is_parsed_once(self, q, monkeypatch):
         text = fc.dump_flag_code(fc.build_full_flag_code(fc.ConstructionParams.make(q, 2, 0, 2)))

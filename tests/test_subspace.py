@@ -194,6 +194,24 @@ class TestCodes:
         path.write_text(text)
         assert cli.main(["spectrum", "--code", str(path)]) == 2
 
+    def test_load_rejects_a_word_written_twice(self, gf2, tmp_path):
+        text = self._spread_text(gf2)
+        first = "".join(text.splitlines(keepends=True)[1:4])
+        text = text.replace("4 2 2 2", "4 2 2 3", 1) + first
+        with pytest.raises(ValueError, match="declares 3 words, but 2 are distinct"):
+            fc.SubspaceCode.load(text)
+        path = tmp_path / "twice.code"
+        path.write_text(text)
+        assert cli.main(["spectrum", "--code", str(path)]) == 2
+
+    def test_load_rejects_a_negative_count(self, tmp_path):
+        text = "4 2 2 -1\n"
+        with pytest.raises(ValueError, match="declares -1 words"):
+            fc.SubspaceCode.load(text)
+        path = tmp_path / "negative.code"
+        path.write_text(text)
+        assert cli.main(["spectrum", "--code", str(path)]) == 2
+
     def test_load_rejects_a_header_q_other_than_the_field(self, gf2, tmp_path):
         text = self._spread_text(gf2).replace("4 2 2 2", "4 2 3 2", 1)
         with pytest.raises(ValueError, match="header says q = 3"):
