@@ -63,3 +63,33 @@ def test_mixed_code_is_in_oracle_key_order(p, e):
     for i in range(SUB.r):
         words = fc.projected_code(code, i + 1).words
         assert [u.key for u in words] == sorted({key[i] for key in keys})
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 16, 17])
+def test_gf2_codes_keep_the_order_of_code_tuple_keys(n):
+    # GF(2) widths on and around byte boundaries; each code's flags and words
+    # must sort as keys of code tuples (per part: dim, canonical rows as
+    # int_rows) sort, and a dumped code must read back to the same text
+    gf2 = fc.field_make(2)
+    rng = random.Random(n)
+    top = rng.randrange(3, n)
+    tv = fc.TypeVector(n, tuple(sorted(rng.sample(range(1, top + 1), 3))))
+    flags = []
+    while len(flags) < 40:
+        w = _random_matrix(gf2, rng, top, n)
+        if rref_oracle(w)[1] == top:
+            route = len(flags) % 2
+            flags.append(fc.flag_from_matrix(w, tv) if route == 0 else fc.Flag(
+                tv, [fc.subspace_of(_random_invertible(gf2, rng, t) @ w.first_rows(t)) for t in tv.dims]
+            ))
+    code = fc.FlagCode(tv, flags)
+    tuple_keys = [
+        tuple((t, part.canon.int_rows()) for t, part in zip(tv.dims, f.parts)) for f in code
+    ]
+    assert tuple_keys == sorted(set(tuple_keys))
+    for i in range(tv.r):
+        words = fc.projected_code(code, i + 1).words
+        rows = [u.canon.int_rows() for u in words]
+        assert rows == sorted(set(rows))
+    text = fc.dump_flag_code(code)
+    assert fc.dump_flag_code(fc.load_flag_code(text)) == text

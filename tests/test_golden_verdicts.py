@@ -4,7 +4,9 @@
 with every ``seconds`` key removed, for each sweep instance at poly_choice 0
 and, where the field has a second primitive polynomial of every degree the
 construction needs, poly_choice 1, and likewise for the non-binary
-``--big`` instances, whose suites run under the ``slow`` marker.  A change
+``--big`` instances.  The GF(2) instances past the sweep, n = 11 at both
+poly choices and n = 13 at poly_choice 0, are pinned too.  The suites past
+the sweep run under the ``slow`` marker.  A change
 that only restructures code must leave every report identical.  When a
 verdict changes on purpose, re-record with
 
@@ -36,6 +38,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # GF(4) scans replaced
 BIG = [(3, 2, 1, 3), (4, 2, 1, 3)]
 BIG_SECONDS = 10
+# GF(2) past the sweep: (2,2,1,5) is n = 11, (2,2,1,6) is n = 13
+BIG_GF2 = ["2,2,1,5,0", "2,2,1,5,1", "2,2,1,6,0"]
 
 
 def _verdicts(q: int, k: int, h: int, s: int, choice: int) -> dict:
@@ -48,7 +52,7 @@ def _keys(instances) -> list[str]:
 
 
 def _record() -> dict:
-    return {key: _verdicts(*(int(t) for t in key.split(","))) for key in _keys(SWEEP + BIG)}
+    return {key: _verdicts(*(int(t) for t in key.split(","))) for key in _keys(SWEEP + BIG) + BIG_GF2}
 
 
 # a missing file fails test_every_instance_pinned rather than collection
@@ -62,7 +66,7 @@ def test_verdicts_unchanged(key):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("key", _keys(BIG))
+@pytest.mark.parametrize("key", _keys(BIG) + BIG_GF2)
 def test_big_verdicts_unchanged(key):
     q, k, h, s, choice = (int(t) for t in key.split(","))
     start = perf_counter()
@@ -73,7 +77,7 @@ def test_big_verdicts_unchanged(key):
 
 
 def test_every_instance_pinned():
-    assert sorted(_golden) == sorted(_keys(SWEEP + BIG))
+    assert sorted(_golden) == sorted(_keys(SWEEP + BIG) + BIG_GF2)
 
 
 def _run_sweep(*args: str) -> subprocess.CompletedProcess:
