@@ -42,8 +42,11 @@ from .subspace import SubspaceCode
 __all__ = ["main"]
 
 FAMILIES = ("full", "optimum", "longer")
-# the spectrum options that describe a code to construct, not one to load
-_CODE_EXCLUDES = ("q", "k", "h", "s", "type", "family", "modulus", "sweep")
+# the spectrum options that describe a code to construct, not one to load;
+# none has a default, so an option given is one that is not None
+_CODE_EXCLUDES = (
+    "q", "k", "h", "s", "type", "family", "modulus", "sweep", "factor_cap", "poly_choice",
+)
 
 
 def _int_list(text: str) -> list[int]:
@@ -65,10 +68,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--type", help="comma-separated type vector, e.g. 1,2,5,6")
         p.add_argument("--modulus",
                        help="extension-field modulus as 'x^2+x+1 over GF(2)' or '[1,1,1] @ GF(2)'")
-        p.add_argument("--sweep", action="store_true", help="treat --q/--k/--h/--s as comma lists")
-        p.add_argument("--factor-cap", type=int, default=DEFAULT_FACTOR_BUDGET)
-        p.add_argument("--poly-choice", type=int, default=0,
-                       help="use the n-th smallest primitive polynomials (0 = smallest)")
+        p.add_argument("--sweep", action="store_true", default=None,
+                       help="treat --q/--k/--h/--s as comma lists")
+        p.add_argument("--factor-cap", type=int,
+                       help=f"largest trial divisor when factoring q and q^d - 1 (default {DEFAULT_FACTOR_BUDGET})")
+        p.add_argument("--poly-choice", type=int,
+                       help="use the n-th smallest primitive polynomials (default 0 = smallest)")
 
     def add_out(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", help="write output to this path instead of stdout")
@@ -117,10 +122,11 @@ def _type_dims(args: argparse.Namespace) -> tuple[int, ...]:
 
 
 def _params_for(args: argparse.Namespace, q: int, k: int, h: int, s: int) -> ConstructionParams:
-    kwargs = dict(poly_choice=args.poly_choice, factor_budget=args.factor_cap)
+    factor_cap = DEFAULT_FACTOR_BUDGET if args.factor_cap is None else args.factor_cap
+    kwargs = dict(poly_choice=args.poly_choice or 0, factor_budget=factor_cap)
     if args.modulus is None:
         return ConstructionParams.make(q, k, h, s, **kwargs)
-    factors = factorize(q, args.factor_cap)
+    factors = factorize(q, factor_cap)
     if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")
     ((p, e),) = factors.items()
@@ -228,7 +234,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     if args.code:
-        given = [f"--{name}" for name in _CODE_EXCLUDES if getattr(args, name) not in (None, False)]
+        given = [f"--{name.replace('_', '-')}" for name in _CODE_EXCLUDES if getattr(args, name) is not None]
         if given:
             raise ValueError(f"--code cannot be combined with {', '.join(given)}")
         text = Path(args.code).read_text()

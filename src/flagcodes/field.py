@@ -469,6 +469,13 @@ def is_primitive(f: Poly, budget: int = DEFAULT_FACTOR_BUDGET) -> bool:
     """
     if not is_irreducible(f):
         raise Reducible(f"{f!r} is reducible")
+    return _has_primitive_root(f, budget)
+
+
+def _has_primitive_root(f: Poly, budget: int) -> bool:
+    """is_primitive for an ``f`` already known to be irreducible: the order
+    test alone, which iter_primitive_polys runs after its own
+    irreducibility test."""
     if f.coeffs[0] == 0:
         # f == x: the residue of x is zero, which generates nothing
         return False
@@ -496,7 +503,7 @@ def iter_primitive_polys(
         raise DegreeMismatch("degree must be >= 1")
     for m in range(field.q**d):
         f = _monic_poly_with_code(field, d, m)
-        if is_irreducible(f) and is_primitive(f, budget):
+        if is_irreducible(f) and _has_primitive_root(f, budget):
             yield f
 
 

@@ -11,7 +11,6 @@ distance.
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from .errors import (
     TooFewRows,
     TypeMismatch,
 )
-from .matgf import MatrixGF, _expect_end, _unpacked, matrix_to_text, read_matrix
+from .matgf import MatrixGF, _expect_end, matrix_to_text, read_matrix
 from .subspace import (
     _KEY,
     Subspace,
@@ -286,14 +285,11 @@ def flag_from_matrix(w: MatrixGF, type_: TypeVector) -> Flag:
 
     The rows go one at a time into one fully reduced basis, and at each
     type dimension t the rank must be t.  There the flag records the part
-    key, read off the basis, and the basis rows whose pivots are new at t
-    (bitmasks over GF(2)), which the distance scan reads.  The pivots are
-    kept in one sorted list that takes each level's new pivots, so a key's
-    rows are read in pivot order by a map over the basis (over GF(2)
-    through the table of unpacked rows, as in subspace._key_rows): no sort
-    per level and no Python loop per key row.  The prefixes of one growing
-    basis are nested, so no nesting walk runs and no Subspace is made: the
-    flag makes its parts from their keys on first read.
+    key, the basis rows as stored (bitmasks over GF(2)) in pivot order,
+    which is decreasing order (matgf._reduce_into), and the basis rows whose
+    pivots are new at t, which the distance scan reads.  The prefixes of
+    one growing basis are nested, so no nesting walk runs and no Subspace
+    is made: the flag makes its parts from their keys on first read.
     """
     if w.ncols != type_.n:
         raise AmbientMismatch(f"{w.ncols}-column matrix for ambient {type_.n}")
@@ -301,26 +297,17 @@ def flag_from_matrix(w: MatrixGF, type_: TypeVector) -> Flag:
         raise TooFewRows(
             f"{w.nrows} rows cannot produce a flag of type {type_.dims}"
         )
-    field = w.field
-    unpack = _unpacked(w.ncols).__getitem__ if field.q == 2 else None
     keys = []
     rows: list = []
-    order: list = []  # the basis pivots, sorted
     for t, basis in zip(type_.dims, _prefix_bases(w, type_.dims)):
         if len(basis) != t:
             raise RankDeficientPrefix(f"first {t} rows have rank {len(basis)}")
-        # the pivots new at this level were inserted last
-        new = t - len(order)
-        for c in islice(reversed(basis), new):
-            insort(order, c)
-        rows.extend(islice(reversed(basis.values()), new))
-        key_rows = map(basis.__getitem__, order)
-        if unpack is not None:
-            key_rows = map(unpack, key_rows)
-        keys.append((t, tuple(list(key_rows))))
+        # the rows with pivots new at this level were inserted last
+        rows.extend(islice(reversed(basis.values()), t - len(rows)))
+        keys.append((t, tuple(sorted(basis.values(), reverse=True))))
     flag = Flag.__new__(Flag)
     flag.type = type_
-    flag.field = field
+    flag.field = w.field
     flag.source = w
     flag._key = tuple(keys)
     flag._rows = tuple(rows)

@@ -4,16 +4,17 @@ Provides products, reduced row-echelon forms, ranks, companion matrices,
 block assembly, multiplicative orders, and the 1-based row-slicing accessors
 (first j rows, rows after j, a single row, an inclusive row range) that the
 subspace constructions use throughout.  Matrices are immutable.  A GF(2)
-matrix stores its rows as bitmasks and every operation here works on them;
-the external contract stays a grid of int element codes, which int_rows()
-makes from the bitmasks on first request.
+matrix stores each row as one bitmask, column 0 the most significant bit,
+and every operation here works on them; the external contract stays a grid
+of int element codes, which int_rows() makes from the bitmasks on first
+request.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import accumulate, product
+from itertools import accumulate
 
 from .errors import (
     BlockDimMismatch,
@@ -44,83 +45,51 @@ DEFAULT_ORDER_CAP = 1 << 20
 
 
 def _pack(row: Sequence[int]) -> int:
+    """The bitmask of a GF(2) row of codes 0 and 1, column 0 the most
+    significant bit."""
     bits = 0
-    for j, v in enumerate(row):
-        if v:
-            bits |= 1 << j
+    for v in row:
+        bits = bits << 1 | v
     return bits
 
 
-# the 8 entries a byte of a packed row stands for, lowest bit first, as
-# codes and as the text matrix_to_text writes for them (joined from nibble
-# texts, which keeps the table's share of the import time small)
-_BYTE_ROWS = tuple(bits[::-1] for bits in product((0, 1), repeat=8))
-_NIBBLE_TEXT = [" ".join(f"{n:04b}"[::-1]) for n in range(16)]
-_BYTE_TEXT = tuple(low + " " + high for high in _NIBBLE_TEXT for low in _NIBBLE_TEXT)
+def _digits(bits: int, ncols: int) -> str:
+    """The ``ncols`` binary digits of a GF(2) row's bitmask, column 0 first.
+    The sentinel bit ncols pads the numeral to ncols digits (none at
+    ncols = 0) and is then dropped."""
+    return f"{bits | 1 << ncols:b}"[1:]
+
+
 _BIT_TOKENS = frozenset(("0", "1"))
-
-
-class _Unpacked(dict):
-    """GF(2) rows of ``ncols`` codes as tuples, keyed by bitmask.  A missing
-    row is unpacked on first read and kept, so each distinct row is made
-    once and its tuple is shared by every matrix view and subspace key that
-    holds it.  Nothing is evicted; a table holds at most 2^ncols - 1 rows.
-    The 91,182 basis rows read off the n = 13 generator set (q=2, k=3, h=1,
-    s=4) are 4,095 distinct rows, those of the n = 15 set (q=2, k=2, h=1,
-    s=7) 24,575."""
-
-    __slots__ = ("ncols",)
-
-    def __init__(self, ncols: int):
-        super().__init__()
-        self.ncols = ncols
-
-    def __missing__(self, bits: int) -> tuple[int, ...]:
-        row: tuple[int, ...] = ()
-        rest = bits
-        while len(row) < self.ncols:
-            row += _BYTE_ROWS[rest & 255]
-            rest >>= 8
-        row = self[bits] = row[: self.ncols]
-        return row
-
-
-# ncols -> the _Unpacked table of that width
-_UNPACKED: dict[int, _Unpacked] = {}
-
-
-def _unpacked(ncols: int) -> _Unpacked:
-    """The one table of unpacked GF(2) rows of width ``ncols``: read a row
-    as ``_unpacked(ncols)[bits]``, or map its __getitem__ over many."""
-    table = _UNPACKED.get(ncols)
-    if table is None:
-        table = _UNPACKED[ncols] = _Unpacked(ncols)
-    return table
 
 
 def _reduce_into(basis: dict, row, field: FieldSpec) -> bool:
     """Add ``row`` to the fully reduced basis ``basis``; True iff ``row``
     was independent of it.
 
-    Over GF(2) rows are bitmasks keyed by their lowest set bit; otherwise
-    rows are tuples of element codes keyed by their leading column, whose
-    entry is 1.  The row is cleared at every existing pivot; a nonzero
-    remainder becomes a pivot row with its pivot scaled to 1, and its pivot
-    column is cleared from the older rows.  Every pivot column then holds a
-    single nonzero entry, so the rows sorted by pivot are the RREF of their
-    span.  This is the package's only step that adds a row to a basis.
+    Over GF(2) rows are bitmasks keyed by their highest set bit, the bit of
+    their leading column; otherwise rows are tuples of element codes keyed
+    by their leading column, whose entry is 1.  The row is cleared at every
+    existing pivot; a nonzero remainder becomes a pivot row with its pivot
+    scaled to 1, and its pivot column is cleared from the older rows.  Every
+    pivot column then holds a single nonzero entry, so the rows in
+    increasing pivot-column order are the RREF of their span.  That is
+    decreasing order, for code tuples and GF(2) bitmasks alike: two rows
+    are both 0 before the lesser of their pivot columns, and at it only the
+    row of that pivot is nonzero.  This is the package's only step that
+    adds a row to a basis.
     """
     if field.q == 2:
-        for low, base in basis.items():
-            if row & low:
+        for top, base in basis.items():
+            if row & top:
                 row ^= base
         if not row:
             return False
-        low = row & -row
+        top = 1 << row.bit_length() - 1
         for p, base in basis.items():
-            if base & low:
+            if base & top:
                 basis[p] = base ^ row
-        basis[low] = row
+        basis[top] = row
         return True
     sub, mul = field.sub, field.mul
     for c, base in basis.items():
@@ -145,13 +114,14 @@ def _reduce_into(basis: dict, row, field: FieldSpec) -> bool:
 class MatrixGF:
     """An immutable matrix over a FieldSpec, stored as element codes.
 
-    Over GF(2) the stored rows are bitmasks (``_bits``, entry j as bit j)
-    and the tuple grid ``_rows`` is a view that int_rows() builds from them
+    ``_rows`` are the stored rows.  Over GF(2) each is a bitmask, entry j as
+    bit ncols - 1 - j, so bitmasks of one width compare as their code tuples
+    do; the tuple grid ``_grid`` is a view that int_rows() builds from them
     on first use, unless the matrix was made from that grid.  Over every
-    other field ``_bits`` is None and ``_rows`` is the grid.
+    other field the rows are code tuples and ``_grid`` is ``_rows``.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "_rows", "_bits", "_hash", "_rref")
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_grid", "_hash", "_rref")
 
     def __init__(
         self,
@@ -174,31 +144,24 @@ class MatrixGF:
         self.field = field
         self.nrows = len(norm)
         self.ncols = width
-        self._rows = norm
-        self._bits = tuple(map(_pack, norm)) if field.q == 2 else None
+        self._rows = tuple(map(_pack, norm)) if field.q == 2 else norm
+        self._grid = norm
         self._hash = None
         self._rref = None
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _wrap(
-        cls,
-        field: FieldSpec,
-        ncols: int,
-        rows: tuple | None = None,
-        bits: tuple | None = None,
-    ) -> MatrixGF:
+    def _wrap(cls, field: FieldSpec, ncols: int, rows: tuple) -> MatrixGF:
         """A matrix over ``field`` from rows already valid in it (taken
-        from, or computed on, matrices over it), not re-validated: over
-        GF(2) the bitmasks ``bits``, with their tuple grid ``rows`` when it
-        is at hand; over any other field the tuple grid ``rows``."""
+        from, or computed on, matrices over it), not re-validated, in the
+        form it stores them: bitmasks over GF(2), code tuples otherwise."""
         m = cls.__new__(cls)
         m.field = field
-        m.nrows = len(rows if bits is None else bits)
+        m.nrows = len(rows)
         m.ncols = ncols
         m._rows = rows
-        m._bits = bits
+        m._grid = None if field.q == 2 else rows
         m._hash = None
         m._rref = None
         return m
@@ -207,25 +170,24 @@ class MatrixGF:
     def identity(cls, field: FieldSpec, n: int) -> MatrixGF:
         # codes 0 and 1 are zero and one in every field: nothing to validate
         if field.q == 2:
-            return cls._wrap(field, n, bits=tuple([1 << i for i in range(n)]))
+            return cls._wrap(field, n, tuple([1 << i for i in reversed(range(n))]))
         rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
         return cls._wrap(field, n, rows)
 
     @classmethod
     def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> MatrixGF:
-        if field.q == 2:
-            return cls._wrap(field, ncols, bits=(0,) * nrows)
-        return cls._wrap(field, ncols, ((0,) * ncols,) * nrows)
+        zero = 0 if field.q == 2 else (0,) * ncols
+        return cls._wrap(field, ncols, (zero,) * nrows)
 
     # -- inspection ----------------------------------------------------------
 
     def int_rows(self) -> tuple[tuple[int, ...], ...]:
         """The grid of element codes (polynomial-basis codes for extensions)."""
-        rows = self._rows
-        if rows is None:
+        grid = self._grid
+        if grid is None:
             ncols = self.ncols
-            rows = self._rows = tuple(list(map(_unpacked(ncols).__getitem__, self._bits)))
-        return rows
+            grid = self._grid = tuple([tuple(map(int, _digits(b, ncols))) for b in self._rows])
+        return grid
 
     @property
     def is_zero(self) -> bool:
@@ -234,17 +196,16 @@ class MatrixGF:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MatrixGF):
             return NotImplemented
-        if self.field != other.field or self.ncols != other.ncols:
-            return False
-        # equal fields store their rows alike: both as bitmasks or neither
-        if self._bits is not None:
-            return self._bits == other._bits
-        return self._rows == other._rows
+        # equal fields store their rows alike
+        return (
+            self.field == other.field
+            and self.ncols == other.ncols
+            and self._rows == other._rows
+        )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            cells = self._rows if self._bits is None else self._bits
-            self._hash = hash((self.field, self.ncols, cells))
+            self._hash = hash((self.field, self.ncols, self._rows))
         return self._hash
 
     def __repr__(self) -> str:
@@ -287,18 +248,14 @@ class MatrixGF:
         original shape.
         """
         if self._rref is None:
-            field, ncols, bits = self.field, self.ncols, self._bits
+            field, ncols = self.field, self.ncols
             basis: dict = {}
-            for row in self._rows if bits is None else bits:
+            for row in self._rows:
                 _reduce_into(basis, row, field)
-            rows = [basis[c] for c in sorted(basis)]
+            rows = sorted(basis.values(), reverse=True)
             rank = len(rows)
-            if bits is None:
-                rows += [(0,) * ncols] * (self.nrows - rank)
-                reduced = MatrixGF._wrap(field, ncols, tuple(rows))
-            else:
-                rows += [0] * (self.nrows - rank)
-                reduced = MatrixGF._wrap(field, ncols, bits=tuple(rows))
+            rows += [0 if field.q == 2 else (0,) * ncols] * (self.nrows - rank)
+            reduced = MatrixGF._wrap(field, ncols, tuple(rows))
             reduced._rref = (reduced, rank)
             self._rref = (reduced, rank)
         return self._rref
@@ -328,9 +285,7 @@ class MatrixGF:
         """Rows i..j inclusive, or SliceOutOfRange naming ``what``."""
         if not valid:
             raise SliceOutOfRange(f"{what} of a {self.nrows}-row matrix")
-        if self._bits is None:
-            return MatrixGF._wrap(self.field, self.ncols, self._rows[i - 1 : j])
-        return MatrixGF._wrap(self.field, self.ncols, bits=self._bits[i - 1 : j])
+        return MatrixGF._wrap(self.field, self.ncols, self._rows[i - 1 : j])
 
 
 def mat_mul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
@@ -341,17 +296,18 @@ def mat_mul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
         raise DimMismatch(f"{a.nrows}x{a.ncols} times {b.nrows}x{b.ncols}")
     field = a.field
     if field.q == 2:
-        # row i of a*b is the XOR of the rows of b at the set bits of row i of a
-        brows = b._bits
+        # row i of a*b is the XOR of the rows of b at the set bits of row i
+        # of a; bit j of a row of a is entry a.ncols - 1 - j
+        brows = b._rows[::-1]
         out = []
-        for arow in a._bits:
+        for arow in a._rows:
             acc = 0
             while arow:
                 low = arow & -arow
                 acc ^= brows[low.bit_length() - 1]
                 arow ^= low
             out.append(acc)
-        return MatrixGF._wrap(field, b.ncols, bits=tuple(out))
+        return MatrixGF._wrap(field, b.ncols, tuple(out))
     add, mul = field.add, field.mul
     out = [[0] * b.ncols for _ in range(a.nrows)]
     brows = b._rows
@@ -372,16 +328,13 @@ def vstack(mats: Sequence[MatrixGF]) -> MatrixGF:
         raise DimMismatch("nothing to stack")
     field = mats[0].field
     ncols = mats[0].ncols
-    gf2 = field.q == 2
     rows: list = []
     for m in mats:
         if m.field != field:
             raise FieldMismatch("stacking matrices over different fields")
         if m.ncols != ncols:
             raise DimMismatch(f"stacking {ncols}-column and {m.ncols}-column matrices")
-        rows.extend(m._bits if gf2 else m._rows)
-    if gf2:
-        return MatrixGF._wrap(field, ncols, bits=tuple(rows))
+        rows.extend(m._rows)
     return MatrixGF._wrap(field, ncols, tuple(rows))
 
 
@@ -415,17 +368,19 @@ def block(field: FieldSpec, cells: Sequence[Sequence[MatrixGF | None]]) -> Matri
     if any(h is None for h in heights) or any(w is None for w in widths):
         raise BlockDimMismatch("a full block row or column has no sized cell")
     if field.q == 2:
-        # block column j starts at bit offsets[j]; None cells add no bits
-        offsets = [0, *accumulate(widths)]
+        # block column j sits shifts[j] bits above bit 0, the widths of the
+        # block columns after it; None cells add no bits
+        total = sum(widths)
+        shifts = [total - end for end in accumulate(widths)]
         bits: list[int] = []
         for i, row in enumerate(cells):
-            placed = [(cell._bits, off) for cell, off in zip(row, offsets) if cell is not None]
+            placed = [(cell._rows, shift) for cell, shift in zip(row, shifts) if cell is not None]
             for r in range(heights[i]):
                 acc = 0
-                for cell_bits, off in placed:
-                    acc |= cell_bits[r] << off
+                for cell_bits, shift in placed:
+                    acc |= cell_bits[r] << shift
                 bits.append(acc)
-        return MatrixGF._wrap(field, offsets[-1], bits=tuple(bits))
+        return MatrixGF._wrap(field, total, tuple(bits))
     out: list[tuple[int, ...]] = []
     for i, row in enumerate(cells):
         for r in range(heights[i]):
@@ -486,13 +441,11 @@ def matrix_to_text(m: MatrixGF) -> str:
     """Render as a ``rows cols GF(q)`` header (the field as field_name
     writes it) plus one line per row of space-separated element codes."""
     lines = [f"{m.nrows} {m.ncols} {field_name(m.field)}"]
-    if m._bits is None:
-        lines += [" ".join(map(str, row)) for row in m._rows]
+    if m.field.q == 2:
+        ncols = m.ncols
+        lines += [" ".join(_digits(b, ncols)) for b in m._rows]
     else:
-        # a GF(2) row is the text of its bytes, cut to its ncols entries
-        shifts = range(0, m.ncols, 8)
-        end = 2 * m.ncols - 1
-        lines += [" ".join([_BYTE_TEXT[b >> s & 255] for s in shifts])[:end] for b in m._bits]
+        lines += [" ".join(map(str, row)) for row in m._rows]
     return "\n".join(lines)
 
 
@@ -532,7 +485,7 @@ def read_matrix(lines: Iterator[str], field: FieldSpec | None = None) -> MatrixG
             raise ValueError(f"row has {len(tokens)} entries, expected {ncols}")
         rows.append(row)
     if gf2:
-        return MatrixGF._wrap(named, ncols, bits=tuple(rows))
+        return MatrixGF._wrap(named, ncols, tuple(rows))
     return MatrixGF(named, rows, ncols=ncols)
 
 
@@ -541,8 +494,8 @@ def _gf2_row(tokens: list[str]) -> int:
     FieldSpec.codes_of reduces it; a token that int() refuses raises its
     ValueError, as on the path for other fields."""
     if _BIT_TOKENS.issuperset(tokens):
-        # token j is bit j: the reversed tokens read as a binary numeral
-        return int("".join(reversed(tokens)), 2)
+        # the tokens read as a binary numeral, column 0 its leading digit
+        return int("".join(tokens), 2)
     return _pack([int(t) & 1 for t in tokens])
 
 

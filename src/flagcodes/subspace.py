@@ -22,7 +22,7 @@ from .errors import (
     ZeroRank,
 )
 from .field import FieldSpec
-from .matgf import MatrixGF, _expect_end, _pack, _reduce_into, _unpacked, matrix_to_text, read_matrix
+from .matgf import MatrixGF, _expect_end, _reduce_into, matrix_to_text, read_matrix
 
 __all__ = [
     "GroupElementSeq",
@@ -49,7 +49,8 @@ class Subspace:
     __slots__ = ("field", "ambient", "dim", "_basis", "_key", "_canon")
 
     def __init__(self, field: FieldSpec, ambient: int, piv: dict | None, rows: tuple):
-        # rows must be the RREF generator's rows as code tuples, and piv,
+        # rows must be the RREF generator's rows as matrices over field
+        # store them (bitmasks over GF(2), code tuples otherwise), and piv,
         # when given, the fully reduced basis they come from in pivot order;
         # without it the basis is made from rows on first read (_piv).  Use
         # subspace_of() to canonicalize a matrix.
@@ -64,13 +65,13 @@ class Subspace:
     def _piv(self) -> dict:
         """The fully reduced basis keyed as in _reduce_into, in pivot order:
         given at construction or made from the key rows on first read (over
-        GF(2) their bitmasks, keyed by the lowest set bit; otherwise the rows
-        keyed by their leading column, whose entry is 1)."""
+        GF(2) keyed by their highest set bit; otherwise keyed by their
+        leading column, whose entry is 1)."""
         piv = self._basis
         if piv is None:
             rows = self._key[1]
             if self.field.q == 2:
-                piv = {b & -b: b for b in map(_pack, rows)}
+                piv = {1 << b.bit_length() - 1: b for b in rows}
             else:
                 piv = {row.index(1): row for row in rows}
             self._basis = piv
@@ -81,9 +82,7 @@ class Subspace:
         """The RREF generator as a matrix, made on first read and cached:
         only serialization and transform() read it."""
         if self._canon is None:
-            # over GF(2) piv holds the rows as bitmasks, the canon's stored form
-            bits = tuple(self._piv.values()) if self.field.q == 2 else None
-            self._canon = MatrixGF._wrap(self.field, self.ambient, self._key[1], bits)
+            self._canon = MatrixGF._wrap(self.field, self.ambient, self._key[1])
         return self._canon
 
     @property
@@ -127,8 +126,9 @@ def subspace_of(a: MatrixGF) -> Subspace:
     basis = next(_prefix_bases(a, (a.nrows,)))
     if not basis:
         raise ZeroRank("the zero matrix spans no subspace")
-    piv = dict(sorted(basis.items()))
-    return Subspace(a.field, a.ncols, piv, _key_rows(piv.values(), a.field, a.ncols))
+    # GF(2) pivot bits fall as their columns rise
+    piv = dict(sorted(basis.items(), reverse=a.field.q == 2))
+    return Subspace(a.field, a.ncols, piv, tuple(piv.values()))
 
 
 def _check_ambient(u: Subspace, v: Subspace) -> None:
@@ -151,7 +151,7 @@ def _spans(piv: dict, rows: Iterable, field) -> bool:
     if field.q == 2:
         for row in rows:
             while row:
-                base = piv.get(row & -row)
+                base = piv.get(1 << row.bit_length() - 1)
                 if base is None:
                     return False
                 row ^= base
@@ -174,11 +174,10 @@ def _prefix_bases(w: MatrixGF, lengths: Iterable[int]) -> Iterator[dict]:
 
     The prefixes are nested, so one basis takes the rows one at a time and
     is yielded at each requested length as it stands (the same dict, grown
-    in place): no prefix is reduced twice.  Over GF(2) the basis takes w's
-    stored bitmasks.
+    in place): no prefix is reduced twice.  The basis takes w's stored rows.
     """
     field = w.field
-    rows = w._bits if field.q == 2 else w._rows
+    rows = w._rows
     basis: dict = {}
     done = 0
     for t in lengths:
@@ -186,18 +185,6 @@ def _prefix_bases(w: MatrixGF, lengths: Iterable[int]) -> Iterator[dict]:
             _reduce_into(basis, row, field)
         done = t
         yield basis
-
-
-def _key_rows(rows: Iterable, field: FieldSpec, ncols: int) -> tuple:
-    """The rows of a fully reduced basis, given in pivot order, as code
-    tuples: a Subspace key's rows.  A GF(2) basis row is read through the
-    table of unpacked rows of its width (matgf._unpacked), so the tuple is
-    shared by every key that holds that row.  The tuple is made from a
-    list, so it has exactly its length (a tuple made from a map may keep a
-    larger block)."""
-    if field.q == 2:
-        rows = map(_unpacked(ncols).__getitem__, rows)
-    return tuple(list(rows))
 
 
 def _stacked_rank(u: Subspace, v: Subspace) -> int:
@@ -401,14 +388,16 @@ def _prime_field_profile(levels: list, field: FieldSpec, n: int) -> Counter:
         # GF(2) rows are already bitmasks
         return _sliced_profile(levels, n, 2)
     cols = e * n
+    width = (p - 1) * cols
     # bits[v]: element code v as entry 0 of a GF(p) row, its digit d at
-    # column j being bit (d - 1) cols + j
+    # column j being plane column (d - 1) cols + j (_sliced_profile); entry
+    # j' of the row is that shifted right by j' e
     bits = []
     for v in range(field.q):
         b = 0
         for j, d in enumerate(field._digits(v)):
             if d:
-                b |= 1 << ((d - 1) * cols + j)
+                b |= 1 << (width - 1 - ((d - 1) * cols + j))
         bits.append(b)
     mul = field.mul
     x = p  # the code of the element x of GF(p^e)
@@ -424,7 +413,7 @@ def _prime_field_profile(levels: list, field: FieldSpec, n: int) -> Counter:
                     b = 0
                     for j, v in enumerate(row):
                         if v:
-                            b |= bits[v] << (j * e)
+                            b |= bits[v] >> (j * e)
                     prime_rows.append(b)
             out.append((prime_rows, e * dim))
         restricted.append(out)
@@ -444,18 +433,19 @@ def _sliced_profile(levels: list, n: int, p: int) -> Counter:
     columns, bit-sliced across partners.
 
     ``levels[m][l]`` is (the rows chain m adds at level l, its dim there).
-    A row is an int with bit (v - 1) n + c set when its entry at column c
-    is v: over GF(2) its bitmask, over GF(3) a ones plane and a twos plane.
-    Chain m is bit m of every plane: ``planes[l][j][i]`` holds bit i of
-    chain m's j-th level-l row, for all chains at once (a chain with fewer
-    rows there has a zero row in that slot, which adds no rank).  For each
-    chain a, the planes shifted past a put a's later partners in the low
-    bits, and one elimination runs for all of them (_sliced_insert over
-    GF(2), _sliced_insert3 over GF(3)): a's own rows enter as all-ones or
-    all-zeros planes, then the partners' rows, level by level.  A
-    bit-sliced counter per level adds up the rank that level gains for each
-    partner.  Splitting the partner mask by those counters (and by the
-    partners' dims, for codes of mixed dimension) gives each distance
+    A row is an int over (p - 1) n plane columns, column 0 its most
+    significant bit, with plane column (v - 1) n + c set when its entry at
+    column c is v: over GF(2) its bitmask, over GF(3) a ones plane and a
+    twos plane.  Chain m is bit m of every plane: ``planes[l][j][i]`` holds
+    plane column i of chain m's j-th level-l row, for all chains at once
+    (a chain with fewer rows there has a zero row in that slot, which adds
+    no rank).  For each chain a, the planes shifted past a put a's later
+    partners in the low bits, and one elimination runs for all of them
+    (_sliced_insert over GF(2), _sliced_insert3 over GF(3)): a's own rows
+    enter as all-ones or all-zeros planes, then the partners' rows, level by
+    level.  A bit-sliced counter per level adds up the rank that level gains
+    for each partner.  Splitting the partner mask by those counters (and by
+    the partners' dims, for codes of mixed dimension) gives each distance
     vector's class of partners, counted with int.bit_count().
     """
     count_n = len(levels)
@@ -473,11 +463,11 @@ def _sliced_profile(levels: list, n: int, p: int) -> Counter:
             for row, plane in zip(rows, slots):
                 while row:
                     low = row & -row
-                    plane[low.bit_length() - 1] |= bit
+                    plane[width - low.bit_length()] |= bit
                     row ^= low
         dims = tuple(dim for _, dim in chain)
         by_dims[dims] = by_dims.get(dims, 0) | bit
-    bits = range(width)
+    bits = range(width - 1, -1, -1)  # the bit of each plane column
     profile: Counter = Counter()
     for a, chain in enumerate(levels[:-1]):
         shift = a + 1
@@ -515,8 +505,8 @@ def _sliced_insert(row: list[int], has: list[int], pivots: list[list[int]], acti
     """Insert one GF(2) row per partner into the partners' bit-sliced
     echelon bases; return the mask of partners for which it was independent.
 
-    ``row[c]`` is bit c of each partner's row.  Columns go in increasing
-    order, as the pivot of a row is its lowest set bit: at column c the
+    ``row[c]`` is entry c of each partner's row.  Columns go in increasing
+    order, as the pivot of a row is its first nonzero column: at column c the
     partners still reducing whose row has bit c either clear it with their
     pivot row there (has[c] set) or take the row as that pivot.
     """

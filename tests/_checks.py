@@ -451,36 +451,48 @@ def rref_oracle(m: fc.MatrixGF) -> tuple[fc.MatrixGF, int]:
     return fc.MatrixGF(field, ordered, ncols=ncols), rank
 
 
+def key_rows_oracle(m: fc.MatrixGF) -> tuple:
+    """The rows of ``m`` as a Subspace key holds them: over GF(2) each row's
+    codes summed as the binary digits of a numeral, column 0 the most
+    significant; otherwise the code tuples of int_rows()."""
+    rows = m.int_rows()
+    if m.field.q != 2:
+        return rows
+    return tuple(sum(v << (m.ncols - 1 - j) for j, v in enumerate(row)) for row in rows)
+
+
 def flag_key_oracle(w: fc.MatrixGF, dims) -> tuple:
     """The key of the flag whose components are the row spaces of the first
     t rows of ``w``, t in ``dims``: per component (t, the rows of
-    ``rref_oracle`` of that prefix), the form Flag.key takes.  Each prefix
-    must have rank t."""
+    ``rref_oracle`` of that prefix as ``key_rows_oracle`` gives them), the
+    form Flag.key takes.  Each prefix must have rank t."""
     key = []
     for t in dims:
         reduced, rank = rref_oracle(w.first_rows(t))
         assert rank == t
-        key.append((t, reduced.first_rows(t).int_rows()))
+        key.append((t, key_rows_oracle(reduced.first_rows(t))))
     return tuple(key)
 
 
 def prefix_subspace_oracle(w: fc.MatrixGF, t: int) -> tuple[int, fc.Subspace | None]:
     """(rank, row space) of the first t rows of ``w``, the space rebuilt from
     ``rref_oracle(w.first_rows(t))`` alone: its first ``rank`` rows are the
-    canonical generator, and the pivot basis is read off them (bitmasks keyed
-    by their lowest set bit over GF(2), rows keyed by their leading column
-    otherwise).  The space is None at rank 0, as for a 0-row matrix."""
+    canonical generator, as ``key_rows_oracle`` gives them, and the pivot
+    basis is read off them (bitmasks keyed by the bit of their leading
+    column over GF(2), rows keyed by their leading column otherwise).  The
+    space is None at rank 0, as for a 0-row matrix."""
     if t == 0:
         return 0, None
     reduced, rank = rref_oracle(w.first_rows(t))
     if rank == 0:
         return 0, None
-    rows = reduced.first_rows(rank).int_rows()
+    canon = reduced.first_rows(rank)
+    rows = key_rows_oracle(canon)
+    lead = [next(j for j, v in enumerate(row) if v) for row in canon.int_rows()]
     if w.field.q == 2:
-        packed = [sum(v << j for j, v in enumerate(row)) for row in rows]
-        piv = {b & -b: b for b in packed}
+        piv = {1 << (w.ncols - 1 - c): row for c, row in zip(lead, rows)}
     else:
-        piv = {next(j for j, v in enumerate(row) if v): row for row in rows}
+        piv = dict(zip(lead, rows))
     return rank, fc.Subspace(w.field, w.ncols, piv, rows)
 
 
@@ -488,7 +500,7 @@ def assert_same_subspace(got: fc.Subspace, want: fc.Subspace) -> None:
     """Equal canonical generator, key, pivot basis (in pivot order), hash."""
     assert got.canon == want.canon
     assert got.dim == got.canon.nrows and got.ambient == got.canon.ncols
-    assert got.key == (want.canon.nrows, want.canon.int_rows())
+    assert got.key == (want.canon.nrows, key_rows_oracle(want.canon))
     assert got.canon.int_rows() == want.canon.int_rows()
     assert got.key == want.key
     assert list(got._piv.items()) == list(want._piv.items())
@@ -511,7 +523,7 @@ def check_lazy_parts(flag: fc.Flag, w: fc.MatrixGF) -> None:
         want = fc.subspace_of(prefix)
         reduced, rank = rref_oracle(prefix)
         assert rank == t
-        assert part.key == want.key == (t, reduced.first_rows(t).int_rows())
+        assert part.key == want.key == (t, key_rows_oracle(reduced.first_rows(t)))
         assert part.key == flag.key[i]
         assert part._basis is None
         assert list(part._piv.items()) == list(want._piv.items())

@@ -291,6 +291,9 @@ class TestSpectrum:
         ["--type", "1,3"],
         ["--modulus", "x^2+x+1 over GF(2)"],
         ["--sweep"],
+        ["--poly-choice", "1"],
+        ["--poly-choice", "0"],
+        ["--factor-cap", "5"],
     ])
     def test_code_refuses_construction_options(self, tmp_path, capsys, extra):
         path = tmp_path / "code.txt"

@@ -38,10 +38,7 @@ def _level_keys(chain, field, n) -> tuple:
     keys = []
     for level_rows, _ in chain:
         rows += level_rows
-        if field.q == 2:
-            m = fc.MatrixGF._wrap(field, n, bits=tuple(rows))
-        else:
-            m = fc.MatrixGF(field, rows, ncols=n)
+        m = fc.MatrixGF._wrap(field, n, tuple(rows))
         keys.append(fc.subspace_of(m).key)
     return tuple(keys)
 

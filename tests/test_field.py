@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flagcodes as fc
+import flagcodes.field
 from flagcodes.errors import (
     DegreeMismatch,
     DivisionByZero,
@@ -239,6 +240,36 @@ class TestPrimitivity:
         it = fc.iter_primitive_polys(gf2, 3)
         assert fc.poly_to_text(next(it)) == "x^3+x+1 over GF(2)"
         assert fc.poly_to_text(next(it)) == "x^3+x^2+1 over GF(2)"
+
+    # phi(q^d - 1) / d primitive polynomials of each degree
+    SEARCHES = [(2, 10, 60), (3, 4, 8), (4, 3, 12), (9, 2, 16)]
+
+    @pytest.mark.parametrize("q,d,count", SEARCHES)
+    def test_search_yields_the_candidates_both_public_tests_pass(self, q, d, count):
+        field = fc.field_from_order(q)
+        want = []
+        for code in range(q**d):
+            f = fc.Poly(field, [code // q**i % q for i in range(d)] + [1])
+            if fc.is_irreducible(f) and fc.is_primitive(f):
+                want.append(f.coeffs)
+        got = [f.coeffs for f in fc.iter_primitive_polys(field, d)]
+        assert got == want
+        assert len(got) == count
+
+    def test_search_tests_each_candidate_for_irreducibility_once(self, monkeypatch):
+        calls = []
+        test = flagcodes.field.is_irreducible
+
+        def counting(f):
+            calls.append(f.coeffs)
+            return test(f)
+
+        monkeypatch.setattr(flagcodes.field, "is_irreducible", counting)
+        for q, d, count in self.SEARCHES:
+            field = fc.field_from_order(q)  # which may test its modulus
+            calls.clear()
+            assert len(list(fc.iter_primitive_polys(field, d))) == count
+            assert len(calls) == len(set(calls)) == q**d
 
     @pytest.mark.parametrize("q,d", [(2, 4), (2, 8), (2, 10), (3, 4), (4, 3), (5, 2)])
     def test_powers_visit_every_nonzero_residue(self, q, d):

@@ -144,7 +144,7 @@ class TestFieldIdentity:
         lower = fc.subspace_of(fc.MatrixGF(gf2, [[1, 0, 0, 0]]))
         upper = fc.subspace_of(fc.MatrixGF(gf4, [[1, 0, 0, 0], [0, 1, 0, 0]]))
         # as rows of codes the line lies in the plane: only the field check refuses it
-        assert lower.key[1][0] == upper.key[1][0]
+        assert lower.canon.int_rows()[0] == upper.canon.int_rows()[0]
         with pytest.raises(AmbientMismatch, match=r"over GF\(2\^2\) \(modulus .* over GF\(2\) \(modulus"):
             fc.Flag(tv, [lower, upper])
         # GF(8) under two moduli: equal codes, different fields

@@ -15,7 +15,7 @@ import random
 import pytest
 
 import flagcodes as fc
-from flagcodes.matgf import _unpacked, read_matrix
+from flagcodes.matgf import read_matrix
 
 from _checks import mat_mul_oracle
 
@@ -179,14 +179,3 @@ class TestReadMatrix:
             with pytest.raises(ValueError, match=message):
                 read_matrix(iter([f"1 3 {field_name}", row]))
 
-
-def test_an_unpacked_row_stays_shared():
-    # the unpacked rows of one width are one table: no number of other rows
-    # evicts a row, so every key holding it holds the same tuple
-    bits = 0b110010101010011
-    row = _unpacked(15)[bits]
-    assert row == tuple((bits >> j) & 1 for j in range(15))
-    for other in range(1, (1 << 14) + 2):
-        _unpacked(15)[other ^ bits]
-    assert _unpacked(15)[bits] is row
-    assert _unpacked(16)[bits] == row + (0,)

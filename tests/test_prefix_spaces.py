@@ -28,6 +28,7 @@ from _checks import (
     SWEEP,
     assert_same_subspace,
     check_lazy_parts,
+    key_rows_oracle,
     poly_choices,
     prefix_subspace_oracle,
     rref_oracle,
@@ -177,13 +178,11 @@ def test_canon_made_on_first_read(field_args):
         assert space._canon is None
         canon = space.canon
         assert canon == reduced.first_rows(rank)
-        assert canon.int_rows() == space.key[1]
+        assert key_rows_oracle(canon) == space.key[1]
         assert space.canon is canon
-        if field.q == 2:
-            # the basis bitmasks are the canon's stored rows
-            assert canon._bits == tuple(space._piv.values())
-        else:
-            assert canon._bits is None
+        # the key rows are the canon's stored rows, in pivot order
+        assert canon._rows is space.key[1]
+        assert canon._rows == tuple(space._piv.values())
 
 
 def _counting_rref(monkeypatch) -> list:
