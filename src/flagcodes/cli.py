@@ -71,7 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sweep", action="store_true", default=None,
                        help="treat --q/--k/--h/--s as comma lists")
         p.add_argument("--factor-cap", type=int,
-                       help=f"largest trial divisor when factoring q and q^d - 1 (default {DEFAULT_FACTOR_BUDGET})")
+                       help="largest trial divisor when factoring q and q^d - 1 "
+                            f"(default {DEFAULT_FACTOR_BUDGET})")
         p.add_argument("--poly-choice", type=int,
                        help="use the n-th smallest primitive polynomials (default 0 = smallest)")
 
@@ -234,7 +235,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     if args.code:
-        given = [f"--{name.replace('_', '-')}" for name in _CODE_EXCLUDES if getattr(args, name) is not None]
+        given = [
+            f"--{name.replace('_', '-')}" for name in _CODE_EXCLUDES if getattr(args, name) is not None
+        ]
         if given:
             raise ValueError(f"--code cannot be combined with {', '.join(given)}")
         text = Path(args.code).read_text()
