@@ -469,22 +469,21 @@ def is_primitive(f: Poly, budget: int = DEFAULT_FACTOR_BUDGET) -> bool:
     """
     if not is_irreducible(f):
         raise Reducible(f"{f!r} is reducible")
-    return _has_primitive_root(f, budget)
+    return _has_primitive_root(f, factorize(f.field.q**f.degree - 1, budget))
 
 
-def _has_primitive_root(f: Poly, budget: int) -> bool:
-    """is_primitive for an ``f`` already known to be irreducible: the order
-    test alone, which iter_primitive_polys runs after its own
-    irreducibility test."""
+def _has_primitive_root(f: Poly, primes: Iterable[int]) -> bool:
+    """is_primitive for an ``f`` already known to be irreducible, given the
+    prime divisors of q^d - 1: the order test alone, which
+    iter_primitive_polys runs after its own irreducibility test."""
     if f.coeffs[0] == 0:
         # f == x: the residue of x is zero, which generates nothing
         return False
     field = f.field
-    d = f.degree
-    m = field.q**d - 1
+    m = field.q**f.degree - 1
     x = Poly.x(field)
     one = Poly.one(field)
-    for r in factorize(m, budget):
+    for r in primes:
         if x.pow_mod(m // r, f) == one:
             return False
     return True
@@ -501,9 +500,11 @@ def iter_primitive_polys(
     """
     if d < 1:
         raise DegreeMismatch("degree must be >= 1")
+    # every candidate shares q^d - 1, so it is factored once
+    primes = tuple(factorize(field.q**d - 1, budget))
     for m in range(field.q**d):
         f = _monic_poly_with_code(field, d, m)
-        if is_irreducible(f) and _has_primitive_root(f, budget):
+        if is_irreducible(f) and _has_primitive_root(f, primes):
             yield f
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 
 from .errors import (
     AmbientMismatch,
@@ -27,16 +27,14 @@ from .errors import (
     TooFewRows,
     TypeMismatch,
 )
-from .matgf import MatrixGF, _expect_end, matrix_to_text, read_matrix
+from .matgf import MatrixGF, _expect_end, _rref_rows, matrix_to_text, read_matrix
 from .subspace import (
     _KEY,
     Subspace,
     SubspaceCode,
     _distance_profile,
-    _part_levels,
     _prefix_bases,
     _restrict_profile,
-    _spans,
     subspace_distance,
     subspace_of,
 )
@@ -153,30 +151,26 @@ def ab_indices(tv: TypeVector) -> AbIndices:
 class Flag:
     """A strictly nested chain of subspaces matching a type vector.
 
-    ``source`` optionally keeps a generator matrix whose row prefixes produce
-    the chain; it is ignored by equality and hashing.  ``field`` is the
-    parts' common field (parts over different fields are refused), and it
-    takes part in equality and hashing.  The flag is its tuple of part keys
-    (``key``); ``parts`` are Subspace objects.
+    A flag is its part keys (``key``) and the basis rows each level adds to
+    the one below (``_rows``, as matrices over its field store them), which
+    the distance scan reads (_levels).  ``field`` is the parts' common field
+    (parts over different fields are refused), and it takes part in
+    equality and hashing.  ``source`` is the generator matrix whose row
+    prefixes span the parts when the flag was made by flag_from_matrix (a
+    restriction inherits it), and None otherwise; it is ignored by
+    equality and hashing.  ``parts`` are Subspace objects, each made from
+    its key on first read unless the flag was given them.
 
-    A flag is made in one of three ways.  ``Flag(type, parts)`` takes the
-    parts and checks their nesting once, here.  flag_from_matrix keeps only
-    the part keys and the basis rows each level adds, which the distance
-    scan reads (_levels): its prefixes are read off one growing basis, so
-    they are nested by construction, and each part is made from its key on
-    first read (parts, _part), with its pivot basis made on first read
-    after that (Subspace._piv).  A restriction of a flag (_restricted)
-    reads its parent's parts and level rows and is not checked again.
+    ``Flag(type, parts)`` and flag_from_matrix both insert their rows level
+    by level into one fully reduced basis (matgf._reduce_into) and check
+    its rank at each type dimension, which is the nesting check.  A
+    restriction of a flag (_restricted) shares its parent's part keys,
+    level rows, field and source, and is not checked again.
     """
 
-    __slots__ = ("type", "field", "source", "_key", "_rows", "_parts", "_base")
+    __slots__ = ("type", "field", "source", "_key", "_rows", "_parts")
 
-    def __init__(
-        self,
-        type_: TypeVector,
-        parts: Sequence[Subspace],
-        source: MatrixGF | None = None,
-    ):
+    def __init__(self, type_: TypeVector, parts: Sequence[Subspace]):
         parts = tuple(parts)
         if len(parts) != type_.r:
             raise TypeMismatch(
@@ -195,34 +189,37 @@ class Flag:
                     f"component over {part.field} (modulus {part.field.modulus}) in "
                     f"a flag over {field} (modulus {field.modulus})"
                 )
-        for lower, upper in zip(parts, parts[1:]):
-            if not _spans(upper._piv, lower._piv.values(), field):
+        # part i adds its dims[i] key rows; the first part's rows are
+        # independent, so only a later part can fail the rank check
+        dims = type_.dims
+        stacked = [row for part in parts for row in part.key[1]]
+        rows: list = []
+        for i, basis in enumerate(_prefix_bases(stacked, accumulate(dims), field)):
+            if len(basis) != dims[i]:
                 raise RankDeficientPrefix(
-                    f"component of dim {lower.dim} not inside the next of dim {upper.dim}"
+                    f"component of dim {dims[i - 1]} not inside the next of dim {dims[i]}"
                 )
+            # the rows with pivots new at this level were inserted last
+            rows.extend(islice(reversed(basis.values()), dims[i] - len(rows)))
+        self._set(type_, field, None, tuple(p.key for p in parts), tuple(rows), parts)
+
+    def _set(self, type_, field, source, key, rows, parts) -> Flag:
+        """Fill every slot; the one place a flag's slots are set."""
         self.type = type_
         self.field = field
         self.source = source
-        self._key = tuple(p.key for p in parts)
-        # the level rows come from the parts' bases (_levels)
-        self._rows = None
+        self._key = key
+        self._rows = rows
         self._parts = parts
-        self._base = None
+        return self
 
     def _restricted(self, sub: TypeVector, positions: Sequence[int]) -> Flag:
         """The flag of type ``sub`` made of this flag's parts at the 0-based
-        ``positions``, sharing its parts, part keys, field, source and
-        level rows.  A subsequence of a nested chain is nested, so nothing
-        is re-checked."""
-        flag = Flag.__new__(Flag)
-        flag.type = sub
-        flag.field = self.field
-        flag.source = self.source
-        flag._key = tuple([self._key[p] for p in positions])
-        flag._rows = self._rows
-        flag._parts = None
-        flag._base = (self, positions)
-        return flag
+        ``positions``, sharing its part keys, level rows, field and source.
+        A subsequence of a nested chain is nested, so nothing is
+        re-checked."""
+        key = tuple([self._key[p] for p in positions])
+        return Flag.__new__(Flag)._set(sub, self.field, self.source, key, self._rows, None)
 
     @property
     def parts(self) -> tuple[Subspace, ...]:
@@ -233,30 +230,20 @@ class Flag:
         return parts
 
     def _part(self, i: int) -> Subspace:
-        """Component ``i`` (0-based) alone, made on first read: from its key
-        rows for a flag built from a matrix, as the parent's part for a
-        restriction.  The same object as ``parts[i]``."""
+        """Component ``i`` (0-based) alone, made from its key rows on first
+        read.  The same object as ``parts[i]``."""
         parts = self._parts
         if parts is None:
             parts = self._parts = [None] * self.type.r
         part = parts[i]
         if part is None:
-            if self._base is None:
-                part = Subspace(self.field, self.type.n, None, self._key[i][1])
-            else:
-                parent, positions = self._base
-                part = parent._part(positions[i])
-            parts[i] = part
+            part = parts[i] = Subspace(self.field, self.type.n, self._key[i][1])
         return part
 
     def _levels(self) -> list[tuple]:
-        """The flag as _distance_profile levels: per component, the rows it
-        adds to the one below, and its dim.  A flag built from a matrix
-        slices the basis rows it recorded; one built from parts reads the
-        parts' bases (_part_levels)."""
+        """The flag as _distance_profile levels: per component, the basis
+        rows it adds to the one below, and its dim."""
         rows = self._rows
-        if rows is None:
-            return _part_levels(self.parts)
         dims = self.type.dims
         return [(rows[lo:hi], hi) for lo, hi in zip((0, *dims), dims)]
 
@@ -285,35 +272,27 @@ def flag_from_matrix(w: MatrixGF, type_: TypeVector) -> Flag:
 
     The rows go one at a time into one fully reduced basis, and at each
     type dimension t the rank must be t.  There the flag records the part
-    key, the basis rows as stored (bitmasks over GF(2)) in pivot order,
-    which is decreasing order (matgf._reduce_into), and the basis rows whose
-    pivots are new at t, which the distance scan reads.  The prefixes of
-    one growing basis are nested, so no nesting walk runs and no Subspace
-    is made: the flag makes its parts from their keys on first read.
+    key, the basis rows as stored (bitmasks over GF(2)) in pivot order
+    (matgf._rref_rows), and the basis rows whose pivots are new at t, which
+    the distance scan reads.  No Subspace is made: the flag makes its parts
+    from their keys on first read.
     """
     if w.ncols != type_.n:
         raise AmbientMismatch(f"{w.ncols}-column matrix for ambient {type_.n}")
-    if w.nrows < type_.dims[-1]:
+    dims = type_.dims
+    if w.nrows < dims[-1]:
         raise TooFewRows(
-            f"{w.nrows} rows cannot produce a flag of type {type_.dims}"
+            f"{w.nrows} rows cannot produce a flag of type {dims}"
         )
     keys = []
     rows: list = []
-    for t, basis in zip(type_.dims, _prefix_bases(w, type_.dims)):
+    for t, basis in zip(dims, _prefix_bases(w._rows, dims, w.field)):
         if len(basis) != t:
             raise RankDeficientPrefix(f"first {t} rows have rank {len(basis)}")
         # the rows with pivots new at this level were inserted last
         rows.extend(islice(reversed(basis.values()), t - len(rows)))
-        keys.append((t, tuple(sorted(basis.values(), reverse=True))))
-    flag = Flag.__new__(Flag)
-    flag.type = type_
-    flag.field = w.field
-    flag.source = w
-    flag._key = tuple(keys)
-    flag._rows = tuple(rows)
-    flag._parts = None
-    flag._base = None
-    return flag
+        keys.append((t, _rref_rows(basis)))
+    return Flag.__new__(Flag)._set(type_, w.field, w, tuple(keys), tuple(rows), None)
 
 
 class FlagCode:
@@ -489,8 +468,8 @@ def optimum_check_ab(code: FlagCode) -> bool:
 def subsequence_code(code: FlagCode, sub: TypeVector) -> FlagCode:
     """Componentwise restriction of a flag code to a subsequence of its type.
 
-    Each restricted flag shares its parent's parts and is not re-checked for
-    nesting (Flag._restricted)."""
+    Each restricted flag shares its parent's part keys and level rows and is
+    not re-checked for nesting (Flag._restricted)."""
     tv = code.type
     if not sub.is_subsequence_of(tv):
         raise NotASubsequence(f"{sub.dims} is not a subsequence of {tv.dims}")

@@ -111,6 +111,12 @@ def _reduce_into(basis: dict, row, field: FieldSpec) -> bool:
     return True
 
 
+def _rref_rows(basis: dict) -> tuple:
+    """The rows of a fully reduced basis (_reduce_into) in increasing
+    pivot-column order, which is decreasing order: the RREF of their span."""
+    return tuple(sorted(basis.values(), reverse=True))
+
+
 class MatrixGF:
     """An immutable matrix over a FieldSpec, stored as element codes.
 
@@ -121,7 +127,7 @@ class MatrixGF:
     other field the rows are code tuples and ``_grid`` is ``_rows``.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "_rows", "_grid", "_hash", "_rref")
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_grid")
 
     def __init__(
         self,
@@ -146,8 +152,6 @@ class MatrixGF:
         self.ncols = width
         self._rows = tuple(map(_pack, norm)) if field.q == 2 else norm
         self._grid = norm
-        self._hash = None
-        self._rref = None
 
     # -- constructors -------------------------------------------------------
 
@@ -162,8 +166,6 @@ class MatrixGF:
         m.ncols = ncols
         m._rows = rows
         m._grid = None if field.q == 2 else rows
-        m._hash = None
-        m._rref = None
         return m
 
     @classmethod
@@ -204,9 +206,7 @@ class MatrixGF:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.field, self.ncols, self._rows))
-        return self._hash
+        return hash((self.field, self.ncols, self._rows))
 
     def __repr__(self) -> str:
         return f"MatrixGF({self.nrows}x{self.ncols} over {self.field})"
@@ -247,18 +247,14 @@ class MatrixGF:
         canonical form of the row space, padded with zero rows back to the
         original shape.
         """
-        if self._rref is None:
-            field, ncols = self.field, self.ncols
-            basis: dict = {}
-            for row in self._rows:
-                _reduce_into(basis, row, field)
-            rows = sorted(basis.values(), reverse=True)
-            rank = len(rows)
-            rows += [0 if field.q == 2 else (0,) * ncols] * (self.nrows - rank)
-            reduced = MatrixGF._wrap(field, ncols, tuple(rows))
-            reduced._rref = (reduced, rank)
-            self._rref = (reduced, rank)
-        return self._rref
+        field, ncols = self.field, self.ncols
+        basis: dict = {}
+        for row in self._rows:
+            _reduce_into(basis, row, field)
+        rows = _rref_rows(basis)
+        rank = len(rows)
+        rows += (0 if field.q == 2 else (0,) * ncols,) * (self.nrows - rank)
+        return MatrixGF._wrap(field, ncols, rows), rank
 
     def rank(self) -> int:
         return self.rref()[1]

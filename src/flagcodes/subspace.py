@@ -22,7 +22,7 @@ from .errors import (
     ZeroRank,
 )
 from .field import FieldSpec
-from .matgf import MatrixGF, _expect_end, _reduce_into, matrix_to_text, read_matrix
+from .matgf import MatrixGF, _expect_end, _reduce_into, _rref_rows, matrix_to_text, read_matrix
 
 __all__ = [
     "GroupElementSeq",
@@ -48,25 +48,24 @@ class Subspace:
 
     __slots__ = ("field", "ambient", "dim", "_basis", "_key", "_canon")
 
-    def __init__(self, field: FieldSpec, ambient: int, piv: dict | None, rows: tuple):
+    def __init__(self, field: FieldSpec, ambient: int, rows: tuple):
         # rows must be the RREF generator's rows as matrices over field
-        # store them (bitmasks over GF(2), code tuples otherwise), and piv,
-        # when given, the fully reduced basis they come from in pivot order;
-        # without it the basis is made from rows on first read (_piv).  Use
-        # subspace_of() to canonicalize a matrix.
+        # store them (bitmasks over GF(2), code tuples otherwise); the pivot
+        # basis is made from them on first read (_piv).  Use subspace_of()
+        # to canonicalize a matrix.
         self.field = field
         self.ambient = ambient
         self.dim = len(rows)
-        self._basis = piv
+        self._basis = None
         self._key = (self.dim, rows)
         self._canon = None
 
     @property
     def _piv(self) -> dict:
-        """The fully reduced basis keyed as in _reduce_into, in pivot order:
-        given at construction or made from the key rows on first read (over
-        GF(2) keyed by their highest set bit; otherwise keyed by their
-        leading column, whose entry is 1)."""
+        """The fully reduced basis keyed as in _reduce_into, in pivot order,
+        made from the key rows on first read (over GF(2) keyed by their
+        highest set bit; otherwise keyed by their leading column, whose
+        entry is 1)."""
         piv = self._basis
         if piv is None:
             rows = self._key[1]
@@ -91,11 +90,10 @@ class Subspace:
         return self._key
 
     def contains(self, other: Subspace) -> bool:
-        """True iff ``other`` is a subspace of this space: every row of its
-        basis reduces to zero against this space's basis, which is read in
-        place, not copied."""
+        """True iff ``other`` is a subspace of this space: stacking their
+        generators adds no rank."""
         _check_ambient(self, other)
-        return _spans(self._piv, other._piv.values(), self.field)
+        return _stacked_rank(self, other) == self.dim
 
     def transform(self, g: MatrixGF) -> Subspace:
         """The image row space under right multiplication by ``g``."""
@@ -123,12 +121,10 @@ class Subspace:
 
 def subspace_of(a: MatrixGF) -> Subspace:
     """The row space of ``a`` as a canonical Subspace."""
-    basis = next(_prefix_bases(a, (a.nrows,)))
+    basis = next(_prefix_bases(a._rows, (a.nrows,), a.field))
     if not basis:
         raise ZeroRank("the zero matrix spans no subspace")
-    # GF(2) pivot bits fall as their columns rise
-    piv = dict(sorted(basis.items(), reverse=a.field.q == 2))
-    return Subspace(a.field, a.ncols, piv, tuple(piv.values()))
+    return Subspace(a.field, a.ncols, _rref_rows(basis))
 
 
 def _check_ambient(u: Subspace, v: Subspace) -> None:
@@ -138,46 +134,15 @@ def _check_ambient(u: Subspace, v: Subspace) -> None:
         )
 
 
-def _spans(piv: dict, rows: Iterable, field) -> bool:
-    """True iff every row of ``rows`` reduces to zero against the reduced
-    basis ``piv``, keyed as in _reduce_into.
-
-    A read-only walk kept apart from _reduce_into: it stops at the first row
-    with a nonzero remainder, and it neither copies ``piv`` nor clears a
-    pivot column from its rows.  Subspace.contains runs it, and so does
-    Flag's nesting check on every adjacent pair of parts of each flag built
-    from parts.
-    """
-    if field.q == 2:
-        for row in rows:
-            while row:
-                base = piv.get(1 << row.bit_length() - 1)
-                if base is None:
-                    return False
-                row ^= base
-        return True
-    sub, mul = field.sub, field.mul
-    for row in rows:
-        for c in range(len(row)):
-            x = row[c]
-            if x:
-                base = piv.get(c)
-                if base is None:
-                    return False
-                row = [sub(a, mul(x, b)) for a, b in zip(row, base)]
-    return True
-
-
-def _prefix_bases(w: MatrixGF, lengths: Iterable[int]) -> Iterator[dict]:
-    """The fully reduced basis of the first t rows of ``w`` for each t of
-    the nondecreasing ``lengths``, keyed as in _reduce_into.
+def _prefix_bases(rows: Sequence, lengths: Iterable[int], field: FieldSpec) -> Iterator[dict]:
+    """The fully reduced basis of the first t of ``rows`` for each t of the
+    nondecreasing ``lengths``, keyed as in _reduce_into.
 
     The prefixes are nested, so one basis takes the rows one at a time and
     is yielded at each requested length as it stands (the same dict, grown
-    in place): no prefix is reduced twice.  The basis takes w's stored rows.
+    in place): no prefix is reduced twice.  Rows are as matrices over
+    ``field`` store them.
     """
-    field = w.field
-    rows = w._rows
     basis: dict = {}
     done = 0
     for t in lengths:
@@ -251,7 +216,7 @@ class SubspaceCode:
                 parent, positions = self._parent
                 profile = _restrict_profile(parent.distance_profile(), positions)
             elif self.words:
-                levels = [_part_levels((w,)) for w in self.words]
+                levels = [[(w.key[1], w.dim)] for w in self.words]
                 profile = _distance_profile(levels, self.words[0].field, self.ambient)
             else:
                 profile = Counter()
@@ -315,21 +280,6 @@ class SubspaceCode:
         return code
 
 
-def _part_levels(chain: Iterable[Subspace]) -> list[tuple[list, int]]:
-    """A nested chain of subspaces as _distance_profile levels: per part,
-    the rows its basis adds to the part below, and its dim.
-
-    Nested parts have nested pivot sets, so those rows are the rows of the
-    part's basis whose pivot is not one of the part below."""
-    prev: dict = {}
-    levels = []
-    for part in chain:
-        piv = part._piv
-        levels.append(([row for c, row in piv.items() if c not in prev], part.dim))
-        prev = piv
-    return levels
-
-
 def _distance_profile(levels: Sequence[Sequence[tuple]], field: FieldSpec, n: int) -> Counter:
     """Per-level distance vectors over every unordered pair of nested chains
     in GF(q)^n, q = ``field.q``.
@@ -337,10 +287,9 @@ def _distance_profile(levels: Sequence[Sequence[tuple]], field: FieldSpec, n: in
     ``levels[m][l]`` is (rows, dim): the rows chain m adds at level l, as
     matrices over ``field`` store them (bitmasks over GF(2), code tuples
     otherwise), and the dim they span together with the rows of the levels
-    below.  All chains have the same number of levels.  A flag built from a
-    matrix gives the basis rows it recorded at each level (Flag._levels); a
-    chain of subspaces gives the rows of each basis with a new pivot
-    (_part_levels).  The result maps
+    below.  All chains have the same number of levels: a flag gives the
+    basis rows it recorded at each level (Flag._levels), and a word of a
+    SubspaceCode its key rows as its single level.  The result maps
     (d(U_1, V_1), ..., d(U_r, V_r)) to its number of pairs.  A pair needs
     one elimination basis: level i inserts the rows that U_i and V_i add to
     U_(i-1) and V_(i-1), after which the basis rank is rk[U_i; V_i].  Over

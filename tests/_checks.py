@@ -306,21 +306,22 @@ def check_scan_against_pairwise(code: fc.FlagCode) -> int:
 
 def check_restriction(code: fc.FlagCode, sub: fc.TypeVector) -> fc.FlagCode:
     """subsequence_code against the same restriction built flag by flag
-    through the checked constructor Flag(sub, parts), which re-walks the
-    nesting: equal flags in the same order, with equal keys, fields,
-    sources, parts and hashes, and an equal distance profile, the checked
-    code scanning its own pairs.  Returns the restricted code."""
+    through the checked constructor Flag(sub, parts), which re-checks the
+    nesting: equal flags in the same order, with equal keys, fields, parts
+    and hashes, each restricted flag keeping its parent's source, and an
+    equal distance profile, the checked code scanning its own pairs.
+    Returns the restricted code."""
     positions = [code.type.dims.index(d) for d in sub.dims]
     got = fc.subsequence_code(code, sub)
-    want = fc.FlagCode(
-        sub, (fc.Flag(sub, [f.parts[p] for p in positions], source=f.source) for f in code)
-    )
+    want = fc.FlagCode(sub, (fc.Flag(sub, [f.parts[p] for p in positions]) for f in code))
+    by_key = {tuple(f.key[p] for p in positions): f for f in code}
     assert want._parent is None
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g == w and hash(g) == hash(w)
         assert g.type == w.type and g.key == w.key and g.field == w.field
-        assert g.source is w.source
+        assert g.source is by_key[g.key].source
+        assert w.source is None
         assert g.parts == w.parts
     assert got.distance_profile() == want.distance_profile()
     return got
@@ -474,38 +475,62 @@ def flag_key_oracle(w: fc.MatrixGF, dims) -> tuple:
     return tuple(key)
 
 
+def pivot_basis_oracle(canon: fc.MatrixGF) -> dict:
+    """The pivot basis of the space whose canonical generator is ``canon``,
+    read off its code grid: its rows as ``key_rows_oracle`` gives them, in
+    order, each keyed by the bit of its leading column over GF(2) and by
+    its leading column otherwise."""
+    rows = key_rows_oracle(canon)
+    lead = [next(j for j, v in enumerate(row) if v) for row in canon.int_rows()]
+    if canon.field.q == 2:
+        return {1 << (canon.ncols - 1 - c): row for c, row in zip(lead, rows)}
+    return dict(zip(lead, rows))
+
+
 def prefix_subspace_oracle(w: fc.MatrixGF, t: int) -> tuple[int, fc.Subspace | None]:
     """(rank, row space) of the first t rows of ``w``, the space rebuilt from
     ``rref_oracle(w.first_rows(t))`` alone: its first ``rank`` rows are the
-    canonical generator, as ``key_rows_oracle`` gives them, and the pivot
-    basis is read off them (bitmasks keyed by the bit of their leading
-    column over GF(2), rows keyed by their leading column otherwise).  The
-    space is None at rank 0, as for a 0-row matrix."""
+    canonical generator, as ``key_rows_oracle`` gives them.  The space is
+    None at rank 0, as for a 0-row matrix."""
     if t == 0:
         return 0, None
     reduced, rank = rref_oracle(w.first_rows(t))
     if rank == 0:
         return 0, None
-    canon = reduced.first_rows(rank)
-    rows = key_rows_oracle(canon)
-    lead = [next(j for j, v in enumerate(row) if v) for row in canon.int_rows()]
-    if w.field.q == 2:
-        piv = {1 << (w.ncols - 1 - c): row for c, row in zip(lead, rows)}
-    else:
-        piv = dict(zip(lead, rows))
-    return rank, fc.Subspace(w.field, w.ncols, piv, rows)
+    return rank, fc.Subspace(w.field, w.ncols, key_rows_oracle(reduced.first_rows(rank)))
 
 
 def assert_same_subspace(got: fc.Subspace, want: fc.Subspace) -> None:
-    """Equal canonical generator, key, pivot basis (in pivot order), hash."""
+    """Equal canonical generator, key and hash, and the pivot basis (in
+    pivot order) that ``pivot_basis_oracle`` reads off the canonical
+    generator."""
     assert got.canon == want.canon
     assert got.dim == got.canon.nrows and got.ambient == got.canon.ncols
     assert got.key == (want.canon.nrows, key_rows_oracle(want.canon))
     assert got.canon.int_rows() == want.canon.int_rows()
     assert got.key == want.key
-    assert list(got._piv.items()) == list(want._piv.items())
+    assert list(got._piv.items()) == list(pivot_basis_oracle(want.canon).items())
     assert hash(got) == hash(want)
     assert got == want
+
+
+def check_parts_built(flag: fc.Flag) -> fc.Flag:
+    """Flag(type, parts) on the parts of ``flag`` against it: an equal flag
+    with the same key and hash and no source.  For both flags the rows of
+    levels 1..i of ``_levels()`` number dim U_i and, reduced by
+    ``rref_oracle``, give the key rows of U_i.  Returns the rebuilt flag."""
+    rebuilt = fc.Flag(flag.type, flag.parts)
+    assert rebuilt == flag and hash(rebuilt) == hash(flag)
+    assert rebuilt.key == flag.key and rebuilt.source is None
+    for f in (flag, rebuilt):
+        rows: list = []
+        for part, (level, dim) in zip(f.parts, f._levels()):
+            rows.extend(level)
+            assert dim == part.dim == len(rows)
+            reduced, rank = rref_oracle(fc.MatrixGF._wrap(f.field, f.type.n, tuple(rows)))
+            assert rank == dim
+            assert key_rows_oracle(reduced.first_rows(rank)) == part.key[1]
+    return rebuilt
 
 
 def check_lazy_parts(flag: fc.Flag, w: fc.MatrixGF) -> None:
@@ -513,9 +538,9 @@ def check_lazy_parts(flag: fc.Flag, w: fc.MatrixGF) -> None:
     each part, made from its key on first read, equals
     ``subspace_of(w.first_rows(t))`` and ``rref_oracle`` of that prefix; its
     pivot basis, made on first read from the key rows, equals the one
-    subspace_of reads off its elimination; and each part contains the one
-    below, which is where the nesting of a chain built from a matrix is
-    checked.  No basis of the flag's parts may have been read before."""
+    ``pivot_basis_oracle`` reads off that RREF; and each part contains the
+    one below and not the one above.  No basis of the flag's parts may have
+    been read before."""
     for i, t in enumerate(flag.type.dims):
         part = flag._part(i)
         assert part is flag._part(i)
@@ -526,7 +551,7 @@ def check_lazy_parts(flag: fc.Flag, w: fc.MatrixGF) -> None:
         assert part.key == want.key == (t, key_rows_oracle(reduced.first_rows(t)))
         assert part.key == flag.key[i]
         assert part._basis is None
-        assert list(part._piv.items()) == list(want._piv.items())
+        assert list(part._piv.items()) == list(pivot_basis_oracle(reduced.first_rows(t)).items())
         assert part._piv is part._piv  # made once, then kept
         assert part.canon == want.canon == reduced.first_rows(t)
         assert part == want and hash(part) == hash(want)

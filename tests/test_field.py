@@ -271,6 +271,21 @@ class TestPrimitivity:
             assert len(list(fc.iter_primitive_polys(field, d))) == count
             assert len(calls) == len(set(calls)) == q**d
 
+    def test_search_factors_the_group_order_once(self, monkeypatch):
+        calls = []
+        factor = flagcodes.field.factorize
+
+        def counting(n, *args):
+            calls.append(n)
+            return factor(n, *args)
+
+        monkeypatch.setattr(flagcodes.field, "factorize", counting)
+        for q, d, count in self.SEARCHES:
+            field = fc.field_from_order(q)  # which factors q
+            calls.clear()
+            assert len(list(fc.iter_primitive_polys(field, d))) == count
+            assert calls == [q**d - 1]
+
     @pytest.mark.parametrize("q,d", [(2, 4), (2, 8), (2, 10), (3, 4), (4, 3), (5, 2)])
     def test_powers_visit_every_nonzero_residue(self, q, d):
         field = fc.field_from_order(q)

@@ -102,7 +102,10 @@ class TestFlagFromMatrix:
         with pytest.raises(RankDeficientPrefix):
             fc.Flag(fc.TypeVector(4, (1, 2)), [a, b])
 
-    @pytest.mark.parametrize("field_args", [(2,), (3,), (2, 2)], ids=["GF2", "GF3", "GF4"])
+    @pytest.mark.parametrize(
+        "field_args", [(2,), (3,), (2, 2), (5,), (7,), (3, 2), (5, 2)],
+        ids=["GF2", "GF3", "GF4", "GF5", "GF7", "GF9", "GF25"],
+    )
     def test_non_nested_parts_sharing_a_pivot_raise(self, field_args):
         # the lower row has its leading entry in a pivot column of the upper
         # part, so clearing that column leaves a nonzero remainder
@@ -113,10 +116,25 @@ class TestFlagFromMatrix:
         assert not upper.contains(lower)
         with pytest.raises(RankDeficientPrefix, match="not inside the next"):
             fc.Flag(fc.TypeVector(4, (1, 2)), [lower, upper])
-        assert upper._piv == piv  # the check reads the upper basis in place
+        assert upper._piv == piv  # the check leaves the upper basis as it was
         inside = fc.subspace_of(fc.MatrixGF(field, [[1, 0, 1, 1]]))
         assert upper.contains(inside)
         assert fc.Flag(fc.TypeVector(4, (1, 2)), [inside, upper]).parts == (inside, upper)
+
+    def test_source_is_not_a_parameter(self, gf2):
+        # a source spanning other parts would be dumped in their place
+        tv = fc.TypeVector(3, (1, 2))
+        w = fc.MatrixGF(gf2, [[1, 0, 0], [0, 1, 0]])
+        parts = [fc.subspace_of(w.first_rows(1)), fc.subspace_of(w)]
+        other = fc.MatrixGF(gf2, [[0, 0, 1], [0, 1, 0]])
+        with pytest.raises(TypeError):
+            fc.Flag(tv, parts, source=other)
+        flag = fc.Flag(tv, parts)
+        assert flag.source is None
+        assert flag == fc.flag_from_matrix(w, tv)
+        assert fc.load_flag(fc.dump_flag(flag)) == flag
+        code = fc.FlagCode(tv, [flag])
+        assert fc.load_flag_code(fc.dump_flag_code(code)) == code
 
 
 class TestFieldIdentity:

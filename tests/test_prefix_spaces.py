@@ -28,6 +28,7 @@ from _checks import (
     SWEEP,
     assert_same_subspace,
     check_lazy_parts,
+    check_parts_built,
     key_rows_oracle,
     poly_choices,
     prefix_subspace_oracle,
@@ -217,11 +218,11 @@ def test_flag_builds_make_no_rref(monkeypatch):
     assert calls == []
 
 
-# GF(2), GF(3), GF(4), GF(5), GF(9)
-LAZY_FIELDS = [(2,), (3,), (2, 2), (5,), (3, 2)]
+# GF(2), GF(3), GF(4), GF(5), GF(7), GF(9), GF(25)
+LAZY_FIELDS = [(2,), (3,), (2, 2), (5,), (7,), (3, 2), (5, 2)]
 
 
-@pytest.mark.parametrize("field_args", LAZY_FIELDS, ids=["GF2", "GF3", "GF4", "GF5", "GF9"])
+@pytest.mark.parametrize("field_args", LAZY_FIELDS, ids=["GF2", "GF3", "GF4", "GF5", "GF7", "GF9", "GF25"])
 def test_lazy_parts_of_random_matrices_match_oracle(field_args):
     field = fc.field_make(*field_args)
     rng = random.Random(71 + sum(field_args) * 3 + len(field_args))
@@ -236,6 +237,7 @@ def test_lazy_parts_of_random_matrices_match_oracle(field_args):
         flag = fc.flag_from_matrix(w, fc.TypeVector(n, dims))
         assert flag._parts is None  # no part is made until one is read
         check_lazy_parts(flag, w)
+        check_parts_built(flag)
         checked += 1
 
 
@@ -258,9 +260,9 @@ def _counting_subspaces(monkeypatch) -> list:
     made = []
     init = fc.Subspace.__init__
 
-    def counting(self, field, ambient, piv, rows):
+    def counting(self, field, ambient, rows):
         made.append((len(rows), rows))
-        init(self, field, ambient, piv, rows)
+        init(self, field, ambient, rows)
 
     monkeypatch.setattr(fc.Subspace, "__init__", counting)
     return made

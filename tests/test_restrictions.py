@@ -1,13 +1,13 @@
 """Restrictions of the full-type code, against flags rebuilt with a nesting
 check.
 
-``subsequence_code`` makes each restricted flag from its parent's parts
-without walking the nesting again, since a subsequence of a nested chain is
-nested.  For every standard sweep instance and every type the claim suite
-restricts to (admissible, master, and the inner and outer halves of every
-split), ``_checks.check_restriction`` rebuilds the restriction through the
-checked ``Flag`` constructor, and the two must agree flag for flag and in
-their distance profile.  ``GeneratorSet.flag_code`` makes each typed code
+``subsequence_code`` makes each restricted flag from its parent's part keys
+and level rows without checking the nesting again, since a subsequence of a
+nested chain is nested.  For every standard sweep instance and every type
+the claim suite restricts to (admissible, master, and the inner and outer
+halves of every split), ``_checks.check_restriction`` rebuilds the
+restriction through the checked ``Flag`` constructor, and the two must
+agree flag for flag and in their distance profile.  ``GeneratorSet.flag_code`` makes each typed code
 once.
 """
 
@@ -65,6 +65,8 @@ def test_the_sweep_restricts_splits_of_full_and_master_codes():
 
 
 def test_restricted_flags_share_their_parents_parts():
+    # equal parts made from the same key rows, and the parent's level rows,
+    # field and source themselves
     params = fc.ConstructionParams.make(2, 2, 1, 3)
     gen = fc.build_generator_set(params)
     tv = fc.master_type(params)
@@ -72,7 +74,11 @@ def test_restricted_flags_share_their_parents_parts():
     by_key = {tuple(f.key[p] for p in positions): f for f in gen.full}
     for f in gen.flag_code(tv):
         parent = by_key[f.key]
-        assert all(part is parent.parts[p] for part, p in zip(f.parts, positions))
+        for i, p in enumerate(positions):
+            assert f.key[i] is parent.key[p]
+            assert f.parts[i] == parent.parts[p]
+            assert f.parts[i].key[1] is parent.parts[p].key[1]
+        assert f._rows is parent._rows
         assert f.source is parent.source and f.field is parent.field
 
 

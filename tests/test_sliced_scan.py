@@ -19,7 +19,7 @@ import pytest
 
 import flagcodes as fc
 from flagcodes import subspace
-from flagcodes.subspace import _distance_profile, _part_levels
+from flagcodes.subspace import _distance_profile
 
 from _checks import every_full_flag_of_gf2_3, pairwise_profile, pairwise_spectrum
 
@@ -30,11 +30,16 @@ SWEEP_CHOICES = [(qkhs, c) for qkhs in GF2_SWEEP for c in (0, 1) if not (c and q
 
 
 def check_chains(chains) -> int:
-    """The kernel's profile on the chains' basis rows (_part_levels) equals
-    the oracle's; returns the pair count."""
+    """The kernel's profile on the level rows of the flags the chains make
+    (Flag(type, parts)._levels()) equals the oracle's; returns the pair
+    count."""
     chains = [tuple(chain) for chain in chains]
     field, ambient = (chains[0][0].field, chains[0][0].ambient) if chains else (None, 0)
-    got = _distance_profile([_part_levels(chain) for chain in chains], field, ambient)
+    levels = [
+        fc.Flag(fc.TypeVector(ambient, tuple(p.dim for p in chain)), chain)._levels()
+        for chain in chains
+    ]
+    got = _distance_profile(levels, field, ambient)
     assert got == pairwise_profile(chains)
     n = len(chains)
     assert sum(got.values()) == n * (n - 1) // 2
@@ -214,6 +219,25 @@ def test_nonbinary_random_codes_match_oracle(q, count):
     code = _random_flag_code(field, fc.TypeVector(5, (1, 3, 4)), count, seed=count + q)
     assert len(code) == count
     check_chains(f.parts for f in code)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 25])
+def test_parts_built_codes_match_oracle(q):
+    # flags rebuilt from their parts record their own level rows, which
+    # their restrictions share; the point restriction merges flags for
+    # q <= 7, so its code scans its own pairs there
+    field = fc.field_from_order(q)
+    tv = fc.TypeVector(4, (1, 2, 3))
+    code = _random_flag_code(field, tv, 30, seed=q + 40)
+    rebuilt = fc.FlagCode(tv, (fc.Flag(tv, f.parts) for f in code))
+    assert rebuilt == code
+    assert all(f.source is None and f._rows is not g._rows for f, g in zip(rebuilt, code))
+    assert rebuilt.distance_profile() == pairwise_profile([f.parts for f in rebuilt])
+    for dims in [(1,), (1, 3)]:
+        sub = fc.subsequence_code(rebuilt, fc.TypeVector(4, dims))
+        chains = [f.parts for f in sub]
+        assert sub.distance_profile() == pairwise_profile(chains)
+        assert _distance_profile([f._levels() for f in sub], field, 4) == pairwise_profile(chains)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25])
