@@ -817,13 +817,19 @@ def run_claim_suite(
 ) -> VerificationReport:
     """Run every claim applicable to the parameters and return one report.
 
-    ``type_`` overrides the master type used for the longer-type family.
+    ``type_`` overrides the master type used for the longer-type family,
+    which runs only for s >= 3; a ``type_`` at s = 2 raises ValueError.
     ``loaded`` optionally checks an externally supplied flag code against the
     freshly constructed family of the same type.
     """
     rep = VerificationReport(params.describe())
     size = params.expected_size
     k, h, s, n = params.k, params.h, params.s, params.n
+    if type_ is not None and s < 3:
+        raise ValueError(
+            f"type {type_.dims} applies to the longer-type family, which runs only "
+            f"for s >= 3, but s = {s}"
+        )
     rep.type_dims = (type_ if type_ is not None else master_type(params)).dims
 
     gen = build_generator_set(params)

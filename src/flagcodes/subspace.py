@@ -293,13 +293,13 @@ def _distance_profile(levels: Sequence[Sequence[tuple]], field: FieldSpec, n: in
     (d(U_1, V_1), ..., d(U_r, V_r)) to its number of pairs.  A pair needs
     one elimination basis: level i inserts the rows that U_i and V_i add to
     U_(i-1) and V_(i-1), after which the basis rank is rk[U_i; V_i].  Over
-    GF(2^e) and GF(3^e) one bit-sliced elimination per chain, over the
-    prime field, serves all its later partners at once
-    (_prime_field_profile).  Fields of characteristic 5 and up run one
-    basis per pair: both chains' level rows go into a fully reduced basis
-    through _reduce_into, the step that also builds every Subspace, and the
-    count of independent rows is the rank.  This is the package's only scan
-    of a code's pairs.
+    GF(2^e) and GF(3^e) one bit-sliced elimination over the prime field
+    serves a batch of consecutive chains and all their later partners at
+    once, each pair one bit (_prime_field_profile, _sliced_profile).
+    Fields of characteristic 5 and up run one basis per pair: both chains'
+    level rows go into a fully reduced basis through _reduce_into, the step
+    that also builds every Subspace, and the count of independent rows is
+    the rank.  This is the package's only scan of a code's pairs.
     """
     if not levels:
         return Counter()
@@ -377,25 +377,39 @@ def _prime_field_profile(levels: list, field: FieldSpec, n: int) -> Counter:
     return scaled
 
 
+# the bits of one batch of _sliced_profile: how many (chain, partner) pairs
+# one elimination serves, with each block rounded up to whole bytes
+_BATCH_BITS = 1 << 16
+
+
 def _sliced_profile(levels: list, n: int, p: int) -> Counter:
     """The distance profile of chains of rows over GF(p), p = 2 or 3, on n
-    columns, bit-sliced across partners.
+    columns, bit-sliced across pairs of chains.
 
     ``levels[m][l]`` is (the rows chain m adds at level l, its dim there).
     A row is an int over (p - 1) n plane columns, column 0 its most
     significant bit, with plane column (v - 1) n + c set when its entry at
     column c is v: over GF(2) its bitmask, over GF(3) a ones plane and a
-    twos plane.  Chain m is bit m of every plane: ``planes[l][j][i]`` holds
-    plane column i of chain m's j-th level-l row, for all chains at once
+    twos plane.  Chain m is bit m of every plane: ``planes[l][t][i]`` holds
+    plane column i of chain m's t-th level-l row, for all chains at once
     (a chain with fewer rows there has a zero row in that slot, which adds
-    no rank).  For each chain a, the planes shifted past a put a's later
-    partners in the low bits, and one elimination runs for all of them
-    (_sliced_insert over GF(2), _sliced_insert3 over GF(3)): a's own rows
-    enter as all-ones or all-zeros planes, then the partners' rows, level by
-    level.  A bit-sliced counter per level adds up the rank that level gains
-    for each partner.  Splitting the partner mask by those counters (and by
-    the partners' dims, for codes of mixed dimension) gives each distance
-    vector's class of partners, counted with int.bit_count().
+    no rank).
+
+    One bit of the ints the kernel works on is one pair (a, b), a < b.  A
+    batch of k consecutive chains a = start .. start + k - 1 puts each in a
+    block of whole bytes, chain start + j in block j, whose bit b - start - 1
+    is partner b: every block holds the partners after the batch's first
+    chain, so the partners' rows are the shifted planes repeated k times,
+    and the ``active`` mask drops the pairs with b <= a (k(k - 1)/2 bits,
+    all inside the batch) and the bits that round a block up to bytes.  k
+    is as large as _BATCH_BITS allows, and at least 1; with k = 1 each
+    chain is its own batch.  One elimination serves the whole batch
+    (_sliced_insert over GF(2), _sliced_insert3 over GF(3)): the batch
+    chains' own rows enter as all-ones or all-zeros blocks, then the
+    partners' rows, level by level.  A bit-sliced counter per level adds up
+    the rank that level gains for each pair.  Splitting the pairs by those
+    counters (and by both chains' dims, for codes of mixed dimension) gives
+    each distance vector's class of pairs, counted with int.bit_count().
     """
     count_n = len(levels)
     depth = len(levels[0])
@@ -416,37 +430,61 @@ def _sliced_profile(levels: list, n: int, p: int) -> Counter:
                     row ^= low
         dims = tuple(dim for _, dim in chain)
         by_dims[dims] = by_dims.get(dims, 0) | bit
-    bits = range(width - 1, -1, -1)  # the bit of each plane column
     profile: Counter = Counter()
-    for a, chain in enumerate(levels[:-1]):
-        shift = a + 1
-        partners = (1 << (count_n - shift)) - 1
-        has = [0] * n  # has[c]: partners whose basis has a pivot row at c
+    start = 0
+    while start < count_n - 1:
+        size = count_n - start - 1  # the partners after the batch's first chain
+        nb = (size + 7) // 8  # bytes per block
+        k = min(max(1, _BATCH_BITS // (8 * nb)), size)
+        fill = str.maketrans({"0": "\0" * nb, "1": "\xff" * nb})
+
+        def own(mask: int) -> int:
+            """All-ones blocks for the batch chains in the chain mask."""
+            mask = mask >> start & (1 << k) - 1
+            if not mask:
+                return 0
+            # format writes block j as character k - 1 - j: read big-endian
+            bits = format(mask, f"0{k}b").translate(fill)
+            return int.from_bytes(bits.encode("latin-1"), "big")
+
+        def partners(mask: int) -> int:
+            """The partners in the chain mask, in every block."""
+            mask >>= start + 1
+            if not mask:
+                return 0
+            return int.from_bytes(mask.to_bytes(nb, "little") * k, "little")
+
+        active = int.from_bytes(
+            b"".join(((1 << size) - (1 << j)).to_bytes(nb, "little") for j in range(k)), "little"
+        )
+        has = [0] * n  # has[c]: pairs whose basis has a pivot row at c
         pivots = [[0] * width for _ in range(n)]  # pivots[c][i]: bit i of that row
-        gains = []  # per level, the bit planes of each partner's rank gain
-        for (rows_a, _), slots in zip(chain, planes):
-            rows = [[partners if row >> i & 1 else 0 for i in bits] for row in rows_a]
-            rows += [[p >> shift for p in plane] for plane in slots]
+        gains = []  # per level, the bit planes of each pair's rank gain
+        for slots in planes:
+            rows = [[own(x) for x in plane] for plane in slots]
+            rows += [[partners(x) for x in plane] for plane in slots]
             gain = [0] * len(rows).bit_length()
             for row in rows:
-                carry = insert(row, has, pivots, partners)
+                carry = insert(row, has, pivots, active)
                 b = 0
                 while carry:
                     gain[b], carry = gain[b] ^ carry, gain[b] & carry
                     b += 1
             gains.append(gain)
-        dims_a = [dim for _, dim in chain]
-        for dims_m, mask in by_dims.items():
-            # (distance vector so far, rank so far, partners) per class
-            classes = [((), 0, mask >> shift)]
-            for gain, dim_a, dim_m in zip(gains, dims_a, dims_m):
-                classes = [
-                    (vec + (2 * (rank + g) - dim_a - dim_m,), rank + g, part)
-                    for vec, rank, cls in classes
-                    for g, part in _split_by_counter(cls, gain)
-                ]
-            for vec, _, part in classes:
-                profile[vec] += part.bit_count()
+        for dims_a, mask_a in by_dims.items():
+            pairs_a = own(mask_a) & active
+            for dims_m, mask_m in by_dims.items():
+                # (distance vector so far, rank so far, pairs) per class
+                classes = [((), 0, pairs_a & partners(mask_m))]
+                for gain, dim_a, dim_m in zip(gains, dims_a, dims_m):
+                    classes = [
+                        (vec + (2 * (rank + g) - dim_a - dim_m,), rank + g, part)
+                        for vec, rank, cls in classes
+                        for g, part in _split_by_counter(cls, gain)
+                    ]
+                for vec, _, part in classes:
+                    profile[vec] += part.bit_count()
+        start += k
     return profile
 
 

@@ -150,6 +150,25 @@ class TestVerify:
         rc, _, _ = run(capsys, "verify", "--q", "2,3", "--k", "2", "--h", "0", "--s", "2")
         assert rc == 2
 
+    def test_type_refused_at_s2(self, capsys):
+        # at s = 2 no claim is about the type, so a report under it would
+        # claim a check that never ran
+        rc, stdout, stderr = run(
+            capsys, "verify", "--q", "2", "--k", "2", "--h", "1", "--s", "2",
+            "--type", "2,3", "--format", "json",
+        )
+        assert rc == 2 and stdout == ""
+        assert stderr.count("\n") == 1 and "s = 2" in stderr
+        # at s = 3 the longer-type claims are about the given type
+        rc, stdout, _ = run(
+            capsys, "verify", "--q", "2", "--k", "2", "--h", "1", "--s", "3",
+            "--type", "1,5", "--format", "json",
+        )
+        payload = json.loads(stdout)
+        assert rc == 0 and payload["type"] == [1, 5]
+        longer = [c["anchor"] for c in payload["claims"] if c["id"].startswith("longer.")]
+        assert len(longer) == 3 and all("(1, 5)" in a for a in longer)
+
     def test_roundtrip_code_file(self, tmp_path, capsys):
         out = tmp_path / "opt.txt"
         run(

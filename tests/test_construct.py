@@ -329,6 +329,15 @@ class TestVerifiers:
         rep = fc.run_claim_suite(fc.ConstructionParams.make(2, 2, 1, 2))
         assert rep.all_pass, rep.to_text()
 
+    def test_suite_refuses_a_type_at_s2(self):
+        # the longer-type family, the only one a type selects, needs s >= 3
+        params = fc.ConstructionParams.make(2, 2, 1, 2)
+        with pytest.raises(ValueError, match="s = 2"):
+            fc.run_claim_suite(params, fc.TypeVector(5, (2, 3)))
+        # the master type itself is refused too: no claim would read it
+        with pytest.raises(ValueError, match="s = 2"):
+            fc.run_claim_suite(params, fc.master_type(params))
+
     def test_suite_quasi_optimum(self):
         rep = fc.run_claim_suite(fc.ConstructionParams.make(2, 3, 2, 2))
         assert rep.all_pass, rep.to_text()

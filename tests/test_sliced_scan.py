@@ -1,14 +1,18 @@
 """The bit-sliced scans against the per-pair oracle.
 
 Over GF(2^e) and GF(3^e), ``subspace._distance_profile`` runs one
-elimination per chain over the prime field for all of its later partners at
-once, each partner one bit of a Python int.  ``pairwise_profile`` in
-``_checks.py`` is a per-pair loop over any field, with one basis per pair
-and rows taken from the canonical generators; the two must return equal
-Counters on the construction's codes, on restrictions that merge flags, on
-loaded codes, on codes of mixed dimension, and on random codes whose
-partner masks cross machine words, over GF(2), GF(3), GF(4), GF(8) and
-GF(9).  GF(5) runs the per-pair loop of the scan itself.
+elimination over the prime field for a batch of consecutive chains and all
+of their later partners at once, each (chain, partner) pair one bit of a
+Python int.  ``pairwise_profile`` in ``_checks.py`` is a per-pair loop over
+any field, with one basis per pair and rows taken from the canonical
+generators; the two must return equal Counters on the construction's codes,
+on restrictions that merge flags, on loaded codes, on codes of mixed
+dimension, and on random codes whose pair masks cross machine words, over
+GF(2), GF(3), GF(4), GF(8) and GF(9).  GF(5) runs the per-pair loop of the
+scan itself.  The batch tests shrink the scan's private bit budget
+(``subspace._BATCH_BITS``) so that small codes span several batches, and
+pin the batch plan: which chains share an elimination, and how many kernel
+calls a scan makes.
 """
 
 from __future__ import annotations
@@ -261,3 +265,131 @@ def test_only_characteristic_five_and_up_scan_per_pair(monkeypatch, q):
     else:
         assert calls == []
 
+
+# -- batches of chains ---------------------------------------------------------
+
+
+def _spy_batches(monkeypatch, bits: int | None = None) -> list[int]:
+    """Shrink the scan's batch budget to ``bits`` (if given) and record the
+    ``active`` pair mask of every kernel call; returns the list they go
+    into.  All calls of one batch pass the same mask object."""
+    if bits is not None:
+        monkeypatch.setattr(subspace, "_BATCH_BITS", bits)
+    actives: list[int] = []
+    for name in ("_sliced_insert", "_sliced_insert3"):
+        kernel = getattr(subspace, name)
+
+        def spy(row, has, pivots, active, kernel=kernel):
+            actives.append(active)
+            return kernel(row, has, pivots, active)
+
+        monkeypatch.setattr(subspace, name, spy)
+    return actives
+
+
+def _batch_pairs(actives: list[int]) -> list[int]:
+    """The number of pairs each batch serves, in scan order."""
+    batches = [a for i, a in enumerate(actives) if i == 0 or a is not actives[i - 1]]
+    return [a.bit_count() for a in batches]
+
+
+def _plan_pairs(count: int, starts: list[int]) -> list[int]:
+    """The pairs of batches of ``count`` chains starting at ``starts``: chain
+    a pairs with the count - 1 - a chains after it."""
+    ends = starts[1:] + [count - 1]
+    return [sum(count - 1 - a for a in range(s, e)) for s, e in zip(starts, ends)]
+
+
+def test_batch_plan_follows_the_bit_budget(monkeypatch, gf2):
+    # 13 chains in 24 bits: blocks of 2 bytes hold the 12..9 partners after
+    # chains 0..3, one chain a batch; from chain 4 on a block is 1 byte,
+    # three chains a batch, and the last batch is cut short at chain 11
+    actives = _spy_batches(monkeypatch, 24)
+    code = _random_flag_code(gf2, fc.TypeVector(5, (1, 3)), 13, seed=1)
+    check_chains(f.parts for f in code)
+    assert _batch_pairs(actives) == _plan_pairs(13, [0, 1, 2, 3, 4, 7, 10])
+    assert _plan_pairs(13, [0, 1, 2, 3, 4, 7, 10]) == [12, 11, 10, 9, 21, 12, 3]
+
+
+def test_sweep_scan_is_one_batch(monkeypatch):
+    # (2,2,1,4): 169 full flags of GF(2)^9 add one row at each of 8 levels,
+    # so one batch makes 2 kernel calls a level; one chain a batch (a
+    # budget of 1 bit) makes 2 x 8 x 168
+    gen = fc.build_generator_set(fc.ConstructionParams.make(2, 2, 1, 4))
+    levels = [f._levels() for f in gen.full]
+    field = gen.full.flags[0].field
+    actives = _spy_batches(monkeypatch)
+    profile = _distance_profile(levels, field, 9)
+    assert len(actives) == 16 and _batch_pairs(actives) == [169 * 168 // 2]
+    actives.clear()
+    monkeypatch.setattr(subspace, "_BATCH_BITS", 1)
+    assert _distance_profile(levels, field, 9) == profile
+    assert len(actives) == 2688 and _batch_pairs(actives) == list(range(168, 0, -1))
+
+
+BATCH_BITS = [8, 24, 64, 200]
+
+
+@pytest.mark.parametrize("bits", BATCH_BITS)
+@pytest.mark.parametrize("count", [0, 1, 2, 37])
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_batched_random_codes_match_oracle(monkeypatch, q, count, bits):
+    # 37 chains is no multiple of 8; every budget here splits them into
+    # several batches
+    actives = _spy_batches(monkeypatch, bits)
+    field = fc.field_from_order(q)
+    code = _random_flag_code(field, fc.TypeVector(4, (1, 2, 3)), count, seed=count + bits)
+    assert check_chains(f.parts for f in code) == sum(_batch_pairs(actives))
+    if count == 37:
+        assert len(_batch_pairs(actives)) > 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_mixed_dimensions_across_batches_match_oracle(monkeypatch, q):
+    # 40 words of dims 1..5 in code order (2, 9, 9, 10 and 10 of each): in
+    # 160 bits the batches start at chains 0, 4, 8, 13, 18, 24 and 34, and
+    # the dims change (at chains 2, 11, 20 and 30) inside the first, third,
+    # fifth and sixth
+    field = fc.field_from_order(q)
+    rng = random.Random(q + 100)
+    words: dict[tuple, fc.Subspace] = {}
+    for dim, number in zip(range(1, 6), (2, 9, 9, 10, 10)):
+        while sum(w.dim == dim for w in words.values()) < number:
+            w = _random_space(field, rng, 6, dim)
+            words[w.key] = w
+    code = fc.SubspaceCode(6, words.values())
+    assert [w.dim for w in code].count(1) == 2 and len(code) == 40
+    actives = _spy_batches(monkeypatch, 160)
+    check_chains((w,) for w in code)
+    assert _batch_pairs(actives) == _plan_pairs(40, [0, 4, 8, 13, 18, 24, 34])
+    # shuffled, the chains of every batch and the partners of every block
+    # mix dims
+    check_chains((w,) for w in rng.sample(code.words, len(code)))
+
+
+@pytest.mark.parametrize("bits", BATCH_BITS)
+@pytest.mark.parametrize("q", [2, 3])
+def test_repeated_chains_across_batches_match_oracle(monkeypatch, q, bits):
+    # distance-zero pairs inside one batch, and across batch boundaries
+    monkeypatch.setattr(subspace, "_BATCH_BITS", bits)
+    code = _plane_flags(fc.field_from_order(q), 3)
+    chains = [f.parts for f in code]
+    check_chains(chains * 2)
+    check_chains([c for chain in chains for c in (chain, chain)])
+
+
+def test_gf3_n8_subset_matches_oracle(monkeypatch):
+    # a seeded 120-flag sample of (3,2,0,4) (n = 8, 820 flags), in one batch
+    # and in batches of 200 bits; the oracle on all 820 takes about a minute
+    gen = fc.build_generator_set(fc.ConstructionParams.make(3, 2, 0, 4))
+    chains = [f.parts for f in random.Random(8).sample(gen.full.flags, 120)]
+    levels = [fc.Flag(gen.full.type, chain)._levels() for chain in chains]
+    field = chains[0][0].field
+    oracle = pairwise_profile(chains)
+    actives = _spy_batches(monkeypatch)
+    assert _distance_profile(levels, field, 8) == oracle
+    assert _batch_pairs(actives) == [120 * 119 // 2]
+    actives.clear()
+    monkeypatch.setattr(subspace, "_BATCH_BITS", 200)
+    assert _distance_profile(levels, field, 8) == oracle
+    assert len(_batch_pairs(actives)) > 1
