@@ -20,8 +20,10 @@ pass/fail reports rather than aborting.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from itertools import islice
 from time import perf_counter
 from typing import Callable
 
@@ -32,7 +34,14 @@ from .errors import (
     RankDeficientPrefix,
     TheoremViolated,
 )
-from .field import DEFAULT_FACTOR_BUDGET, FieldSpec, Poly, field_from_order, iter_primitive_polys
+from .field import (
+    DEFAULT_FACTOR_BUDGET,
+    FieldSpec,
+    Poly,
+    factorize,
+    field_from_order,
+    iter_primitive_polys,
+)
 from .flags import (
     Classification,
     Flag,
@@ -52,7 +61,7 @@ from .flags import (
     split_type,
     subsequence_code,
 )
-from .matgf import MatrixGF, block, companion, matrix_order
+from .matgf import MatrixGF, _pack, block, companion
 from .subspace import (
     GroupElementSeq,
     Subspace,
@@ -190,28 +199,49 @@ def _unguaranteed_dims(params: ConstructionParams, tv: TypeVector) -> list[int]:
     return [t for t in tv.dims if not _guaranteed_distance(params, t)]
 
 
-@lru_cache(maxsize=None)
+# (field, degree, budget) -> (the primitive polynomials found so far, in
+# increasing code order, and the search that resumes after the last of them)
+_primitive_searches: dict[tuple, tuple[list[Poly], Iterator[Poly]]] = {}
+
+
 def _primitive_poly(field: FieldSpec, degree: int, choice: int, budget: int) -> Poly:
-    """The choice-th smallest primitive polynomial, searched once per
-    argument tuple (a failed search is not cached and raises again)."""
-    found = 0
-    for poly in iter_primitive_polys(field, degree, budget):
-        if found == choice:
-            return poly
-        found += 1
+    """The choice-th smallest primitive polynomial.
+
+    One search runs per (field, degree, budget): a later call that needs a
+    larger choice resumes it where it stopped.  A search that runs out
+    raises ValueError on every call; one that fails (a factorization over
+    budget) is dropped, so the next call raises the same error again."""
+    key = (field, degree, budget)
+    search = _primitive_searches.get(key)
+    if search is None:
+        search = _primitive_searches[key] = ([], iter_primitive_polys(field, degree, budget))
+    found, rest = search
+    if len(found) <= choice:
+        try:
+            found.extend(islice(rest, choice + 1 - len(found)))
+        except BaseException:
+            # a generator that raised is finished: the next call starts anew
+            del _primitive_searches[key]
+            raise
+    if choice < len(found):
+        return found[choice]
     raise ValueError(
         f"poly_choice {choice} needs {choice + 1} primitive polynomials of degree "
-        f"{degree} over {field}; there are only {found}"
+        f"{degree} over {field}; there are only {len(found)}"
+    )
+
+
+def _family_poly(params: ConstructionParams, i: int) -> Poly:
+    """f_i: the chosen primitive polynomial of degree ik+h."""
+    return _primitive_poly(
+        params.field, i * params.k + params.h, params.poly_choice, params.factor_budget
     )
 
 
 def build_P(params: ConstructionParams, i: int) -> MatrixGF:
     """Companion matrix of the chosen primitive polynomial of degree ik+h."""
     _check_family_index(params, i)
-    poly = _primitive_poly(
-        params.field, i * params.k + params.h, params.poly_choice, params.factor_budget
-    )
-    return companion(poly)
+    return companion(_family_poly(params, i))
 
 
 def _check_family_index(params: ConstructionParams, i: int) -> None:
@@ -300,6 +330,66 @@ def _assert_hyperplane(params: ConstructionParams, m: MatrixGF, label: str) -> N
         raise TheoremViolated(f"{label} is not of full row rank")
 
 
+def _recurring_sequence(f: Poly, length: int) -> list:
+    """s_0, ..., s_(length-1) with s_t = x^t mod f, each a row whose column
+    j holds the coefficient of x^j: bitmasks over GF(2), column 0 the most
+    significant bit, and code tuples otherwise.
+
+    Shift-and-reduce: s_(t+1) is s_t shifted one column right, plus the
+    coefficient that leaves column d-1 times x^d mod f = -(f_0, ..., f_(d-1)).
+    """
+    field, d = f.field, f.degree
+    if field.q == 2:
+        tail = _pack(f.coeffs[:d])
+        s = 1 << d - 1
+        seq = [s]
+        for _ in range(length - 1):
+            s = (s >> 1) ^ tail if s & 1 else s >> 1
+            seq.append(s)
+        return seq
+    add, mul = field.add, field.mul
+    neg_tail = [field.neg(c) for c in f.coeffs[:d]]
+    s = (1,) + (0,) * (d - 1)
+    seq = [s]
+    for _ in range(length - 1):
+        top, s = s[-1], (0,) + s[:-1]
+        if top:
+            s = tuple([add(a, mul(top, c)) for a, c in zip(s, neg_tail)])
+        seq.append(s)
+    return seq
+
+
+def _block_windows(params: ConstructionParams, i: int) -> Callable[[int], tuple]:
+    """t -> the rows of the block form of A_i g^t, as MatrixGF stores them,
+    written down from the recurring sequence s of f_i.
+
+    Row j of P_i^t is x^(t+j) mod f_i = s_(t+j), so the X blocks of
+    _family_matrix are the windows s_t..s_(t+k-1) (beside I_k),
+    s_(t+k)..s_(t+d-1) and s_t..s_(t+k-2); the I rows are constant.
+    """
+    field, k, n = params.field, params.k, params.n
+    w1 = (params.s - i - 1) * k
+    d = i * k + params.h
+    seq = _recurring_sequence(_family_poly(params, i), field.q**d - 1 + d)
+    # each X row is joined to its head: I_k row j for the first k, else zero
+    if field.q == 2:
+        join = operator.or_
+        heads = [1 << d + k - 1 - j for j in range(k)] + [0] * (d - 1)
+        ident = [1 << n - 1 - r for r in range(w1)]
+    else:
+        join = operator.add
+        heads = [(0,) * (w1 + j) + (1,) + (0,) * (k - 1 - j) for j in range(k)]
+        heads += [(0,) * (w1 + k)] * (d - 1)
+        ident = [(0,) * r + (1,) + (0,) * (n - 1 - r) for r in range(w1)]
+
+    def rows(t: int) -> tuple:
+        out = list(map(join, heads, seq[t : t + d] + seq[t : t + k - 1]))
+        out[d:d] = ident
+        return tuple(out)
+
+    return rows
+
+
 @dataclass(frozen=True)
 class GeneratorEntry:
     """One generator matrix with its provenance inside the family and the
@@ -369,34 +459,38 @@ class GeneratorSet:
 
 
 def build_generator_set(params: ConstructionParams) -> GeneratorSet:
-    """Materialize every A_i g, B_i, and M, checking the block identity
-    A_i g = [0 | I_k | X^(k); 0 | 0 | X^[k]; I | 0 | 0; 0 | 0 | X^(k-1)]
-    for X the matching power of P_i, and the total count of distinct row
-    spaces against sum q^(ik+h) + 1.
+    """Materialize every A_i g^t, B_i and M, and check each A_i g^t on two
+    independent routes.
 
-    Each A_i g^t is formed from the one before as (A_i g^(t-1)) g, and the
-    order of g is checked once, as g^order == I."""
+    The matrix-product route forms A_i g^t from the one before as
+    (A_i g^(t-1)) g, g = blockdiag(I, I_k, P_i) the generator of G_i; each
+    product must keep full row rank.  The recurrence route writes down the
+    rows that the block identity
+    A_i g^t = [0 | I_k | X^(k); 0 | 0 | X^[k]; I | 0 | 0; 0 | 0 | X^(k-1)],
+    X = P_i^t, gives them: windows of the linear recurring sequence
+    x^t mod f_i, made from f_i's coefficients by shift-and-reduce
+    (_block_windows).  The two must agree for every t; no power of P_i and
+    no block matrix is formed per t.  Then g^(q^(ik+h) - 1) must be the
+    identity, and the distinct row spaces must number sum q^(ik+h) + 1."""
     entries: list[GeneratorEntry] = []
     n = params.n
     full_tv = TypeVector.full(n)
     ident_n = MatrixGF.identity(params.field, n)
     for i in range(1, params.s):
-        p_i = build_P(params, i)
         gen = build_G_generator(params, i)
         m_t = build_A(params, i)
         order = params.q ** (i * params.k + params.h) - 1
-        x_t = None
+        windows = _block_windows(params, i)
         for t in range(1, order + 1):
-            x_t = p_i if t == 1 else x_t @ p_i
             m_t = m_t @ gen
-            if m_t != _family_matrix(params, i, x_t, top_right=True):
-                raise TheoremViolated(
-                    f"A_{i} g^{t} does not match its block form"
-                )
             try:
                 flag = flag_from_matrix(m_t, full_tv)
             except RankDeficientPrefix:
                 raise TheoremViolated(f"A_{i} g^{t} lost row rank") from None
+            if m_t._rows != windows(t):
+                raise TheoremViolated(
+                    f"A_{i} g^{t} does not match its block form"
+                )
             entries.append(GeneratorEntry("A", i, t, m_t, flag))
         if gen**order != ident_n:
             raise TheoremViolated(f"G_{i} generator order does not divide {order}")
@@ -415,6 +509,24 @@ def build_generator_set(params: ConstructionParams) -> GeneratorSet:
     spaces = tuple(distinct[k].space for k in sorted(distinct))
     full = FlagCode(full_tv, (e.flag for e in entries))
     return GeneratorSet(params, tuple(entries), spaces, full)
+
+
+def _group_order(g: MatrixGF, n: int, budget: int) -> int:
+    """The multiplicative order of ``g``, certified by prime descent from a
+    multiple n of it.
+
+    g^n must be the identity, or TheoremViolated is raised.  Then for each
+    prime r dividing n, n is divided by r while g^(n/r) is still the
+    identity; what is left is the order.  Each step is one power, O(log n)
+    products, where walking the powers up to the identity (matrix_order)
+    takes n."""
+    ident = MatrixGF.identity(g.field, g.nrows)
+    if g**n != ident:
+        raise TheoremViolated(f"generator order does not divide {n}")
+    for r in factorize(n, budget):
+        while n % r == 0 and g ** (n // r) == ident:
+            n //= r
+    return n
 
 
 def build_full_flag_code(
@@ -845,7 +957,9 @@ def run_claim_suite(
             f"group.family{i}.order",
             f"G_{i} has order q^(ik+h) - 1 = {order}",
             order,
-            lambda i=i: matrix_order(build_G_generator(params, i)),
+            lambda i=i, order=order: _group_order(
+                build_G_generator(params, i), order, params.factor_budget
+            ),
         )
 
     rep.extend(verify_spread_projections(params, gen))

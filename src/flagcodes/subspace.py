@@ -654,8 +654,8 @@ def max_partial_spread_size(q: int, k: int, n: int) -> int:
 class GroupElementSeq:
     """A cyclic matrix group given by a generator and its multiplicative order.
 
-    Elements are materialized lazily as successive powers; the full group is
-    never stored.
+    Only the generator is stored; the orbit walk steps its images by it
+    instead of forming its powers.
     """
 
     generator: MatrixGF
@@ -674,15 +674,6 @@ class GroupElementSeq:
     def ambient(self) -> int:
         return self.generator.nrows
 
-    def powers(self) -> Iterator[tuple[int, MatrixGF]]:
-        """Yield (t, generator**t) for t = 1..order."""
-        g = self.generator
-        power = g
-        yield 1, power
-        for t in range(2, self.order + 1):
-            power = power @ g
-            yield t, power
-
 
 def orbit_code(u: Subspace, group: GroupElementSeq) -> SubspaceCode:
     """The set of distinct images of ``u`` under the cyclic group."""
@@ -695,12 +686,20 @@ def stabilizer_order(u: Subspace, group: GroupElementSeq) -> int:
 
 
 def _orbit_walk(u: Subspace, group: GroupElementSeq) -> tuple[SubspaceCode, int]:
-    """(orbit code, stabilizer order) of ``u`` from one walk over the group:
-    every element transforms ``u`` once, and the images equal to ``u`` are
-    the fixed points."""
+    """(orbit code, stabilizer order) of ``u`` from one walk over the group.
+
+    The image is stepped, U_t = U_(t-1) g for t = 1..order, each step a
+    product with the generator g that Subspace.transform canonicalizes
+    afresh, so no power g^t is formed.  U_t is the image of ``u`` under
+    g^t, and the images equal to ``u`` are the fixed points."""
     if group.ambient != u.ambient:
         raise AmbientMismatch(
             f"{group.ambient}x{group.ambient} group acting on ambient {u.ambient}"
         )
-    images = [u.transform(g) for _, g in group.powers()]
+    g = group.generator
+    images = []
+    w = u
+    for _ in range(group.order):
+        w = w.transform(g)
+        images.append(w)
     return SubspaceCode(u.ambient, images), images.count(u)

@@ -11,8 +11,9 @@ level-by-level code scan, one elimination basis per pair instead of the
 bit-sliced scan over the prime field, and whole-matrix Gauss-Jordan
 elimination (``rref_oracle``) instead of the one-row-at-a-time fully reduced
 insert that ``MatrixGF.rref``, ``subspace_of`` and ``flag_from_matrix`` share,
-and flags rebuilt through the nesting-checked ``Flag`` constructor instead of
-the unchecked restriction ``subsequence_code`` makes.
+flags rebuilt through the nesting-checked ``Flag`` constructor instead of
+the unchecked restriction ``subsequence_code`` makes, and each orbit image
+made from a fresh power g**t instead of stepped by g (``orbit_by_powers``).
 """
 
 from __future__ import annotations
@@ -118,6 +119,23 @@ def check_intersection_oracle(n: int) -> int:
             assert fc.intersection_dim(u, v) == expected
             pairs += 1
     return pairs
+
+
+# -- cyclic orbits ---------------------------------------------------------------
+
+
+def orbit_by_powers(u: fc.Subspace, g: fc.MatrixGF, order: int) -> tuple[fc.SubspaceCode, int]:
+    """(orbit code, stabilizer order) of ``u`` under the cyclic group of
+    ``g``, from g**t formed afresh for every t = 1..order and each image the
+    explicit product ``mat_mul_oracle`` of u's generator and g**t, reduced by
+    ``rref_oracle``; independent of the orbit walk, which steps one image by
+    g and canonicalizes it through Subspace.transform."""
+    images = []
+    for t in range(1, order + 1):
+        image = fc.MatrixGF(u.field, mat_mul_oracle(u.canon, g**t), ncols=u.ambient)
+        reduced, rank = rref_oracle(image)
+        images.append(fc.Subspace(u.field, u.ambient, key_rows_oracle(reduced.first_rows(rank))))
+    return fc.SubspaceCode(u.ambient, images), images.count(u)
 
 
 # -- companion-matrix row structure ----------------------------------------------

@@ -3,8 +3,10 @@ from __future__ import annotations
 import pytest
 
 import flagcodes as fc
+from _checks import orbit_by_powers
 from flagcodes import construct
-from flagcodes.errors import NotASubsequence
+from flagcodes.errors import FactorizationTooLarge, NotASubsequence, TheoremViolated
+from flagcodes.subspace import _orbit_walk
 
 P223 = fc.ConstructionParams.make(2, 2, 1, 3)
 GEN223 = fc.build_generator_set(P223)
@@ -45,23 +47,43 @@ class TestBuildP:
 
 
 class TestPrimitivePolySearch:
-    def test_searched_once_per_degree(self, monkeypatch):
-        construct._primitive_poly.cache_clear()
-        searched = []
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        """The degrees of the searches started, from a cleared search cache."""
+        monkeypatch.setattr(construct, "_primitive_searches", {})
+        degrees = []
         search = construct.iter_primitive_polys
 
         def counting(field, degree, budget):
-            searched.append(degree)
+            degrees.append(degree)
             return search(field, degree, budget)
 
         monkeypatch.setattr(construct, "iter_primitive_polys", counting)
+        return degrees
+
+    def test_searched_once_per_degree(self, searched):
         assert fc.run_claim_suite(fc.ConstructionParams.make(2, 2, 1, 3)).all_pass
         assert sorted(searched) == [3, 5]
+
+    def test_later_choice_resumes_the_search(self, searched):
+        field = fc.field_from_order(3)
+        for choice in (0, 1, 0, 1):
+            params = fc.ConstructionParams.make(3, 2, 0, 3, poly_choice=choice)
+            for i in (1, 2):
+                want = list(fc.iter_primitive_polys(field, 2 * i))[choice]
+                assert fc.build_P(params, i) == fc.companion(want)
+        assert sorted(searched) == [2, 4]
 
     def test_missing_polynomial_raises_every_time(self):
         params = fc.ConstructionParams.make(2, 2, 0, 2, poly_choice=1)
         for _ in range(2):
             with pytest.raises(ValueError, match="there are only 1"):
+                fc.build_P(params, 1)
+
+    def test_failed_search_raises_every_time(self):
+        params = fc.ConstructionParams.make(2, 2, 1, 2, factor_budget=1)
+        for _ in range(2):
+            with pytest.raises(FactorizationTooLarge):
                 fc.build_P(params, 1)
 
 
@@ -169,6 +191,163 @@ class TestGeneratorSet:
         order = 2**3 - 1
         last = GEN223.entry("A", 1, order)
         assert last.matrix == fc.build_A(P223, 1)
+
+
+# one instance per field kind: GF(2), a prime field, and two extensions
+ROUTE_INSTANCES = [(2, 2, 1, 2), (3, 2, 0, 2), (4, 2, 0, 2), (9, 2, 0, 2)]
+# (instance, family) with a composite group order q^(ik+h) - 1
+COMPOSITE_ORDERS = [((2, 2, 0, 3), 2), ((3, 2, 0, 2), 1), ((4, 2, 0, 2), 1), ((9, 2, 0, 2), 1)]
+COMPOSITE_IDS = ["q{}k{}h{}s{}-family{}".format(*qkhs, i) for qkhs, i in COMPOSITE_ORDERS]
+
+
+def _params_id(qkhs) -> str:
+    return "q{}k{}h{}s{}".format(*qkhs)
+
+
+class TestTwoRoutes:
+    """The product route A_i g^t against the windows of f_i's recurring
+    sequence, the order descent, and the stepped orbit walk: each failure
+    reaches its error or its claim."""
+
+    @pytest.mark.parametrize("qkhs", ROUTE_INSTANCES, ids=_params_id)
+    def test_windows_are_the_block_form(self, qkhs):
+        params = fc.ConstructionParams.make(*qkhs)
+        for i in range(1, params.s):
+            windows = construct._block_windows(params, i)
+            assert windows(0) == fc.build_A(params, i)._rows
+            p = fc.build_P(params, i)
+            x = p
+            for t in range(1, min(params.q ** (i * params.k + params.h), 40)):
+                assert windows(t) == construct._family_matrix(params, i, x, True)._rows
+                x = x @ p
+
+    @pytest.mark.parametrize("qkhs", ROUTE_INSTANCES, ids=_params_id)
+    def test_wrong_window_fails(self, qkhs, monkeypatch):
+        # the recurrence of another primitive polynomial of the same degree
+        params = fc.ConstructionParams.make(*qkhs)
+        f1 = construct._family_poly(params, 1)
+        other = next(f for f in fc.iter_primitive_polys(params.field, f1.degree) if f != f1)
+        real = construct._recurring_sequence
+        monkeypatch.setattr(
+            construct, "_recurring_sequence",
+            lambda f, length: real(other if f == f1 else f, length),
+        )
+        with pytest.raises(TheoremViolated, match=r"A_1 g\^1 does not match its block form"):
+            fc.build_generator_set(params)
+
+    @pytest.mark.parametrize("qkhs", ROUTE_INSTANCES, ids=_params_id)
+    def test_singular_generator_loses_rank(self, qkhs, monkeypatch):
+        # a zero first row in the I_k block: A_1 holds that unit vector
+        params = fc.ConstructionParams.make(*qkhs)
+        real = construct.build_G_generator
+
+        def singular(params, i):
+            rows = list(real(params, i).int_rows())
+            rows[(params.s - i - 1) * params.k] = (0,) * params.n
+            return fc.MatrixGF(params.field, rows)
+
+        monkeypatch.setattr(construct, "build_G_generator", singular)
+        with pytest.raises(TheoremViolated, match=r"A_1 g\^1 lost row rank"):
+            fc.build_generator_set(params)
+
+    @pytest.mark.parametrize("qkhs,i", COMPOSITE_ORDERS, ids=COMPOSITE_IDS)
+    def test_proper_divisor_order_fails_its_claim(self, qkhs, i, monkeypatch):
+        # g^r, r the least prime of the group order N, has order N/r
+        params = fc.ConstructionParams.make(*qkhs)
+        gen = fc.build_generator_set(params)
+        order = params.q ** (i * params.k + params.h) - 1
+        r = min(fc.factorize(order))
+        real = construct.build_G_generator
+
+        def short(params, j):
+            g = real(params, j)
+            return g**r if j == i else g
+
+        monkeypatch.setattr(construct, "build_generator_set", lambda params: gen)
+        monkeypatch.setattr(construct, "build_G_generator", short)
+        report = fc.run_claim_suite(params)
+        claims = {c.claim_id: c for c in report.claims}
+        claim = claims[f"group.family{i}.order"]
+        assert (claim.expected, claim.computed, claim.passed) == (order, order // r, False)
+        assert fc.matrix_order(short(params, i)) == order // r
+        failed = {c.claim_id for c in report.claims if not c.passed}
+        assert failed == {f"group.family{i}.order", f"orbit.family{i}.size",
+                          f"orbit.family{i}.stabilizer", "orbit.union_matches"}
+
+    @pytest.mark.parametrize("qkhs,i", COMPOSITE_ORDERS, ids=COMPOSITE_IDS)
+    def test_order_not_dividing_raises(self, qkhs, i):
+        params = fc.ConstructionParams.make(*qkhs)
+        g = fc.build_G_generator(params, i)
+        order = params.q ** (i * params.k + params.h) - 1
+        assert construct._group_order(g, order, params.factor_budget) == order
+        for wrong in (order - 1, order + 1, 2 * order - 1):
+            with pytest.raises(TheoremViolated, match=f"does not divide {wrong}"):
+                construct._group_order(g, wrong, params.factor_budget)
+
+    @pytest.mark.parametrize("q,d", [(2, 4), (3, 3), (4, 2), (9, 2)])
+    def test_descent_matches_the_power_walk(self, q, d):
+        # every invertible companion matrix of degree d, from a multiple of
+        # its order with repeated prime factors
+        field = fc.field_from_order(q)
+        for m in range(q**d):
+            coeffs = [(m // q**j) % q for j in range(d)] + [1]
+            if not coeffs[0]:
+                continue
+            g = fc.companion(fc.Poly(field, coeffs))
+            order = fc.matrix_order(g)
+            assert construct._group_order(g, 12 * order, 10**6) == order
+
+    @pytest.mark.parametrize("qkhs", ROUTE_INSTANCES + [(2, 2, 1, 3)], ids=_params_id)
+    def test_stepped_orbit_walk_matches_powers(self, qkhs):
+        params = fc.ConstructionParams.make(*qkhs)
+        for i in range(1, params.s):
+            order = params.q ** (i * params.k + params.h) - 1
+            g = fc.build_G_generator(params, i)
+            seed = fc.subspace_of(fc.build_A(params, i))
+            orbit, fixed = _orbit_walk(seed, fc.GroupElementSeq(g, order))
+            assert (orbit, fixed) == orbit_by_powers(seed, g, order)
+            assert (len(orbit), fixed) == (order, 1)
+
+    def test_stepped_orbit_walk_matches_powers_with_stabilizer(self):
+        gf2 = fc.field_from_order(2)
+        p = fc.companion(fc.Poly(gf2, [1, 1, 1]))
+        g = fc.block(gf2, [[fc.MatrixGF.identity(gf2, 2), None], [None, p]])
+        group = fc.GroupElementSeq(g, 3)
+        left = fc.subspace_of(fc.MatrixGF(gf2, [[1, 0, 0, 0], [0, 1, 0, 0]]))
+        mixed = fc.subspace_of(fc.MatrixGF(gf2, [[1, 0, 1, 0]]))
+        assert _orbit_walk(left, group) == orbit_by_powers(left, g, 3)
+        assert _orbit_walk(left, group)[1] == 3
+        assert _orbit_walk(mixed, group) == orbit_by_powers(mixed, g, 3)
+        assert _orbit_walk(mixed, group)[1] == 1
+
+    @pytest.mark.parametrize("q,d", [(2, 4), (2, 6), (3, 4), (4, 2), (9, 2)])
+    def test_stepped_orbit_walk_matches_powers_on_a_singer_cycle(self, q, d):
+        # g multiplies GF(q^d) by a primitive element a; the subfield GF(q^2),
+        # spanned by 1 and a^(N/(q^2-1)), has a stabilizer of order q^2 - 1
+        field = fc.field_from_order(q)
+        g = fc.companion(fc.find_primitive_poly(field, d))
+        order = q**d - 1
+        group = fc.GroupElementSeq(g, order)
+        # row 0 of g^t is x^t mod f
+        beta = (g ** (order // (q * q - 1))).int_rows()[0]
+        subfield = [(1,) + (0,) * (d - 1), beta]
+        for rows in [subfield, *_small_spaces(field, d)]:
+            u = fc.subspace_of(fc.MatrixGF(field, rows))
+            walked = _orbit_walk(u, group)
+            assert walked == orbit_by_powers(u, g, order)
+            assert len(walked[0]) * walked[1] == order
+        assert _orbit_walk(fc.subspace_of(fc.MatrixGF(field, subfield)), group)[1] == q * q - 1
+
+
+def _small_spaces(field, d):
+    """The row spaces of a few one- and two-row matrices over field^d."""
+    q = field.q
+    vectors = [tuple((m // q**j) % q for j in range(d)) for m in range(1, min(q**d, 40))]
+    yield from ([v] for v in vectors[:8])
+    for a in vectors[:4]:
+        for b in vectors[4:8]:
+            if fc.MatrixGF(field, [a, b]).rank() == 2:
+                yield [a, b]
 
 
 class TestFullFlagCodes:

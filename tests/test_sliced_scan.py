@@ -18,6 +18,7 @@ calls a scan makes.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -33,10 +34,10 @@ NO_SECOND_POLY = {(2, 2, 0, 2), (2, 2, 0, 3)}
 SWEEP_CHOICES = [(qkhs, c) for qkhs in GF2_SWEEP for c in (0, 1) if not (c and qkhs in NO_SECOND_POLY)]
 
 
-def check_chains(chains) -> int:
+def check_chains(chains, want: Counter | None = None) -> int:
     """The kernel's profile on the level rows of the flags the chains make
-    (Flag(type, parts)._levels()) equals the oracle's; returns the pair
-    count."""
+    (Flag(type, parts)._levels()) equals ``want``, the oracle's profile of
+    the chains (computed here when not given); returns the pair count."""
     chains = [tuple(chain) for chain in chains]
     field, ambient = (chains[0][0].field, chains[0][0].ambient) if chains else (None, 0)
     levels = [
@@ -44,7 +45,7 @@ def check_chains(chains) -> int:
         for chain in chains
     ]
     got = _distance_profile(levels, field, ambient)
-    assert got == pairwise_profile(chains)
+    assert got == (pairwise_profile(chains) if want is None else want)
     n = len(chains)
     assert sum(got.values()) == n * (n - 1) // 2
     return n * (n - 1) // 2
@@ -52,9 +53,12 @@ def check_chains(chains) -> int:
 
 def check_code(code: fc.FlagCode) -> int:
     """check_chains on a flag code's parts, and the code's own profile (its
-    flags' level rows, or its parent's profile) equal to the oracle's."""
-    pairs = check_chains(f.parts for f in code)
-    assert code.distance_profile() == pairwise_profile([f.parts for f in code])
+    flags' level rows, or its parent's profile) equal to the oracle's; the
+    oracle runs once for both."""
+    chains = [f.parts for f in code]
+    want = pairwise_profile(chains)
+    pairs = check_chains(chains, want)
+    assert code.distance_profile() == want
     return pairs
 
 
