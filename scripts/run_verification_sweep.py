@@ -10,9 +10,11 @@ Usage:
 --big adds the n = 11 instance (2,2,1,5) and the n = 13 instance (2,2,1,6),
 with 231,540 and 3,722,356 pairwise distances, the n = 7 instances
 (3,2,1,3) and (4,2,1,3) over GF(3) and GF(4), with 271 and 1,089 flags
-(36,585 and 592,416 pairs), and the n = 8 instance (3,2,0,4) over GF(3),
-with 820 flags (335,790 pairs); each suite takes seconds, not minutes, with
-the bit-sliced scans over GF(2) and GF(3).  --poly-choice C builds every
+(36,585 and 592,416 pairs), the n = 8 instance (3,2,0,4) over GF(3),
+with 820 flags (335,790 pairs), and the n = 5 instance (5,2,1,2) over
+GF(5), with 126 flags (7,875 pairs); each suite takes seconds, not minutes,
+with the bit-sliced scans over GF(2) and GF(3) and the per-pair scan over
+GF(5).  The standard grid runs GF(5) and GF(7) at n = 4.  --poly-choice C builds every
 instance from the C-th smallest primitive polynomials; an instance whose
 field has fewer than C + 1 of some degree it needs is reported as skipped
 and left out of the JSON dump.
@@ -36,6 +38,8 @@ INSTANCES: list[tuple[int, int, int, int]] = [
     (2, 2, 0, 3),
     (2, 2, 1, 3),
     (2, 2, 1, 4),
+    (5, 2, 0, 2),
+    (7, 2, 0, 2),
 ]
 
 BIG_INSTANCES: list[tuple[int, int, int, int]] = [
@@ -44,6 +48,7 @@ BIG_INSTANCES: list[tuple[int, int, int, int]] = [
     (3, 2, 1, 3),
     (4, 2, 1, 3),
     (3, 2, 0, 4),
+    (5, 2, 1, 2),
 ]
 
 
@@ -66,7 +71,7 @@ def main() -> int:
     parser.add_argument("--json", help="write all claims to this JSON file")
     parser.add_argument("--big", action="store_true",
                         help="include the n = 11 and n = 13 GF(2), the n = 7 GF(3) and "
-                             "GF(4) and the n = 8 GF(3) instances")
+                             "GF(4), the n = 8 GF(3) and the n = 5 GF(5) instances")
     parser.add_argument("--poly-choice", type=int, default=0)
     args = parser.parse_args()
 

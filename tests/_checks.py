@@ -25,7 +25,10 @@ from itertools import combinations, islice
 import flagcodes as fc
 
 # scripts/run_verification_sweep.py INSTANCES, as (q, k, h, s)
-SWEEP = [(2, 2, 0, 2), (2, 2, 1, 2), (2, 3, 2, 2), (3, 2, 1, 2), (2, 2, 0, 3), (2, 2, 1, 3), (2, 2, 1, 4)]
+SWEEP = [
+    (2, 2, 0, 2), (2, 2, 1, 2), (2, 3, 2, 2), (3, 2, 1, 2), (2, 2, 0, 3), (2, 2, 1, 3), (2, 2, 1, 4),
+    (5, 2, 0, 2), (7, 2, 0, 2),
+]
 
 
 def poly_choices(q: int, k: int, h: int, s: int) -> list[int]:
