@@ -63,10 +63,10 @@ from .flags import (
 )
 from .matgf import MatrixGF, _pack, block, companion
 from .subspace import (
-    GroupElementSeq,
     Subspace,
     SubspaceCode,
-    _orbit_walk,
+    _hyperplane_normal,
+    _normal_walk,
     code_min_distance,
     is_partial_spread,
     max_partial_spread_size,
@@ -790,7 +790,16 @@ def verify_orbit_decomposition(
     params: ConstructionParams, gen: GeneratorSet | None = None
 ) -> VerificationReport:
     """Check that the generator family is the disjoint union of s-1 full
-    orbits (trivial stabilizers) plus the s extra spaces from the B_i and M."""
+    orbits (trivial stabilizers) plus the s extra spaces from the B_i and M.
+
+    Every space here is a hyperplane, and each is compared by its normal
+    vector, read off its RREF key (_hyperplane_normal).  The orbit of A_i
+    under G_i is walked on its normal: N = q^(ik+h) - 1 steps
+    c_t = g^-1 c_(t-1) give the normals of A_i g^t for t = 1..N
+    (_normal_walk), one sparse matrix-vector product each, with g^-1 taken
+    from the rref of [g | I].  The walk shares no per-step arithmetic with
+    the generator set's products A_i g^t.  The orbit is the set of the c_t,
+    and the stabilizer counts the c_t equal to c_0."""
     gen = gen or build_generator_set(params)
     rep = VerificationReport(params.describe())
     k, h, s = params.k, params.h, params.s
@@ -798,11 +807,10 @@ def verify_orbit_decomposition(
     orbit_keys: list[set] = []
     for i in range(1, s):
         order = params.q ** (i * k + h) - 1
-        group = GroupElementSeq(build_G_generator(params, i), order)
-        seed = subspace_of(build_A(params, i))
-        # one walk over G_i gives both the orbit and the fixed points of A_i
-        orbit, fixed = _orbit_walk(seed, group)
-        orbit_keys.append({w.key for w in orbit})
+        seed = _hyperplane_normal(subspace_of(build_A(params, i)))
+        walk = _normal_walk(seed, build_G_generator(params, i), order)
+        orbit = set(walk)
+        orbit_keys.append(orbit)
         rep.check(
             f"orbit.family{i}.size",
             f"the orbit of A_{i} under G_{i} has q^(ik+h) - 1 = {order} spaces",
@@ -813,7 +821,7 @@ def verify_orbit_decomposition(
             f"orbit.family{i}.stabilizer",
             f"the stabilizer of A_{i} in G_{i} is trivial",
             1,
-            lambda fixed=fixed: fixed,
+            lambda walk=walk, seed=seed: walk.count(seed),
         )
     rep.check(
         "orbit.pairwise_disjoint",
@@ -826,7 +834,7 @@ def verify_orbit_decomposition(
         ),
     )
     extras = [gen.entry("B", i).space for i in range(1, s)] + [gen.entry("M").space]
-    extra_keys = {w.key for w in extras}
+    extra_keys = {_hyperplane_normal(w) for w in extras}
     rep.check(
         "orbit.extras_distinct",
         "the B_i and M spaces are mutually distinct and outside every orbit",
@@ -838,7 +846,8 @@ def verify_orbit_decomposition(
         "orbit.union_matches",
         "orbits plus extras reproduce the whole generator family",
         True,
-        lambda: set.union(extra_keys, *orbit_keys) == {w.key for w in gen.spaces},
+        lambda: set.union(extra_keys, *orbit_keys)
+        == {_hyperplane_normal(w) for w in gen.spaces},
     )
     return rep
 

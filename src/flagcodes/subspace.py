@@ -16,13 +16,15 @@ from operator import attrgetter
 
 from .errors import (
     AmbientMismatch,
+    DimMismatch,
     HypothesisUnmet,
     NotConstantDim,
+    Singular,
     TooFewWords,
     ZeroRank,
 )
 from .field import FieldSpec
-from .matgf import MatrixGF, _expect_end, _reduce_into, _rref_rows, matrix_to_text, read_matrix
+from .matgf import MatrixGF, _expect_end, _reduce_into, _rref_rows, block, matrix_to_text, read_matrix
 
 __all__ = [
     "GroupElementSeq",
@@ -489,12 +491,13 @@ def _sliced_profile(levels: list, n: int, p: int) -> Counter:
 
 
 def _sliced_insert(row: list[int], has: list[int], pivots: list[list[int]], active: int) -> int:
-    """Insert one GF(2) row per partner into the partners' bit-sliced
-    echelon bases; return the mask of partners for which it was independent.
+    """Insert one GF(2) row per pair into the pairs' bit-sliced echelon
+    bases; return the mask of pairs for which it was independent.
 
-    ``row[c]`` is entry c of each partner's row.  Columns go in increasing
-    order, as the pivot of a row is its first nonzero column: at column c the
-    partners still reducing whose row has bit c either clear it with their
+    Each bit is one (chain, partner) pair of _sliced_profile, and
+    ``row[c]`` is entry c of each pair's row.  Columns go in increasing
+    order, as the pivot of a row is its first nonzero column: at column c
+    the pairs still reducing whose row has bit c either clear it with their
     pivot row there (has[c] set) or take the row as that pivot.
     """
     n = len(row)
@@ -524,13 +527,13 @@ def _sliced_insert(row: list[int], has: list[int], pivots: list[list[int]], acti
 
 def _sliced_insert3(row: list[int], has: list[int], pivots: list[list[int]], active: int) -> int:
     """_sliced_insert over GF(3): ``row[c]`` and ``row[n + c]`` are the
-    partners whose entry at column c is 1 and 2 (Boothby and Bradshaw's
-    two-plane encoding), and every stored pivot entry is 1.
+    (chain, partner) pairs whose entry at column c is 1 and 2 (Boothby and
+    Bradshaw's two-plane encoding), and every stored pivot entry is 1.
 
-    At column c, partners with a pivot row there whose entry is 1 subtract
+    At column c, pairs with a pivot row there whose entry is 1 subtract
     that row and those whose entry is 2 add it.  A GF(3) sum a + b of two
     plane pairs is t = (a1 | b2) ^ (a2 | b1), then ones (a2 | b2) ^ t and
-    twos (a1 | b1) ^ t.  A partner that takes the row as a new pivot with
+    twos (a1 | b1) ^ t.  A pair that takes the row as a new pivot with
     entry 2 first negates it, which swaps its two planes.
     """
     n = len(has)
@@ -579,8 +582,9 @@ def _sliced_insert3(row: list[int], has: list[int], pivots: list[list[int]], act
 
 
 def _split_by_counter(mask: int, counter: Sequence[int]) -> list[tuple[int, int]]:
-    """(value, partners) for every value the bit-sliced ``counter`` takes on
-    the partners in ``mask``; the partner sets are nonempty and disjoint."""
+    """(value, pairs) for every value the bit-sliced ``counter`` takes on the
+    (chain, partner) pairs in ``mask``, one bit each; the sets of pairs are
+    nonempty and disjoint."""
     parts = [(0, mask)] if mask else []
     for b, plane in enumerate(counter):
         split = []
@@ -691,7 +695,9 @@ def _orbit_walk(u: Subspace, group: GroupElementSeq) -> tuple[SubspaceCode, int]
     The image is stepped, U_t = U_(t-1) g for t = 1..order, each step a
     product with the generator g that Subspace.transform canonicalizes
     afresh, so no power g^t is formed.  U_t is the image of ``u`` under
-    g^t, and the images equal to ``u`` are the fixed points."""
+    g^t, and the images equal to ``u`` are the fixed points.  Any subspace
+    walks here; the claim suite walks its hyperplanes on their normals
+    (_normal_walk), and this walk is the tests' oracle for that one."""
     if group.ambient != u.ambient:
         raise AmbientMismatch(
             f"{group.ambient}x{group.ambient} group acting on ambient {u.ambient}"
@@ -703,3 +709,83 @@ def _orbit_walk(u: Subspace, group: GroupElementSeq) -> tuple[SubspaceCode, int]
         w = w.transform(g)
         images.append(w)
     return SubspaceCode(u.ambient, images), images.count(u)
+
+
+def _hyperplane_normal(u: Subspace):
+    """The normal c of the hyperplane ``u`` = {x : x.c = 0}, scaled so that
+    its last nonzero entry is 1: a bitmask over GF(2), column 0 the most
+    significant bit, and a code tuple otherwise.
+
+    Read off the RREF key in closed form: with j the one column that holds
+    no pivot, c_j = 1 and c_(p_i) = -R_i[j] for the pivot column p_i of
+    each key row R_i.  Then R_i.c = R_i[j] - R_i[j] = 0.  A row whose pivot
+    lies after j is 0 at j, so c_j is the last nonzero entry."""
+    n = u.ambient
+    if u.dim != n - 1:
+        raise DimMismatch(f"a dim-{u.dim} subspace of {u.field}^{n} is not a hyperplane")
+    rows = u._key[1]
+    if u.field.q == 2:
+        free = (1 << n) - 1
+        for row in rows:
+            free ^= 1 << row.bit_length() - 1
+        c = free
+        for row in rows:
+            if row & free:
+                c |= 1 << row.bit_length() - 1
+        return c
+    neg = u.field.neg
+    pivots = [row.index(1) for row in rows]
+    j = n * (n - 1) // 2 - sum(pivots)
+    c = [0] * n
+    c[j] = 1
+    for p, row in zip(pivots, rows):
+        c[p] = neg(row[j])
+    return tuple(c)
+
+
+def _normal_walk(c, g: MatrixGF, steps: int) -> list:
+    """[c_1, ..., c_steps], c_t = g^-1 c_(t-1) scaled so that its last
+    nonzero entry is 1, from c_0 = ``c`` in the form _hyperplane_normal
+    gives.
+
+    If U = {x : x.c = 0}, then U g = {x g : x.c = 0} = {y : y.(g^-1 c) = 0},
+    so c_t is the normal of U g^t for every t: the walk steps with g^-1,
+    not g, and assumes nothing about the order of g.  g^-1 is the right
+    half of the RREF of [g | I]; a singular g raises Singular.  Each step
+    is one sparse matrix-vector product: over GF(2) one parity per row of
+    g^-1, otherwise a sum over the row's nonzero entries."""
+    field, n = g.field, g.nrows
+    eye = MatrixGF.identity(field, n)
+    reduced = block(field, [[g, eye]]).rref()[0]._rows
+    if field.q == 2:
+        left, inverse = [row >> n for row in reduced], [row & (1 << n) - 1 for row in reduced]
+    else:
+        left, inverse = [row[:n] for row in reduced], [row[n:] for row in reduced]
+    if left != list(eye._rows):
+        raise Singular("the group generator is singular")
+    walk = []
+    if field.q == 2:
+        for _ in range(steps):
+            x = 0
+            for row in inverse:
+                x = x << 1 | (row & c).bit_count() & 1
+            c = x
+            walk.append(c)
+        return walk
+    add, mul, inv = field.add, field.mul, field.inv
+    terms = [[(j, v) for j, v in enumerate(row) if v] for row in inverse]
+    for _ in range(steps):
+        x = []
+        for row in terms:
+            acc = 0
+            for j, v in row:
+                if c[j]:
+                    acc = add(acc, mul(v, c[j]))
+            x.append(acc)
+        last = next(v for v in reversed(x) if v)
+        if last != 1:
+            scale = inv(last)
+            x = [mul(scale, v) for v in x]
+        c = tuple(x)
+        walk.append(c)
+    return walk

@@ -12,15 +12,18 @@ bit-sliced scan over the prime field, and whole-matrix Gauss-Jordan
 elimination (``rref_oracle``) instead of the one-row-at-a-time fully reduced
 insert that ``MatrixGF.rref``, ``subspace_of`` and ``flag_from_matrix`` share,
 flags rebuilt through the nesting-checked ``Flag`` constructor instead of
-the unchecked restriction ``subsequence_code`` makes, and each orbit image
-made from a fresh power g**t instead of stepped by g (``orbit_by_powers``).
+the unchecked restriction ``subsequence_code`` makes, each orbit image
+made from a fresh power g**t instead of stepped by g (``orbit_by_powers``),
+and a hyperplane's normal found among all q^n vectors instead of read off
+its RREF key (``normal_oracle``).
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import combinations, islice
+from functools import lru_cache
+from itertools import combinations, islice, product
 
 import flagcodes as fc
 
@@ -139,6 +142,40 @@ def orbit_by_powers(u: fc.Subspace, g: fc.MatrixGF, order: int) -> tuple[fc.Subs
         reduced, rank = rref_oracle(image)
         images.append(fc.Subspace(u.field, u.ambient, key_rows_oracle(reduced.first_rows(rank))))
     return fc.SubspaceCode(u.ambient, images), images.count(u)
+
+
+@lru_cache(maxsize=None)
+def _scaled_vectors(field: fc.FieldSpec, n: int) -> tuple[tuple[int, ...], ...]:
+    """Every vector of GF(q)^n whose last nonzero entry is 1."""
+    return tuple(
+        v for v in product(range(field.q), repeat=n)
+        if any(v) and next(x for x in reversed(v) if x) == 1
+    )
+
+
+def normal_oracle(u: fc.Subspace):
+    """The normal c of the hyperplane ``u`` = {x : x.c = 0} whose last
+    nonzero entry is 1, found by trying every such vector of GF(q)^n against
+    every row of u's generator; in the form of the package's rows, a
+    bitmask over GF(2) (column 0 the most significant bit) and a code tuple
+    otherwise."""
+    field = u.field
+    add, mul = field.add, field.mul
+    rows = u.canon.int_rows()
+    found = []
+    for c in _scaled_vectors(field, u.ambient):
+        for row in rows:
+            dot = 0
+            for a, b in zip(row, c):
+                if a and b:
+                    dot = add(dot, mul(a, b))
+            if dot:
+                break
+        else:
+            found.append(c)
+    assert len(found) == 1, f"{len(found)} normals: not a hyperplane"
+    c = found[0]
+    return int("".join(map(str, c)), 2) if field.q == 2 else c
 
 
 # -- companion-matrix row structure ----------------------------------------------

@@ -3,10 +3,10 @@ from __future__ import annotations
 import pytest
 
 import flagcodes as fc
-from _checks import orbit_by_powers
+from _checks import enumerate_gf2_subspaces, gf2_subspace_from_vectors, normal_oracle, orbit_by_powers
 from flagcodes import construct
-from flagcodes.errors import FactorizationTooLarge, NotASubsequence, TheoremViolated
-from flagcodes.subspace import _orbit_walk
+from flagcodes.errors import DimMismatch, FactorizationTooLarge, NotASubsequence, Singular, TheoremViolated
+from flagcodes.subspace import _hyperplane_normal, _normal_walk, _orbit_walk
 
 P223 = fc.ConstructionParams.make(2, 2, 1, 3)
 GEN223 = fc.build_generator_set(P223)
@@ -348,6 +348,86 @@ def _small_spaces(field, d):
         for b in vectors[4:8]:
             if fc.MatrixGF(field, [a, b]).rank() == 2:
                 yield [a, b]
+
+
+def _hyperplanes(field, n):
+    """Every hyperplane of field^n, found without normals: over GF(2) among
+    all subspaces as vector sets, otherwise (n = 3 only) as the spans of two
+    distinct projective points."""
+    q = field.q
+    if q == 2:
+        found = [gf2_subspace_from_vectors(vs, n) for vs in enumerate_gf2_subspaces(n)
+                 if len(vs) == 2 ** (n - 1)]
+    else:
+        assert n == 3
+        vectors = (tuple((m // q**j) % q for j in range(n)) for m in range(1, q**n))
+        points = [v for v in vectors if next(x for x in reversed(v) if x) == 1]
+        spans = (fc.subspace_of(fc.MatrixGF(field, [a, b]))
+                 for i, a in enumerate(points) for b in points[i + 1:])
+        found = list({w.key: w for w in spans}.values())
+    assert len(found) == (q**n - 1) // (q - 1)
+    return found
+
+
+class TestNormalWalk:
+    """A hyperplane's orbit walked on its normal vector against the oracle
+    normal of every image of the stepped walk and of the walk by powers."""
+
+    @pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (4, 3), (5, 3)])
+    def test_closed_form_normal_matches_the_oracle(self, q, n):
+        for u in _hyperplanes(fc.field_from_order(q), n):
+            assert _hyperplane_normal(u) == normal_oracle(u)
+
+    def test_a_plane_of_gf2_4_is_refused(self):
+        gf2 = fc.field_from_order(2)
+        plane = fc.subspace_of(fc.MatrixGF(gf2, [[1, 0, 0, 1], [0, 1, 1, 0]]))
+        with pytest.raises(DimMismatch, match="not a hyperplane"):
+            _hyperplane_normal(plane)
+
+    @pytest.mark.parametrize("qkhs", ROUTE_INSTANCES + [(5, 2, 1, 2), (7, 2, 0, 2)], ids=_params_id)
+    def test_walk_matches_the_stepped_and_powered_orbits(self, qkhs):
+        params = fc.ConstructionParams.make(*qkhs)
+        for i in range(1, params.s):
+            order = params.q ** (i * params.k + params.h) - 1
+            g = fc.build_G_generator(params, i)
+            seed = fc.subspace_of(fc.build_A(params, i))
+            walk = _normal_walk(_hyperplane_normal(seed), g, order)
+            assert len(walk) == order
+            # the t-th image of _orbit_walk: U_t = U_(t-1) g by Subspace.transform
+            image = seed
+            for c in walk:
+                image = image.transform(g)
+                assert c == normal_oracle(image)
+            orbit, fixed = _orbit_walk(seed, fc.GroupElementSeq(g, order))
+            powers, powers_fixed = orbit_by_powers(seed, g, order)
+            assert (orbit, fixed) == (powers, powers_fixed)
+            assert set(walk) == {normal_oracle(w) for w in powers}
+            assert walk.count(normal_oracle(seed)) == fixed == 1
+
+    def test_hyperplane_with_stabilizer_three(self):
+        # g = blockdiag(I_2, P), P the companion matrix of x^2+x+1, order 3;
+        # coordinates from 0, so x_1 lies in the identity block and x_3 in P's
+        gf2 = fc.field_from_order(2)
+        p = fc.companion(fc.Poly(gf2, [1, 1, 1]))
+        g = fc.block(gf2, [[fc.MatrixGF.identity(gf2, 2), None], [None, p]])
+        group = fc.GroupElementSeq(g, 3)
+        fixed_plane = fc.subspace_of(fc.MatrixGF(gf2, [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+        moved_plane = fc.subspace_of(fc.MatrixGF(gf2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]))
+        for u, size in ((fixed_plane, 1), (moved_plane, 3)):
+            c = _hyperplane_normal(u)
+            walk = _normal_walk(c, g, 3)
+            orbit, fixed = _orbit_walk(u, group)
+            assert (orbit, fixed) == orbit_by_powers(u, g, 3)
+            assert (len(set(walk)), walk.count(c)) == (len(orbit), fixed) == (size, 3 // size)
+            assert set(walk) == {normal_oracle(w) for w in orbit}
+        assert _hyperplane_normal(fixed_plane) == 0b0100
+
+    def test_singular_generator_is_refused(self):
+        gf3 = fc.field_from_order(3)
+        g = fc.MatrixGF(gf3, [[1, 2, 0], [2, 1, 0], [0, 0, 1]])
+        u = fc.subspace_of(fc.MatrixGF(gf3, [[1, 0, 0], [0, 1, 0]]))
+        with pytest.raises(Singular):
+            _normal_walk(_hyperplane_normal(u), g, 1)
 
 
 class TestFullFlagCodes:
