@@ -735,6 +735,7 @@ def _hyperplane_normal(u: Subspace):
         return c
     neg = u.field.neg
     pivots = [row.index(1) for row in rows]
+    # the n - 1 pivots are distinct columns of 0..n-1: j is the one left out
     j = n * (n - 1) // 2 - sum(pivots)
     c = [0] * n
     c[j] = 1

@@ -145,7 +145,7 @@ def orbit_by_powers(u: fc.Subspace, g: fc.MatrixGF, order: int) -> tuple[fc.Subs
 
 
 @lru_cache(maxsize=None)
-def _scaled_vectors(field: fc.FieldSpec, n: int) -> tuple[tuple[int, ...], ...]:
+def scaled_vectors(field: fc.FieldSpec, n: int) -> tuple[tuple[int, ...], ...]:
     """Every vector of GF(q)^n whose last nonzero entry is 1."""
     return tuple(
         v for v in product(range(field.q), repeat=n)
@@ -163,7 +163,7 @@ def normal_oracle(u: fc.Subspace):
     add, mul = field.add, field.mul
     rows = u.canon.int_rows()
     found = []
-    for c in _scaled_vectors(field, u.ambient):
+    for c in scaled_vectors(field, u.ambient):
         for row in rows:
             dot = 0
             for a, b in zip(row, c):

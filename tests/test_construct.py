@@ -3,7 +3,13 @@ from __future__ import annotations
 import pytest
 
 import flagcodes as fc
-from _checks import enumerate_gf2_subspaces, gf2_subspace_from_vectors, normal_oracle, orbit_by_powers
+from _checks import (
+    enumerate_gf2_subspaces,
+    gf2_subspace_from_vectors,
+    normal_oracle,
+    orbit_by_powers,
+    scaled_vectors,
+)
 from flagcodes import construct
 from flagcodes.errors import DimMismatch, FactorizationTooLarge, NotASubsequence, Singular, TheoremViolated
 from flagcodes.subspace import _hyperplane_normal, _normal_walk, _orbit_walk
@@ -360,8 +366,7 @@ def _hyperplanes(field, n):
                  if len(vs) == 2 ** (n - 1)]
     else:
         assert n == 3
-        vectors = (tuple((m // q**j) % q for j in range(n)) for m in range(1, q**n))
-        points = [v for v in vectors if next(x for x in reversed(v) if x) == 1]
+        points = scaled_vectors(field, n)
         spans = (fc.subspace_of(fc.MatrixGF(field, [a, b]))
                  for i, a in enumerate(points) for b in points[i + 1:])
         found = list({w.key: w for w in spans}.values())
