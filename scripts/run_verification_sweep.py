@@ -11,10 +11,12 @@ Usage:
 with 231,540 and 3,722,356 pairwise distances, the n = 7 instances
 (3,2,1,3) and (4,2,1,3) over GF(3) and GF(4), with 271 and 1,089 flags
 (36,585 and 592,416 pairs), the n = 8 instance (3,2,0,4) over GF(3),
-with 820 flags (335,790 pairs), and the n = 5 instance (5,2,1,2) over
-GF(5), with 126 flags (7,875 pairs); each suite takes seconds, not minutes,
-with the bit-sliced scans over GF(2) and GF(3) and the per-pair scan over
-GF(5).  The standard grid runs GF(5) and GF(7) at n = 4.  --poly-choice C builds every
+with 820 flags (335,790 pairs), the n = 5 and n = 6 instances (5,2,1,2)
+and (5,2,0,3) over GF(5), with 126 and 651 flags (7,875 and 211,575
+pairs), and the n = 4 instance (25,2,0,2) over GF(25), with 626 flags
+(195,625 pairs); each suite takes seconds, not minutes, with every field's
+pairs scanned by one bit-sliced elimination over its prime field.  The
+standard grid runs GF(5) and GF(7) at n = 4.  --poly-choice C builds every
 instance from the C-th smallest primitive polynomials; an instance whose
 field has fewer than C + 1 of some degree it needs is reported as skipped
 and left out of the JSON dump.
@@ -49,6 +51,8 @@ BIG_INSTANCES: list[tuple[int, int, int, int]] = [
     (4, 2, 1, 3),
     (3, 2, 0, 4),
     (5, 2, 1, 2),
+    (5, 2, 0, 3),
+    (25, 2, 0, 2),
 ]
 
 
@@ -71,7 +75,8 @@ def main() -> int:
     parser.add_argument("--json", help="write all claims to this JSON file")
     parser.add_argument("--big", action="store_true",
                         help="include the n = 11 and n = 13 GF(2), the n = 7 GF(3) and "
-                             "GF(4), the n = 8 GF(3) and the n = 5 GF(5) instances")
+                             "GF(4), the n = 8 GF(3), the n = 5 and n = 6 GF(5) and the "
+                             "n = 4 GF(25) instances")
     parser.add_argument("--poly-choice", type=int, default=0)
     args = parser.parse_args()
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import cache
+from operator import attrgetter, getitem
 
 from .errors import (
     AmbientMismatch,
@@ -284,7 +285,7 @@ class SubspaceCode:
 
 def _distance_profile(levels: Sequence[Sequence[tuple]], field: FieldSpec, n: int) -> Counter:
     """Per-level distance vectors over every unordered pair of nested chains
-    in GF(q)^n, q = ``field.q``.
+    in GF(q)^n, q = ``field.q`` = p^e.
 
     ``levels[m][l]`` is (rows, dim): the rows chain m adds at level l, as
     matrices over ``field`` store them (bitmasks over GF(2), code tuples
@@ -294,55 +295,28 @@ def _distance_profile(levels: Sequence[Sequence[tuple]], field: FieldSpec, n: in
     SubspaceCode its key rows as its single level.  The result maps
     (d(U_1, V_1), ..., d(U_r, V_r)) to its number of pairs.  A pair needs
     one elimination basis: level i inserts the rows that U_i and V_i add to
-    U_(i-1) and V_(i-1), after which the basis rank is rk[U_i; V_i].  Over
-    GF(2^e) and GF(3^e) one bit-sliced elimination over the prime field
-    serves a batch of consecutive chains and all their later partners at
-    once, each pair one bit (_prime_field_profile, _sliced_profile).
-    Fields of characteristic 5 and up run one basis per pair: both chains'
-    level rows go into a fully reduced basis through _reduce_into, the step
-    that also builds every Subspace, and the count of independent rows is
-    the rank.  This is the package's only scan of a code's pairs.
+    U_(i-1) and V_(i-1), after which the basis rank is rk[U_i; V_i].  One
+    bit-sliced elimination over GF(p) serves a batch of consecutive chains
+    and all their later partners at once, each pair one bit
+    (_sliced_profile).  This is the package's only scan of a code's pairs.
+
+    A row r over GF(q) becomes the e rows r, x r, ..., x^(e-1) r over GF(p),
+    entry j written as its e base-p digits in columns je .. je+e-1.  Their
+    GF(p)-span is, as a set, the GF(q)-span of the rows they came from, so
+    every rank over GF(p) is e times the rank over GF(q): the scan runs on
+    en columns with every dim scaled by e, and each entry of a distance
+    vector it returns is e times the entry over GF(q).
     """
     if not levels:
         return Counter()
-    if field.p <= 3:
-        return _prime_field_profile(levels, field, n)
-    profile: Counter = Counter()
-    for i, a in enumerate(levels):
-        for b in levels[i + 1 :]:
-            basis: dict = {}
-            rank = 0
-            vec = []
-            for (rows_a, dim_a), (rows_b, dim_b) in zip(a, b):
-                for row in rows_a:
-                    rank += _reduce_into(basis, row, field)
-                for row in rows_b:
-                    rank += _reduce_into(basis, row, field)
-                vec.append(2 * rank - dim_a - dim_b)
-            profile[tuple(vec)] += 1
-    return profile
-
-
-def _prime_field_profile(levels: list, field: FieldSpec, n: int) -> Counter:
-    """_distance_profile over GF(p^e), p = 2 or 3, bit-sliced over GF(p).
-
-    ``levels`` is as in _sliced_profile, with rows as matrices over
-    ``field`` store them.  A row r over GF(q) becomes the e rows r, x r, ..., x^(e-1) r over
-    GF(p), entry j written as its e base-p digits in columns je .. je+e-1.
-    Their GF(p)-span is, as a set, the GF(q)-span of the rows they came
-    from, so every rank over GF(p) is e times the rank over GF(q): the scan
-    runs on en columns with every dim scaled by e, and each entry of a
-    distance vector it returns is e times the entry over GF(q).
-    """
-    p, e = field.p, field.e
     if field.q == 2:
         # GF(2) rows are already bitmasks
         return _sliced_profile(levels, n, 2)
+    p, e = field.p, field.e
     cols = e * n
     width = (p - 1) * cols
     # bits[v]: element code v as entry 0 of a GF(p) row, its digit d at
-    # column j being plane column (d - 1) cols + j (_sliced_profile); entry
-    # j' of the row is that shifted right by j' e
+    # column j being plane column (d - 1) cols + j (_sliced_profile)
     bits = []
     for v in range(field.q):
         b = 0
@@ -350,24 +324,19 @@ def _prime_field_profile(levels: list, field: FieldSpec, n: int) -> Counter:
             if d:
                 b |= 1 << (width - 1 - ((d - 1) * cols + j))
         bits.append(b)
-    mul = field.mul
-    x = p  # the code of the element x of GF(p^e)
-    restricted = []
-    for chain in levels:
-        out = []
-        for rows, dim in chain:
-            prime_rows = []
-            for row in rows:
-                for power in range(e):
-                    if power:
-                        row = [mul(x, v) for v in row]
-                    b = 0
-                    for j, v in enumerate(row):
-                        if v:
-                            b |= bits[v] >> (j * e)
-                    prime_rows.append(b)
-            out.append((prime_rows, e * dim))
-        restricted.append(out)
+    # tables[t][j][v]: entry j = v of a row r, as its part of the GF(p) row
+    # x^t r (x has code p); the columns of the entries are disjoint, so a
+    # row is the sum of its entries' parts
+    tables = []
+    codes = range(field.q)
+    for _ in range(e):
+        tables.append([[bits[v] >> (j * e) for v in codes] for j in range(n)])
+        codes = [field.mul(p, v) for v in codes]
+    restricted = [
+        [([sum(map(getitem, table, row)) for row in rows for table in tables], e * dim)
+         for rows, dim in chain]
+        for chain in levels
+    ]
     profile = _sliced_profile(restricted, cols, p)
     if e == 1:
         return profile
@@ -385,17 +354,17 @@ _BATCH_BITS = 1 << 16
 
 
 def _sliced_profile(levels: list, n: int, p: int) -> Counter:
-    """The distance profile of chains of rows over GF(p), p = 2 or 3, on n
+    """The distance profile of chains of rows over GF(p), p prime, on n
     columns, bit-sliced across pairs of chains.
 
     ``levels[m][l]`` is (the rows chain m adds at level l, its dim there).
     A row is an int over (p - 1) n plane columns, column 0 its most
     significant bit, with plane column (v - 1) n + c set when its entry at
-    column c is v: over GF(2) its bitmask, over GF(3) a ones plane and a
-    twos plane.  Chain m is bit m of every plane: ``planes[l][t][i]`` holds
-    plane column i of chain m's t-th level-l row, for all chains at once
-    (a chain with fewer rows there has a zero row in that slot, which adds
-    no rank).
+    column c is v: over GF(2) its bitmask, over an odd p one one-hot
+    plane per nonzero value.  Chain m is bit m of every plane:
+    ``planes[l][t][i]`` holds plane column i of chain m's t-th level-l row,
+    for all chains at once (a chain with fewer rows there has a zero row in
+    that slot, which adds no rank).
 
     One bit of the ints the kernel works on is one pair (a, b), a < b.  A
     batch of k consecutive chains a = start .. start + k - 1 puts each in a
@@ -406,7 +375,7 @@ def _sliced_profile(levels: list, n: int, p: int) -> Counter:
     all inside the batch) and the bits that round a block up to bytes.  k
     is as large as _BATCH_BITS allows, and at least 1; with k = 1 each
     chain is its own batch.  One elimination serves the whole batch
-    (_sliced_insert over GF(2), _sliced_insert3 over GF(3)): the batch
+    (_sliced_insert over GF(2), _sliced_insertp over odd p): the batch
     chains' own rows enter as all-ones or all-zeros blocks, then the
     partners' rows, level by level.  A bit-sliced counter per level adds up
     the rank that level gains for each pair.  Splitting the pairs by those
@@ -416,7 +385,7 @@ def _sliced_profile(levels: list, n: int, p: int) -> Counter:
     count_n = len(levels)
     depth = len(levels[0])
     width = (p - 1) * n
-    insert = _sliced_insert if p == 2 else _sliced_insert3
+    insert = _sliced_insert if p == 2 else _sliced_insertp
     planes = [
         [[0] * width for _ in range(max(len(chain[l][0]) for chain in levels))]
         for l in range(depth)
@@ -525,60 +494,90 @@ def _sliced_insert(row: list[int], has: list[int], pivots: list[list[int]], acti
     return placed
 
 
-def _sliced_insert3(row: list[int], has: list[int], pivots: list[list[int]], active: int) -> int:
-    """_sliced_insert over GF(3): ``row[c]`` and ``row[n + c]`` are the
-    (chain, partner) pairs whose entry at column c is 1 and 2 (Boothby and
-    Bradshaw's two-plane encoding), and every stored pivot entry is 1.
-
-    At column c, pairs with a pivot row there whose entry is 1 subtract
-    that row and those whose entry is 2 add it.  A GF(3) sum a + b of two
-    plane pairs is t = (a1 | b2) ^ (a2 | b1), then ones (a2 | b2) ^ t and
-    twos (a1 | b1) ^ t.  A pair that takes the row as a new pivot with
-    entry 2 first negates it, which swaps its two planes.
+def _sliced_insertp(row: list[int], has: list[int], pivots: list[list[int]], active: int) -> int:
+    """_sliced_insert over GF(p), p = len(row) // len(has) + 1 an odd prime:
+    ``row[(v - 1) n + c]`` holds the (chain, partner) pairs whose entry at
+    column c is v, one one-hot plane per nonzero v (Boothby and Bradshaw's
+    bit slicing), and every stored pivot entry is 1.  At column c, pairs
+    whose entry is v add -v times their pivot row there, and pairs that take
+    the row as a new pivot scale it by v^-1; a scaling permutes planes.
+    Plane w of a one-hot sum a + b is the XOR of a_x | b_y over the nonzero
+    x, y with w in {x, y, x + y} and (x, y) != (w, w) (README.md derives
+    it); at p = 3 it is Boothby and Bradshaw's GF(3) sum.
     """
+    return _odd_kernel(len(row) // len(has) + 1)(row, has, pivots, active)
+
+
+# _sliced_insertp's loop with its planes written out by _odd_kernel: a line
+# with {v} or {o} is repeated for each value v = 1 .. p - 1, and one with {y}
+# for each pair x < y of them; {o}c is column c of plane v
+_ODD_KERNEL = """\
+def kernel(row, has, pivots, active):
     n = len(has)
+    o{v} = ({v} - 1) * n
     placed = 0
     for c in range(n):
-        ones = row[c] & active
-        twos = row[n + c] & active
-        x = ones | twos
+        x{v} = row[{o}c] & active
+        x = {x_any}
         if not x:
             continue
         pivot = pivots[c]
         elim = x & has[c]
         if elim:
-            sub = ones & elim
-            add = twos & elim
+            s{v} = x{v} & elim
             for c2 in range(c + 1, n):
-                p1 = pivot[c2]
-                p2 = pivot[n + c2]
-                if p1 | p2:
-                    # b = pivot row where adding, its negation where subtracting
-                    b1 = (p1 & add) | (p2 & sub)
-                    b2 = (p2 & add) | (p1 & sub)
-                    a1 = row[c2]
-                    a2 = row[n + c2]
-                    t = (a1 | b2) ^ (a2 | b1)
-                    row[c2] = (a2 | b2) ^ t
-                    row[n + c2] = (a1 | b1) ^ t
+                q{v} = pivot[{o}c2]
+                if {q_any}:
+                    b{v} = {b}
+                    a{v} = row[{o}c2]
+                    m{x}_{y} = (a{x} | b{y}) ^ (a{y} | b{x})
+                    d{v} = a{v} | b{v}
+                    row[{o}c2] = {sum}
         new = x ^ elim
         if new:
             has[c] |= new
-            neg = twos & new
+            t{v} = x{v} & new
             for c2 in range(c + 1, n):
-                a1 = row[c2]
-                a2 = row[n + c2]
-                if neg:
-                    swap = (a1 ^ a2) & neg
-                    a1 ^= swap
-                    a2 ^= swap
-                pivot[c2] |= a1 & new
-                pivot[n + c2] |= a2 & new
+                a{v} = row[{o}c2]
+                pivot[{o}c2] |= {t}
             placed |= new
             active ^= new
             if not active:
                 break
     return placed
+"""
+
+
+@cache
+def _odd_kernel(p: int):
+    """_ODD_KERNEL written out for one odd prime p, with every plane a local
+    variable: a loop over the planes ran 2-3 times slower on small batches."""
+    values = range(1, p)
+    pairs = [{"x": x, "y": y} for x in values for y in values if x < y]
+    once = {"x_any": " | ".join(f"x{v}" for v in values), "q_any": " | ".join(f"q{v}" for v in values)}
+    # plane w of -v P is plane -w / v of P; plane w of v^-1 a is plane w v of
+    # a; plane w of a + b XORs m{x}_{y} (a pair x < y and its swap) for the
+    # pairs with w in {x, y, x + y}, and d{x} for 2 x = w
+    planes = [
+        {
+            "v": w,
+            "o": f"o{w} + " if w > 1 else "",
+            "b": " | ".join(f"q{-w * pow(v, -1, p) % p} & s{v}" for v in values),
+            "t": " | ".join(f"a{w * v % p} & t{v}" for v in values),
+            "sum": " ^ ".join(
+                [f"m{x}_{y}" for x in values for y in values if x < y and w in (x, y, (x + y) % p)]
+                + [f"d{x}" for x in values if 2 * x % p == w]
+            ),
+        }
+        for w in values
+    ]
+    lines = []
+    for line in _ODD_KERNEL.splitlines():
+        items = planes if "{v}" in line or "{o}" in line else pairs if "{y}" in line else [once]
+        lines += [line.format(**item) for item in items]
+    namespace: dict = {}
+    exec(compile("\n".join(lines) + "\n", f"<GF({p}) sliced kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def _split_by_counter(mask: int, counter: Sequence[int]) -> list[tuple[int, int]]:

@@ -36,10 +36,12 @@ ROOT = Path(__file__).resolve().parent.parent
 # the non-binary scripts/run_verification_sweep.py BIG_INSTANCES: the
 # n = 7 ones, first recorded with the per-pair scan that the bit-sliced
 # GF(3) and GF(4) scans replaced, and (3,2,0,4) (n = 8, 820 flags), first
-# recorded with the one-elimination-per-chain GF(3) scan, and (5,2,1,2)
-# (n = 5, 126 flags), kept out of SWEEP because the per-pair oracle of the
-# SWEEP-parametrized scan tests takes seconds on it
-BIG = [(3, 2, 1, 3), (4, 2, 1, 3), (3, 2, 0, 4), (5, 2, 1, 2)]
+# recorded with the one-elimination-per-chain GF(3) scan; (5,2,1,2)
+# (n = 5, 126 flags), (5,2,0,3) (n = 6, 651 flags) and (25,2,0,2) (n = 4,
+# 626 flags), first recorded with the per-pair scan that the bit-sliced
+# odd-p scan replaced, and kept out of SWEEP because the per-pair oracle of
+# the SWEEP-parametrized scan tests takes seconds or more on them
+BIG = [(3, 2, 1, 3), (4, 2, 1, 3), (3, 2, 0, 4), (5, 2, 1, 2), (5, 2, 0, 3), (25, 2, 0, 2)]
 BIG_SECONDS = 10
 # GF(2) past the sweep: (2,2,1,5) is n = 11, (2,2,1,6) is n = 13
 BIG_GF2 = ["2,2,1,5,0", "2,2,1,5,1", "2,2,1,6,0"]

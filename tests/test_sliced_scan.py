@@ -1,15 +1,16 @@
 """The bit-sliced scans against the per-pair oracle.
 
-Over GF(2^e) and GF(3^e), ``subspace._distance_profile`` runs one
-elimination over the prime field for a batch of consecutive chains and all
-of their later partners at once, each (chain, partner) pair one bit of a
-Python int.  ``pairwise_profile`` in ``_checks.py`` is a per-pair loop over
-any field, with one basis per pair and rows taken from the canonical
-generators; the two must return equal Counters on the construction's codes,
-on restrictions that merge flags, on loaded codes, on codes of mixed
-dimension, and on random codes whose pair masks cross machine words, over
-GF(2), GF(3), GF(4), GF(8) and GF(9).  GF(5) runs the per-pair loop of the
-scan itself.  The batch tests shrink the scan's private bit budget
+Over every GF(p^e), ``subspace._distance_profile`` runs one elimination
+over the prime field GF(p) for a batch of consecutive chains and all of
+their later partners at once, each (chain, partner) pair one bit of a
+Python int: ``_sliced_insert`` over GF(2), ``_sliced_insertp`` over every
+odd p.  ``pairwise_profile`` in ``_checks.py`` is a per-pair loop over any
+field, with one basis per pair and rows taken from the canonical
+generators, and the only per-pair scan left; the two must return equal
+Counters on the construction's codes, on restrictions that merge flags, on
+loaded codes, on codes of mixed dimension, and on random codes whose pair
+masks cross machine words, over GF(2), GF(3), GF(4), GF(5), GF(7), GF(8),
+GF(9) and GF(25).  The batch tests shrink the scan's private bit budget
 (``subspace._BATCH_BITS``) so that small codes span several batches, and
 pin the batch plan: which chains share an elimination, and how many kernel
 calls a scan makes.
@@ -142,9 +143,12 @@ def test_random_codes_match_oracle(gf2, count, dims):
 # -- fields other than GF(2) ---------------------------------------------------
 
 NONBINARY = [3, 4, 8, 9]
-# (q, k, h, s) instances over the fields the restriction to GF(2) or GF(3)
-# serves: e = 1 and 2 over GF(3), e = 2 and 3 over GF(2)
-NONBINARY_SWEEP = [(3, 2, 1, 2), (3, 2, 0, 3), (4, 2, 1, 2), (4, 2, 0, 2), (8, 2, 0, 2), (9, 2, 0, 2)]
+# (q, k, h, s) instances over GF(p^e): e = 1 and 2 over GF(3), e = 2 and 3
+# over GF(2), and GF(5) and GF(7)
+NONBINARY_SWEEP = [
+    (3, 2, 1, 2), (3, 2, 0, 3), (4, 2, 1, 2), (4, 2, 0, 2), (8, 2, 0, 2), (9, 2, 0, 2),
+    (5, 2, 0, 2), (7, 2, 0, 2),
+]
 NONBINARY_CHOICES = [(qkhs, c) for qkhs in NONBINARY_SWEEP for c in (0, 1)]
 
 
@@ -161,13 +165,15 @@ def test_nonbinary_construction_codes_match_oracle(qkhs, choice):
 
 def _plane_flags(field, points: int) -> fc.FlagCode:
     """The full flags of GF(q)^3 whose point is one of the first ``points``
-    points (first nonzero entry 1, in code order): every line through each."""
+    points (first nonzero entry 1, in code order): every line through each.
+    Every line through a holds a second point b, so b runs over the points."""
     q = field.q
     vectors = [[v // q**j % q for j in range(3)] for v in range(1, q**3)]
-    chosen = [v for v in vectors if v[next(j for j, x in enumerate(v) if x)] == 1][:points]
+    points_all = [v for v in vectors if v[next(j for j, x in enumerate(v) if x)] == 1]
+    chosen = points_all[:points]
     flags = []
     for a in chosen:
-        for b in vectors:
+        for b in points_all:
             m = fc.MatrixGF(field, [a, b], ncols=3)
             if m.rank() == 2:
                 flags.append(fc.flag_from_matrix(m, fc.TypeVector.full(3)))
@@ -250,8 +256,8 @@ def test_parts_built_codes_match_oracle(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25])
 def test_only_characteristic_five_and_up_scan_per_pair(monkeypatch, q):
-    # GF(5), GF(7) and GF(25) run the scan's own per-pair loop against the
-    # oracle here
+    # the name is older than the odd-p kernel: no field scans per pair now,
+    # and every field makes one sliced scan over GF(p), on e n columns
     calls = []
     sliced = subspace._sliced_profile
 
@@ -263,11 +269,7 @@ def test_only_characteristic_five_and_up_scan_per_pair(monkeypatch, q):
     field = fc.field_from_order(q)
     code = _random_flag_code(field, fc.TypeVector(4, (1, 2, 3)), 30, seed=q)
     check_chains(f.parts for f in code)
-    if field.p <= 3:
-        # one scan over the prime field, on e n columns
-        assert calls == [(field.e * 4, field.p)]
-    else:
-        assert calls == []
+    assert calls == [(field.e * 4, field.p)]
 
 
 # -- batches of chains ---------------------------------------------------------
@@ -280,7 +282,7 @@ def _spy_batches(monkeypatch, bits: int | None = None) -> list[int]:
     if bits is not None:
         monkeypatch.setattr(subspace, "_BATCH_BITS", bits)
     actives: list[int] = []
-    for name in ("_sliced_insert", "_sliced_insert3"):
+    for name in ("_sliced_insert", "_sliced_insertp"):
         kernel = getattr(subspace, name)
 
         def spy(row, has, pivots, active, kernel=kernel):
@@ -336,7 +338,7 @@ BATCH_BITS = [8, 24, 64, 200]
 
 @pytest.mark.parametrize("bits", BATCH_BITS)
 @pytest.mark.parametrize("count", [0, 1, 2, 37])
-@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 25])
 def test_batched_random_codes_match_oracle(monkeypatch, q, count, bits):
     # 37 chains is no multiple of 8; every budget here splits them into
     # several batches
@@ -348,7 +350,7 @@ def test_batched_random_codes_match_oracle(monkeypatch, q, count, bits):
         assert len(_batch_pairs(actives)) > 1
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 25])
 def test_mixed_dimensions_across_batches_match_oracle(monkeypatch, q):
     # 40 words of dims 1..5 in code order (2, 9, 9, 10 and 10 of each): in
     # 160 bits the batches start at chains 0, 4, 8, 13, 18, 24 and 34, and
@@ -372,7 +374,7 @@ def test_mixed_dimensions_across_batches_match_oracle(monkeypatch, q):
 
 
 @pytest.mark.parametrize("bits", BATCH_BITS)
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 25])
 def test_repeated_chains_across_batches_match_oracle(monkeypatch, q, bits):
     # distance-zero pairs inside one batch, and across batch boundaries
     monkeypatch.setattr(subspace, "_BATCH_BITS", bits)
