@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import islice
 from time import perf_counter
 
 import flagcodes as fc
@@ -58,15 +57,13 @@ BIG_INSTANCES: list[tuple[int, int, int, int]] = [
 
 def missing_polynomials(params: fc.ConstructionParams) -> str | None:
     """Why the field lacks a primitive polynomial the instance needs at
-    params.poly_choice, or None when every degree has one."""
-    need = params.poly_choice + 1
+    params.poly_choice (build_P's error), or None when every family has
+    one."""
     for i in range(1, params.s):
-        degree = i * params.k + params.h
-        polys = fc.iter_primitive_polys(params.field, degree, params.factor_budget)
-        found = len(list(islice(polys, need)))
-        if found < need:
-            return (f"poly_choice {params.poly_choice} needs {need} primitive polynomials "
-                    f"of degree {degree} over {params.field}; there are only {found}")
+        try:
+            fc.build_P(params, i)
+        except ValueError as exc:
+            return str(exc)
     return None
 
 

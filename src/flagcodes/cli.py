@@ -12,6 +12,8 @@ budget ran out.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from collections import Counter
@@ -191,15 +193,17 @@ def _reports_text(reports: list[VerificationReport]) -> str:
 
 
 def _reports_csv(reports: list[VerificationReport]) -> str:
-    lines = ["q,k,h,s,claim_id,expected,computed,pass,seconds"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["q", "k", "h", "s", "claim_id", "expected", "computed", "pass", "seconds"])
     for rep in reports:
         p = rep.params
         for c in rep.claims:
-            lines.append(
-                f"{p['q']},{p['k']},{p['h']},{p['s']},{c.claim_id},"
-                f"{c.expected!r},{c.computed!r},{c.passed},{c.seconds:.6f}"
-            )
-    return "\n".join(lines) + "\n"
+            writer.writerow([
+                p["q"], p["k"], p["h"], p["s"], c.claim_id,
+                repr(c.expected), repr(c.computed), c.passed, f"{c.seconds:.6f}",
+            ])
+    return out.getvalue()
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -853,18 +853,13 @@ def verify_orbit_decomposition(
 
 
 def verify_maximality(
-    params: ConstructionParams,
-    type_: TypeVector | None = None,
-    gen: GeneratorSet | None = None,
+    params: ConstructionParams, gen: GeneratorSet | None = None
 ) -> VerificationReport:
-    """When k > (q^h - 1)/(q - 1), the code size must match the closed-form
-    maximum partial-spread size; otherwise the bound is recorded as not
-    applicable."""
+    """When k > (q^h - 1)/(q - 1), the master-type code's size must match
+    the closed-form maximum partial-spread size; otherwise the bound is
+    recorded as not applicable."""
     gen = gen or build_generator_set(params)
     rep = VerificationReport(params.describe())
-    tv = type_ if type_ is not None else master_type(params)
-    if params.k not in tv.dims:
-        raise ValueError(f"type {tv.dims} does not contain k={params.k}")
     statement = "code size attains the maximum partial-spread cardinality"
     try:
         bound = max_partial_spread_size(params.q, params.k, params.n)
@@ -875,7 +870,7 @@ def verify_maximality(
         "maximality.cardinality",
         statement,
         bound,
-        lambda: len(gen.flag_code(tv)),
+        lambda: len(gen.flag_code(master_type(params))),
     )
     return rep
 
@@ -1041,7 +1036,7 @@ def run_claim_suite(
 
     rep.extend(verify_intermediate_distances(params, gen))
     rep.extend(verify_orbit_decomposition(params, gen))
-    rep.extend(verify_maximality(params, None, gen))
+    rep.extend(verify_maximality(params, gen))
 
     if loaded is not None:
         _loaded_claims(rep, params, gen, loaded, loaded_label)

@@ -349,8 +349,17 @@ def _distance_profile(levels: Sequence[Sequence[tuple]], field: FieldSpec, n: in
 
 
 # the bits of one batch of _sliced_profile: how many (chain, partner) pairs
-# one elimination serves, with each block rounded up to whole bytes
+# one elimination serves
 _BATCH_BITS = 1 << 16
+
+
+def _blocks(x: int, w: int, k: int) -> int:
+    """x, below 2^w, copied into each of k consecutive blocks of w bits."""
+    span = w * k
+    while w < span:  # each step doubles the copies
+        x |= x << w
+        w <<= 1
+    return x & (1 << span) - 1
 
 
 def _sliced_profile(levels: list, n: int, p: int) -> Counter:
@@ -368,19 +377,19 @@ def _sliced_profile(levels: list, n: int, p: int) -> Counter:
 
     One bit of the ints the kernel works on is one pair (a, b), a < b.  A
     batch of k consecutive chains a = start .. start + k - 1 puts each in a
-    block of whole bytes, chain start + j in block j, whose bit b - start - 1
-    is partner b: every block holds the partners after the batch's first
-    chain, so the partners' rows are the shifted planes repeated k times,
-    and the ``active`` mask drops the pairs with b <= a (k(k - 1)/2 bits,
-    all inside the batch) and the bits that round a block up to bytes.  k
-    is as large as _BATCH_BITS allows, and at least 1; with k = 1 each
-    chain is its own batch.  One elimination serves the whole batch
-    (_sliced_insert over GF(2), _sliced_insertp over odd p): the batch
-    chains' own rows enter as all-ones or all-zeros blocks, then the
-    partners' rows, level by level.  A bit-sliced counter per level adds up
-    the rank that level gains for each pair.  Splitting the pairs by those
-    counters (and by both chains' dims, for codes of mixed dimension) gives
-    each distance vector's class of pairs, counted with int.bit_count().
+    block of ``size`` bits, one per partner after the batch's first chain:
+    bit b - start - 1 of block j is the pair (start + j, b).  The partners'
+    rows are the shifted planes copied into every block (_blocks), and the
+    ``active`` mask drops the pairs with b <= a, the low j bits of block j
+    (k(k - 1)/2 bits, all inside the batch).  k is as large as _BATCH_BITS
+    allows, and at least 1; with k = 1 each chain is its own batch.  One
+    elimination serves the whole batch (_sliced_insert over GF(2),
+    _sliced_insertp over odd p): the batch chains' own rows enter as blocks
+    of all or no active bits, then the partners' rows, level by level.  A
+    bit-sliced counter per level adds up the rank that level gains for each
+    pair.  Splitting the pairs by those counters (and by both chains' dims,
+    for codes of mixed dimension) gives each distance vector's class of
+    pairs, counted with int.bit_count().
     """
     count_n = len(levels)
     depth = len(levels[0])
@@ -405,29 +414,20 @@ def _sliced_profile(levels: list, n: int, p: int) -> Counter:
     start = 0
     while start < count_n - 1:
         size = count_n - start - 1  # the partners after the batch's first chain
-        nb = (size + 7) // 8  # bytes per block
-        k = min(max(1, _BATCH_BITS // (8 * nb)), size)
-        fill = str.maketrans({"0": "\0" * nb, "1": "\xff" * nb})
+        k = min(max(1, _BATCH_BITS // size), size)
+        diag = _blocks(1, size + 1, k)  # bit j of block j
+        active = (_blocks(1, size, k) << size) - diag
 
         def own(mask: int) -> int:
-            """All-ones blocks for the batch chains in the chain mask."""
-            mask = mask >> start & (1 << k) - 1
-            if not mask:
-                return 0
-            # format writes block j as character k - 1 - j: read big-endian
-            bits = format(mask, f"0{k}b").translate(fill)
-            return int.from_bytes(bits.encode("latin-1"), "big")
+            """All active bits of block j for each batch chain start + j in
+            the chain mask: bit j of block j, filled upward."""
+            y = _blocks(mask >> start & (1 << k) - 1, size, k) & diag
+            return ((y << size) - y) & active
 
         def partners(mask: int) -> int:
             """The partners in the chain mask, in every block."""
-            mask >>= start + 1
-            if not mask:
-                return 0
-            return int.from_bytes(mask.to_bytes(nb, "little") * k, "little")
+            return _blocks(mask >> start + 1, size, k)
 
-        active = int.from_bytes(
-            b"".join(((1 << size) - (1 << j)).to_bytes(nb, "little") for j in range(k)), "little"
-        )
         has = [0] * n  # has[c]: pairs whose basis has a pivot row at c
         pivots = [[0] * width for _ in range(n)]  # pivots[c][i]: bit i of that row
         gains = []  # per level, the bit planes of each pair's rank gain
@@ -443,7 +443,7 @@ def _sliced_profile(levels: list, n: int, p: int) -> Counter:
                     b += 1
             gains.append(gain)
         for dims_a, mask_a in by_dims.items():
-            pairs_a = own(mask_a) & active
+            pairs_a = own(mask_a)
             for dims_m, mask_m in by_dims.items():
                 # (distance vector so far, rank so far, pairs) per class
                 classes = [((), 0, pairs_a & partners(mask_m))]

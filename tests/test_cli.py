@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 
 import pytest
@@ -136,6 +138,18 @@ class TestVerify:
         )
         assert rc == 0
         assert stdout.splitlines()[0] == "q,k,h,s,claim_id,expected,computed,pass,seconds"
+
+    def test_csv_quotes_fields_with_commas(self, capsys):
+        # at s = 4, h = 0 skipped claims and their reasons carry commas
+        rc, stdout, _ = run(
+            capsys, "verify", "--q", "2", "--k", "2", "--h", "0", "--s", "4",
+            "--format", "csv",
+        )
+        assert rc == 0
+        rows = list(csv.reader(io.StringIO(stdout)))
+        assert rows[0] == ["q", "k", "h", "s", "claim_id", "expected", "computed", "pass", "seconds"]
+        assert len(rows) > 1 and all(len(row) == 9 for row in rows)
+        assert any("," in row[6] for row in rows)
 
     def test_sweep(self, capsys):
         rc, stdout, _ = run(

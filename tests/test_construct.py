@@ -575,7 +575,7 @@ class TestVerifiers:
         assert sizes == [3]  # 3 orbit spaces plus B_1 and M give all 5
 
     def test_maximality(self):
-        rep = fc.verify_maximality(P223, None, GEN223)
+        rep = fc.verify_maximality(P223, GEN223)
         assert rep.all_pass
         assert rep.claims[0].computed == 41
 

@@ -255,9 +255,8 @@ def test_parts_built_codes_match_oracle(q):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25])
-def test_only_characteristic_five_and_up_scan_per_pair(monkeypatch, q):
-    # the name is older than the odd-p kernel: no field scans per pair now,
-    # and every field makes one sliced scan over GF(p), on e n columns
+def test_every_field_makes_one_sliced_scan(monkeypatch, q):
+    # one sliced scan over GF(p), on e n columns
     calls = []
     sliced = subspace._sliced_profile
 
@@ -273,6 +272,17 @@ def test_only_characteristic_five_and_up_scan_per_pair(monkeypatch, q):
 
 
 # -- batches of chains ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 64])
+@pytest.mark.parametrize("w", [1, 7, 8, 13])
+def test_blocks_copies_into_every_block(w, k):
+    rng = random.Random(w * 100 + k)
+    for x in (0, 1, (1 << w) - 1, rng.randrange(1 << w)):
+        want = 0
+        for j in range(k):
+            want |= x << j * w
+        assert subspace._blocks(x, w, k) == want
 
 
 def _spy_batches(monkeypatch, bits: int | None = None) -> list[int]:
@@ -307,14 +317,15 @@ def _plan_pairs(count: int, starts: list[int]) -> list[int]:
 
 
 def test_batch_plan_follows_the_bit_budget(monkeypatch, gf2):
-    # 13 chains in 24 bits: blocks of 2 bytes hold the 12..9 partners after
-    # chains 0..3, one chain a batch; from chain 4 on a block is 1 byte,
-    # three chains a batch, and the last batch is cut short at chain 11
+    # 13 chains in 24 bits: a block is one bit per partner after the
+    # batch's first chain, so blocks of 12 and 10 bits fit two chains a
+    # batch, blocks of 8 bits three and blocks of 5 bits four; the last
+    # batch is chain 11 alone, as k is at most its 1 partner
     actives = _spy_batches(monkeypatch, 24)
     code = _random_flag_code(gf2, fc.TypeVector(5, (1, 3)), 13, seed=1)
     check_chains(f.parts for f in code)
-    assert _batch_pairs(actives) == _plan_pairs(13, [0, 1, 2, 3, 4, 7, 10])
-    assert _plan_pairs(13, [0, 1, 2, 3, 4, 7, 10]) == [12, 11, 10, 9, 21, 12, 3]
+    assert _batch_pairs(actives) == _plan_pairs(13, [0, 2, 4, 7, 11])
+    assert _plan_pairs(13, [0, 2, 4, 7, 11]) == [23, 19, 21, 14, 1]
 
 
 def test_sweep_scan_is_one_batch(monkeypatch):
@@ -353,7 +364,7 @@ def test_batched_random_codes_match_oracle(monkeypatch, q, count, bits):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 25])
 def test_mixed_dimensions_across_batches_match_oracle(monkeypatch, q):
     # 40 words of dims 1..5 in code order (2, 9, 9, 10 and 10 of each): in
-    # 160 bits the batches start at chains 0, 4, 8, 13, 18, 24 and 34, and
+    # 160 bits the batches start at chains 0, 4, 8, 13, 19 and 27, and
     # the dims change (at chains 2, 11, 20 and 30) inside the first, third,
     # fifth and sixth
     field = fc.field_from_order(q)
@@ -367,7 +378,7 @@ def test_mixed_dimensions_across_batches_match_oracle(monkeypatch, q):
     assert [w.dim for w in code].count(1) == 2 and len(code) == 40
     actives = _spy_batches(monkeypatch, 160)
     check_chains((w,) for w in code)
-    assert _batch_pairs(actives) == _plan_pairs(40, [0, 4, 8, 13, 18, 24, 34])
+    assert _batch_pairs(actives) == _plan_pairs(40, [0, 4, 8, 13, 19, 27])
     # shuffled, the chains of every batch and the partners of every block
     # mix dims
     check_chains((w,) for w in rng.sample(code.words, len(code)))
