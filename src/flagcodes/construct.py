@@ -23,6 +23,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from itertools import islice
 from time import perf_counter
 from typing import Callable
@@ -429,7 +430,6 @@ class GeneratorSet:
 
     params: ConstructionParams
     entries: tuple[GeneratorEntry, ...]
-    spaces: tuple[Subspace, ...]
     full: FlagCode
     _restrictions: dict[TypeVector, FlagCode] = dataclass_field(
         default_factory=dict, compare=False, repr=False
@@ -438,6 +438,14 @@ class GeneratorSet:
     @property
     def expected_size(self) -> int:
         return self.params.expected_size
+
+    @cached_property
+    def spaces(self) -> tuple[Subspace, ...]:
+        """The distinct row spaces of the generator matrices in key order,
+        made on first read and the same tuple after.  Each is its entry's
+        top part (GeneratorEntry.space); only the distinct ones are made."""
+        distinct = {e.flag.key[-1]: e for e in self.entries}
+        return tuple(distinct[k].space for k in sorted(distinct))
 
     def entry(self, kind: str, index: int | None = None, power: int | None = None) -> GeneratorEntry:
         for e in self.entries:
@@ -499,16 +507,14 @@ def build_generator_set(params: ConstructionParams) -> GeneratorSet:
     m_mat = build_M(params)
     entries.append(GeneratorEntry("M", None, None, m_mat, flag_from_matrix(m_mat, full_tv)))
 
-    # the top part's key is the row space's key: only the distinct spaces
-    # are made as Subspace objects
-    distinct = {e.flag.key[-1]: e for e in entries}
-    if len(distinct) != params.expected_size:
+    # the top part's key is the row space's key; no Subspace is made here
+    distinct = len({e.flag.key[-1] for e in entries})
+    if distinct != params.expected_size:
         raise CardinalityMismatch(
-            f"{len(distinct)} distinct row spaces, expected {params.expected_size}"
+            f"{distinct} distinct row spaces, expected {params.expected_size}"
         )
-    spaces = tuple(distinct[k].space for k in sorted(distinct))
     full = FlagCode(full_tv, (e.flag for e in entries))
-    return GeneratorSet(params, tuple(entries), spaces, full)
+    return GeneratorSet(params, tuple(entries), full)
 
 
 def _group_order(g: MatrixGF, n: int, budget: int) -> int:

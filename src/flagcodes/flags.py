@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate
 
 from .errors import (
     AmbientMismatch,
@@ -27,13 +27,14 @@ from .errors import (
     TooFewRows,
     TypeMismatch,
 )
-from .matgf import MatrixGF, _expect_end, _rref_rows, matrix_to_text, read_matrix
+from .field import factorize
+from .matgf import MatrixGF, _expect_end, _matrix_lines, _read_matrix
 from .subspace import (
     _KEY,
     Subspace,
     SubspaceCode,
     _distance_profile,
-    _prefix_bases,
+    _prefix_levels,
     _restrict_profile,
     subspace_distance,
     subspace_of,
@@ -194,13 +195,12 @@ class Flag:
         dims = type_.dims
         stacked = [row for part in parts for row in part.key[1]]
         rows: list = []
-        for i, basis in enumerate(_prefix_bases(stacked, accumulate(dims), field)):
-            if len(basis) != dims[i]:
+        for i, (key_rows, new) in enumerate(_prefix_levels(stacked, accumulate(dims), field)):
+            if len(key_rows) != dims[i]:
                 raise RankDeficientPrefix(
                     f"component of dim {dims[i - 1]} not inside the next of dim {dims[i]}"
                 )
-            # the rows with pivots new at this level were inserted last
-            rows.extend(islice(reversed(basis.values()), dims[i] - len(rows)))
+            rows += new
         self._set(type_, field, None, tuple(p.key for p in parts), tuple(rows), parts)
 
     def _set(self, type_, field, source, key, rows, parts) -> Flag:
@@ -274,8 +274,9 @@ def flag_from_matrix(w: MatrixGF, type_: TypeVector) -> Flag:
     type dimension t the rank must be t.  There the flag records the part
     key, the basis rows as stored (bitmasks over GF(2)) in pivot order
     (matgf._rref_rows), and the basis rows whose pivots are new at t, which
-    the distance scan reads.  No Subspace is made: the flag makes its parts
-    from their keys on first read.
+    the distance scan reads; subspace._prefix_levels gives both.  No
+    Subspace is made: the flag makes its parts from their keys on first
+    read.
     """
     if w.ncols != type_.n:
         raise AmbientMismatch(f"{w.ncols}-column matrix for ambient {type_.n}")
@@ -286,12 +287,11 @@ def flag_from_matrix(w: MatrixGF, type_: TypeVector) -> Flag:
         )
     keys = []
     rows: list = []
-    for t, basis in zip(dims, _prefix_bases(w._rows, dims, w.field)):
-        if len(basis) != t:
-            raise RankDeficientPrefix(f"first {t} rows have rank {len(basis)}")
-        # the rows with pivots new at this level were inserted last
-        rows.extend(islice(reversed(basis.values()), t - len(rows)))
-        keys.append((t, _rref_rows(basis)))
+    for t, (key_rows, new) in zip(dims, _prefix_levels(w._rows, dims, w.field)):
+        if len(key_rows) != t:
+            raise RankDeficientPrefix(f"first {t} rows have rank {len(key_rows)}")
+        rows += new
+        keys.append((t, key_rows))
     return Flag.__new__(Flag)._set(type_, w.field, w, tuple(keys), tuple(rows), None)
 
 
@@ -538,23 +538,32 @@ def _parse_type_line(line: str, n: int) -> TypeVector:
 def dump_flag(flag: Flag) -> str:
     """Serialize as a type line plus either the t_r x n generator matrix
     (when the flag kept one) or each component matrix in order."""
-    return "\n".join([_type_line(flag.type), *_flag_body(flag)]) + "\n"
+    lines = [_type_line(flag.type)]
+    _flag_lines(flag, {}, lines)
+    return "\n".join(lines) + "\n"
 
 
-def _flag_body(flag: Flag) -> list[str]:
+def _flag_lines(flag: Flag, memo: dict, out: list[str]) -> None:
+    """Append the matrix block of ``flag`` to ``out``, rendering through
+    the serialization call's ``memo`` (matgf._matrix_lines)."""
+    field, n = flag.field, flag.type.n
     if flag.source is not None:
-        return [matrix_to_text(flag.source.first_rows(flag.type.dims[-1]))]
-    return [matrix_to_text(part.canon) for part in flag.parts]
+        # flag_from_matrix checked that the source has these rows
+        _matrix_lines(field, n, flag.source._rows[: flag.type.dims[-1]], memo, out)
+    else:
+        for key in flag.key:
+            _matrix_lines(field, n, key[1], memo, out)
 
 
-def _read_flag_body(lines: Iterator[str], tv: TypeVector, first: MatrixGF) -> Flag:
+def _read_flag_body(lines: Iterator[str], tv: TypeVector, first: MatrixGF, memo: dict) -> Flag:
     """The flag whose matrix block starts with ``first``, already read from
-    ``lines``; the rest of the block, if any, is read from ``lines``."""
+    ``lines``; the rest of the block, if any, is read from ``lines``
+    through the deserialization call's ``memo`` (matgf._read_matrix)."""
     if first.nrows == tv.dims[-1]:
         return flag_from_matrix(first, tv)
     parts = [subspace_of(first)]
     for _ in range(tv.r - 1):
-        parts.append(subspace_of(read_matrix(lines)))
+        parts.append(subspace_of(_read_matrix(lines, None, memo)))
     return Flag(tv, parts)
 
 
@@ -564,24 +573,30 @@ def load_flag(text: str) -> Flag:
     if type_line is None:
         raise ValueError("empty flag file")
     # the ambient dimension comes from the first matrix header
-    first = read_matrix(lines)
-    flag = _read_flag_body(lines, _parse_type_line(type_line, first.ncols), first)
+    memo: dict = {}
+    first = _read_matrix(lines, None, memo)
+    flag = _read_flag_body(lines, _parse_type_line(type_line, first.ncols), first, memo)
     _expect_end(lines, "the flag")
     return flag
 
 
 def dump_flag_code(code: FlagCode) -> str:
     """Serialize as ``flagcode n q |C|``, a shared type line, then one flag
-    matrix block per flag."""
+    matrix block per flag.  A header or row that repeats is rendered once
+    (matgf._matrix_lines)."""
     field = code.flags[0].field if len(code) else None
     q = field.q if field else 0
     lines = [f"flagcode {code.type.n} {q} {len(code)}", _type_line(code.type)]
+    memo: dict = {}
     for f in code:
-        lines.extend(_flag_body(f))
+        _flag_lines(f, memo, lines)
     return "\n".join(lines) + "\n"
 
 
 def load_flag_code(text: str) -> FlagCode:
+    """The flag code of a dump_flag_code file.  A header or row line that
+    repeats is parsed once (matgf._read_matrix), and every check runs on
+    every flag."""
     lines = iter(text.splitlines())
     header = next((ln for ln in lines if ln.strip()), None)
     if header is None:
@@ -592,11 +607,18 @@ def load_flag_code(text: str) -> FlagCode:
     n, q, count = int(parts[1]), int(parts[2]), int(parts[3])
     if count < 0:
         raise ValueError(f"the header declares {count} flags")
+    # the flags' field checks q below; an empty code has none, and its
+    # dump writes q = 0
+    if count == 0 and q != 0 and (q < 2 or len(factorize(q)) != 1):
+        raise ValueError(f"header says q = {q}, which is no field order")
     type_line = next((ln for ln in lines if ln.strip()), None)
     if type_line is None:
         raise ValueError("flag code file has no type line")
     tv = _parse_type_line(type_line, n)
-    flags = [_read_flag_body(lines, tv, read_matrix(lines)) for _ in range(count)]
+    memo: dict = {}
+    flags = [
+        _read_flag_body(lines, tv, _read_matrix(lines, None, memo), memo) for _ in range(count)
+    ]
     _expect_end(lines, f"the {count} flags the header declares")
     if flags and flags[0].field.q != q:
         raise ValueError(f"header says q = {q}, but the flags are over {flags[0].field}")

@@ -111,10 +111,12 @@ def _reduce_into(basis: dict, row, field: FieldSpec) -> bool:
     return True
 
 
-def _rref_rows(basis: dict) -> tuple:
-    """The rows of a fully reduced basis (_reduce_into) in increasing
-    pivot-column order, which is decreasing order: the RREF of their span."""
-    return tuple(sorted(basis.values(), reverse=True))
+def _rref_rows(rows: list) -> tuple:
+    """The RREF of the span of a fully reduced basis (_reduce_into), from
+    a list of its rows, which is sorted in place: the rows in increasing
+    pivot-column order, which is decreasing order."""
+    rows.sort(reverse=True)
+    return tuple(rows)
 
 
 class MatrixGF:
@@ -251,7 +253,7 @@ class MatrixGF:
         basis: dict = {}
         for row in self._rows:
             _reduce_into(basis, row, field)
-        rows = _rref_rows(basis)
+        rows = _rref_rows([*basis.values()])
         rank = len(rows)
         rows += (0 if field.q == 2 else (0,) * ncols,) * (self.nrows - rank)
         return MatrixGF._wrap(field, ncols, rows), rank
@@ -436,17 +438,51 @@ _HEADER_RE = re.compile(r"^(\d+)\s+(\d+)\s+(GF\(\S+\))$")
 def matrix_to_text(m: MatrixGF) -> str:
     """Render as a ``rows cols GF(q)`` header (the field as field_name
     writes it) plus one line per row of space-separated element codes."""
-    lines = [f"{m.nrows} {m.ncols} {field_name(m.field)}"]
-    if m.field.q == 2:
-        ncols = m.ncols
-        lines += [" ".join(_digits(b, ncols)) for b in m._rows]
-    else:
-        lines += [" ".join(map(str, row)) for row in m._rows]
+    lines: list[str] = []
+    _matrix_lines(m.field, m.ncols, m._rows, {}, lines)
     return "\n".join(lines)
+
+
+def _matrix_lines(field: FieldSpec, ncols: int, rows: tuple, memo: dict, out: list[str]) -> None:
+    """Append the lines of matrix_to_text to ``out`` for the matrix of the
+    stored ``rows`` over ``field`` with ``ncols`` columns.
+
+    ``memo`` belongs to one serialization call and holds the text of each
+    header and row it has rendered, so a header or row that repeats is
+    rendered once; every matrix given the same memo must share one field
+    and one width.  Rows are keyed as stored (GF(2) bitmasks, which are
+    ints of at least 0, or code tuples) and headers by ~nrows, a negative
+    int, so the two never collide.
+    """
+    header = memo.get(~len(rows))
+    if header is None:
+        header = memo[~len(rows)] = f"{len(rows)} {ncols} {field_name(field)}"
+    out.append(header)
+    gf2 = field.q == 2
+    for row in rows:
+        text = memo.get(row)
+        if text is None:
+            text = memo[row] = " ".join(_digits(row, ncols) if gf2 else map(str, row))
+        out.append(text)
 
 
 def read_matrix(lines: Iterator[str], field: FieldSpec | None = None) -> MatrixGF:
     """Consume one matrix from an iterator of lines (blank lines skipped)."""
+    return _read_matrix(lines, field, {})
+
+
+def _read_matrix(lines: Iterator[str], field: FieldSpec | None, memo: dict) -> MatrixGF:
+    """read_matrix, keeping the parses of one deserialization call in
+    ``memo``, so a header or row line that repeats is parsed once.
+
+    ``memo`` maps each stripped header line to its (nrows, ncols, field,
+    rows), and each (ncols, field) pair to that rows dict, which maps each
+    raw row line read under a header of that width and field to its stored
+    row.  A line read under another width or field is parsed and checked
+    afresh.  Only successful parses are kept, so a bad line raises the same
+    error each time it is read; the caller's ``field`` is compared on every
+    read.
+    """
     header = None
     for raw in lines:
         if raw.strip():
@@ -454,11 +490,15 @@ def read_matrix(lines: Iterator[str], field: FieldSpec | None = None) -> MatrixG
             break
     if header is None:
         raise ValueError("no matrix header found")
-    m = _HEADER_RE.match(header)
-    if not m:
-        raise ValueError(f"bad matrix header {header!r}")
-    nrows, ncols = int(m.group(1)), int(m.group(2))
-    named = parse_field_name(m.group(3))
+    parsed = memo.get(header)
+    if parsed is None:
+        m = _HEADER_RE.match(header)
+        if not m:
+            raise ValueError(f"bad matrix header {header!r}")
+        nrows, ncols = int(m.group(1)), int(m.group(2))
+        named = parse_field_name(m.group(3))
+        parsed = memo[header] = (nrows, ncols, named, memo.setdefault((ncols, named), {}))
+    nrows, ncols, named, seen = parsed
     if field is not None:
         if field != named:
             raise FieldMismatch(f"matrix over {named}, caller expects {field}")
@@ -473,16 +513,21 @@ def read_matrix(lines: Iterator[str], field: FieldSpec | None = None) -> MatrixG
         raw = next(lines, None)
         if raw is None:
             raise ValueError(f"matrix ended after {len(rows)} of {nrows} rows")
-        tokens = raw.split()
-        if not tokens:
-            continue
-        row = _gf2_row(tokens) if gf2 else [int(t) for t in tokens]
-        if len(tokens) != ncols:
-            raise ValueError(f"row has {len(tokens)} entries, expected {ncols}")
+        row = seen.get(raw)
+        if row is None:
+            tokens = raw.split()
+            if not tokens:
+                continue
+            # int() refuses a token first, then the count is checked, then
+            # the codes (FieldSpec.codes_of; _gf2_row reduces them mod 2)
+            row = _gf2_row(tokens) if gf2 else [int(t) for t in tokens]
+            if len(tokens) != ncols:
+                raise ValueError(f"row has {len(tokens)} entries, expected {ncols}")
+            if not gf2:
+                row = named.codes_of(row)
+            seen[raw] = row
         rows.append(row)
-    if gf2:
-        return MatrixGF._wrap(named, ncols, tuple(rows))
-    return MatrixGF(named, rows, ncols=ncols)
+    return MatrixGF._wrap(named, ncols, tuple(rows))
 
 
 def _gf2_row(tokens: list[str]) -> int:

@@ -25,7 +25,15 @@ from .errors import (
     ZeroRank,
 )
 from .field import FieldSpec
-from .matgf import MatrixGF, _expect_end, _reduce_into, _rref_rows, block, matrix_to_text, read_matrix
+from .matgf import (
+    MatrixGF,
+    _expect_end,
+    _matrix_lines,
+    _read_matrix,
+    _reduce_into,
+    _rref_rows,
+    block,
+)
 
 __all__ = [
     "GroupElementSeq",
@@ -82,7 +90,7 @@ class Subspace:
     @property
     def canon(self) -> MatrixGF:
         """The RREF generator as a matrix, made on first read and cached:
-        only serialization and transform() read it."""
+        in the package only transform() reads it."""
         if self._canon is None:
             self._canon = MatrixGF._wrap(self.field, self.ambient, self._key[1])
         return self._canon
@@ -124,10 +132,10 @@ class Subspace:
 
 def subspace_of(a: MatrixGF) -> Subspace:
     """The row space of ``a`` as a canonical Subspace."""
-    basis = next(_prefix_bases(a._rows, (a.nrows,), a.field))
-    if not basis:
+    ((rows, _),) = _prefix_levels(a._rows, (a.nrows,), a.field)
+    if not rows:
         raise ZeroRank("the zero matrix spans no subspace")
-    return Subspace(a.field, a.ncols, _rref_rows(basis))
+    return Subspace(a.field, a.ncols, rows)
 
 
 def _check_ambient(u: Subspace, v: Subspace) -> None:
@@ -137,22 +145,33 @@ def _check_ambient(u: Subspace, v: Subspace) -> None:
         )
 
 
-def _prefix_bases(rows: Sequence, lengths: Iterable[int], field: FieldSpec) -> Iterator[dict]:
-    """The fully reduced basis of the first t of ``rows`` for each t of the
-    nondecreasing ``lengths``, keyed as in _reduce_into.
+def _prefix_levels(rows: Sequence, lengths: Iterable[int], field: FieldSpec) -> list[tuple]:
+    """For each t of the nondecreasing ``lengths``, the span of the first t
+    of ``rows`` as (RREF rows, new rows).
 
-    The prefixes are nested, so one basis takes the rows one at a time and
-    is yielded at each requested length as it stands (the same dict, grown
-    in place): no prefix is reduced twice.  Rows are as matrices over
-    ``field`` store them.
+    The RREF rows are the span's key rows (matgf._rref_rows), so their
+    number is its rank; the new rows are the basis rows whose pivots are
+    new since the previous length, newest first.  The prefixes are nested,
+    so one fully reduced basis takes the rows one at a time
+    (matgf._reduce_into), and each level is read off it as it stands: no
+    prefix is reduced twice.  A new pivot is appended to the basis dict and
+    an older one keeps its place, so the new rows are its last entries.
+    Rows are as matrices over ``field`` store them.
     """
     basis: dict = {}
+    values = basis.values()
+    levels = []
     done = 0
     for t in lengths:
+        rank = len(basis)
         for row in rows[done:t]:
             _reduce_into(basis, row, field)
         done = t
-        yield basis
+        snapshot = [*values]
+        new = snapshot[rank:]
+        new.reverse()
+        levels.append((_rref_rows(snapshot), new))
+    return levels
 
 
 def _stacked_rank(u: Subspace, v: Subspace) -> int:
@@ -251,8 +270,9 @@ class SubspaceCode:
         field = self.words[0].field if self.words else None
         q = field.q if field else 0
         lines = [f"{self.ambient} {self.constant_dim} {q} {len(self.words)}"]
+        memo: dict = {}
         for w in self.words:
-            lines.append(matrix_to_text(w.canon))
+            _matrix_lines(field, self.ambient, w.key[1], memo, lines)
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -265,11 +285,13 @@ class SubspaceCode:
         if len(parts) != 4:
             raise ValueError(f"bad code header {header!r}")
         n, k, q, count = (int(t) for t in parts)
-        if count < 0:
-            raise ValueError(f"the header declares {count} words")
+        if count < 1:
+            # an empty code has no dimension, which dump() refuses to write
+            raise ValueError(f"the header declares {count} words, but a code file needs one or more")
         words = []
+        memo: dict = {}
         for _ in range(count):
-            m = read_matrix(lines)
+            m = _read_matrix(lines, None, memo)
             w = subspace_of(m)
             if w.ambient != n or w.dim != k:
                 raise ValueError("word does not match the code header")

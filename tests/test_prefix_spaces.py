@@ -12,7 +12,8 @@ A flag built from a matrix makes no Subspace: its parts are made from their
 keys on first read, and their pivot bases on the first read after that.
 ``check_lazy_parts`` compares those lazily made parts with ``subspace_of``
 and ``rref_oracle`` and checks that adjacent parts are nested; a generator
-set must make one Subspace per distinct row space and none per prefix.
+set must make one Subspace per distinct row space, on the first read of its
+``spaces``, and none per prefix, and the CLI construct path none at all.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import random
 import pytest
 
 import flagcodes as fc
+from flagcodes import cli
 from flagcodes.errors import RankDeficientPrefix, ZeroRank
 
 from _checks import (
@@ -278,3 +280,31 @@ def test_flag_builds_make_only_the_distinct_top_spaces(monkeypatch):
     # none for the 8 prefixes of each of the 169 flags, built or loaded
     assert len(gen.entries) == len(gen.spaces) == 169
     assert made == [w.key for w in gen.spaces]
+
+
+def test_construct_makes_no_subspace(monkeypatch, tmp_path):
+    """The CLI construct path writes a full-type code from its flags' keys
+    and source matrices: no Subspace is made, not even the generator set's
+    row spaces, which are made on their first read."""
+    made = _counting_subspaces(monkeypatch)
+    out = tmp_path / "full.code"
+    argv = ["construct", "--q", "2", "--k", "2", "--h", "1", "--s", "4", "--family", "full",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert made == []
+    code = fc.load_flag_code(out.read_text())
+    assert len(code) == 169
+    assert made == []
+
+
+def test_generator_set_spaces_made_on_first_read(monkeypatch):
+    made = _counting_subspaces(monkeypatch)
+    gen = fc.build_generator_set(fc.ConstructionParams.make(2, 2, 1, 4))
+    assert made == []
+    assert "spaces" not in vars(gen)
+    spaces = gen.spaces
+    assert len(made) == len(spaces) == 169
+    # the same tuple after, with nothing made again
+    assert gen.spaces is spaces
+    assert len(made) == 169
+    assert [w.key for w in spaces] == sorted({e.flag.key[-1] for e in gen.entries})
