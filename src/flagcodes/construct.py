@@ -444,7 +444,7 @@ class GeneratorSet:
         """The distinct row spaces of the generator matrices in key order,
         made on first read and the same tuple after.  Each is its entry's
         top part (GeneratorEntry.space); only the distinct ones are made."""
-        distinct = {e.flag.key[-1]: e for e in self.entries}
+        distinct = {e.flag._key_rows(-1): e for e in self.entries}
         return tuple(distinct[k].space for k in sorted(distinct))
 
     def entry(self, kind: str, index: int | None = None, power: int | None = None) -> GeneratorEntry:
@@ -508,7 +508,7 @@ def build_generator_set(params: ConstructionParams) -> GeneratorSet:
     entries.append(GeneratorEntry("M", None, None, m_mat, flag_from_matrix(m_mat, full_tv)))
 
     # the top part's key is the row space's key; no Subspace is made here
-    distinct = len({e.flag.key[-1] for e in entries})
+    distinct = len({e.flag._key_rows(-1) for e in entries})
     if distinct != params.expected_size:
         raise CardinalityMismatch(
             f"{distinct} distinct row spaces, expected {params.expected_size}"

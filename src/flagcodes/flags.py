@@ -28,13 +28,19 @@ from .errors import (
     TypeMismatch,
 )
 from .field import factorize
-from .matgf import MatrixGF, _expect_end, _matrix_lines, _read_matrix
+from .matgf import (
+    MatrixGF,
+    _back_substitute,
+    _echelon,
+    _expect_end,
+    _matrix_lines,
+    _read_matrix,
+    _rref_levels,
+)
 from .subspace import (
-    _KEY,
     Subspace,
     SubspaceCode,
     _distance_profile,
-    _prefix_levels,
     _restrict_profile,
     subspace_distance,
     subspace_of,
@@ -152,24 +158,15 @@ def ab_indices(tv: TypeVector) -> AbIndices:
 class Flag:
     """A strictly nested chain of subspaces matching a type vector.
 
-    A flag is its part keys (``key``) and the basis rows each level adds to
-    the one below (``_rows``, as matrices over its field store them), which
-    the distance scan reads (_levels).  ``field`` is the parts' common field
-    (parts over different fields are refused), and it takes part in
-    equality and hashing.  ``source`` is the generator matrix whose row
-    prefixes span the parts when the flag was made by flag_from_matrix (a
-    restriction inherits it), and None otherwise; it is ignored by
-    equality and hashing.  ``parts`` are Subspace objects, each made from
-    its key on first read unless the flag was given them.
-
-    ``Flag(type, parts)`` and flag_from_matrix both insert their rows level
-    by level into one fully reduced basis (matgf._reduce_into) and check
-    its rank at each type dimension, which is the nesting check.  A
-    restriction of a flag (_restricted) shares its parent's part keys,
-    level rows, field and source, and is not checked again.
+    A flag is its normal form (Liebhold, Nebe and Vazquez-Castro): per
+    level, the RREF rows of its part at the pivots it adds.  ``key`` and
+    ``_rows`` are that tuple, which equality, hashing (with ``field``),
+    FlagCode's order and the scan read.  ``source`` is flag_from_matrix's
+    matrix (a restriction inherits it) or None.  Part keys and parts are
+    made on first read; a restriction reads its parent's parts.
     """
 
-    __slots__ = ("type", "field", "source", "_key", "_rows", "_parts")
+    __slots__ = ("type", "field", "source", "_rows", "_keys", "_parts", "_parent")
 
     def __init__(self, type_: TypeVector, parts: Sequence[Subspace]):
         parts = tuple(parts)
@@ -190,36 +187,43 @@ class Flag:
                     f"component over {part.field} (modulus {part.field.modulus}) in "
                     f"a flag over {field} (modulus {field.modulus})"
                 )
-        # part i adds its dims[i] key rows; the first part's rows are
-        # independent, so only a later part can fail the rank check
+        # the first part's key rows are independent: only a later part can
+        # fail the rank check
         dims = type_.dims
-        stacked = [row for part in parts for row in part.key[1]]
-        rows: list = []
-        for i, (key_rows, new) in enumerate(_prefix_levels(stacked, accumulate(dims), field)):
-            if len(key_rows) != dims[i]:
+        keys = [part._key[1] for part in parts]
+        rows, ranks = _echelon([row for k in keys for row in k], accumulate(dims), field)
+        for i, rank in enumerate(ranks):
+            if rank != dims[i]:
                 raise RankDeficientPrefix(
                     f"component of dim {dims[i - 1]} not inside the next of dim {dims[i]}"
                 )
-            rows += new
-        self._set(type_, field, None, tuple(p.key for p in parts), tuple(rows), parts)
+        self._set(type_, field, None, rows, keys, parts, None)
 
-    def _set(self, type_, field, source, key, rows, parts) -> Flag:
-        """Fill every slot; the one place a flag's slots are set."""
+    def _set(self, type_, field, source, rows, keys, parts, parent) -> Flag:
+        """Fill every slot but a restriction's ``_rows`` (__getattr__)."""
         self.type = type_
         self.field = field
         self.source = source
-        self._key = key
-        self._rows = rows
+        if rows is not None:
+            self._rows = rows
+        self._keys = keys
         self._parts = parts
+        self._parent = parent  # a restriction's (parent flag, positions)
         return self
 
-    def _restricted(self, sub: TypeVector, positions: Sequence[int]) -> Flag:
+    def _restricted(self, sub: TypeVector, positions: tuple) -> Flag:
         """The flag of type ``sub`` made of this flag's parts at the 0-based
-        ``positions``, sharing its part keys, level rows, field and source.
-        A subsequence of a nested chain is nested, so nothing is
-        re-checked."""
-        key = tuple([self._key[p] for p in positions])
-        return Flag.__new__(Flag)._set(sub, self.field, self.source, key, self._rows, None)
+        ``positions``."""
+        parent = (self, positions)
+        return Flag.__new__(Flag)._set(sub, self.field, self.source, None, None, None, parent)
+
+    def __getattr__(self, name: str):
+        """A restriction's ``_rows``, made on first read by one echelon pass
+        over its parent's, which reduces only the levels it merges."""
+        if name != "_rows" or self._parent is None:
+            raise AttributeError(name)
+        self._rows = _echelon(self._parent[0]._rows, self.type.dims, self.field)[0]
+        return self._rows
 
     @property
     def parts(self) -> tuple[Subspace, ...]:
@@ -231,25 +235,44 @@ class Flag:
 
     def _part(self, i: int) -> Subspace:
         """Component ``i`` (0-based) alone, made from its key rows on first
-        read.  The same object as ``parts[i]``."""
+        read, or a restriction's parent's part.  The same object as
+        ``parts[i]``."""
         parts = self._parts
         if parts is None:
             parts = self._parts = [None] * self.type.r
         part = parts[i]
         if part is None:
-            part = parts[i] = Subspace(self.field, self.type.n, self._key[i][1])
+            parent = self._parent
+            part = parts[i] = (
+                parent[0]._part(parent[1][i]) if parent
+                else Subspace(self.field, self.type.n, self._key_rows(i))
+            )
         return part
 
+    def _key_rows(self, i: int) -> tuple:
+        """The RREF rows of component ``i`` (0-based), made on first read:
+        over GF(2) the top one, read first (the generator set reads it
+        alone), by back-substitution, and otherwise all at once."""
+        keys, r = self._keys, self.type.r
+        if keys is None and i % r == r - 1 and self.field.q == 2:
+            keys = self._keys = [None] * (r - 1) + [_back_substitute(self._rows, self.field)]
+        elif keys is None:
+            keys = self._keys = _rref_levels(self._rows, self.type.dims, self.field)
+        elif keys[i] is None:  # only the top one was read
+            keys[:-1] = _rref_levels(self._rows, self.type.dims[:-1], self.field)
+        return keys[i]
+
     def _levels(self) -> list[tuple]:
-        """The flag as _distance_profile levels: per component, the basis
-        rows it adds to the one below, and its dim."""
+        """The flag as _distance_profile levels: per component, the
+        normal-form rows it adds to the one below, and its dim."""
         rows = self._rows
         dims = self.type.dims
         return [(rows[lo:hi], hi) for lo, hi in zip((0, *dims), dims)]
 
     @property
     def key(self) -> tuple:
-        return self._key
+        """The normal-form rows, level after level."""
+        return self._rows
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Flag):
@@ -257,11 +280,11 @@ class Flag:
         return (
             self.type == other.type
             and self.field == other.field
-            and self._key == other._key
+            and self._rows == other._rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.type, self.field, self._key))
+        return hash((self.type, self.field, self._rows))
 
     def __repr__(self) -> str:
         return f"Flag(type {self.type.dims} in GF(q)^{self.type.n})"
@@ -270,13 +293,8 @@ class Flag:
 def flag_from_matrix(w: MatrixGF, type_: TypeVector) -> Flag:
     """The flag whose i-th component is the row space of the first t_i rows.
 
-    The rows go one at a time into one fully reduced basis, and at each
-    type dimension t the rank must be t.  There the flag records the part
-    key, the basis rows as stored (bitmasks over GF(2)) in pivot order
-    (matgf._rref_rows), and the basis rows whose pivots are new at t, which
-    the distance scan reads; subspace._prefix_levels gives both.  No
-    Subspace is made: the flag makes its parts from their keys on first
-    read.
+    One echelon pass (matgf._echelon) gives the flag's normal form, and
+    at each type dimension t the rank must be t: the nesting check.
     """
     if w.ncols != type_.n:
         raise AmbientMismatch(f"{w.ncols}-column matrix for ambient {type_.n}")
@@ -285,14 +303,11 @@ def flag_from_matrix(w: MatrixGF, type_: TypeVector) -> Flag:
         raise TooFewRows(
             f"{w.nrows} rows cannot produce a flag of type {dims}"
         )
-    keys = []
-    rows: list = []
-    for t, (key_rows, new) in zip(dims, _prefix_levels(w._rows, dims, w.field)):
-        if len(key_rows) != t:
-            raise RankDeficientPrefix(f"first {t} rows have rank {len(key_rows)}")
-        rows += new
-        keys.append((t, key_rows))
-    return Flag.__new__(Flag)._set(type_, w.field, w, tuple(keys), tuple(rows), None)
+    rows, ranks = _echelon(w._rows, dims, w.field)
+    for t, rank in zip(dims, ranks):
+        if rank != t:
+            raise RankDeficientPrefix(f"first {t} rows have rank {rank}")
+    return Flag.__new__(Flag)._set(type_, w.field, w, rows, None, None, None)
 
 
 class FlagCode:
@@ -314,9 +329,9 @@ class FlagCode:
                     f"flag over {f.field} (modulus {f.field.modulus}) in a code "
                     f"over {field} (modulus {field.modulus})"
                 )
-            seen[f.key] = f
+            seen[f._rows] = f
         self.type = type_
-        self.flags = tuple(sorted(seen.values(), key=_KEY))
+        self.flags = tuple([seen[key] for key in sorted(seen)])
         self._profile = None
         # (flag code, positions) when this code is an injective restriction
         self._parent = None
@@ -394,11 +409,9 @@ def projected_code_at_dim(code: FlagCode, dim: int) -> SubspaceCode:
 
 
 def is_cardinality_consistent(code: FlagCode) -> bool:
-    """True iff every projected code has as many words as the code has flags."""
-    return all(
-        len({f.key[i] for f in code}) == len(code)
-        for i in range(code.type.r)
-    )
+    """True iff every projected code has as many words as the code has
+    flags: no pair of flags has distance 0 at any level of the profile."""
+    return all(all(vec) for vec in code.distance_profile())
 
 
 @dataclass(frozen=True)
@@ -468,13 +481,20 @@ def optimum_check_ab(code: FlagCode) -> bool:
 def subsequence_code(code: FlagCode, sub: TypeVector) -> FlagCode:
     """Componentwise restriction of a flag code to a subsequence of its type.
 
-    Each restricted flag shares its parent's part keys and level rows and is
-    not re-checked for nesting (Flag._restricted)."""
+    Each restricted flag reads its parent's parts and is not re-checked
+    for nesting (Flag._restricted)."""
     tv = code.type
     if not sub.is_subsequence_of(tv):
         raise NotASubsequence(f"{sub.dims} is not a subsequence of {tv.dims}")
     positions = tuple(tv.dims.index(d) for d in sub.dims)
-    out = FlagCode(sub, (f._restricted(sub, positions) for f in code))
+    flags = [f._restricted(sub, positions) for f in code]
+    t = tv.dims[0]
+    if positions[0] == 0 and len({f._rows[:t] for f in code}) == len(code):
+        # first parts kept and distinct: the flags are distinct and in order
+        out = FlagCode(sub, ())
+        out.flags = tuple(flags)
+    else:
+        out = FlagCode(sub, flags)
     if len(out) == len(code):
         out._parent = (code, positions)
     return out
@@ -551,8 +571,8 @@ def _flag_lines(flag: Flag, memo: dict, out: list[str]) -> None:
         # flag_from_matrix checked that the source has these rows
         _matrix_lines(field, n, flag.source._rows[: flag.type.dims[-1]], memo, out)
     else:
-        for key in flag.key:
-            _matrix_lines(field, n, key[1], memo, out)
+        for i in range(flag.type.r):
+            _matrix_lines(field, n, flag._key_rows(i), memo, out)
 
 
 def _read_flag_body(lines: Iterator[str], tv: TypeVector, first: MatrixGF, memo: dict) -> Flag:
@@ -607,10 +627,10 @@ def load_flag_code(text: str) -> FlagCode:
     n, q, count = int(parts[1]), int(parts[2]), int(parts[3])
     if count < 0:
         raise ValueError(f"the header declares {count} flags")
-    # the flags' field checks q below; an empty code has none, and its
-    # dump writes q = 0
-    if count == 0 and q != 0 and (q < 2 or len(factorize(q)) != 1):
-        raise ValueError(f"header says q = {q}, which is no field order")
+    # the flags' field checks q below; an empty code has none and dumps q = 0
+    if count == 0 and q != 0:
+        what = "not 0" if q > 1 and len(factorize(q)) == 1 else "no field order"
+        raise ValueError(f"empty code: header says q = {q}, which is {what}")
     type_line = next((ln for ln in lines if ln.strip()), None)
     if type_line is None:
         raise ValueError("flag code file has no type line")

@@ -63,60 +63,96 @@ def _digits(bits: int, ncols: int) -> str:
 _BIT_TOKENS = frozenset(("0", "1"))
 
 
-def _reduce_into(basis: dict, row, field: FieldSpec) -> bool:
-    """Add ``row`` to the fully reduced basis ``basis``; True iff ``row``
-    was independent of it.
+def _echelon(rows: Sequence, lengths: Iterable[int], field: FieldSpec) -> tuple[tuple, list[int]]:
+    """The normal-form rows of the span of the first t of ``rows`` for each
+    t of the nondecreasing ``lengths``, and the rank of each span.
 
-    Over GF(2) rows are bitmasks keyed by their highest set bit, the bit of
-    their leading column; otherwise rows are tuples of element codes keyed
-    by their leading column, whose entry is 1.  The row is cleared at every
-    existing pivot; a nonzero remainder becomes a pivot row with its pivot
-    scaled to 1, and its pivot column is cleared from the older rows.  Every
-    pivot column then holds a single nonzero entry, so the rows in
-    increasing pivot-column order are the RREF of their span.  That is
-    decreasing order, for code tuples and GF(2) bitmasks alike: two rows
-    are both 0 before the lesser of their pivot columns, and at it only the
-    row of that pivot is nonzero.  This is the package's only step that
-    adds a row to a basis.
+    Each row is reduced by the rows kept before (in the order kept; over
+    GF(2) pivot order) and kept, pivot 1, if not 0.  The rows a length
+    adds, reduced among themselves, are its RREF rows at their pivots.
     """
-    if field.q == 2:
-        for top, base in basis.items():
-            if row & top:
-                row ^= base
-        if not row:
-            return False
-        top = 1 << row.bit_length() - 1
-        for p, base in basis.items():
-            if base & top:
-                basis[p] = base ^ row
-        basis[top] = row
-        return True
+    out: list = []
+    ranks = []
+    done = 0
+    gf2 = field.q == 2
+    basis: dict = {}  # pivot (bit over GF(2)) -> kept row
+    mask = 0  # GF(2): the pivot bits
     sub, mul = field.sub, field.mul
-    for c, base in basis.items():
-        x = row[c]
-        if x:
-            row = tuple([sub(a, mul(x, b)) for a, b in zip(row, base)])
-    c = next((j for j, x in enumerate(row) if x), None)
-    if c is None:
-        return False
-    x = row[c]
-    if x != 1:
-        xi = field.inv(x)
-        row = tuple([mul(xi, y) for y in row])
-    for p, base in basis.items():
-        y = base[c]
-        if y:
-            basis[p] = tuple([sub(a, mul(y, b)) for a, b in zip(base, row)])
-    basis[c] = row
-    return True
+    for t in lengths:
+        start = len(out)
+        for row in rows[done:t]:
+            if gf2:
+                x = row & mask
+                while x:
+                    row ^= basis[1 << x.bit_length() - 1]
+                    x = row & mask
+                if not row:
+                    continue
+                top = 1 << row.bit_length() - 1
+                mask |= top
+            else:
+                for c, base in basis.items():
+                    x = row[c]
+                    if x:
+                        row = tuple([sub(a, mul(x, b)) for a, b in zip(row, base)])
+                top = next((j for j, x in enumerate(row) if x), None)
+                if top is None:
+                    continue
+                x = row[top]
+                if x != 1:
+                    xi = field.inv(x)
+                    row = tuple([mul(xi, y) for y in row])
+            basis[top] = row
+            out.append(row)
+        if len(out) - start > 1:
+            out[start:] = _back_substitute(out[start:], field)
+        ranks.append(len(out))
+        done = t
+    return tuple(out), ranks
 
 
-def _rref_rows(rows: list) -> tuple:
-    """The RREF of the span of a fully reduced basis (_reduce_into), from
-    a list of its rows, which is sorted in place: the rows in increasing
-    pivot-column order, which is decreasing order."""
-    rows.sort(reverse=True)
-    return tuple(rows)
+def _back_substitute(rows: Sequence, field: FieldSpec) -> tuple:
+    """The RREF, in pivot order (decreasing order), of rows with pivots 1,
+    each 0 at the pivots before it.  Over GF(2) each, from the last, is
+    cleared at the later pivots a running mask finds: one AND if none.
+    """
+    if field.q != 2:
+        return _rref_levels(rows, (len(rows),), field)[0]
+    done: dict = {}  # pivot bit -> row
+    mask = 0
+    for row in reversed(rows):
+        x = row & mask
+        while x:
+            low = x & -x
+            row ^= done[low]
+            x ^= low
+        top = 1 << row.bit_length() - 1
+        done[top] = row
+        mask |= top
+    return tuple(sorted(done.values(), reverse=True))
+
+
+def _rref_levels(rows: Sequence, ends: Iterable[int], field: FieldSpec) -> list[tuple]:
+    """The RREF of the span of the first t ``rows`` (as _back_substitute
+    takes them) for each t of ``ends``: each clears its pivot above it.
+    """
+    out: list = []
+    keys = []
+    sub, mul = field.sub, field.mul
+    for t in ends:
+        for v in rows[len(out) : t]:
+            if field.q == 2:
+                b = 1 << v.bit_length() - 1
+                out = [r ^ v if r & b else r for r in out]
+            else:
+                c = v.index(1)
+                out = [
+                    tuple([sub(a, mul(r[c], b)) for a, b in zip(r, v)]) if r[c] else r
+                    for r in out
+                ]
+            out.append(v)
+        keys.append(tuple(sorted(out, reverse=True)))
+    return keys
 
 
 class MatrixGF:
@@ -243,18 +279,12 @@ class MatrixGF:
     def rref(self) -> tuple[MatrixGF, int]:
         """Reduced row-echelon form and rank.
 
-        The rows go one at a time into a single fully reduced basis
-        (_reduce_into), whose rows in pivot order have pivots 1 with their
-        columns otherwise cleared and strictly increasing: the unique
-        canonical form of the row space, padded with zero rows back to the
-        original shape.
+        One echelon pass over all rows as a single length (_echelon)
+        gives the RREF rows, the unique canonical form of the row space,
+        padded with zero rows back to the original shape.
         """
         field, ncols = self.field, self.ncols
-        basis: dict = {}
-        for row in self._rows:
-            _reduce_into(basis, row, field)
-        rows = _rref_rows([*basis.values()])
-        rank = len(rows)
+        rows, (rank,) = _echelon(self._rows, (self.nrows,), field)
         rows += (0 if field.q == 2 else (0,) * ncols,) * (self.nrows - rank)
         return MatrixGF._wrap(field, ncols, rows), rank
 

@@ -27,11 +27,10 @@ from .errors import (
 from .field import FieldSpec
 from .matgf import (
     MatrixGF,
+    _echelon,
     _expect_end,
     _matrix_lines,
     _read_matrix,
-    _reduce_into,
-    _rref_rows,
     block,
 )
 
@@ -50,42 +49,20 @@ __all__ = [
     "subspace_of",
 ]
 
-# the sort key of a code's words and flags
-_KEY = attrgetter("_key")
-
-
 class Subspace:
     """A nonzero subspace of GF(q)^n, canonicalized by its RREF generator."""
 
-    __slots__ = ("field", "ambient", "dim", "_basis", "_key", "_canon")
+    __slots__ = ("field", "ambient", "dim", "_key", "_canon")
 
     def __init__(self, field: FieldSpec, ambient: int, rows: tuple):
         # rows must be the RREF generator's rows as matrices over field
-        # store them (bitmasks over GF(2), code tuples otherwise); the pivot
-        # basis is made from them on first read (_piv).  Use subspace_of()
-        # to canonicalize a matrix.
+        # store them (bitmasks over GF(2), code tuples otherwise).  Use
+        # subspace_of() to canonicalize a matrix.
         self.field = field
         self.ambient = ambient
         self.dim = len(rows)
-        self._basis = None
         self._key = (self.dim, rows)
         self._canon = None
-
-    @property
-    def _piv(self) -> dict:
-        """The fully reduced basis keyed as in _reduce_into, in pivot order,
-        made from the key rows on first read (over GF(2) keyed by their
-        highest set bit; otherwise keyed by their leading column, whose
-        entry is 1)."""
-        piv = self._basis
-        if piv is None:
-            rows = self._key[1]
-            if self.field.q == 2:
-                piv = {1 << b.bit_length() - 1: b for b in rows}
-            else:
-                piv = {row.index(1): row for row in rows}
-            self._basis = piv
-        return piv
 
     @property
     def canon(self) -> MatrixGF:
@@ -132,7 +109,7 @@ class Subspace:
 
 def subspace_of(a: MatrixGF) -> Subspace:
     """The row space of ``a`` as a canonical Subspace."""
-    ((rows, _),) = _prefix_levels(a._rows, (a.nrows,), a.field)
+    rows, _ = _echelon(a._rows, (a.nrows,), a.field)
     if not rows:
         raise ZeroRank("the zero matrix spans no subspace")
     return Subspace(a.field, a.ncols, rows)
@@ -145,40 +122,9 @@ def _check_ambient(u: Subspace, v: Subspace) -> None:
         )
 
 
-def _prefix_levels(rows: Sequence, lengths: Iterable[int], field: FieldSpec) -> list[tuple]:
-    """For each t of the nondecreasing ``lengths``, the span of the first t
-    of ``rows`` as (RREF rows, new rows).
-
-    The RREF rows are the span's key rows (matgf._rref_rows), so their
-    number is its rank; the new rows are the basis rows whose pivots are
-    new since the previous length, newest first.  The prefixes are nested,
-    so one fully reduced basis takes the rows one at a time
-    (matgf._reduce_into), and each level is read off it as it stands: no
-    prefix is reduced twice.  A new pivot is appended to the basis dict and
-    an older one keeps its place, so the new rows are its last entries.
-    Rows are as matrices over ``field`` store them.
-    """
-    basis: dict = {}
-    values = basis.values()
-    levels = []
-    done = 0
-    for t in lengths:
-        rank = len(basis)
-        for row in rows[done:t]:
-            _reduce_into(basis, row, field)
-        done = t
-        snapshot = [*values]
-        new = snapshot[rank:]
-        new.reverse()
-        levels.append((_rref_rows(snapshot), new))
-    return levels
-
-
 def _stacked_rank(u: Subspace, v: Subspace) -> int:
-    """rk of the stacked canonical generators, seeded with u's pivots."""
-    basis = dict(u._piv)
-    field = u.field
-    return u.dim + sum(_reduce_into(basis, row, field) for row in v._piv.values())
+    """rk of the stacked canonical generators, from one echelon pass."""
+    return _echelon(u._key[1] + v._key[1], (u.dim + v.dim,), u.field)[1][0]
 
 
 def subspace_distance(u: Subspace, v: Subspace) -> int:
@@ -216,7 +162,7 @@ class SubspaceCode:
                     f"over {field} (modulus {field.modulus})"
                 )
             seen[w.key] = w
-        ordered = tuple(sorted(seen.values(), key=_KEY))
+        ordered = tuple(sorted(seen.values(), key=attrgetter("_key")))
         dims = {w.dim for w in ordered}
         self.ambient = ambient
         self.words = ordered
@@ -312,8 +258,8 @@ def _distance_profile(levels: Sequence[Sequence[tuple]], field: FieldSpec, n: in
     ``levels[m][l]`` is (rows, dim): the rows chain m adds at level l, as
     matrices over ``field`` store them (bitmasks over GF(2), code tuples
     otherwise), and the dim they span together with the rows of the levels
-    below.  All chains have the same number of levels: a flag gives the
-    basis rows it recorded at each level (Flag._levels), and a word of a
+    below.  All chains have the same number of levels: a flag gives its
+    normal-form rows at each level (Flag._levels), and a word of a
     SubspaceCode its key rows as its single level.  The result maps
     (d(U_1, V_1), ..., d(U_r, V_r)) to its number of pairs.  A pair needs
     one elimination basis: level i inserts the rows that U_i and V_i add to

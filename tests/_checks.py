@@ -9,10 +9,11 @@ GF(2) product (``mat_mul_oracle``), pair-by-pair
 ``subspace_distance`` / ``flag_distance`` calls instead of the cached
 level-by-level code scan, one elimination basis per pair instead of the
 bit-sliced scan over the prime field, and whole-matrix Gauss-Jordan
-elimination (``rref_oracle``) instead of the one-row-at-a-time fully reduced
-insert that ``MatrixGF.rref``, ``subspace_of`` and ``flag_from_matrix`` share,
-flags rebuilt through the nesting-checked ``Flag`` constructor instead of
-the unchecked restriction ``subsequence_code`` makes, each orbit image
+elimination (``rref_oracle``, and on it ``normal_form_oracle``) instead of
+the one-row-at-a-time echelon pass that ``MatrixGF.rref``, ``subspace_of``
+and ``flag_from_matrix`` share, flags rebuilt through the nesting-checked
+``Flag`` constructor instead of the unchecked restriction
+``subsequence_code`` makes, each orbit image
 made from a fresh power g**t instead of stepped by g (``orbit_by_powers``),
 and a hyperplane's normal found among all q^n vectors instead of read off
 its RREF key (``normal_oracle``).
@@ -366,19 +367,24 @@ def check_restriction(code: fc.FlagCode, sub: fc.TypeVector) -> fc.FlagCode:
     """subsequence_code against the same restriction built flag by flag
     through the checked constructor Flag(sub, parts), which re-checks the
     nesting: equal flags in the same order, with equal keys, fields, parts
-    and hashes, each restricted flag keeping its parent's source, and an
-    equal distance profile, the checked code scanning its own pairs.
-    Returns the restricted code."""
+    and hashes, each restricted flag reading its parent's parts and keeping
+    its source, a key with a source equal to ``normal_form_oracle`` of it,
+    and an equal distance profile, the checked code scanning its own
+    pairs.  Returns the restricted code."""
     positions = [code.type.dims.index(d) for d in sub.dims]
     got = fc.subsequence_code(code, sub)
     want = fc.FlagCode(sub, (fc.Flag(sub, [f.parts[p] for p in positions]) for f in code))
-    by_key = {tuple(f.key[p] for p in positions): f for f in code}
+    by_parts = {tuple(f.parts[p] for p in positions): f for f in code}
     assert want._parent is None
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g == w and hash(g) == hash(w)
         assert g.type == w.type and g.key == w.key and g.field == w.field
-        assert g.source is by_key[g.key].source
+        parent = by_parts[g.parts]
+        assert all(g.parts[i] is parent.parts[p] for i, p in enumerate(positions))
+        if g.source is not None:
+            assert g.key == normal_form_oracle(g.source, sub.dims)
+        assert g.source is parent.source
         assert w.source is None
         assert g.parts == w.parts
     assert got.distance_profile() == want.distance_profile()
@@ -533,16 +539,22 @@ def flag_key_oracle(w: fc.MatrixGF, dims) -> tuple:
     return tuple(key)
 
 
-def pivot_basis_oracle(canon: fc.MatrixGF) -> dict:
-    """The pivot basis of the space whose canonical generator is ``canon``,
-    read off its code grid: its rows as ``key_rows_oracle`` gives them, in
-    order, each keyed by the bit of its leading column over GF(2) and by
-    its leading column otherwise."""
-    rows = key_rows_oracle(canon)
-    lead = [next(j for j, v in enumerate(row) if v) for row in canon.int_rows()]
-    if canon.field.q == 2:
-        return {1 << (canon.ncols - 1 - c): row for c, row in zip(lead, rows)}
-    return dict(zip(lead, rows))
+def normal_form_oracle(w: fc.MatrixGF, dims) -> tuple:
+    """The normal form of the flag whose components are the row spaces of
+    the first t rows of ``w``, t in ``dims``: per component, the rows of
+    ``rref_oracle`` of that prefix at the pivot columns that are no pivots
+    of the prefix before, in order, as ``key_rows_oracle`` gives them; the
+    form Flag.key takes.  Each prefix must have rank t."""
+    key: list = []
+    below: set = set()
+    for t in dims:
+        reduced, rank = rref_oracle(w.first_rows(t))
+        assert rank == t
+        canon = reduced.first_rows(t)
+        lead = [next(j for j, v in enumerate(row) if v) for row in canon.int_rows()]
+        key += [row for c, row in zip(lead, key_rows_oracle(canon)) if c not in below]
+        below.update(lead)
+    return tuple(key)
 
 
 def prefix_subspace_oracle(w: fc.MatrixGF, t: int) -> tuple[int, fc.Subspace | None]:
@@ -559,15 +571,12 @@ def prefix_subspace_oracle(w: fc.MatrixGF, t: int) -> tuple[int, fc.Subspace | N
 
 
 def assert_same_subspace(got: fc.Subspace, want: fc.Subspace) -> None:
-    """Equal canonical generator, key and hash, and the pivot basis (in
-    pivot order) that ``pivot_basis_oracle`` reads off the canonical
-    generator."""
+    """Equal canonical generator, key and hash."""
     assert got.canon == want.canon
     assert got.dim == got.canon.nrows and got.ambient == got.canon.ncols
     assert got.key == (want.canon.nrows, key_rows_oracle(want.canon))
     assert got.canon.int_rows() == want.canon.int_rows()
     assert got.key == want.key
-    assert list(got._piv.items()) == list(pivot_basis_oracle(want.canon).items())
     assert hash(got) == hash(want)
     assert got == want
 
@@ -594,11 +603,11 @@ def check_parts_built(flag: fc.Flag) -> fc.Flag:
 def check_lazy_parts(flag: fc.Flag, w: fc.MatrixGF) -> None:
     """A flag built from ``w`` against prefixes canonicalized on their own:
     each part, made from its key on first read, equals
-    ``subspace_of(w.first_rows(t))`` and ``rref_oracle`` of that prefix; its
-    pivot basis, made on first read from the key rows, equals the one
-    ``pivot_basis_oracle`` reads off that RREF; and each part contains the
-    one below and not the one above.  No basis of the flag's parts may have
-    been read before."""
+    ``subspace_of(w.first_rows(t))`` and ``rref_oracle`` of that prefix,
+    its key rows are the flag's (_key_rows), and each part contains the
+    one below and not the one above.  The flag's key must be
+    ``normal_form_oracle`` of ``w``."""
+    assert flag.key == flag._rows == normal_form_oracle(w, flag.type.dims)
     for i, t in enumerate(flag.type.dims):
         part = flag._part(i)
         assert part is flag._part(i)
@@ -607,10 +616,7 @@ def check_lazy_parts(flag: fc.Flag, w: fc.MatrixGF) -> None:
         reduced, rank = rref_oracle(prefix)
         assert rank == t
         assert part.key == want.key == (t, key_rows_oracle(reduced.first_rows(t)))
-        assert part.key == flag.key[i]
-        assert part._basis is None
-        assert list(part._piv.items()) == list(pivot_basis_oracle(reduced.first_rows(t)).items())
-        assert part._piv is part._piv  # made once, then kept
+        assert part.key[1] is flag._key_rows(i)
         assert part.canon == want.canon == reduced.first_rows(t)
         assert part == want and hash(part) == hash(want)
     parts = flag.parts

@@ -235,8 +235,8 @@ def test_loads_over_different_fields_share_nothing():
             assert loaded.flags[0].field == field
             stored = int if field.q == 2 else tuple
             for f in loaded:
-                rows = f.source._rows if f.source is not None else f.key[0][1]
-                assert all(type(r) is stored for r in rows)
+                rows = f.source._rows if f.source is not None else f._key_rows(0)
+                assert all(type(r) is stored for r in rows + f.key)
             assert fc.dump_flag_code(loaded) == texts[p, e]
 
 
@@ -259,6 +259,16 @@ class TestCodeHeaders:
     def test_flag_code_header_q_must_be_a_field_order(self, q, tmp_path):
         text = f"flagcode 3 {q} 0\ntype 1,2\n"
         with pytest.raises(ValueError, match=f"header says q = {q}, which is no field order"):
+            fc.load_flag_code(text)
+        path = tmp_path / "q.code"
+        path.write_text(text)
+        assert cli.main(["spectrum", "--code", str(path)]) == 2
+
+    def test_an_empty_flag_code_header_q_must_be_0(self, tmp_path):
+        # an empty code is dumped with q = 0, so a prime power would not
+        # round-trip
+        text = "flagcode 3 4 0\ntype 1,2\n"
+        with pytest.raises(ValueError, match="header says q = 4, which is not 0"):
             fc.load_flag_code(text)
         path = tmp_path / "q.code"
         path.write_text(text)

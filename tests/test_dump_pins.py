@@ -3,8 +3,8 @@
 ``data/dump_sha256.json`` holds the SHA-256 of ``dump_flag_code`` for the
 full, optimum and longer families of a few instances over GF(2), GF(3),
 GF(4) and GF(9), at each poly choice the field allows.  The dump lists the
-flags in code order, so these pins guard that order (the sort by part keys)
-as well as the text format.  A change that only restructures code must
+flags in code order, so these pins guard that order (the sort by normal
+form, here the order of the first parts) as well as the text format.  A change that only restructures code must
 leave every file byte-identical.  When the order or format changes on
 purpose, re-record with
 

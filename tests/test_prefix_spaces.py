@@ -1,19 +1,21 @@
-"""Prefix row spaces from one incremental elimination, against a fresh RREF
-of every prefix.
+"""Prefix row spaces from one echelon pass, against a fresh RREF of every
+prefix.
 
-``flag_from_matrix`` and ``subspace_of`` read every prefix subspace off a
-single fully reduced basis that takes the matrix's rows one at a time.  The
-oracle in ``_checks.py`` reduces each prefix on its own with whole-matrix
+``flag_from_matrix`` makes a flag's normal form in one echelon pass over
+the matrix's rows, and each part's key rows from it by back-substitution;
+``subspace_of`` is the same pass over all rows.  The oracle in
+``_checks.py`` reduces each prefix on its own with whole-matrix
 Gauss-Jordan elimination (``rref_oracle``); the two must agree in canonical
-generator, key, pivot basis, hash and equality, and fail with the same
-errors and messages.
+generator, key, hash and equality, and fail with the same errors and
+messages.
 
-A flag built from a matrix makes no Subspace: its parts are made from their
-keys on first read, and their pivot bases on the first read after that.
-``check_lazy_parts`` compares those lazily made parts with ``subspace_of``
-and ``rref_oracle`` and checks that adjacent parts are nested; a generator
-set must make one Subspace per distinct row space, on the first read of its
-``spaces``, and none per prefix, and the CLI construct path none at all.
+A flag built from a matrix makes no Subspace: its parts are made from
+their key rows on first read.  ``check_lazy_parts`` compares those lazily
+made parts with ``subspace_of`` and ``rref_oracle``, the flag's key with
+``normal_form_oracle``, and checks that adjacent parts are nested; a
+generator set must make one Subspace per distinct row space, on the first
+read of its ``spaces``, and none per prefix, and the CLI construct path
+none at all.
 """
 
 from __future__ import annotations
@@ -183,9 +185,8 @@ def test_canon_made_on_first_read(field_args):
         assert canon == reduced.first_rows(rank)
         assert key_rows_oracle(canon) == space.key[1]
         assert space.canon is canon
-        # the key rows are the canon's stored rows, in pivot order
+        # the key rows are the canon's stored rows
         assert canon._rows is space.key[1]
-        assert canon._rows == tuple(space._piv.values())
 
 
 def _counting_rref(monkeypatch) -> list:
@@ -307,4 +308,6 @@ def test_generator_set_spaces_made_on_first_read(monkeypatch):
     # the same tuple after, with nothing made again
     assert gen.spaces is spaces
     assert len(made) == 169
-    assert [w.key for w in spaces] == sorted({e.flag.key[-1] for e in gen.entries})
+    assert [w.key for w in spaces] == sorted(
+        {prefix_subspace_oracle(e.matrix, e.matrix.nrows)[1].key for e in gen.entries}
+    )

@@ -1,9 +1,10 @@
 """Restrictions of the full-type code, against flags rebuilt with a nesting
 check.
 
-``subsequence_code`` makes each restricted flag from its parent's part keys
-and level rows without checking the nesting again, since a subsequence of a
-nested chain is nested.  For every standard sweep instance and every type
+``subsequence_code`` makes each restricted flag from its parent's
+normal-form rows, reducing only the levels it merges, and lets it read its
+parent's parts, without checking the nesting again, since a subsequence of
+a nested chain is nested.  For every standard sweep instance and every type
 the claim suite restricts to (admissible, master, and the inner and outer
 halves of every split), ``_checks.check_restriction`` rebuilds the
 restriction through the checked ``Flag`` constructor, and the two must
@@ -14,6 +15,7 @@ once.
 from __future__ import annotations
 
 import json
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -22,7 +24,16 @@ import pytest
 import flagcodes as fc
 import flagcodes.construct
 
-from _checks import SWEEP, check_restriction, poly_choices, strip_seconds
+from _checks import (
+    SWEEP,
+    _random_matrix,
+    check_restriction,
+    every_full_flag_of_gf2_3,
+    normal_form_oracle,
+    poly_choices,
+    rref_oracle,
+    strip_seconds,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "golden_verdicts.json"
 SWEEP_CHOICES = [(qkhs, c) for qkhs in SWEEP for c in poly_choices(*qkhs)]
@@ -65,21 +76,43 @@ def test_the_sweep_restricts_splits_of_full_and_master_codes():
 
 
 def test_restricted_flags_share_their_parents_parts():
-    # equal parts made from the same key rows, and the parent's level rows,
-    # field and source themselves
+    # the parent's parts themselves, equal part key rows, and the parent's
+    # field and source; the key is the normal form of the restricted type
     params = fc.ConstructionParams.make(2, 2, 1, 3)
     gen = fc.build_generator_set(params)
     tv = fc.master_type(params)
     positions = [gen.full.type.dims.index(d) for d in tv.dims]
-    by_key = {tuple(f.key[p] for p in positions): f for f in gen.full}
+    by_parts = {tuple(f.parts[p] for p in positions): f for f in gen.full}
     for f in gen.flag_code(tv):
-        parent = by_key[f.key]
+        parent = by_parts[f.parts]
         for i, p in enumerate(positions):
-            assert f.key[i] is parent.key[p]
-            assert f.parts[i] == parent.parts[p]
-            assert f.parts[i].key[1] is parent.parts[p].key[1]
-        assert f._rows is parent._rows
+            assert f.parts[i] is parent.parts[p]
+            assert f._key_rows(i) == parent._key_rows(p)
+        assert f.key == normal_form_oracle(f.source, tv.dims)
         assert f.source is parent.source and f.field is parent.field
+
+
+def test_restrictions_of_codes_with_shared_first_parts():
+    # the 21 full flags of GF(2)^3 share their points in threes, and the
+    # GF(3)^5 flags below share two first parts: a restriction that keeps
+    # the first part sorts and dedupes by normal form, as one that drops it
+    # does
+    check_restriction(every_full_flag_of_gf2_3(), fc.TypeVector(3, (1,)))
+    check_restriction(every_full_flag_of_gf2_3(), fc.TypeVector(3, (2,)))
+    gf3 = fc.field_make(3)
+    rng = random.Random(5)
+    full = fc.TypeVector.full(5)
+    heads = [fc.MatrixGF(gf3, [[1, 0, 2, 0, 1]]), fc.MatrixGF(gf3, [[0, 1, 1, 2, 0]])]
+    flags = []
+    while len(flags) < 30:
+        w = fc.vstack([heads[len(flags) % 2], _random_matrix(gf3, rng, 3, 5)])
+        if rref_oracle(w)[1] == 4:
+            flags.append(fc.flag_from_matrix(w, full))
+    code = fc.FlagCode(full, flags)
+    for dims in [(1, 3, 4), (1, 2, 4), (2, 4), (3,)]:
+        sub = fc.TypeVector(5, dims)
+        got = check_restriction(code, sub)
+        assert [f.key for f in got] == sorted({normal_form_oracle(f.source, dims) for f in code})
 
 
 class TestFlagCodeCache:
