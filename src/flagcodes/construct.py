@@ -48,6 +48,8 @@ from .flags import (
     Flag,
     FlagCode,
     TypeVector,
+    _distances_at,
+    _words_at,
     ab_indices,
     admissible_type_check,
     classify,
@@ -57,7 +59,6 @@ from .flags import (
     is_cardinality_consistent,
     max_flag_distance,
     optimum_check_ab,
-    projected_code,
     projected_code_at_dim,
     split_type,
     subsequence_code,
@@ -68,8 +69,6 @@ from .subspace import (
     SubspaceCode,
     _hyperplane_normal,
     _normal_walk,
-    code_min_distance,
-    is_partial_spread,
     max_partial_spread_size,
     subspace_distance,
     subspace_of,
@@ -422,10 +421,11 @@ class GeneratorSet:
     """All generator matrices of the construction, with deduplicated spaces
     and the full-type code of their flags.
 
-    Every typed and projected code of the construction is a restriction of
-    ``full``; an injective one reads the full code's cached distance profile
-    instead of scanning its own pairs.  Each typed code is restricted once
-    and kept, so every claim on a type reads one code.
+    Every typed code of the construction is a restriction of ``full``; an
+    injective one reads the full code's cached distance profile instead of
+    scanning its own pairs.  Each typed code is restricted once and kept,
+    so every claim on a type reads one code.  The claims read projected
+    codes off ``full`` too (flags._words_at, flags._distances_at).
     """
 
     params: ConstructionParams
@@ -462,7 +462,8 @@ class GeneratorSet:
         return code
 
     def projected_at_dim(self, m: int) -> SubspaceCode:
-        """Row spaces of the first m rows of every generator matrix."""
+        """Row spaces of the first m rows of every generator matrix, as a
+        code that scans its own words."""
         return projected_code_at_dim(self.full, m)
 
 
@@ -706,31 +707,30 @@ def verify_spread_projections(
     k, n = params.k, params.n
     size = params.expected_size
 
-    ck = gen.projected_at_dim(k)
+    full = gen.full
     rep.check(
         "projected.k.partial_spread",
         f"the {k}-projected code is a partial {k}-spread",
         True,
-        lambda: is_partial_spread(ck),
+        lambda: all(d == 2 * k for d in _distances_at(full, k - 1)),
     )
     rep.check(
         "projected.k.cardinality",
         f"the {k}-projected code has sum(q^(ik+h)) + 1 = {size} words",
         size,
-        lambda: len(ck),
+        lambda: _words_at(full, k - 1),
     )
-    cnk = gen.projected_at_dim(n - k)
     rep.check(
         "projected.n_minus_k.min_distance",
         f"the {n - k}-projected code attains the maximum distance 2k = {2 * k}",
         2 * k,
-        lambda: code_min_distance(cnk),
+        lambda: min(_distances_at(full, n - k - 1)),
     )
     rep.check(
         "projected.n_minus_k.cardinality",
         f"the {n - k}-projected code has {size} words",
         size,
-        lambda: len(cnk),
+        lambda: _words_at(full, n - k - 1),
     )
     return rep
 
@@ -762,8 +762,8 @@ def verify_intermediate_distances(
         )
         statement = f"the {m}-projected code has {size} words"
         if expected_d:
-            cm = gen.projected_at_dim(m)
-            rep.check(f"middle.dim{m}.cardinality", statement, size, lambda cm=cm: len(cm))
+            rep.check(f"middle.dim{m}.cardinality", statement, size,
+                      lambda m=m: _words_at(gen.full, m - 1))
         else:
             rep.skip(f"middle.dim{m}.cardinality", statement, _unguaranteed_reason(m))
     for i in range(1, s):
@@ -920,7 +920,7 @@ def _deficit_claims(
             f"{prefix}.prefix_cardinalities",
             f"the first {ab.a} projected codes all have |C| words",
             True,
-            lambda: all(len(projected_code(code, idx)) == len(code) for idx in range(1, ab.a + 1)),
+            lambda: all(_words_at(code, i) == len(code) for i in range(ab.a)),
         )
     if tv.is_full and ell <= min(ab.a - 1, tv.n - 1 - ab.b):
         rep.check(
@@ -1103,13 +1103,10 @@ def _optimum_claims(
 
 def _projected_equivalence(code: FlagCode) -> bool:
     tv = code.type
-    profile = code.distance_profile()
     consistent = is_cardinality_consistent(code)
-    # Projected codes are deduplicated: a pair of flags sharing their i-th
-    # part is no pair of the i-th projected code, so its minimum distance is
-    # the smallest nonzero i-th entry (None when it has a single word).
+    # the i-th projected code's minimum distance (None for a single word)
     all_max = all(
-        min((vec[i] for vec in profile if vec[i]), default=None) == 2 * min(d, tv.n - d)
+        min(_distances_at(code, i), default=None) == 2 * min(d, tv.n - d)
         for i, d in enumerate(tv.dims)
     )
     return (consistent and all_max) == classify(code).is_optimum

@@ -35,7 +35,6 @@ from .matgf import (
     _expect_end,
     _matrix_lines,
     _read_matrix,
-    _rref_levels,
 )
 from .subspace import (
     Subspace,
@@ -163,7 +162,7 @@ class Flag:
     ``_rows`` are that tuple, which equality, hashing (with ``field``),
     FlagCode's order and the scan read.  ``source`` is flag_from_matrix's
     matrix (a restriction inherits it) or None.  Part keys and parts are
-    made on first read; a restriction reads its parent's parts.
+    made on first read; a restriction reads its parent's.
     """
 
     __slots__ = ("type", "field", "source", "_rows", "_keys", "_parts", "_parent")
@@ -250,17 +249,20 @@ class Flag:
         return part
 
     def _key_rows(self, i: int) -> tuple:
-        """The RREF rows of component ``i`` (0-based), made on first read:
-        over GF(2) the top one, read first (the generator set reads it
-        alone), by back-substitution, and otherwise all at once."""
-        keys, r = self._keys, self.type.r
-        if keys is None and i % r == r - 1 and self.field.q == 2:
-            keys = self._keys = [None] * (r - 1) + [_back_substitute(self._rows, self.field)]
-        elif keys is None:
-            keys = self._keys = _rref_levels(self._rows, self.type.dims, self.field)
-        elif keys[i] is None:  # only the top one was read
-            keys[:-1] = _rref_levels(self._rows, self.type.dims[:-1], self.field)
-        return keys[i]
+        """The RREF rows of component ``i`` (0-based), made on first read by
+        back-substituting the normal-form rows up to its dim, or a
+        restriction's parent's.  The same tuple on every read."""
+        keys = self._keys
+        if keys is None:
+            keys = self._keys = [None] * self.type.r
+        key = keys[i]
+        if key is None:
+            parent = self._parent
+            key = keys[i] = (
+                parent[0]._key_rows(parent[1][i]) if parent
+                else _back_substitute(self._rows[: self.type.dims[i]], self.field)
+            )
+        return key
 
     def _levels(self) -> list[tuple]:
         """The flag as _distance_profile levels: per component, the
@@ -394,13 +396,12 @@ def code_flag_min_distance(code: FlagCode) -> int:
 
 
 def projected_code(code: FlagCode, i: int) -> SubspaceCode:
-    """The deduplicated set of i-th components (1-based index into the type)."""
+    """The deduplicated set of i-th components (1-based index into the type),
+    a code that scans its own words.  The claim suite reads projected codes
+    off ``code`` instead (_words_at, _distances_at)."""
     if not 1 <= i <= code.type.r:
         raise IndexOutOfRange(f"index {i} outside 1..{code.type.r}")
-    out = SubspaceCode(code.type.n, (f._part(i - 1) for f in code))
-    if len(out) == len(code):
-        out._parent = (code, (i - 1,))
-    return out
+    return SubspaceCode(code.type.n, (f._part(i - 1) for f in code))
 
 
 def projected_code_at_dim(code: FlagCode, dim: int) -> SubspaceCode:
@@ -412,6 +413,22 @@ def is_cardinality_consistent(code: FlagCode) -> bool:
     """True iff every projected code has as many words as the code has
     flags: no pair of flags has distance 0 at any level of the profile."""
     return all(all(vec) for vec in code.distance_profile())
+
+
+def _words_at(code: FlagCode, i: int) -> int:
+    """The number of words of the projected code at 0-based position ``i``:
+    ``len(code)`` when no pair of the profile has distance 0 there (a 0 is
+    exactly a pair sharing its i-th part), else the distinct part keys."""
+    if all(vec[i] for vec in code.distance_profile()):
+        return len(code)
+    return len({f._key_rows(i) for f in code})
+
+
+def _distances_at(code: FlagCode, i: int) -> set[int]:
+    """The distances of the projected code at 0-based position ``i``: the
+    nonzero i-th profile entries, since a pair sharing its i-th part is no
+    pair of that deduplicated code."""
+    return {vec[i] for vec in code.distance_profile() if vec[i]}
 
 
 @dataclass(frozen=True)

@@ -113,46 +113,30 @@ def _echelon(rows: Sequence, lengths: Iterable[int], field: FieldSpec) -> tuple[
 
 def _back_substitute(rows: Sequence, field: FieldSpec) -> tuple:
     """The RREF, in pivot order (decreasing order), of rows with pivots 1,
-    each 0 at the pivots before it.  Over GF(2) each, from the last, is
-    cleared at the later pivots a running mask finds: one AND if none.
+    each 0 at the pivots before it.  Each, from the last, is cleared at the
+    later pivots; over GF(2) a running mask finds them: one AND if none.
     """
-    if field.q != 2:
-        return _rref_levels(rows, (len(rows),), field)[0]
-    done: dict = {}  # pivot bit -> row
-    mask = 0
-    for row in reversed(rows):
-        x = row & mask
-        while x:
-            low = x & -x
-            row ^= done[low]
-            x ^= low
-        top = 1 << row.bit_length() - 1
-        done[top] = row
-        mask |= top
+    done: dict = {}  # pivot (bit over GF(2)) -> row
+    if field.q == 2:
+        mask = 0
+        for row in reversed(rows):
+            x = row & mask
+            while x:
+                low = x & -x
+                row ^= done[low]
+                x ^= low
+            top = 1 << row.bit_length() - 1
+            done[top] = row
+            mask |= top
+    else:
+        sub, mul = field.sub, field.mul
+        for row in reversed(rows):
+            for c, base in done.items():
+                x = row[c]
+                if x:
+                    row = tuple([sub(a, mul(x, b)) for a, b in zip(row, base)])
+            done[row.index(1)] = row
     return tuple(sorted(done.values(), reverse=True))
-
-
-def _rref_levels(rows: Sequence, ends: Iterable[int], field: FieldSpec) -> list[tuple]:
-    """The RREF of the span of the first t ``rows`` (as _back_substitute
-    takes them) for each t of ``ends``: each clears its pivot above it.
-    """
-    out: list = []
-    keys = []
-    sub, mul = field.sub, field.mul
-    for t in ends:
-        for v in rows[len(out) : t]:
-            if field.q == 2:
-                b = 1 << v.bit_length() - 1
-                out = [r ^ v if r & b else r for r in out]
-            else:
-                c = v.index(1)
-                out = [
-                    tuple([sub(a, mul(r[c], b)) for a, b in zip(r, v)]) if r[c] else r
-                    for r in out
-                ]
-            out.append(v)
-        keys.append(tuple(sorted(out, reverse=True)))
-    return keys
 
 
 class MatrixGF:

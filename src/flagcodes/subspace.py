@@ -143,7 +143,7 @@ class SubspaceCode:
     sorted by key and deduped: of words with equal keys the last one given
     is kept."""
 
-    __slots__ = ("ambient", "words", "constant_dim", "_spectrum", "_parent")
+    __slots__ = ("ambient", "words", "constant_dim", "_spectrum")
 
     def __init__(self, ambient: int, words: Iterable[Subspace]):
         seen: dict[tuple, Subspace] = {}
@@ -168,26 +168,18 @@ class SubspaceCode:
         self.words = ordered
         self.constant_dim = dims.pop() if len(dims) == 1 else None
         self._spectrum = None
-        # (flag code, (position,)) when this code is an injective projection
-        self._parent = None
 
     def spectrum(self) -> Counter:
         """Distance -> number of unordered word pairs at that distance.
 
-        Computed on first use and cached; the same Counter is returned on
-        every later call.  An injective projection of a flag code reads the
-        flag code's profile, where each of its pairs is exactly one pair;
-        any other code makes its own exhaustive scan.
+        Computed on first use by an exhaustive scan of the words and
+        cached; the same Counter is returned on every later call.
         """
         if self._spectrum is None:
-            if self._parent is not None:
-                parent, positions = self._parent
-                profile = _restrict_profile(parent.distance_profile(), positions)
-            elif self.words:
+            profile = Counter()
+            if self.words:
                 levels = [[(w.key[1], w.dim)] for w in self.words]
                 profile = _distance_profile(levels, self.words[0].field, self.ambient)
-            else:
-                profile = Counter()
             self._spectrum = Counter({vec[0]: n for vec, n in profile.items()})
         return self._spectrum
 

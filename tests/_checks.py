@@ -7,8 +7,10 @@ multiplication instead of factored order tests, explicit row-times-matrix
 products instead of the shift structure being verified and of the packed
 GF(2) product (``mat_mul_oracle``), pair-by-pair
 ``subspace_distance`` / ``flag_distance`` calls instead of the cached
-level-by-level code scan, one elimination basis per pair instead of the
-bit-sliced scan over the prime field, and whole-matrix Gauss-Jordan
+level-by-level code scan, projected codes built from their own words
+instead of read off the flag code's profile and part keys, one
+elimination basis per pair instead of the bit-sliced scan over the prime
+field, and whole-matrix Gauss-Jordan
 elimination (``rref_oracle``, and on it ``normal_form_oracle``) instead of
 the one-row-at-a-time echelon pass that ``MatrixGF.rref``, ``subspace_of``
 and ``flag_from_matrix`` share, flags rebuilt through the nesting-checked
@@ -27,6 +29,7 @@ from functools import lru_cache
 from itertools import combinations, islice, product
 
 import flagcodes as fc
+from flagcodes.flags import _distances_at, _words_at
 
 # scripts/run_verification_sweep.py INSTANCES, as (q, k, h, s)
 SWEEP = [
@@ -338,10 +341,24 @@ def pairwise_spectrum(code: fc.SubspaceCode) -> Counter:
     return Counter(fc.subspace_distance(u, v) for u, v in combinations(code.words, 2))
 
 
+def check_projection(code: fc.FlagCode, i: int) -> tuple[fc.SubspaceCode, Counter]:
+    """The i-th (1-based) projected code as the claim suite reads it off
+    ``code``'s profile and part keys (flags._words_at, flags._distances_at)
+    against the code ``projected_code`` makes: as many words, and the
+    distances of its pair-by-pair spectrum.  Returns the projected code and
+    that spectrum."""
+    projected = fc.projected_code(code, i)
+    oracle = pairwise_spectrum(projected)
+    assert _words_at(code, i - 1) == len(projected)
+    assert _distances_at(code, i - 1) == set(oracle)
+    return projected, oracle
+
+
 def check_scan_against_pairwise(code: fc.FlagCode) -> int:
     """The code's cached distance profile, its flag-distance spectrum, and
-    every projected code's spectrum and minimum distance must match the
-    pair-by-pair oracle.  Returns the number of flag pairs checked."""
+    every projected code's spectrum and minimum distance, own scan and as
+    read off the code (check_projection), must match the pair-by-pair
+    oracle.  Returns the number of flag pairs checked."""
     profile: Counter = Counter()
     sums: Counter = Counter()
     for f, g in combinations(code.flags, 2):
@@ -351,8 +368,7 @@ def check_scan_against_pairwise(code: fc.FlagCode) -> int:
     if len(code) >= 2:
         assert fc.code_flag_min_distance(code) == min(sums)
     for i in range(1, code.type.r + 1):
-        projected = fc.projected_code(code, i)
-        oracle = pairwise_spectrum(projected)
+        projected, oracle = check_projection(code, i)
         assert projected.spectrum() == oracle
         # the deduplication rule: the projected minimum is the smallest
         # nonzero i-th entry of the profile
@@ -367,10 +383,10 @@ def check_restriction(code: fc.FlagCode, sub: fc.TypeVector) -> fc.FlagCode:
     """subsequence_code against the same restriction built flag by flag
     through the checked constructor Flag(sub, parts), which re-checks the
     nesting: equal flags in the same order, with equal keys, fields, parts
-    and hashes, each restricted flag reading its parent's parts and keeping
-    its source, a key with a source equal to ``normal_form_oracle`` of it,
-    and an equal distance profile, the checked code scanning its own
-    pairs.  Returns the restricted code."""
+    and hashes, each restricted flag reading its parent's parts and part
+    keys and keeping its source, a key with a source equal to
+    ``normal_form_oracle`` of it, and an equal distance profile, the checked
+    code scanning its own pairs.  Returns the restricted code."""
     positions = [code.type.dims.index(d) for d in sub.dims]
     got = fc.subsequence_code(code, sub)
     want = fc.FlagCode(sub, (fc.Flag(sub, [f.parts[p] for p in positions]) for f in code))
@@ -382,6 +398,7 @@ def check_restriction(code: fc.FlagCode, sub: fc.TypeVector) -> fc.FlagCode:
         assert g.type == w.type and g.key == w.key and g.field == w.field
         parent = by_parts[g.parts]
         assert all(g.parts[i] is parent.parts[p] for i, p in enumerate(positions))
+        assert all(g._key_rows(i) is parent._key_rows(p) for i, p in enumerate(positions))
         if g.source is not None:
             assert g.key == normal_form_oracle(g.source, sub.dims)
         assert g.source is parent.source

@@ -1,12 +1,15 @@
 """The cached level-by-level code scan against the pair-by-pair oracle.
 
 Every code caches its profile: ``SubspaceCode.spectrum`` and
-``FlagCode.distance_profile``.  A code restricted injectively from another
-(``subsequence_code``, ``projected_code``) reads its parent's profile; any
-other code scans its own pairs.  These tests compare both routes with
-``subspace_distance`` / ``flag_distance`` called pair by pair, on the
-construction's codes, on flags built from explicit parts, and on codes whose
-projected codes deduplicate.
+``FlagCode.distance_profile``.  A flag code restricted injectively from
+another (``subsequence_code``) reads its parent's profile; any other flag
+code, and every subspace code (``projected_code`` too), scans its own
+pairs.  The claim suite reads each projected code off the flag code
+instead: its words and distances from the profile and part keys
+(``flags._words_at``, ``flags._distances_at``).  These tests compare every
+route with ``subspace_distance`` / ``flag_distance`` called pair by pair,
+on the construction's codes, on flags built from explicit parts, and on
+codes whose projected codes deduplicate.
 """
 
 from __future__ import annotations
@@ -19,8 +22,15 @@ import flagcodes as fc
 import flagcodes.flags
 import flagcodes.subspace
 from flagcodes.errors import AmbientMismatch
+from flagcodes.flags import _distances_at, _words_at
 
-from _checks import SWEEP, check_scan_against_pairwise, every_full_flag_of_gf2_3, pairwise_spectrum
+from _checks import (
+    SWEEP,
+    check_projection,
+    check_scan_against_pairwise,
+    every_full_flag_of_gf2_3,
+    pairwise_spectrum,
+)
 
 
 def _forbid_scans(monkeypatch):
@@ -84,18 +94,20 @@ def test_restrictions_of_the_full_code_match_oracle(qkhs, monkeypatch):
     master = gen.flag_code(fc.master_type(params))
     codes = [admissible, master] + _split_restrictions(gen.full) + _split_restrictions(master)
     dims = sorted({params.k, params.n - params.k, *fc.middle_dims(params)})
-    projected = [gen.projected_at_dim(m) for m in dims]
     for code in codes:
         assert len(code) == params.expected_size
         code.distance_profile()
-    for words in projected:
-        assert len(words) == params.expected_size
-        words.spectrum()
+    for m in dims:
+        assert _words_at(gen.full, m - 1) == params.expected_size
+        _distances_at(gen.full, m - 1)
     monkeypatch.undo()
     for code in codes:
         check_scan_against_pairwise(code)
-    for words in projected:
-        assert words.spectrum() == pairwise_spectrum(words)
+    # projected codes scan their own words
+    for m in dims:
+        words, oracle = check_projection(gen.full, m)
+        assert len(words) == params.expected_size
+        assert words.spectrum() == oracle
 
 
 def _parts_built_code(field, tv, count, seed):
@@ -142,8 +154,11 @@ def test_non_injective_restrictions_scan_their_own(monkeypatch):
     scanned = _counting_scans(monkeypatch)
     check_scan_against_pairwise(points)
     assert lines.spectrum() == pairwise_spectrum(lines)
+    # the restriction, then the projected code of it that
+    # check_scan_against_pairwise makes, then the projected code
     assert scanned == [
         [tuple(part.key for part in f.parts) for f in points],
+        [(f.parts[0].key,) for f in points],
         [(w.key,) for w in lines],
     ]
 
@@ -176,9 +191,15 @@ def test_second_query_reads_the_cache(monkeypatch):
 
 
 def test_claim_suite_scans_each_code_once(monkeypatch):
-    # every code of the suite is a restriction of the full-type code, so
-    # the suite makes exactly one scan: the full-type chains
+    # every code of the suite is a restriction of the full-type code, and
+    # projected codes are read off it, so the suite makes no subspace code
+    # and exactly one scan: the full-type chains
     scanned = _counting_scans(monkeypatch)
+
+    def no_subspace_code(self, ambient, words):
+        raise AssertionError("the claim suite made a SubspaceCode")
+
+    monkeypatch.setattr(fc.SubspaceCode, "__init__", no_subspace_code)
     for qkhs in SWEEP:
         params = fc.ConstructionParams.make(*qkhs)
         full = [tuple(part.key for part in f.parts) for f in fc.build_full_flag_code(params)]

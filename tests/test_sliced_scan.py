@@ -27,7 +27,7 @@ import flagcodes as fc
 from flagcodes import subspace
 from flagcodes.subspace import _distance_profile
 
-from _checks import every_full_flag_of_gf2_3, pairwise_profile, pairwise_spectrum
+from _checks import check_projection, every_full_flag_of_gf2_3, pairwise_profile, pairwise_spectrum
 
 GF2_SWEEP = [(2, 2, 0, 2), (2, 2, 1, 2), (2, 3, 2, 2), (2, 2, 0, 3), (2, 2, 1, 3), (2, 2, 1, 4)]
 # GF(2) has a single primitive quadratic, so these have no poly_choice 1
@@ -93,7 +93,7 @@ def test_loaded_codes_match_oracle():
     profile = loaded.distance_profile()  # a loaded code scans its own pairs
     assert profile == pairwise_profile([f.parts for f in loaded])
     words = fc.SubspaceCode.load(gen.projected_at_dim(2).dump())
-    assert words._parent is None and len(words) == 41
+    assert len(words) == 41
     assert words.spectrum() == pairwise_spectrum(words)
     check_chains((w,) for w in words)
 
@@ -189,7 +189,12 @@ def test_nonbinary_restrictions_that_merge_match_oracle(q, points):
     lines = fc.projected_code(code, 2)
     assert len(point_code) == points
     assert len(lines) < len(code)  # lines through two chosen points are shared
-    assert point_code._parent is None and lines._parent is None
+    assert point_code._parent is None
+    # the claim suite's reads of the projected codes, which count part keys
+    # where flags share a part
+    for c in (code, point_code):
+        for i in range(1, c.type.r + 1):
+            check_projection(c, i)
     check_chains(f.parts for f in code)
     check_chains(f.parts for f in point_code)
     check_chains((w,) for w in lines)
@@ -205,7 +210,7 @@ def test_nonbinary_loaded_codes_match_oracle(q):
     assert loaded == gen.full and loaded._parent is None
     assert loaded.distance_profile() == pairwise_profile([f.parts for f in loaded])
     words = fc.SubspaceCode.load(gen.projected_at_dim(2).dump())
-    assert words._parent is None and len(words) == q**2 + 1
+    assert len(words) == q**2 + 1
     assert words.spectrum() == pairwise_spectrum(words)
     check_chains((w,) for w in words)
 
