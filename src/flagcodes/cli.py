@@ -126,6 +126,9 @@ def _type_dims(args: argparse.Namespace) -> tuple[int, ...]:
 
 def _params_for(args: argparse.Namespace, q: int, k: int, h: int, s: int) -> ConstructionParams:
     factor_cap = DEFAULT_FACTOR_BUDGET if args.factor_cap is None else args.factor_cap
+    if factor_cap < 1:
+        # before q is factored with it on the --modulus path
+        raise ValueError(f"--factor-cap must be >= 1, got {factor_cap}")
     kwargs = dict(poly_choice=args.poly_choice or 0, factor_budget=factor_cap)
     if args.modulus is None:
         return ConstructionParams.make(q, k, h, s, **kwargs)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
 from itertools import islice
 from time import perf_counter
 from typing import Callable
@@ -65,7 +64,6 @@ from .flags import (
 )
 from .matgf import MatrixGF, _pack, block, companion
 from .subspace import (
-    Subspace,
     SubspaceCode,
     _hyperplane_normal,
     _normal_walk,
@@ -127,6 +125,8 @@ class ConstructionParams:
             raise ValueError(f"s must be >= 2, got {self.s}")
         if self.poly_choice < 0:
             raise ValueError("poly_choice must be nonnegative")
+        if self.factor_budget < 1:
+            raise ValueError(f"factor_budget must be >= 1, got {self.factor_budget}")
 
     @classmethod
     def make(cls, q: int, k: int, h: int, s: int, **kwargs) -> ConstructionParams:
@@ -402,12 +402,6 @@ class GeneratorEntry:
     flag: Flag
 
     @property
-    def space(self) -> Subspace:
-        """The row space of the whole matrix: the flag's top part, made on
-        its own on first read."""
-        return self.flag._part(-1)
-
-    @property
     def label(self) -> str:
         if self.kind == "A":
             return f"A_{self.index}.g^{self.power}"
@@ -418,34 +412,25 @@ class GeneratorEntry:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """All generator matrices of the construction, with deduplicated spaces
-    and the full-type code of their flags.
+    """All generator matrices of the construction, the full-type code of
+    their flags, and per family i (at index i - 1) the pair (g_i, A_i) that
+    the family's matrices A_i g^t were built from.
 
     Every typed code of the construction is a restriction of ``full``; an
     injective one reads the full code's cached distance profile instead of
     scanning its own pairs.  Each typed code is restricted once and kept,
     so every claim on a type reads one code.  The claims read projected
-    codes off ``full`` too (flags._words_at, flags._distances_at).
+    codes off ``full`` too (flags._words_at, flags._distances_at), and the
+    group and orbit claims read ``families``.
     """
 
     params: ConstructionParams
     entries: tuple[GeneratorEntry, ...]
     full: FlagCode
+    families: tuple[tuple[MatrixGF, MatrixGF], ...]
     _restrictions: dict[TypeVector, FlagCode] = dataclass_field(
         default_factory=dict, compare=False, repr=False
     )
-
-    @property
-    def expected_size(self) -> int:
-        return self.params.expected_size
-
-    @cached_property
-    def spaces(self) -> tuple[Subspace, ...]:
-        """The distinct row spaces of the generator matrices in key order,
-        made on first read and the same tuple after.  Each is its entry's
-        top part (GeneratorEntry.space); only the distinct ones are made."""
-        distinct = {e.flag._key_rows(-1): e for e in self.entries}
-        return tuple(distinct[k].space for k in sorted(distinct))
 
     def entry(self, kind: str, index: int | None = None, power: int | None = None) -> GeneratorEntry:
         for e in self.entries:
@@ -478,16 +463,23 @@ def build_generator_set(params: ConstructionParams) -> GeneratorSet:
     A_i g^t = [0 | I_k | X^(k); 0 | 0 | X^[k]; I | 0 | 0; 0 | 0 | X^(k-1)],
     X = P_i^t, gives them: windows of the linear recurring sequence
     x^t mod f_i, made from f_i's coefficients by shift-and-reduce
-    (_block_windows).  The two must agree for every t; no power of P_i and
-    no block matrix is formed per t.  Then g^(q^(ik+h) - 1) must be the
-    identity, and the distinct row spaces must number sum q^(ik+h) + 1."""
+    (_block_windows).  The two must agree for every t = 1..N,
+    N = q^(ik+h) - 1; no power of P_i and no block matrix is formed per t.
+    Then the distinct row spaces must number sum q^(ik+h) + 1.
+
+    That check also gives g^N = I, with no power of g formed: x^t mod f_i
+    has period N for the primitive f_i, so the windows at t = N are those at
+    t = 0, which are A_i's rows, and A_i g^N = A_i.  The last column block
+    of A_i's rows holds every row of I_(ik+h), so P_i^N = I and g^N = I.
+    The group order claim of run_claim_suite forms g^N once, on the g_i
+    kept in ``families``, and still raises when it is not the identity."""
     entries: list[GeneratorEntry] = []
-    n = params.n
-    full_tv = TypeVector.full(n)
-    ident_n = MatrixGF.identity(params.field, n)
+    families: list[tuple[MatrixGF, MatrixGF]] = []
+    full_tv = TypeVector.full(params.n)
     for i in range(1, params.s):
         gen = build_G_generator(params, i)
         m_t = build_A(params, i)
+        families.append((gen, m_t))
         order = params.q ** (i * params.k + params.h) - 1
         windows = _block_windows(params, i)
         for t in range(1, order + 1):
@@ -501,8 +493,6 @@ def build_generator_set(params: ConstructionParams) -> GeneratorSet:
                     f"A_{i} g^{t} does not match its block form"
                 )
             entries.append(GeneratorEntry("A", i, t, m_t, flag))
-        if gen**order != ident_n:
-            raise TheoremViolated(f"G_{i} generator order does not divide {order}")
         b_i = build_B(params, i)
         entries.append(GeneratorEntry("B", i, None, b_i, flag_from_matrix(b_i, full_tv)))
     m_mat = build_M(params)
@@ -515,14 +505,15 @@ def build_generator_set(params: ConstructionParams) -> GeneratorSet:
             f"{distinct} distinct row spaces, expected {params.expected_size}"
         )
     full = FlagCode(full_tv, (e.flag for e in entries))
-    return GeneratorSet(params, tuple(entries), full)
+    return GeneratorSet(params, tuple(entries), full, tuple(families))
 
 
 def _group_order(g: MatrixGF, n: int, budget: int) -> int:
     """The multiplicative order of ``g``, certified by prime descent from a
     multiple n of it.
 
-    g^n must be the identity, or TheoremViolated is raised.  Then for each
+    g^n must be the identity, or TheoremViolated is raised; for the g_i of
+    a generator set this is the one g^N a claim suite forms.  Then for each
     prime r dividing n, n is divided by r while g^(n/r) is still the
     identity; what is left is the order.  Each step is one power, O(log n)
     products, where walking the powers up to the identity (matrix_order)
@@ -539,14 +530,9 @@ def _group_order(g: MatrixGF, n: int, budget: int) -> int:
 def build_full_flag_code(
     params: ConstructionParams, gen: GeneratorSet | None = None
 ) -> FlagCode:
-    """One full-type flag per generator matrix, via its row prefixes."""
-    gen = gen or build_generator_set(params)
-    code = gen.full
-    if len(code) != params.expected_size:
-        raise CardinalityMismatch(
-            f"{len(code)} full flags, expected {params.expected_size}"
-        )
-    return code
+    """One full-type flag per generator matrix, via its row prefixes: the
+    generator set's ``full``, whose size build_generator_set has checked."""
+    return (gen or build_generator_set(params)).full
 
 
 def build_optimum_code(
@@ -799,22 +785,27 @@ def verify_orbit_decomposition(
     orbits (trivial stabilizers) plus the s extra spaces from the B_i and M.
 
     Every space here is a hyperplane, and each is compared by its normal
-    vector, read off its RREF key (_hyperplane_normal).  The orbit of A_i
-    under G_i is walked on its normal: N = q^(ik+h) - 1 steps
-    c_t = g^-1 c_(t-1) give the normals of A_i g^t for t = 1..N
-    (_normal_walk), one sparse matrix-vector product each, with g^-1 taken
-    from the rref of [g | I].  The walk shares no per-step arithmetic with
-    the generator set's products A_i g^t.  The orbit is the set of the c_t,
-    and the stabilizer counts the c_t equal to c_0."""
+    vector, read off its RREF key rows (_hyperplane_normal): a generator
+    matrix's flag's top key, or the seed A_i's.  The orbit of A_i under G_i
+    is walked on its normal: N = q^(ik+h) - 1 steps c_t = g^-1 c_(t-1) give
+    the normals of A_i g^t for t = 1..N (_normal_walk), one sparse
+    matrix-vector product each, with g^-1 taken from the rref of [g | I].
+    The seed A_i and the generator g_i are the ones the generator set was
+    built from (GeneratorSet.families); the walk shares no per-step
+    arithmetic with the set's products A_i g^t.  The orbit is the set of
+    the c_t, and the stabilizer counts the c_t equal to c_0."""
     gen = gen or build_generator_set(params)
     rep = VerificationReport(params.describe())
-    k, h, s = params.k, params.h, params.s
+    k, h, s, n, field = params.k, params.h, params.s, params.n, params.field
+
+    def normal(e: GeneratorEntry):
+        return _hyperplane_normal(e.flag._key_rows(-1), n, field)
 
     orbit_keys: list[set] = []
-    for i in range(1, s):
+    for i, (g, a) in enumerate(gen.families, start=1):
         order = params.q ** (i * k + h) - 1
-        seed = _hyperplane_normal(subspace_of(build_A(params, i)))
-        walk = _normal_walk(seed, build_G_generator(params, i), order)
+        seed = _hyperplane_normal(subspace_of(a).key[1], n, field)
+        walk = _normal_walk(seed, g, order)
         orbit = set(walk)
         orbit_keys.append(orbit)
         rep.check(
@@ -839,8 +830,8 @@ def verify_orbit_decomposition(
             for j in range(i + 1, len(orbit_keys))
         ),
     )
-    extras = [gen.entry("B", i).space for i in range(1, s)] + [gen.entry("M").space]
-    extra_keys = {_hyperplane_normal(w) for w in extras}
+    extras = [gen.entry("B", i) for i in range(1, s)] + [gen.entry("M")]
+    extra_keys = {normal(e) for e in extras}
     rep.check(
         "orbit.extras_distinct",
         "the B_i and M spaces are mutually distinct and outside every orbit",
@@ -852,8 +843,7 @@ def verify_orbit_decomposition(
         "orbit.union_matches",
         "orbits plus extras reproduce the whole generator family",
         True,
-        lambda: set.union(extra_keys, *orbit_keys)
-        == {_hyperplane_normal(w) for w in gen.spaces},
+        lambda: set.union(extra_keys, *orbit_keys) == {normal(e) for e in gen.entries},
     )
     return rep
 
@@ -959,22 +949,20 @@ def run_claim_suite(
         "generator.cardinality",
         f"the generator family has sum(q^(ik+h)) + 1 = {size} distinct row spaces",
         size,
-        lambda: len(gen.spaces),
+        lambda: len({e.flag._key_rows(-1) for e in gen.entries}),
     )
-    for i in range(1, s):
+    for i, (g, _) in enumerate(gen.families, start=1):
         order = params.q ** (i * k + h) - 1
         rep.check(
             f"group.family{i}.order",
             f"G_{i} has order q^(ik+h) - 1 = {order}",
             order,
-            lambda i=i, order=order: _group_order(
-                build_G_generator(params, i), order, params.factor_budget
-            ),
+            lambda g=g, order=order: _group_order(g, order, params.factor_budget),
         )
 
     rep.extend(verify_spread_projections(params, gen))
 
-    full_code = build_full_flag_code(params, gen)
+    full_code = gen.full
     rep.check(
         "full.cardinality",
         f"the full-type code has {size} flags",

@@ -670,20 +670,19 @@ def _orbit_walk(u: Subspace, group: GroupElementSeq) -> tuple[SubspaceCode, int]
     return SubspaceCode(u.ambient, images), images.count(u)
 
 
-def _hyperplane_normal(u: Subspace):
-    """The normal c of the hyperplane ``u`` = {x : x.c = 0}, scaled so that
-    its last nonzero entry is 1: a bitmask over GF(2), column 0 the most
-    significant bit, and a code tuple otherwise.
+def _hyperplane_normal(rows: tuple, n: int, field: FieldSpec):
+    """The normal c of the hyperplane {x : x.c = 0} of field^n whose RREF
+    key rows are ``rows`` (a Subspace's, or a flag part's _key_rows),
+    scaled so that its last nonzero entry is 1: a bitmask over GF(2),
+    column 0 the most significant bit, and a code tuple otherwise.
 
-    Read off the RREF key in closed form: with j the one column that holds
-    no pivot, c_j = 1 and c_(p_i) = -R_i[j] for the pivot column p_i of
-    each key row R_i.  Then R_i.c = R_i[j] - R_i[j] = 0.  A row whose pivot
-    lies after j is 0 at j, so c_j is the last nonzero entry."""
-    n = u.ambient
-    if u.dim != n - 1:
-        raise DimMismatch(f"a dim-{u.dim} subspace of {u.field}^{n} is not a hyperplane")
-    rows = u._key[1]
-    if u.field.q == 2:
+    Read off the key in closed form: with j the one column that holds no
+    pivot, c_j = 1 and c_(p_i) = -R_i[j] for the pivot column p_i of each
+    key row R_i.  Then R_i.c = R_i[j] - R_i[j] = 0.  A row whose pivot lies
+    after j is 0 at j, so c_j is the last nonzero entry."""
+    if len(rows) != n - 1:
+        raise DimMismatch(f"a dim-{len(rows)} subspace of {field}^{n} is not a hyperplane")
+    if field.q == 2:
         free = (1 << n) - 1
         for row in rows:
             free ^= 1 << row.bit_length() - 1
@@ -692,7 +691,7 @@ def _hyperplane_normal(u: Subspace):
             if row & free:
                 c |= 1 << row.bit_length() - 1
         return c
-    neg = u.field.neg
+    neg = field.neg
     pivots = [row.index(1) for row in rows]
     # the n - 1 pivots are distinct columns of 0..n-1: j is the one left out
     j = n * (n - 1) // 2 - sum(pivots)

@@ -23,19 +23,32 @@ its RREF key (``normal_oracle``).
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, islice, product
+from pathlib import Path
 
 import flagcodes as fc
 from flagcodes.flags import _distances_at, _words_at
 
-# scripts/run_verification_sweep.py INSTANCES, as (q, k, h, s)
-SWEEP = [
-    (2, 2, 0, 2), (2, 2, 1, 2), (2, 3, 2, 2), (3, 2, 1, 2), (2, 2, 0, 3), (2, 2, 1, 3), (2, 2, 1, 4),
-    (5, 2, 0, 2), (7, 2, 0, 2),
-]
+
+def _sweep_script():
+    """scripts/run_verification_sweep.py as a module, the one source of the
+    instance lists; its main() does not run."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_verification_sweep.py"
+    spec = importlib.util.spec_from_file_location("flagcodes_verification_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_SWEEP_SCRIPT = _sweep_script()
+# the standard sweep's INSTANCES and the --big tier's BIG_INSTANCES, as
+# (q, k, h, s)
+SWEEP: list[tuple[int, int, int, int]] = _SWEEP_SCRIPT.INSTANCES
+BIG_INSTANCES: list[tuple[int, int, int, int]] = _SWEEP_SCRIPT.BIG_INSTANCES
 
 
 def poly_choices(q: int, k: int, h: int, s: int) -> list[int]:

@@ -235,6 +235,19 @@ class TestVerify:
         )
         assert rc == 3 and "error" in stderr
 
+    @pytest.mark.parametrize("command,extra", [
+        ("verify", ["--factor-cap", "-1"]),
+        # refused before q = 4 is factored with the cap
+        ("verify", ["--factor-cap", "0", "--modulus", "x^2+x+1 over GF(2)"]),
+        ("construct", ["--factor-cap", "-7"]),
+    ])
+    def test_factor_cap_below_one_is_bad_input(self, capsys, command, extra):
+        rc, stdout, stderr = run(
+            capsys, command, "--q", "4", "--k", "2", "--h", "0", "--s", "2", *extra,
+        )
+        assert (rc, stdout) == (2, "")
+        assert stderr == f"error: --factor-cap must be >= 1, got {extra[1]}\n"
+
     def test_poly_choice_past_last_polynomial(self, capsys):
         # GF(2) has a single primitive quadratic
         rc, _, stderr = run(

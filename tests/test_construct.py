@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import flagcodes as fc
 from _checks import (
+    SWEEP,
     enumerate_gf2_subspaces,
     gf2_subspace_from_vectors,
     normal_oracle,
     orbit_by_powers,
+    poly_choices,
     scaled_vectors,
 )
 from flagcodes import construct
@@ -26,6 +30,12 @@ class TestParams:
             fc.ConstructionParams.make(2, 2, 1, 1)  # s >= 2
         with pytest.raises(ValueError):
             fc.ConstructionParams.make(2, 0, 0, 2)
+
+    @pytest.mark.parametrize("budget", [-3, 0])
+    def test_factor_budget_below_one_is_refused(self, budget):
+        # a budget of 1 is the least, and exhausts on the first factorization
+        with pytest.raises(ValueError, match=f"factor_budget must be >= 1, got {budget}"):
+            fc.ConstructionParams.make(2, 2, 0, 2, factor_budget=budget)
 
     def test_derived(self):
         assert P223.n == 7 and P223.q == 2
@@ -171,7 +181,7 @@ class TestGeneratorSet:
     def test_sizes(self, qkhs, size):
         params = fc.ConstructionParams.make(*qkhs)
         gen = fc.build_generator_set(params)
-        assert len(gen.spaces) == size
+        assert len({e.flag._part(-1) for e in gen.entries}) == size
         assert len(gen.entries) == sum(
             params.q ** (i * params.k + params.h) for i in range(1, params.s)
         ) + 1
@@ -256,26 +266,38 @@ class TestTwoRoutes:
         with pytest.raises(TheoremViolated, match=r"A_1 g\^1 lost row rank"):
             fc.build_generator_set(params)
 
+    def test_generator_of_wrong_order_fails_the_windows(self, monkeypatch):
+        # P_1 the companion matrix of the reducible x^2 + 1, of order 2, which
+        # does not divide N = 3: g^N is not the identity, and the product
+        # route leaves the windows of the primitive f_1 = x^2 + x + 1 at t = 1
+        params = fc.ConstructionParams.make(2, 2, 0, 2)
+        reducible = fc.companion(fc.Poly(params.field, [1, 0, 1]))
+        monkeypatch.setattr(construct, "build_P", lambda params, i: reducible)
+        g = fc.build_G_generator(params, 1)
+        assert g**3 != fc.MatrixGF.identity(params.field, 4)
+        with pytest.raises(TheoremViolated, match=r"A_1 g\^1 does not match its block form"):
+            fc.build_generator_set(params)
+        with pytest.raises(TheoremViolated, match="does not divide 3"):
+            construct._group_order(g, 3, params.factor_budget)
+
     @pytest.mark.parametrize("qkhs,i", COMPOSITE_ORDERS, ids=COMPOSITE_IDS)
     def test_proper_divisor_order_fails_its_claim(self, qkhs, i, monkeypatch):
-        # g^r, r the least prime of the group order N, has order N/r
+        # a set that stores g_i^r for g_i, r the least prime of the group
+        # order N: g_i^r has order N/r
         params = fc.ConstructionParams.make(*qkhs)
         gen = fc.build_generator_set(params)
         order = params.q ** (i * params.k + params.h) - 1
         r = min(fc.factorize(order))
-        real = construct.build_G_generator
-
-        def short(params, j):
-            g = real(params, j)
-            return g**r if j == i else g
-
-        monkeypatch.setattr(construct, "build_generator_set", lambda params: gen)
-        monkeypatch.setattr(construct, "build_G_generator", short)
+        families = list(gen.families)
+        g, seed = families[i - 1]
+        families[i - 1] = (g**r, seed)
+        short = dataclasses.replace(gen, families=tuple(families))
+        monkeypatch.setattr(construct, "build_generator_set", lambda params: short)
         report = fc.run_claim_suite(params)
         claims = {c.claim_id: c for c in report.claims}
         claim = claims[f"group.family{i}.order"]
         assert (claim.expected, claim.computed, claim.passed) == (order, order // r, False)
-        assert fc.matrix_order(short(params, i)) == order // r
+        assert fc.matrix_order(g**r) == order // r
         failed = {c.claim_id for c in report.claims if not c.passed}
         assert failed == {f"group.family{i}.order", f"orbit.family{i}.size",
                           f"orbit.family{i}.stabilizer", "orbit.union_matches"}
@@ -345,6 +367,79 @@ class TestTwoRoutes:
         assert _orbit_walk(fc.subspace_of(fc.MatrixGF(field, subfield)), group)[1] == q * q - 1
 
 
+# the sweep at every poly choice, and the verify-nonbinary benchmark
+# instances, whose suites make 2, 1 and 1 Subspaces at poly choice 0
+WORK_CHOICES = [(qkhs, c) for qkhs in SWEEP for c in poly_choices(*qkhs)]
+WORK_CHOICES += [((3, 2, 0, 3), 0), ((4, 2, 1, 2), 0), ((9, 2, 0, 2), 0)]
+SUBSPACES_MADE = {(2, 2, 1, 4): 15, (3, 2, 0, 3): 2, (4, 2, 1, 2): 1, (9, 2, 0, 2): 1}
+
+
+class TestSuiteWork:
+    """A claim suite builds each family's G_i and A_i once, in the
+    generator set, forms each g_i^N once, in the order claim, and makes no
+    Subspace but the witness parts and the orbit claims' seeds."""
+
+    @pytest.mark.parametrize("qkhs", SWEEP, ids=_params_id)
+    def test_generator_set_forms_no_power(self, qkhs, monkeypatch):
+        def refused(self, e):
+            raise AssertionError(f"a power {e} was formed")
+
+        monkeypatch.setattr(fc.MatrixGF, "__pow__", refused)
+        fc.build_generator_set(fc.ConstructionParams.make(*qkhs))
+
+    @pytest.mark.parametrize(
+        "qkhs,choice", WORK_CHOICES, ids=[_params_id(t) + f"-pc{c}" for t, c in WORK_CHOICES]
+    )
+    def test_suite_builds_each_family_once(self, qkhs, choice, monkeypatch):
+        params = fc.ConstructionParams.make(*qkhs, poly_choice=choice)
+        k, h, s = params.k, params.h, params.s
+        calls = {"build_G_generator": [], "build_A": []}
+        for name in calls:
+            def counting(params, i, real=getattr(construct, name), name=name):
+                calls[name].append(i)
+                return real(params, i)
+
+            monkeypatch.setattr(construct, name, counting)
+        powers = []
+        power = fc.MatrixGF.__pow__
+
+        def counting_power(self, e):
+            powers.append((self, e))
+            return power(self, e)
+
+        monkeypatch.setattr(fc.MatrixGF, "__pow__", counting_power)
+        made = []
+        init = fc.Subspace.__init__
+
+        def counting_init(self, field, ambient, rows):
+            made.append((len(rows), rows))
+            init(self, field, ambient, rows)
+
+        monkeypatch.setattr(fc.Subspace, "__init__", counting_init)
+        rep = fc.run_claim_suite(params)
+        monkeypatch.undo()
+
+        assert rep.all_pass, rep.to_text()
+        families = list(range(1, s))
+        assert calls == {"build_G_generator": families, "build_A": families}
+        for i in families:
+            g = fc.build_G_generator(params, i)
+            # descent powers g^(N/r) have smaller exponents
+            order = params.q ** (i * k + h) - 1
+            assert sum(e == order and m == g for m, e in powers) == 1
+        gen = fc.build_generator_set(params)
+        want = [fc.subspace_of(fc.build_A(params, i)).key for i in families]
+        for i in families:
+            if i == 1 and h == 0:
+                continue  # no witness claim: see verify_intermediate_distances
+            for m in fc.middle_dims(params):
+                want += [(m, gen.entry(kind, i, power).flag._key_rows(m - 1))
+                         for kind, power in (("A", k), ("B", None))]
+        assert sorted(made) == sorted(want)
+        if choice == 0 and qkhs in SUBSPACES_MADE:
+            assert len(made) == SUBSPACES_MADE[qkhs]
+
+
 def _small_spaces(field, d):
     """The row spaces of a few one- and two-row matrices over field^d."""
     q = field.q
@@ -374,6 +469,11 @@ def _hyperplanes(field, n):
     return found
 
 
+def _normal(u):
+    """_hyperplane_normal of the Subspace ``u``, from its key rows."""
+    return _hyperplane_normal(u.key[1], u.ambient, u.field)
+
+
 class TestNormalWalk:
     """A hyperplane's orbit walked on its normal vector against the oracle
     normal of every image of the stepped walk and of the walk by powers."""
@@ -381,13 +481,13 @@ class TestNormalWalk:
     @pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (4, 3), (5, 3)])
     def test_closed_form_normal_matches_the_oracle(self, q, n):
         for u in _hyperplanes(fc.field_from_order(q), n):
-            assert _hyperplane_normal(u) == normal_oracle(u)
+            assert _normal(u) == normal_oracle(u)
 
     def test_a_plane_of_gf2_4_is_refused(self):
         gf2 = fc.field_from_order(2)
         plane = fc.subspace_of(fc.MatrixGF(gf2, [[1, 0, 0, 1], [0, 1, 1, 0]]))
         with pytest.raises(DimMismatch, match="not a hyperplane"):
-            _hyperplane_normal(plane)
+            _normal(plane)
 
     @pytest.mark.parametrize("qkhs", ROUTE_INSTANCES + [(5, 2, 1, 2), (7, 2, 0, 2)], ids=_params_id)
     def test_walk_matches_the_stepped_and_powered_orbits(self, qkhs):
@@ -396,7 +496,7 @@ class TestNormalWalk:
             order = params.q ** (i * params.k + params.h) - 1
             g = fc.build_G_generator(params, i)
             seed = fc.subspace_of(fc.build_A(params, i))
-            walk = _normal_walk(_hyperplane_normal(seed), g, order)
+            walk = _normal_walk(_normal(seed), g, order)
             assert len(walk) == order
             # the t-th image of _orbit_walk: U_t = U_(t-1) g by Subspace.transform
             image = seed
@@ -419,20 +519,20 @@ class TestNormalWalk:
         fixed_plane = fc.subspace_of(fc.MatrixGF(gf2, [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
         moved_plane = fc.subspace_of(fc.MatrixGF(gf2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]))
         for u, size in ((fixed_plane, 1), (moved_plane, 3)):
-            c = _hyperplane_normal(u)
+            c = _normal(u)
             walk = _normal_walk(c, g, 3)
             orbit, fixed = _orbit_walk(u, group)
             assert (orbit, fixed) == orbit_by_powers(u, g, 3)
             assert (len(set(walk)), walk.count(c)) == (len(orbit), fixed) == (size, 3 // size)
             assert set(walk) == {normal_oracle(w) for w in orbit}
-        assert _hyperplane_normal(fixed_plane) == 0b0100
+        assert _normal(fixed_plane) == 0b0100
 
     def test_singular_generator_is_refused(self):
         gf3 = fc.field_from_order(3)
         g = fc.MatrixGF(gf3, [[1, 2, 0], [2, 1, 0], [0, 0, 1]])
         u = fc.subspace_of(fc.MatrixGF(gf3, [[1, 0, 0], [0, 1, 0]]))
         with pytest.raises(Singular):
-            _normal_walk(_hyperplane_normal(u), g, 1)
+            _normal_walk(_normal(u), g, 1)
 
 
 class TestFullFlagCodes:
@@ -673,7 +773,7 @@ class TestChoiceIndependence:
     def test_second_smallest_polynomials(self):
         alt = fc.ConstructionParams.make(2, 2, 1, 3, poly_choice=1)
         gen = fc.build_generator_set(alt)
-        assert len(gen.spaces) == 41
+        assert len({e.flag._key_rows(-1) for e in gen.entries}) == 41
         opt = fc.build_optimum_code(alt, gen)
         assert fc.code_flag_min_distance(opt) == 12
         longer = fc.build_longer_type_code(alt, None, gen)

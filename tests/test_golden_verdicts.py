@@ -28,7 +28,7 @@ import pytest
 
 import flagcodes as fc
 
-from _checks import SWEEP, poly_choices, strip_seconds
+from _checks import BIG_INSTANCES, SWEEP, poly_choices, strip_seconds
 
 GOLDEN = Path(__file__).parent / "data" / "golden_verdicts.json"
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,9 +41,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # 626 flags), first recorded with the per-pair scan that the bit-sliced
 # odd-p scan replaced, and kept out of SWEEP because the per-pair oracle of
 # the SWEEP-parametrized scan tests takes seconds or more on them
-BIG = [(3, 2, 1, 3), (4, 2, 1, 3), (3, 2, 0, 4), (5, 2, 1, 2), (5, 2, 0, 3), (25, 2, 0, 2)]
+BIG = [qkhs for qkhs in BIG_INSTANCES if qkhs[0] != 2]
 BIG_SECONDS = 10
-# GF(2) past the sweep: (2,2,1,5) is n = 11, (2,2,1,6) is n = 13
+# GF(2) past the sweep, listed by key because n = 13 is pinned at
+# poly_choice 0 only: (2,2,1,5) is n = 11, (2,2,1,6) is n = 13
 BIG_GF2 = ["2,2,1,5,0", "2,2,1,5,1", "2,2,1,6,0"]
 
 

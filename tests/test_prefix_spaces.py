@@ -13,9 +13,9 @@ A flag built from a matrix makes no Subspace: its parts are made from
 their key rows on first read.  ``check_lazy_parts`` compares those lazily
 made parts with ``subspace_of`` and ``rref_oracle``, the flag's key with
 ``normal_form_oracle``, and checks that adjacent parts are nested; a
-generator set must make one Subspace per distinct row space, on the first
-read of its ``spaces``, and none per prefix, and the CLI construct path
-none at all.
+generator set and a dump and load of its full code must make no Subspace,
+neither per row space nor per prefix, and the CLI construct path none at
+all.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def test_generator_entries_match_oracle(qkhs, choice):
             rank, want = prefix_subspace_oracle(e.matrix, t)
             assert rank == t
             assert_same_subspace(part, want)
-        assert_same_subspace(e.space, fc.subspace_of(e.matrix))
+        assert_same_subspace(e.flag._part(-1), fc.subspace_of(e.matrix))
         check_space(e.matrix)
 
 
@@ -249,12 +249,9 @@ def test_lazy_parts_of_random_matrices_match_oracle(field_args):
 )
 def test_lazy_parts_of_generator_entries_match_oracle(qkhs, choice):
     gen = fc.build_generator_set(fc.ConstructionParams.make(*qkhs, poly_choice=choice))
-    spaces = {id(w) for w in gen.spaces}
     for e in gen.entries:
-        # every row space of the family is distinct, and the generator set
-        # made each flag's top part alone, as one of gen.spaces
-        assert e.flag._parts[:-1] == [None] * (e.flag.type.r - 1)
-        assert id(e.flag._parts[-1]) in spaces
+        # the generator set made no part of any flag
+        assert e.flag._parts is None
         check_lazy_parts(e.flag, e.matrix)
 
 
@@ -277,16 +274,23 @@ def test_flag_builds_make_only_the_distinct_top_spaces(monkeypatch):
     gen = fc.build_generator_set(params)
     loaded = fc.load_flag_code(fc.dump_flag_code(gen.full))
     assert loaded == gen.full
-    # one Subspace per distinct row space of the family (gen.spaces), and
-    # none for the 8 prefixes of each of the 169 flags, built or loaded
-    assert len(gen.entries) == len(gen.spaces) == 169
-    assert made == [w.key for w in gen.spaces]
+    # the 169 distinct row spaces of the family are told apart by their
+    # flags' top keys: no Subspace is made for them, nor for the 8 prefixes
+    # of each flag, built or loaded
+    assert len({e.flag._key_rows(-1) for e in gen.entries}) == 169
+    assert made == []
+    # a top part is made alone on its first read
+    tops = [e.flag._part(-1) for e in gen.entries]
+    assert made == [w.key for w in tops]
+    assert sorted(made) == sorted(
+        {prefix_subspace_oracle(e.matrix, e.matrix.nrows)[1].key for e in gen.entries}
+    )
 
 
 def test_construct_makes_no_subspace(monkeypatch, tmp_path):
     """The CLI construct path writes a full-type code from its flags' keys
-    and source matrices: no Subspace is made, not even the generator set's
-    row spaces, which are made on their first read."""
+    and source matrices: no Subspace is made, not even for the generator
+    set's row spaces."""
     made = _counting_subspaces(monkeypatch)
     out = tmp_path / "full.code"
     argv = ["construct", "--q", "2", "--k", "2", "--h", "1", "--s", "4", "--family", "full",
@@ -296,18 +300,3 @@ def test_construct_makes_no_subspace(monkeypatch, tmp_path):
     code = fc.load_flag_code(out.read_text())
     assert len(code) == 169
     assert made == []
-
-
-def test_generator_set_spaces_made_on_first_read(monkeypatch):
-    made = _counting_subspaces(monkeypatch)
-    gen = fc.build_generator_set(fc.ConstructionParams.make(2, 2, 1, 4))
-    assert made == []
-    assert "spaces" not in vars(gen)
-    spaces = gen.spaces
-    assert len(made) == len(spaces) == 169
-    # the same tuple after, with nothing made again
-    assert gen.spaces is spaces
-    assert len(made) == 169
-    assert [w.key for w in spaces] == sorted(
-        {prefix_subspace_oracle(e.matrix, e.matrix.nrows)[1].key for e in gen.entries}
-    )

@@ -27,12 +27,19 @@ import flagcodes as fc
 from flagcodes import subspace
 from flagcodes.subspace import _distance_profile
 
-from _checks import check_projection, every_full_flag_of_gf2_3, pairwise_profile, pairwise_spectrum
+from _checks import (
+    SWEEP,
+    check_projection,
+    every_full_flag_of_gf2_3,
+    pairwise_profile,
+    pairwise_spectrum,
+    poly_choices,
+)
 
-GF2_SWEEP = [(2, 2, 0, 2), (2, 2, 1, 2), (2, 3, 2, 2), (2, 2, 0, 3), (2, 2, 1, 3), (2, 2, 1, 4)]
-# GF(2) has a single primitive quadratic, so these have no poly_choice 1
-NO_SECOND_POLY = {(2, 2, 0, 2), (2, 2, 0, 3)}
-SWEEP_CHOICES = [(qkhs, c) for qkhs in GF2_SWEEP for c in (0, 1) if not (c and qkhs in NO_SECOND_POLY)]
+GF2_SWEEP = [qkhs for qkhs in SWEEP if qkhs[0] == 2]
+# GF(2) has a single primitive quadratic, so (2,2,0,2) and (2,2,0,3) have no
+# poly_choice 1
+SWEEP_CHOICES = [(qkhs, c) for qkhs in GF2_SWEEP for c in poly_choices(*qkhs)]
 
 
 def check_chains(chains, want: Counter | None = None) -> int:
