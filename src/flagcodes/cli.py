@@ -23,6 +23,7 @@ from pathlib import Path
 from .construct import (
     ConstructionParams,
     VerificationReport,
+    _longer_type,
     build_full_flag_code,
     build_generator_set,
     build_longer_type_code,
@@ -114,10 +115,13 @@ def _param_grid(args: argparse.Namespace) -> list[tuple[int, int, int, int]]:
         return []
     if None in (args.k, args.h, args.s):
         raise ValueError("--q, --k, --h and --s go together")
-    qs, ks, hs, ss = (_int_list(v) for v in (args.q, args.k, args.h, args.s))
-    if not args.sweep and any(len(v) != 1 for v in (qs, ks, hs, ss)):
+    lists = [_int_list(getattr(args, name)) for name in "qkhs"]
+    for name, values in zip("qkhs", lists):
+        if not values:
+            raise ValueError(f"--{name} names no value")
+    if not args.sweep and any(len(v) != 1 for v in lists):
         raise ValueError("comma lists need --sweep")
-    return list(product(qs, ks, hs, ss))
+    return list(product(*lists))
 
 
 def _type_dims(args: argparse.Namespace) -> tuple[int, ...]:
@@ -157,18 +161,17 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def _construct_family(args: argparse.Namespace, params: ConstructionParams) -> FlagCode:
-    gen = build_generator_set(params)
     dims = _type_dims(args)
-    if args.family in ("full", None):
-        if dims:
-            raise ValueError("--type applies to the longer family only")
-        return build_full_flag_code(params, gen)
+    if args.family == "longer":
+        # a type the family refuses is refused before the set is built
+        tv = _longer_type(params, TypeVector(params.n, dims) if dims else None)
+        return build_longer_type_code(build_generator_set(params), tv)
+    if dims:
+        raise ValueError("--type applies to the longer family only")
+    gen = build_generator_set(params)
     if args.family == "optimum":
-        if dims:
-            raise ValueError("--type applies to the longer family only")
-        return build_optimum_code(params, gen)
-    tv = TypeVector(params.n, dims) if dims else None
-    return build_longer_type_code(params, tv, gen)
+        return build_optimum_code(gen)
+    return build_full_flag_code(gen)
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:

@@ -392,22 +392,13 @@ def _block_windows(params: ConstructionParams, i: int) -> Callable[[int], tuple]
 
 @dataclass(frozen=True)
 class GeneratorEntry:
-    """One generator matrix with its provenance inside the family and the
-    full-type flag of its row prefixes."""
+    """One generator matrix, by its provenance inside the family, as the
+    full-type flag of its row prefixes; ``flag.source`` is the matrix."""
 
     kind: str  # "A" | "B" | "M"
     index: int | None  # family index i, None for M
     power: int | None  # group-element exponent t, only for kind "A"
-    matrix: MatrixGF
     flag: Flag
-
-    @property
-    def label(self) -> str:
-        if self.kind == "A":
-            return f"A_{self.index}.g^{self.power}"
-        if self.kind == "B":
-            return f"B_{self.index}"
-        return "M"
 
 
 @dataclass(frozen=True)
@@ -415,6 +406,10 @@ class GeneratorSet:
     """All generator matrices of the construction, the full-type code of
     their flags, and per family i (at index i - 1) the pair (g_i, A_i) that
     the family's matrices A_i g^t were built from.
+
+    This is the one handle the build_* and verify_* functions take: each
+    reads the (q, k, h, s) and polynomial choice it was built from in
+    ``params``, so a code or report can name no other parameters.
 
     Every typed code of the construction is a restriction of ``full``; an
     injective one reads the full code's cached distance profile instead of
@@ -492,11 +487,11 @@ def build_generator_set(params: ConstructionParams) -> GeneratorSet:
                 raise TheoremViolated(
                     f"A_{i} g^{t} does not match its block form"
                 )
-            entries.append(GeneratorEntry("A", i, t, m_t, flag))
+            entries.append(GeneratorEntry("A", i, t, flag))
         b_i = build_B(params, i)
-        entries.append(GeneratorEntry("B", i, None, b_i, flag_from_matrix(b_i, full_tv)))
+        entries.append(GeneratorEntry("B", i, None, flag_from_matrix(b_i, full_tv)))
     m_mat = build_M(params)
-    entries.append(GeneratorEntry("M", None, None, m_mat, flag_from_matrix(m_mat, full_tv)))
+    entries.append(GeneratorEntry("M", None, None, flag_from_matrix(m_mat, full_tv)))
 
     # the top part's key is the row space's key; no Subspace is made here
     distinct = len({e.flag._key_rows(-1) for e in entries})
@@ -527,19 +522,16 @@ def _group_order(g: MatrixGF, n: int, budget: int) -> int:
     return n
 
 
-def build_full_flag_code(
-    params: ConstructionParams, gen: GeneratorSet | None = None
-) -> FlagCode:
+def build_full_flag_code(gen: GeneratorSet) -> FlagCode:
     """One full-type flag per generator matrix, via its row prefixes: the
     generator set's ``full``, whose size build_generator_set has checked."""
-    return (gen or build_generator_set(params)).full
+    return gen.full
 
 
-def build_optimum_code(
-    params: ConstructionParams, gen: GeneratorSet | None = None
-) -> FlagCode:
-    """The admissible-type code; verified to attain the maximum distance."""
-    gen = gen or build_generator_set(params)
+def build_optimum_code(gen: GeneratorSet) -> FlagCode:
+    """The admissible-type code of ``gen``; verified to attain the maximum
+    distance."""
+    params = gen.params
     tv = admissible_type(params)
     code = gen.flag_code(tv)
     if len(code) != params.expected_size:
@@ -553,18 +545,33 @@ def build_optimum_code(
     return code
 
 
-def build_longer_type_code(
-    params: ConstructionParams,
-    type_: TypeVector | None = None,
-    gen: GeneratorSet | None = None,
-) -> FlagCode:
-    """The master-type code or any subsequence of it, with its guaranteed
-    size, cardinality consistency, and distance re-verified."""
-    gen = gen or build_generator_set(params)
+def _longer_type(params: ConstructionParams, type_: TypeVector | None) -> TypeVector:
+    """``type_``, or the master type when it is None, checked as a type of
+    the longer-type family.
+
+    A type that is not a subsequence of the master type raises
+    NotASubsequence.  One whose guaranteed distance is 0 (each of its dims
+    is 2k+h with s = 4 and h = 0) raises ValueError: its flags may
+    coincide, so no claim on its size or distance holds."""
     mt = master_type(params)
     tv = type_ if type_ is not None else mt
     if not tv.is_subsequence_of(mt):
         raise NotASubsequence(f"{tv.dims} is not a subsequence of {mt.dims}")
+    if not expected_restricted_distance(params, tv):
+        dims = ", ".join(map(str, tv.dims))
+        raise ValueError(
+            f"type {tv.dims} has guaranteed distance 0: at dim {dims} it is 2h = 0, "
+            "so its flags may coincide; keep a dim of positive guarantee"
+        )
+    return tv
+
+
+def build_longer_type_code(gen: GeneratorSet, type_: TypeVector | None = None) -> FlagCode:
+    """The master-type code of ``gen`` or any subsequence of it (_longer_type),
+    with its guaranteed size, cardinality consistency, and distance
+    re-verified."""
+    params = gen.params
+    tv = _longer_type(params, type_)
     code = gen.flag_code(tv)
     if len(code) != params.expected_size:
         raise CardinalityMismatch(
@@ -683,12 +690,11 @@ def _jsonable(value: object) -> object:
 # -- verification operations ----------------------------------------------------
 
 
-def verify_spread_projections(
-    params: ConstructionParams, gen: GeneratorSet | None = None
-) -> VerificationReport:
+def verify_spread_projections(gen: GeneratorSet) -> VerificationReport:
     """Check the k-projection (a partial k-spread of full size) and the
-    (n-k)-projection (maximum distance 2k, full size)."""
-    gen = gen or build_generator_set(params)
+    (n-k)-projection (maximum distance 2k, full size) of ``gen``'s full
+    code; the report names ``gen.params``."""
+    params = gen.params
     rep = VerificationReport(params.describe())
     k, n = params.k, params.n
     size = params.expected_size
@@ -721,11 +727,9 @@ def verify_spread_projections(
     return rep
 
 
-def verify_intermediate_distances(
-    params: ConstructionParams, gen: GeneratorSet | None = None
-) -> VerificationReport:
-    """Check the projected codes at every middle dimension of the master type
-    (distance 2k, or 2h at 2k+h when s = 4) and the witness pair
+def verify_intermediate_distances(gen: GeneratorSet) -> VerificationReport:
+    """Check the projected codes of ``gen`` at every middle dimension of the
+    master type (distance 2k, or 2h at 2k+h when s = 4) and the witness pair
     (A_i g^k, B_i), which must sit at distance exactly 2k at each level.
 
     The minimum distance at dimension m is read over the flag pairs of the
@@ -733,7 +737,7 @@ def verify_intermediate_distances(
     projection is injective.  Injectivity (|C| words) is claimed only where
     the guaranteed distance is positive: at 2h = 0 two flags may share their
     m-dimensional part."""
-    gen = gen or build_generator_set(params)
+    params = gen.params
     rep = VerificationReport(params.describe())
     k, h, s = params.k, params.h, params.s
     size = params.expected_size
@@ -778,11 +782,10 @@ def _witness_distance(gen: GeneratorSet, i: int, m: int) -> int:
     return subspace_distance(a_flag._part(m - 1), b_flag._part(m - 1))
 
 
-def verify_orbit_decomposition(
-    params: ConstructionParams, gen: GeneratorSet | None = None
-) -> VerificationReport:
-    """Check that the generator family is the disjoint union of s-1 full
-    orbits (trivial stabilizers) plus the s extra spaces from the B_i and M.
+def verify_orbit_decomposition(gen: GeneratorSet) -> VerificationReport:
+    """Check that the generator family ``gen`` is the disjoint union of s-1
+    full orbits (trivial stabilizers) plus the s extra spaces from the B_i
+    and M.
 
     Every space here is a hyperplane, and each is compared by its normal
     vector, read off its RREF key rows (_hyperplane_normal): a generator
@@ -794,7 +797,7 @@ def verify_orbit_decomposition(
     built from (GeneratorSet.families); the walk shares no per-step
     arithmetic with the set's products A_i g^t.  The orbit is the set of
     the c_t, and the stabilizer counts the c_t equal to c_0."""
-    gen = gen or build_generator_set(params)
+    params = gen.params
     rep = VerificationReport(params.describe())
     k, h, s, n, field = params.k, params.h, params.s, params.n, params.field
 
@@ -848,13 +851,11 @@ def verify_orbit_decomposition(
     return rep
 
 
-def verify_maximality(
-    params: ConstructionParams, gen: GeneratorSet | None = None
-) -> VerificationReport:
-    """When k > (q^h - 1)/(q - 1), the master-type code's size must match
-    the closed-form maximum partial-spread size; otherwise the bound is
-    recorded as not applicable."""
-    gen = gen or build_generator_set(params)
+def verify_maximality(gen: GeneratorSet) -> VerificationReport:
+    """When k > (q^h - 1)/(q - 1), the size of ``gen``'s master-type code
+    must match the closed-form maximum partial-spread size; otherwise the
+    bound is recorded as not applicable."""
+    params = gen.params
     rep = VerificationReport(params.describe())
     statement = "code size attains the maximum partial-spread cardinality"
     try:
@@ -925,24 +926,26 @@ def run_claim_suite(
     params: ConstructionParams,
     type_: TypeVector | None = None,
     loaded: FlagCode | None = None,
-    loaded_label: str = "loaded",
 ) -> VerificationReport:
-    """Run every claim applicable to the parameters and return one report.
+    """Build the generator set of ``params``, run every claim applicable to
+    it and return one report.
 
     ``type_`` overrides the master type used for the longer-type family,
-    which runs only for s >= 3; a ``type_`` at s = 2 raises ValueError.
+    which runs only for s >= 3; a ``type_`` at s = 2 raises ValueError, and
+    one that _longer_type refuses raises before the set is built.
     ``loaded`` optionally checks an externally supplied flag code against the
     freshly constructed family of the same type.
     """
     rep = VerificationReport(params.describe())
     size = params.expected_size
-    k, h, s, n = params.k, params.h, params.s, params.n
+    k, h, s = params.k, params.h, params.s
     if type_ is not None and s < 3:
         raise ValueError(
             f"type {type_.dims} applies to the longer-type family, which runs only "
             f"for s >= 3, but s = {s}"
         )
-    rep.type_dims = (type_ if type_ is not None else master_type(params)).dims
+    tv = _longer_type(params, type_)
+    rep.type_dims = tv.dims
 
     gen = build_generator_set(params)
     rep.check(
@@ -960,7 +963,7 @@ def run_claim_suite(
             lambda g=g, order=order: _group_order(g, order, params.factor_budget),
         )
 
-    rep.extend(verify_spread_projections(params, gen))
+    rep.extend(verify_spread_projections(gen))
 
     full_code = gen.full
     rep.check(
@@ -994,13 +997,9 @@ def run_claim_suite(
 
     opt_tv = admissible_type(params)
     opt_code = gen.flag_code(opt_tv)
-    rep = _optimum_claims(rep, params, opt_tv, opt_code)
+    _optimum_claims(rep, params, opt_tv, opt_code)
 
     if s >= 3:
-        mt = master_type(params)
-        tv = type_ if type_ is not None else mt
-        if not tv.is_subsequence_of(mt):
-            raise NotASubsequence(f"{tv.dims} is not a subsequence of {mt.dims}")
         longer_code = gen.flag_code(tv)
         expected_d = expected_restricted_distance(params, tv)
         rep.check(
@@ -1028,12 +1027,12 @@ def run_claim_suite(
             )
         _deficit_claims(rep, "longer", longer_code)
 
-    rep.extend(verify_intermediate_distances(params, gen))
-    rep.extend(verify_orbit_decomposition(params, gen))
-    rep.extend(verify_maximality(params, gen))
+    rep.extend(verify_intermediate_distances(gen))
+    rep.extend(verify_orbit_decomposition(gen))
+    rep.extend(verify_maximality(gen))
 
     if loaded is not None:
-        _loaded_claims(rep, params, gen, loaded, loaded_label)
+        _loaded_claims(rep, gen, loaded)
     return rep
 
 
@@ -1042,7 +1041,7 @@ def _optimum_claims(
     params: ConstructionParams,
     tv: TypeVector,
     code: FlagCode,
-) -> VerificationReport:
+) -> None:
     size = params.expected_size
     rep.check(
         "optimum.admissible_type",
@@ -1086,7 +1085,6 @@ def _optimum_claims(
         True,
         lambda: _projected_equivalence(code),
     )
-    return rep
 
 
 def _projected_equivalence(code: FlagCode) -> bool:
@@ -1100,30 +1098,24 @@ def _projected_equivalence(code: FlagCode) -> bool:
     return (consistent and all_max) == classify(code).is_optimum
 
 
-def _loaded_claims(
-    rep: VerificationReport,
-    params: ConstructionParams,
-    gen: GeneratorSet,
-    loaded: FlagCode,
-    label: str,
-) -> None:
+def _loaded_claims(rep: VerificationReport, gen: GeneratorSet, loaded: FlagCode) -> None:
     """Validate an externally loaded code against the constructed family of
     the same type."""
+    params = gen.params
     tv = loaded.type
     size = params.expected_size
     rep.check(
-        f"{label}.cardinality",
+        "loaded.cardinality",
         f"the loaded code has {size} flags",
         size,
         lambda: len(loaded),
     )
-    constructible = (
-        tv in (TypeVector.full(params.n), admissible_type(params))
-        or tv.is_subsequence_of(master_type(params))
-    )
-    if not constructible:
+    # a longer type of guaranteed distance 0 is one the family refuses
+    expected_d = expected_restricted_distance(params, tv)
+    longer = tv.is_subsequence_of(master_type(params)) and expected_d > 0
+    if not (longer or tv in (TypeVector.full(params.n), admissible_type(params))):
         rep.check(
-            f"{label}.type_recognized",
+            "loaded.type_recognized",
             f"the loaded type {tv.dims} matches a constructible family",
             True,
             lambda: False,
@@ -1131,15 +1123,14 @@ def _loaded_claims(
         return
     ref = gen.flag_code(tv)
     rep.check(
-        f"{label}.matches_construction",
+        "loaded.matches_construction",
         f"the loaded code equals the constructed type {tv.dims} family",
         True,
         lambda: ref == loaded,
     )
-    if tv.is_subsequence_of(master_type(params)):
-        expected_d = expected_restricted_distance(params, tv)
+    if longer:
         rep.check(
-            f"{label}.min_distance",
+            "loaded.min_distance",
             f"the loaded code has distance {expected_d}",
             expected_d,
             lambda: code_flag_min_distance(loaded),

@@ -62,6 +62,17 @@ def poly_choices(q: int, k: int, h: int, s: int) -> list[int]:
     ]
 
 
+# every standard sweep instance at each poly choice it has
+SWEEP_CHOICES: list[tuple[tuple[int, int, int, int], int]] = [
+    (qkhs, c) for qkhs in SWEEP for c in poly_choices(*qkhs)
+]
+
+
+def choice_ids(choices) -> list[str]:
+    """Test ids such as "q2k2h1s3-pc0" for ((q, k, h, s), poly choice) pairs."""
+    return ["q{}k{}h{}s{}-pc{}".format(*qkhs, c) for qkhs, c in choices]
+
+
 def strip_seconds(obj):
     """A report's JSON object without its timings: every "seconds" key removed."""
     if isinstance(obj, dict):

@@ -32,7 +32,7 @@ def _report(num: int, elapsed: float, detail: str) -> None:
 def test_criterion_1_smallest_full_flag_code():
     start = perf_counter()
     params = fc.ConstructionParams.make(2, 2, 0, 2)
-    code = fc.build_full_flag_code(params)
+    code = fc.build_full_flag_code(fc.build_generator_set(params))
     assert len(code) == 5
     distances = [
         fc.flag_distance(f, g) for f, g in combinations(code.flags, 2)
@@ -48,7 +48,7 @@ def test_criterion_1_smallest_full_flag_code():
 def test_criterion_2_full_flag_code_n5():
     start = perf_counter()
     params = fc.ConstructionParams.make(2, 2, 1, 2)
-    code = fc.build_full_flag_code(params)
+    code = fc.build_full_flag_code(fc.build_generator_set(params))
     assert len(code) == 9
     d = fc.code_flag_min_distance(code)
     assert d == 12 == 2 * params.k * (params.k + params.h)
@@ -61,7 +61,7 @@ def test_criterion_2_full_flag_code_n5():
 def test_criterion_3_quasi_optimum_n8():
     start = perf_counter()
     params = fc.ConstructionParams.make(2, 3, 2, 2)
-    code = fc.build_full_flag_code(params)
+    code = fc.build_full_flag_code(fc.build_generator_set(params))
     assert len(code) == 33
     cls = fc.classify(code)
     assert cls.max_distance == 32
@@ -81,7 +81,7 @@ def test_criterion_4_spread_and_optimum_code(gen223):
     cnk = gen223.projected_at_dim(5)
     assert fc.code_min_distance(cnk) == 4
     assert len(cnk) == 41
-    opt = fc.build_optimum_code(params, gen223)
+    opt = fc.build_optimum_code(gen223)
     assert opt.type.dims == (1, 2, 5, 6)
     assert len(opt) == 41
     assert fc.code_flag_min_distance(opt) == 12
@@ -94,7 +94,7 @@ def test_criterion_4_spread_and_optimum_code(gen223):
 def test_criterion_5_longer_type_n7(gen223):
     start = perf_counter()
     params = gen223.params
-    code = fc.build_longer_type_code(params, None, gen223)
+    code = fc.build_longer_type_code(gen223)
     assert code.type.dims == (1, 2, 3, 5, 6)
     assert len(code) == 41
     d = fc.code_flag_min_distance(code)
@@ -110,7 +110,7 @@ def test_criterion_6_longer_type_n9():
     start = perf_counter()
     params = fc.ConstructionParams.make(2, 2, 1, 4)
     gen = fc.build_generator_set(params)
-    code = fc.build_longer_type_code(params, None, gen)
+    code = fc.build_longer_type_code(gen)
     assert code.type.dims == (1, 2, 3, 5, 7, 8)
     assert len(code) == 169
     k, h = params.k, params.h
@@ -164,10 +164,10 @@ def test_criterion_8_property_suites(gen223):
     codes = []
     for params in instances:
         gen = fc.build_generator_set(params)
-        codes.append(fc.build_full_flag_code(params, gen))
-        codes.append(fc.build_optimum_code(params, gen))
-    codes.append(fc.build_optimum_code(gen223.params, gen223))
-    codes.append(fc.build_longer_type_code(gen223.params, None, gen223))
+        codes.append(fc.build_full_flag_code(gen))
+        codes.append(fc.build_optimum_code(gen))
+    codes.append(fc.build_optimum_code(gen223))
+    codes.append(fc.build_longer_type_code(gen223))
     for code in codes:
         optimum = fc.classify(code).is_optimum
         assert fc.optimum_check_ab(code) == optimum
@@ -208,9 +208,9 @@ def test_criterion_9_choice_independence():
     assert fc.is_partial_spread(ck) and len(ck) == 41
     cnk = gen.projected_at_dim(5)
     assert fc.code_min_distance(cnk) == 4 and len(cnk) == 41
-    opt = fc.build_optimum_code(params, gen)
+    opt = fc.build_optimum_code(gen)
     assert len(opt) == 41 and fc.code_flag_min_distance(opt) == 12
-    longer = fc.build_longer_type_code(params, None, gen)
+    longer = fc.build_longer_type_code(gen)
     assert len(longer) == 41 and fc.code_flag_min_distance(longer) == 16
     assert fc.is_cardinality_consistent(longer)
     elapsed = perf_counter() - start

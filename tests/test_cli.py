@@ -164,6 +164,34 @@ class TestVerify:
         rc, _, _ = run(capsys, "verify", "--q", "2,3", "--k", "2", "--h", "0", "--s", "2")
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    @pytest.mark.parametrize("option", ["--q", "--k", "--h", "--s"])
+    def test_empty_list_is_bad_input(self, capsys, command, option):
+        # an empty grid would report nothing verified and exit 0
+        values = {"--q": "2", "--k": "2", "--h": "0", "--s": "2", option: ","}
+        argv = [t for pair in values.items() for t in pair]
+        rc, stdout, stderr = run(capsys, command, "--sweep", *argv, "--format", "json")
+        assert rc == 2 and stdout == ""
+        assert f"{option} names no value" in stderr
+
+    def test_type_of_zero_guarantee_refused(self, capsys, monkeypatch):
+        # at (2,2,0,4) the guarantee at dim 2k+h = 4 is 2h = 0: type (4,)
+        # promises nothing, and is refused before the generator set is built
+        def refused(params):
+            raise AssertionError("the generator set was built")
+
+        monkeypatch.setattr(fc.construct, "build_generator_set", refused)
+        monkeypatch.setattr("flagcodes.cli.build_generator_set", refused)
+        qkhs = ("--q", "2", "--k", "2", "--h", "0", "--s", "4", "--type", "4")
+        for argv in (("verify", *qkhs), ("construct", *qkhs, "--family", "longer")):
+            rc, stdout, stderr = run(capsys, *argv)
+            assert rc == 2 and stdout == ""
+            assert "guaranteed distance 0: at dim 4" in stderr
+        monkeypatch.undo()
+        # a type that keeps a dim of positive guarantee is verified
+        rc, stdout, _ = run(capsys, "verify", *qkhs[:-1], "1,4")
+        assert rc == 0 and "# 33/33 claims passed" in stdout
+
     def test_type_refused_at_s2(self, capsys):
         # at s = 2 no claim is about the type, so a report under it would
         # claim a check that never ran

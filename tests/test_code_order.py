@@ -24,12 +24,12 @@ import pytest
 import flagcodes as fc
 
 from _checks import (
-    SWEEP,
+    SWEEP_CHOICES,
     _random_invertible,
     _random_matrix,
+    choice_ids,
     flag_key_oracle,
     normal_form_oracle,
-    poly_choices,
     rref_oracle,
 )
 
@@ -111,12 +111,7 @@ def test_distinct_first_parts_keep_the_part_key_order(p, e):
         assert [oracle[f.key] for f in code] == sorted(oracle.values())
 
 
-SWEEP_CHOICES = [(qkhs, c) for qkhs in SWEEP for c in poly_choices(*qkhs)]
-
-
-@pytest.mark.parametrize(
-    "qkhs,choice", SWEEP_CHOICES, ids=["q{}k{}h{}s{}-pc{}".format(*t, c) for t, c in SWEEP_CHOICES]
-)
+@pytest.mark.parametrize("qkhs,choice", SWEEP_CHOICES, ids=choice_ids(SWEEP_CHOICES))
 def test_construction_codes_keep_the_part_key_order(qkhs, choice):
     # the first parts of the construction's codes are distinct (its prefix
     # cardinality claims), so they sort and write as when keyed by parts

@@ -7,11 +7,12 @@ import pytest
 import flagcodes as fc
 from _checks import (
     SWEEP,
+    SWEEP_CHOICES,
+    choice_ids,
     enumerate_gf2_subspaces,
     gf2_subspace_from_vectors,
     normal_oracle,
     orbit_by_powers,
-    poly_choices,
     scaled_vectors,
 )
 from flagcodes import construct
@@ -201,12 +202,12 @@ class TestGeneratorSet:
                 [fc.MatrixGF.zeros(f, 1, 2), fc.MatrixGF.zeros(f, 1, 2), x.first_rows(1)],
             ],
         )
-        assert entry.matrix == expected
+        assert entry.flag.source == expected
 
     def test_identity_element_appears_last(self):
         order = 2**3 - 1
         last = GEN223.entry("A", 1, order)
-        assert last.matrix == fc.build_A(P223, 1)
+        assert last.flag.source == fc.build_A(P223, 1)
 
 
 # one instance per field kind: GF(2), a prime field, and two extensions
@@ -369,8 +370,7 @@ class TestTwoRoutes:
 
 # the sweep at every poly choice, and the verify-nonbinary benchmark
 # instances, whose suites make 2, 1 and 1 Subspaces at poly choice 0
-WORK_CHOICES = [(qkhs, c) for qkhs in SWEEP for c in poly_choices(*qkhs)]
-WORK_CHOICES += [((3, 2, 0, 3), 0), ((4, 2, 1, 2), 0), ((9, 2, 0, 2), 0)]
+WORK_CHOICES = SWEEP_CHOICES + [((3, 2, 0, 3), 0), ((4, 2, 1, 2), 0), ((9, 2, 0, 2), 0)]
 SUBSPACES_MADE = {(2, 2, 1, 4): 15, (3, 2, 0, 3): 2, (4, 2, 1, 2): 1, (9, 2, 0, 2): 1}
 
 
@@ -387,9 +387,7 @@ class TestSuiteWork:
         monkeypatch.setattr(fc.MatrixGF, "__pow__", refused)
         fc.build_generator_set(fc.ConstructionParams.make(*qkhs))
 
-    @pytest.mark.parametrize(
-        "qkhs,choice", WORK_CHOICES, ids=[_params_id(t) + f"-pc{c}" for t, c in WORK_CHOICES]
-    )
+    @pytest.mark.parametrize("qkhs,choice", WORK_CHOICES, ids=choice_ids(WORK_CHOICES))
     def test_suite_builds_each_family_once(self, qkhs, choice, monkeypatch):
         params = fc.ConstructionParams.make(*qkhs, poly_choice=choice)
         k, h, s = params.k, params.h, params.s
@@ -547,7 +545,7 @@ class TestFullFlagCodes:
     )
     def test_s2_family(self, qkhs, size, dist, label):
         params = fc.ConstructionParams.make(*qkhs)
-        code = fc.build_full_flag_code(params)
+        code = fc.build_full_flag_code(fc.build_generator_set(params))
         assert len(code) == size
         assert fc.code_flag_min_distance(code) == dist
         assert fc.classify(code).label == label
@@ -556,7 +554,7 @@ class TestFullFlagCodes:
         assert dist == 2 * k * (k + h)
 
     def test_s3_size(self):
-        code = fc.build_full_flag_code(P223, GEN223)
+        code = fc.build_full_flag_code(GEN223)
         assert len(code) == 41
 
 
@@ -569,7 +567,7 @@ class TestProjectedIntersections:
 
 class TestOptimumCodes:
     def test_main_instance(self):
-        code = fc.build_optimum_code(P223, GEN223)
+        code = fc.build_optimum_code(GEN223)
         assert code.type.dims == (1, 2, 5, 6)
         assert len(code) == 41
         assert fc.code_flag_min_distance(code) == 12
@@ -578,21 +576,21 @@ class TestOptimumCodes:
 
     def test_h0_s3(self):
         params = fc.ConstructionParams.make(2, 2, 0, 3)
-        code = fc.build_optimum_code(params)
+        code = fc.build_optimum_code(fc.build_generator_set(params))
         assert code.type.dims == (1, 2, 4, 5)
         assert len(code) == 2**2 + 2**4 + 1 == 21
         assert fc.code_flag_min_distance(code) == 12
 
     def test_q3(self):
         params = fc.ConstructionParams.make(3, 2, 1, 2)
-        code = fc.build_optimum_code(params)
+        code = fc.build_optimum_code(fc.build_generator_set(params))
         assert code.type.dims == (1, 2, 3, 4)
         assert len(code) == 28
         assert fc.code_flag_min_distance(code) == 12
 
     def test_k1_edge(self):
         params = fc.ConstructionParams.make(2, 1, 0, 3)
-        code = fc.build_optimum_code(params)
+        code = fc.build_optimum_code(fc.build_generator_set(params))
         assert code.type.dims == (1, 2)
         assert len(code) == 2 + 4 + 1
         assert fc.classify(code).is_optimum
@@ -617,7 +615,7 @@ class TestMasterType:
 
 class TestLongerCodes:
     def test_main_instance(self):
-        code = fc.build_longer_type_code(P223, None, GEN223)
+        code = fc.build_longer_type_code(GEN223)
         assert code.type.dims == (1, 2, 3, 5, 6)
         assert len(code) == 41
         assert fc.code_flag_min_distance(code) == 16
@@ -627,19 +625,19 @@ class TestLongerCodes:
 
     def test_custom_subsequence(self):
         tv = fc.TypeVector(7, (1, 3, 5))
-        code = fc.build_longer_type_code(P223, tv, GEN223)
+        code = fc.build_longer_type_code(GEN223, tv)
         # contributions 2*1 + 2k + 2(n-5)
         assert fc.code_flag_min_distance(code) == 10
         assert len(code) == 41
 
     def test_restriction_matches_optimum(self):
-        longer = fc.build_longer_type_code(P223, None, GEN223)
-        optimum = fc.build_optimum_code(P223, GEN223)
+        longer = fc.build_longer_type_code(GEN223)
+        optimum = fc.build_optimum_code(GEN223)
         assert fc.subsequence_code(longer, optimum.type) == optimum
 
     def test_not_a_subsequence(self):
         with pytest.raises(NotASubsequence):
-            fc.build_longer_type_code(P223, fc.TypeVector(7, (1, 4)), GEN223)
+            fc.build_longer_type_code(GEN223, fc.TypeVector(7, (1, 4)))
 
     def test_expected_distance_table(self):
         assert fc.expected_restricted_distance(P223, fc.master_type(P223)) == 16
@@ -654,36 +652,49 @@ class TestLongerCodes:
 
 class TestVerifiers:
     def test_spread_projections(self):
-        rep = fc.verify_spread_projections(P223, GEN223)
+        rep = fc.verify_spread_projections(GEN223)
         assert rep.all_pass, rep.to_text()
 
     def test_intermediate_distances(self):
-        rep = fc.verify_intermediate_distances(P223, GEN223)
+        rep = fc.verify_intermediate_distances(GEN223)
         assert rep.all_pass, rep.to_text()
 
     def test_orbit_decomposition(self):
-        rep = fc.verify_orbit_decomposition(P223, GEN223)
+        rep = fc.verify_orbit_decomposition(GEN223)
         assert rep.all_pass, rep.to_text()
         sizes = {c.claim_id: c.computed for c in rep.claims if c.claim_id.endswith(".size")}
         assert sizes == {"orbit.family1.size": 7, "orbit.family2.size": 31}
 
     def test_orbit_decomposition_smallest(self):
         params = fc.ConstructionParams.make(2, 2, 0, 2)
-        rep = fc.verify_orbit_decomposition(params)
+        rep = fc.verify_orbit_decomposition(fc.build_generator_set(params))
         assert rep.all_pass
         sizes = [c.computed for c in rep.claims if c.claim_id.endswith(".size")]
         assert sizes == [3]  # 3 orbit spaces plus B_1 and M give all 5
 
     def test_maximality(self):
-        rep = fc.verify_maximality(P223, GEN223)
+        rep = fc.verify_maximality(GEN223)
         assert rep.all_pass
         assert rep.claims[0].computed == 41
 
     def test_maximality_not_applicable(self):
         params = fc.ConstructionParams.make(2, 3, 2, 2)
-        rep = fc.verify_maximality(params)
+        rep = fc.verify_maximality(fc.build_generator_set(params))
         assert rep.all_pass
         assert "skipped" in str(rep.claims[0].computed)
+
+    @pytest.mark.parametrize("qkhs,choice", SWEEP_CHOICES, ids=choice_ids(SWEEP_CHOICES))
+    def test_verifiers_match_the_suite(self, qkhs, choice):
+        # each verifier reads the parameters its generator set was built from
+        gen = fc.build_generator_set(fc.ConstructionParams.make(*qkhs, poly_choice=choice))
+        suite = {c.claim_id: dataclasses.replace(c, seconds=0)
+                 for c in fc.run_claim_suite(gen.params).claims}
+        for verify in (fc.verify_spread_projections, fc.verify_intermediate_distances,
+                       fc.verify_orbit_decomposition, fc.verify_maximality):
+            rep = verify(gen)
+            assert rep.params == gen.params.describe()
+            for c in rep.claims:
+                assert dataclasses.replace(c, seconds=0) == suite[c.claim_id]
 
     def test_suite_all_pass(self):
         rep = fc.run_claim_suite(P223)
@@ -741,7 +752,7 @@ class TestTwoBlockEquivalence:
 
         tv = fc.TypeVector.full(n)
         direct = fc.FlagCode(tv, (fc.flag_from_matrix(m, tv) for m in matrices))
-        assert direct == fc.build_full_flag_code(params)
+        assert direct == fc.build_full_flag_code(fc.build_generator_set(params))
 
 
 class TestDistancePropagation:
@@ -752,7 +763,7 @@ class TestDistancePropagation:
         k, h, s = params.k, params.h, params.s
         top = (s - 1) * k + h
         for i in range(1, s):
-            family = [e.matrix for e in GEN223.entries if e.kind in ("A", "B") and e.index == i]
+            family = [e.flag.source for e in GEN223.entries if e.kind in ("A", "B") and e.index == i]
             for a in range(len(family)):
                 for b in range(a + 1, len(family)):
                     base = fc.subspace_distance(
@@ -774,9 +785,9 @@ class TestChoiceIndependence:
         alt = fc.ConstructionParams.make(2, 2, 1, 3, poly_choice=1)
         gen = fc.build_generator_set(alt)
         assert len({e.flag._key_rows(-1) for e in gen.entries}) == 41
-        opt = fc.build_optimum_code(alt, gen)
+        opt = fc.build_optimum_code(gen)
         assert fc.code_flag_min_distance(opt) == 12
-        longer = fc.build_longer_type_code(alt, None, gen)
+        longer = fc.build_longer_type_code(gen)
         assert fc.code_flag_min_distance(longer) == 16
         # the seed polynomials really differ from the default choice
         assert fc.build_P(alt, 1) != fc.build_P(P223, 1)
@@ -800,8 +811,38 @@ class TestZeroGuaranteeLevel:
         assert len(gen.projected_at_dim(m)) < params.expected_size
         for claim_id in (f"middle.dim{m}.cardinality", "longer.cardinality_consistent"):
             assert claims[claim_id].expected.startswith("skipped: ")
-        code = fc.build_longer_type_code(params, None, gen)
+        code = fc.build_longer_type_code(gen)
         assert m in code.type.dims and len(code) == params.expected_size
+
+    def test_type_of_zero_guarantee_refused(self, monkeypatch):
+        # type (4,) keeps only the dim of guarantee 2h = 0: its flags may
+        # coincide, so no size or distance claim on it holds
+        params = fc.ConstructionParams.make(2, 2, 0, 4)
+        gen = fc.build_generator_set(params)
+        with pytest.raises(ValueError, match="guaranteed distance 0: at dim 4"):
+            fc.build_longer_type_code(gen, fc.TypeVector(8, (4,)))
+
+        def refused(params):
+            raise AssertionError("the generator set was built")
+
+        monkeypatch.setattr(construct, "build_generator_set", refused)
+        with pytest.raises(ValueError, match="guaranteed distance 0: at dim 4"):
+            fc.run_claim_suite(params, fc.TypeVector(8, (4,)))
+        monkeypatch.undo()
+        # with dim 1 kept the guarantee is 2 and every claim holds
+        tv = fc.TypeVector(8, (1, 4))
+        assert len(fc.build_longer_type_code(gen, tv)) == params.expected_size
+        rep = fc.run_claim_suite(params, tv)
+        assert rep.all_pass and len(rep.claims) == 33, rep.to_text()
+
+    def test_loaded_code_of_zero_guarantee_is_not_recognized(self):
+        # a loaded type (4,) code is no longer-type family either: no claim
+        # expects its distance to be 0
+        params = fc.ConstructionParams.make(2, 2, 0, 4)
+        loaded = fc.build_generator_set(params).flag_code(fc.TypeVector(8, (4,)))
+        claims = {c.claim_id: c for c in fc.run_claim_suite(params, loaded=loaded).claims}
+        assert not claims["loaded.type_recognized"].passed
+        assert "loaded.min_distance" not in claims
 
     def test_positive_guarantee_keeps_the_claims(self):
         rep = fc.run_claim_suite(fc.ConstructionParams.make(2, 2, 1, 4))

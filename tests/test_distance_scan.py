@@ -202,7 +202,8 @@ def test_claim_suite_scans_each_code_once(monkeypatch):
     monkeypatch.setattr(fc.SubspaceCode, "__init__", no_subspace_code)
     for qkhs in SWEEP:
         params = fc.ConstructionParams.make(*qkhs)
-        full = [tuple(part.key for part in f.parts) for f in fc.build_full_flag_code(params)]
+        code = fc.build_full_flag_code(fc.build_generator_set(params))
+        full = [tuple(part.key for part in f.parts) for f in code]
         scanned.clear()
         assert fc.run_claim_suite(params).all_pass
         assert scanned == [full], qkhs

@@ -38,14 +38,13 @@ BUILDERS = {
 
 @cache
 def _generator_set(q: int, k: int, h: int, s: int, choice: int):
-    params = fc.ConstructionParams.make(q, k, h, s, poly_choice=choice)
-    return params, fc.build_generator_set(params)
+    return fc.build_generator_set(fc.ConstructionParams.make(q, k, h, s, poly_choice=choice))
 
 
 def _dump(key: str) -> str:
     qkhsc, family = key.rsplit(",", 1)
-    params, gen = _generator_set(*(int(t) for t in qkhsc.split(",")))
-    return fc.dump_flag_code(BUILDERS[family](params, gen=gen))
+    gen = _generator_set(*(int(t) for t in qkhsc.split(",")))
+    return fc.dump_flag_code(BUILDERS[family](gen))
 
 
 def _keys() -> list[str]:

@@ -404,12 +404,13 @@ class TestSerialization:
 
     def test_construction_roundtrip(self):
         params = fc.ConstructionParams.make(2, 2, 0, 2)
-        code = fc.build_full_flag_code(params)
+        code = fc.build_full_flag_code(fc.build_generator_set(params))
         assert fc.load_flag_code(fc.dump_flag_code(code)) == code
 
     @staticmethod
     def _small_code_text() -> str:
-        text = fc.dump_flag_code(fc.build_full_flag_code(fc.ConstructionParams.make(2, 2, 0, 2)))
+        gen = fc.build_generator_set(fc.ConstructionParams.make(2, 2, 0, 2))
+        text = fc.dump_flag_code(fc.build_full_flag_code(gen))
         assert text.splitlines()[0] == "flagcode 4 2 5"
         return text
 
@@ -449,7 +450,8 @@ class TestSerialization:
 
     @pytest.mark.parametrize("q", [4, 9])
     def test_each_field_token_is_parsed_once(self, q, monkeypatch):
-        text = fc.dump_flag_code(fc.build_full_flag_code(fc.ConstructionParams.make(q, 2, 0, 2)))
+        gen = fc.build_generator_set(fc.ConstructionParams.make(q, 2, 0, 2))
+        text = fc.dump_flag_code(fc.build_full_flag_code(gen))
         builds = []
         real = field_module.field_make
 

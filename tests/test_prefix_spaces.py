@@ -29,17 +29,15 @@ from flagcodes import cli
 from flagcodes.errors import RankDeficientPrefix, ZeroRank
 
 from _checks import (
-    SWEEP,
+    SWEEP_CHOICES,
     assert_same_subspace,
     check_lazy_parts,
     check_parts_built,
+    choice_ids,
     key_rows_oracle,
-    poly_choices,
     prefix_subspace_oracle,
     rref_oracle,
 )
-
-SWEEP_CHOICES = [(qkhs, c) for qkhs in SWEEP for c in poly_choices(*qkhs)]
 
 # GF(2), GF(3), GF(4), GF(8), GF(9)
 FIELDS = [(2,), (3,), (2, 2), (2, 3), (3, 2)]
@@ -71,18 +69,16 @@ def check_space(w: fc.MatrixGF) -> None:
     assert_same_subspace(fc.subspace_of(w), want)
 
 
-@pytest.mark.parametrize(
-    "qkhs,choice", SWEEP_CHOICES, ids=["q{}k{}h{}s{}-pc{}".format(*t, c) for t, c in SWEEP_CHOICES]
-)
+@pytest.mark.parametrize("qkhs,choice", SWEEP_CHOICES, ids=choice_ids(SWEEP_CHOICES))
 def test_generator_entries_match_oracle(qkhs, choice):
     gen = fc.build_generator_set(fc.ConstructionParams.make(*qkhs, poly_choice=choice))
     for e in gen.entries:
         for t, part in zip(e.flag.type.dims, e.flag.parts):
-            rank, want = prefix_subspace_oracle(e.matrix, t)
+            rank, want = prefix_subspace_oracle(e.flag.source, t)
             assert rank == t
             assert_same_subspace(part, want)
-        assert_same_subspace(e.flag._part(-1), fc.subspace_of(e.matrix))
-        check_space(e.matrix)
+        assert_same_subspace(e.flag._part(-1), fc.subspace_of(e.flag.source))
+        check_space(e.flag.source)
 
 
 def _random_rows(field, rng, nrows, ncols, dependent=(), zero=()):
@@ -214,8 +210,8 @@ def test_flag_builds_make_no_rref(monkeypatch):
     calls.clear()
     tv = fc.TypeVector.full(params.n)
     for e in gen.entries:
-        fc.flag_from_matrix(e.matrix, tv)
-        fc.subspace_of(e.matrix)
+        fc.flag_from_matrix(e.flag.source, tv)
+        fc.subspace_of(e.flag.source)
     loaded = fc.load_flag_code(fc.dump_flag_code(gen.full))
     assert loaded == gen.full
     assert calls == []
@@ -244,15 +240,13 @@ def test_lazy_parts_of_random_matrices_match_oracle(field_args):
         checked += 1
 
 
-@pytest.mark.parametrize(
-    "qkhs,choice", SWEEP_CHOICES, ids=["q{}k{}h{}s{}-pc{}".format(*t, c) for t, c in SWEEP_CHOICES]
-)
+@pytest.mark.parametrize("qkhs,choice", SWEEP_CHOICES, ids=choice_ids(SWEEP_CHOICES))
 def test_lazy_parts_of_generator_entries_match_oracle(qkhs, choice):
     gen = fc.build_generator_set(fc.ConstructionParams.make(*qkhs, poly_choice=choice))
     for e in gen.entries:
         # the generator set made no part of any flag
         assert e.flag._parts is None
-        check_lazy_parts(e.flag, e.matrix)
+        check_lazy_parts(e.flag, e.flag.source)
 
 
 def _counting_subspaces(monkeypatch) -> list:
@@ -283,7 +277,7 @@ def test_flag_builds_make_only_the_distinct_top_spaces(monkeypatch):
     tops = [e.flag._part(-1) for e in gen.entries]
     assert made == [w.key for w in tops]
     assert sorted(made) == sorted(
-        {prefix_subspace_oracle(e.matrix, e.matrix.nrows)[1].key for e in gen.entries}
+        {prefix_subspace_oracle(e.flag.source, e.flag.source.nrows)[1].key for e in gen.entries}
     )
 
 

@@ -25,19 +25,17 @@ import flagcodes as fc
 import flagcodes.construct
 
 from _checks import (
-    SWEEP,
+    SWEEP_CHOICES,
     _random_matrix,
     check_restriction,
+    choice_ids,
     every_full_flag_of_gf2_3,
     normal_form_oracle,
-    poly_choices,
     rref_oracle,
     strip_seconds,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "golden_verdicts.json"
-SWEEP_CHOICES = [(qkhs, c) for qkhs in SWEEP for c in poly_choices(*qkhs)]
-IDS = ["q{}k{}h{}s{}-pc{}".format(*qkhs, c) for qkhs, c in SWEEP_CHOICES]
 
 
 def _split_types(code: fc.FlagCode) -> list[fc.TypeVector]:
@@ -51,7 +49,7 @@ def _split_types(code: fc.FlagCode) -> list[fc.TypeVector]:
     return list(fc.split_type(tv, ell))
 
 
-@pytest.mark.parametrize("qkhs,choice", SWEEP_CHOICES, ids=IDS)
+@pytest.mark.parametrize("qkhs,choice", SWEEP_CHOICES, ids=choice_ids(SWEEP_CHOICES))
 def test_restrictions_match_checked_flags(qkhs, choice):
     params = fc.ConstructionParams.make(*qkhs, poly_choice=choice)
     gen = fc.build_generator_set(params)

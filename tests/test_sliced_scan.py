@@ -28,18 +28,17 @@ from flagcodes import subspace
 from flagcodes.subspace import _distance_profile
 
 from _checks import (
-    SWEEP,
+    SWEEP_CHOICES,
     check_projection,
+    choice_ids,
     every_full_flag_of_gf2_3,
     pairwise_profile,
     pairwise_spectrum,
-    poly_choices,
 )
 
-GF2_SWEEP = [qkhs for qkhs in SWEEP if qkhs[0] == 2]
 # GF(2) has a single primitive quadratic, so (2,2,0,2) and (2,2,0,3) have no
 # poly_choice 1
-SWEEP_CHOICES = [(qkhs, c) for qkhs in GF2_SWEEP for c in poly_choices(*qkhs)]
+GF2_CHOICES = [(qkhs, c) for qkhs, c in SWEEP_CHOICES if qkhs[0] == 2]
 
 
 def check_chains(chains, want: Counter | None = None) -> int:
@@ -70,9 +69,7 @@ def check_code(code: fc.FlagCode) -> int:
     return pairs
 
 
-@pytest.mark.parametrize(
-    "qkhs,choice", SWEEP_CHOICES, ids=["q{}k{}h{}s{}-pc{}".format(*t, c) for t, c in SWEEP_CHOICES]
-)
+@pytest.mark.parametrize("qkhs,choice", GF2_CHOICES, ids=choice_ids(GF2_CHOICES))
 def test_sweep_codes_match_oracle(qkhs, choice):
     params = fc.ConstructionParams.make(*qkhs, poly_choice=choice)
     gen = fc.build_generator_set(params)
