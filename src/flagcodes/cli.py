@@ -24,6 +24,7 @@ from .construct import (
     ConstructionParams,
     VerificationReport,
     _longer_type,
+    build_P,
     build_full_flag_code,
     build_generator_set,
     build_longer_type_code,
@@ -48,7 +49,7 @@ FAMILIES = ("full", "optimum", "longer")
 # the spectrum options that describe a code to construct, not one to load;
 # none has a default, so an option given is one that is not None
 _CODE_EXCLUDES = (
-    "q", "k", "h", "s", "type", "family", "modulus", "sweep", "factor_cap", "poly_choice",
+    "q", "k", "h", "s", "type", "family", "modulus", "factor_cap", "poly_choice",
 )
 
 
@@ -64,15 +65,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_params(p: argparse.ArgumentParser, required: bool = True) -> None:
-        p.add_argument("--q", help="field size (prime power); comma list with --sweep", required=required)
-        p.add_argument("--k", help="block dimension k; comma list with --sweep", required=required)
-        p.add_argument("--h", help="remainder h with 0 <= h < k; comma list with --sweep", required=required)
-        p.add_argument("--s", help="number of blocks s >= 2; comma list with --sweep", required=required)
+        p.add_argument("--q", help="field size (prime power); a comma list makes a grid", required=required)
+        p.add_argument("--k", help="block dimension k; a comma list makes a grid", required=required)
+        p.add_argument("--h", help="remainder h with 0 <= h < k; a comma list makes a grid", required=required)
+        p.add_argument("--s", help="number of blocks s >= 2; a comma list makes a grid", required=required)
         p.add_argument("--type", help="comma-separated type vector, e.g. 1,2,5,6")
         p.add_argument("--modulus",
                        help="extension-field modulus as 'x^2+x+1 over GF(2)' or '[1,1,1] @ GF(2)'")
-        p.add_argument("--sweep", action="store_true", default=None,
-                       help="treat --q/--k/--h/--s as comma lists")
         p.add_argument("--factor-cap", type=int,
                        help="largest trial divisor when factoring q and q^d - 1 "
                             f"(default {DEFAULT_FACTOR_BUDGET})")
@@ -119,9 +118,19 @@ def _param_grid(args: argparse.Namespace) -> list[tuple[int, int, int, int]]:
     for name, values in zip("qkhs", lists):
         if not values:
             raise ValueError(f"--{name} names no value")
-    if not args.sweep and any(len(v) != 1 for v in lists):
-        raise ValueError("comma lists need --sweep")
     return list(product(*lists))
+
+
+def missing_polynomials(params: ConstructionParams) -> str | None:
+    """Why the field lacks a primitive polynomial the instance needs at
+    params.poly_choice (build_P's error), or None when every family has
+    one."""
+    for i in range(1, params.s):
+        try:
+            build_P(params, i)
+        except ValueError as exc:
+            return str(exc)
+    return None
 
 
 def _type_dims(args: argparse.Namespace) -> tuple[int, ...]:
@@ -213,16 +222,25 @@ def _reports_csv(reports: list[VerificationReport]) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    """Run the claim suite at every point of the grid.  A grid skips a point
+    whose field lacks a polynomial it needs (missing_polynomials), naming it
+    on stderr; a single point raises that error, as does a grid of skipped
+    points."""
     grid = _param_grid(args)
     loaded = None
     if args.code:
-        if args.sweep:
-            raise ValueError("--code cannot be combined with --sweep")
+        if len(grid) > 1:
+            raise ValueError(f"--code takes one (q, k, h, s), not a grid of {len(grid)}")
         loaded = load_flag_code(Path(args.code).read_text())
     dims = _type_dims(args)
     reports: list[VerificationReport] = []
     for q, k, h, s in grid:
         params = _params_for(args, q, k, h, s)
+        if len(grid) > 1:
+            reason = missing_polynomials(params)
+            if reason is not None:
+                sys.stderr.write(f"skipped q={q} k={k} h={h} s={s}: {reason}\n")
+                continue
         if loaded is not None and len(loaded) and loaded.flags[0].field != params.field:
             # the file names its field's modulus unless it is the default one
             raise FieldMismatch(
@@ -231,8 +249,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             )
         tv = TypeVector(params.n, dims) if dims else None
         reports.append(run_claim_suite(params, tv, loaded=loaded))
+    if not reports:
+        raise ValueError("every point of the grid was skipped")
     if args.format == "json":
-        payload = reports[0].to_json_obj() if len(reports) == 1 else {
+        payload = reports[0].to_json_obj() if len(grid) == 1 else {
             "reports": [r.to_json_obj() for r in reports]
         }
         _emit(args, json.dumps(payload, indent=2) + "\n")

@@ -65,6 +65,7 @@ from .flags import (
 from .matgf import MatrixGF, _pack, block, companion
 from .subspace import (
     SubspaceCode,
+    _check_kernel_prime,
     _hyperplane_normal,
     _normal_walk,
     max_partial_spread_size,
@@ -165,10 +166,8 @@ def admissible_type(params: ConstructionParams) -> TypeVector:
 
 def middle_dims(params: ConstructionParams) -> list[int]:
     """Dimensions of the master type strictly between k and n-k."""
-    k, h, s, n = params.k, params.h, params.s, params.n
-    if s == 2:
-        return list(range(k + 1, n - k))
-    return list(range(k + 1, k + h + 1)) + [j * k + h for j in range(2, s - 1)]
+    k, n = params.k, params.n
+    return [d for d in master_type(params).dims if k < d < n - k]
 
 
 def expected_restricted_distance(params: ConstructionParams, tv: TypeVector) -> int:
@@ -529,20 +528,10 @@ def build_full_flag_code(gen: GeneratorSet) -> FlagCode:
 
 
 def build_optimum_code(gen: GeneratorSet) -> FlagCode:
-    """The admissible-type code of ``gen``; verified to attain the maximum
-    distance."""
-    params = gen.params
-    tv = admissible_type(params)
-    code = gen.flag_code(tv)
-    if len(code) != params.expected_size:
-        raise CardinalityMismatch(
-            f"{len(code)} flags of type {tv.dims}, expected {params.expected_size}"
-        )
-    if not classify(code).is_optimum:
-        raise TheoremViolated(
-            f"admissible-type code missed the maximum distance {max_flag_distance(tv)}"
-        )
-    return code
+    """The admissible-type code of ``gen``, once run_claim_suite's optimum
+    claims (_optimum_claims) pass on it: its size, the maximum distance and
+    the equivalent tests of optimality (_checked_code)."""
+    return _checked_code(gen, _optimum_claims)
 
 
 def _longer_type(params: ConstructionParams, type_: TypeVector | None) -> TypeVector:
@@ -568,24 +557,21 @@ def _longer_type(params: ConstructionParams, type_: TypeVector | None) -> TypeVe
 
 def build_longer_type_code(gen: GeneratorSet, type_: TypeVector | None = None) -> FlagCode:
     """The master-type code of ``gen`` or any subsequence of it (_longer_type),
-    with its guaranteed size, cardinality consistency, and distance
-    re-verified."""
-    params = gen.params
-    tv = _longer_type(params, type_)
-    code = gen.flag_code(tv)
-    if len(code) != params.expected_size:
-        raise CardinalityMismatch(
-            f"{len(code)} flags of type {tv.dims}, expected {params.expected_size}"
-        )
-    if not _unguaranteed_dims(params, tv) and not is_cardinality_consistent(code):
-        raise TheoremViolated(f"type {tv.dims} code is not cardinality-consistent")
-    expected = expected_restricted_distance(params, tv)
-    if len(code) >= 2:
-        actual = code_flag_min_distance(code)
-        if actual != expected:
-            raise TheoremViolated(
-                f"type {tv.dims} code has distance {actual}, expected {expected}"
-            )
+    once run_claim_suite's longer-type claims (_longer_claims) pass on it:
+    its size, distance and cardinality consistency (_checked_code)."""
+    return _checked_code(gen, _longer_claims, _longer_type(gen.params, type_))
+
+
+def _checked_code(gen: GeneratorSet, claims: Callable[..., FlagCode], *args) -> FlagCode:
+    """The code that the claim group ``claims`` checks on a report of its
+    own; TheoremViolated names every claim of the group that failed."""
+    _check_kernel_prime(gen.params.field.p)  # a refused scan breaks no theorem
+    rep = VerificationReport(gen.params.describe())
+    code = claims(rep, gen, *args)
+    failed = "; ".join(f"{c.claim_id}: expected {c.expected!r}, computed {c.computed!r}"
+                       for c in rep.claims if not c.passed)
+    if failed:
+        raise TheoremViolated(failed)
     return code
 
 
@@ -995,37 +981,9 @@ def run_claim_suite(
         )
     _deficit_claims(rep, "full", full_code)
 
-    opt_tv = admissible_type(params)
-    opt_code = gen.flag_code(opt_tv)
-    _optimum_claims(rep, params, opt_tv, opt_code)
-
+    _optimum_claims(rep, gen)
     if s >= 3:
-        longer_code = gen.flag_code(tv)
-        expected_d = expected_restricted_distance(params, tv)
-        rep.check(
-            "longer.cardinality",
-            f"the type {tv.dims} code has {size} flags",
-            size,
-            lambda: len(longer_code),
-        )
-        rep.check(
-            "longer.min_distance",
-            f"the type {tv.dims} code has distance {expected_d}",
-            expected_d,
-            lambda: code_flag_min_distance(longer_code),
-        )
-        statement = f"the type {tv.dims} code is cardinality-consistent"
-        unguaranteed = _unguaranteed_dims(params, tv)
-        if unguaranteed:
-            rep.skip("longer.cardinality_consistent", statement, _unguaranteed_reason(*unguaranteed))
-        else:
-            rep.check(
-                "longer.cardinality_consistent",
-                statement,
-                True,
-                lambda: is_cardinality_consistent(longer_code),
-            )
-        _deficit_claims(rep, "longer", longer_code)
+        _longer_claims(rep, gen, tv)
 
     rep.extend(verify_intermediate_distances(gen))
     rep.extend(verify_orbit_decomposition(gen))
@@ -1036,13 +994,13 @@ def run_claim_suite(
     return rep
 
 
-def _optimum_claims(
-    rep: VerificationReport,
-    params: ConstructionParams,
-    tv: TypeVector,
-    code: FlagCode,
-) -> None:
+def _optimum_claims(rep: VerificationReport, gen: GeneratorSet) -> FlagCode:
+    """The optimum family's claims on ``rep``: the admissible-type code of
+    ``gen``, returned, has its size and attains the maximum distance."""
+    params = gen.params
     size = params.expected_size
+    tv = admissible_type(params)
+    code = gen.flag_code(tv)
     rep.check(
         "optimum.admissible_type",
         f"every type dimension is <= k or >= n-k and k is present: {tv.dims}",
@@ -1085,6 +1043,41 @@ def _optimum_claims(
         True,
         lambda: _projected_equivalence(code),
     )
+    return code
+
+
+def _longer_claims(rep: VerificationReport, gen: GeneratorSet, tv: TypeVector) -> FlagCode:
+    """The longer-type family's claims on ``rep``: the code of type ``tv``
+    (_longer_type), returned, has its size, distance and consistency."""
+    params = gen.params
+    size = params.expected_size
+    code = gen.flag_code(tv)
+    expected_d = expected_restricted_distance(params, tv)
+    rep.check(
+        "longer.cardinality",
+        f"the type {tv.dims} code has {size} flags",
+        size,
+        lambda: len(code),
+    )
+    rep.check(
+        "longer.min_distance",
+        f"the type {tv.dims} code has distance {expected_d}",
+        expected_d,
+        lambda: code_flag_min_distance(code),
+    )
+    statement = f"the type {tv.dims} code is cardinality-consistent"
+    unguaranteed = _unguaranteed_dims(params, tv)
+    if unguaranteed:
+        rep.skip("longer.cardinality_consistent", statement, _unguaranteed_reason(*unguaranteed))
+    else:
+        rep.check(
+            "longer.cardinality_consistent",
+            statement,
+            True,
+            lambda: is_cardinality_consistent(code),
+        )
+    _deficit_claims(rep, "longer", code)
+    return code
 
 
 def _projected_equivalence(code: FlagCode) -> bool:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+from time import perf_counter
 
 import pytest
 
@@ -107,6 +108,18 @@ class TestConstruct:
         assert run(capsys, "construct", "--q", "6", "--k", "2", "--h", "0", "--s", "2")[0] == 2
         assert run(capsys, "construct", "--q", "2", "--k", "2", "--h", "2", "--s", "2")[0] == 2
 
+    def test_failed_claim_exits_3(self, capsys, monkeypatch):
+        # the optimum builder runs the suite's optimum claims: a minimum
+        # distance one short of the maximum 12 is a broken theorem
+        real = fc.construct.code_flag_min_distance
+        monkeypatch.setattr(fc.construct, "code_flag_min_distance", lambda code: real(code) - 1)
+        rc, stdout, stderr = run(
+            capsys, "construct", "--q", "2", "--k", "2", "--h", "1", "--s", "3",
+            "--family", "optimum",
+        )
+        assert (rc, stdout) == (3, "")
+        assert "optimum.min_distance: expected 12, computed 11" in stderr
+
 
 class TestVerify:
     def test_text_all_pass(self, capsys):
@@ -152,17 +165,47 @@ class TestVerify:
         assert any("," in row[6] for row in rows)
 
     def test_sweep(self, capsys):
+        # comma lists make a grid
         rc, stdout, _ = run(
-            capsys, "verify", "--sweep", "--q", "2", "--k", "2", "--h", "0,1",
+            capsys, "verify", "--q", "2", "--k", "2", "--h", "0,1",
             "--s", "2", "--format", "json",
         )
         assert rc == 0
         payload = json.loads(stdout)
         assert len(payload["reports"]) == 2
 
-    def test_sweep_required_for_lists(self, capsys):
-        rc, _, _ = run(capsys, "verify", "--q", "2,3", "--k", "2", "--h", "0", "--s", "2")
-        assert rc == 2
+    def test_code_refused_with_a_grid(self, tmp_path, capsys):
+        # refused before the file is read
+        path = tmp_path / "absent.code"
+        rc, stdout, stderr = run(
+            capsys, "verify", "--q", "2,3", "--k", "2", "--h", "0", "--s", "2", "--code", str(path),
+        )
+        assert (rc, stdout) == (2, "")
+        assert stderr == "error: --code takes one (q, k, h, s), not a grid of 2\n"
+
+    def test_grid_skips_a_point_without_a_polynomial(self, capsys):
+        # GF(2) has a single primitive quadratic, which (2,2,0,2) needs at
+        # poly choice 1; (2,2,1,2) needs degrees 3 and 5 only
+        rc, stdout, stderr = run(
+            capsys, "verify", "--q", "2", "--k", "2", "--h", "0,1", "--s", "2",
+            "--poly-choice", "1", "--format", "json",
+        )
+        assert rc == 0
+        (report,) = json.loads(stdout)["reports"]
+        assert report["params"]["h"] == 1 and report["totals"]["failed"] == 0
+        assert stderr == (
+            "skipped q=2 k=2 h=0 s=2: poly_choice 1 needs 2 primitive polynomials "
+            "of degree 2 over GF(2); there are only 1\n"
+        )
+
+    def test_grid_of_skipped_points_is_bad_input(self, capsys):
+        rc, stdout, stderr = run(
+            capsys, "verify", "--q", "2", "--k", "2", "--h", "0", "--s", "2,3",
+            "--poly-choice", "1",
+        )
+        assert (rc, stdout) == (2, "")
+        assert stderr.count("skipped q=2 k=2 h=0") == 2
+        assert stderr.endswith("error: every point of the grid was skipped\n")
 
     @pytest.mark.parametrize("command", ["verify", "report"])
     @pytest.mark.parametrize("option", ["--q", "--k", "--h", "--s"])
@@ -170,7 +213,7 @@ class TestVerify:
         # an empty grid would report nothing verified and exit 0
         values = {"--q": "2", "--k": "2", "--h": "0", "--s": "2", option: ","}
         argv = [t for pair in values.items() for t in pair]
-        rc, stdout, stderr = run(capsys, command, "--sweep", *argv, "--format", "json")
+        rc, stdout, stderr = run(capsys, command, *argv, "--format", "json")
         assert rc == 2 and stdout == ""
         assert f"{option} names no value" in stderr
 
@@ -364,7 +407,6 @@ class TestSpectrum:
         ["--family", "full"],
         ["--type", "1,3"],
         ["--modulus", "x^2+x+1 over GF(2)"],
-        ["--sweep"],
         ["--poly-choice", "1"],
         ["--poly-choice", "0"],
         ["--factor-cap", "5"],
@@ -385,6 +427,47 @@ class TestSpectrum:
         rc, stdout, _ = run(capsys, "spectrum", "--code", str(path))
         assert rc == 0
         assert stdout.strip() == "4,820"  # every pair of spread planes at distance 4
+
+
+class TestLargePrime:
+    """A pair scan over characteristic p > 257 is refused before its kernel
+    is written; the kernel grows as p^2.  In verify, the claims that read
+    the profile record the refusal, and the suite's first scan outside a
+    claim (classify in _deficit_claims) raises it."""
+
+    @pytest.fixture(autouse=True)
+    def no_kernel(self, monkeypatch):
+        def written(p):
+            raise AssertionError(f"the GF({p}) kernel was written")
+
+        monkeypatch.setattr("flagcodes.subspace._odd_kernel", written)
+
+    @pytest.mark.parametrize("q", [263, 1031])
+    @pytest.mark.parametrize("command", ["verify", "spectrum"])
+    def test_refused_fast(self, capsys, command, q):
+        start = perf_counter()
+        rc, stdout, stderr = run(capsys, command, "--q", str(q), "--k", "1", "--h", "0", "--s", "2")
+        assert perf_counter() - start < 1
+        assert (rc, stdout) == (3, "")
+        assert f"characteristic p = {q}" in stderr and "p above 257 is refused" in stderr
+
+    def test_construct_full_still_works(self, tmp_path, capsys):
+        out = tmp_path / "c.code"
+        rc, _, _ = run(
+            capsys, "construct", "--q", "1031", "--k", "1", "--h", "0", "--s", "2",
+            "--family", "full", "--out", str(out),
+        )
+        assert rc == 0
+        assert len(fc.load_flag_code(out.read_text())) == 1032
+
+    def test_construct_optimum_refused(self, capsys):
+        # a refused scan is a budget that ran out, not a failed claim
+        rc, stdout, stderr = run(
+            capsys, "construct", "--q", "263", "--k", "1", "--h", "0", "--s", "2",
+            "--family", "optimum",
+        )
+        assert (rc, stdout) == (3, "")
+        assert "p above 257 is refused" in stderr and "min_distance" not in stderr
 
 
 class TestDistance:

@@ -596,6 +596,46 @@ class TestOptimumCodes:
         assert fc.classify(code).is_optimum
 
 
+class TestBuildersRunTheClaimGroups:
+    """Each builder raises TheoremViolated exactly when its claim group, the
+    one run_claim_suite runs, records a failed claim."""
+
+    @pytest.fixture
+    def short_distance(self, monkeypatch):
+        # every minimum-distance claim reads one less than the scan gives
+        real = construct.code_flag_min_distance
+        monkeypatch.setattr(construct, "code_flag_min_distance", lambda code: real(code) - 1)
+
+    @staticmethod
+    def named_claims(build) -> list[str]:
+        with pytest.raises(TheoremViolated) as exc:
+            build(GEN223)
+        return [part.split(":")[0] for part in str(exc.value).split("; ")]
+
+    def test_optimum(self, short_distance):
+        with pytest.raises(TheoremViolated, match=r"optimum\.min_distance: expected 12, computed 11"):
+            fc.build_optimum_code(GEN223)
+
+    def test_longer(self, short_distance):
+        with pytest.raises(TheoremViolated, match=r"longer\.min_distance: expected 16, computed 15"):
+            fc.build_longer_type_code(GEN223)
+
+    def test_builders_name_the_suites_failed_claims(self, short_distance):
+        failed = [c.claim_id for c in fc.run_claim_suite(P223).claims if not c.passed]
+        for family, build in (("optimum", fc.build_optimum_code), ("longer", fc.build_longer_type_code)):
+            assert self.named_claims(build) == [c for c in failed if c.startswith(family + ".")]
+
+    def test_group_ids_are_the_suites(self):
+        ids = [c.claim_id for c in fc.run_claim_suite(P223).claims]
+        for group, args in ((construct._optimum_claims, ()), (construct._longer_claims, (fc.master_type(P223),))):
+            rep = fc.VerificationReport(P223.describe())
+            code = group(rep, GEN223, *args)
+            assert rep.all_pass and len(code) == P223.expected_size
+            own = [c.claim_id for c in rep.claims]
+            start = ids.index(own[0])
+            assert ids[start : start + len(own)] == own
+
+
 class TestMasterType:
     def test_s2_is_full(self):
         params = fc.ConstructionParams.make(2, 3, 2, 2)
