@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from time import perf_counter
 
@@ -100,7 +101,14 @@ def main() -> int:
 
 if __name__ == "__main__":
     try:
-        sys.exit(main())
+        status = main()
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
     except ValueError as exc:  # e.g. a negative --poly-choice
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): stop quietly; what is
+        # still buffered goes to os.devnull, so the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 0
+    sys.exit(status)

@@ -476,8 +476,9 @@ def build_generator_set(params: ConstructionParams) -> GeneratorSet:
         families.append((gen, m_t))
         order = params.q ** (i * params.k + params.h) - 1
         windows = _block_windows(params, i)
+        step = gen._tabulated()  # g with product tables, for this loop only
         for t in range(1, order + 1):
-            m_t = m_t @ gen
+            m_t = m_t @ step
             try:
                 flag = flag_from_matrix(m_t, full_tv)
             except RankDeficientPrefix:

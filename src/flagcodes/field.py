@@ -540,6 +540,22 @@ def parse_field_name(token: str) -> FieldSpec:
     return field_make(p, e, poly_from_text(m.group(3), field_make(p)))
 
 
+def _misnamed_field(token: str, q: int) -> str | None:
+    """The field that the name ``token`` names, as repr() shows it, if the
+    order p^e it declares is not ``q``, read off the token alone: no field
+    is built, so no table.  None if the order is ``q``, or if ``token`` is
+    no field name (parse_field_name refuses it)."""
+    m = _FIELD_RE.match(token.strip())
+    if not m:
+        return None
+    p = int(m.group(1))
+    e = int(m.group(2) or 1)
+    # p^e > q unless p <= q and e <= log2(q): no large power is formed
+    if 2 <= p <= q and e <= q.bit_length() and p**e == q:
+        return None
+    return f"GF({p})" if e == 1 else f"GF({p}^{e})"
+
+
 def field_name(field: FieldSpec) -> str:
     """The field's name in the text format, which parse_field_name reads
     back as an equal field: ``GF(p)`` or ``GF(p^e)``, with the modulus

@@ -296,7 +296,8 @@ def flag_from_matrix(w: MatrixGF, type_: TypeVector) -> Flag:
     """The flag whose i-th component is the row space of the first t_i rows.
 
     One echelon pass (matgf._echelon) gives the flag's normal form, and
-    at each type dimension t the rank must be t: the nesting check.
+    at each type dimension t the rank must be t: the nesting check, which
+    holds at every t once it holds at the last.
     """
     if w.ncols != type_.n:
         raise AmbientMismatch(f"{w.ncols}-column matrix for ambient {type_.n}")
@@ -306,9 +307,9 @@ def flag_from_matrix(w: MatrixGF, type_: TypeVector) -> Flag:
             f"{w.nrows} rows cannot produce a flag of type {dims}"
         )
     rows, ranks = _echelon(w._rows, dims, w.field)
-    for t, rank in zip(dims, ranks):
-        if rank != t:
-            raise RankDeficientPrefix(f"first {t} rows have rank {rank}")
+    if len(rows) != dims[-1]:
+        t, rank = next((t, rank) for t, rank in zip(dims, ranks) if rank != t)
+        raise RankDeficientPrefix(f"first {t} rows have rank {rank}")
     return Flag.__new__(Flag)._set(type_, w.field, w, rows, None, None, None)
 
 
@@ -592,15 +593,18 @@ def _flag_lines(flag: Flag, memo: dict, out: list[str]) -> None:
             _matrix_lines(field, n, flag._key_rows(i), memo, out)
 
 
-def _read_flag_body(lines: Iterator[str], tv: TypeVector, first: MatrixGF, memo: dict) -> Flag:
+def _read_flag_body(
+    lines: Iterator[str], tv: TypeVector, first: MatrixGF, memo: dict, q: tuple | None = None
+) -> Flag:
     """The flag whose matrix block starts with ``first``, already read from
     ``lines``; the rest of the block, if any, is read from ``lines``
-    through the deserialization call's ``memo`` (matgf._read_matrix)."""
+    through the deserialization call's ``memo`` and header ``q``
+    (matgf._read_matrix)."""
     if first.nrows == tv.dims[-1]:
         return flag_from_matrix(first, tv)
     parts = [subspace_of(first)]
     for _ in range(tv.r - 1):
-        parts.append(subspace_of(_read_matrix(lines, None, memo)))
+        parts.append(subspace_of(_read_matrix(lines, None, memo, q)))
     return Flag(tv, parts)
 
 
@@ -633,7 +637,8 @@ def dump_flag_code(code: FlagCode) -> str:
 def load_flag_code(text: str) -> FlagCode:
     """The flag code of a dump_flag_code file.  A header or row line that
     repeats is parsed once (matgf._read_matrix), and every check runs on
-    every flag."""
+    every flag.  A matrix whose field name declares an order other than
+    the header's q is refused before its field is built."""
     lines = iter(text.splitlines())
     header = next((ln for ln in lines if ln.strip()), None)
     if header is None:
@@ -644,7 +649,7 @@ def load_flag_code(text: str) -> FlagCode:
     n, q, count = int(parts[1]), int(parts[2]), int(parts[3])
     if count < 0:
         raise ValueError(f"the header declares {count} flags")
-    # the flags' field checks q below; an empty code has none and dumps q = 0
+    # every matrix's field name checks q; an empty code has none and dumps q = 0
     if count == 0 and q != 0:
         what = "not 0" if q > 1 and len(factorize(q)) == 1 else "no field order"
         raise ValueError(f"empty code: header says q = {q}, which is {what}")
@@ -653,12 +658,12 @@ def load_flag_code(text: str) -> FlagCode:
         raise ValueError("flag code file has no type line")
     tv = _parse_type_line(type_line, n)
     memo: dict = {}
+    order = (q, "the flags are")
     flags = [
-        _read_flag_body(lines, tv, _read_matrix(lines, None, memo), memo) for _ in range(count)
+        _read_flag_body(lines, tv, _read_matrix(lines, None, memo, order), memo, order)
+        for _ in range(count)
     ]
     _expect_end(lines, f"the {count} flags the header declares")
-    if flags and flags[0].field.q != q:
-        raise ValueError(f"header says q = {q}, but the flags are over {flags[0].field}")
     code = FlagCode(tv, flags)
     if len(code) != count:
         raise ValueError(f"the header declares {count} flags, but {len(code)} are distinct")

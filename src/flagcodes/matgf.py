@@ -13,6 +13,7 @@ request.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate
 
@@ -25,7 +26,7 @@ from .errors import (
     Singular,
     SliceOutOfRange,
 )
-from .field import FieldSpec, Poly, field_name, parse_field_name
+from .field import FieldSpec, Poly, _misnamed_field, field_name, parse_field_name
 
 __all__ = [
     "DEFAULT_ORDER_CAP",
@@ -65,43 +66,61 @@ _BIT_TOKENS = frozenset(("0", "1"))
 
 def _echelon(rows: Sequence, lengths: Iterable[int], field: FieldSpec) -> tuple[tuple, list[int]]:
     """The normal-form rows of the span of the first t of ``rows`` for each
-    t of the nondecreasing ``lengths``, and the rank of each span.
+    t of the nondecreasing ``lengths`` (each at most len(rows)), and the
+    rank of each span.
 
     Each row is reduced by the rows kept before (in the order kept; over
     GF(2) pivot order) and kept, pivot 1, if not 0.  The rows a length
     adds, reduced among themselves, are its RREF rows at their pivots.
+
+    A reduced row is the unique vector of its coset that is 0 at every
+    pivot kept before it, whatever the lengths, so over GF(2) one forward
+    pass reduces the rows up to the last length, noting each row that
+    reduces to 0, and only the levels that add more than one row are then
+    back-substituted.  A kept row is keyed by its pivot's bit_length().
     """
-    out: list = []
+    if field.q == 2:
+        lengths = tuple(lengths)
+        out: list = []
+        dropped = []  # the indices of the rows that reduce to 0
+        basis: dict = {}  # pivot bit_length() -> kept row
+        mask = 0  # the pivot bits
+        for row in rows[: lengths[-1]] if lengths else ():
+            while row & mask:
+                row ^= basis[(row & mask).bit_length()]
+            if row:
+                top = row.bit_length()
+                basis[top] = row
+                mask |= 1 << top - 1
+                out.append(row)
+            else:
+                dropped.append(len(out) + len(dropped))
+        ranks = [t - bisect_left(dropped, t) for t in lengths] if dropped else list(lengths)
+        lo = 0
+        for hi in ranks:
+            if hi - lo > 1:
+                out[lo:hi] = _back_substitute(out[lo:hi], field)
+            lo = hi
+        return tuple(out), ranks
+    out = []
     ranks = []
     done = 0
-    gf2 = field.q == 2
-    basis: dict = {}  # pivot (bit over GF(2)) -> kept row
-    mask = 0  # GF(2): the pivot bits
+    basis = {}  # pivot column -> kept row
     sub, mul = field.sub, field.mul
     for t in lengths:
         start = len(out)
         for row in rows[done:t]:
-            if gf2:
-                x = row & mask
-                while x:
-                    row ^= basis[1 << x.bit_length() - 1]
-                    x = row & mask
-                if not row:
-                    continue
-                top = 1 << row.bit_length() - 1
-                mask |= top
-            else:
-                for c, base in basis.items():
-                    x = row[c]
-                    if x:
-                        row = tuple([sub(a, mul(x, b)) for a, b in zip(row, base)])
-                top = next((j for j, x in enumerate(row) if x), None)
-                if top is None:
-                    continue
-                x = row[top]
-                if x != 1:
-                    xi = field.inv(x)
-                    row = tuple([mul(xi, y) for y in row])
+            for c, base in basis.items():
+                x = row[c]
+                if x:
+                    row = tuple([sub(a, mul(x, b)) for a, b in zip(row, base)])
+            top = next((j for j, x in enumerate(row) if x), None)
+            if top is None:
+                continue
+            x = row[top]
+            if x != 1:
+                xi = field.inv(x)
+                row = tuple([mul(xi, y) for y in row])
             basis[top] = row
             out.append(row)
         if len(out) - start > 1:
@@ -114,20 +133,19 @@ def _echelon(rows: Sequence, lengths: Iterable[int], field: FieldSpec) -> tuple[
 def _back_substitute(rows: Sequence, field: FieldSpec) -> tuple:
     """The RREF, in pivot order (decreasing order), of rows with pivots 1,
     each 0 at the pivots before it.  Each, from the last, is cleared at the
-    later pivots; over GF(2) a running mask finds them: one AND if none.
+    later pivots.  Over GF(2) a running mask finds them, one AND if none:
+    the rows cleared so far are 0 at each other's pivots, so each XOR clears
+    the highest pivot bit left and no other.
     """
-    done: dict = {}  # pivot (bit over GF(2)) -> row
+    done: dict = {}  # pivot (bit_length() over GF(2)) -> row
     if field.q == 2:
         mask = 0
         for row in reversed(rows):
-            x = row & mask
-            while x:
-                low = x & -x
-                row ^= done[low]
-                x ^= low
-            top = 1 << row.bit_length() - 1
+            while row & mask:
+                row ^= done[(row & mask).bit_length()]
+            top = row.bit_length()
             done[top] = row
-            mask |= top
+            mask |= 1 << top - 1
     else:
         sub, mul = field.sub, field.mul
         for row in reversed(rows):
@@ -147,9 +165,12 @@ class MatrixGF:
     do; the tuple grid ``_grid`` is a view that int_rows() builds from them
     on first use, unless the matrix was made from that grid.  Over every
     other field the rows are code tuples and ``_grid`` is ``_rows``.
+    ``_tables`` holds the product tables of a GF(2) matrix that
+    _tabulated() made to be the right factor of many products, and is None
+    on every other matrix.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "_rows", "_grid")
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_grid", "_tables")
 
     def __init__(
         self,
@@ -174,6 +195,7 @@ class MatrixGF:
         self.ncols = width
         self._rows = tuple(map(_pack, norm)) if field.q == 2 else norm
         self._grid = norm
+        self._tables = None
 
     # -- constructors -------------------------------------------------------
 
@@ -188,6 +210,7 @@ class MatrixGF:
         m.ncols = ncols
         m._rows = rows
         m._grid = None if field.q == 2 else rows
+        m._tables = None
         return m
 
     @classmethod
@@ -202,6 +225,16 @@ class MatrixGF:
     def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> MatrixGF:
         zero = 0 if field.q == 2 else (0,) * ncols
         return cls._wrap(field, ncols, (zero,) * nrows)
+
+    def _tabulated(self) -> MatrixGF:
+        """This matrix as the right factor of many products: over GF(2) an
+        equal matrix whose product tables (_product_tables) every product
+        by it reads, otherwise this matrix itself."""
+        if self.field.q != 2:
+            return self
+        m = MatrixGF._wrap(self.field, self.ncols, self._rows)
+        m._tables = _product_tables(self._rows)
+        return m
 
     # -- inspection ----------------------------------------------------------
 
@@ -300,13 +333,51 @@ class MatrixGF:
         return MatrixGF._wrap(self.field, self.ncols, self._rows[i - 1 : j])
 
 
+def _product_tables(rows: tuple) -> tuple[list[int], ...]:
+    """The byte tables of a GF(2) right factor with bitmask ``rows`` (the
+    "Four Russians" method: Arlazarov, Dinic, Kronrod and Faradzev, 1970).
+
+    Table c serves bits 8c..8c+7 of a left row, bit j being row
+    len(rows) - 1 - j: its entry v is the XOR of the rows at the set bits
+    of v.  Each row doubles the table, so the last, partial chunk of m
+    rows gets 2^m entries, all that an m-bit byte can index; a matrix of
+    no rows gets the one table [0].
+    """
+    brows = rows[::-1]
+    tables = []
+    for lo in range(0, len(brows) or 1, 8):
+        table = [0]
+        for row in brows[lo : lo + 8]:
+            table += [x ^ row for x in table]
+        tables.append(table)
+    return tuple(tables)
+
+
 def mat_mul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
-    """Exact matrix product."""
-    if a.field != b.field:
+    """Exact matrix product.  Over GF(2) a product row is one table lookup
+    per byte of the left row when ``b`` has product tables (_tabulated),
+    and one XOR per set bit otherwise."""
+    field = a.field
+    if field is not b.field and field != b.field:
         raise FieldMismatch(f"{a.field} matrix times {b.field} matrix")
     if a.ncols != b.nrows:
         raise DimMismatch(f"{a.nrows}x{a.ncols} times {b.nrows}x{b.ncols}")
-    field = a.field
+    tables = b._tables
+    if tables is not None:
+        if len(tables) <= 2:
+            # at most 16 rows of b: the low byte and the rest, one lookup
+            # each; with one table the rest is 0, and (0,)[0] is 0
+            low, high = tables if len(tables) == 2 else (tables[0], (0,))
+            out = [low[r & 255] ^ high[r >> 8] for r in a._rows]
+            return MatrixGF._wrap(field, b.ncols, tuple(out))
+        out = []
+        for arow in a._rows:
+            acc = 0
+            for table in tables:
+                acc ^= table[arow & 255]
+                arow >>= 8
+            out.append(acc)
+        return MatrixGF._wrap(field, b.ncols, tuple(out))
     if field.q == 2:
         # row i of a*b is the XOR of the rows of b at the set bits of row i
         # of a; bit j of a row of a is entry a.ncols - 1 - j
@@ -485,9 +556,18 @@ def read_matrix(lines: Iterator[str], field: FieldSpec | None = None) -> MatrixG
     return _read_matrix(lines, field, {})
 
 
-def _read_matrix(lines: Iterator[str], field: FieldSpec | None, memo: dict) -> MatrixGF:
+def _read_matrix(
+    lines: Iterator[str],
+    field: FieldSpec | None,
+    memo: dict,
+    q: tuple[int, str] | None = None,
+) -> MatrixGF:
     """read_matrix, keeping the parses of one deserialization call in
     ``memo``, so a header or row line that repeats is parsed once.
+
+    ``q`` is (the q a code file's header declares, what its matrices hold,
+    as in "the flags are"): a matrix header whose field name declares
+    another order is refused before that field, and its tables, are built.
 
     ``memo`` maps each stripped header line to its (nrows, ncols, field,
     rows), and each (ncols, field) pair to that rows dict, which maps each
@@ -510,6 +590,10 @@ def _read_matrix(lines: Iterator[str], field: FieldSpec | None, memo: dict) -> M
         if not m:
             raise ValueError(f"bad matrix header {header!r}")
         nrows, ncols = int(m.group(1)), int(m.group(2))
+        if q is not None:
+            misnamed = _misnamed_field(m.group(3), q[0])
+            if misnamed is not None:
+                raise ValueError(f"header says q = {q[0]}, but {q[1]} over {misnamed}")
         named = parse_field_name(m.group(3))
         parsed = memo[header] = (nrows, ncols, named, memo.setdefault((ncols, named), {}))
     nrows, ncols, named, seen = parsed

@@ -230,12 +230,12 @@ class SubspaceCode:
         words = []
         memo: dict = {}
         for _ in range(count):
-            m = _read_matrix(lines, None, memo)
+            # a field name that declares an order other than q is refused
+            # before that field is built
+            m = _read_matrix(lines, None, memo, (q, "a word is"))
             w = subspace_of(m)
             if w.ambient != n or w.dim != k:
                 raise ValueError("word does not match the code header")
-            if w.field.q != q:
-                raise ValueError(f"header says q = {q}, but a word is over {w.field}")
             words.append(w)
         _expect_end(lines, f"the {count} words the header declares")
         code = cls(n, words)

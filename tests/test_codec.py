@@ -21,7 +21,7 @@ import pytest
 import flagcodes as fc
 from flagcodes import cli
 from flagcodes import matgf
-from flagcodes.errors import AmbientMismatch, FieldMismatch
+from flagcodes.errors import AmbientMismatch, FieldMismatch, NotPrime
 from flagcodes.field import field_name
 
 from _checks import rref_oracle
@@ -199,11 +199,20 @@ def test_a_line_is_checked_under_each_header_it_sits_under():
     wider[headers[-1]] = wider[headers[-1]].replace(f" {N} GF", f" {N + 1} GF")
     with pytest.raises(ValueError, match=f"row has {N} entries, expected {N + 1}"):
         fc.load_flag_code("\n".join(wider) + "\n")
-    # the last matrix names GF(3): its rows are read as GF(3) rows, and the
-    # code refuses a flag over another field
+    # the last matrix names GF(3), of another order than the header's q:
+    # refused at its header, before GF(3) is built
     other = list(lines)
     other[headers[-1]] = other[headers[-1]].replace("GF(2)", "GF(3)")
-    with pytest.raises(AmbientMismatch, match=r"over GF\(3\)"):
+    with pytest.raises(ValueError, match=r"header says q = 2, but the flags are over GF\(3\)"):
+        fc.load_flag_code("\n".join(other) + "\n")
+    # the last matrix names GF(8) by another modulus, of the header's order:
+    # its rows are read over that field, and the code refuses a flag over
+    # another field
+    lines = fc.dump_flag_code(_random_code(2, 3, seed=2)).splitlines()
+    headers = [i for i, ln in enumerate(lines) if "GF(" in ln]
+    other = list(lines)
+    other[headers[-1]] = other[headers[-1]].replace("GF(2^3)", "GF(2^3,x^3+x^2+1)")
+    with pytest.raises(AmbientMismatch, match=r"flag over GF\(2\^3\) \(modulus Poly\(x\^3\+x\^2\+1"):
         fc.load_flag_code("\n".join(other) + "\n")
 
 
@@ -279,6 +288,47 @@ class TestCodeHeaders:
         code = fc.load_flag_code(text)
         assert len(code) == 0
         assert fc.dump_flag_code(code) == text
+
+    # a matrix naming a field of another order than the header's q is
+    # refused before that field's tables are built: with _build_tables
+    # failing, the refusal must still come
+    @pytest.mark.parametrize(
+        "text, load, message",
+        [
+            ("flagcode 2 4 1\ntype 1\n1 2 GF(3^6)\n1 0\n", fc.load_flag_code,
+             "header says q = 4, but the flags are over GF(3^6)"),
+            ("flagcode 2 4 1\ntype 1\n1 2 GF(5^4,x^4+x^2+x+2)\n1 0\n", fc.load_flag_code,
+             "header says q = 4, but the flags are over GF(5^4)"),
+            ("2 1 4 1\n1 2 GF(7^3)\n1 0\n", fc.SubspaceCode.load,
+             "header says q = 4, but a word is over GF(7^3)"),
+        ],
+        ids=["flag-code", "flag-code-modulus", "subspace-code"],
+    )
+    def test_header_q_is_checked_before_the_named_field_is_built(
+        self, text, load, message, tmp_path, monkeypatch
+    ):
+        def refuse(field):
+            raise AssertionError(f"tables of {field} built")
+
+        monkeypatch.setattr(fc.FieldSpec, "_build_tables", refuse)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load(text)
+        path = tmp_path / "q.code"
+        path.write_text(text)
+        assert cli.main(["spectrum", "--code", str(path)]) == 2
+
+    def test_a_name_of_the_header_order_goes_on_to_the_field(self):
+        # GF(2^2) has order 4 and loads; GF(4) declares order 4 too, and the
+        # field refuses it, as before the order check
+        code = fc.load_flag_code("flagcode 2 4 1\ntype 1\n1 2 GF(2^2)\n1 0\n")
+        assert code.flags[0].field == fc.field_make(2, 2)
+        with pytest.raises(NotPrime):
+            fc.load_flag_code("flagcode 2 4 1\ntype 1\n1 2 GF(4)\n1 0\n")
+
+    @pytest.mark.parametrize("token", ["GF(2^1)", "GF(1^4)", "GF(2^0)", "GF(0)", "GF(4^1000000)"])
+    def test_a_name_of_another_order_is_refused(self, token):
+        with pytest.raises(ValueError, match=r"header says q = 4, but the flags are over GF\("):
+            fc.load_flag_code(f"flagcode 2 4 1\ntype 1\n1 2 {token}\n1 0\n")
 
     def test_subspace_code_count_must_be_positive(self, tmp_path):
         text = "3 1 4 0\n"

@@ -110,5 +110,24 @@ def test_sweep_script_rejects_negative_poly_choice():
     assert "poly_choice must be nonnegative" in proc.stderr
 
 
+def test_sweep_script_exits_quietly_on_a_closed_pipe():
+    """The reader stops after two lines, as ``| head -2`` does; the rows the
+    sweep prints after that meet a closed pipe (unbuffered, so each row is
+    written as printed, and --big, so the last rows come seconds later)."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONUNBUFFERED="1")
+    script = str(ROOT / "scripts" / "run_verification_sweep.py")
+    with subprocess.Popen(
+        [sys.executable, script, "--big", "--poly-choice", "1"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        lines = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        status = proc.wait(timeout=300)
+    assert lines[0].split()[:4] == ["q", "k", "h", "s"]
+    assert stderr == "", stderr  # no BrokenPipeError traceback
+    assert status == 0
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(_record(), indent=1, sort_keys=True) + "\n")

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import flagcodes as fc
+from flagcodes import matgf
 from flagcodes.errors import (
     BlockDimMismatch,
     DimMismatch,
@@ -15,7 +16,13 @@ from flagcodes.errors import (
     SliceOutOfRange,
 )
 
-from _checks import check_companion_row_identities, check_row_window_propagation, rref_oracle
+from _checks import (
+    _random_matrix,
+    check_companion_row_identities,
+    check_row_window_propagation,
+    mat_mul_oracle,
+    rref_oracle,
+)
 
 
 def M(field, rows):
@@ -46,6 +53,76 @@ class TestMul:
     def test_field_mismatch(self, gf2, gf3):
         with pytest.raises(FieldMismatch):
             M(gf2, [[1]]) @ M(gf3, [[1]])
+
+
+# the sizes at and around the 8-row chunks of the product tables
+CHUNK_EDGES = (1, 7, 8, 9, 16, 17)
+
+
+class TestTabledProduct:
+    """Products by a GF(2) right factor with byte tables (_tabulated) equal
+    the row-times-matrix oracle, and the tables belong to their matrix."""
+
+    @pytest.mark.parametrize("inner", CHUNK_EDGES)
+    @pytest.mark.parametrize("ncols", CHUNK_EDGES)
+    def test_matches_the_oracle(self, gf2, inner, ncols):
+        rng = random.Random(inner * 100 + ncols)
+        plain = _random_matrix(gf2, rng, inner, ncols)
+        b = plain._tabulated()
+        assert b == plain and plain._tables is None
+        assert b._tables is not None and len(b._tables) == -(-inner // 8)
+        for nrows in (0, 1, 5):
+            a = _random_matrix(gf2, rng, nrows, inner)
+            assert (a @ b).int_rows() == mat_mul_oracle(a, b)
+        # every row of b taken at once, and rows of b one at a time
+        ones = M(gf2, [[1] * inner])
+        assert (ones @ b).int_rows() == mat_mul_oracle(ones, b)
+        unit = fc.MatrixGF.identity(gf2, inner)
+        assert unit @ b == b and (unit @ b)._tables is None
+
+    def test_no_inner_dimension(self, gf2):
+        b = fc.MatrixGF(gf2, [], ncols=3)._tabulated()
+        a = fc.MatrixGF(gf2, [[], []], ncols=0)
+        assert (a @ b).int_rows() == mat_mul_oracle(a, b) == ((0, 0, 0),) * 2
+
+    def test_tables_belong_to_their_matrix(self, gf2):
+        rng = random.Random(5)
+        b1 = _random_matrix(gf2, rng, 17, 13)._tabulated()
+        b2 = _random_matrix(gf2, rng, 17, 13)._tabulated()
+        plain = _random_matrix(gf2, rng, 17, 13)
+        assert b1 != b2 != plain
+        a = _random_matrix(gf2, rng, 9, 17)
+        for b in (b1, b2, plain, b1):
+            assert (a @ b).int_rows() == mat_mul_oracle(a, b)
+
+    def test_mismatches_still_raise(self, gf2, gf3):
+        b = M(gf2, [[1, 0], [0, 1]])._tabulated()
+        with pytest.raises(FieldMismatch):
+            M(gf3, [[1, 0]]) @ b
+        with pytest.raises(DimMismatch):
+            M(gf2, [[1, 0, 1]]) @ b
+
+    def test_no_tables_over_other_fields(self, gf3):
+        plain = M(gf3, [[1, 2], [0, 1]])
+        b = plain._tabulated()
+        assert b is plain and b._tables is None
+        assert (M(gf3, [[2, 1]]) @ b).int_rows() == ((2, 2),)
+
+    @pytest.mark.parametrize("q, families", [(2, 3), (3, 2)])
+    def test_generator_set_tabulates_each_family_once(self, monkeypatch, q, families):
+        built = []
+        real = matgf._product_tables
+
+        def counted(rows):
+            built.append(rows)
+            return real(rows)
+
+        monkeypatch.setattr(matgf, "_product_tables", counted)
+        params = fc.ConstructionParams.make(q, 2, 1, families + 1)
+        gen = fc.build_generator_set(params)
+        # the kept g_i are plain: their tables served the family's loop only
+        assert built == ([g._rows for g, _ in gen.families] if q == 2 else [])
+        assert all(g._tables is None for g, _ in gen.families)
 
 
 class TestRref:
