@@ -31,7 +31,7 @@ from .construct import (
     build_optimum_code,
     run_claim_suite,
 )
-from .errors import FieldMismatch, FlagCodesError, ResourceBudgetExceeded, TheoremViolated
+from .errors import AmbientMismatch, FieldMismatch, FlagCodesError, ResourceBudgetExceeded, TheoremViolated
 from .field import DEFAULT_FACTOR_BUDGET, factorize, field_make, field_name, poly_from_text
 from .flags import (
     FlagCode,
@@ -241,6 +241,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if reason is not None:
                 sys.stderr.write(f"skipped q={q} k={k} h={h} s={s}: {reason}\n")
                 continue
+        if loaded is not None and loaded.type.n != params.n:
+            raise AmbientMismatch(
+                f"{args.code} is in GF(q)^{loaded.type.n}, but the parameters give n = {params.n}"
+            )
         if loaded is not None and len(loaded) and loaded.flags[0].field != params.field:
             # the file names its field's modulus unless it is the default one
             raise FieldMismatch(

@@ -392,12 +392,14 @@ def _block_windows(params: ConstructionParams, i: int) -> Callable[[int], tuple]
 @dataclass(frozen=True)
 class GeneratorEntry:
     """One generator matrix, by its provenance inside the family, as the
-    full-type flag of its row prefixes; ``flag.source`` is the matrix."""
+    full-type flag of its row prefixes; ``flag.source`` is the matrix.
+    ``normal`` is the normal of its row space, a hyperplane."""
 
     kind: str  # "A" | "B" | "M"
     index: int | None  # family index i, None for M
     power: int | None  # group-element exponent t, only for kind "A"
     flag: Flag
+    normal: object  # a bitmask over GF(2), a code tuple otherwise
 
 
 @dataclass(frozen=True)
@@ -470,6 +472,10 @@ def build_generator_set(params: ConstructionParams) -> GeneratorSet:
     entries: list[GeneratorEntry] = []
     families: list[tuple[MatrixGF, MatrixGF]] = []
     full_tv = TypeVector.full(params.n)
+
+    def entry(kind, i, t, flag):
+        return GeneratorEntry(kind, i, t, flag, _hyperplane_normal(flag._rows, params.n, params.field))
+
     for i in range(1, params.s):
         gen = build_G_generator(params, i)
         m_t = build_A(params, i)
@@ -487,14 +493,12 @@ def build_generator_set(params: ConstructionParams) -> GeneratorSet:
                 raise TheoremViolated(
                     f"A_{i} g^{t} does not match its block form"
                 )
-            entries.append(GeneratorEntry("A", i, t, flag))
-        b_i = build_B(params, i)
-        entries.append(GeneratorEntry("B", i, None, flag_from_matrix(b_i, full_tv)))
-    m_mat = build_M(params)
-    entries.append(GeneratorEntry("M", None, None, flag_from_matrix(m_mat, full_tv)))
+            entries.append(entry("A", i, t, flag))
+        entries.append(entry("B", i, None, flag_from_matrix(build_B(params, i), full_tv)))
+    entries.append(entry("M", None, None, flag_from_matrix(build_M(params), full_tv)))
 
-    # the top part's key is the row space's key; no Subspace is made here
-    distinct = len({e.flag._key_rows(-1) for e in entries})
+    # a hyperplane is its normal; no Subspace or key rows are made here
+    distinct = len({e.normal for e in entries})
     if distinct != params.expected_size:
         raise CardinalityMismatch(
             f"{distinct} distinct row spaces, expected {params.expected_size}"
@@ -775,11 +779,12 @@ def verify_orbit_decomposition(gen: GeneratorSet) -> VerificationReport:
     and M.
 
     Every space here is a hyperplane, and each is compared by its normal
-    vector, read off its RREF key rows (_hyperplane_normal): a generator
-    matrix's flag's top key, or the seed A_i's.  The orbit of A_i under G_i
-    is walked on its normal: N = q^(ik+h) - 1 steps c_t = g^-1 c_(t-1) give
-    the normals of A_i g^t for t = 1..N (_normal_walk), one sparse
-    matrix-vector product each, with g^-1 taken from the rref of [g | I].
+    vector (_hyperplane_normal): a generator matrix's is the one its entry
+    keeps (GeneratorEntry.normal), and the seed A_i's is solved from its
+    RREF key rows.  The orbit of A_i under G_i is walked on its normal:
+    N = q^(ik+h) - 1 steps c_t = g^-1 c_(t-1) give the normals of A_i g^t
+    for t = 1..N (_normal_walk), one sparse matrix-vector product each,
+    with g^-1 taken from the rref of [g | I].
     The seed A_i and the generator g_i are the ones the generator set was
     built from (GeneratorSet.families); the walk shares no per-step
     arithmetic with the set's products A_i g^t.  The orbit is the set of
@@ -787,9 +792,6 @@ def verify_orbit_decomposition(gen: GeneratorSet) -> VerificationReport:
     params = gen.params
     rep = VerificationReport(params.describe())
     k, h, s, n, field = params.k, params.h, params.s, params.n, params.field
-
-    def normal(e: GeneratorEntry):
-        return _hyperplane_normal(e.flag._key_rows(-1), n, field)
 
     orbit_keys: list[set] = []
     for i, (g, a) in enumerate(gen.families, start=1):
@@ -821,7 +823,7 @@ def verify_orbit_decomposition(gen: GeneratorSet) -> VerificationReport:
         ),
     )
     extras = [gen.entry("B", i) for i in range(1, s)] + [gen.entry("M")]
-    extra_keys = {normal(e) for e in extras}
+    extra_keys = {e.normal for e in extras}
     rep.check(
         "orbit.extras_distinct",
         "the B_i and M spaces are mutually distinct and outside every orbit",
@@ -833,7 +835,7 @@ def verify_orbit_decomposition(gen: GeneratorSet) -> VerificationReport:
         "orbit.union_matches",
         "orbits plus extras reproduce the whole generator family",
         True,
-        lambda: set.union(extra_keys, *orbit_keys) == {normal(e) for e in gen.entries},
+        lambda: set.union(extra_keys, *orbit_keys) == {e.normal for e in gen.entries},
     )
     return rep
 
@@ -939,7 +941,7 @@ def run_claim_suite(
         "generator.cardinality",
         f"the generator family has sum(q^(ik+h)) + 1 = {size} distinct row spaces",
         size,
-        lambda: len({e.flag._key_rows(-1) for e in gen.entries}),
+        lambda: len({e.normal for e in gen.entries}),
     )
     for i, (g, _) in enumerate(gen.families, start=1):
         order = params.q ** (i * k + h) - 1

@@ -688,34 +688,38 @@ def _orbit_walk(u: Subspace, group: GroupElementSeq) -> tuple[SubspaceCode, int]
 
 
 def _hyperplane_normal(rows: tuple, n: int, field: FieldSpec):
-    """The normal c of the hyperplane {x : x.c = 0} of field^n whose RREF
-    key rows are ``rows`` (a Subspace's, or a flag part's _key_rows),
-    scaled so that its last nonzero entry is 1: a bitmask over GF(2),
-    column 0 the most significant bit, and a code tuple otherwise.
+    """The normal c of the hyperplane {x : x.c = 0} of field^n spanned by
+    ``rows``, scaled so that its last nonzero entry is 1: a bitmask over
+    GF(2), column 0 the most significant bit, and a code tuple otherwise.
 
-    Read off the key in closed form: with j the one column that holds no
-    pivot, c_j = 1 and c_(p_i) = -R_i[j] for the pivot column p_i of each
-    key row R_i.  Then R_i.c = R_i[j] - R_i[j] = 0.  A row whose pivot lies
-    after j is 0 at j, so c_j is the last nonzero entry."""
+    Each row has pivot 1 and is 0 at the pivots of the rows before it (a
+    flag's _rows, or RREF key rows).  With j the one column that holds no
+    pivot, c_j = 1, and from the last row R to the first, c_p = -(R.c) for
+    R's pivot p, R.c reading only entries already solved.  The rows with
+    pivots after j span every unit vector after j, so c_j is the last
+    nonzero entry."""
     if len(rows) != n - 1:
         raise DimMismatch(f"a dim-{len(rows)} subspace of {field}^{n} is not a hyperplane")
     if field.q == 2:
-        free = (1 << n) - 1
+        c = (1 << n) - 1
         for row in rows:
-            free ^= 1 << row.bit_length() - 1
-        c = free
-        for row in rows:
-            if row & free:
+            c ^= 1 << row.bit_length() - 1
+        for row in reversed(rows):
+            if (row & c).bit_count() & 1:
                 c |= 1 << row.bit_length() - 1
         return c
-    neg = field.neg
+    neg, add, mul = field.neg, field.add, field.mul
     pivots = [row.index(1) for row in rows]
     # the n - 1 pivots are distinct columns of 0..n-1: j is the one left out
     j = n * (n - 1) // 2 - sum(pivots)
     c = [0] * n
     c[j] = 1
-    for p, row in zip(pivots, rows):
-        c[p] = neg(row[j])
+    for p, row in zip(reversed(pivots), reversed(rows)):
+        acc = 0
+        for x, y in zip(row, c):
+            if x and y:
+                acc = add(acc, mul(x, y))
+        c[p] = neg(acc)
     return tuple(c)
 
 

@@ -329,6 +329,34 @@ class TestVerify:
         assert stderr.count("\n") == 1 and "degree 2 over GF(2)" in stderr
 
 
+class TestAmbientOnDisk:
+    """verify --code refuses a file whose n is not the parameters' n."""
+
+    def test_longer_code_under_other_parameters_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "l.code"
+        run(capsys, "construct", "--q", "2", "--k", "2", "--h", "1", "--s", "3",
+            "--family", "longer", "--out", str(out))
+        rc, stdout, stderr = run(capsys, "verify", "--q", "2", "--k", "2", "--h", "0", "--s", "3",
+                                 "--code", str(out))
+        assert rc == 2 and stdout == ""
+        assert "GF(q)^7, but the parameters give n = 6" in stderr
+        rc, _, _ = run(capsys, "verify", "--q", "2", "--k", "2", "--h", "1", "--s", "3",
+                       "--code", str(out))
+        assert rc == 0
+
+    def test_empty_code_is_checked_too(self, tmp_path, capsys):
+        out = tmp_path / "empty.code"
+        out.write_text(fc.dump_flag_code(fc.FlagCode(fc.TypeVector.full(5), [])))
+        rc, stdout, stderr = run(capsys, "verify", "--q", "2", "--k", "2", "--h", "0", "--s", "2",
+                                 "--code", str(out))
+        assert rc == 2 and stdout == ""
+        assert "GF(q)^5, but the parameters give n = 4" in stderr
+        # at n = 5 the empty code is read, and fails its cardinality claim
+        rc, stdout, _ = run(capsys, "verify", "--q", "2", "--k", "2", "--h", "1", "--s", "2",
+                            "--code", str(out))
+        assert rc == 1 and "loaded.cardinality 9 0 FAIL" in stdout
+
+
 class TestModulusOnDisk:
     """A code built over a non-default modulus keeps it through its file."""
 

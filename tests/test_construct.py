@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
@@ -15,8 +16,15 @@ from _checks import (
     orbit_by_powers,
     scaled_vectors,
 )
-from flagcodes import construct
-from flagcodes.errors import DimMismatch, FactorizationTooLarge, NotASubsequence, Singular, TheoremViolated
+from flagcodes import construct, flags, matgf
+from flagcodes.errors import (
+    CardinalityMismatch,
+    DimMismatch,
+    FactorizationTooLarge,
+    NotASubsequence,
+    Singular,
+    TheoremViolated,
+)
 from flagcodes.subspace import _hyperplane_normal, _normal_walk, _orbit_walk
 
 P223 = fc.ConstructionParams.make(2, 2, 1, 3)
@@ -303,6 +311,37 @@ class TestTwoRoutes:
         assert failed == {f"group.family{i}.order", f"orbit.family{i}.size",
                           f"orbit.family{i}.stabilizer", "orbit.union_matches"}
 
+    @pytest.mark.parametrize("qkhs", ROUTE_INSTANCES, ids=_params_id)
+    def test_repeated_row_space_fails_the_build(self, qkhs, monkeypatch):
+        # B_1 = M: s = 2, so one B and the M give one row space
+        params = fc.ConstructionParams.make(*qkhs)
+        assert params.s == 2
+        monkeypatch.setattr(construct, "build_B", lambda params, i: construct.build_M(params))
+        size = params.expected_size
+        with pytest.raises(CardinalityMismatch,
+                           match=f"^{size - 1} distinct row spaces, expected {size}$"):
+            fc.build_generator_set(params)
+
+    @pytest.mark.parametrize("qkhs", ROUTE_INSTANCES, ids=_params_id)
+    def test_duplicated_entry_fails_its_claim(self, qkhs, monkeypatch):
+        # a set whose entry A_1 g^N repeats the flag and normal of A_1 g^1
+        params = fc.ConstructionParams.make(*qkhs)
+        gen = fc.build_generator_set(params)
+        order = params.q ** (params.k + params.h) - 1
+        entries = list(gen.entries)
+        first, last = entries.index(gen.entry("A", 1, 1)), entries.index(gen.entry("A", 1, order))
+        entries[last] = dataclasses.replace(entries[last], flag=entries[first].flag,
+                                            normal=entries[first].normal)
+        duplicated = dataclasses.replace(gen, entries=tuple(entries))
+        monkeypatch.setattr(construct, "build_generator_set", lambda params: duplicated)
+        report = fc.run_claim_suite(params)
+        claims = {c.claim_id: c for c in report.claims}
+        claim = claims["generator.cardinality"]
+        size = params.expected_size
+        assert (claim.expected, claim.computed, claim.passed) == (size, size - 1, False)
+        failed = {c.claim_id for c in report.claims if not c.passed}
+        assert failed == {"generator.cardinality", "orbit.union_matches"}
+
     @pytest.mark.parametrize("qkhs,i", COMPOSITE_ORDERS, ids=COMPOSITE_IDS)
     def test_order_not_dividing_raises(self, qkhs, i):
         params = fc.ConstructionParams.make(*qkhs)
@@ -531,6 +570,56 @@ class TestNormalWalk:
         u = fc.subspace_of(fc.MatrixGF(gf3, [[1, 0, 0], [0, 1, 0]]))
         with pytest.raises(Singular):
             _normal_walk(_normal(u), g, 1)
+
+
+class TestHyperplaneNormal:
+    """_hyperplane_normal solved from rows that are 0 only at the pivots of
+    the rows before them, not in RREF, against the oracle normal."""
+
+    @pytest.mark.parametrize("q,n", [(2, 6), (3, 5), (4, 4), (9, 4)])
+    def test_normal_form_rows_match_the_oracle(self, q, n):
+        # the echelon rows at the full type (one row per level, none
+        # back-substituted) and at a coarser type (levels of several rows)
+        field = fc.field_from_order(q)
+        rng = random.Random(q)
+        unreduced = 0
+        for _ in range(12):
+            m = fc.MatrixGF(field, [[rng.randrange(q) for _ in range(n)] for _ in range(n - 1)])
+            full, ranks = matgf._echelon(m._rows, range(1, n), field)
+            if ranks[-1] != n - 1:
+                continue
+            coarse = matgf._echelon(m._rows, (2, n - 1), field)[0]
+            u = fc.subspace_of(m)
+            unreduced += full != u.key[1]
+            want = normal_oracle(u)
+            assert _hyperplane_normal(full, n, field) == want
+            assert _hyperplane_normal(coarse, n, field) == want
+        assert unreduced >= 4
+
+    @pytest.mark.parametrize("qkhs", ROUTE_INSTANCES, ids=_params_id)
+    def test_every_entry_normal_matches_the_oracle(self, qkhs):
+        gen = fc.build_generator_set(fc.ConstructionParams.make(*qkhs))
+        for e in gen.entries:
+            assert e.normal == normal_oracle(fc.subspace_of(e.flag.source))
+
+    @pytest.mark.parametrize("qkhs", ROUTE_INSTANCES + [(2, 3, 1, 4)], ids=_params_id)
+    def test_build_makes_no_back_substitution(self, qkhs, monkeypatch):
+        # the seeds are built first: their rank checks reduce by rref
+        params = fc.ConstructionParams.make(*qkhs)
+        seeds = {(build, i): getattr(construct, build)(params, i)
+                 for build in ("build_A", "build_B") for i in range(1, params.s)}
+        m = construct.build_M(params)
+        for build in ("build_A", "build_B"):
+            monkeypatch.setattr(construct, build, lambda params, i, build=build: seeds[build, i])
+        monkeypatch.setattr(construct, "build_M", lambda params: m)
+
+        def refused(rows, field):
+            raise AssertionError("back-substitution")
+
+        monkeypatch.setattr(matgf, "_back_substitute", refused)
+        monkeypatch.setattr(flags, "_back_substitute", refused)
+        gen = fc.build_generator_set(params)
+        assert len({e.normal for e in gen.entries}) == params.expected_size
 
 
 class TestFullFlagCodes:
