@@ -32,7 +32,7 @@ from .construct import (
     run_claim_suite,
 )
 from .errors import AmbientMismatch, FieldMismatch, FlagCodesError, ResourceBudgetExceeded, TheoremViolated
-from .field import DEFAULT_FACTOR_BUDGET, factorize, field_make, field_name, poly_from_text
+from .field import factorize, field_make, field_name, poly_from_text
 from .flags import (
     FlagCode,
     TypeVector,
@@ -41,7 +41,7 @@ from .flags import (
     load_flag,
     load_flag_code,
 )
-from .subspace import SubspaceCode
+from .subspace import SubspaceCode, _check_kernel_prime
 
 __all__ = ["main"]
 
@@ -49,7 +49,7 @@ FAMILIES = ("full", "optimum", "longer")
 # the spectrum options that describe a code to construct, not one to load;
 # none has a default, so an option given is one that is not None
 _CODE_EXCLUDES = (
-    "q", "k", "h", "s", "type", "family", "modulus", "factor_cap", "poly_choice",
+    "q", "k", "h", "s", "type", "family", "modulus", "poly_choice",
 )
 
 
@@ -72,9 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--type", help="comma-separated type vector, e.g. 1,2,5,6")
         p.add_argument("--modulus",
                        help="extension-field modulus as 'x^2+x+1 over GF(2)' or '[1,1,1] @ GF(2)'")
-        p.add_argument("--factor-cap", type=int,
-                       help="largest trial divisor when factoring q and q^d - 1 "
-                            f"(default {DEFAULT_FACTOR_BUDGET})")
         p.add_argument("--poly-choice", type=int,
                        help="use the n-th smallest primitive polynomials (default 0 = smallest)")
 
@@ -138,19 +135,15 @@ def _type_dims(args: argparse.Namespace) -> tuple[int, ...]:
 
 
 def _params_for(args: argparse.Namespace, q: int, k: int, h: int, s: int) -> ConstructionParams:
-    factor_cap = DEFAULT_FACTOR_BUDGET if args.factor_cap is None else args.factor_cap
-    if factor_cap < 1:
-        # before q is factored with it on the --modulus path
-        raise ValueError(f"--factor-cap must be >= 1, got {factor_cap}")
-    kwargs = dict(poly_choice=args.poly_choice or 0, factor_budget=factor_cap)
+    poly_choice = args.poly_choice or 0
     if args.modulus is None:
-        return ConstructionParams.make(q, k, h, s, **kwargs)
-    factors = factorize(q, factor_cap)
+        return ConstructionParams.make(q, k, h, s, poly_choice=poly_choice)
+    factors = factorize(q)
     if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")
     ((p, e),) = factors.items()
     field = field_make(p, e, poly_from_text(args.modulus))
-    return ConstructionParams(field, k, h, s, **kwargs)
+    return ConstructionParams(field, k, h, s, poly_choice=poly_choice)
 
 
 def _single_params(args: argparse.Namespace) -> ConstructionParams:
@@ -174,10 +167,15 @@ def _construct_family(args: argparse.Namespace, params: ConstructionParams) -> F
     if args.family == "longer":
         # a type the family refuses is refused before the set is built
         tv = _longer_type(params, TypeVector(params.n, dims) if dims else None)
-        return build_longer_type_code(build_generator_set(params), tv)
-    if dims:
+    elif dims:
         raise ValueError("--type applies to the longer family only")
+    if args.command == "spectrum" or args.family != "full":
+        # so is a pair scan over a characteristic the kernel refuses; only
+        # construct --family full scans no pairs
+        _check_kernel_prime(params.field.p)
     gen = build_generator_set(params)
+    if args.family == "longer":
+        return build_longer_type_code(gen, tv)
     if args.family == "optimum":
         return build_optimum_code(gen)
     return build_full_flag_code(gen)

@@ -35,7 +35,6 @@ from .errors import (
     TheoremViolated,
 )
 from .field import (
-    DEFAULT_FACTOR_BUDGET,
     FieldSpec,
     Poly,
     factorize,
@@ -115,7 +114,6 @@ class ConstructionParams:
     h: int
     s: int
     poly_choice: int = 0
-    factor_budget: int = DEFAULT_FACTOR_BUDGET
 
     def __post_init__(self):
         if self.k < 1:
@@ -126,8 +124,6 @@ class ConstructionParams:
             raise ValueError(f"s must be >= 2, got {self.s}")
         if self.poly_choice < 0:
             raise ValueError("poly_choice must be nonnegative")
-        if self.factor_budget < 1:
-            raise ValueError(f"factor_budget must be >= 1, got {self.factor_budget}")
 
     @classmethod
     def make(cls, q: int, k: int, h: int, s: int, **kwargs) -> ConstructionParams:
@@ -198,22 +194,23 @@ def _unguaranteed_dims(params: ConstructionParams, tv: TypeVector) -> list[int]:
     return [t for t in tv.dims if not _guaranteed_distance(params, t)]
 
 
-# (field, degree, budget) -> (the primitive polynomials found so far, in
+# (field, degree) -> (the primitive polynomials found so far, in
 # increasing code order, and the search that resumes after the last of them)
 _primitive_searches: dict[tuple, tuple[list[Poly], Iterator[Poly]]] = {}
 
 
-def _primitive_poly(field: FieldSpec, degree: int, choice: int, budget: int) -> Poly:
+def _primitive_poly(field: FieldSpec, degree: int, choice: int) -> Poly:
     """The choice-th smallest primitive polynomial.
 
-    One search runs per (field, degree, budget): a later call that needs a
-    larger choice resumes it where it stopped.  A search that runs out
-    raises ValueError on every call; one that fails (a factorization over
-    budget) is dropped, so the next call raises the same error again."""
-    key = (field, degree, budget)
+    One search runs per (field, degree): a later call that needs a larger
+    choice resumes it where it stopped.  A search that runs out raises
+    ValueError on every call; one that fails (a factorization past the
+    trial-division bound) is dropped, so the next call raises the same
+    error again."""
+    key = (field, degree)
     search = _primitive_searches.get(key)
     if search is None:
-        search = _primitive_searches[key] = ([], iter_primitive_polys(field, degree, budget))
+        search = _primitive_searches[key] = ([], iter_primitive_polys(field, degree))
     found, rest = search
     if len(found) <= choice:
         try:
@@ -232,9 +229,7 @@ def _primitive_poly(field: FieldSpec, degree: int, choice: int, budget: int) -> 
 
 def _family_poly(params: ConstructionParams, i: int) -> Poly:
     """f_i: the chosen primitive polynomial of degree ik+h."""
-    return _primitive_poly(
-        params.field, i * params.k + params.h, params.poly_choice, params.factor_budget
-    )
+    return _primitive_poly(params.field, i * params.k + params.h, params.poly_choice)
 
 
 def build_P(params: ConstructionParams, i: int) -> MatrixGF:
@@ -507,7 +502,7 @@ def build_generator_set(params: ConstructionParams) -> GeneratorSet:
     return GeneratorSet(params, tuple(entries), full, tuple(families))
 
 
-def _group_order(g: MatrixGF, n: int, budget: int) -> int:
+def _group_order(g: MatrixGF, n: int) -> int:
     """The multiplicative order of ``g``, certified by prime descent from a
     multiple n of it.
 
@@ -520,7 +515,7 @@ def _group_order(g: MatrixGF, n: int, budget: int) -> int:
     ident = MatrixGF.identity(g.field, g.nrows)
     if g**n != ident:
         raise TheoremViolated(f"generator order does not divide {n}")
-    for r in factorize(n, budget):
+    for r in factorize(n):
         while n % r == 0 and g ** (n // r) == ident:
             n //= r
     return n
@@ -921,7 +916,8 @@ def run_claim_suite(
 
     ``type_`` overrides the master type used for the longer-type family,
     which runs only for s >= 3; a ``type_`` at s = 2 raises ValueError, and
-    one that _longer_type refuses raises before the set is built.
+    one that _longer_type refuses raises before the set is built, as does
+    a field whose pair scans _check_kernel_prime refuses.
     ``loaded`` optionally checks an externally supplied flag code against the
     freshly constructed family of the same type.
     """
@@ -936,6 +932,7 @@ def run_claim_suite(
     tv = _longer_type(params, type_)
     rep.type_dims = tv.dims
 
+    _check_kernel_prime(params.field.p)  # before the set is built
     gen = build_generator_set(params)
     rep.check(
         "generator.cardinality",
@@ -949,7 +946,7 @@ def run_claim_suite(
             f"group.family{i}.order",
             f"G_{i} has order q^(ik+h) - 1 = {order}",
             order,
-            lambda g=g, order=order: _group_order(g, order, params.factor_budget),
+            lambda g=g, order=order: _group_order(g, order),
         )
 
     rep.extend(verify_spread_projections(gen))

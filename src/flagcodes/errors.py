@@ -12,7 +12,7 @@ class FlagCodesError(Exception):
 
 
 class ResourceBudgetExceeded(FlagCodesError):
-    """A configurable work budget ran out before the computation finished."""
+    """A work budget ran out before the computation finished."""
 
 
 # field construction and arithmetic
@@ -46,7 +46,7 @@ class Reducible(FlagCodesError):
 
 
 class FactorizationTooLarge(ResourceBudgetExceeded):
-    """Trial division could not certify a factorization within its budget."""
+    """Trial division could not certify a factorization within its bound."""
 
 
 # matrices

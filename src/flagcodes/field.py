@@ -64,12 +64,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> dict[int, int]:
-    """Factor ``n`` by trial division with divisors capped at ``budget``.
+def factorize(n: int) -> dict[int, int]:
+    """Factor ``n`` by trial division with divisors up to the fixed bound
+    DEFAULT_FACTOR_BUDGET.
 
     Raises FactorizationTooLarge rather than returning a possibly incomplete
     factorization once the remaining cofactor can no longer be certified
-    prime with divisors up to the budget.
+    prime with divisors up to the bound, which needs n > 10^12: a generator
+    set whose q or q^d - 1 is that large holds more than 10^12 flags.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
@@ -77,9 +79,10 @@ def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> dict[int, int]:
     m = n
     d = 2
     while d * d <= m:
-        if d > budget:
+        if d > DEFAULT_FACTOR_BUDGET:
             raise FactorizationTooLarge(
-                f"factoring {n}: cofactor {m} needs trial divisors beyond {budget}"
+                f"factoring {n}: cofactor {m} needs trial divisors beyond "
+                f"{DEFAULT_FACTOR_BUDGET}"
             )
         while m % d == 0:
             out[d] = out.get(d, 0) + 1
@@ -413,9 +416,9 @@ def field_make(
     return FieldSpec(p, e, modulus)
 
 
-def field_from_order(q: int, budget: int = DEFAULT_FACTOR_BUDGET) -> FieldSpec:
+def field_from_order(q: int) -> FieldSpec:
     """Build GF(q) from the field order; q must be a prime power."""
-    factors = factorize(q, budget)
+    factors = factorize(q)
     if len(factors) != 1:
         raise NotPrime(f"{q} is not a prime power")
     ((p, e),) = factors.items()
@@ -460,16 +463,16 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-def is_primitive(f: Poly, budget: int = DEFAULT_FACTOR_BUDGET) -> bool:
+def is_primitive(f: Poly) -> bool:
     """True iff the residue of x modulo ``f`` has multiplicative order q^d - 1.
 
     Requires ``f`` monic irreducible of degree d; the order is certified by
     checking x^((q^d-1)/r) != 1 for every prime r dividing q^d - 1, with the
-    prime factors found by budgeted trial division.
+    prime factors found by trial division (factorize).
     """
     if not is_irreducible(f):
         raise Reducible(f"{f!r} is reducible")
-    return _has_primitive_root(f, factorize(f.field.q**f.degree - 1, budget))
+    return _has_primitive_root(f, factorize(f.field.q**f.degree - 1))
 
 
 def _has_primitive_root(f: Poly, primes: Iterable[int]) -> bool:
@@ -489,9 +492,7 @@ def _has_primitive_root(f: Poly, primes: Iterable[int]) -> bool:
     return True
 
 
-def iter_primitive_polys(
-    field: FieldSpec, d: int, budget: int = DEFAULT_FACTOR_BUDGET
-) -> Iterator[Poly]:
+def iter_primitive_polys(field: FieldSpec, d: int) -> Iterator[Poly]:
     """Yield monic primitive degree-d polynomials in increasing code order.
 
     The code of a monic polynomial is its coefficient vector read as a base-q
@@ -501,18 +502,16 @@ def iter_primitive_polys(
     if d < 1:
         raise DegreeMismatch("degree must be >= 1")
     # every candidate shares q^d - 1, so it is factored once
-    primes = tuple(factorize(field.q**d - 1, budget))
+    primes = tuple(factorize(field.q**d - 1))
     for m in range(field.q**d):
         f = _monic_poly_with_code(field, d, m)
         if is_irreducible(f) and _has_primitive_root(f, primes):
             yield f
 
 
-def find_primitive_poly(
-    field: FieldSpec, d: int, budget: int = DEFAULT_FACTOR_BUDGET
-) -> Poly:
+def find_primitive_poly(field: FieldSpec, d: int) -> Poly:
     """The smallest monic primitive polynomial of degree d over the field."""
-    return next(iter_primitive_polys(field, d, budget))
+    return next(iter_primitive_polys(field, d))
 
 
 # -- text format --------------------------------------------------------------

@@ -604,7 +604,7 @@ def _read_flag_body(
         return flag_from_matrix(first, tv)
     parts = [subspace_of(first)]
     for _ in range(tv.r - 1):
-        parts.append(subspace_of(_read_matrix(lines, None, memo, q)))
+        parts.append(subspace_of(_read_matrix(lines, memo, q)))
     return Flag(tv, parts)
 
 
@@ -615,7 +615,7 @@ def load_flag(text: str) -> Flag:
         raise ValueError("empty flag file")
     # the ambient dimension comes from the first matrix header
     memo: dict = {}
-    first = _read_matrix(lines, None, memo)
+    first = _read_matrix(lines, memo)
     flag = _read_flag_body(lines, _parse_type_line(type_line, first.ncols), first, memo)
     _expect_end(lines, "the flag")
     return flag
@@ -660,7 +660,7 @@ def load_flag_code(text: str) -> FlagCode:
     memo: dict = {}
     order = (q, "the flags are")
     flags = [
-        _read_flag_body(lines, tv, _read_matrix(lines, None, memo, order), memo, order)
+        _read_flag_body(lines, tv, _read_matrix(lines, memo, order), memo, order)
         for _ in range(count)
     ]
     _expect_end(lines, f"the {count} flags the header declares")

@@ -551,16 +551,13 @@ def _matrix_lines(field: FieldSpec, ncols: int, rows: tuple, memo: dict, out: li
         out.append(text)
 
 
-def read_matrix(lines: Iterator[str], field: FieldSpec | None = None) -> MatrixGF:
+def read_matrix(lines: Iterator[str]) -> MatrixGF:
     """Consume one matrix from an iterator of lines (blank lines skipped)."""
-    return _read_matrix(lines, field, {})
+    return _read_matrix(lines, {})
 
 
 def _read_matrix(
-    lines: Iterator[str],
-    field: FieldSpec | None,
-    memo: dict,
-    q: tuple[int, str] | None = None,
+    lines: Iterator[str], memo: dict, q: tuple[int, str] | None = None
 ) -> MatrixGF:
     """read_matrix, keeping the parses of one deserialization call in
     ``memo``, so a header or row line that repeats is parsed once.
@@ -574,8 +571,7 @@ def _read_matrix(
     raw row line read under a header of that width and field to its stored
     row.  A line read under another width or field is parsed and checked
     afresh.  Only successful parses are kept, so a bad line raises the same
-    error each time it is read; the caller's ``field`` is compared on every
-    read.
+    error each time it is read.
     """
     header = None
     for raw in lines:
@@ -597,10 +593,6 @@ def _read_matrix(
         named = parse_field_name(m.group(3))
         parsed = memo[header] = (nrows, ncols, named, memo.setdefault((ncols, named), {}))
     nrows, ncols, named, seen = parsed
-    if field is not None:
-        if field != named:
-            raise FieldMismatch(f"matrix over {named}, caller expects {field}")
-        named = field
     if ncols == 0:
         # the rows of a 0-column matrix are empty lines, which are skipped
         # like the blank lines between matrices: the header gives them all
@@ -645,5 +637,5 @@ def _expect_end(lines: Iterator[str], what: str) -> None:
         raise ValueError(f"text after {what}: {extra[:40]!r}")
 
 
-def matrix_from_text(text: str, field: FieldSpec | None = None) -> MatrixGF:
-    return read_matrix(iter(text.splitlines()), field)
+def matrix_from_text(text: str) -> MatrixGF:
+    return read_matrix(iter(text.splitlines()))

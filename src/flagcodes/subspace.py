@@ -232,7 +232,7 @@ class SubspaceCode:
         for _ in range(count):
             # a field name that declares an order other than q is refused
             # before that field is built
-            m = _read_matrix(lines, None, memo, (q, "a word is"))
+            m = _read_matrix(lines, memo, (q, "a word is"))
             w = subspace_of(m)
             if w.ambient != n or w.dim != k:
                 raise ValueError("word does not match the code header")

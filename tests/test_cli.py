@@ -300,24 +300,10 @@ class TestVerify:
         assert any("loaded.cardinality" in ln for ln in failing)
 
     def test_budget_exhaustion_exit_code(self, capsys):
-        rc, _, stderr = run(
-            capsys, "verify", "--q", "2", "--k", "2", "--h", "1", "--s", "2",
-            "--factor-cap", "1",
-        )
-        assert rc == 3 and "error" in stderr
-
-    @pytest.mark.parametrize("command,extra", [
-        ("verify", ["--factor-cap", "-1"]),
-        # refused before q = 4 is factored with the cap
-        ("verify", ["--factor-cap", "0", "--modulus", "x^2+x+1 over GF(2)"]),
-        ("construct", ["--factor-cap", "-7"]),
-    ])
-    def test_factor_cap_below_one_is_bad_input(self, capsys, command, extra):
-        rc, stdout, stderr = run(
-            capsys, command, "--q", "4", "--k", "2", "--h", "0", "--s", "2", *extra,
-        )
-        assert (rc, stdout) == (2, "")
-        assert stderr == f"error: --factor-cap must be >= 1, got {extra[1]}\n"
+        # f_1 has degree 67, and 2^67 - 1 has no prime factor below 10^6
+        rc, stdout, stderr = run(capsys, "verify", "--q", "2", "--k", "67", "--h", "0", "--s", "2")
+        assert (rc, stdout) == (3, "")
+        assert "needs trial divisors beyond 1000000" in stderr
 
     def test_poly_choice_past_last_polynomial(self, capsys):
         # GF(2) has a single primitive quadratic
@@ -437,7 +423,6 @@ class TestSpectrum:
         ["--modulus", "x^2+x+1 over GF(2)"],
         ["--poly-choice", "1"],
         ["--poly-choice", "0"],
-        ["--factor-cap", "5"],
     ])
     def test_code_refuses_construction_options(self, tmp_path, capsys, extra):
         path = tmp_path / "code.txt"
@@ -459,9 +444,8 @@ class TestSpectrum:
 
 class TestLargePrime:
     """A pair scan over characteristic p > 257 is refused before its kernel
-    is written; the kernel grows as p^2.  In verify, the claims that read
-    the profile record the refusal, and the suite's first scan outside a
-    claim (classify in _deficit_claims) raises it."""
+    is written; the kernel grows as p^2.  Every route that scans refuses it
+    before the generator set, of q^(ik+h) flags per family, is built."""
 
     @pytest.fixture(autouse=True)
     def no_kernel(self, monkeypatch):
@@ -478,6 +462,25 @@ class TestLargePrime:
         assert perf_counter() - start < 1
         assert (rc, stdout) == (3, "")
         assert f"characteristic p = {q}" in stderr and "p above 257 is refused" in stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["verify"], ["spectrum"], ["construct", "--family", "optimum"],
+        ["construct", "--family", "longer"],
+    ], ids=["verify", "spectrum", "construct-optimum", "construct-longer"])
+    def test_refused_before_the_set_is_built(self, capsys, monkeypatch, argv):
+        # a set over GF(1000003) has 1000004 flags
+        def built(params):
+            raise AssertionError("the generator set was built")
+
+        monkeypatch.setattr("flagcodes.cli.build_generator_set", built)
+        monkeypatch.setattr("flagcodes.construct.build_generator_set", built)
+        start = perf_counter()
+        rc, stdout, stderr = run(
+            capsys, *argv, "--q", "1000003", "--k", "1", "--h", "0", "--s", "2",
+        )
+        assert perf_counter() - start < 2
+        assert (rc, stdout) == (3, "")
+        assert "characteristic p = 1000003" in stderr and "p above 257 is refused" in stderr
 
     def test_construct_full_still_works(self, tmp_path, capsys):
         out = tmp_path / "c.code"

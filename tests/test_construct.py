@@ -40,12 +40,6 @@ class TestParams:
         with pytest.raises(ValueError):
             fc.ConstructionParams.make(2, 0, 0, 2)
 
-    @pytest.mark.parametrize("budget", [-3, 0])
-    def test_factor_budget_below_one_is_refused(self, budget):
-        # a budget of 1 is the least, and exhausts on the first factorization
-        with pytest.raises(ValueError, match=f"factor_budget must be >= 1, got {budget}"):
-            fc.ConstructionParams.make(2, 2, 0, 2, factor_budget=budget)
-
     def test_derived(self):
         assert P223.n == 7 and P223.q == 2
         assert P223.expected_size == 8 + 32 + 1
@@ -79,9 +73,9 @@ class TestPrimitivePolySearch:
         degrees = []
         search = construct.iter_primitive_polys
 
-        def counting(field, degree, budget):
+        def counting(field, degree):
             degrees.append(degree)
-            return search(field, degree, budget)
+            return search(field, degree)
 
         monkeypatch.setattr(construct, "iter_primitive_polys", counting)
         return degrees
@@ -106,10 +100,13 @@ class TestPrimitivePolySearch:
                 fc.build_P(params, 1)
 
     def test_failed_search_raises_every_time(self):
-        params = fc.ConstructionParams.make(2, 2, 1, 2, factor_budget=1)
+        # 2^67 - 1 = 193707721 * 761838257287: both factors lie past the
+        # trial-division bound, so the search fails before its first candidate
+        params = fc.ConstructionParams.make(2, 67, 0, 2)
         for _ in range(2):
-            with pytest.raises(FactorizationTooLarge):
+            with pytest.raises(FactorizationTooLarge, match="beyond 1000000"):
                 fc.build_P(params, 1)
+            assert (params.field, 67) not in construct._primitive_searches
 
 
 class TestBuildGroupGenerator:
@@ -287,7 +284,7 @@ class TestTwoRoutes:
         with pytest.raises(TheoremViolated, match=r"A_1 g\^1 does not match its block form"):
             fc.build_generator_set(params)
         with pytest.raises(TheoremViolated, match="does not divide 3"):
-            construct._group_order(g, 3, params.factor_budget)
+            construct._group_order(g, 3)
 
     @pytest.mark.parametrize("qkhs,i", COMPOSITE_ORDERS, ids=COMPOSITE_IDS)
     def test_proper_divisor_order_fails_its_claim(self, qkhs, i, monkeypatch):
@@ -347,10 +344,10 @@ class TestTwoRoutes:
         params = fc.ConstructionParams.make(*qkhs)
         g = fc.build_G_generator(params, i)
         order = params.q ** (i * params.k + params.h) - 1
-        assert construct._group_order(g, order, params.factor_budget) == order
+        assert construct._group_order(g, order) == order
         for wrong in (order - 1, order + 1, 2 * order - 1):
             with pytest.raises(TheoremViolated, match=f"does not divide {wrong}"):
-                construct._group_order(g, wrong, params.factor_budget)
+                construct._group_order(g, wrong)
 
     @pytest.mark.parametrize("q,d", [(2, 4), (3, 3), (4, 2), (9, 2)])
     def test_descent_matches_the_power_walk(self, q, d):
@@ -363,7 +360,7 @@ class TestTwoRoutes:
                 continue
             g = fc.companion(fc.Poly(field, coeffs))
             order = fc.matrix_order(g)
-            assert construct._group_order(g, 12 * order, 10**6) == order
+            assert construct._group_order(g, 12 * order) == order
 
     @pytest.mark.parametrize("qkhs", ROUTE_INSTANCES + [(2, 2, 1, 3)], ids=_params_id)
     def test_stepped_orbit_walk_matches_powers(self, qkhs):

@@ -305,9 +305,10 @@ class TestFactorize:
         assert fc.factorize(504) == {2: 3, 3: 2, 7: 1}
 
     def test_budget(self):
-        # 1009 * 1013, both primes beyond the tiny budget
-        with pytest.raises(FactorizationTooLarge):
-            fc.factorize(1009 * 1013, budget=100)
+        # 1000003 * 1000033: both primes lie past the trial-division bound
+        assert flagcodes.field.DEFAULT_FACTOR_BUDGET == 10**6
+        with pytest.raises(FactorizationTooLarge, match="beyond 1000000$"):
+            fc.factorize(1000003 * 1000033)
 
     @given(st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=200)
