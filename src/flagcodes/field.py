@@ -11,6 +11,7 @@ generators deterministically.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -49,19 +50,9 @@ _TABLE_LIMIT = 1 << 10
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Primality by factorize's trial division, so a prime above 10^12
+    raises FactorizationTooLarge rather than being certified."""
+    return n > 1 and factorize(n) == {n: 1}
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -105,18 +96,20 @@ class FieldSpec:
             raise DegreeMismatch(f"extension degree must be >= 1, got {e}")
         self.p = p
         self.e = e
-        self.q = p**e
         if e == 1:
             if modulus is not None:
                 raise DegreeMismatch("prime fields take no modulus")
+            self.q = p
             self.modulus = None
             self._add_t = self._mul_t = self._neg_t = self._inv_t = None
             return
-        if self.q > _TABLE_LIMIT:
+        # sized before p^e is formed, so a huge e is refused at once
+        if e >= _TABLE_LIMIT.bit_length() or p**e > _TABLE_LIMIT:
             raise ValueError(f"GF({p}^{e}) exceeds the supported table size")
+        self.q = p**e
         base = FieldSpec(p)
         if modulus is None:
-            mod = _smallest_irreducible(base, e)
+            mod = next(_irreducibles(base, e))
         else:
             mod = modulus if isinstance(modulus, Poly) else Poly(base, modulus)
             if mod.field != base:
@@ -194,56 +187,37 @@ class FieldSpec:
             code //= self.p
         return out
 
-    def _code(self, digits: Sequence[int]) -> int:
-        code = 0
-        for d in reversed(digits):
-            code = code * self.p + d
-        return code
-
     def _build_tables(self) -> None:
+        """Fill the tables from three identities on codes, writing
+        a = a0 + p a' with a0 the constant coefficient:
+        a + b = (a0 + b0 mod p) + p (a' + b'); x c is c's lower digits moved
+        up one place plus its top digit times x^e mod the modulus; and
+        a b = a b0 + x (a b'), with a b0 the sum of b0 copies of a.  Every
+        entry reads only entries made before it, so a table costs O(q^2)."""
         p, e, q = self.p, self.e, self.q
-        mod = self.modulus.coeffs
-        # red[j] holds the coefficients of x^(e+j) reduced modulo the modulus
-        head = [(-c) % p for c in mod[:e]]
-        red = [head]
-        for _ in range(e - 2):
-            prev = red[-1]
-            nxt = [0] + prev[:-1]
-            carry = prev[-1]
-            if carry:
-                nxt = [(a + carry * b) % p for a, b in zip(nxt, head)]
-            red.append(nxt)
-
-        digs = [self._digits(a) for a in range(q)]
-        add_t = [[0] * q for _ in range(q)]
-        mul_t = [[0] * q for _ in range(q)]
+        top = q // p
+        add_t = [list(range(q))]
+        for a in range(1, q):
+            low = [(a % p + b0) % p for b0 in range(p)]
+            add_t.append([p * s + s0 for s in add_t[a // p][:top] for s0 in low])
+        # x^e = -(m0 + m1 x + ... + m_(e-1) x^(e-1)) mod the modulus
+        xe = sum((-c) % p * p**i for i, c in enumerate(self.modulus.coeffs[:e]))
+        tops = [0]  # tops[t] = t x^e
+        for _ in range(1, p):
+            tops.append(add_t[tops[-1]][xe])
+        times_x = [add_t[p * c][t] for t in tops for c in range(top)]
+        mul_t = []
         for a in range(q):
-            da = digs[a]
-            for b in range(a, q):
-                db = digs[b]
-                s = self._code([(x + y) % p for x, y in zip(da, db)])
-                add_t[a][b] = add_t[b][a] = s
-                conv = [0] * (2 * e - 1)
-                for i, x in enumerate(da):
-                    if x:
-                        for j, y in enumerate(db):
-                            if y:
-                                conv[i + j] = (conv[i + j] + x * y) % p
-                acc = conv[:e]
-                for j in range(e, 2 * e - 1):
-                    c = conv[j]
-                    if c:
-                        rj = red[j - e]
-                        acc = [(x + c * y) % p for x, y in zip(acc, rj)]
-                m = self._code(acc)
-                mul_t[a][b] = mul_t[b][a] = m
+            row = [0]
+            for _ in range(1, p):
+                row.append(add_t[row[-1]][a])
+            for b in range(p, q):
+                row.append(add_t[row[b % p]][times_x[row[b // p]]])
+            mul_t.append(row)
         self._add_t = add_t
         self._mul_t = mul_t
-        self._neg_t = [self._code([(p - d) % p for d in digs[a]]) for a in range(q)]
-        inv_t = [0] * q
-        for a in range(1, q):
-            inv_t[a] = mul_t[a].index(1)
-        self._inv_t = inv_t
+        self._neg_t = [row.index(0) for row in add_t]
+        self._inv_t = [0] + [row.index(1) for row in mul_t[1:]]
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -425,24 +399,6 @@ def field_from_order(q: int) -> FieldSpec:
     return FieldSpec(p, e)
 
 
-def _monic_poly_with_code(field: FieldSpec, d: int, m: int) -> Poly:
-    """The monic degree-d polynomial whose lower coefficients encode m base q."""
-    coeffs = []
-    for _ in range(d):
-        coeffs.append(m % field.q)
-        m //= field.q
-    coeffs.append(1)
-    return Poly(field, coeffs)
-
-
-def _smallest_irreducible(field: FieldSpec, d: int) -> Poly:
-    for m in range(field.q**d):
-        f = _monic_poly_with_code(field, d, m)
-        if is_irreducible(f):
-            return f
-    raise Reducible(f"no irreducible polynomial of degree {d} over {field}")
-
-
 def is_irreducible(f: Poly) -> bool:
     """True iff the monic polynomial ``f`` has no nontrivial factorization.
 
@@ -503,9 +459,17 @@ def iter_primitive_polys(field: FieldSpec, d: int) -> Iterator[Poly]:
         raise DegreeMismatch("degree must be >= 1")
     # every candidate shares q^d - 1, so it is factored once
     primes = tuple(factorize(field.q**d - 1))
-    for m in range(field.q**d):
-        f = _monic_poly_with_code(field, d, m)
-        if is_irreducible(f) and _has_primitive_root(f, primes):
+    for f in _irreducibles(field, d):
+        if _has_primitive_root(f, primes):
+            yield f
+
+
+def _irreducibles(field: FieldSpec, d: int) -> Iterator[Poly]:
+    """Yield the monic irreducible degree-d polynomials over the field in
+    increasing code order (see iter_primitive_polys)."""
+    for lower in itertools.product(range(field.q), repeat=d):
+        f = Poly(field, lower[::-1] + (1,))
+        if is_irreducible(f):
             yield f
 
 

@@ -346,7 +346,7 @@ def _sliced_profile(levels: list, n: int, p: int) -> Counter:
     (k(k - 1)/2 bits, all inside the batch).  k is as large as _BATCH_BITS
     allows, and at least 1; with k = 1 each chain is its own batch.  One
     elimination serves the whole batch (_sliced_insert over GF(2),
-    _sliced_insertp over odd p): the batch chains' own rows enter as blocks
+    _odd_kernel(p) over odd p): the batch chains' own rows enter as blocks
     of all or no active bits, then the partners' rows, level by level.  A
     bit-sliced counter per level adds up the rank that level gains for each
     pair.  Splitting the pairs by those counters (and by both chains' dims,
@@ -356,7 +356,7 @@ def _sliced_profile(levels: list, n: int, p: int) -> Counter:
     count_n = len(levels)
     depth = len(levels[0])
     width = (p - 1) * n
-    insert = _sliced_insert if p == 2 else _sliced_insertp
+    insert = _sliced_insert if p == 2 else _odd_kernel(p)
     planes = [
         [[0] * width for _ in range(max(len(chain[l][0]) for chain in levels))]
         for l in range(depth)
@@ -456,21 +456,7 @@ def _sliced_insert(row: list[int], has: list[int], pivots: list[list[int]], acti
     return placed
 
 
-def _sliced_insertp(row: list[int], has: list[int], pivots: list[list[int]], active: int) -> int:
-    """_sliced_insert over GF(p), p = len(row) // len(has) + 1 an odd prime:
-    ``row[(v - 1) n + c]`` holds the (chain, partner) pairs whose entry at
-    column c is v, one one-hot plane per nonzero v (Boothby and Bradshaw's
-    bit slicing), and every stored pivot entry is 1.  At column c, pairs
-    whose entry is v add -v times their pivot row there, and pairs that take
-    the row as a new pivot scale it by v^-1; a scaling permutes planes.
-    Plane w of a one-hot sum a + b is the XOR of a_x | b_y over the nonzero
-    x, y with w in {x, y, x + y} and (x, y) != (w, w) (README.md derives
-    it); at p = 3 it is Boothby and Bradshaw's GF(3) sum.
-    """
-    return _odd_kernel(len(row) // len(has) + 1)(row, has, pivots, active)
-
-
-# _sliced_insertp's loop with its planes written out by _odd_kernel: a line
+# the kernel's loop, which _odd_kernel writes out for one p: a line
 # with {v} or {o} is repeated for each value v = 1 .. p - 1, and one with {y}
 # for each pair x < y of them; {o}c is column c of plane v
 _ODD_KERNEL = """\
@@ -527,8 +513,18 @@ def _check_kernel_prime(p: int) -> None:
 
 @cache
 def _odd_kernel(p: int):
-    """_ODD_KERNEL written out for one odd prime p, with every plane a local
-    variable: a loop over the planes ran 2-3 times slower on small batches."""
+    """The kernel that does _sliced_insert's job over GF(p), p an odd
+    prime, written out once per p from _ODD_KERNEL with every plane a local
+    variable (a loop over the planes ran 2-3 times slower on small batches).
+    ``row[(v - 1) n + c]`` holds the (chain, partner) pairs whose entry at
+    column c is v, one one-hot plane per nonzero v (Boothby and Bradshaw's
+    bit slicing), and every stored pivot entry is 1.  At column c, pairs
+    whose entry is v add -v times their pivot row there, and pairs that take
+    the row as a new pivot scale it by v^-1; a scaling permutes planes.
+    Plane w of a one-hot sum a + b is the XOR of a_x | b_y over the nonzero
+    x, y with w in {x, y, x + y} and (x, y) != (w, w) (README.md derives
+    it); at p = 3 it is Boothby and Bradshaw's GF(3) sum.
+    """
     values = range(1, p)
     pairs = [{"x": x, "y": y} for x in values for y in values if x < y]
     once = {"x_any": " | ".join(f"x{v}" for v in values), "q_any": " | ".join(f"q{v}" for v in values)}

@@ -17,8 +17,11 @@ and ``flag_from_matrix`` share, flags rebuilt through the nesting-checked
 ``Flag`` constructor instead of the unchecked restriction
 ``subsequence_code`` makes, each orbit image
 made from a fresh power g**t instead of stepped by g (``orbit_by_powers``),
-and a hyperplane's normal found among all q^n vectors instead of read off
-its RREF key (``normal_oracle``).
+a hyperplane's normal found among all q^n vectors instead of read off
+its RREF key (``normal_oracle``), and an extension field's tables from
+digit-by-digit sums and polynomial products over GF(p) reduced mod the
+modulus instead of FieldSpec's recurrences on codes
+(``field_tables_oracle``).
 """
 
 from __future__ import annotations
@@ -204,6 +207,24 @@ def normal_oracle(u: fc.Subspace):
     assert len(found) == 1, f"{len(found)} normals: not a hyperplane"
     c = found[0]
     return int("".join(map(str, c)), 2) if field.q == 2 else c
+
+
+def field_tables_oracle(field: fc.FieldSpec) -> tuple[list, list, list, list]:
+    """GF(p^e)'s add, mul, neg and inv tables as FieldSpec stores them:
+    sums and negations digit by digit mod p, each product a Poly product
+    over GF(p) reduced mod the modulus, each inverse a^(q - 2) by pow_mod."""
+    p, q, mod = field.p, field.q, field.modulus
+    digits = [field._digits(a) for a in range(q)]
+    polys = [fc.Poly(mod.field, d) for d in digits]
+
+    def code(coeffs):
+        return sum(c * p**i for i, c in enumerate(coeffs))
+
+    add = [[code([(x + y) % p for x, y in zip(a, b)]) for b in digits] for a in digits]
+    mul = [[code((a * b % mod).coeffs) for b in polys] for a in polys]
+    neg = [code([-x % p for x in a]) for a in digits]
+    inv = [0] + [code(a.pow_mod(q - 2, mod).coeffs) for a in polys[1:]]
+    return add, mul, neg, inv
 
 
 # -- companion-matrix row structure ----------------------------------------------

@@ -501,6 +501,36 @@ class TestLargePrime:
         assert "p above 257 is refused" in stderr and "min_distance" not in stderr
 
 
+class TestNamedFieldRefusals:
+    """A field named in a file or by --modulus is refused fast: a prime
+    past the trial-division bound exits 3, and an extension past the table
+    size exits 2 before p^e is formed."""
+
+    def refused(self, capsys, *argv):
+        start = perf_counter()
+        rc, stdout, stderr = run(capsys, *argv)
+        assert perf_counter() - start < 2
+        assert stdout == ""
+        return rc, stderr
+
+    @pytest.mark.parametrize("name, want", [
+        ("GF(2305843009213693951)", (3, "needs trial divisors beyond 1000000")),
+        ("GF(3^30000000)", (2, "GF(3^30000000) exceeds the supported table size")),
+    ], ids=["prime-2^61-1", "extension-3^30000000"])
+    def test_distance(self, tmp_path, capsys, name, want):
+        path = tmp_path / "f.flag"
+        path.write_text(f"type 1\n1 2 {name}\n1 0\n")
+        rc, stderr = self.refused(capsys, "distance", str(path), str(path))
+        assert rc == want[0] and want[1] in stderr
+
+    def test_modulus_over_a_large_prime(self, capsys):
+        rc, stderr = self.refused(
+            capsys, "verify", "--q", "4", "--k", "2", "--h", "0", "--s", "2",
+            "--modulus", "x^2+x+1 over GF(2305843009213693951)",
+        )
+        assert rc == 3 and "needs trial divisors beyond 1000000" in stderr
+
+
 class TestDistance:
     def make_flag_files(self, tmp_path):
         gf2 = fc.field_make(2)

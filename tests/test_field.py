@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,8 @@ from flagcodes.errors import (
     Reducible,
     ReducibleModulus,
 )
+
+from _checks import field_tables_oracle
 
 
 def x_order(f: fc.Poly) -> int:
@@ -136,6 +139,39 @@ class TestArithmetic:
                 for _ in range(q - 1):
                     power = mul(power, a)
                 assert power == 1
+
+
+class TestTables:
+    """FieldSpec's tables against field_tables_oracle, a route that sums
+    digit by digit and multiplies polynomials mod the modulus."""
+
+    @staticmethod
+    def assert_tables(field):
+        assert (field._add_t, field._mul_t, field._neg_t, field._inv_t) == field_tables_oracle(field)
+
+    @pytest.mark.parametrize("q", [4, 8, 16, 32, 9, 27, 25])
+    def test_every_modulus(self, q):
+        ((p, e),) = fc.factorize(q).items()
+        base = fc.field_make(p)
+        moduli = []
+        for lower in itertools.product(range(p), repeat=e):  # in code order
+            f = fc.Poly(base, lower[::-1] + (1,))
+            if brute_force_irreducible(f):
+                moduli.append(f)
+        # the default modulus is the first by code
+        assert fc.field_from_order(q).modulus == moduli[0]
+        for mod in moduli:
+            self.assert_tables(fc.field_make(p, e, mod))
+
+    @pytest.mark.parametrize("q", [49, 64, 81, 121, 125, 128])
+    def test_default_modulus(self, q):
+        self.assert_tables(fc.field_from_order(q))
+
+    def test_largest_field_builds_fast(self):
+        start = perf_counter()
+        field = fc.field_from_order(1024)
+        assert perf_counter() - start < 3
+        assert field.mul(field.inv(5), 5) == 1
 
 
 class TestCodeValidation:
@@ -309,6 +345,13 @@ class TestFactorize:
         assert flagcodes.field.DEFAULT_FACTOR_BUDGET == 10**6
         with pytest.raises(FactorizationTooLarge, match="beyond 1000000$"):
             fc.factorize(1000003 * 1000033)
+
+    def test_is_prime_uses_the_bound(self):
+        assert [n for n in range(-2, 12) if fc.is_prime(n)] == [2, 3, 5, 7, 11]
+        assert fc.is_prime(2**31 - 1)
+        # 2^61 - 1 is prime, but certifying it needs divisors past 10^6
+        with pytest.raises(FactorizationTooLarge, match="beyond 1000000$"):
+            fc.is_prime(2**61 - 1)
 
     @given(st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=200)

@@ -3,17 +3,17 @@
 Over every GF(p^e), ``subspace._distance_profile`` runs one elimination
 over the prime field GF(p) for a batch of consecutive chains and all of
 their later partners at once, each (chain, partner) pair one bit of a
-Python int: ``_sliced_insert`` over GF(2), ``_sliced_insertp`` over every
-odd p.  ``pairwise_profile`` in ``_checks.py`` is a per-pair loop over any
-field, with one basis per pair and rows taken from the canonical
-generators, and the only per-pair scan left; the two must return equal
-Counters on the construction's codes, on restrictions that merge flags, on
-loaded codes, on codes of mixed dimension, and on random codes whose pair
-masks cross machine words, over GF(2), GF(3), GF(4), GF(5), GF(7), GF(8),
-GF(9) and GF(25).  The batch tests shrink the scan's private bit budget
-(``subspace._BATCH_BITS``) so that small codes span several batches, and
-pin the batch plan: which chains share an elimination, and how many kernel
-calls a scan makes.
+Python int: ``_sliced_insert`` over GF(2), and over every odd p the
+kernel that ``_odd_kernel(p)`` writes out.  ``pairwise_profile`` in
+``_checks.py`` is a per-pair loop over any field, with one basis per pair
+and rows taken from the canonical generators, and the only per-pair scan
+left; the two must return equal Counters on the construction's codes, on
+restrictions that merge flags, on loaded codes, on codes of mixed
+dimension, and on random codes whose pair masks cross machine words, over
+GF(2), GF(3), GF(4), GF(5), GF(7), GF(8), GF(9) and GF(25).  The batch
+tests shrink the scan's private bit budget (``subspace._BATCH_BITS``) so
+that small codes span several batches, and pin the batch plan: which
+chains share an elimination, and how many kernel calls a scan makes.
 """
 
 from __future__ import annotations
@@ -301,14 +301,17 @@ def _spy_batches(monkeypatch, bits: int | None = None) -> list[int]:
     if bits is not None:
         monkeypatch.setattr(subspace, "_BATCH_BITS", bits)
     actives: list[int] = []
-    for name in ("_sliced_insert", "_sliced_insertp"):
-        kernel = getattr(subspace, name)
 
-        def spy(row, has, pivots, active, kernel=kernel):
+    def spying(kernel):
+        def spy(row, has, pivots, active):
             actives.append(active)
             return kernel(row, has, pivots, active)
 
-        monkeypatch.setattr(subspace, name, spy)
+        return spy
+
+    odd_kernel = subspace._odd_kernel
+    monkeypatch.setattr(subspace, "_sliced_insert", spying(subspace._sliced_insert))
+    monkeypatch.setattr(subspace, "_odd_kernel", lambda p: spying(odd_kernel(p)))
     return actives
 
 
