@@ -131,7 +131,13 @@ def missing_polynomials(params: ConstructionParams) -> str | None:
 
 
 def _type_dims(args: argparse.Namespace) -> tuple[int, ...]:
-    return tuple(_int_list(args.type)) if args.type else ()
+    """The dimensions --type names, or () when it is not given."""
+    if args.type is None:
+        return ()
+    dims = tuple(_int_list(args.type))
+    if not dims:
+        raise ValueError("--type names no dimension")
+    return dims
 
 
 def _params_for(args: argparse.Namespace, q: int, k: int, h: int, s: int) -> ConstructionParams:

@@ -50,9 +50,20 @@ _TABLE_LIMIT = 1 << 10
 
 
 def is_prime(n: int) -> bool:
-    """Primality by factorize's trial division, so a prime above 10^12
-    raises FactorizationTooLarge rather than being certified."""
+    """Primality by factorize's trial division.  A number above 10^12,
+    which the divisors up to DEFAULT_FACTOR_BUDGET cannot certify prime,
+    raises FactorizationTooLarge before any division, prime or not."""
+    if n > DEFAULT_FACTOR_BUDGET**2:
+        raise FactorizationTooLarge(
+            f"certifying a {n.bit_length()}-bit number prime needs trial divisors "
+            f"beyond {DEFAULT_FACTOR_BUDGET}"
+        )
     return n > 1 and factorize(n) == {n: 1}
+
+
+def _shown(n: int) -> str:
+    """``n`` for a message: its digits, or its bit length past 40 digits."""
+    return str(n) if abs(n) < 10**40 else f"a {n.bit_length()}-bit number"
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -65,15 +76,15 @@ def factorize(n: int) -> dict[int, int]:
     set whose q or q^d - 1 is that large holds more than 10^12 flags.
     """
     if n < 1:
-        raise ValueError(f"cannot factor {n}")
+        raise ValueError(f"cannot factor {_shown(n)}")
     out: dict[int, int] = {}
     m = n
     d = 2
     while d * d <= m:
         if d > DEFAULT_FACTOR_BUDGET:
             raise FactorizationTooLarge(
-                f"factoring {n}: cofactor {m} needs trial divisors beyond "
-                f"{DEFAULT_FACTOR_BUDGET}"
+                f"factoring {_shown(n)}: cofactor {_shown(m)} needs trial divisors "
+                f"beyond {DEFAULT_FACTOR_BUDGET}"
             )
         while m % d == 0:
             out[d] = out.get(d, 0) + 1
@@ -294,16 +305,7 @@ class Poly:
 
     def __sub__(self, other: Poly) -> Poly:
         self._check(other)
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [
-            f.sub(
-                self.coeffs[i] if i < len(self.coeffs) else 0,
-                other.coeffs[i] if i < len(other.coeffs) else 0,
-            )
-            for i in range(n)
-        ]
-        return Poly(f, out)
+        return self + Poly(self.field, map(self.field.neg, other.coeffs))
 
     def __mul__(self, other: Poly) -> Poly:
         self._check(other)

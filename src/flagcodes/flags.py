@@ -122,9 +122,6 @@ class TypeVector:
         except ValueError:
             raise IndexOutOfRange(f"dimension {dim} not in type {self.dims}") from None
 
-    def __repr__(self) -> str:
-        return f"TypeVector(n={self.n}, dims={self.dims})"
-
 
 @dataclass(frozen=True)
 class AbIndices:
@@ -161,14 +158,15 @@ class Flag:
     level, the RREF rows of its part at the pivots it adds.  ``key`` and
     ``_rows`` are that tuple, which equality, hashing (with ``field``),
     FlagCode's order and the scan read.  ``source`` is flag_from_matrix's
-    matrix (a restriction inherits it) or None.  Part keys and parts are
-    made on first read; a restriction reads its parent's.
+    matrix (a restriction inherits it) or None.  Parts are made on first
+    read and kept, and a part's key rows are its own; a restriction keeps
+    no parts and reads its parent's.
     """
 
-    __slots__ = ("type", "field", "source", "_rows", "_keys", "_parts", "_parent")
+    __slots__ = ("type", "field", "source", "_rows", "_parts", "_parent")
 
     def __init__(self, type_: TypeVector, parts: Sequence[Subspace]):
-        parts = tuple(parts)
+        parts = list(parts)
         if len(parts) != type_.r:
             raise TypeMismatch(
                 f"{len(parts)} components for a type of length {type_.r}"
@@ -189,23 +187,22 @@ class Flag:
         # the first part's key rows are independent: only a later part can
         # fail the rank check
         dims = type_.dims
-        keys = [part._key[1] for part in parts]
-        rows, ranks = _echelon([row for k in keys for row in k], accumulate(dims), field)
+        stacked = [row for part in parts for row in part._key[1]]
+        rows, ranks = _echelon(stacked, accumulate(dims), field)
         for i, rank in enumerate(ranks):
             if rank != dims[i]:
                 raise RankDeficientPrefix(
                     f"component of dim {dims[i - 1]} not inside the next of dim {dims[i]}"
                 )
-        self._set(type_, field, None, rows, keys, parts, None)
+        self._set(type_, field, None, rows, parts, None)
 
-    def _set(self, type_, field, source, rows, keys, parts, parent) -> Flag:
+    def _set(self, type_, field, source, rows, parts, parent) -> Flag:
         """Fill every slot but a restriction's ``_rows`` (__getattr__)."""
         self.type = type_
         self.field = field
         self.source = source
         if rows is not None:
             self._rows = rows
-        self._keys = keys
         self._parts = parts
         self._parent = parent  # a restriction's (parent flag, positions)
         return self
@@ -214,7 +211,7 @@ class Flag:
         """The flag of type ``sub`` made of this flag's parts at the 0-based
         ``positions``."""
         parent = (self, positions)
-        return Flag.__new__(Flag)._set(sub, self.field, self.source, None, None, None, parent)
+        return Flag.__new__(Flag)._set(sub, self.field, self.source, None, None, parent)
 
     def __getattr__(self, name: str):
         """A restriction's ``_rows``, made on first read by one echelon pass
@@ -226,43 +223,35 @@ class Flag:
 
     @property
     def parts(self) -> tuple[Subspace, ...]:
-        """The components as Subspace objects, made on first read."""
-        parts = self._parts
-        if type(parts) is not tuple:
-            parts = self._parts = tuple([self._part(i) for i in range(self.type.r)])
-        return parts
+        """The components as Subspace objects, each made on first read."""
+        return tuple([self._part(i) for i in range(self.type.r)])
 
     def _part(self, i: int) -> Subspace:
-        """Component ``i`` (0-based) alone, made from its key rows on first
-        read, or a restriction's parent's part.  The same object as
-        ``parts[i]``."""
+        """Component ``i`` (0-based), made from its key rows on first read
+        and kept, or a restriction's parent's part.  The same object on
+        every read."""
+        parent = self._parent
+        if parent:
+            return parent[0]._part(parent[1][i])
         parts = self._parts
         if parts is None:
             parts = self._parts = [None] * self.type.r
         part = parts[i]
         if part is None:
-            parent = self._parent
-            part = parts[i] = (
-                parent[0]._part(parent[1][i]) if parent
-                else Subspace(self.field, self.type.n, self._key_rows(i))
-            )
+            part = parts[i] = Subspace(self.field, self.type.n, self._key_rows(i))
         return part
 
     def _key_rows(self, i: int) -> tuple:
-        """The RREF rows of component ``i`` (0-based), made on first read by
-        back-substituting the normal-form rows up to its dim, or a
-        restriction's parent's.  The same tuple on every read."""
-        keys = self._keys
-        if keys is None:
-            keys = self._keys = [None] * self.type.r
-        key = keys[i]
-        if key is None:
-            parent = self._parent
-            key = keys[i] = (
-                parent[0]._key_rows(parent[1][i]) if parent
-                else _back_substitute(self._rows[: self.type.dims[i]], self.field)
-            )
-        return key
+        """The RREF rows of component ``i`` (0-based): the part's own once
+        it is made, else back-substituted from the normal-form rows up to
+        its dim, or a restriction's parent's.  Nothing is stored."""
+        parent = self._parent
+        if parent:
+            return parent[0]._key_rows(parent[1][i])
+        parts = self._parts
+        if parts is not None and parts[i] is not None:
+            return parts[i]._key[1]
+        return _back_substitute(self._rows[: self.type.dims[i]], self.field)
 
     def _levels(self) -> list[tuple]:
         """The flag as _distance_profile levels: per component, the
@@ -310,7 +299,7 @@ def flag_from_matrix(w: MatrixGF, type_: TypeVector) -> Flag:
     if len(rows) != dims[-1]:
         t, rank = next((t, rank) for t, rank in zip(dims, ranks) if rank != t)
         raise RankDeficientPrefix(f"first {t} rows have rank {rank}")
-    return Flag.__new__(Flag)._set(type_, w.field, w, rows, None, None, None)
+    return Flag.__new__(Flag)._set(type_, w.field, w, rows, None, None)
 
 
 class FlagCode:

@@ -6,8 +6,8 @@ block assembly, multiplicative orders, and the 1-based row-slicing accessors
 subspace constructions use throughout.  Matrices are immutable.  A GF(2)
 matrix stores each row as one bitmask, column 0 the most significant bit,
 and every operation here works on them; the external contract stays a grid
-of int element codes, which int_rows() makes from the bitmasks on first
-request.
+of int element codes, which int_rows() makes from the bitmasks on each
+call.
 """
 
 from __future__ import annotations
@@ -162,15 +162,14 @@ class MatrixGF:
 
     ``_rows`` are the stored rows.  Over GF(2) each is a bitmask, entry j as
     bit ncols - 1 - j, so bitmasks of one width compare as their code tuples
-    do; the tuple grid ``_grid`` is a view that int_rows() builds from them
-    on first use, unless the matrix was made from that grid.  Over every
-    other field the rows are code tuples and ``_grid`` is ``_rows``.
+    do, and int_rows() decodes them into a tuple grid on each call.  Over
+    every other field the rows are code tuples, which int_rows() returns.
     ``_tables`` holds the product tables of a GF(2) matrix that
     _tabulated() made to be the right factor of many products, and is None
     on every other matrix.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "_rows", "_grid", "_tables")
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_tables")
 
     def __init__(
         self,
@@ -194,7 +193,6 @@ class MatrixGF:
         self.nrows = len(norm)
         self.ncols = width
         self._rows = tuple(map(_pack, norm)) if field.q == 2 else norm
-        self._grid = norm
         self._tables = None
 
     # -- constructors -------------------------------------------------------
@@ -209,7 +207,6 @@ class MatrixGF:
         m.nrows = len(rows)
         m.ncols = ncols
         m._rows = rows
-        m._grid = None if field.q == 2 else rows
         m._tables = None
         return m
 
@@ -240,11 +237,10 @@ class MatrixGF:
 
     def int_rows(self) -> tuple[tuple[int, ...], ...]:
         """The grid of element codes (polynomial-basis codes for extensions)."""
-        grid = self._grid
-        if grid is None:
-            ncols = self.ncols
-            grid = self._grid = tuple([tuple(map(int, _digits(b, ncols))) for b in self._rows])
-        return grid
+        if self.field.q != 2:
+            return self._rows
+        ncols = self.ncols
+        return tuple([tuple(map(int, _digits(b, ncols))) for b in self._rows])
 
     @property
     def is_zero(self) -> bool:

@@ -53,7 +53,7 @@ __all__ = [
 class Subspace:
     """A nonzero subspace of GF(q)^n, canonicalized by its RREF generator."""
 
-    __slots__ = ("field", "ambient", "dim", "_key", "_canon")
+    __slots__ = ("field", "ambient", "dim", "_key")
 
     def __init__(self, field: FieldSpec, ambient: int, rows: tuple):
         # rows must be the RREF generator's rows as matrices over field
@@ -63,15 +63,12 @@ class Subspace:
         self.ambient = ambient
         self.dim = len(rows)
         self._key = (self.dim, rows)
-        self._canon = None
 
     @property
     def canon(self) -> MatrixGF:
-        """The RREF generator as a matrix, made on first read and cached:
-        in the package only transform() reads it."""
-        if self._canon is None:
-            self._canon = MatrixGF._wrap(self.field, self.ambient, self._key[1])
-        return self._canon
+        """The RREF generator as a matrix: a view of the key rows, made on
+        each read."""
+        return MatrixGF._wrap(self.field, self.ambient, self._key[1])
 
     @property
     def key(self) -> tuple:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import random
 from time import perf_counter
 
 import pytest
@@ -216,6 +217,18 @@ class TestVerify:
         rc, stdout, stderr = run(capsys, command, *argv, "--format", "json")
         assert rc == 2 and stdout == ""
         assert f"{option} names no value" in stderr
+
+    @pytest.mark.parametrize("value", [",", ""], ids=["comma", "empty"])
+    @pytest.mark.parametrize("argv", [
+        ["verify"], ["construct", "--family", "longer"], ["spectrum", "--family", "longer"],
+    ], ids=["verify", "construct-longer", "spectrum-longer"])
+    def test_type_naming_no_dimension_is_bad_input(self, capsys, argv, value):
+        # else the master type would be run or written under a --type given
+        rc, stdout, stderr = run(
+            capsys, *argv, "--q", "2", "--k", "2", "--h", "1", "--s", "3", "--type", value,
+        )
+        assert (rc, stdout) == (2, "")
+        assert stderr == "error: --type names no dimension\n"
 
     def test_type_of_zero_guarantee_refused(self, capsys, monkeypatch):
         # at (2,2,0,4) the guarantee at dim 2k+h = 4 is 2h = 0: type (4,)
@@ -522,6 +535,24 @@ class TestNamedFieldRefusals:
         path.write_text(f"type 1\n1 2 {name}\n1 0\n")
         rc, stderr = self.refused(capsys, "distance", str(path), str(path))
         assert rc == want[0] and want[1] in stderr
+
+    def test_distance_over_a_huge_composite(self, tmp_path, capsys):
+        # GF(2m), m of 3999 digits with no prime factor below 2000: refused
+        # on its size before any trial division, in a message that names
+        # its bit length, not its digits
+        rng = random.Random(2)
+        small = [p for p in range(3, 2000) if all(p % d for d in range(2, p))]
+        m = rng.randrange(10**3998, 10**3999) | 1
+        while any(m % p == 0 for p in small):
+            m = rng.randrange(10**3998, 10**3999) | 1
+        path = tmp_path / "f.flag"
+        path.write_text(f"type 1\n1 2 GF({2 * m})\n1 0\n")
+        start = perf_counter()
+        rc, stdout, stderr = run(capsys, "distance", str(path), str(path))
+        assert perf_counter() - start < 0.5
+        assert (rc, stdout) == (3, "") and len(stderr) < 300
+        assert f"a {(2 * m).bit_length()}-bit number" in stderr
+        assert stderr.endswith("needs trial divisors beyond 1000000\n")
 
     def test_modulus_over_a_large_prime(self, capsys):
         rc, stderr = self.refused(

@@ -353,6 +353,22 @@ class TestFactorize:
         with pytest.raises(FactorizationTooLarge, match="beyond 1000000$"):
             fc.is_prime(2**61 - 1)
 
+    def test_is_prime_refuses_past_the_bound_before_dividing(self, monkeypatch):
+        # a composite past 10^12 is refused as a prime would be, on its
+        # size alone
+        monkeypatch.setattr(flagcodes.field, "factorize", None)
+        for n in (10**12 + 1, 2 * (2**61 - 1), 2 * 10**4000):
+            with pytest.raises(FactorizationTooLarge, match=f"a {n.bit_length()}-bit number"):
+                fc.is_prime(n)
+
+    def test_huge_number_named_by_its_bit_length(self):
+        # 2 (10^5000 + 1) has 5001 digits, past the int-to-str limit
+        n = 2 * (10**5000 + 1)
+        with pytest.raises(FactorizationTooLarge, match="beyond 1000000$") as exc:
+            fc.factorize(n)
+        assert str(exc.value).startswith(f"factoring a {n.bit_length()}-bit number: cofactor a ")
+        assert len(str(exc.value)) < 200
+
     @given(st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=200)
     def test_product_recovers(self, n):

@@ -144,6 +144,19 @@ class TestEqualityAcrossRoutes:
             flipped = fc.MatrixGF(GF2, grid, ncols=ncols)
             assert flipped != product and product != flipped
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_int_rows_decode_the_bitmasks_of_either_build(self, seed):
+        # no grid is kept: a validated build and a wrap of its bitmasks
+        # decode to the grid they were made from on every call
+        rng = random.Random(seed)
+        nrows, ncols = rng.randrange(6), rng.randrange(14)
+        grid = tuple(tuple(r) for r in _grid(rng, nrows, ncols))
+        built = fc.MatrixGF(GF2, grid, ncols=ncols)
+        wrapped = fc.MatrixGF._wrap(GF2, ncols, built._rows)
+        for m in (built, wrapped):
+            assert not hasattr(m, "_grid")
+            assert m.int_rows() == m.int_rows() == grid
+
     def test_shape_takes_part(self):
         assert fc.MatrixGF.zeros(GF2, 0, 2) != fc.MatrixGF.zeros(GF2, 0, 3)
         assert fc.MatrixGF.zeros(GF2, 2, 2) != fc.MatrixGF.zeros(GF2, 3, 2)

@@ -176,13 +176,14 @@ def test_canon_made_on_first_read(field_args):
         if rank == 0:
             continue
         space = fc.subspace_of(w)
-        assert space._canon is None
         canon = space.canon
         assert canon == reduced.first_rows(rank)
         assert key_rows_oracle(canon) == space.key[1]
-        assert space.canon is canon
-        # the key rows are the canon's stored rows
+        # the key rows are the canon's stored rows, and canon is a view of
+        # them made on each read: the space keeps no matrix
         assert canon._rows is space.key[1]
+        assert canon == fc.MatrixGF(field, canon.int_rows(), ncols=n)
+        assert not hasattr(space, "_canon")
 
 
 def _counting_rref(monkeypatch) -> list:
@@ -247,6 +248,34 @@ def test_lazy_parts_of_generator_entries_match_oracle(qkhs, choice):
         # the generator set made no part of any flag
         assert e.flag._parts is None
         check_lazy_parts(e.flag, e.flag.source)
+
+
+@pytest.mark.parametrize("field_args", LAZY_FIELDS, ids=["GF2", "GF3", "GF4", "GF5", "GF7", "GF9", "GF25"])
+def test_key_rows_live_in_the_parts(field_args):
+    # key rows read before a part is made are stored nowhere; once the part
+    # is made they are its own key rows, and a flag built from parts keeps
+    # the parts it was given
+    field = fc.field_make(*field_args)
+    rng = random.Random(53 + sum(field_args))
+    checked = 0
+    while checked < 20:
+        n = rng.randrange(2, 7)
+        w = _random_rows(field, rng, n - 1, n)
+        if prefix_subspace_oracle(w, n - 1)[0] != n - 1:
+            continue
+        flag = fc.flag_from_matrix(w, fc.TypeVector.full(n))
+        assert not hasattr(flag, "_keys")
+        before = [flag._key_rows(i) for i in range(flag.type.r)]
+        assert flag._parts is None
+        parts = flag.parts
+        for i, part in enumerate(parts):
+            assert part.key[1] == before[i]
+            assert flag._key_rows(i) is part.key[1]
+        rebuilt = fc.Flag(flag.type, parts)
+        for i, part in enumerate(parts):
+            assert rebuilt._part(i) is part
+            assert rebuilt._key_rows(i) is part.key[1]
+        checked += 1
 
 
 def _counting_subspaces(monkeypatch) -> list:

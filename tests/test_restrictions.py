@@ -90,6 +90,25 @@ def test_restricted_flags_share_their_parents_parts():
         assert f.source is parent.source and f.field is parent.field
 
 
+def test_restricted_flags_own_no_parts():
+    # a restriction reads its parent's parts and part keys, and so does its
+    # dump when no source matrix is kept, but it allocates no part list
+    params = fc.ConstructionParams.make(2, 2, 1, 3)
+    gen = fc.build_generator_set(params)
+    tv = fc.master_type(params)
+    sourceless = fc.FlagCode(gen.full.type, [fc.Flag(f.type, f.parts) for f in gen.full])
+    for code in (gen.flag_code(tv), fc.subsequence_code(sourceless, tv)):
+        text = fc.dump_flag_code(code)
+        assert fc.load_flag_code(text) == code
+        for f in code:
+            parent, positions = f._parent
+            assert f.parts == tuple(parent._part(p) for p in positions)
+            for i, p in enumerate(positions):
+                assert f._part(i) is parent._part(p)
+                assert f._key_rows(i) is parent._part(p).key[1]
+            assert f._parts is None
+
+
 def test_restrictions_of_codes_with_shared_first_parts():
     # the 21 full flags of GF(2)^3 share their points in threes, and the
     # GF(3)^5 flags below share two first parts: a restriction that keeps
