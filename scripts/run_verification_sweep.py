@@ -31,7 +31,6 @@ import sys
 from time import perf_counter
 
 import flagcodes as fc
-from flagcodes.cli import missing_polynomials
 
 INSTANCES: list[tuple[int, int, int, int]] = [
     (2, 2, 0, 2),
@@ -55,6 +54,18 @@ BIG_INSTANCES: list[tuple[int, int, int, int]] = [
     (5, 2, 0, 3),
     (25, 2, 0, 2),
 ]
+
+
+def missing_polynomials(params: fc.ConstructionParams) -> str | None:
+    """Why the field lacks a primitive polynomial the instance needs at
+    params.poly_choice (build_P's error), or None when every family has
+    one."""
+    for i in range(1, params.s):
+        try:
+            fc.build_P(params, i)
+        except ValueError as exc:
+            return str(exc)
+    return None
 
 
 def main() -> int:

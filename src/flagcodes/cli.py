@@ -1,8 +1,10 @@
 """Command-line frontend.
 
-Subcommands: ``construct`` a code family and serialize it, ``verify`` (or
-``report``) every claim for a parameter set, ``spectrum`` the multiset of
-pairwise flag distances, and ``distance`` between two serialized flags.
+Subcommands: ``construct`` a code family and serialize it, ``verify`` every
+claim for one instance (q, k, h, s), ``spectrum`` the multiset of pairwise
+flag distances, and ``distance`` between two serialized flags.
+``scripts/run_verification_sweep.py`` runs the claim suite over many
+instances.
 
 Exit codes: 0 all good / all claims pass, 1 some claim failed, 2 input or
 parameter validation failed, 3 a construction guarantee broke or a resource
@@ -17,14 +19,12 @@ import io
 import json
 import sys
 from collections import Counter
-from itertools import product
 from pathlib import Path
 
 from .construct import (
     ConstructionParams,
     VerificationReport,
     _longer_type,
-    build_P,
     build_full_flag_code,
     build_generator_set,
     build_longer_type_code,
@@ -32,7 +32,7 @@ from .construct import (
     run_claim_suite,
 )
 from .errors import AmbientMismatch, FieldMismatch, FlagCodesError, ResourceBudgetExceeded, TheoremViolated
-from .field import factorize, field_make, field_name, poly_from_text
+from .field import field_from_order, field_name, poly_from_text
 from .flags import (
     FlagCode,
     TypeVector,
@@ -53,10 +53,6 @@ _CODE_EXCLUDES = (
 )
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flagcodes",
@@ -65,10 +61,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_params(p: argparse.ArgumentParser, required: bool = True) -> None:
-        p.add_argument("--q", help="field size (prime power); a comma list makes a grid", required=required)
-        p.add_argument("--k", help="block dimension k; a comma list makes a grid", required=required)
-        p.add_argument("--h", help="remainder h with 0 <= h < k; a comma list makes a grid", required=required)
-        p.add_argument("--s", help="number of blocks s >= 2; a comma list makes a grid", required=required)
+        p.add_argument("--q", type=int, help="field size (prime power)", required=required)
+        p.add_argument("--k", type=int, help="block dimension k", required=required)
+        p.add_argument("--h", type=int, help="remainder h with 0 <= h < k", required=required)
+        p.add_argument("--s", type=int, help="number of blocks s >= 2", required=required)
         p.add_argument("--type", help="comma-separated type vector, e.g. 1,2,5,6")
         p.add_argument("--modulus",
                        help="extension-field modulus as 'x^2+x+1 over GF(2)' or '[1,1,1] @ GF(2)'")
@@ -83,13 +79,11 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--family", choices=FAMILIES, default="full")
     add_out(pc)
 
-    for name, default_fmt in (("verify", "text"), ("report", "json")):
-        pv = sub.add_parser(name, help="run the claim suite and report pass/fail")
-        add_params(pv)
-        pv.add_argument("--code", help="also verify this serialized flag code file")
-        fmts = ("json", "text", "csv") if default_fmt == "json" else ("text", "json", "csv")
-        pv.add_argument("--format", choices=fmts, default=default_fmt)
-        add_out(pv)
+    pv = sub.add_parser("verify", help="run the claim suite and report pass/fail")
+    add_params(pv)
+    pv.add_argument("--code", help="also verify this serialized flag code file")
+    pv.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    add_out(pv)
 
     ps = sub.add_parser("spectrum", help="histogram of pairwise flag distances")
     add_params(ps, required=False)
@@ -105,58 +99,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _param_grid(args: argparse.Namespace) -> list[tuple[int, int, int, int]]:
-    """Every (q, k, h, s) combination named by --q/--k/--h/--s."""
-    if args.q is None:
-        return []
-    if None in (args.k, args.h, args.s):
-        raise ValueError("--q, --k, --h and --s go together")
-    lists = [_int_list(getattr(args, name)) for name in "qkhs"]
-    for name, values in zip("qkhs", lists):
-        if not values:
-            raise ValueError(f"--{name} names no value")
-    return list(product(*lists))
-
-
-def missing_polynomials(params: ConstructionParams) -> str | None:
-    """Why the field lacks a primitive polynomial the instance needs at
-    params.poly_choice (build_P's error), or None when every family has
-    one."""
-    for i in range(1, params.s):
-        try:
-            build_P(params, i)
-        except ValueError as exc:
-            return str(exc)
-    return None
-
-
 def _type_dims(args: argparse.Namespace) -> tuple[int, ...]:
     """The dimensions --type names, or () when it is not given."""
     if args.type is None:
         return ()
-    dims = tuple(_int_list(args.type))
+    dims = tuple(int(t) for t in args.type.split(",") if t.strip())
     if not dims:
         raise ValueError("--type names no dimension")
     return dims
 
 
-def _params_for(args: argparse.Namespace, q: int, k: int, h: int, s: int) -> ConstructionParams:
-    poly_choice = args.poly_choice or 0
-    if args.modulus is None:
-        return ConstructionParams.make(q, k, h, s, poly_choice=poly_choice)
-    factors = factorize(q)
-    if len(factors) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    ((p, e),) = factors.items()
-    field = field_make(p, e, poly_from_text(args.modulus))
-    return ConstructionParams(field, k, h, s, poly_choice=poly_choice)
-
-
-def _single_params(args: argparse.Namespace) -> ConstructionParams:
-    grid = _param_grid(args)
-    if len(grid) != 1:
-        raise ValueError("exactly one (q, k, h, s) combination expected here")
-    return _params_for(args, *grid[0])
+def _params(args: argparse.Namespace) -> ConstructionParams:
+    """The instance --q/--k/--h/--s, --modulus and --poly-choice name."""
+    if None in (args.k, args.h, args.s):
+        raise ValueError("--q, --k, --h and --s go together")
+    modulus = None if args.modulus is None else poly_from_text(args.modulus)
+    field = field_from_order(args.q, modulus)
+    return ConstructionParams(field, args.k, args.h, args.s, poly_choice=args.poly_choice or 0)
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -188,7 +147,7 @@ def _construct_family(args: argparse.Namespace, params: ConstructionParams) -> F
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    params = _single_params(args)
+    params = _params(args)
     code = _construct_family(args, params)
     serialized = dump_flag_code(code)
     dims = ",".join(str(d) for d in code.type.dims)
@@ -202,73 +161,47 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _reports_text(reports: list[VerificationReport]) -> str:
-    chunks = []
-    for rep in reports:
-        p = rep.params
-        chunks.append(f"# params q={p['q']} k={p['k']} h={p['h']} s={p['s']} n={p['n']}")
-        chunks.append(rep.to_text())
-    return "\n".join(chunks) + "\n"
+def _report_text(rep: VerificationReport) -> str:
+    p = rep.params
+    return f"# params q={p['q']} k={p['k']} h={p['h']} s={p['s']} n={p['n']}\n{rep.to_text()}\n"
 
 
-def _reports_csv(reports: list[VerificationReport]) -> str:
+def _report_csv(rep: VerificationReport) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["q", "k", "h", "s", "claim_id", "expected", "computed", "pass", "seconds"])
-    for rep in reports:
-        p = rep.params
-        for c in rep.claims:
-            writer.writerow([
-                p["q"], p["k"], p["h"], p["s"], c.claim_id,
-                repr(c.expected), repr(c.computed), c.passed, f"{c.seconds:.6f}",
-            ])
+    p = rep.params
+    for c in rep.claims:
+        writer.writerow([
+            p["q"], p["k"], p["h"], p["s"], c.claim_id,
+            repr(c.expected), repr(c.computed), c.passed, f"{c.seconds:.6f}",
+        ])
     return out.getvalue()
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    """Run the claim suite at every point of the grid.  A grid skips a point
-    whose field lacks a polynomial it needs (missing_polynomials), naming it
-    on stderr; a single point raises that error, as does a grid of skipped
-    points."""
-    grid = _param_grid(args)
-    loaded = None
-    if args.code:
-        if len(grid) > 1:
-            raise ValueError(f"--code takes one (q, k, h, s), not a grid of {len(grid)}")
-        loaded = load_flag_code(Path(args.code).read_text())
+    loaded = load_flag_code(Path(args.code).read_text()) if args.code else None
     dims = _type_dims(args)
-    reports: list[VerificationReport] = []
-    for q, k, h, s in grid:
-        params = _params_for(args, q, k, h, s)
-        if len(grid) > 1:
-            reason = missing_polynomials(params)
-            if reason is not None:
-                sys.stderr.write(f"skipped q={q} k={k} h={h} s={s}: {reason}\n")
-                continue
-        if loaded is not None and loaded.type.n != params.n:
-            raise AmbientMismatch(
-                f"{args.code} is in GF(q)^{loaded.type.n}, but the parameters give n = {params.n}"
-            )
-        if loaded is not None and len(loaded) and loaded.flags[0].field != params.field:
-            # the file names its field's modulus unless it is the default one
-            raise FieldMismatch(
-                f"{args.code} is over {field_name(loaded.flags[0].field)}, "
-                f"but the parameters give {field_name(params.field)}"
-            )
-        tv = TypeVector(params.n, dims) if dims else None
-        reports.append(run_claim_suite(params, tv, loaded=loaded))
-    if not reports:
-        raise ValueError("every point of the grid was skipped")
+    params = _params(args)
+    if loaded is not None and loaded.type.n != params.n:
+        raise AmbientMismatch(
+            f"{args.code} is in GF(q)^{loaded.type.n}, but the parameters give n = {params.n}"
+        )
+    if loaded is not None and len(loaded) and loaded.flags[0].field != params.field:
+        # the file names its field's modulus unless it is the default one
+        raise FieldMismatch(
+            f"{args.code} is over {field_name(loaded.flags[0].field)}, "
+            f"but the parameters give {field_name(params.field)}"
+        )
+    tv = TypeVector(params.n, dims) if dims else None
+    rep = run_claim_suite(params, tv, loaded=loaded)
     if args.format == "json":
-        payload = reports[0].to_json_obj() if len(grid) == 1 else {
-            "reports": [r.to_json_obj() for r in reports]
-        }
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        _emit(args, json.dumps(rep.to_json_obj(), indent=2) + "\n")
     elif args.format == "csv":
-        _emit(args, _reports_csv(reports))
+        _emit(args, _report_csv(rep))
     else:
-        _emit(args, _reports_text(reports))
-    return 0 if all(r.all_pass for r in reports) else 1
+        _emit(args, _report_text(rep))
+    return 0 if rep.all_pass else 1
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
@@ -287,7 +220,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     else:
         if args.q is None:
             raise ValueError("spectrum needs either --code or --q/--k/--h/--s")
-        code = _construct_family(args, _single_params(args))
+        code = _construct_family(args, _params(args))
     if isinstance(code, SubspaceCode):
         counts = code.spectrum()
     else:
@@ -312,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "construct":
             return _cmd_construct(args)
-        if args.command in ("verify", "report"):
+        if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "spectrum":
             return _cmd_spectrum(args)

@@ -392,13 +392,24 @@ def field_make(
     return FieldSpec(p, e, modulus)
 
 
-def field_from_order(q: int) -> FieldSpec:
-    """Build GF(q) from the field order; q must be a prime power."""
+def field_from_order(
+    q: int, modulus: Poly | Sequence[int] | None = None
+) -> FieldSpec:
+    """Build GF(q) from the field order, under ``modulus`` when given (as
+    field_make takes it); q must be a prime power.  An order above 10^12
+    raises FactorizationTooLarge before any division: no such field can be
+    built, for a prime cannot be certified by trial divisors up to
+    DEFAULT_FACTOR_BUDGET and an extension exceeds the table size."""
+    if q > DEFAULT_FACTOR_BUDGET**2:
+        raise FactorizationTooLarge(
+            f"field order {_shown(q)} is above 10^12: a prime that large needs trial "
+            f"divisors beyond {DEFAULT_FACTOR_BUDGET}, a prime power exceeds the table size"
+        )
     factors = factorize(q)
     if len(factors) != 1:
         raise NotPrime(f"{q} is not a prime power")
     ((p, e),) = factors.items()
-    return FieldSpec(p, e)
+    return FieldSpec(p, e, modulus)
 
 
 def is_irreducible(f: Poly) -> bool:

@@ -19,6 +19,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_refused_by_parser(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
 class TestConstruct:
     def test_full_to_file(self, tmp_path, capsys):
         out = tmp_path / "code.txt"
@@ -140,11 +147,6 @@ class TestVerify:
         claim = payload["claims"][0]
         assert set(claim) == {"id", "anchor", "expected", "computed", "pass", "seconds"}
 
-    def test_report_alias_defaults_to_json(self, capsys):
-        rc, stdout, _ = run(capsys, "report", "--q", "2", "--k", "2", "--h", "0", "--s", "2")
-        assert rc == 0
-        assert json.loads(stdout)["totals"]["failed"] == 0
-
     def test_csv(self, capsys):
         rc, stdout, _ = run(
             capsys, "verify", "--q", "2", "--k", "2", "--h", "0", "--s", "2",
@@ -165,58 +167,24 @@ class TestVerify:
         assert len(rows) > 1 and all(len(row) == 9 for row in rows)
         assert any("," in row[6] for row in rows)
 
-    def test_sweep(self, capsys):
-        # comma lists make a grid
-        rc, stdout, _ = run(
-            capsys, "verify", "--q", "2", "--k", "2", "--h", "0,1",
-            "--s", "2", "--format", "json",
-        )
-        assert rc == 0
-        payload = json.loads(stdout)
-        assert len(payload["reports"]) == 2
-
-    def test_code_refused_with_a_grid(self, tmp_path, capsys):
-        # refused before the file is read
-        path = tmp_path / "absent.code"
-        rc, stdout, stderr = run(
-            capsys, "verify", "--q", "2,3", "--k", "2", "--h", "0", "--s", "2", "--code", str(path),
-        )
-        assert (rc, stdout) == (2, "")
-        assert stderr == "error: --code takes one (q, k, h, s), not a grid of 2\n"
-
-    def test_grid_skips_a_point_without_a_polynomial(self, capsys):
-        # GF(2) has a single primitive quadratic, which (2,2,0,2) needs at
-        # poly choice 1; (2,2,1,2) needs degrees 3 and 5 only
-        rc, stdout, stderr = run(
-            capsys, "verify", "--q", "2", "--k", "2", "--h", "0,1", "--s", "2",
-            "--poly-choice", "1", "--format", "json",
-        )
-        assert rc == 0
-        (report,) = json.loads(stdout)["reports"]
-        assert report["params"]["h"] == 1 and report["totals"]["failed"] == 0
-        assert stderr == (
-            "skipped q=2 k=2 h=0 s=2: poly_choice 1 needs 2 primitive polynomials "
-            "of degree 2 over GF(2); there are only 1\n"
-        )
-
-    def test_grid_of_skipped_points_is_bad_input(self, capsys):
-        rc, stdout, stderr = run(
-            capsys, "verify", "--q", "2", "--k", "2", "--h", "0", "--s", "2,3",
-            "--poly-choice", "1",
-        )
-        assert (rc, stdout) == (2, "")
-        assert stderr.count("skipped q=2 k=2 h=0") == 2
-        assert stderr.endswith("error: every point of the grid was skipped\n")
-
-    @pytest.mark.parametrize("command", ["verify", "report"])
+    @pytest.mark.parametrize("command", ["verify", "construct", "spectrum"])
     @pytest.mark.parametrize("option", ["--q", "--k", "--h", "--s"])
     def test_empty_list_is_bad_input(self, capsys, command, option):
-        # an empty grid would report nothing verified and exit 0
+        # each parameter is one integer, refused by the parser
         values = {"--q": "2", "--k": "2", "--h": "0", "--s": "2", option: ","}
         argv = [t for pair in values.items() for t in pair]
-        rc, stdout, stderr = run(capsys, command, *argv, "--format", "json")
-        assert rc == 2 and stdout == ""
-        assert f"{option} names no value" in stderr
+        rc, stdout, stderr = run_refused_by_parser(capsys, command, *argv)
+        assert (rc, stdout) == (2, "")
+        assert f"argument {option}: invalid int value: ','" in stderr
+
+    @pytest.mark.parametrize("option", ["--q", "--k", "--h", "--s"])
+    def test_comma_list_is_bad_input(self, capsys, option):
+        # verify checks one instance; scripts/run_verification_sweep.py runs many
+        values = {"--q": "2", "--k": "2", "--h": "0", "--s": "2", option: "2,3"}
+        argv = [t for pair in values.items() for t in pair]
+        rc, stdout, stderr = run_refused_by_parser(capsys, "verify", *argv)
+        assert (rc, stdout) == (2, "")
+        assert f"argument {option}: invalid int value: '2,3'" in stderr
 
     @pytest.mark.parametrize("value", [",", ""], ids=["comma", "empty"])
     @pytest.mark.parametrize("argv", [
@@ -515,9 +483,10 @@ class TestLargePrime:
 
 
 class TestNamedFieldRefusals:
-    """A field named in a file or by --modulus is refused fast: a prime
-    past the trial-division bound exits 3, and an extension past the table
-    size exits 2 before p^e is formed."""
+    """A field named in a file, by --q or by --modulus is refused fast: a
+    prime past the trial-division bound exits 3, as does any --q above
+    10^12, and an extension named in a file past the table size exits 2
+    before p^e is formed."""
 
     def refused(self, capsys, *argv):
         start = perf_counter()
@@ -560,6 +529,32 @@ class TestNamedFieldRefusals:
             "--modulus", "x^2+x+1 over GF(2305843009213693951)",
         )
         assert rc == 3 and "needs trial divisors beyond 1000000" in stderr
+
+    def test_huge_order(self, capsys):
+        # 2 (10^3998 + 1): refused on its size before any trial division
+        q = 2 * (10**3998 + 1)
+        start = perf_counter()
+        rc, stdout, stderr = run(
+            capsys, "verify", "--q", str(q), "--k", "2", "--h", "0", "--s", "2",
+        )
+        assert perf_counter() - start < 1
+        assert (rc, stdout) == (3, "") and len(stderr) < 300
+        assert f"field order a {q.bit_length()}-bit number is above 10^12" in stderr
+
+    def test_order_of_a_power_of_two_past_the_bound(self, capsys):
+        # GF(2^50) exceeds the table size, but --q is refused on its size
+        # first: exit 3, not 2
+        rc, stderr = self.refused(
+            capsys, "verify", "--q", str(2**50), "--k", "2", "--h", "0", "--s", "2",
+        )
+        assert rc == 3 and "field order 1125899906842624 is above 10^12" in stderr
+
+    def test_modulus_with_an_order_that_is_no_prime_power(self, capsys):
+        rc, stderr = self.refused(
+            capsys, "verify", "--q", "6", "--k", "2", "--h", "0", "--s", "2",
+            "--modulus", "x^2+x+1 over GF(2)",
+        )
+        assert (rc, stderr) == (2, "error: 6 is not a prime power\n")
 
 
 class TestDistance:

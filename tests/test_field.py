@@ -101,6 +101,11 @@ class TestFieldMake:
         with pytest.raises(NotPrime):
             fc.field_from_order(6)
 
+    def test_field_from_order_with_a_modulus(self):
+        assert fc.field_from_order(4, [1, 1, 1]) == fc.field_make(2, 2, [1, 1, 1])
+        with pytest.raises(NotPrime):
+            fc.field_from_order(6, [1, 1, 1])
+
 
 class TestArithmetic:
     def test_char2(self, gf2):
@@ -360,6 +365,14 @@ class TestFactorize:
         for n in (10**12 + 1, 2 * (2**61 - 1), 2 * 10**4000):
             with pytest.raises(FactorizationTooLarge, match=f"a {n.bit_length()}-bit number"):
                 fc.is_prime(n)
+
+    def test_field_from_order_refuses_past_the_bound_before_dividing(self, monkeypatch):
+        # no field of order above 10^12 can be built: a prime that large
+        # cannot be certified, and a prime power exceeds the table size
+        monkeypatch.setattr(flagcodes.field, "factorize", None)
+        for q in (10**12 + 39, 2**50, 2 * (10**3998 + 1)):
+            with pytest.raises(FactorizationTooLarge, match="is above 10\\^12"):
+                fc.field_from_order(q)
 
     def test_huge_number_named_by_its_bit_length(self):
         # 2 (10^5000 + 1) has 5001 digits, past the int-to-str limit

@@ -100,6 +100,11 @@ def test_sweep_script_skips_instances_without_a_second_polynomial(tmp_path):
     assert proc.returncode == 0, proc.stderr
     runnable = [qkhs for qkhs in SWEEP if 1 in poly_choices(*qkhs)]
     assert proc.stdout.count("skipped: ") == len(SWEEP) - len(runnable)
+    # GF(2) has a single primitive quadratic, which (2,2,0,2) needs
+    assert (
+        "skipped: poly_choice 1 needs 2 primitive polynomials of degree 2 over GF(2); "
+        "there are only 1\n"
+    ) in proc.stdout
     reports = [strip_seconds(r) for r in json.loads(out.read_text())["reports"]]
     assert reports == [_golden["{},{},{},{},1".format(*qkhs)] for qkhs in runnable]
 
