@@ -24,6 +24,7 @@ from pathlib import Path
 from .construct import (
     ConstructionParams,
     VerificationReport,
+    _check_size,
     _longer_type,
     build_full_flag_code,
     build_generator_set,
@@ -32,7 +33,7 @@ from .construct import (
     run_claim_suite,
 )
 from .errors import AmbientMismatch, FieldMismatch, FlagCodesError, ResourceBudgetExceeded, TheoremViolated
-from .field import field_from_order, field_name, poly_from_text
+from .field import _shown, field_from_order, field_name, poly_from_text
 from .flags import (
     FlagCode,
     TypeVector,
@@ -53,6 +54,18 @@ _CODE_EXCLUDES = (
 )
 
 
+def _int(text: str) -> int:
+    """int(text), also for more than the 4,300 digits int() reads."""
+    if len(text) > 4300 and text.removeprefix("-").isdecimal():
+        from decimal import Decimal  # not imported on the common path
+
+        return int(Decimal(text))
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse names it in its messages
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flagcodes",
@@ -61,14 +74,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_params(p: argparse.ArgumentParser, required: bool = True) -> None:
-        p.add_argument("--q", type=int, help="field size (prime power)", required=required)
-        p.add_argument("--k", type=int, help="block dimension k", required=required)
-        p.add_argument("--h", type=int, help="remainder h with 0 <= h < k", required=required)
-        p.add_argument("--s", type=int, help="number of blocks s >= 2", required=required)
+        p.add_argument("--q", type=_int, help="field size (prime power)", required=required)
+        p.add_argument("--k", type=_int, help="block dimension k", required=required)
+        p.add_argument("--h", type=_int, help="remainder h with 0 <= h < k", required=required)
+        p.add_argument("--s", type=_int, help="number of blocks s >= 2", required=required)
         p.add_argument("--type", help="comma-separated type vector, e.g. 1,2,5,6")
         p.add_argument("--modulus",
                        help="extension-field modulus as 'x^2+x+1 over GF(2)' or '[1,1,1] @ GF(2)'")
-        p.add_argument("--poly-choice", type=int,
+        p.add_argument("--poly-choice", type=_int,
                        help="use the n-th smallest primitive polynomials (default 0 = smallest)")
 
     def add_out(p: argparse.ArgumentParser) -> None:
@@ -128,6 +141,7 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def _construct_family(args: argparse.Namespace, params: ConstructionParams) -> FlagCode:
+    _check_size(params)
     dims = _type_dims(args)
     if args.family == "longer":
         # a type the family refuses is refused before the set is built
@@ -185,7 +199,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     params = _params(args)
     if loaded is not None and loaded.type.n != params.n:
         raise AmbientMismatch(
-            f"{args.code} is in GF(q)^{loaded.type.n}, but the parameters give n = {params.n}"
+            f"{args.code} is in GF(q)^{loaded.type.n}, but the parameters give n = {_shown(params.n)}"
         )
     if loaded is not None and len(loaded) and loaded.flags[0].field != params.field:
         # the file names its field's modulus unless it is the default one

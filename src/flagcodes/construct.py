@@ -32,11 +32,14 @@ from .errors import (
     HypothesisUnmet,
     NotASubsequence,
     RankDeficientPrefix,
+    ResourceBudgetExceeded,
     TheoremViolated,
 )
 from .field import (
+    DEFAULT_FACTOR_BUDGET,
     FieldSpec,
     Poly,
+    _shown,
     factorize,
     field_from_order,
     iter_primitive_polys,
@@ -116,12 +119,13 @@ class ConstructionParams:
     poly_choice: int = 0
 
     def __post_init__(self):
+        k, h = _shown(self.k), _shown(self.h)
         if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+            raise ValueError(f"k must be >= 1, got {k}")
         if not 0 <= self.h < self.k:
-            raise ValueError(f"h must satisfy 0 <= h < k, got h={self.h}, k={self.k}")
+            raise ValueError(f"h must satisfy 0 <= h < k, got h={h}, k={k}")
         if self.s < 2:
-            raise ValueError(f"s must be >= 2, got {self.s}")
+            raise ValueError(f"s must be >= 2, got {_shown(self.s)}")
         if self.poly_choice < 0:
             raise ValueError("poly_choice must be nonnegative")
 
@@ -143,6 +147,17 @@ class ConstructionParams:
 
     def describe(self) -> dict:
         return {"q": self.q, "k": self.k, "h": self.h, "s": self.s, "n": self.n}
+
+
+def _check_size(params: ConstructionParams) -> None:
+    """Refuse an instance whose largest family has q^e - 1 > 10^12 members,
+    e = (s-1)k+h, forming q^e only for e < 40 (2^40 - 1 > 10^12)."""
+    e = (params.s - 1) * params.k + params.h
+    if e >= 40 or params.q**e - 1 > DEFAULT_FACTOR_BUDGET**2:
+        raise ResourceBudgetExceeded(
+            f"the largest family has q^e - 1 > 10^12 members: q = {params.q}, "
+            f"e = (s-1)k+h = {_shown(e)}"
+        )
 
 
 def master_type(params: ConstructionParams) -> TypeVector:
@@ -464,6 +479,7 @@ def build_generator_set(params: ConstructionParams) -> GeneratorSet:
     of A_i's rows holds every row of I_(ik+h), so P_i^N = I and g^N = I.
     The group order claim of run_claim_suite forms g^N once, on the g_i
     kept in ``families``, and still raises when it is not the identity."""
+    _check_size(params)
     entries: list[GeneratorEntry] = []
     families: list[tuple[MatrixGF, MatrixGF]] = []
     full_tv = TypeVector.full(params.n)
@@ -917,10 +933,12 @@ def run_claim_suite(
     ``type_`` overrides the master type used for the longer-type family,
     which runs only for s >= 3; a ``type_`` at s = 2 raises ValueError, and
     one that _longer_type refuses raises before the set is built, as does
-    a field whose pair scans _check_kernel_prime refuses.
+    a field whose pair scans _check_kernel_prime refuses, and first of all
+    an instance _check_size refuses.
     ``loaded`` optionally checks an externally supplied flag code against the
     freshly constructed family of the same type.
     """
+    _check_size(params)
     rep = VerificationReport(params.describe())
     size = params.expected_size
     k, h, s = params.k, params.h, params.s

@@ -257,19 +257,8 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: FieldSpec, coeffs: Iterable[int]):
-        codes = list(field.codes_of(coeffs))
-        while codes and codes[-1] == 0:
-            codes.pop()
         self.field = field
-        self.coeffs = tuple(codes)
-
-    @classmethod
-    def zero(cls, field: FieldSpec) -> Poly:
-        return cls(field, ())
-
-    @classmethod
-    def one(cls, field: FieldSpec) -> Poly:
-        return cls(field, (1,))
+        self.coeffs = tuple(_trim(list(field.codes_of(coeffs))))
 
     @classmethod
     def x(cls, field: FieldSpec) -> Poly:
@@ -281,10 +270,6 @@ class Poly:
         return len(self.coeffs) - 1
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -292,85 +277,35 @@ class Poly:
         if self.field != other.field:
             raise FieldMismatch("polynomials over different fields")
 
-    def __add__(self, other: Poly) -> Poly:
-        self._check(other)
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return Poly(f, out)
-
-    def __sub__(self, other: Poly) -> Poly:
-        self._check(other)
-        return self + Poly(self.field, map(self.field.neg, other.coeffs))
-
     def __mul__(self, other: Poly) -> Poly:
         self._check(other)
-        f = self.field
-        if self.is_zero or other.is_zero:
-            return Poly.zero(f)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = f.add(out[i + j], f.mul(a, b))
-        return Poly(f, out)
+        return Poly(self.field, _mul(self.field, self.coeffs, other.coeffs))
 
     def divmod(self, other: Poly) -> tuple[Poly, Poly]:
         self._check(other)
-        if other.is_zero:
-            raise DivisionByZero("polynomial division by zero")
-        f = self.field
-        rem = list(self.coeffs)
-        d = other.degree
+        f, a = self.field, list(self.coeffs)
+        rem = _mod(f, a, _monic(f, other.coeffs))
         lead_inv = f.inv(other.coeffs[-1])
-        quot = [0] * max(len(rem) - d, 0)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            factor = f.mul(c, lead_inv)
-            quot[i - d] = factor
-            for j, oc in enumerate(other.coeffs):
-                if oc:
-                    rem[i - d + j] = f.sub(rem[i - d + j], f.mul(factor, oc))
-        return Poly(f, quot), Poly(f, rem)
+        return Poly(f, [f.mul(lead_inv, c) for c in a[other.degree :]]), Poly(f, rem)
 
     def __mod__(self, other: Poly) -> Poly:
         return self.divmod(other)[1]
 
     def monic(self) -> Poly:
-        if self.is_zero:
-            return self
-        f = self.field
-        inv = f.inv(self.coeffs[-1])
-        if inv == 1:
-            return self
-        return Poly(f, [f.mul(inv, c) for c in self.coeffs])
+        return Poly(self.field, _monic(self.field, self.coeffs)) if self.coeffs else self
 
     @staticmethod
     def gcd(a: Poly, b: Poly) -> Poly:
         a._check(b)
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
+        return Poly(a.field, _gcd(a.field, a.coeffs, b.coeffs))
 
     def pow_mod(self, n: int, mod: Poly) -> Poly:
         """Compute self**n modulo ``mod`` by binary exponentiation."""
         if n < 0:
             raise ValueError("exponent must be nonnegative")
-        result = Poly.one(self.field)
-        base = self % mod
-        while n:
-            if n & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
-            n >>= 1
-        return result
+        self._check(mod)
+        f = self.field
+        return Poly(f, _pow_mod(f, self.coeffs, n, _monic(f, mod.coeffs)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
@@ -412,6 +347,67 @@ def field_from_order(
     return FieldSpec(p, e, modulus)
 
 
+# -- polynomials as code lists, lowest degree first, no trailing zero
+
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _mul(field: FieldSpec, a: Sequence, b: Sequence) -> list:
+    add, mul = field.add, field.mul
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    out[j] = add(out[j], mul(x, y))
+    return out
+
+
+def _mod(field: FieldSpec, a: list, f: Sequence) -> list:
+    """a mod the monic f of degree d, dividing a in place: a[d:] ends as
+    the quotient."""
+    d = len(f) - 1
+    sub, mul = field.sub, field.mul
+    terms = [(j, c) for j, c in enumerate(f[:d]) if c]
+    for i in range(len(a) - 1, d - 1, -1):
+        x = a[i]
+        if x:
+            for j, c in terms:
+                a[i - d + j] = sub(a[i - d + j], mul(x, c))
+    return _trim(a[:d])
+
+
+def _monic(field: FieldSpec, a: Sequence) -> Sequence:
+    if not a:
+        raise DivisionByZero("polynomial division by zero")
+    inv = field.inv(a[-1])
+    return a if inv == 1 else [field.mul(inv, c) for c in a]
+
+
+def _gcd(field: FieldSpec, a: Sequence, b: Sequence) -> Sequence:
+    """Monic gcd; a may end in zeros if b is nonzero."""
+    while b:
+        b = _monic(field, b)
+        a, b = b, _mod(field, list(a), b)
+    return _monic(field, a) if a else []
+
+
+def _pow_mod(field: FieldSpec, a: Sequence, n: int, f: Sequence) -> list:
+    """a^n mod the monic f, from the top bit of n down."""
+    if not n:
+        return [1]
+    out = base = _mod(field, list(a), f)
+    for bit in bin(n)[3:]:
+        out = _mod(field, _mul(field, out, out), f)
+        if bit == "1":
+            out = _mod(field, _mul(field, out, base), f)
+    return out
+
+
 def is_irreducible(f: Poly) -> bool:
     """True iff the monic polynomial ``f`` has no nontrivial factorization.
 
@@ -423,11 +419,13 @@ def is_irreducible(f: Poly) -> bool:
     d = f.degree
     if d < 1:
         raise DegreeMismatch("irreducibility needs degree >= 1")
-    x = Poly.x(f.field)
-    g = x
+    field, mod = f.field, f.coeffs
+    g = [0, 1]
     for _ in range(d // 2):
-        g = g.pow_mod(f.field.q, f)
-        if Poly.gcd(f, g - x).degree != 0:
+        g = _pow_mod(field, g, field.q, mod)
+        h = g + [0, 0]  # g - x
+        h[1] = field.sub(h[1], 1)
+        if len(_gcd(field, h, mod)) != 1:
             return False
     return True
 
@@ -451,14 +449,8 @@ def _has_primitive_root(f: Poly, primes: Iterable[int]) -> bool:
     if f.coeffs[0] == 0:
         # f == x: the residue of x is zero, which generates nothing
         return False
-    field = f.field
-    m = field.q**f.degree - 1
-    x = Poly.x(field)
-    one = Poly.one(field)
-    for r in primes:
-        if x.pow_mod(m // r, f) == one:
-            return False
-    return True
+    m = f.field.q**f.degree - 1
+    return all(_pow_mod(f.field, (0, 1), m // r, f.coeffs) != [1] for r in primes)
 
 
 def iter_primitive_polys(field: FieldSpec, d: int) -> Iterator[Poly]:
@@ -544,7 +536,7 @@ def field_name(field: FieldSpec) -> str:
 
 
 def _poly_term_text(f: Poly) -> str:
-    if f.is_zero:
+    if not f.coeffs:
         return "0"
     terms = []
     for i in range(f.degree, -1, -1):

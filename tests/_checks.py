@@ -3,14 +3,18 @@ acceptance suite.
 
 Everything here recomputes its target by a route independent of the code it
 checks: vector-set enumeration instead of rank arithmetic, successive
-multiplication instead of factored order tests, explicit row-times-matrix
+multiplication instead of factored order tests and trial division by
+every monic polynomial instead of Rabin's gcd test, both on plain code
+lists with no Poly arithmetic (``x_order``, ``brute_force_irreducible``),
+explicit row-times-matrix
 products instead of the shift structure being verified and of the packed
 GF(2) product (``mat_mul_oracle``), pair-by-pair
 ``subspace_distance`` / ``flag_distance`` calls instead of the cached
 level-by-level code scan, projected codes built from their own words
 instead of read off the flag code's profile and part keys, one
-elimination basis per pair instead of the bit-sliced scan over the prime
-field, and whole-matrix Gauss-Jordan
+elimination basis per pair (``pairwise_profile``, kept per code for the
+session by ``code_profile_oracle``) instead of the bit-sliced scan over
+the prime field, and whole-matrix Gauss-Jordan
 elimination (``rref_oracle``, and on it ``normal_form_oracle``) instead of
 the one-row-at-a-time echelon pass that ``MatrixGF.rref``, ``subspace_of``
 and ``flag_from_matrix`` share, flags rebuilt through the nesting-checked
@@ -227,6 +231,52 @@ def field_tables_oracle(field: fc.FieldSpec) -> tuple[list, list, list, list]:
     return add, mul, neg, inv
 
 
+# -- polynomial oracles on plain code lists -------------------------------------
+
+
+def x_order(f: fc.Poly) -> int:
+    """Multiplicative order of x modulo the monic f by successive
+    multiplication by x, on code lists: shift up one degree, then subtract
+    the coefficient that reaches degree d times f.  Independent of the
+    factored primitivity test and of Poly arithmetic; requires a nonzero
+    constant term so that x is a unit in the quotient."""
+    field, coeffs = f.field, f.coeffs
+    d = len(coeffs) - 1
+    assert d >= 1 and coeffs[0] != 0 and coeffs[d] == 1
+    one = [1] + [0] * (d - 1)
+    g = one
+    bound = field.q**d
+    for t in range(1, bound):
+        top = g[-1]
+        g = [field.sub(a, field.mul(top, c)) for a, c in zip([0] + g[:-1], coeffs)]
+        if g == one:
+            return t
+    raise AssertionError("order search ran away")
+
+
+def _divides(field: fc.FieldSpec, g: list[int], f: tuple[int, ...]) -> bool:
+    """Whether the monic g divides f: long division that takes off f's top
+    term, one degree at a time."""
+    rem = list(f)
+    m = len(g) - 1
+    while len(rem) > m:
+        top = rem.pop()
+        shift = len(rem) - m
+        for j in range(m):
+            rem[shift + j] = field.sub(rem[shift + j], field.mul(top, g[j]))
+    return not any(rem)
+
+
+def brute_force_irreducible(f: fc.Poly) -> bool:
+    """Trial division by every monic polynomial of degree 1..deg/2."""
+    field = f.field
+    for deg in range(1, f.degree // 2 + 1):
+        for lower in product(range(field.q), repeat=deg):
+            if _divides(field, list(lower) + [1], f.coeffs):
+                return False
+    return True
+
+
 # -- companion-matrix row structure ----------------------------------------------
 
 
@@ -400,16 +450,19 @@ def check_projection(code: fc.FlagCode, i: int) -> tuple[fc.SubspaceCode, Counte
 
 
 def check_scan_against_pairwise(code: fc.FlagCode) -> int:
-    """The code's cached distance profile, its flag-distance spectrum, and
-    every projected code's spectrum and minimum distance, own scan and as
-    read off the code (check_projection), must match the pair-by-pair
-    oracle.  Returns the number of flag pairs checked."""
-    profile: Counter = Counter()
-    sums: Counter = Counter()
-    for f, g in combinations(code.flags, 2):
-        profile[tuple(fc.subspace_distance(u, v) for u, v in zip(f.parts, g.parts))] += 1
-        sums[fc.flag_distance(f, g)] += 1
+    """The code's cached distance profile must equal the per-pair oracle's
+    (code_profile_oracle), flag_distance called pair by pair must give the
+    oracle's flag-distance spectrum, and every projected code's spectrum
+    and minimum distance, own scan and as read off the code
+    (check_projection), must match subspace_distance called pair by pair.
+    Returns the number of flag pairs checked."""
+    profile = code_profile_oracle(code)
+    sums = Counter(fc.flag_distance(f, g) for f, g in combinations(code.flags, 2))
     assert code.distance_profile() == profile
+    want: Counter = Counter()
+    for vec, count in profile.items():
+        want[sum(vec)] += count
+    assert sums == want
     if len(code) >= 2:
         assert fc.code_flag_min_distance(code) == min(sums)
     for i in range(1, code.type.r + 1):
@@ -501,10 +554,26 @@ def pairwise_profile(chains) -> Counter:
             vec = []
             for (rows_a, dim_a, field), (rows_b, dim_b, _) in zip(a, b):
                 for row in rows_a + rows_b:
+                    if rank == len(row):
+                        break  # the basis spans GF(q)^n: no row adds to it
                     rank += insert(piv, row, field)
                 vec.append(2 * rank - dim_a - dim_b)
             profile[tuple(vec)] += 1
     return profile
+
+
+# the per-pair oracle's profile of every flag code it has run on, for the
+# whole session: a code is keyed by its field, type and flag keys, so the
+# tests that check one code share one run
+_CODE_PROFILES: dict[tuple, Counter] = {}
+
+
+def code_profile_oracle(code: fc.FlagCode) -> Counter:
+    """pairwise_profile of the code's flags, computed once per session."""
+    key = (code.flags[0].field if len(code) else None, code.type, tuple(f.key for f in code))
+    if key not in _CODE_PROFILES:
+        _CODE_PROFILES[key] = pairwise_profile([f.parts for f in code])
+    return Counter(_CODE_PROFILES[key])
 
 
 # -- Gauss-Jordan RREF, and prefix subspaces through a fresh RREF per prefix ------

@@ -281,10 +281,11 @@ class TestVerify:
         assert any("loaded.cardinality" in ln for ln in failing)
 
     def test_budget_exhaustion_exit_code(self, capsys):
-        # f_1 has degree 67, and 2^67 - 1 has no prime factor below 10^6
+        # f_1 has degree 67: the family's 2^67 - 1 members are past 10^12,
+        # so the instance is refused before 2^67 - 1 is factored
         rc, stdout, stderr = run(capsys, "verify", "--q", "2", "--k", "67", "--h", "0", "--s", "2")
         assert (rc, stdout) == (3, "")
-        assert "needs trial divisors beyond 1000000" in stderr
+        assert "> 10^12 members: q = 2, e = (s-1)k+h = 67" in stderr
 
     def test_poly_choice_past_last_polynomial(self, capsys):
         # GF(2) has a single primitive quadratic
@@ -555,6 +556,46 @@ class TestNamedFieldRefusals:
             "--modulus", "x^2+x+1 over GF(2)",
         )
         assert (rc, stderr) == (2, "error: 6 is not a prime power\n")
+
+
+class TestOversizedInstances:
+    """An instance whose largest family has more than 10^12 members is
+    refused (exit 3) before its polynomial search and before anything is
+    sized off it; a value of any length reaches the same checks, and no
+    message spells out a huge number."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--k", "9" * 50, "--s", "2"],
+        ["verify", "--k", "2", "--s", "9" * 3999],
+        ["verify", "--k", "100", "--s", "2"],
+        ["verify", "--k", "100000", "--s", "2"],
+        ["verify", "--k", "10000000", "--s", "2"],
+        ["construct", "--k", "100", "--s", "3"],
+        ["construct", "--k", "100", "--s", "3", "--family", "longer"],
+        ["spectrum", "--k", "100", "--s", "3", "--family", "longer"],
+    ], ids=["k-50-digits", "s-3999-digits", "k-100", "k-100000", "k-10^7",
+            "construct", "construct-longer", "spectrum-longer"])
+    def test_refused_before_the_search(self, capsys, monkeypatch, argv):
+        def searched(field, d):
+            raise AssertionError("a primitive polynomial was searched for")
+
+        monkeypatch.setattr("flagcodes.construct.iter_primitive_polys", searched)
+        start = perf_counter()
+        rc, stdout, stderr = run(capsys, *argv, "--q", "2", "--h", "0")
+        assert perf_counter() - start < 1
+        assert (rc, stdout) == (3, "") and len(stderr) < 300
+        assert "the largest family has q^e - 1 > 10^12 members" in stderr
+
+    @pytest.mark.parametrize("option", ["--q", "--k", "--h", "--s"])
+    def test_huge_values_past_the_int_to_str_limit(self, capsys, option):
+        # int() reads at most 4,300 digits; 4,301 must fare as 3,999 do
+        results = []
+        for digits in (3999, 4301):
+            values = {"--q": "2", "--k": "2", "--h": "0", "--s": "2", option: "9" * digits}
+            rc, stdout, stderr = run(capsys, "verify", *(t for pair in values.items() for t in pair))
+            assert stdout == "" and len(stderr) < 300
+            results.append(rc)
+        assert results[0] == results[1] == (2 if option == "--h" else 3)
 
 
 class TestDistance:

@@ -22,6 +22,7 @@ from flagcodes.errors import (
     DimMismatch,
     FactorizationTooLarge,
     NotASubsequence,
+    ResourceBudgetExceeded,
     Singular,
     TheoremViolated,
 )
@@ -43,6 +44,23 @@ class TestParams:
     def test_derived(self):
         assert P223.n == 7 and P223.q == 2
         assert P223.expected_size == 8 + 32 + 1
+
+    def test_huge_values_named_by_bit_length(self):
+        for k, h, s in [(2, 10**4000, 2), (-(10**4000), 0, 2), (2, 0, -(10**4000))]:
+            with pytest.raises(ValueError, match="a 13288-bit number") as exc:
+                fc.ConstructionParams.make(2, k, h, s)
+            assert len(str(exc.value)) < 100
+
+    @pytest.mark.parametrize("q,e", [(2, 40), (3, 26), (1031, 4)])
+    def test_oversized_instances_refused_first(self, monkeypatch, q, e):
+        # q^(e-1) - 1 <= 10^12 < q^e - 1: the largest family's size decides
+        construct._check_size(fc.ConstructionParams.make(q, e - 1, 0, 2))
+        monkeypatch.setattr(construct, "iter_primitive_polys", None)
+        monkeypatch.setattr(construct, "master_type", None)
+        for params in (fc.ConstructionParams.make(q, e, 0, 2), fc.ConstructionParams.make(q, 1, 0, e + 1)):
+            for build in (fc.run_claim_suite, fc.build_generator_set):
+                with pytest.raises(ResourceBudgetExceeded, match=f"> 10\\^12 members: q = {q}, e = \\(s-1\\)k\\+h = {e}$"):
+                    build(params)
 
 
 class TestBuildP:

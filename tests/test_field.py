@@ -20,45 +20,7 @@ from flagcodes.errors import (
     ReducibleModulus,
 )
 
-from _checks import field_tables_oracle
-
-
-def x_order(f: fc.Poly) -> int:
-    """Multiplicative order of x modulo f by successive multiplication.
-
-    Independent of the factored primitivity test; requires a nonzero
-    constant term so that x is a unit in the quotient.
-    """
-    assert f.coeffs[0] != 0
-    field = f.field
-    x = fc.Poly.x(field)
-    one = fc.Poly.one(field)
-    g = x % f
-    t = 1
-    bound = field.q ** f.degree
-    while g != one:
-        g = (g * x) % f
-        t += 1
-        assert t <= bound, "order search ran away"
-    return t
-
-
-def brute_force_irreducible(f: fc.Poly) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg/2."""
-    field = f.field
-    d = f.degree
-    for deg in range(1, d // 2 + 1):
-        for code in range(field.q**deg):
-            coeffs = []
-            m = code
-            for _ in range(deg):
-                coeffs.append(m % field.q)
-                m //= field.q
-            coeffs.append(1)
-            g = fc.Poly(field, coeffs)
-            if (f % g).is_zero:
-                return False
-    return True
+from _checks import brute_force_irreducible, field_tables_oracle, x_order
 
 
 class TestFieldMake:
@@ -338,6 +300,26 @@ class TestPrimitivity:
             seen.add(g.coeffs)
             g = (g * x) % f
         assert len(seen) == q**d - 1
+
+
+class TestSearchAgainstOracles:
+    """The search and the irreducibility test against x_order and
+    brute_force_irreducible, oracles on plain code lists that call no Poly
+    arithmetic: every monic candidate of every degree d with q^d <= 512."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_every_small_degree(self, q):
+        field = fc.field_from_order(q)
+        d = 1
+        while q**d <= 512:
+            primitive = []
+            for lower in itertools.product(range(q), repeat=d):  # in code order
+                f = fc.Poly(field, lower[::-1] + (1,))
+                assert fc.is_irreducible(f) == brute_force_irreducible(f), f
+                if f.coeffs[0] and x_order(f) == q**d - 1:
+                    primitive.append(f)
+            assert list(fc.iter_primitive_polys(field, d)) == primitive
+            d += 1
 
 
 class TestFactorize:

@@ -31,6 +31,7 @@ from _checks import (
     SWEEP_CHOICES,
     check_projection,
     choice_ids,
+    code_profile_oracle,
     every_full_flag_of_gf2_3,
     pairwise_profile,
     pairwise_spectrum,
@@ -61,9 +62,9 @@ def check_chains(chains, want: Counter | None = None) -> int:
 def check_code(code: fc.FlagCode) -> int:
     """check_chains on a flag code's parts, and the code's own profile (its
     flags' level rows, or its parent's profile) equal to the oracle's; the
-    oracle runs once for both."""
+    oracle runs once per session for each code (code_profile_oracle)."""
     chains = [f.parts for f in code]
-    want = pairwise_profile(chains)
+    want = code_profile_oracle(code)
     pairs = check_chains(chains, want)
     assert code.distance_profile() == want
     return pairs
