@@ -21,14 +21,13 @@ pass/fail reports rather than aborting.
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterator
-from dataclasses import dataclass, field as dataclass_field
+from collections.abc import Callable, Iterator
 from itertools import islice
 from time import perf_counter
-from typing import Callable
 
 from .errors import (
     CardinalityMismatch,
+    Frozen,
     HypothesisUnmet,
     NotASubsequence,
     RankDeficientPrefix,
@@ -39,6 +38,7 @@ from .field import (
     DEFAULT_FACTOR_BUDGET,
     FieldSpec,
     Poly,
+    _primitive_count,
     _shown,
     factorize,
     field_from_order,
@@ -102,8 +102,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConstructionParams:
+class ConstructionParams(Frozen):
     """Input bundle (q, k, h, s) with n = sk + h, plus reproducibility knobs.
 
     ``poly_choice`` selects the poly_choice-th smallest primitive polynomial
@@ -112,22 +111,36 @@ class ConstructionParams:
     independence check.
     """
 
-    field: FieldSpec
-    k: int
-    h: int
-    s: int
-    poly_choice: int = 0
+    __slots__ = ("field", "k", "h", "s", "poly_choice")
 
-    def __post_init__(self):
-        k, h = _shown(self.k), _shown(self.h)
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if not 0 <= self.h < self.k:
-            raise ValueError(f"h must satisfy 0 <= h < k, got h={h}, k={k}")
-        if self.s < 2:
-            raise ValueError(f"s must be >= 2, got {_shown(self.s)}")
-        if self.poly_choice < 0:
+    def __init__(self, field: FieldSpec, k: int, h: int, s: int, poly_choice: int = 0):
+        shown_k, shown_h = _shown(k), _shown(h)
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {shown_k}")
+        if not 0 <= h < k:
+            raise ValueError(f"h must satisfy 0 <= h < k, got h={shown_h}, k={shown_k}")
+        if s < 2:
+            raise ValueError(f"s must be >= 2, got {_shown(s)}")
+        if poly_choice < 0:
             raise ValueError("poly_choice must be nonnegative")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "poly_choice", poly_choice)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.k, self.h, self.s, self.poly_choice) == (
+            other.field, other.k, other.h, other.s, other.poly_choice)
+
+    def __hash__(self):
+        return hash((self.field, self.k, self.h, self.s, self.poly_choice))
+
+    def __repr__(self):
+        return (f"ConstructionParams(field={self.field!r}, k={self.k!r}, h={self.h!r}, "
+                f"s={self.s!r}, poly_choice={self.poly_choice!r})")
 
     @classmethod
     def make(cls, q: int, k: int, h: int, s: int, **kwargs) -> ConstructionParams:
@@ -210,23 +223,32 @@ def _unguaranteed_dims(params: ConstructionParams, tv: TypeVector) -> list[int]:
 
 
 # (field, degree) -> (the primitive polynomials found so far, in
-# increasing code order, and the search that resumes after the last of them)
-_primitive_searches: dict[tuple, tuple[list[Poly], Iterator[Poly]]] = {}
+# increasing code order, the search that resumes after the last of them,
+# and how many there are)
+_primitive_searches: dict[tuple, tuple[list[Poly], Iterator[Poly], int]] = {}
 
 
 def _primitive_poly(field: FieldSpec, degree: int, choice: int) -> Poly:
     """The choice-th smallest primitive polynomial.
 
     One search runs per (field, degree): a later call that needs a larger
-    choice resumes it where it stopped.  A search that runs out raises
-    ValueError on every call; one that fails (a factorization past the
-    trial-division bound) is dropped, so the next call raises the same
-    error again."""
+    choice resumes it where it stopped.  A choice past the number of
+    primitive polynomials raises ValueError before any search.  A search
+    whose factorization of q^degree - 1 fails (past the trial-division
+    bound) is not kept, and neither is one that raised, so the next call
+    raises the same error again."""
     key = (field, degree)
     search = _primitive_searches.get(key)
     if search is None:
-        search = _primitive_searches[key] = ([], iter_primitive_polys(field, degree))
-    found, rest = search
+        search = _primitive_searches[key] = (
+            [], iter_primitive_polys(field, degree), _primitive_count(field, degree)
+        )
+    found, rest, count = search
+    if choice >= count:
+        raise ValueError(
+            f"poly_choice {_shown(choice)} needs {_shown(choice + 1)} primitive polynomials "
+            f"of degree {degree} over {field}; there are only {count}"
+        )
     if len(found) <= choice:
         try:
             found.extend(islice(rest, choice + 1 - len(found)))
@@ -234,12 +256,7 @@ def _primitive_poly(field: FieldSpec, degree: int, choice: int) -> Poly:
             # a generator that raised is finished: the next call starts anew
             del _primitive_searches[key]
             raise
-    if choice < len(found):
-        return found[choice]
-    raise ValueError(
-        f"poly_choice {choice} needs {choice + 1} primitive polynomials of degree "
-        f"{degree} over {field}; there are only {len(found)}"
-    )
+    return found[choice]
 
 
 def _family_poly(params: ConstructionParams, i: int) -> Poly:
@@ -399,21 +416,39 @@ def _block_windows(params: ConstructionParams, i: int) -> Callable[[int], tuple]
     return rows
 
 
-@dataclass(frozen=True)
-class GeneratorEntry:
+class GeneratorEntry(Frozen):
     """One generator matrix, by its provenance inside the family, as the
     full-type flag of its row prefixes; ``flag.source`` is the matrix.
-    ``normal`` is the normal of its row space, a hyperplane."""
+    ``normal`` is the normal of its row space, a hyperplane.
 
-    kind: str  # "A" | "B" | "M"
-    index: int | None  # family index i, None for M
-    power: int | None  # group-element exponent t, only for kind "A"
-    flag: Flag
-    normal: object  # a bitmask over GF(2), a code tuple otherwise
+    ``kind`` is "A", "B" or "M"; ``index`` is the family index i, None for
+    M; ``power`` is the group-element exponent t, only for kind "A";
+    ``normal`` is a bitmask over GF(2), a code tuple otherwise."""
+
+    __slots__ = ("kind", "index", "power", "flag", "normal")
+
+    def __init__(self, kind: str, index: int | None, power: int | None, flag: Flag, normal: object):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "flag", flag)
+        object.__setattr__(self, "normal", normal)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.index, self.power, self.flag, self.normal) == (
+            other.kind, other.index, other.power, other.flag, other.normal)
+
+    def __hash__(self):
+        return hash((self.kind, self.index, self.power, self.flag, self.normal))
+
+    def __repr__(self):
+        return (f"GeneratorEntry(kind={self.kind!r}, index={self.index!r}, "
+                f"power={self.power!r}, flag={self.flag!r}, normal={self.normal!r})")
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(Frozen):
     """All generator matrices of the construction, the full-type code of
     their flags, and per family i (at index i - 1) the pair (g_i, A_i) that
     the family's matrices A_i g^t were built from.
@@ -427,16 +462,37 @@ class GeneratorSet:
     scanning its own pairs.  Each typed code is restricted once and kept,
     so every claim on a type reads one code.  The claims read projected
     codes off ``full`` too (flags._words_at, flags._distances_at), and the
-    group and orbit claims read ``families``.
+    group and orbit claims read ``families``.  Equality, hashing and the
+    repr leave the cache of typed codes out.
     """
 
-    params: ConstructionParams
-    entries: tuple[GeneratorEntry, ...]
-    full: FlagCode
-    families: tuple[tuple[MatrixGF, MatrixGF], ...]
-    _restrictions: dict[TypeVector, FlagCode] = dataclass_field(
-        default_factory=dict, compare=False, repr=False
-    )
+    __slots__ = ("params", "entries", "full", "families", "_restrictions")
+
+    def __init__(
+        self,
+        params: ConstructionParams,
+        entries: tuple[GeneratorEntry, ...],
+        full: FlagCode,
+        families: tuple[tuple[MatrixGF, MatrixGF], ...],
+    ):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "full", full)
+        object.__setattr__(self, "families", families)
+        object.__setattr__(self, "_restrictions", {})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.params, self.entries, self.full, self.families) == (
+            other.params, other.entries, other.full, other.families)
+
+    def __hash__(self):
+        return hash((self.params, self.entries, self.full, self.families))
+
+    def __repr__(self):
+        return (f"GeneratorSet(params={self.params!r}, entries={self.entries!r}, "
+                f"full={self.full!r}, families={self.families!r})")
 
     def entry(self, kind: str, index: int | None = None, power: int | None = None) -> GeneratorEntry:
         for e in self.entries:
@@ -594,29 +650,59 @@ def _checked_code(gen: GeneratorSet, claims: Callable[..., FlagCode], *args) -> 
 # -- verification reports -------------------------------------------------------
 
 
-@dataclass
 class Claim:
     """One checked statement with its expected and computed values."""
 
-    claim_id: str
-    statement: str
-    expected: object
-    computed: object
-    passed: bool
-    seconds: float
+    __slots__ = ("claim_id", "statement", "expected", "computed", "passed", "seconds")
+
+    def __init__(self, claim_id: str, statement: str, expected: object, computed: object,
+                 passed: bool, seconds: float):
+        self.claim_id = claim_id
+        self.statement = statement
+        self.expected = expected
+        self.computed = computed
+        self.passed = passed
+        self.seconds = seconds
+
+    # mutable, so unhashable: defining __eq__ alone sets __hash__ to None
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.claim_id, self.statement, self.expected, self.computed, self.passed,
+                self.seconds) == (other.claim_id, other.statement, other.expected,
+                                  other.computed, other.passed, other.seconds)
+
+    def __repr__(self):
+        return (f"Claim(claim_id={self.claim_id!r}, statement={self.statement!r}, "
+                f"expected={self.expected!r}, computed={self.computed!r}, "
+                f"passed={self.passed!r}, seconds={self.seconds!r})")
 
     def to_text(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
         return f'{self.claim_id} {self.expected!r} {self.computed!r} {verdict} "{self.statement}"'
 
 
-@dataclass
 class VerificationReport:
     """Structured pass/fail record of every checked claim."""
 
-    params: dict
-    type_dims: tuple[int, ...] | None = None
-    claims: list[Claim] = dataclass_field(default_factory=list)
+    __slots__ = ("params", "type_dims", "claims")
+
+    def __init__(self, params: dict, type_dims: tuple[int, ...] | None = None,
+                 claims: list[Claim] | None = None):
+        self.params = params
+        self.type_dims = type_dims
+        self.claims = [] if claims is None else claims
+
+    # mutable, so unhashable: defining __eq__ alone sets __hash__ to None
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.params, self.type_dims, self.claims) == (
+            other.params, other.type_dims, other.claims)
+
+    def __repr__(self):
+        return (f"VerificationReport(params={self.params!r}, type_dims={self.type_dims!r}, "
+                f"claims={self.claims!r})")
 
     def check(
         self,

@@ -1,10 +1,32 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the base of its frozen
+records.
 
-Each class names one failure mode of the public operations, so callers can
-catch precisely and the CLI can map failures onto stable exit codes.
+Each exception class names one failure mode of the public operations, so
+callers can catch precisely and the CLI can map failures onto stable exit
+codes.
 """
 
 from __future__ import annotations
+
+
+class Frozen:
+    """Base of the immutable records: an assignment or deletion of any
+    attribute raises AttributeError.  A subclass lists its fields in
+    ``__slots__``, sets them in ``__init__`` through ``object.__setattr__``,
+    and writes its own ``__eq__``, ``__hash__`` and ``__repr__``.  Copies and
+    unpickled records get their fields back through ``__setstate__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 class FlagCodesError(Exception):

@@ -462,11 +462,29 @@ def iter_primitive_polys(field: FieldSpec, d: int) -> Iterator[Poly]:
     """
     if d < 1:
         raise DegreeMismatch("degree must be >= 1")
-    # every candidate shares q^d - 1, so it is factored once
-    primes = tuple(factorize(field.q**d - 1))
+    primes = _order_primes(field.q, d)
     for f in _irreducibles(field, d):
         if _has_primitive_root(f, primes):
             yield f
+
+
+@functools.lru_cache(maxsize=None)
+def _order_primes(q: int, d: int) -> tuple[int, ...]:
+    """The prime divisors of q^d - 1, the order of GF(q^d)*.  Every candidate
+    of a search shares them, and so does the count that a search is checked
+    against first (_primitive_count), so they are factored once per (q, d);
+    a failed factorization is not kept, and raises again."""
+    return tuple(factorize(q**d - 1))
+
+
+def _primitive_count(field: FieldSpec, d: int) -> int:
+    """The number of monic primitive polynomials of degree d over the field,
+    phi(q^d - 1)/d: each is the minimal polynomial of d conjugate primitive
+    elements of GF(q^d) (Lidl and Niederreiter, Thm 3.5)."""
+    m = field.q**d - 1
+    for r in _order_primes(field.q, d):
+        m = m // r * (r - 1)
+    return m // d
 
 
 def _irreducibles(field: FieldSpec, d: int) -> Iterator[Poly]:

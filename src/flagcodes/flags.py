@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import (
     AmbientMismatch,
     EllOutOfRange,
+    Frozen,
     IndexOutOfRange,
     NotASubsequence,
     RankDeficientPrefix,
@@ -72,25 +72,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TypeVector:
+class TypeVector(Frozen):
     """A strictly increasing vector of subspace dimensions inside GF(q)^n."""
 
-    n: int
-    dims: tuple[int, ...]
+    __slots__ = ("n", "dims")
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"ambient dimension {self.n} is too small")
-        if not self.dims:
+    def __init__(self, n: int, dims: tuple[int, ...]):
+        if n < 2:
+            raise ValueError(f"ambient dimension {n} is too small")
+        if not dims:
             raise ValueError("a type vector needs at least one dimension")
         prev = 0
-        for d in self.dims:
-            if not 1 <= d <= self.n - 1:
-                raise ValueError(f"dimension {d} outside [1, {self.n - 1}]")
+        for d in dims:
+            if not 1 <= d <= n - 1:
+                raise ValueError(f"dimension {d} outside [1, {n - 1}]")
             if d <= prev:
                 raise ValueError(f"dimensions not strictly increasing at {d}")
             prev = d
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "dims", dims)
+
+    # the fields written out, not looped over: FlagCode compares every
+    # flag's type with its own
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.dims == other.dims
+
+    def __hash__(self):
+        return hash((self.n, self.dims))
+
+    def __repr__(self):
+        return f"TypeVector(n={self.n!r}, dims={self.dims!r})"
 
     @classmethod
     def full(cls, n: int) -> TypeVector:
@@ -123,20 +136,31 @@ class TypeVector:
             raise IndexOutOfRange(f"dimension {dim} not in type {self.dims}") from None
 
 
-@dataclass(frozen=True)
-class AbIndices:
+class AbIndices(Frozen):
     """The 1-based indices a = max{i : 2 t_i <= n} and b = min{i : 2 t_i >= n}.
 
     They never both vanish; both exist with a == b exactly when n is even and
     n/2 is a type dimension, and otherwise b == a + 1 whenever both exist.
     """
 
-    a: int | None
-    b: int | None
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if self.a is None and self.b is None:
+    def __init__(self, a: int | None, b: int | None):
+        if a is None and b is None:
             raise ValueError("at least one of a and b must exist")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b) == (other.a, other.b)
+
+    def __hash__(self):
+        return hash((self.a, self.b))
+
+    def __repr__(self):
+        return f"AbIndices(a={self.a!r}, b={self.b!r})"
 
 
 def ab_indices(tv: TypeVector) -> AbIndices:
@@ -421,13 +445,29 @@ def _distances_at(code: FlagCode, i: int) -> set[int]:
     return {vec[i] for vec in code.distance_profile() if vec[i]}
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Frozen):
     """Where a code's distance sits below the maximum for its type."""
 
-    min_distance: int
-    max_distance: int
-    deficit: int  # min_distance == max_distance - 2 * deficit
+    __slots__ = ("min_distance", "max_distance", "deficit")
+
+    def __init__(self, min_distance: int, max_distance: int, deficit: int):
+        object.__setattr__(self, "min_distance", min_distance)
+        object.__setattr__(self, "max_distance", max_distance)
+        # min_distance == max_distance - 2 * deficit
+        object.__setattr__(self, "deficit", deficit)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.min_distance, self.max_distance, self.deficit) == (
+            other.min_distance, other.max_distance, other.deficit)
+
+    def __hash__(self):
+        return hash((self.min_distance, self.max_distance, self.deficit))
+
+    def __repr__(self):
+        return (f"Classification(min_distance={self.min_distance!r}, "
+                f"max_distance={self.max_distance!r}, deficit={self.deficit!r})")
 
     @property
     def label(self) -> str:

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import cache
 from operator import attrgetter, getitem
 
 from .errors import (
     AmbientMismatch,
     DimMismatch,
+    Frozen,
     HypothesisUnmet,
     NotConstantDim,
     ResourceBudgetExceeded,
@@ -623,16 +623,21 @@ def max_partial_spread_size(q: int, k: int, n: int) -> int:
     return num // den + 1
 
 
-@dataclass(frozen=True)
-class GroupElementSeq:
+class GroupElementSeq(Frozen):
     """A cyclic matrix group given by a generator and its multiplicative order.
 
     Only the generator is stored; the orbit walk steps its images by it
     instead of forming its powers.
     """
 
-    generator: MatrixGF
-    order: int
+    __slots__ = ("generator", "order")
+
+    def __init__(self, generator: MatrixGF, order: int):
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "order", order)
+        # the checks stay a method of their own, called through self, since
+        # benchmark/tracer.py wraps GroupElementSeq.__post_init__ by name
+        self.__post_init__()
 
     def __post_init__(self):
         g = self.generator
@@ -642,6 +647,17 @@ class GroupElementSeq:
             raise ValueError("group order must be positive")
         if g**self.order != MatrixGF.identity(g.field, g.nrows):
             raise ValueError("generator**order is not the identity")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.generator, self.order) == (other.generator, other.order)
+
+    def __hash__(self):
+        return hash((self.generator, self.order))
+
+    def __repr__(self):
+        return f"GroupElementSeq(generator={self.generator!r}, order={self.order!r})"
 
     @property
     def ambient(self) -> int:

@@ -519,13 +519,25 @@ def every_full_flag_of_gf2_3() -> fc.FlagCode:
 def pairwise_profile(chains) -> Counter:
     """The per-level distance profile of nested chains over any field, one
     elimination basis per pair: the oracle for the bit-sliced scan.  Rows
-    are the code tuples of each part's canonical generator, reduced with
-    the field's own ``sub`` and ``mul``; each chain's level rows are the
-    canonical rows independent of its lower levels, and a pair's basis
-    takes both chains' level rows in turn, rk[U_i; V_i] being its rank
-    after level i."""
+    are each part's canonical generator rows: over GF(2) as bitmasks,
+    reduced by XOR, and otherwise as code tuples, reduced with the field's
+    own ``sub`` and ``mul``.  Each chain's level rows are the canonical rows
+    independent of its lower levels, and a pair's basis takes both chains'
+    level rows in turn, rk[U_i; V_i] being its rank after level i."""
 
-    def insert(piv: dict, row, field) -> bool:
+    def insert_bits(piv: dict, row: int, field) -> bool:
+        # pivots are keyed by their lowest bit, which XOR with a row that
+        # has the same lowest bit clears
+        while row:
+            low = row & -row
+            base = piv.get(low)
+            if base is None:
+                piv[low] = row
+                return True
+            row ^= base
+        return False
+
+    def insert_codes(piv: dict, row, field) -> bool:
         sub, mul = field.sub, field.mul
         for c in range(len(row)):
             x = row[c]
@@ -538,23 +550,30 @@ def pairwise_profile(chains) -> Counter:
                 row = [sub(a, mul(x, b)) if b else a for a, b in zip(row, base)]
         return False
 
+    def level(piv: dict, part):
+        # (the part's rows independent of the lower levels, its dim, field,
+        # insertion and ambient dimension)
+        field, rows = part.field, part.canon.int_rows()
+        insert = insert_codes
+        if field.q == 2:
+            insert = insert_bits
+            rows = [sum(x << j for j, x in enumerate(row)) for row in rows]
+        return ([row for row in rows if insert(piv, row, field)], part.dim, field, insert,
+                part.ambient)
+
     levels = []
     for chain in chains:
         piv: dict = {}
-        levels.append([
-            ([row for row in part.canon.int_rows() if insert(piv, row, part.field)],
-             part.dim, part.field)
-            for part in chain
-        ])
+        levels.append([level(piv, part) for part in chain])
     profile: Counter = Counter()
     for i, a in enumerate(levels):
         for b in levels[i + 1 :]:
             piv = {}
             rank = 0
             vec = []
-            for (rows_a, dim_a, field), (rows_b, dim_b, _) in zip(a, b):
+            for (rows_a, dim_a, field, insert, n), (rows_b, dim_b, *_) in zip(a, b):
                 for row in rows_a + rows_b:
-                    if rank == len(row):
+                    if rank == n:
                         break  # the basis spans GF(q)^n: no row adds to it
                     rank += insert(piv, row, field)
                 vec.append(2 * rank - dim_a - dim_b)

@@ -296,6 +296,22 @@ class TestVerify:
         assert rc == 2
         assert stderr.count("\n") == 1 and "degree 2 over GF(2)" in stderr
 
+    @pytest.mark.parametrize("choice", [str(2**63), "9" * 3999], ids=["2^63", "3999-digits"])
+    def test_poly_choice_past_every_polynomial_refused_before_the_search(self, capsys, choice):
+        # GF(2) has phi(3)/2 = 1 primitive quadratic: a choice past it is
+        # refused by that count, not by the search, however large it is
+        start = perf_counter()
+        rc, stdout, stderr = run(
+            capsys, "verify", "--q", "2", "--k", "2", "--h", "0", "--s", "2",
+            "--poly-choice", choice,
+        )
+        assert perf_counter() - start < 1
+        assert (rc, stdout) == (2, "")
+        assert len(stderr.encode()) < 300 and stderr.count("\n") == 1
+        assert "degree 2 over GF(2); there are only 1" in stderr
+        shown = choice if len(choice) < 40 else "a 13285-bit number"
+        assert f"poly_choice {shown} needs" in stderr
+
 
 class TestAmbientOnDisk:
     """verify --code refuses a file whose n is not the parameters' n."""

@@ -285,9 +285,29 @@ class TestPrimitivity:
         monkeypatch.setattr(flagcodes.field, "factorize", counting)
         for q, d, count in self.SEARCHES:
             field = fc.field_from_order(q)  # which factors q
+            flagcodes.field._order_primes.cache_clear()
             calls.clear()
             assert len(list(fc.iter_primitive_polys(field, d))) == count
             assert calls == [q**d - 1]
+            # the count and a second search share that factorization
+            assert flagcodes.field._primitive_count(field, d) == count
+            assert len(list(fc.iter_primitive_polys(field, d))) == count
+            assert calls == [q**d - 1]
+
+    def test_count_matches_the_search(self):
+        # phi(q^d - 1)/d, for every field order q and degree d with q^d <= 512
+        checked = 0
+        for q in range(2, 513):
+            if len(fc.factorize(q)) > 1:
+                continue
+            field = fc.field_from_order(q)
+            d = 1
+            while q**d <= 512:
+                count = flagcodes.field._primitive_count(field, d)
+                assert count == len(list(fc.iter_primitive_polys(field, d))), (q, d)
+                checked += 1
+                d += 1
+        assert checked == 144
 
     @pytest.mark.parametrize("q,d", [(2, 4), (2, 8), (2, 10), (3, 4), (4, 3), (5, 2)])
     def test_powers_visit_every_nonzero_residue(self, q, d):

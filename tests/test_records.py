@@ -3,12 +3,19 @@
 Each record compares by its fields, hashes by them when it is frozen, refuses
 assignment when it is frozen, prints a ``Name(field=value, ...)`` repr, gets
 fresh mutable defaults per instance, and survives ``copy`` and ``pickle``.
+The records are plain classes, so importing the package loads none of the
+modules that ``dataclasses`` and ``typing`` bring in.
 """
 
 from __future__ import annotations
 
 import copy
+import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -170,3 +177,15 @@ def test_keywords_and_defaults():
     assert fc.Claim(claim_id="x", statement="s", expected=1, computed=1, passed=True,
                     seconds=0.0) == fc.Claim("x", "s", 1, 1, True, 0.0)
     assert fc.VerificationReport(params={}, type_dims=(1,)).type_dims == (1,)
+
+
+def test_import_loads_no_code_generation_modules():
+    # -S: no site module, so only the package's own imports are seen
+    heavy = ["dataclasses", "inspect", "typing", "ast", "dis", "tokenize"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = f"import sys, json; import flagcodes; print(json.dumps([m for m in {heavy!r} if m in sys.modules]))"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
