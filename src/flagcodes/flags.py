@@ -277,13 +277,6 @@ class Flag:
             return parts[i]._key[1]
         return _back_substitute(self._rows[: self.type.dims[i]], self.field)
 
-    def _levels(self) -> list[tuple]:
-        """The flag as _distance_profile levels: per component, the
-        normal-form rows it adds to the one below, and its dim."""
-        rows = self._rows
-        dims = self.type.dims
-        return [(rows[lo:hi], hi) for lo, hi in zip((0, *dims), dims)]
-
     @property
     def key(self) -> tuple:
         """The normal-form rows, level after level."""
@@ -368,8 +361,9 @@ class FlagCode:
                 parent, positions = self._parent
                 self._profile = _restrict_profile(parent.distance_profile(), positions)
             elif self.flags:
-                levels = [f._levels() for f in self.flags]
-                self._profile = _distance_profile(levels, self.flags[0].field, self.type.n)
+                dims = self.type.dims
+                chains = [(f._rows, dims) for f in self.flags]
+                self._profile = _distance_profile(chains, self.flags[0].field, self.type.n)
             else:
                 self._profile = Counter()
         return self._profile

@@ -176,8 +176,8 @@ class SubspaceCode:
         if self._spectrum is None:
             profile = Counter()
             if self.words:
-                levels = [[(w.key[1], w.dim)] for w in self.words]
-                profile = _distance_profile(levels, self.words[0].field, self.ambient)
+                chains = [(w._key[1], (w.dim,)) for w in self.words]
+                profile = _distance_profile(chains, self.words[0].field, self.ambient)
             self._spectrum = Counter({vec[0]: n for vec, n in profile.items()})
         return self._spectrum
 
@@ -241,16 +241,15 @@ class SubspaceCode:
         return code
 
 
-def _distance_profile(levels: Sequence[Sequence[tuple]], field: FieldSpec, n: int) -> Counter:
+def _distance_profile(chains: Sequence[tuple], field: FieldSpec, n: int) -> Counter:
     """Per-level distance vectors over every unordered pair of nested chains
     in GF(q)^n, q = ``field.q`` = p^e.
 
-    ``levels[m][l]`` is (rows, dim): the rows chain m adds at level l, as
-    matrices over ``field`` store them (bitmasks over GF(2), code tuples
-    otherwise), and the dim they span together with the rows of the levels
-    below.  All chains have the same number of levels: a flag gives its
-    normal-form rows at each level (Flag._levels), and a word of a
-    SubspaceCode its key rows as its single level.  The result maps
+    A chain is (rows, dims): all its rows in level order, as matrices over
+    ``field`` store them (bitmasks over GF(2), code tuples otherwise), and
+    the dim they span up to each level.  All chains have the same number of
+    levels: a flag is its normal-form rows (``_rows``) with its type's dims,
+    and a word of a SubspaceCode its key rows with (dim,).  The result maps
     (d(U_1, V_1), ..., d(U_r, V_r)) to its number of pairs.  A pair needs
     one elimination basis: level i inserts the rows that U_i and V_i add to
     U_(i-1) and V_(i-1), after which the basis rank is rk[U_i; V_i].  One
@@ -265,12 +264,12 @@ def _distance_profile(levels: Sequence[Sequence[tuple]], field: FieldSpec, n: in
     en columns with every dim scaled by e, and each entry of a distance
     vector it returns is e times the entry over GF(q).
     """
-    if not levels:
+    if not chains:
         return Counter()
     _check_kernel_prime(field.p)
     if field.q == 2:
         # GF(2) rows are already bitmasks
-        return _sliced_profile(levels, n, 2)
+        return _sliced_profile(chains, n, 2)
     p, e = field.p, field.e
     cols = e * n
     width = (p - 1) * cols
@@ -291,10 +290,13 @@ def _distance_profile(levels: Sequence[Sequence[tuple]], field: FieldSpec, n: in
     for _ in range(e):
         tables.append([[bits[v] >> (j * e) for v in codes] for j in range(n)])
         codes = [field.mul(p, v) for v in codes]
+    distinct = {row for rows, _ in chains for row in rows}
+    if {len(row) for row in distinct} != {n}:
+        raise ValueError(f"a chain has a row that is not a vector of {field}^{n}")
+    lifted = {row: [sum(map(getitem, table, row)) for table in tables] for row in distinct}
     restricted = [
-        [([sum(map(getitem, table, row)) for row in rows for table in tables], e * dim)
-         for rows, dim in chain]
-        for chain in levels
+        ([x for row in rows for x in lifted[row]], tuple([e * dim for dim in dims]))
+        for rows, dims in chains
     ]
     profile = _sliced_profile(restricted, cols, p)
     if e == 1:
@@ -321,18 +323,61 @@ def _blocks(x: int, w: int, k: int) -> int:
     return x & (1 << span) - 1
 
 
-def _sliced_profile(levels: list, n: int, p: int) -> Counter:
+def _bit_planes(chains: Sequence[tuple], width: int) -> tuple[list, dict]:
+    """(planes, by_dims) for chains of rows over ``width`` plane columns.
+
+    ``planes[l][t][i]`` holds plane column i of the t-th row each chain adds
+    at level l, chain m at bit m; ``by_dims`` maps each dim vector to the
+    mask of its chains.  Level l has as many row slots as the most rows a
+    dim vector adds there, and a chain with fewer rows has zero rows in the
+    rest, which add no rank.  A chain is one binary numeral: its rows, each
+    distinct row rendered once as ``width`` digits, in level order, every
+    level padded to its slots.  Digit j of every numeral, the last chain's
+    first, read as one int is plane column j mod width of slot j // width,
+    so one transpose makes every plane.  A chain whose rows do not number
+    its top dim, or a row wider than ``width``, makes a numeral of another
+    length: ValueError.
+    """
+    by_dims: dict[tuple[int, ...], int] = {}
+    for m, (_, dims) in enumerate(chains):
+        by_dims[dims] = by_dims.get(dims, 0) | 1 << m
+    depth = len(chains[0][1])
+    slots = [max(d[l] - (d[l - 1] if l else 0) for d in by_dims) for l in range(depth)]
+    # per dim vector, (index into its rows, zero rows) for each level it
+    # leaves short, last level first so that the indices stay valid
+    zero = "0" * width
+    pads = {
+        dims: [(hi, zero * (s - hi + lo)) for lo, hi, s in zip((0, *dims), dims, slots) if s > hi - lo][::-1]
+        for dims in by_dims
+    }
+    fmt = f"0{width}b"
+    render = {row: format(row, fmt) for row in {row for rows, _ in chains for row in rows}}.__getitem__
+    numerals = []
+    for rows, dims in chains:
+        pieces = list(map(render, rows))
+        for at, pad in pads[dims]:
+            pieces.insert(at, pad)
+        numerals.append("".join(pieces))
+    size = sum(slots) * width
+    if set(map(len, numerals)) != {size}:
+        raise ValueError(f"a chain's rows do not number its top dim, or a row is wider than {width} columns")
+    # the numerals, the last chain's first: every size-th digit from digit
+    # j is plane column j, chain m at bit m
+    text = "".join(reversed(numerals))
+    columns = [int(text[j::size], 2) for j in range(size)]
+    slot_rows = iter([columns[i : i + width] for i in range(0, size, width)])
+    return [[next(slot_rows) for _ in range(s)] for s in slots], by_dims
+
+
+def _sliced_profile(chains: Sequence[tuple], n: int, p: int) -> Counter:
     """The distance profile of chains of rows over GF(p), p prime, on n
     columns, bit-sliced across pairs of chains.
 
-    ``levels[m][l]`` is (the rows chain m adds at level l, its dim there).
-    A row is an int over (p - 1) n plane columns, column 0 its most
-    significant bit, with plane column (v - 1) n + c set when its entry at
-    column c is v: over GF(2) its bitmask, over an odd p one one-hot
-    plane per nonzero value.  Chain m is bit m of every plane:
-    ``planes[l][t][i]`` holds plane column i of chain m's t-th level-l row,
-    for all chains at once (a chain with fewer rows there has a zero row in
-    that slot, which adds no rank).
+    A chain is (rows, dims), as _distance_profile takes it.  A row is an int
+    over (p - 1) n plane columns, column 0 its most significant bit, with
+    plane column (v - 1) n + c set when its entry at column c is v: over
+    GF(2) its bitmask, over an odd p one one-hot plane per nonzero value.
+    Chain m is bit m of every plane (_bit_planes).
 
     One bit of the ints the kernel works on is one pair (a, b), a < b.  A
     batch of k consecutive chains a = start .. start + k - 1 puts each in a
@@ -350,25 +395,10 @@ def _sliced_profile(levels: list, n: int, p: int) -> Counter:
     for codes of mixed dimension) gives each distance vector's class of
     pairs, counted with int.bit_count().
     """
-    count_n = len(levels)
-    depth = len(levels[0])
+    count_n = len(chains)
     width = (p - 1) * n
     insert = _sliced_insert if p == 2 else _odd_kernel(p)
-    planes = [
-        [[0] * width for _ in range(max(len(chain[l][0]) for chain in levels))]
-        for l in range(depth)
-    ]
-    by_dims: dict[tuple[int, ...], int] = {}  # dim vector -> mask of chains
-    for m, chain in enumerate(levels):
-        bit = 1 << m
-        for (rows, _), slots in zip(chain, planes):
-            for row, plane in zip(rows, slots):
-                while row:
-                    low = row & -row
-                    plane[width - low.bit_length()] |= bit
-                    row ^= low
-        dims = tuple(dim for _, dim in chain)
-        by_dims[dims] = by_dims.get(dims, 0) | bit
+    planes, by_dims = _bit_planes(chains, width)
     profile: Counter = Counter()
     start = 0
     while start < count_n - 1:

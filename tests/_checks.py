@@ -14,7 +14,9 @@ level-by-level code scan, projected codes built from their own words
 instead of read off the flag code's profile and part keys, one
 elimination basis per pair (``pairwise_profile``, kept per code for the
 session by ``code_profile_oracle``) instead of the bit-sliced scan over
-the prime field, and whole-matrix Gauss-Jordan
+the prime field, the scan's bit planes set bit by bit
+(``plane_oracle``) instead of transposed from one numeral per chain,
+and whole-matrix Gauss-Jordan
 elimination (``rref_oracle``, and on it ``normal_form_oracle``) instead of
 the one-row-at-a-time echelon pass that ``MatrixGF.rref``, ``subspace_of``
 and ``flag_from_matrix`` share, flags rebuilt through the nesting-checked
@@ -595,6 +597,29 @@ def code_profile_oracle(code: fc.FlagCode) -> Counter:
     return Counter(_CODE_PROFILES[key])
 
 
+def plane_oracle(chains, width: int) -> tuple[list, dict]:
+    """The bit planes of scan chains (rows, dims) over ``width`` plane
+    columns, built bit by bit, and each dim vector's mask of chains: the
+    oracle for ``subspace._bit_planes``.  Chain m's rows at level l are
+    ``rows[dims[l - 1]:dims[l]]``; level l has as many slots as the most
+    rows any chain adds there, and bit i of a row from the top (of
+    ``width`` bits) sets bit m of plane ``[l][t][i]`` for its slot t."""
+    levels = [[rows[lo:hi] for lo, hi in zip((0, *dims), dims)] for rows, dims in chains]
+    planes = [
+        [[0] * width for _ in range(max(len(chain[l]) for chain in levels))]
+        for l in range(len(levels[0]))
+    ]
+    masks: dict[tuple, int] = {}
+    for m, (chain, (_, dims)) in enumerate(zip(levels, chains)):
+        for level_rows, slots in zip(chain, planes):
+            for row, plane in zip(level_rows, slots):
+                for i in range(width):
+                    if row >> (width - 1 - i) & 1:
+                        plane[i] |= 1 << m
+        masks[dims] = masks.get(dims, 0) | 1 << m
+    return planes, masks
+
+
 # -- Gauss-Jordan RREF, and prefix subspaces through a fresh RREF per prefix ------
 
 
@@ -733,18 +758,19 @@ def assert_same_subspace(got: fc.Subspace, want: fc.Subspace) -> None:
 
 def check_parts_built(flag: fc.Flag) -> fc.Flag:
     """Flag(type, parts) on the parts of ``flag`` against it: an equal flag
-    with the same key and hash and no source.  For both flags the rows of
-    levels 1..i of ``_levels()`` number dim U_i and, reduced by
-    ``rref_oracle``, give the key rows of U_i.  Returns the rebuilt flag."""
+    with the same key and hash and no source.  For both flags the first
+    dim U_i of the normal-form rows ``_rows``, the rows the scan takes up to
+    level i, number dim U_i and, reduced by ``rref_oracle``, give the key
+    rows of U_i.  Returns the rebuilt flag."""
     rebuilt = fc.Flag(flag.type, flag.parts)
     assert rebuilt == flag and hash(rebuilt) == hash(flag)
     assert rebuilt.key == flag.key and rebuilt.source is None
     for f in (flag, rebuilt):
-        rows: list = []
-        for part, (level, dim) in zip(f.parts, f._levels()):
-            rows.extend(level)
+        assert len(f._rows) == f.type.dims[-1]
+        for part, dim in zip(f.parts, f.type.dims):
+            rows = f._rows[:dim]
             assert dim == part.dim == len(rows)
-            reduced, rank = rref_oracle(fc.MatrixGF._wrap(f.field, f.type.n, tuple(rows)))
+            reduced, rank = rref_oracle(fc.MatrixGF._wrap(f.field, f.type.n, rows))
             assert rank == dim
             assert key_rows_oracle(reduced.first_rows(rank)) == part.key[1]
     return rebuilt

@@ -34,7 +34,7 @@ from _checks import (
 
 
 def _forbid_scans(monkeypatch):
-    def rescan(levels, field, n):
+    def rescan(chains, field, n):
         raise AssertionError("a code was scanned on its own")
 
     monkeypatch.setattr(flagcodes.flags, "_distance_profile", rescan)
@@ -42,15 +42,10 @@ def _forbid_scans(monkeypatch):
 
 
 def _level_keys(chain, field, n) -> tuple:
-    """The part keys of one chain of scan levels: the row space of its rows
-    up to each level."""
-    rows: list = []
-    keys = []
-    for level_rows, _ in chain:
-        rows += level_rows
-        m = fc.MatrixGF._wrap(field, n, tuple(rows))
-        keys.append(fc.subspace_of(m).key)
-    return tuple(keys)
+    """The part keys of one scan chain (rows, dims): the row space of its
+    rows up to each dim."""
+    rows, dims = chain
+    return tuple(fc.subspace_of(fc.MatrixGF._wrap(field, n, tuple(rows[:dim]))).key for dim in dims)
 
 
 def _counting_scans(monkeypatch) -> list:
@@ -58,9 +53,9 @@ def _counting_scans(monkeypatch) -> list:
     scanned = []
     scan = flagcodes.subspace._distance_profile
 
-    def counting(levels, field, n):
-        scanned.append([_level_keys(chain, field, n) for chain in levels])
-        return scan(levels, field, n)
+    def counting(chains, field, n):
+        scanned.append([_level_keys(chain, field, n) for chain in chains])
+        return scan(chains, field, n)
 
     monkeypatch.setattr(flagcodes.flags, "_distance_profile", counting)
     monkeypatch.setattr(flagcodes.subspace, "_distance_profile", counting)

@@ -10,7 +10,11 @@ and rows taken from the canonical generators, and the only per-pair scan
 left; the two must return equal Counters on the construction's codes, on
 restrictions that merge flags, on loaded codes, on codes of mixed
 dimension, and on random codes whose pair masks cross machine words, over
-GF(2), GF(3), GF(4), GF(5), GF(7), GF(8), GF(9) and GF(25).  The batch
+GF(2), GF(3), GF(4), GF(5), GF(7), GF(8), GF(9) and GF(25).  The scan's
+bit planes, transposed from one binary numeral per chain
+(``subspace._bit_planes``), must equal ``plane_oracle``'s, set bit by bit,
+on chains of mixed dim vectors, and a chain with a missing, extra or
+too-wide row is refused with ValueError.  The batch
 tests shrink the scan's private bit budget (``subspace._BATCH_BITS``) so
 that small codes span several batches, and pin the batch plan: which
 chains share an elimination, and how many kernel calls a scan makes.
@@ -35,6 +39,7 @@ from _checks import (
     every_full_flag_of_gf2_3,
     pairwise_profile,
     pairwise_spectrum,
+    plane_oracle,
 )
 
 # GF(2) has a single primitive quadratic, so (2,2,0,2) and (2,2,0,3) have no
@@ -42,17 +47,21 @@ from _checks import (
 GF2_CHOICES = [(qkhs, c) for qkhs, c in SWEEP_CHOICES if qkhs[0] == 2]
 
 
+def _scan_chains(flags) -> list[tuple]:
+    """The scan's chains of ``flags``: each flag's normal-form rows and its
+    type's dims."""
+    return [(f._rows, f.type.dims) for f in flags]
+
+
 def check_chains(chains, want: Counter | None = None) -> int:
-    """The kernel's profile on the level rows of the flags the chains make
-    (Flag(type, parts)._levels()) equals ``want``, the oracle's profile of
-    the chains (computed here when not given); returns the pair count."""
+    """The kernel's profile on the scan chains of the flags the chains make
+    (Flag(type, parts), as _scan_chains) equals ``want``, the oracle's
+    profile of the chains (computed here when not given); returns the pair
+    count."""
     chains = [tuple(chain) for chain in chains]
     field, ambient = (chains[0][0].field, chains[0][0].ambient) if chains else (None, 0)
-    levels = [
-        fc.Flag(fc.TypeVector(ambient, tuple(p.dim for p in chain)), chain)._levels()
-        for chain in chains
-    ]
-    got = _distance_profile(levels, field, ambient)
+    flags = [fc.Flag(fc.TypeVector(ambient, tuple(p.dim for p in chain)), chain) for chain in chains]
+    got = _distance_profile(_scan_chains(flags), field, ambient)
     assert got == (pairwise_profile(chains) if want is None else want)
     n = len(chains)
     assert sum(got.values()) == n * (n - 1) // 2
@@ -123,15 +132,20 @@ def test_mixed_dimension_code_matches_oracle(gf2):
     assert code.spectrum() == pairwise_spectrum(code)
 
 
+def _random_flag(field, rng, tv):
+    while True:
+        rows = [[rng.randrange(field.q) for _ in range(tv.n)] for _ in range(tv.dims[-1])]
+        m = fc.MatrixGF(field, rows, ncols=tv.n)
+        if all(m.first_rows(t).rank() == t for t in tv.dims):
+            return fc.flag_from_matrix(m, tv)
+
+
 def _random_flag_code(field, tv, count, seed):
     rng = random.Random(seed)
     flags: dict[tuple, fc.Flag] = {}
     while len(flags) < count:
-        rows = [[rng.randrange(field.q) for _ in range(tv.n)] for _ in range(tv.dims[-1])]
-        m = fc.MatrixGF(field, rows, ncols=tv.n)
-        if all(m.first_rows(t).rank() == t for t in tv.dims):
-            f = fc.flag_from_matrix(m, tv)
-            flags[f.key] = f
+        f = _random_flag(field, rng, tv)
+        flags[f.key] = f
     return fc.FlagCode(tv, flags.values())
 
 
@@ -261,7 +275,7 @@ def test_parts_built_codes_match_oracle(q):
         sub = fc.subsequence_code(rebuilt, fc.TypeVector(4, dims))
         chains = [f.parts for f in sub]
         assert sub.distance_profile() == pairwise_profile(chains)
-        assert _distance_profile([f._levels() for f in sub], field, 4) == pairwise_profile(chains)
+        assert _distance_profile(_scan_chains(sub), field, 4) == pairwise_profile(chains)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25])
@@ -270,15 +284,75 @@ def test_every_field_makes_one_sliced_scan(monkeypatch, q):
     calls = []
     sliced = subspace._sliced_profile
 
-    def spy(levels, n, p):
+    def spy(chains, n, p):
         calls.append((n, p))
-        return sliced(levels, n, p)
+        return sliced(chains, n, p)
 
     monkeypatch.setattr(subspace, "_sliced_profile", spy)
     field = fc.field_from_order(q)
     code = _random_flag_code(field, fc.TypeVector(4, (1, 2, 3)), 30, seed=q)
     check_chains(f.parts for f in code)
     assert calls == [(field.e * 4, field.p)]
+
+
+# -- bit planes ----------------------------------------------------------------
+
+
+def _spy_planes(monkeypatch) -> list[tuple[int, int, int]]:
+    """Check the planes of every sliced scan against plane_oracle; returns
+    the list that gets (chains, n, p) of each scan checked."""
+    seen = []
+    sliced = subspace._sliced_profile
+
+    def spy(chains, n, p):
+        width = (p - 1) * n
+        assert subspace._bit_planes(chains, width) == plane_oracle(chains, width)
+        seen.append((len(chains), n, p))
+        return sliced(chains, n, p)
+
+    monkeypatch.setattr(subspace, "_sliced_profile", spy)
+    return seen
+
+
+# two-level dim vectors in GF(q)^5 that add 1 or 2 rows at each level: a
+# chain of one vector has a zero row at a level where another adds more
+MIXED_DIMS = [(1, 3), (2, 3), (2, 4), (1, 2)]
+
+
+@pytest.mark.parametrize("count", [1, 2, 23])
+@pytest.mark.parametrize("q", [2, 3, 5, 4, 9])
+def test_bit_planes_of_mixed_chains_match_oracle(monkeypatch, q, count):
+    # the transposed numerals against planes set bit by bit, on flags of
+    # mixed types (padded at either level) and on a code of words of mixed
+    # dims; GF(4) and GF(9) as their GF(p) rows
+    field = fc.field_from_order(q)
+    rng = random.Random(q * 100 + count)
+    seen = _spy_planes(monkeypatch)
+    flags = [_random_flag(field, rng, fc.TypeVector(5, MIXED_DIMS[i % 4])) for i in range(count)]
+    rng.shuffle(flags)
+    want = pairwise_profile([f.parts for f in flags])
+    assert _distance_profile(_scan_chains(flags), field, 5) == want
+    assert sum(want.values()) == count * (count - 1) // 2
+    words = fc.SubspaceCode(5, (_random_space(field, rng, 5, 1 + i % 4) for i in range(count)))
+    assert words.spectrum() == pairwise_spectrum(words)
+    assert seen == [(count, field.e * 5, field.p), (len(words), field.e * 5, field.p)]
+    if count > 2:
+        assert len({w.dim for w in words}) == 4
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_malformed_chains_are_refused(q):
+    # a chain whose rows do not number its top dim, or a row of n + 1
+    # entries, would scan misaligned planes: refused, alone or among others
+    field = fc.field_from_order(q)
+    chains = _scan_chains(_random_flag_code(field, fc.TypeVector(4, (1, 3)), 5, seed=q))
+    rows, dims = chains[2]
+    wide = rows[0] | 1 << 4 if q == 2 else rows[0] + (1,)
+    for bad in [(rows[:-1], dims), (rows + rows[:1], dims), ((wide, *rows[1:]), dims)]:
+        with pytest.raises(ValueError):
+            _distance_profile(chains[:2] + [bad] + chains[3:], field, 4)
+        with pytest.raises(ValueError):
+            _distance_profile([bad], field, 4)
 
 
 # -- batches of chains ---------------------------------------------------------
@@ -346,14 +420,14 @@ def test_sweep_scan_is_one_batch(monkeypatch):
     # so one batch makes 2 kernel calls a level; one chain a batch (a
     # budget of 1 bit) makes 2 x 8 x 168
     gen = fc.build_generator_set(fc.ConstructionParams.make(2, 2, 1, 4))
-    levels = [f._levels() for f in gen.full]
+    chains = _scan_chains(gen.full)
     field = gen.full.flags[0].field
     actives = _spy_batches(monkeypatch)
-    profile = _distance_profile(levels, field, 9)
+    profile = _distance_profile(chains, field, 9)
     assert len(actives) == 16 and _batch_pairs(actives) == [169 * 168 // 2]
     actives.clear()
     monkeypatch.setattr(subspace, "_BATCH_BITS", 1)
-    assert _distance_profile(levels, field, 9) == profile
+    assert _distance_profile(chains, field, 9) == profile
     assert len(actives) == 2688 and _batch_pairs(actives) == list(range(168, 0, -1))
 
 
@@ -413,13 +487,13 @@ def test_gf3_n8_subset_matches_oracle(monkeypatch):
     # and in batches of 200 bits; the oracle on all 820 takes about a minute
     gen = fc.build_generator_set(fc.ConstructionParams.make(3, 2, 0, 4))
     chains = [f.parts for f in random.Random(8).sample(gen.full.flags, 120)]
-    levels = [fc.Flag(gen.full.type, chain)._levels() for chain in chains]
+    scanned = _scan_chains(fc.Flag(gen.full.type, chain) for chain in chains)
     field = chains[0][0].field
     oracle = pairwise_profile(chains)
     actives = _spy_batches(monkeypatch)
-    assert _distance_profile(levels, field, 8) == oracle
+    assert _distance_profile(scanned, field, 8) == oracle
     assert _batch_pairs(actives) == [120 * 119 // 2]
     actives.clear()
     monkeypatch.setattr(subspace, "_BATCH_BITS", 200)
-    assert _distance_profile(levels, field, 8) == oracle
+    assert _distance_profile(scanned, field, 8) == oracle
     assert len(_batch_pairs(actives)) > 1
