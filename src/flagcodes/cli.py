@@ -33,7 +33,7 @@ from .construct import (
     run_claim_suite,
 )
 from .errors import AmbientMismatch, FieldMismatch, FlagCodesError, ResourceBudgetExceeded, TheoremViolated
-from .field import _shown, field_from_order, field_name, poly_from_text
+from .field import _poly_from_text, _prime_power, _shown, field_make, field_name
 from .flags import (
     FlagCode,
     TypeVector,
@@ -126,8 +126,10 @@ def _params(args: argparse.Namespace) -> ConstructionParams:
     """The instance --q/--k/--h/--s, --modulus and --poly-choice name."""
     if None in (args.k, args.h, args.s):
         raise ValueError("--q, --k, --h and --s go together")
-    modulus = None if args.modulus is None else poly_from_text(args.modulus)
-    field = field_from_order(args.q, modulus)
+    p, e = _prime_power(args.q)
+    # the modulus's degree is checked against e before its list is built
+    modulus = None if args.modulus is None else _poly_from_text(args.modulus, None, e)
+    field = field_make(p, e, modulus)
     return ConstructionParams(field, args.k, args.h, args.s, poly_choice=args.poly_choice or 0)
 
 

@@ -31,6 +31,7 @@ from .errors import (
     HypothesisUnmet,
     NotASubsequence,
     RankDeficientPrefix,
+    Record,
     ResourceBudgetExceeded,
     TheoremViolated,
 )
@@ -123,24 +124,7 @@ class ConstructionParams(Frozen):
             raise ValueError(f"s must be >= 2, got {_shown(s)}")
         if poly_choice < 0:
             raise ValueError("poly_choice must be nonnegative")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "poly_choice", poly_choice)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.k, self.h, self.s, self.poly_choice) == (
-            other.field, other.k, other.h, other.s, other.poly_choice)
-
-    def __hash__(self):
-        return hash((self.field, self.k, self.h, self.s, self.poly_choice))
-
-    def __repr__(self):
-        return (f"ConstructionParams(field={self.field!r}, k={self.k!r}, h={self.h!r}, "
-                f"s={self.s!r}, poly_choice={self.poly_choice!r})")
+        self._set_fields(field, k, h, s, poly_choice)
 
     @classmethod
     def make(cls, q: int, k: int, h: int, s: int, **kwargs) -> ConstructionParams:
@@ -428,24 +412,7 @@ class GeneratorEntry(Frozen):
     __slots__ = ("kind", "index", "power", "flag", "normal")
 
     def __init__(self, kind: str, index: int | None, power: int | None, flag: Flag, normal: object):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "power", power)
-        object.__setattr__(self, "flag", flag)
-        object.__setattr__(self, "normal", normal)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.index, self.power, self.flag, self.normal) == (
-            other.kind, other.index, other.power, other.flag, other.normal)
-
-    def __hash__(self):
-        return hash((self.kind, self.index, self.power, self.flag, self.normal))
-
-    def __repr__(self):
-        return (f"GeneratorEntry(kind={self.kind!r}, index={self.index!r}, "
-                f"power={self.power!r}, flag={self.flag!r}, normal={self.normal!r})")
+        self._set_fields(kind, index, power, flag, normal)
 
 
 class GeneratorSet(Frozen):
@@ -475,24 +442,7 @@ class GeneratorSet(Frozen):
         full: FlagCode,
         families: tuple[tuple[MatrixGF, MatrixGF], ...],
     ):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "full", full)
-        object.__setattr__(self, "families", families)
-        object.__setattr__(self, "_restrictions", {})
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.params, self.entries, self.full, self.families) == (
-            other.params, other.entries, other.full, other.families)
-
-    def __hash__(self):
-        return hash((self.params, self.entries, self.full, self.families))
-
-    def __repr__(self):
-        return (f"GeneratorSet(params={self.params!r}, entries={self.entries!r}, "
-                f"full={self.full!r}, families={self.families!r})")
+        self._set_fields(params, entries, full, families, {})
 
     def entry(self, kind: str, index: int | None = None, power: int | None = None) -> GeneratorEntry:
         for e in self.entries:
@@ -650,59 +600,28 @@ def _checked_code(gen: GeneratorSet, claims: Callable[..., FlagCode], *args) -> 
 # -- verification reports -------------------------------------------------------
 
 
-class Claim:
+class Claim(Record):
     """One checked statement with its expected and computed values."""
 
     __slots__ = ("claim_id", "statement", "expected", "computed", "passed", "seconds")
 
     def __init__(self, claim_id: str, statement: str, expected: object, computed: object,
                  passed: bool, seconds: float):
-        self.claim_id = claim_id
-        self.statement = statement
-        self.expected = expected
-        self.computed = computed
-        self.passed = passed
-        self.seconds = seconds
-
-    # mutable, so unhashable: defining __eq__ alone sets __hash__ to None
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.claim_id, self.statement, self.expected, self.computed, self.passed,
-                self.seconds) == (other.claim_id, other.statement, other.expected,
-                                  other.computed, other.passed, other.seconds)
-
-    def __repr__(self):
-        return (f"Claim(claim_id={self.claim_id!r}, statement={self.statement!r}, "
-                f"expected={self.expected!r}, computed={self.computed!r}, "
-                f"passed={self.passed!r}, seconds={self.seconds!r})")
+        self._set_fields(claim_id, statement, expected, computed, passed, seconds)
 
     def to_text(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
         return f'{self.claim_id} {self.expected!r} {self.computed!r} {verdict} "{self.statement}"'
 
 
-class VerificationReport:
+class VerificationReport(Record):
     """Structured pass/fail record of every checked claim."""
 
     __slots__ = ("params", "type_dims", "claims")
 
     def __init__(self, params: dict, type_dims: tuple[int, ...] | None = None,
                  claims: list[Claim] | None = None):
-        self.params = params
-        self.type_dims = type_dims
-        self.claims = [] if claims is None else claims
-
-    # mutable, so unhashable: defining __eq__ alone sets __hash__ to None
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.params, self.type_dims, self.claims) == (
-            other.params, other.type_dims, other.claims)
-
-    def __repr__(self):
-        return (f"VerificationReport(params={self.params!r}, type_dims={self.type_dims!r}, "
-                f"claims={self.claims!r})")
+        self._set_fields(params, type_dims, [] if claims is None else claims)
 
     def check(
         self,

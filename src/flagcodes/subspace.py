@@ -663,8 +663,7 @@ class GroupElementSeq(Frozen):
     __slots__ = ("generator", "order")
 
     def __init__(self, generator: MatrixGF, order: int):
-        object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "order", order)
+        self._set_fields(generator, order)
         # the checks stay a method of their own, called through self, since
         # benchmark/tracer.py wraps GroupElementSeq.__post_init__ by name
         self.__post_init__()
@@ -677,17 +676,6 @@ class GroupElementSeq(Frozen):
             raise ValueError("group order must be positive")
         if g**self.order != MatrixGF.identity(g.field, g.nrows):
             raise ValueError("generator**order is not the identity")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.generator, self.order) == (other.generator, other.order)
-
-    def __hash__(self):
-        return hash((self.generator, self.order))
-
-    def __repr__(self):
-        return f"GroupElementSeq(generator={self.generator!r}, order={self.order!r})"
 
     @property
     def ambient(self) -> int:

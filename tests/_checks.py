@@ -217,19 +217,36 @@ def normal_oracle(u: fc.Subspace):
 
 def field_tables_oracle(field: fc.FieldSpec) -> tuple[list, list, list, list]:
     """GF(p^e)'s add, mul, neg and inv tables as FieldSpec stores them:
-    sums and negations digit by digit mod p, each product a Poly product
-    over GF(p) reduced mod the modulus, each inverse a^(q - 2) by pow_mod."""
-    p, q, mod = field.p, field.q, field.modulus
+    sums and negations digit by digit mod p, each product a schoolbook
+    product of coefficient lists over GF(p) reduced mod the modulus by long
+    division, each inverse a^(q - 2) by q - 2 products from that table."""
+    p, q, mod = field.p, field.q, field.modulus.coeffs
+    e = len(mod) - 1
     digits = [field._digits(a) for a in range(q)]
-    polys = [fc.Poly(mod.field, d) for d in digits]
 
     def code(coeffs):
         return sum(c * p**i for i, c in enumerate(coeffs))
 
+    def product_mod(a, b):
+        out = [0] * (2 * e - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+        for top in range(len(out) - 1, e - 1, -1):
+            c = out[top]
+            for j in range(e + 1):
+                out[top - e + j] = (out[top - e + j] - c * mod[j]) % p
+        return out[:e]
+
     add = [[code([(x + y) % p for x, y in zip(a, b)]) for b in digits] for a in digits]
-    mul = [[code((a * b % mod).coeffs) for b in polys] for a in polys]
+    mul = [[code(product_mod(a, b)) for b in digits] for a in digits]
     neg = [code([-x % p for x in a]) for a in digits]
-    inv = [0] + [code(a.pow_mod(q - 2, mod).coeffs) for a in polys[1:]]
+    inv = [0]
+    for a in range(1, q):
+        power = 1
+        for _ in range(q - 2):
+            power = mul[power][a]
+        inv.append(power)
     return add, mul, neg, inv
 
 

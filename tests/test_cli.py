@@ -4,13 +4,19 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 
 import flagcodes as fc
 from flagcodes.cli import main
+from flagcodes.field import parse_field_name
 
 
 def run(capsys, *argv):
@@ -612,6 +618,86 @@ class TestOversizedInstances:
             assert stdout == "" and len(stderr) < 300
             results.append(rc)
         assert results[0] == results[1] == (2 if option == "--h" else 3)
+
+
+def run_capped(tmp_path, *argv):
+    """The CLI in a process of its own whose address space is capped at
+    600 MB, so that a size an input declares cannot be allocated for long:
+    (exit code, stderr, seconds)."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    start = perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "flagcodes.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60, preexec_fn=cap)
+    return proc.returncode, proc.stderr, perf_counter() - start
+
+
+class TestDeclaredSizes:
+    """A size that an input declares, but that no flag or field has, is
+    refused before anything of that size is made: exit 2 within a second,
+    a short message and no traceback."""
+
+    def assert_refused(self, tmp_path, *argv, message):
+        rc, stderr, seconds = run_capped(tmp_path, *argv)
+        assert (rc, stderr) == (2, f"error: {message}\n") and len(stderr) < 300
+        assert seconds < 1
+
+    ZERO_COLUMNS = "matrix header '9999999999 0 GF(2)' has 0 columns, but no flag or word does"
+
+    def test_distance_of_a_0_column_flag(self, tmp_path):
+        (tmp_path / "z.flag").write_text("type 1\n9999999999 0 GF(2)\n")
+        self.assert_refused(tmp_path, "distance", "z.flag", "z.flag", message=self.ZERO_COLUMNS)
+
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    def test_code_with_a_0_column_flag(self, tmp_path, command):
+        (tmp_path / "z.code").write_text("flagcode 2 2 1\ntype 1\n9999999999 0 GF(2)\n")
+        params = ["--q", "2", "--k", "2", "--h", "0", "--s", "2"] if command == "verify" else []
+        self.assert_refused(tmp_path, command, *params, "--code", "z.code", message=self.ZERO_COLUMNS)
+
+    def test_modulus_option_of_a_huge_degree(self, tmp_path):
+        self.assert_refused(
+            tmp_path, "verify", "--q", "4", "--k", "2", "--h", "0", "--s", "2",
+            "--modulus", "x^9999999999+1 over GF(2)",
+            message="modulus degree 9999999999 != extension degree 2",
+        )
+
+    def test_modulus_in_a_file_of_a_huge_degree(self, tmp_path):
+        (tmp_path / "m.flag").write_text("type 1\n1 2 GF(2^2,x^9999999999+1)\n1 0\n")
+        self.assert_refused(tmp_path, "distance", "m.flag", "m.flag",
+                            message="modulus degree 9999999999 != extension degree 2")
+
+    def test_empty_code_with_a_huge_q(self, tmp_path):
+        q = 2 * (10**4000 + 1)
+        (tmp_path / "q.code").write_text(f"flagcode 3 {q} 0\ntype 1,2\n")
+        self.assert_refused(tmp_path, "spectrum", "--code", "q.code", message=(
+            f"empty code: header says q = a {q.bit_length()}-bit number, which is not 0"))
+
+    @pytest.mark.parametrize("load, text", [
+        (fc.load_flag, "type 1\n5 0 GF(2)\n"),
+        (fc.load_flag_code, "flagcode 2 2 1\ntype 1\n5 0 GF(2)\n"),
+        (fc.SubspaceCode.load, "2 1 2 1\n5 0 GF(2)\n"),
+    ], ids=["flag", "flag-code", "subspace-code"])
+    def test_loaders_refuse_0_columns(self, load, text):
+        with pytest.raises(ValueError, match="'5 0 GF\\(2\\)' has 0 columns"):
+            load(text)
+
+    def test_a_modulus_of_another_small_degree_keeps_its_message(self, tmp_path, capsys):
+        message = "error: modulus degree 3 != extension degree 2\n"
+        rc, stdout, stderr = run(capsys, "verify", "--q", "4", "--k", "2", "--h", "0", "--s", "2",
+                                 "--modulus", "x^3+1 over GF(2)")
+        assert (rc, stdout, stderr) == (2, "", message)
+        path = tmp_path / "m.flag"
+        path.write_text("type 1\n1 2 GF(2^2,x^3+1)\n1 0\n")
+        rc, stdout, stderr = run(capsys, "distance", str(path), str(path))
+        assert (rc, stdout, stderr) == (2, "", message)
+
+    def test_a_top_term_that_reduces_to_0_is_no_term(self):
+        # 2x^3 is 0 over GF(2), so the modulus is x^2 + x + 1, as before the check
+        field = parse_field_name("GF(2^2,2x^3+x^2+x+1)")
+        assert field == fc.field_make(2, 2, [1, 1, 1])
 
 
 class TestDistance:

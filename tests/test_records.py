@@ -32,6 +32,7 @@ FIELDS = {
     fc.AbIndices: ("a", "b"),
     fc.Classification: ("min_distance", "max_distance", "deficit"),
     fc.GroupElementSeq: ("generator", "order"),
+    fc.Poly: ("field", "coeffs"),
 }
 
 
@@ -49,6 +50,8 @@ def _records():
         (fc.AbIndices(2, 2), fc.AbIndices(2, 2), fc.AbIndices(2, 3)),
         (fc.Classification(6, 8, 1), fc.Classification(6, 8, 1), fc.Classification(8, 8, 0)),
         (fc.GroupElementSeq(g, 3), fc.GroupElementSeq(g, 3), fc.GroupElementSeq(g, 6)),
+        (fc.Poly(fc.field_make(3), [2, 1, 1]), fc.Poly(fc.field_make(3), (2, 1, 1, 0)),
+         fc.Poly(fc.field_make(3), [1, 0, 1])),
     ]
 
 
@@ -102,6 +105,8 @@ def test_reprs():
     assert repr(fc.GroupElementSeq(GEN220.families[0][0], 3)) == (
         "GroupElementSeq(generator=MatrixGF(4x4 over GF(2)), order=3)"
     )
+    assert repr(fc.Poly(fc.field_make(3), [2, 1, 1])) == "Poly(x^2+x+2 over GF(3))"
+    assert repr(fc.Poly(fc.field_make(2), [])) == "Poly(0 over GF(2))"
     claim = fc.Claim("x.y", "a statement", 1, 2, False, 0.5)
     assert repr(claim) == (
         "Claim(claim_id='x.y', statement='a statement', expected=1, computed=2, "
@@ -110,6 +115,20 @@ def test_reprs():
     report = fc.VerificationReport({"q": 2}, (1, 2), [claim])
     assert repr(report) == f"VerificationReport(params={{'q': 2}}, type_dims=(1, 2), claims=[{claim!r}])"
     assert repr(fc.VerificationReport({})) == "VerificationReport(params={}, type_dims=None, claims=[])"
+
+
+RECORD_CLASSES = [fc.ConstructionParams, fc.GeneratorEntry, fc.GeneratorSet, fc.Claim,
+                  fc.VerificationReport, fc.TypeVector, fc.AbIndices, fc.Classification,
+                  fc.GroupElementSeq, fc.Poly]
+# TypeVector's comparison runs once per flag of every FlagCode, so it keeps
+# its own; a polynomial prints as its terms
+OWN_METHODS = {fc.TypeVector: {"__eq__", "__hash__"}, fc.Poly: {"__repr__"}}
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_records_take_their_value_methods_from_one_base(cls):
+    own = {name for name in ("__eq__", "__hash__", "__repr__") if name in vars(cls)}
+    assert own == OWN_METHODS.get(cls, set())
 
 
 def test_generator_set_leaves_out_its_restrictions():
