@@ -357,14 +357,15 @@ def _recurring_sequence(f: Poly, length: int) -> list:
             s = (s >> 1) ^ tail if s & 1 else s >> 1
             seq.append(s)
         return seq
-    add, mul = field.add, field.mul
-    neg_tail = [field.neg(c) for c in f.coeffs[:d]]
+    add, mul, neg, _ = field.tables()
+    neg_tail = [neg[c] for c in f.coeffs[:d]]
     s = (1,) + (0,) * (d - 1)
     seq = [s]
     for _ in range(length - 1):
         top, s = s[-1], (0,) + s[:-1]
         if top:
-            s = tuple([add(a, mul(top, c)) for a, c in zip(s, neg_tail)])
+            times = mul[top]
+            s = tuple([add[a][times[c]] for a, c in zip(s, neg_tail)])
         seq.append(s)
     return seq
 

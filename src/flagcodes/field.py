@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -48,6 +49,11 @@ DEFAULT_FACTOR_BUDGET = 10**6
 # Extension arithmetic is table backed; the cap keeps table construction at
 # desk scale.
 _TABLE_LIMIT = 1 << 10
+
+# A prime field tabulates its arithmetic on first use up to this p, the
+# pair-scan kernel's bound (subspace._MAX_KERNEL_PRIME): two p x p tables
+# grow as p^2, so a larger p computes each lookup mod p instead (_ModView).
+_PRIME_TABLE_LIMIT = 257
 
 
 def is_prime(n: int) -> bool:
@@ -113,7 +119,7 @@ class FieldSpec:
                 raise DegreeMismatch("prime fields take no modulus")
             self.q = p
             self.modulus = None
-            self._add_t = self._mul_t = self._neg_t = self._inv_t = None
+            self._add_t = self._mul_t = self._neg_t = self._inv_t = None  # tables()
             return
         # sized before p^e is formed, so a huge e is refused at once
         if e >= _TABLE_LIMIT.bit_length() or p**e > _TABLE_LIMIT:
@@ -140,31 +146,35 @@ class FieldSpec:
     # -- element-code arithmetic ------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
-        return self._add_t[a][b]
+        return (a + b) % self.p if self.e == 1 else self._add_t[a][b]
 
     def sub(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a - b) % self.p
-        return self._add_t[a][self._neg_t[b]]
+        return (a - b) % self.p if self.e == 1 else self._add_t[a][self._neg_t[b]]
 
     def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        return self._neg_t[a]
+        return -a % self.p if self.e == 1 else self._neg_t[a]
 
     def mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a * b) % self.p
-        return self._mul_t[a][b]
+        return a * b % self.p if self.e == 1 else self._mul_t[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero(f"inverse of zero in {self}")
-        if self.e == 1:
-            return pow(a, -1, self.p)
-        return self._inv_t[a]
+        return pow(a, -1, self.p) if self.e == 1 else self._inv_t[a]
+
+    def tables(self) -> tuple:
+        """(add, mul, neg, inv) indexed by codes, which the per-entry loops
+        read in place of the methods: add[a][b] = a + b, mul[a][b] = a b,
+        neg[a] = -a, inv[a] = 1/a and inv[0] = 0.  A prime field builds
+        them on first use, or views them (_ModView) past the limit."""
+        p = self.p
+        if self._add_t is None and p <= _PRIME_TABLE_LIMIT:
+            self._build_tables()
+        elif self._add_t is None:
+            self._add_t, self._mul_t = _ModView(p, operator.add, 2), _ModView(p, operator.mul, 2)
+            self._neg_t = _ModView(p, operator.neg)
+            self._inv_t = _ModView(p, functools.partial(pow, exp=p - 2, mod=p))
+        return self._add_t, self._mul_t, self._neg_t, self._inv_t
 
     # -- validation -----------------------------------------------------------
 
@@ -205,7 +215,8 @@ class FieldSpec:
         a + b = (a0 + b0 mod p) + p (a' + b'); x c is c's lower digits moved
         up one place plus its top digit times x^e mod the modulus; and
         a b = a b0 + x (a b'), with a b0 the sum of b0 copies of a.  Every
-        entry reads only entries made before it, so a table costs O(q^2)."""
+        entry reads only entries made before it, so a table costs O(q^2).
+        Over GF(p), q = p and a' = b' = 0."""
         p, e, q = self.p, self.e, self.q
         top = q // p
         add_t = [list(range(q))]
@@ -213,7 +224,7 @@ class FieldSpec:
             low = [(a % p + b0) % p for b0 in range(p)]
             add_t.append([p * s + s0 for s in add_t[a // p][:top] for s0 in low])
         # x^e = -(m0 + m1 x + ... + m_(e-1) x^(e-1)) mod the modulus
-        xe = sum((-c) % p * p**i for i, c in enumerate(self.modulus.coeffs[:e]))
+        xe = sum((-c) % p * p**i for i, c in enumerate(self.modulus.coeffs[:e])) if e > 1 else 0
         tops = [0]  # tops[t] = t x^e
         for _ in range(1, p):
             tops.append(add_t[tops[-1]][xe])
@@ -250,6 +261,20 @@ class FieldSpec:
         if self.e == 1:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.e})"
+
+
+class _ModView:
+    """A table computed mod p per lookup: view[a] = op(a), or view[a][b] = op(a, b) for arity 2."""
+
+    __slots__ = ("p", "op", "arity")
+
+    def __init__(self, p: int, op, arity: int = 1):
+        self.p, self.op, self.arity = p, op, arity
+
+    def __getitem__(self, a: int):
+        if self.arity == 2:
+            return _ModView(self.p, functools.partial(self.op, a))
+        return self.op(a) % self.p
 
 
 class Poly(Frozen):
@@ -318,13 +343,14 @@ def _trim(a: list) -> list:
 
 
 def _mul(field: FieldSpec, a: Sequence, b: Sequence) -> list:
-    add, mul = field.add, field.mul
+    add, mul, _, _ = field.tables()
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
+            times = mul[x]
             for j, y in enumerate(b, i):
                 if y:
-                    out[j] = add(out[j], mul(x, y))
+                    out[j] = add[out[j]][times[y]]
     return out
 
 
@@ -332,21 +358,22 @@ def _mod(field: FieldSpec, a: list, f: Sequence) -> list:
     """a mod the monic f of degree d, dividing a in place: a[d:] ends as
     the quotient."""
     d = len(f) - 1
-    sub, mul = field.sub, field.mul
-    terms = [(j, c) for j, c in enumerate(f[:d]) if c]
+    add, mul, neg, _ = field.tables()
+    terms = [(j, neg[c]) for j, c in enumerate(f[:d]) if c]
     for i in range(len(a) - 1, d - 1, -1):
         x = a[i]
         if x:
+            times = mul[x]
             for j, c in terms:
-                a[i - d + j] = sub(a[i - d + j], mul(x, c))
+                a[i - d + j] = add[a[i - d + j]][times[c]]
     return _trim(a[:d])
 
 
 def _monic(field: FieldSpec, a: Sequence) -> Sequence:
     if not a:
         raise DivisionByZero("polynomial division by zero")
-    inv = field.inv(a[-1])
-    return a if inv == 1 else [field.mul(inv, c) for c in a]
+    _, mul, _, inv = field.tables()
+    return a if a[-1] == 1 else list(map(mul[inv[a[-1]]].__getitem__, a))
 
 
 def _gcd(field: FieldSpec, a: Sequence, b: Sequence) -> Sequence:
@@ -537,6 +564,12 @@ def poly_to_text(f: Poly) -> str:
 
 _TERM_RE = re.compile(r"^(?:(\d+)\*?)?x(?:\^(\d+))?$")
 
+# Polynomial text becomes a dense coefficient list as long as its largest
+# exponent.  A modulus has degree at most 10 (_TABLE_LIMIT) and a family
+# polynomial at most 40 (its q^d members stay below 10^12), so a term above
+# this is refused before the list is built.
+_MAX_EXPONENT = 1 << 10
+
 
 def poly_from_text(text: str, field: FieldSpec | None = None) -> Poly:
     """Parse ``x^3+x+1 over GF(2)`` or the list form ``[1,1,0,1] @ GF(2)``.
@@ -594,6 +627,8 @@ def _poly_from_text(text: str, field: FieldSpec | None, degree: int | None) -> P
         top = max((i for i, c in zip(coeffs, field.codes_of(coeffs.values())) if c), default=-1)
         if top > degree:
             raise DegreeMismatch(f"modulus degree {_shown(top)} != extension degree {degree}")
+    if max(coeffs, default=0) > _MAX_EXPONENT:
+        raise ValueError(f"term x^{_shown(max(coeffs))} is above x^{_MAX_EXPONENT}")
     out = [0] * (max(coeffs) + 1 if coeffs else 0)
     for i, c in coeffs.items():
         out[i] = c

@@ -44,6 +44,11 @@ __all__ = [
 
 DEFAULT_ORDER_CAP = 1 << 20
 
+# A 0-column matrix is all in its header, so its row count is the one size
+# read_matrix allocates that the length of the text does not bound; no flag
+# or word has 0 columns, and 2^20 empty rows take 8 MB.
+_MAX_EMPTY_ROWS = 1 << 20
+
 
 def _pack(row: Sequence[int]) -> int:
     """The bitmask of a GF(2) row of codes 0 and 1, column 0 the most
@@ -106,21 +111,20 @@ def _echelon(rows: Sequence, lengths: Iterable[int], field: FieldSpec) -> tuple[
     ranks = []
     done = 0
     basis = {}  # pivot column -> kept row
-    sub, mul = field.sub, field.mul
+    add, mul, neg, inv = field.tables()
     for t in lengths:
         start = len(out)
         for row in rows[done:t]:
             for c, base in basis.items():
                 x = row[c]
                 if x:
-                    row = tuple([sub(a, mul(x, b)) for a, b in zip(row, base)])
+                    times = mul[neg[x]]
+                    row = tuple([add[a][times[b]] for a, b in zip(row, base)])
             top = next((j for j, x in enumerate(row) if x), None)
             if top is None:
                 continue
-            x = row[top]
-            if x != 1:
-                xi = field.inv(x)
-                row = tuple([mul(xi, y) for y in row])
+            if row[top] != 1:
+                row = tuple(map(mul[inv[row[top]]].__getitem__, row))
             basis[top] = row
             out.append(row)
         if len(out) - start > 1:
@@ -147,12 +151,13 @@ def _back_substitute(rows: Sequence, field: FieldSpec) -> tuple:
             done[top] = row
             mask |= 1 << top - 1
     else:
-        sub, mul = field.sub, field.mul
+        add, mul, neg, _ = field.tables()
         for row in reversed(rows):
             for c, base in done.items():
                 x = row[c]
                 if x:
-                    row = tuple([sub(a, mul(x, b)) for a, b in zip(row, base)])
+                    times = mul[neg[x]]
+                    row = tuple([add[a][times[b]] for a, b in zip(row, base)])
             done[row.index(1)] = row
     return tuple(sorted(done.values(), reverse=True))
 
@@ -164,9 +169,8 @@ class MatrixGF:
     bit ncols - 1 - j, so bitmasks of one width compare as their code tuples
     do, and int_rows() decodes them into a tuple grid on each call.  Over
     every other field the rows are code tuples, which int_rows() returns.
-    ``_tables`` holds the product tables of a GF(2) matrix that
-    _tabulated() made to be the right factor of many products, and is None
-    on every other matrix.
+    ``_tables`` holds what _tabulated() made for a matrix that is the right
+    factor of many products, and is None on every other matrix.
     """
 
     __slots__ = ("field", "nrows", "ncols", "_rows", "_tables")
@@ -224,13 +228,13 @@ class MatrixGF:
         return cls._wrap(field, ncols, (zero,) * nrows)
 
     def _tabulated(self) -> MatrixGF:
-        """This matrix as the right factor of many products: over GF(2) an
-        equal matrix whose product tables (_product_tables) every product
-        by it reads, otherwise this matrix itself."""
-        if self.field.q != 2:
-            return self
+        """An equal matrix to be the right factor of many products, which
+        keeps what they read: its product tables (_product_tables) over
+        GF(2), otherwise the (column, code) pairs of each row's nonzero
+        entries."""
         m = MatrixGF._wrap(self.field, self.ncols, self._rows)
-        m._tables = _product_tables(self._rows)
+        m._tables = _product_tables(self._rows) if self.field.q == 2 else tuple(
+            [[(c, w) for c, w in enumerate(row) if w] for row in self._rows])
         return m
 
     # -- inspection ----------------------------------------------------------
@@ -352,14 +356,15 @@ def _product_tables(rows: tuple) -> tuple[list[int], ...]:
 def mat_mul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
     """Exact matrix product.  Over GF(2) a product row is one table lookup
     per byte of the left row when ``b`` has product tables (_tabulated),
-    and one XOR per set bit otherwise."""
+    and one XOR per set bit otherwise.  Over other fields it reads the
+    field's tables once per nonzero entry pair."""
     field = a.field
     if field is not b.field and field != b.field:
         raise FieldMismatch(f"{a.field} matrix times {b.field} matrix")
     if a.ncols != b.nrows:
         raise DimMismatch(f"{a.nrows}x{a.ncols} times {b.nrows}x{b.ncols}")
     tables = b._tables
-    if tables is not None:
+    if tables is not None and field.q == 2:
         if len(tables) <= 2:
             # at most 16 rows of b: the low byte and the rest, one lookup
             # each; with one table the rest is 0, and (0,)[0] is 0
@@ -387,18 +392,18 @@ def mat_mul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
                 arow ^= low
             out.append(acc)
         return MatrixGF._wrap(field, b.ncols, tuple(out))
-    add, mul = field.add, field.mul
-    out = [[0] * b.ncols for _ in range(a.nrows)]
-    brows = b._rows
-    for i, arow in enumerate(a._rows):
-        orow = out[i]
-        for j, v in enumerate(arow):
+    add, mul, _, _ = field.tables()
+    rows = (b if tables is not None else b._tabulated())._tables
+    out = []
+    for arow in a._rows:
+        orow = [0] * b.ncols
+        for v, terms in zip(arow, rows):
             if v:
-                brow = brows[j]
-                for c, w in enumerate(brow):
-                    if w:
-                        orow[c] = add(orow[c], mul(v, w))
-    return MatrixGF._wrap(field, b.ncols, tuple(map(tuple, out)))
+                times = mul[v]
+                for c, w in terms:
+                    orow[c] = add[orow[c]][times[w]]
+        out.append(tuple(orow))
+    return MatrixGF._wrap(field, b.ncols, tuple(out))
 
 
 def vstack(mats: Sequence[MatrixGF]) -> MatrixGF:
@@ -587,8 +592,9 @@ def _read_matrix(
         if not m:
             raise ValueError(f"bad matrix header {header!r}")
         nrows, ncols = int(m.group(1)), int(m.group(2))
-        if ncols == 0 and not empty:
-            raise ValueError(f"matrix header {header[:40]!r} has 0 columns, but no flag or word does")
+        if ncols == 0 and (not empty or nrows > _MAX_EMPTY_ROWS):
+            why = f"and more than {_MAX_EMPTY_ROWS} rows" if empty else "but no flag or word does"
+            raise ValueError(f"matrix header {header[:40]!r} has 0 columns, {why}")
         if q is not None:
             misnamed = _misnamed_field(m.group(3), q[0])
             if misnamed is not None:

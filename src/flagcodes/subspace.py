@@ -287,9 +287,10 @@ def _distance_profile(chains: Sequence[tuple], field: FieldSpec, n: int) -> Coun
     # row is the sum of its entries' parts
     tables = []
     codes = range(field.q)
-    for _ in range(e):
+    for t in range(e):
+        if t:
+            codes = list(map(field.tables()[1][p].__getitem__, codes))
         tables.append([[bits[v] >> (j * e) for v in codes] for j in range(n)])
-        codes = [field.mul(p, v) for v in codes]
     distinct = {row for rows, _ in chains for row in rows}
     if {len(row) for row in distinct} != {n}:
         raise ValueError(f"a chain has a row that is not a vector of {field}^{n}")
@@ -735,7 +736,7 @@ def _hyperplane_normal(rows: tuple, n: int, field: FieldSpec):
             if (row & c).bit_count() & 1:
                 c |= 1 << row.bit_length() - 1
         return c
-    neg, add, mul = field.neg, field.add, field.mul
+    add, mul, neg, _ = field.tables()
     pivots = [row.index(1) for row in rows]
     # the n - 1 pivots are distinct columns of 0..n-1: j is the one left out
     j = n * (n - 1) // 2 - sum(pivots)
@@ -745,8 +746,8 @@ def _hyperplane_normal(rows: tuple, n: int, field: FieldSpec):
         acc = 0
         for x, y in zip(row, c):
             if x and y:
-                acc = add(acc, mul(x, y))
-        c[p] = neg(acc)
+                acc = add[acc][mul[x][y]]
+        c[p] = neg[acc]
     return tuple(c)
 
 
@@ -779,20 +780,17 @@ def _normal_walk(c, g: MatrixGF, steps: int) -> list:
             c = x
             walk.append(c)
         return walk
-    add, mul, inv = field.add, field.mul, field.inv
-    terms = [[(j, v) for j, v in enumerate(row) if v] for row in inverse]
+    add, mul, _, inv = field.tables()
+    terms = [[(j, mul[v]) for j, v in enumerate(row) if v] for row in inverse]
     for _ in range(steps):
         x = []
         for row in terms:
             acc = 0
-            for j, v in row:
+            for j, times in row:
                 if c[j]:
-                    acc = add(acc, mul(v, c[j]))
+                    acc = add[acc][times[c[j]]]
             x.append(acc)
         last = next(v for v in reversed(x) if v)
-        if last != 1:
-            scale = inv(last)
-            x = [mul(scale, v) for v in x]
-        c = tuple(x)
+        c = tuple(x) if last == 1 else tuple(map(mul[inv[last]].__getitem__, x))
         walk.append(c)
     return walk

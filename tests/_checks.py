@@ -27,11 +27,16 @@ a hyperplane's normal found among all q^n vectors instead of read off
 its RREF key (``normal_oracle``), and an extension field's tables from
 digit-by-digit sums and polynomial products over GF(p) reduced mod the
 modulus instead of FieldSpec's recurrences on codes
-(``field_tables_oracle``).
+(``field_tables_oracle``), and polynomial products, remainders and the
+recurring sequence x^t mod f by schoolbook sums and long division with the
+field's methods (``poly_mul_oracle``, ``poly_rem_oracle``,
+``recurring_sequence_oracle``) instead of the table-indexed code-list
+arithmetic of the primitive-polynomial search and the generator set.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import random
 from collections import Counter
@@ -183,11 +188,14 @@ def orbit_by_powers(u: fc.Subspace, g: fc.MatrixGF, order: int) -> tuple[fc.Subs
 
 @lru_cache(maxsize=None)
 def scaled_vectors(field: fc.FieldSpec, n: int) -> tuple[tuple[int, ...], ...]:
-    """Every vector of GF(q)^n whose last nonzero entry is 1."""
-    return tuple(
-        v for v in product(range(field.q), repeat=n)
-        if any(v) and next(x for x in reversed(v) if x) == 1
-    )
+    """Every vector of GF(q)^n whose last nonzero entry is 1, in
+    lexicographic order: for each place i of that entry, every head of i
+    entries, so the (q^n - 1)/(q - 1) vectors are made without the other
+    q^n of GF(q)^n."""
+    return tuple(sorted(
+        head + (1,) + (0,) * (n - 1 - i)
+        for i in range(n) for head in product(range(field.q), repeat=i)
+    ))
 
 
 def normal_oracle(u: fc.Subspace):
@@ -273,9 +281,10 @@ def x_order(f: fc.Poly) -> int:
     raise AssertionError("order search ran away")
 
 
-def _divides(field: fc.FieldSpec, g: list[int], f: tuple[int, ...]) -> bool:
-    """Whether the monic g divides f: long division that takes off f's top
-    term, one degree at a time."""
+def poly_rem_oracle(field: fc.FieldSpec, f, g) -> list[int]:
+    """f mod the monic g on code lists, lowest degree first, with no
+    trailing zero: long division that takes off f's top term, one degree at
+    a time, with the field's methods."""
     rem = list(f)
     m = len(g) - 1
     while len(rem) > m:
@@ -283,7 +292,30 @@ def _divides(field: fc.FieldSpec, g: list[int], f: tuple[int, ...]) -> bool:
         shift = len(rem) - m
         for j in range(m):
             rem[shift + j] = field.sub(rem[shift + j], field.mul(top, g[j]))
-    return not any(rem)
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
+
+
+def poly_mul_oracle(field: fc.FieldSpec, a, b) -> list[int]:
+    """The schoolbook product of two code lists, every coefficient a sum
+    of products over all index pairs, with the field's methods."""
+    return [
+        functools.reduce(field.add, (field.mul(a[i], b[t - i]) for i in range(len(a)) if 0 <= t - i < len(b)), 0)
+        for t in range(len(a) + len(b) - 1)
+    ]
+
+
+def recurring_sequence_oracle(f: fc.Poly, length: int) -> list[list[int]]:
+    """x^t mod the monic f for t = 0..length-1 as coefficient lists of
+    length deg f, each the remainder of x^t written out in full."""
+    d = f.degree
+    return [(poly_rem_oracle(f.field, [0] * t + [1], f.coeffs) + [0] * d)[:d] for t in range(length)]
+
+
+def _divides(field: fc.FieldSpec, g: list[int], f: tuple[int, ...]) -> bool:
+    """Whether the monic g divides f (poly_rem_oracle)."""
+    return not poly_rem_oracle(field, f, g)
 
 
 def brute_force_irreducible(f: fc.Poly) -> bool:

@@ -102,11 +102,21 @@ class TestTabledProduct:
         with pytest.raises(DimMismatch):
             M(gf2, [[1, 0, 1]]) @ b
 
-    def test_no_tables_over_other_fields(self, gf3):
-        plain = M(gf3, [[1, 2], [0, 1]])
-        b = plain._tabulated()
-        assert b is plain and b._tables is None
-        assert (M(gf3, [[2, 1]]) @ b).int_rows() == ((2, 2),)
+    def test_terms_over_other_fields(self):
+        # over GF(q > 2) the kept terms are the (column, code) pairs of the
+        # nonzero entries of each row, and products by the matrix read them
+        for q in (3, 4, 9, 1031):
+            field = fc.field_from_order(q)
+            rng = random.Random(q)
+            plain = _random_matrix(field, rng, 6, 5)
+            b = plain._tabulated()
+            assert b == plain and b is not plain and plain._tables is None
+            assert b._tables == tuple(
+                [(c, w) for c, w in enumerate(row) if w] for row in plain.int_rows()
+            )
+            for nrows in (0, 1, 4):
+                a = _random_matrix(field, rng, nrows, 6)
+                assert (a @ b).int_rows() == mat_mul_oracle(a, b) == (a @ plain).int_rows()
 
     @pytest.mark.parametrize("q, families", [(2, 3), (3, 2)])
     def test_generator_set_tabulates_each_family_once(self, monkeypatch, q, families):
