@@ -143,6 +143,10 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def _construct_family(args: argparse.Namespace, params: ConstructionParams) -> FlagCode:
+    if args.command == "spectrum" or args.family != "full":
+        # a pair scan over a characteristic the kernel refuses is refused
+        # first; only construct --family full scans no pairs
+        _check_kernel_prime(params.field.p)
     _check_size(params)
     dims = _type_dims(args)
     if args.family == "longer":
@@ -150,10 +154,6 @@ def _construct_family(args: argparse.Namespace, params: ConstructionParams) -> F
         tv = _longer_type(params, TypeVector(params.n, dims) if dims else None)
     elif dims:
         raise ValueError("--type applies to the longer family only")
-    if args.command == "spectrum" or args.family != "full":
-        # so is a pair scan over a characteristic the kernel refuses; only
-        # construct --family full scans no pairs
-        _check_kernel_prime(params.field.p)
     gen = build_generator_set(params)
     if args.family == "longer":
         return build_longer_type_code(gen, tv)

@@ -143,7 +143,8 @@ class TooFewWords(FlagCodesError):
 
 
 class NotConstantDim(FlagCodesError):
-    """The operation is defined only for constant dimension codes."""
+    """Subspace codes are constant dimension codes: words of two dimensions,
+    or an empty code, which has no dimension, where one is needed."""
 
 
 class HypothesisUnmet(FlagCodesError):

@@ -346,9 +346,8 @@ class FlagCode:
                 parent, positions = self._parent
                 self._profile = _restrict_profile(parent.distance_profile(), positions)
             elif self.flags:
-                dims = self.type.dims
-                chains = [(f._rows, dims) for f in self.flags]
-                self._profile = _distance_profile(chains, self.flags[0].field, self.type.n)
+                rows = [f._rows for f in self.flags]
+                self._profile = _distance_profile(rows, self.type.dims, self.flags[0].field, self.type.n)
             else:
                 self._profile = Counter()
         return self._profile

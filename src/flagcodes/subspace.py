@@ -137,15 +137,17 @@ def intersection_dim(u: Subspace, v: Subspace) -> int:
 
 
 class SubspaceCode:
-    """A set of subspaces of a common ambient space over one field, stored
-    sorted by key and deduped: of words with equal keys the last one given
-    is kept."""
+    """A constant dimension code: a set of subspaces of one dimension in a
+    common ambient space over one field, stored sorted by key and deduped:
+    of words with equal keys the last one given is kept.  A word of another
+    dimension than the first raises NotConstantDim; an empty code has
+    ``constant_dim`` None."""
 
     __slots__ = ("ambient", "words", "constant_dim", "_spectrum")
 
     def __init__(self, ambient: int, words: Iterable[Subspace]):
         seen: dict[tuple, Subspace] = {}
-        field = None
+        field = dim = None
         for w in words:
             if w.ambient != ambient:
                 raise AmbientMismatch(
@@ -154,17 +156,18 @@ class SubspaceCode:
             # the key is field-free, so words over two fields could merge
             if field is None:
                 field = w.field
+                dim = w.dim
             elif w.field != field:
                 raise AmbientMismatch(
                     f"word over {w.field} (modulus {w.field.modulus}) in a code "
                     f"over {field} (modulus {field.modulus})"
                 )
+            elif w.dim != dim:
+                raise NotConstantDim(f"a dim-{w.dim} word in a code of dim-{dim} words")
             seen[w.key] = w
-        ordered = tuple(sorted(seen.values(), key=attrgetter("_key")))
-        dims = {w.dim for w in ordered}
         self.ambient = ambient
-        self.words = ordered
-        self.constant_dim = dims.pop() if len(dims) == 1 else None
+        self.words = tuple(sorted(seen.values(), key=attrgetter("_key")))
+        self.constant_dim = dim
         self._spectrum = None
 
     def spectrum(self) -> Counter:
@@ -176,8 +179,8 @@ class SubspaceCode:
         if self._spectrum is None:
             profile = Counter()
             if self.words:
-                chains = [(w._key[1], (w.dim,)) for w in self.words]
-                profile = _distance_profile(chains, self.words[0].field, self.ambient)
+                rows = [w._key[1] for w in self.words]
+                profile = _distance_profile(rows, (self.constant_dim,), self.words[0].field, self.ambient)
             self._spectrum = Counter({vec[0]: n for vec, n in profile.items()})
         return self._spectrum
 
@@ -196,16 +199,14 @@ class SubspaceCode:
         return self.ambient == other.ambient and self.words == other.words
 
     def __repr__(self) -> str:
-        dim = self.constant_dim if self.constant_dim is not None else "mixed"
-        return f"SubspaceCode({len(self.words)} words, dim {dim}, ambient {self.ambient})"
+        return f"SubspaceCode({len(self.words)} words, dim {self.constant_dim}, ambient {self.ambient})"
 
     def dump(self) -> str:
         """Serialize as a ``n k q |C|`` header plus one canonical matrix per word."""
-        if self.constant_dim is None:
-            raise NotConstantDim("serialization needs a constant dimension code")
-        field = self.words[0].field if self.words else None
-        q = field.q if field else 0
-        lines = [f"{self.ambient} {self.constant_dim} {q} {len(self.words)}"]
+        if not self.words:
+            raise NotConstantDim("an empty code has no dimension to serialize")
+        field = self.words[0].field
+        lines = [f"{self.ambient} {self.constant_dim} {field.q} {len(self.words)}"]
         memo: dict = {}
         for w in self.words:
             _matrix_lines(field, self.ambient, w.key[1], memo, lines)
@@ -241,21 +242,22 @@ class SubspaceCode:
         return code
 
 
-def _distance_profile(chains: Sequence[tuple], field: FieldSpec, n: int) -> Counter:
+def _distance_profile(rows: Sequence[tuple], dims: tuple[int, ...], field: FieldSpec, n: int) -> Counter:
     """Per-level distance vectors over every unordered pair of nested chains
-    in GF(q)^n, q = ``field.q`` = p^e.
+    in GF(q)^n, q = ``field.q`` = p^e, that all span the dims ``dims``.
 
-    A chain is (rows, dims): all its rows in level order, as matrices over
-    ``field`` store them (bitmasks over GF(2), code tuples otherwise), and
-    the dim they span up to each level.  All chains have the same number of
-    levels: a flag is its normal-form rows (``_rows``) with its type's dims,
-    and a word of a SubspaceCode its key rows with (dim,).  The result maps
+    ``rows`` holds one row tuple per chain: all its rows in level order, as
+    matrices over ``field`` store them (bitmasks over GF(2), code tuples
+    otherwise), the first dims[l] of them spanning its level l.  A flag is
+    its normal-form rows (``_rows``) under its type's dims, and a word of a
+    SubspaceCode its key rows under (dim,).  The result maps
     (d(U_1, V_1), ..., d(U_r, V_r)) to its number of pairs.  A pair needs
-    one elimination basis: level i inserts the rows that U_i and V_i add to
-    U_(i-1) and V_(i-1), after which the basis rank is rk[U_i; V_i].  One
-    bit-sliced elimination over GF(p) serves a batch of consecutive chains
-    and all their later partners at once, each pair one bit
-    (_sliced_profile).  This is the package's only scan of a code's pairs.
+    one elimination basis: level l inserts the rows that U_l and V_l add to
+    U_(l-1) and V_(l-1), after which the basis rank is rk[U_l; V_l] and
+    d(U_l, V_l) = 2 (rk[U_l; V_l] - dims[l]).  One bit-sliced elimination
+    over GF(p) serves a batch of consecutive chains and all their later
+    partners at once, each pair one bit (_sliced_profile).  This is the
+    package's only scan of a code's pairs.
 
     A row r over GF(q) becomes the e rows r, x r, ..., x^(e-1) r over GF(p),
     entry j written as its e base-p digits in columns je .. je+e-1.  Their
@@ -264,12 +266,12 @@ def _distance_profile(chains: Sequence[tuple], field: FieldSpec, n: int) -> Coun
     en columns with every dim scaled by e, and each entry of a distance
     vector it returns is e times the entry over GF(q).
     """
-    if not chains:
+    if not rows:
         return Counter()
     _check_kernel_prime(field.p)
     if field.q == 2:
         # GF(2) rows are already bitmasks
-        return _sliced_profile(chains, n, 2)
+        return _sliced_profile(rows, dims, n, 2)
     p, e = field.p, field.e
     cols = e * n
     width = (p - 1) * cols
@@ -291,15 +293,12 @@ def _distance_profile(chains: Sequence[tuple], field: FieldSpec, n: int) -> Coun
         if t:
             codes = list(map(field.tables()[1][p].__getitem__, codes))
         tables.append([[bits[v] >> (j * e) for v in codes] for j in range(n)])
-    distinct = {row for rows, _ in chains for row in rows}
+    distinct = {row for chain in rows for row in chain}
     if {len(row) for row in distinct} != {n}:
         raise ValueError(f"a chain has a row that is not a vector of {field}^{n}")
     lifted = {row: [sum(map(getitem, table, row)) for table in tables] for row in distinct}
-    restricted = [
-        ([x for row in rows for x in lifted[row]], tuple([e * dim for dim in dims]))
-        for rows, dims in chains
-    ]
-    profile = _sliced_profile(restricted, cols, p)
+    restricted = [[x for row in chain for x in lifted[row]] for chain in rows]
+    profile = _sliced_profile(restricted, tuple([e * dim for dim in dims]), cols, p)
     if e == 1:
         return profile
     scaled: Counter = Counter()
@@ -324,61 +323,44 @@ def _blocks(x: int, w: int, k: int) -> int:
     return x & (1 << span) - 1
 
 
-def _bit_planes(chains: Sequence[tuple], width: int) -> tuple[list, dict]:
-    """(planes, by_dims) for chains of rows over ``width`` plane columns.
+def _bit_planes(chains: Sequence[Sequence[int]], dims: tuple[int, ...], width: int) -> list:
+    """The bit planes of chains of rows over ``width`` plane columns, every
+    chain spanning the dims ``dims``.
 
     ``planes[l][t][i]`` holds plane column i of the t-th row each chain adds
-    at level l, chain m at bit m; ``by_dims`` maps each dim vector to the
-    mask of its chains.  Level l has as many row slots as the most rows a
-    dim vector adds there, and a chain with fewer rows has zero rows in the
-    rest, which add no rank.  A chain is one binary numeral: its rows, each
-    distinct row rendered once as ``width`` digits, in level order, every
-    level padded to its slots.  Digit j of every numeral, the last chain's
-    first, read as one int is plane column j mod width of slot j // width,
-    so one transpose makes every plane.  A chain whose rows do not number
-    its top dim, or a row wider than ``width``, makes a numeral of another
+    at level l, chain m at bit m; level l has dims[l] - dims[l - 1] rows.  A
+    chain is one binary numeral: its rows, each distinct row rendered once
+    as ``width`` digits, in level order.  Digit j of every numeral, the last
+    chain's first, read as one int is plane column j mod width of row
+    j // width, so one transpose makes every plane, and the levels are
+    slices of its rows at ``dims``.  A chain whose rows do not number
+    dims[-1], or a row wider than ``width``, makes a numeral of another
     length: ValueError.
     """
-    by_dims: dict[tuple[int, ...], int] = {}
-    for m, (_, dims) in enumerate(chains):
-        by_dims[dims] = by_dims.get(dims, 0) | 1 << m
-    depth = len(chains[0][1])
-    slots = [max(d[l] - (d[l - 1] if l else 0) for d in by_dims) for l in range(depth)]
-    # per dim vector, (index into its rows, zero rows) for each level it
-    # leaves short, last level first so that the indices stay valid
-    zero = "0" * width
-    pads = {
-        dims: [(hi, zero * (s - hi + lo)) for lo, hi, s in zip((0, *dims), dims, slots) if s > hi - lo][::-1]
-        for dims in by_dims
-    }
     fmt = f"0{width}b"
-    render = {row: format(row, fmt) for row in {row for rows, _ in chains for row in rows}}.__getitem__
-    numerals = []
-    for rows, dims in chains:
-        pieces = list(map(render, rows))
-        for at, pad in pads[dims]:
-            pieces.insert(at, pad)
-        numerals.append("".join(pieces))
-    size = sum(slots) * width
+    render = {row: format(row, fmt) for row in {row for rows in chains for row in rows}}.__getitem__
+    numerals = ["".join(map(render, rows)) for rows in chains]
+    size = dims[-1] * width
     if set(map(len, numerals)) != {size}:
         raise ValueError(f"a chain's rows do not number its top dim, or a row is wider than {width} columns")
     # the numerals, the last chain's first: every size-th digit from digit
     # j is plane column j, chain m at bit m
     text = "".join(reversed(numerals))
     columns = [int(text[j::size], 2) for j in range(size)]
-    slot_rows = iter([columns[i : i + width] for i in range(0, size, width)])
-    return [[next(slot_rows) for _ in range(s)] for s in slots], by_dims
+    rows = [columns[i : i + width] for i in range(0, size, width)]
+    return [rows[lo:hi] for lo, hi in zip((0, *dims), dims)]
 
 
-def _sliced_profile(chains: Sequence[tuple], n: int, p: int) -> Counter:
+def _sliced_profile(chains: Sequence[Sequence[int]], dims: tuple[int, ...], n: int, p: int) -> Counter:
     """The distance profile of chains of rows over GF(p), p prime, on n
-    columns, bit-sliced across pairs of chains.
+    columns, that all span the dims ``dims``, bit-sliced across pairs of
+    chains.
 
-    A chain is (rows, dims), as _distance_profile takes it.  A row is an int
-    over (p - 1) n plane columns, column 0 its most significant bit, with
-    plane column (v - 1) n + c set when its entry at column c is v: over
-    GF(2) its bitmask, over an odd p one one-hot plane per nonzero value.
-    Chain m is bit m of every plane (_bit_planes).
+    A chain is its rows in level order, as _distance_profile takes them.  A
+    row is an int over (p - 1) n plane columns, column 0 its most
+    significant bit, with plane column (v - 1) n + c set when its entry at
+    column c is v: over GF(2) its bitmask, over an odd p one one-hot plane
+    per nonzero value.  Chain m is bit m of every plane (_bit_planes).
 
     One bit of the ints the kernel works on is one pair (a, b), a < b.  A
     batch of k consecutive chains a = start .. start + k - 1 puts each in a
@@ -391,15 +373,16 @@ def _sliced_profile(chains: Sequence[tuple], n: int, p: int) -> Counter:
     elimination serves the whole batch (_sliced_insert over GF(2),
     _odd_kernel(p) over odd p): the batch chains' own rows enter as blocks
     of all or no active bits, then the partners' rows, level by level.  A
-    bit-sliced counter per level adds up the rank that level gains for each
-    pair.  Splitting the pairs by those counters (and by both chains' dims,
-    for codes of mixed dimension) gives each distance vector's class of
-    pairs, counted with int.bit_count().
+    bit-sliced counter per level adds up the rank g that level gains for
+    each pair.  One split of the batch's active pairs by those counters,
+    level by level, gives each distance vector's class of pairs: with
+    ``rank`` the basis rank below level l, the pair's entry at level l is
+    2 (rank + g - dims[l]).  Each class is counted with int.bit_count().
     """
     count_n = len(chains)
     width = (p - 1) * n
     insert = _sliced_insert if p == 2 else _odd_kernel(p)
-    planes, by_dims = _bit_planes(chains, width)
+    planes = _bit_planes(chains, dims, width)
     profile: Counter = Counter()
     start = 0
     while start < count_n - 1:
@@ -420,31 +403,25 @@ def _sliced_profile(chains: Sequence[tuple], n: int, p: int) -> Counter:
 
         has = [0] * n  # has[c]: pairs whose basis has a pivot row at c
         pivots = [[0] * width for _ in range(n)]  # pivots[c][i]: bit i of that row
-        gains = []  # per level, the bit planes of each pair's rank gain
-        for slots in planes:
+        # (distance vector so far, rank so far, pairs) per class
+        classes = [((), 0, active)]
+        for slots, dim in zip(planes, dims):
             rows = [[own(x) for x in plane] for plane in slots]
             rows += [[partners(x) for x in plane] for plane in slots]
-            gain = [0] * len(rows).bit_length()
+            gain = [0] * len(rows).bit_length()  # the bit planes of each pair's rank gain
             for row in rows:
                 carry = insert(row, has, pivots, active)
                 b = 0
                 while carry:
                     gain[b], carry = gain[b] ^ carry, gain[b] & carry
                     b += 1
-            gains.append(gain)
-        for dims_a, mask_a in by_dims.items():
-            pairs_a = own(mask_a)
-            for dims_m, mask_m in by_dims.items():
-                # (distance vector so far, rank so far, pairs) per class
-                classes = [((), 0, pairs_a & partners(mask_m))]
-                for gain, dim_a, dim_m in zip(gains, dims_a, dims_m):
-                    classes = [
-                        (vec + (2 * (rank + g) - dim_a - dim_m,), rank + g, part)
-                        for vec, rank, cls in classes
-                        for g, part in _split_by_counter(cls, gain)
-                    ]
-                for vec, _, part in classes:
-                    profile[vec] += part.bit_count()
+            classes = [
+                (vec + (2 * (rank + g - dim),), rank + g, part)
+                for vec, rank, cls in classes
+                for g, part in _split_by_counter(cls, gain)
+            ]
+        for vec, _, part in classes:
+            profile[vec] += part.bit_count()
         start += k
     return profile
 
@@ -619,15 +596,11 @@ def code_min_distance(code: SubspaceCode) -> int:
 
 def is_partial_spread(code: SubspaceCode) -> bool:
     """True iff all pairs of distinct words intersect trivially."""
-    if code.constant_dim is None:
-        raise NotConstantDim("partial spreads are constant dimension codes")
     return is_equidistant_c(code, 0)
 
 
 def is_equidistant_c(code: SubspaceCode, c: int) -> bool:
     """True iff every pairwise intersection has dimension exactly ``c``."""
-    if code.constant_dim is None:
-        raise NotConstantDim("equidistant codes are constant dimension codes")
     # d(U, V) = 2 dim U - 2 dim(U int V) for equal dimensions
     return all(d == 2 * (code.constant_dim - c) for d in code.spectrum())
 

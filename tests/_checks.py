@@ -646,27 +646,21 @@ def code_profile_oracle(code: fc.FlagCode) -> Counter:
     return Counter(_CODE_PROFILES[key])
 
 
-def plane_oracle(chains, width: int) -> tuple[list, dict]:
-    """The bit planes of scan chains (rows, dims) over ``width`` plane
-    columns, built bit by bit, and each dim vector's mask of chains: the
-    oracle for ``subspace._bit_planes``.  Chain m's rows at level l are
-    ``rows[dims[l - 1]:dims[l]]``; level l has as many slots as the most
-    rows any chain adds there, and bit i of a row from the top (of
-    ``width`` bits) sets bit m of plane ``[l][t][i]`` for its slot t."""
-    levels = [[rows[lo:hi] for lo, hi in zip((0, *dims), dims)] for rows, dims in chains]
-    planes = [
-        [[0] * width for _ in range(max(len(chain[l]) for chain in levels))]
-        for l in range(len(levels[0]))
-    ]
-    masks: dict[tuple, int] = {}
-    for m, (chain, (_, dims)) in enumerate(zip(levels, chains)):
-        for level_rows, slots in zip(chain, planes):
-            for row, plane in zip(level_rows, slots):
+def plane_oracle(chains, dims, width: int) -> list:
+    """The bit planes of scan chains (row tuples that all span the dims
+    ``dims``) over ``width`` plane columns, built bit by bit: the oracle
+    for ``subspace._bit_planes``.  Chain m's rows at level l are
+    ``rows[dims[l - 1]:dims[l]]``, and bit i of its t-th row from the top
+    (of ``width`` bits) sets bit m of plane ``[l][t][i]``."""
+    bounds = list(zip((0, *dims), dims))
+    planes = [[[0] * width for _ in range(hi - lo)] for lo, hi in bounds]
+    for m, rows in enumerate(chains):
+        for (lo, hi), slots in zip(bounds, planes):
+            for row, plane in zip(rows[lo:hi], slots):
                 for i in range(width):
                     if row >> (width - 1 - i) & 1:
                         plane[i] |= 1 << m
-        masks[dims] = masks.get(dims, 0) | 1 << m
-    return planes, masks
+    return planes
 
 
 # -- Gauss-Jordan RREF, and prefix subspaces through a fresh RREF per prefix ------

@@ -287,11 +287,11 @@ class TestVerify:
         assert any("loaded.cardinality" in ln for ln in failing)
 
     def test_budget_exhaustion_exit_code(self, capsys):
-        # f_1 has degree 67: the family's 2^67 - 1 members are past 10^12,
-        # so the instance is refused before 2^67 - 1 is factored
+        # f_1 has degree 67: the family's 2^67 - 1 members are past the
+        # flag bound, so the instance is refused before 2^67 - 1 is factored
         rc, stdout, stderr = run(capsys, "verify", "--q", "2", "--k", "67", "--h", "0", "--s", "2")
         assert (rc, stdout) == (3, "")
-        assert "> 10^12 members: q = 2, e = (s-1)k+h = 67" in stderr
+        assert "more than 262144 flags: q = 2, e = (s-1)k+h = 67" in stderr
 
     def test_poly_choice_past_last_polynomial(self, capsys):
         # GF(2) has a single primitive quadratic
@@ -581,10 +581,10 @@ class TestNamedFieldRefusals:
 
 
 class TestOversizedInstances:
-    """An instance whose largest family has more than 10^12 members is
-    refused (exit 3) before its polynomial search and before anything is
-    sized off it; a value of any length reaches the same checks, and no
-    message spells out a huge number."""
+    """An instance whose generator set has more than 2^18 flags is refused
+    (exit 3) before its polynomial search and before anything is sized off
+    it; a value of any length reaches the same checks, and no message
+    spells out a huge number."""
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--k", "9" * 50, "--s", "2"],
@@ -595,8 +595,11 @@ class TestOversizedInstances:
         ["construct", "--k", "100", "--s", "3"],
         ["construct", "--k", "100", "--s", "3", "--family", "longer"],
         ["spectrum", "--k", "100", "--s", "3", "--family", "longer"],
+        # 2^39 + 2^26 + 2^13 + 1 flags, fewer than 10^12
+        ["construct", "--k", "13", "--s", "4"],
+        ["verify", "--k", "13", "--s", "4"],
     ], ids=["k-50-digits", "s-3999-digits", "k-100", "k-100000", "k-10^7",
-            "construct", "construct-longer", "spectrum-longer"])
+            "construct", "construct-longer", "spectrum-longer", "construct-k13-s4", "verify-k13-s4"])
     def test_refused_before_the_search(self, capsys, monkeypatch, argv):
         def searched(field, d):
             raise AssertionError("a primitive polynomial was searched for")
@@ -606,7 +609,7 @@ class TestOversizedInstances:
         rc, stdout, stderr = run(capsys, *argv, "--q", "2", "--h", "0")
         assert perf_counter() - start < 1
         assert (rc, stdout) == (3, "") and len(stderr) < 300
-        assert "the largest family has q^e - 1 > 10^12 members" in stderr
+        assert "the generator set has more than 262144 flags" in stderr
 
     @pytest.mark.parametrize("option", ["--q", "--k", "--h", "--s"])
     def test_huge_values_past_the_int_to_str_limit(self, capsys, option):

@@ -55,15 +55,15 @@ class TestParams:
                 fc.ConstructionParams.make(2, k, h, s)
             assert len(str(exc.value)) < 100
 
-    @pytest.mark.parametrize("q,e", [(2, 40), (3, 26), (1031, 4)])
+    @pytest.mark.parametrize("q,e", [(2, 18), (3, 12), (5, 8), (251, 3)])
     def test_oversized_instances_refused_first(self, monkeypatch, q, e):
-        # q^(e-1) - 1 <= 10^12 < q^e - 1: the largest family's size decides
+        # q^(e-1) + 1 <= 2^18 < q^e + 1 flags: the set's size decides
         construct._check_size(fc.ConstructionParams.make(q, e - 1, 0, 2))
         monkeypatch.setattr(construct, "iter_primitive_polys", None)
         monkeypatch.setattr(construct, "master_type", None)
         for params in (fc.ConstructionParams.make(q, e, 0, 2), fc.ConstructionParams.make(q, 1, 0, e + 1)):
             for build in (fc.run_claim_suite, fc.build_generator_set):
-                with pytest.raises(ResourceBudgetExceeded, match=f"> 10\\^12 members: q = {q}, e = \\(s-1\\)k\\+h = {e}$"):
+                with pytest.raises(ResourceBudgetExceeded, match=f"more than 262144 flags: q = {q}, e = \\(s-1\\)k\\+h = {e}$"):
                     build(params)
 
 

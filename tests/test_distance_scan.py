@@ -34,17 +34,16 @@ from _checks import (
 
 
 def _forbid_scans(monkeypatch):
-    def rescan(chains, field, n):
+    def rescan(rows, dims, field, n):
         raise AssertionError("a code was scanned on its own")
 
     monkeypatch.setattr(flagcodes.flags, "_distance_profile", rescan)
     monkeypatch.setattr(flagcodes.subspace, "_distance_profile", rescan)
 
 
-def _level_keys(chain, field, n) -> tuple:
-    """The part keys of one scan chain (rows, dims): the row space of its
-    rows up to each dim."""
-    rows, dims = chain
+def _level_keys(rows, dims, field, n) -> tuple:
+    """The part keys of one scan chain: the row space of its rows up to
+    each dim."""
     return tuple(fc.subspace_of(fc.MatrixGF._wrap(field, n, tuple(rows[:dim]))).key for dim in dims)
 
 
@@ -53,9 +52,9 @@ def _counting_scans(monkeypatch) -> list:
     scanned = []
     scan = flagcodes.subspace._distance_profile
 
-    def counting(chains, field, n):
-        scanned.append([_level_keys(chain, field, n) for chain in chains])
-        return scan(chains, field, n)
+    def counting(rows, dims, field, n):
+        scanned.append([_level_keys(chain, dims, field, n) for chain in rows])
+        return scan(rows, dims, field, n)
 
     monkeypatch.setattr(flagcodes.flags, "_distance_profile", counting)
     monkeypatch.setattr(flagcodes.subspace, "_distance_profile", counting)

@@ -8,12 +8,13 @@ kernel that ``_odd_kernel(p)`` writes out.  ``pairwise_profile`` in
 ``_checks.py`` is a per-pair loop over any field, with one basis per pair
 and rows taken from the canonical generators, and the only per-pair scan
 left; the two must return equal Counters on the construction's codes, on
-restrictions that merge flags, on loaded codes, on codes of mixed
-dimension, and on random codes whose pair masks cross machine words, over
-GF(2), GF(3), GF(4), GF(5), GF(7), GF(8), GF(9) and GF(25).  The scan's
-bit planes, transposed from one binary numeral per chain
-(``subspace._bit_planes``), must equal ``plane_oracle``'s, set bit by bit,
-on chains of mixed dim vectors, and a chain with a missing, extra or
+restrictions that merge flags, on loaded codes, and on random codes
+whose pair masks cross machine words, over GF(2), GF(3), GF(4), GF(5),
+GF(7), GF(8), GF(9) and GF(25).  Every scan serves one dim vector: the
+flags of one type, or the words of one constant dimension code.  The
+scan's bit planes, transposed from one binary numeral per chain and
+sliced into levels at the dims (``subspace._bit_planes``), must equal
+``plane_oracle``'s, set bit by bit, and a chain with a missing, extra or
 too-wide row is refused with ValueError.  The batch
 tests shrink the scan's private bit budget (``subspace._BATCH_BITS``) so
 that small codes span several batches, and pin the batch plan: which
@@ -47,10 +48,13 @@ from _checks import (
 GF2_CHOICES = [(qkhs, c) for qkhs, c in SWEEP_CHOICES if qkhs[0] == 2]
 
 
-def _scan_chains(flags) -> list[tuple]:
-    """The scan's chains of ``flags``: each flag's normal-form rows and its
-    type's dims."""
-    return [(f._rows, f.type.dims) for f in flags]
+def _scan_chains(flags) -> tuple[list, tuple]:
+    """The scan's (rows, dims) of ``flags``, all of one type: each flag's
+    normal-form rows, and the type's dims."""
+    flags = list(flags)
+    dims = flags[0].type.dims if flags else ()
+    assert all(f.type.dims == dims for f in flags)
+    return [f._rows for f in flags], dims
 
 
 def check_chains(chains, want: Counter | None = None) -> int:
@@ -61,7 +65,7 @@ def check_chains(chains, want: Counter | None = None) -> int:
     chains = [tuple(chain) for chain in chains]
     field, ambient = (chains[0][0].field, chains[0][0].ambient) if chains else (None, 0)
     flags = [fc.Flag(fc.TypeVector(ambient, tuple(p.dim for p in chain)), chain) for chain in chains]
-    got = _distance_profile(_scan_chains(flags), field, ambient)
+    got = _distance_profile(*_scan_chains(flags), field, ambient)
     assert got == (pairwise_profile(chains) if want is None else want)
     n = len(chains)
     assert sum(got.values()) == n * (n - 1) // 2
@@ -117,19 +121,6 @@ def _random_space(field, rng, n, dim):
         m = fc.MatrixGF(field, [[rng.randrange(field.q) for _ in range(n)] for _ in range(dim)], ncols=n)
         if m.rank() == dim:
             return fc.subspace_of(m)
-
-
-def test_mixed_dimension_code_matches_oracle(gf2):
-    # words of dims 1..5 in GF(2)^6: the kernel's zero-padded row slots and
-    # its split of the partners by dim
-    rng = random.Random(5)
-    code = fc.SubspaceCode(6, (_random_space(gf2, rng, 6, 1 + i % 5) for i in range(70)))
-    assert code.constant_dim is None
-    assert len({w.dim for w in code}) == 5
-    check_chains((w,) for w in code)
-    # a code sorts its words by dim; shuffled, every chain's partners mix dims
-    check_chains((w,) for w in rng.sample(code.words, len(code)))
-    assert code.spectrum() == pairwise_spectrum(code)
 
 
 def _random_flag(field, rng, tv):
@@ -234,21 +225,6 @@ def test_nonbinary_loaded_codes_match_oracle(q):
     check_chains((w,) for w in words)
 
 
-@pytest.mark.parametrize("q", NONBINARY)
-def test_nonbinary_mixed_dimension_code_matches_oracle(q):
-    field = fc.field_from_order(q)
-    rng = random.Random(q)
-    words: dict[tuple, fc.Subspace] = {}
-    while len(words) < 70:
-        w = _random_space(field, rng, 5, 1 + len(words) % 4)
-        words[w.key] = w
-    code = fc.SubspaceCode(5, words.values())
-    assert len(code) == 70 and len({w.dim for w in code}) == 4
-    check_chains((w,) for w in code)
-    check_chains((w,) for w in rng.sample(code.words, len(code)))
-    assert code.spectrum() == pairwise_spectrum(code)
-
-
 @pytest.mark.parametrize("count", [2, 65, 130])
 @pytest.mark.parametrize("q", NONBINARY)
 def test_nonbinary_random_codes_match_oracle(q, count):
@@ -275,7 +251,7 @@ def test_parts_built_codes_match_oracle(q):
         sub = fc.subsequence_code(rebuilt, fc.TypeVector(4, dims))
         chains = [f.parts for f in sub]
         assert sub.distance_profile() == pairwise_profile(chains)
-        assert _distance_profile(_scan_chains(sub), field, 4) == pairwise_profile(chains)
+        assert _distance_profile(*_scan_chains(sub), field, 4) == pairwise_profile(chains)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25])
@@ -284,15 +260,15 @@ def test_every_field_makes_one_sliced_scan(monkeypatch, q):
     calls = []
     sliced = subspace._sliced_profile
 
-    def spy(chains, n, p):
-        calls.append((n, p))
-        return sliced(chains, n, p)
+    def spy(chains, dims, n, p):
+        calls.append((dims, n, p))
+        return sliced(chains, dims, n, p)
 
     monkeypatch.setattr(subspace, "_sliced_profile", spy)
     field = fc.field_from_order(q)
     code = _random_flag_code(field, fc.TypeVector(4, (1, 2, 3)), 30, seed=q)
     check_chains(f.parts for f in code)
-    assert calls == [(field.e * 4, field.p)]
+    assert calls == [(tuple(field.e * d for d in (1, 2, 3)), field.e * 4, field.p)]
 
 
 # -- bit planes ----------------------------------------------------------------
@@ -300,44 +276,47 @@ def test_every_field_makes_one_sliced_scan(monkeypatch, q):
 
 def _spy_planes(monkeypatch) -> list[tuple[int, int, int]]:
     """Check the planes of every sliced scan against plane_oracle; returns
-    the list that gets (chains, n, p) of each scan checked."""
+    the list that gets (chain count, dims, n, p) of each scan checked."""
     seen = []
     sliced = subspace._sliced_profile
 
-    def spy(chains, n, p):
+    def spy(chains, dims, n, p):
         width = (p - 1) * n
-        assert subspace._bit_planes(chains, width) == plane_oracle(chains, width)
-        seen.append((len(chains), n, p))
-        return sliced(chains, n, p)
+        assert subspace._bit_planes(chains, dims, width) == plane_oracle(chains, dims, width)
+        seen.append((len(chains), dims, n, p))
+        return sliced(chains, dims, n, p)
 
     monkeypatch.setattr(subspace, "_sliced_profile", spy)
     return seen
 
 
-# two-level dim vectors in GF(q)^5 that add 1 or 2 rows at each level: a
-# chain of one vector has a zero row at a level where another adds more
+# two-level dim vectors in GF(q)^5 whose levels add 1 or 2 rows: the
+# levels are slices of the transposed rows at the dims
 MIXED_DIMS = [(1, 3), (2, 3), (2, 4), (1, 2)]
 
 
 @pytest.mark.parametrize("count", [1, 2, 23])
 @pytest.mark.parametrize("q", [2, 3, 5, 4, 9])
 def test_bit_planes_of_mixed_chains_match_oracle(monkeypatch, q, count):
-    # the transposed numerals against planes set bit by bit, on flags of
-    # mixed types (padded at either level) and on a code of words of mixed
-    # dims; GF(4) and GF(9) as their GF(p) rows
+    # the transposed numerals against planes set bit by bit, on flag codes
+    # of each dim vector above (levels of one and of two rows) and on a
+    # constant dimension code of each dim 1..4; GF(4) and GF(9) as their
+    # GF(p) rows
     field = fc.field_from_order(q)
+    e = field.e
     rng = random.Random(q * 100 + count)
     seen = _spy_planes(monkeypatch)
-    flags = [_random_flag(field, rng, fc.TypeVector(5, MIXED_DIMS[i % 4])) for i in range(count)]
-    rng.shuffle(flags)
-    want = pairwise_profile([f.parts for f in flags])
-    assert _distance_profile(_scan_chains(flags), field, 5) == want
-    assert sum(want.values()) == count * (count - 1) // 2
-    words = fc.SubspaceCode(5, (_random_space(field, rng, 5, 1 + i % 4) for i in range(count)))
-    assert words.spectrum() == pairwise_spectrum(words)
-    assert seen == [(count, field.e * 5, field.p), (len(words), field.e * 5, field.p)]
-    if count > 2:
-        assert len({w.dim for w in words}) == 4
+    for dims in MIXED_DIMS:
+        flags = [_random_flag(field, rng, fc.TypeVector(5, dims)) for _ in range(count)]
+        want = pairwise_profile([f.parts for f in flags])
+        assert _distance_profile(*_scan_chains(flags), field, 5) == want
+        assert sum(want.values()) == count * (count - 1) // 2
+    for dim in range(1, 5):
+        words = fc.SubspaceCode(5, (_random_space(field, rng, 5, dim) for _ in range(count)))
+        assert words.spectrum() == pairwise_spectrum(words)
+    want = [(count, tuple(e * d for d in dims), e * 5, field.p) for dims in MIXED_DIMS]
+    assert seen[:4] == want
+    assert [scan[1] for scan in seen[4:]] == [(e * dim,) for dim in range(1, 5)]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -345,14 +324,14 @@ def test_malformed_chains_are_refused(q):
     # a chain whose rows do not number its top dim, or a row of n + 1
     # entries, would scan misaligned planes: refused, alone or among others
     field = fc.field_from_order(q)
-    chains = _scan_chains(_random_flag_code(field, fc.TypeVector(4, (1, 3)), 5, seed=q))
-    rows, dims = chains[2]
+    chains, dims = _scan_chains(_random_flag_code(field, fc.TypeVector(4, (1, 3)), 5, seed=q))
+    rows = chains[2]
     wide = rows[0] | 1 << 4 if q == 2 else rows[0] + (1,)
-    for bad in [(rows[:-1], dims), (rows + rows[:1], dims), ((wide, *rows[1:]), dims)]:
+    for bad in [rows[:-1], rows + rows[:1], (wide, *rows[1:])]:
         with pytest.raises(ValueError):
-            _distance_profile(chains[:2] + [bad] + chains[3:], field, 4)
+            _distance_profile(chains[:2] + [bad] + chains[3:], dims, field, 4)
         with pytest.raises(ValueError):
-            _distance_profile([bad], field, 4)
+            _distance_profile([bad], dims, field, 4)
 
 
 # -- batches of chains ---------------------------------------------------------
@@ -420,14 +399,14 @@ def test_sweep_scan_is_one_batch(monkeypatch):
     # so one batch makes 2 kernel calls a level; one chain a batch (a
     # budget of 1 bit) makes 2 x 8 x 168
     gen = fc.build_generator_set(fc.ConstructionParams.make(2, 2, 1, 4))
-    chains = _scan_chains(gen.full)
+    chains, dims = _scan_chains(gen.full)
     field = gen.full.flags[0].field
     actives = _spy_batches(monkeypatch)
-    profile = _distance_profile(chains, field, 9)
+    profile = _distance_profile(chains, dims, field, 9)
     assert len(actives) == 16 and _batch_pairs(actives) == [169 * 168 // 2]
     actives.clear()
     monkeypatch.setattr(subspace, "_BATCH_BITS", 1)
-    assert _distance_profile(chains, field, 9) == profile
+    assert _distance_profile(chains, dims, field, 9) == profile
     assert len(actives) == 2688 and _batch_pairs(actives) == list(range(168, 0, -1))
 
 
@@ -448,29 +427,6 @@ def test_batched_random_codes_match_oracle(monkeypatch, q, count, bits):
         assert len(_batch_pairs(actives)) > 1
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 25])
-def test_mixed_dimensions_across_batches_match_oracle(monkeypatch, q):
-    # 40 words of dims 1..5 in code order (2, 9, 9, 10 and 10 of each): in
-    # 160 bits the batches start at chains 0, 4, 8, 13, 19 and 27, and
-    # the dims change (at chains 2, 11, 20 and 30) inside the first, third,
-    # fifth and sixth
-    field = fc.field_from_order(q)
-    rng = random.Random(q + 100)
-    words: dict[tuple, fc.Subspace] = {}
-    for dim, number in zip(range(1, 6), (2, 9, 9, 10, 10)):
-        while sum(w.dim == dim for w in words.values()) < number:
-            w = _random_space(field, rng, 6, dim)
-            words[w.key] = w
-    code = fc.SubspaceCode(6, words.values())
-    assert [w.dim for w in code].count(1) == 2 and len(code) == 40
-    actives = _spy_batches(monkeypatch, 160)
-    check_chains((w,) for w in code)
-    assert _batch_pairs(actives) == _plan_pairs(40, [0, 4, 8, 13, 19, 27])
-    # shuffled, the chains of every batch and the partners of every block
-    # mix dims
-    check_chains((w,) for w in rng.sample(code.words, len(code)))
-
-
 @pytest.mark.parametrize("bits", BATCH_BITS)
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 25])
 def test_repeated_chains_across_batches_match_oracle(monkeypatch, q, bits):
@@ -487,13 +443,13 @@ def test_gf3_n8_subset_matches_oracle(monkeypatch):
     # and in batches of 200 bits; the oracle on all 820 takes about a minute
     gen = fc.build_generator_set(fc.ConstructionParams.make(3, 2, 0, 4))
     chains = [f.parts for f in random.Random(8).sample(gen.full.flags, 120)]
-    scanned = _scan_chains(fc.Flag(gen.full.type, chain) for chain in chains)
+    scanned, dims = _scan_chains(fc.Flag(gen.full.type, chain) for chain in chains)
     field = chains[0][0].field
     oracle = pairwise_profile(chains)
     actives = _spy_batches(monkeypatch)
-    assert _distance_profile(scanned, field, 8) == oracle
+    assert _distance_profile(scanned, dims, field, 8) == oracle
     assert _batch_pairs(actives) == [120 * 119 // 2]
     actives.clear()
     monkeypatch.setattr(subspace, "_BATCH_BITS", 200)
-    assert _distance_profile(scanned, field, 8) == oracle
+    assert _distance_profile(scanned, dims, field, 8) == oracle
     assert len(_batch_pairs(actives)) > 1

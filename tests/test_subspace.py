@@ -156,11 +156,18 @@ class TestCodes:
         assert not fc.is_partial_spread(fc.SubspaceCode(4, [u, w]))
 
     def test_not_constant_dim(self, gf2):
-        mixed = fc.SubspaceCode(4, [space(gf2, [[1, 0, 0, 0]]), space(gf2, [[1, 0, 0, 0], [0, 1, 0, 0]])])
+        # words of two dims are refused when the code is built, wherever
+        # the odd word comes; an empty code has no dim to dump
+        point = space(gf2, [[1, 0, 0, 0]])
+        line = space(gf2, [[1, 0, 0, 0], [0, 1, 0, 0]])
+        other = space(gf2, [[0, 0, 1, 0]])
+        for words in ([point, line], [line, point], [point, other, line]):
+            with pytest.raises(NotConstantDim, match="a dim-. word in a code of dim-. words"):
+                fc.SubspaceCode(4, words)
+        empty = fc.SubspaceCode(4, [])
+        assert empty.constant_dim is None and repr(empty) == "SubspaceCode(0 words, dim None, ambient 4)"
         with pytest.raises(NotConstantDim):
-            fc.is_partial_spread(mixed)
-        with pytest.raises(NotConstantDim):
-            fc.is_equidistant_c(mixed, 0)
+            empty.dump()
 
     def test_equidistant(self, gf2):
         u = space(gf2, [[1, 0, 0, 0], [0, 1, 0, 0]])
