@@ -34,7 +34,9 @@ from .matgf import (
     _echelon,
     _expect_end,
     _matrix_lines,
+    _NoMatrix,
     _read_matrix,
+    _RowTexts,
 )
 from .subspace import (
     Subspace,
@@ -569,20 +571,19 @@ def dump_flag(flag: Flag) -> str:
     """Serialize as a type line plus either the t_r x n generator matrix
     (when the flag kept one) or each component matrix in order."""
     lines = [_type_line(flag.type)]
-    _flag_lines(flag, {}, lines)
+    _flag_lines(flag, _RowTexts(flag.field, flag.type.n), lines)
     return "\n".join(lines) + "\n"
 
 
-def _flag_lines(flag: Flag, memo: dict, out: list[str]) -> None:
+def _flag_lines(flag: Flag, memo: _RowTexts, out: list[str]) -> None:
     """Append the matrix block of ``flag`` to ``out``, rendering through
     the serialization call's ``memo`` (matgf._matrix_lines)."""
-    field, n = flag.field, flag.type.n
     if flag.source is not None:
         # flag_from_matrix checked that the source has these rows
-        _matrix_lines(field, n, flag.source._rows[: flag.type.dims[-1]], memo, out)
+        _matrix_lines(flag.source._rows[: flag.type.dims[-1]], memo, out)
     else:
         for i in range(flag.type.r):
-            _matrix_lines(field, n, flag._key_rows(i), memo, out)
+            _matrix_lines(flag._key_rows(i), memo, out)
 
 
 def _read_flag_body(
@@ -616,13 +617,24 @@ def load_flag(text: str) -> Flag:
 def dump_flag_code(code: FlagCode) -> str:
     """Serialize as ``flagcode n q |C|``, a shared type line, then one flag
     matrix block per flag.  A header or row that repeats is rendered once
-    (matgf._matrix_lines)."""
+    (matgf._RowTexts): a flag that kept its source matrix is written as
+    its header plus one mapped pass over its rows, others by _flag_lines."""
     field = code.flags[0].field if len(code) else None
     q = field.q if field else 0
     lines = [f"flagcode {code.type.n} {q} {len(code)}", _type_line(code.type)]
-    memo: dict = {}
+    if field is None:
+        return "\n".join(lines) + "\n"
+    memo = _RowTexts(field, code.type.n)
+    render = memo.__getitem__
+    top = code.type.dims[-1]
+    header = memo.header(top)
     for f in code:
-        _flag_lines(f, memo, lines)
+        if f.source is not None:
+            # flag_from_matrix checked that the source has these rows
+            lines.append(header)
+            lines += map(render, f.source._rows[:top])
+        else:
+            _flag_lines(f, memo, lines)
     return "\n".join(lines) + "\n"
 
 
@@ -654,10 +666,14 @@ def load_flag_code(text: str) -> FlagCode:
     tv = _parse_type_line(type_line, n)
     memo: dict = {}
     order = (q, "the flags are")
-    flags = [
-        _read_flag_body(lines, tv, _read_matrix(lines, memo, order), memo, order)
-        for _ in range(count)
-    ]
+    flags: list[Flag] = []
+    try:
+        for _ in range(count):
+            flags.append(_read_flag_body(lines, tv, _read_matrix(lines, memo, order), memo, order))
+    except _NoMatrix:
+        raise ValueError(
+            f"the header declares {count} flags, but the file ends after {len(flags)}"
+        ) from None
     _expect_end(lines, f"the {count} flags the header declares")
     code = FlagCode(tv, flags)
     if len(code) != count:

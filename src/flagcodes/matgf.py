@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .errors import (
     BlockDimMismatch,
@@ -64,9 +64,6 @@ def _digits(bits: int, ncols: int) -> str:
     The sentinel bit ncols pads the numeral to ncols digits (none at
     ncols = 0) and is then dropped."""
     return f"{bits | 1 << ncols:b}"[1:]
-
-
-_BIT_TOKENS = frozenset(("0", "1"))
 
 
 def _echelon(rows: Sequence, lengths: Iterable[int], field: FieldSpec) -> tuple[tuple, list[int]]:
@@ -525,36 +522,111 @@ def matrix_to_text(m: MatrixGF) -> str:
     """Render as a ``rows cols GF(q)`` header (the field as field_name
     writes it) plus one line per row of space-separated element codes."""
     lines: list[str] = []
-    _matrix_lines(m.field, m.ncols, m._rows, {}, lines)
+    _matrix_lines(m._rows, _RowTexts(m.field, m.ncols), lines)
     return "\n".join(lines)
 
 
-def _matrix_lines(field: FieldSpec, ncols: int, rows: tuple, memo: dict, out: list[str]) -> None:
-    """Append the lines of matrix_to_text to ``out`` for the matrix of the
-    stored ``rows`` over ``field`` with ``ncols`` columns.
+# the 8 binary digits of each byte, each after one space (joined from
+# the 16 nibbles', a quarter of the import-time cost of 256 joins)
+_NIBBLE_TEXT = [" ".join(f"{b:04b}") for b in range(16)]
+_BYTE_TEXT = [f" {hi} {lo}" for hi in _NIBBLE_TEXT for lo in _NIBBLE_TEXT]
 
-    ``memo`` belongs to one serialization call and holds the text of each
-    header and row it has rendered, so a header or row that repeats is
-    rendered once; every matrix given the same memo must share one field
-    and one width.  Rows are keyed as stored (GF(2) bitmasks, which are
-    ints of at least 0, or code tuples) and headers by ~nrows, a negative
-    int, so the two never collide.
+
+class _RowTexts(dict):
+    """The lines of one serialization call, whose matrices share one field
+    and one width: each stored row's line, rendered by __missing__ on first
+    use, and each header's, keyed by ~nrows (a negative int, so never a
+    stored row: GF(2) bitmasks are ints of at least 0, other rows tuples).
+
+    A row's line is its element codes separated by single spaces, column 0
+    first.  Over GF(2) it is joined from the _BYTE_TEXT of each byte of
+    the bitmask, most significant first (``shifts``), with the leading
+    space and the top byte's digits past the width cut off (``skip``).
     """
-    header = memo.get(~len(rows))
-    if header is None:
-        header = memo[~len(rows)] = f"{len(rows)} {ncols} {field_name(field)}"
-    out.append(header)
-    gf2 = field.q == 2
-    for row in rows:
-        text = memo.get(row)
+
+    __slots__ = ("field", "ncols", "shifts", "skip")
+
+    def __init__(self, field: FieldSpec, ncols: int):
+        self.field = field
+        self.ncols = ncols
+        self.shifts = range((ncols - 1) & ~7, -1, -8) if field.q == 2 else None
+        self.skip = 1 + 2 * (-ncols & 7)
+
+    def __missing__(self, row) -> str:
+        if self.shifts is None:
+            text = " ".join(map(str, row))
+        else:
+            text = ""
+            for shift in self.shifts:
+                text += _BYTE_TEXT[row >> shift & 255]
+            text = text[self.skip :]
+        self[row] = text
+        return text
+
+    def header(self, nrows: int) -> str:
+        text = self.get(~nrows)
         if text is None:
-            text = memo[row] = " ".join(_digits(row, ncols) if gf2 else map(str, row))
-        out.append(text)
+            text = self[~nrows] = f"{nrows} {self.ncols} {field_name(self.field)}"
+        return text
+
+
+def _matrix_lines(rows: tuple, memo: _RowTexts, out: list[str]) -> None:
+    """Append the lines of matrix_to_text to ``out`` for the matrix of the
+    stored ``rows`` over the field and width of ``memo``, the serialization
+    call's lines, so a header or row that repeats is rendered once."""
+    out.append(memo.header(len(rows)))
+    out += map(memo.__getitem__, rows)
 
 
 def read_matrix(lines: Iterator[str]) -> MatrixGF:
     """Consume one matrix from an iterator of lines (blank lines skipped)."""
     return _read_matrix(lines, {}, empty=True)
+
+
+class _NoMatrix(ValueError):
+    """The lines ran out before a matrix header: a code file that ends
+    before the count its header declares catches this to say so."""
+
+
+class _RowParses(dict):
+    """The rows of one deserialization call under headers of one width and
+    field: each raw row line's stored row, parsed by __missing__ on first
+    read, or None for a blank line.  A line that fails to parse is not
+    kept, so it raises the same error each time it is read.
+
+    Over GF(2), a line in the writer's spelling (exactly ``ncols`` ASCII
+    digits 0 and 1 separated by single spaces: ``gaps`` at the odd places)
+    is read as one binary numeral.  Every other line is split into tokens:
+    int() refuses a token first, then the count is checked, then the codes
+    (reduced mod 2 over GF(2), as FieldSpec.codes_of reduces them, and
+    checked by it over every other field).
+    """
+
+    __slots__ = ("ncols", "field", "gaps", "width")
+
+    def __init__(self, ncols: int, field: FieldSpec):
+        self.ncols = ncols
+        self.field = field
+        self.gaps = " " * (ncols - 1) if field.q == 2 else None
+        self.width = 2 * ncols - 1
+
+    def __missing__(self, raw: str):
+        gaps = self.gaps
+        if gaps is not None and len(raw) == self.width and raw[1::2] == gaps:
+            digits = raw[::2]
+            if not digits.strip("01"):
+                row = self[raw] = int(digits, 2)
+                return row
+        values = [int(t) for t in raw.split()]
+        if not values:
+            return None
+        if len(values) != self.ncols:
+            raise ValueError(f"row has {len(values)} entries, expected {self.ncols}")
+        if gaps is None:
+            row = self[raw] = self.field.codes_of(values)
+        else:
+            row = self[raw] = _pack([v & 1 for v in values])
+        return row
 
 
 def _read_matrix(
@@ -572,71 +644,60 @@ def _read_matrix(
     (n >= 2), so the loaders refuse such a header before making a row of
     the count it declares.
 
-    ``memo`` maps each stripped header line to its (nrows, ncols, field,
-    rows), and each (ncols, field) pair to that rows dict, which maps each
-    raw row line read under a header of that width and field to its stored
-    row.  A line read under another width or field is parsed and checked
-    afresh.  Only successful parses are kept, so a bad line raises the same
-    error each time it is read.
+    ``memo`` maps each raw header line to its (nrows, ncols, field, parse)
+    (_read_header), and each (ncols, field) pair to the _RowParses of
+    every header of that width and field, whose lookup is ``parse``.  A line
+    read under another width or field is parsed and checked afresh.  The
+    rows of a block are parsed in one mapped pass over its next nrows
+    lines; only a blank line among them, or the end of the lines, sends
+    the reader back for more, one line at a time.
     """
-    header = None
     for raw in lines:
-        if raw.strip():
-            header = raw.strip()
+        parsed = memo.get(raw)
+        if parsed is not None:
             break
-    if header is None:
-        raise ValueError("no matrix header found")
-    parsed = memo.get(header)
-    if parsed is None:
-        m = _HEADER_RE.match(header)
-        if not m:
-            raise ValueError(f"bad matrix header {header!r}")
-        nrows, ncols = int(m.group(1)), int(m.group(2))
-        if ncols == 0 and (not empty or nrows > _MAX_EMPTY_ROWS):
-            why = f"and more than {_MAX_EMPTY_ROWS} rows" if empty else "but no flag or word does"
-            raise ValueError(f"matrix header {header[:40]!r} has 0 columns, {why}")
-        if q is not None:
-            misnamed = _misnamed_field(m.group(3), q[0])
-            if misnamed is not None:
-                raise ValueError(f"header says q = {q[0]}, but {q[1]} over {misnamed}")
-        named = parse_field_name(m.group(3))
-        parsed = memo[header] = (nrows, ncols, named, memo.setdefault((ncols, named), {}))
-    nrows, ncols, named, seen = parsed
+        header = raw.strip()
+        if header:
+            parsed = memo[raw] = _read_header(header, memo, q, empty)
+            break
+    else:
+        raise _NoMatrix("no matrix header found")
+    nrows, ncols, named, parse = parsed
     if ncols == 0:
         # the rows of a 0-column matrix are empty lines, which are skipped
         # like the blank lines between matrices: the header gives them all
         return MatrixGF.zeros(named, nrows, 0)
-    gf2 = named.q == 2
-    rows = []
-    while len(rows) < nrows:
-        raw = next(lines, None)
-        if raw is None:
-            raise ValueError(f"matrix ended after {len(rows)} of {nrows} rows")
-        row = seen.get(raw)
-        if row is None:
-            tokens = raw.split()
-            if not tokens:
-                continue
-            # int() refuses a token first, then the count is checked, then
-            # the codes (FieldSpec.codes_of; _gf2_row reduces them mod 2)
-            row = _gf2_row(tokens) if gf2 else [int(t) for t in tokens]
-            if len(tokens) != ncols:
-                raise ValueError(f"row has {len(tokens)} entries, expected {ncols}")
-            if not gf2:
-                row = named.codes_of(row)
-            seen[raw] = row
-        rows.append(row)
-    return MatrixGF._wrap(named, ncols, tuple(rows))
+    rows = tuple(map(parse, islice(lines, nrows)))
+    if len(rows) < nrows or None in rows:
+        rows = [row for row in rows if row is not None]
+        while len(rows) < nrows:
+            raw = next(lines, None)
+            if raw is None:
+                raise ValueError(f"matrix ended after {len(rows)} of {nrows} rows")
+            row = parse(raw)
+            if row is not None:
+                rows.append(row)
+        rows = tuple(rows)
+    return MatrixGF._wrap(named, ncols, rows)
 
 
-def _gf2_row(tokens: list[str]) -> int:
-    """The bitmask of a row of int tokens over GF(2), each reduced mod 2 as
-    FieldSpec.codes_of reduces it; a token that int() refuses raises its
-    ValueError, as on the path for other fields."""
-    if _BIT_TOKENS.issuperset(tokens):
-        # the tokens read as a binary numeral, column 0 its leading digit
-        return int("".join(tokens), 2)
-    return _pack([int(t) & 1 for t in tokens])
+def _read_header(header: str, memo: dict, q: tuple[int, str] | None, empty: bool) -> tuple:
+    """The (nrows, ncols, field, parse) of a stripped matrix header line,
+    checked as _read_matrix describes."""
+    m = _HEADER_RE.match(header)
+    if not m:
+        raise ValueError(f"bad matrix header {header!r}")
+    nrows, ncols = int(m.group(1)), int(m.group(2))
+    if ncols == 0 and (not empty or nrows > _MAX_EMPTY_ROWS):
+        why = f"and more than {_MAX_EMPTY_ROWS} rows" if empty else "but no flag or word does"
+        raise ValueError(f"matrix header {header[:40]!r} has 0 columns, {why}")
+    if q is not None:
+        misnamed = _misnamed_field(m.group(3), q[0])
+        if misnamed is not None:
+            raise ValueError(f"header says q = {q[0]}, but {q[1]} over {misnamed}")
+    named = parse_field_name(m.group(3))
+    rows = memo.setdefault((ncols, named), _RowParses(ncols, named))
+    return nrows, ncols, named, rows.__getitem__
 
 
 def _expect_end(lines: Iterator[str], what: str) -> None:

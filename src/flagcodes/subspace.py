@@ -31,7 +31,9 @@ from .matgf import (
     _echelon,
     _expect_end,
     _matrix_lines,
+    _NoMatrix,
     _read_matrix,
+    _RowTexts,
     block,
 )
 
@@ -207,9 +209,9 @@ class SubspaceCode:
             raise NotConstantDim("an empty code has no dimension to serialize")
         field = self.words[0].field
         lines = [f"{self.ambient} {self.constant_dim} {field.q} {len(self.words)}"]
-        memo: dict = {}
+        memo = _RowTexts(field, self.ambient)
         for w in self.words:
-            _matrix_lines(field, self.ambient, w.key[1], memo, lines)
+            _matrix_lines(w.key[1], memo, lines)
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -227,14 +229,18 @@ class SubspaceCode:
             raise ValueError(f"the header declares {count} words, but a code file needs one or more")
         words = []
         memo: dict = {}
-        for _ in range(count):
-            # a field name that declares an order other than q is refused
-            # before that field is built
-            m = _read_matrix(lines, memo, (q, "a word is"))
-            w = subspace_of(m)
-            if w.ambient != n or w.dim != k:
-                raise ValueError("word does not match the code header")
-            words.append(w)
+        try:
+            for _ in range(count):
+                # a field name that declares an order other than q is
+                # refused before that field is built
+                w = subspace_of(_read_matrix(lines, memo, (q, "a word is")))
+                if w.ambient != n or w.dim != k:
+                    raise ValueError("word does not match the code header")
+                words.append(w)
+        except _NoMatrix:
+            raise ValueError(
+                f"the header declares {count} words, but the file ends after {len(words)}"
+            ) from None
         _expect_end(lines, f"the {count} words the header declares")
         code = cls(n, words)
         if len(code) != count:

@@ -31,7 +31,11 @@ modulus instead of FieldSpec's recurrences on codes
 recurring sequence x^t mod f by schoolbook sums and long division with the
 field's methods (``poly_mul_oracle``, ``poly_rem_oracle``,
 ``recurring_sequence_oracle``) instead of the table-indexed code-list
-arithmetic of the primitive-polynomial search and the generator set.
+arithmetic of the primitive-polynomial search and the generator set, and
+the text codec's row lines one at a time (``row_line_oracle``,
+``row_parse_oracle``, ``matrix_rows_oracle``: each row's digits joined by
+spaces, each line split into int tokens) instead of the byte-table render
+and the numeral read of the writer's GF(2) spelling.
 """
 
 from __future__ import annotations
@@ -843,3 +847,49 @@ def check_lazy_parts(flag: fc.Flag, w: fc.MatrixGF) -> None:
     for lower, upper in zip(parts, parts[1:]):
         assert upper.contains(lower)
         assert not lower.contains(upper)
+
+
+# -- the text codec, one row line at a time ----------------------------------
+
+
+def row_line_oracle(row, ncols: int, field: fc.FieldSpec) -> str:
+    """The line of a stored row: over GF(2) the ``ncols`` binary digits of
+    its bitmask (the sentinel bit ncols pads the numeral, then is dropped)
+    joined by single spaces, otherwise its codes joined by single spaces."""
+    if field.q == 2:
+        return " ".join(f"{row | 1 << ncols:b}"[1:])
+    return " ".join(map(str, row))
+
+
+def row_parse_oracle(raw: str, ncols: int, field: fc.FieldSpec):
+    """The stored row of one row line by its int tokens, or None for a
+    blank line: int() refuses a token first, then the count is checked,
+    then the codes (each reduced mod 2 over GF(2), FieldSpec.codes_of
+    otherwise)."""
+    tokens = raw.split()
+    if not tokens:
+        return None
+    values = [int(t) for t in tokens]
+    if len(tokens) != ncols:
+        raise ValueError(f"row has {len(tokens)} entries, expected {ncols}")
+    if field.q != 2:
+        return field.codes_of(values)
+    bits = 0
+    for v in values:
+        bits = bits << 1 | v & 1
+    return bits
+
+
+def matrix_rows_oracle(lines, nrows: int, ncols: int, field: fc.FieldSpec) -> tuple:
+    """The stored rows of a matrix block of ``nrows`` rows read from
+    ``lines`` one line at a time, blank lines skipped."""
+    lines = iter(lines)
+    rows = []
+    while len(rows) < nrows:
+        raw = next(lines, None)
+        if raw is None:
+            raise ValueError(f"matrix ended after {len(rows)} of {nrows} rows")
+        row = row_parse_oracle(raw, ncols, field)
+        if row is not None:
+            rows.append(row)
+    return tuple(rows)

@@ -3,12 +3,16 @@
 The rows of a flag code's generator matrices repeat, so ``dump_flag_code``
 and ``SubspaceCode.dump`` render each distinct row and header once per call,
 and ``load_flag_code`` and ``SubspaceCode.load`` parse each distinct line
-once per call (``matgf._matrix_lines`` and ``matgf._read_matrix``).  Here
+once per call (the ``__missing__`` of ``matgf._RowTexts`` and
+``matgf._RowParses``).  Here
 codes whose matrices draw their rows from a small pool are written and read
 back over GF(2), GF(3), GF(4) and GF(9), against a writer that formats every
 row of ``int_rows()`` afresh.  A bad line must raise the same error on every
 load, a line is checked against the width and field of the header it sits
-under, and two loads share nothing.
+under, and two loads share nothing.  Rows are rendered and parsed as the
+line-at-a-time oracles of ``_checks`` do it, at every GF(2) width up to
+17 and for every spelling of a row line the reader accepts or refuses, and
+a code file that ends before the count its header declares says so.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from flagcodes import matgf
 from flagcodes.errors import AmbientMismatch, NotPrime
 from flagcodes.field import field_name
 
-from _checks import rref_oracle
+from _checks import matrix_rows_oracle, row_line_oracle, rref_oracle
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]
 FIELD_IDS = ["GF2", "GF3", "GF4", "GF9"]
@@ -114,42 +118,32 @@ def test_each_distinct_line_is_handled_once_per_call(p, e, monkeypatch):
     code = _random_code(p, e, seed=3 * p + e)
     text = fc.dump_flag_code(code)
     distinct = set(_row_lines(text))
-    # rendering: over GF(2) each distinct row is turned into digits once
-    if p == 2 and e == 1:
-        calls = []
-        digits = matgf._digits
+    # rendering: each distinct row is turned into its line once
+    calls = []
+    render = matgf._RowTexts.__missing__
 
-        def counting_digits(bits, ncols):
-            calls.append(bits)
-            return digits(bits, ncols)
+    def counting_render(self, row):
+        calls.append(row)
+        return render(self, row)
 
-        monkeypatch.setattr(matgf, "_digits", counting_digits)
-        assert fc.dump_flag_code(code) == text
-        assert len(calls) == len(distinct)
-        assert fc.dump_flag_code(code) == text
-        assert len(calls) == 2 * len(distinct)  # the memo is the call's own
-        monkeypatch.undo()
-    # parsing: each distinct row line is validated once, over every field
-    checked = []
-    codes_of = fc.FieldSpec.codes_of
-
-    def counting_codes_of(self, values):
-        checked.append(values)
-        return codes_of(self, values)
-
-    monkeypatch.setattr(fc.FieldSpec, "codes_of", counting_codes_of)
+    monkeypatch.setattr(matgf._RowTexts, "__missing__", counting_render)
+    assert fc.dump_flag_code(code) == text
+    assert len(calls) == len(distinct)
+    assert fc.dump_flag_code(code) == text
+    assert len(calls) == 2 * len(distinct)  # the memo is the call's own
+    # parsing: each distinct row line is parsed and validated once
     parsed = []
-    gf2_row = matgf._gf2_row
+    parse = matgf._RowParses.__missing__
 
-    def counting_gf2_row(tokens):
-        parsed.append(tokens)
-        return gf2_row(tokens)
+    def counting_parse(self, raw):
+        parsed.append(raw)
+        return parse(self, raw)
 
-    monkeypatch.setattr(matgf, "_gf2_row", counting_gf2_row)
+    monkeypatch.setattr(matgf._RowParses, "__missing__", counting_parse)
     assert fc.load_flag_code(text) == code
-    assert len(parsed) + len(checked) == len(distinct)
+    assert len(parsed) == len(distinct)
     assert fc.load_flag_code(text) == code
-    assert len(parsed) + len(checked) == 2 * len(distinct)
+    assert len(parsed) == 2 * len(distinct)
 
 
 def _replace_row(text: str, index: int, new: str) -> str:
@@ -258,6 +252,108 @@ def test_read_matrix_alone_reduces_codes_and_checks_the_callers_field():
     assert fc.matrix_from_text(text.replace("1 2 0", "4 5 3")) == m
 
 
+# -- the block codec against the line-at-a-time oracles ----------------------
+
+
+@pytest.mark.parametrize("ncols", range(1, 18))
+def test_gf2_rows_render_and_round_trip_as_the_oracle_at_every_width(ncols):
+    field = fc.field_make(2)
+    rng = random.Random(ncols)
+    bits = [0, (1 << ncols) - 1, 1, 1 << ncols - 1] + [rng.getrandbits(ncols) for _ in range(40)]
+    bits += bits[:10]  # repeated rows take the memo's stored line
+    m = fc.MatrixGF(field, [[b >> (ncols - 1 - j) & 1 for j in range(ncols)] for b in bits])
+    text = fc.matrix_to_text(m)
+    assert text.splitlines() == [f"{len(bits)} {ncols} GF(2)"] + [
+        row_line_oracle(b, ncols, field) for b in bits
+    ]
+    assert fc.matrix_from_text(text) == m
+    assert fc.matrix_from_text(text)._rows == tuple(bits)
+    # a leading blank on every row line sends each through the int tokens
+    respaced = text.replace("\n", "\n ")
+    assert fc.matrix_from_text(respaced)._rows == tuple(bits)
+
+
+# spellings of the GF(2) row 1 0 1 1 0 and of its near misses; "at width"
+# marks a line of the writer's length, 2 * 5 - 1 characters, that is not in
+# its spelling
+ROW_SPELLINGS = {
+    "canonical": "1 0 1 1 0",
+    "double-space": "1  0 1 1 0",
+    "tab": "1\t0 1 1 0",
+    "leading-blank": " 1 0 1 1 0",
+    "trailing-blank": "1 0 1 1 0 ",
+    "plus": "+1 0 1 1 0",
+    "minus-zero": "1 -0 1 1 0",
+    "three": "3 0 1 1 0",
+    "underscore": "1_0 0 1 1 0",
+    "leading-zero": "01 0 1 1 0",
+    "arabic-indic-one": "\u0661 0 1 1 0",
+    "run-of-spaces-at-width": "1 0   1 0",
+    "trailing-double-space-at-width": "1 0 1 1  ",
+    "leading-double-space-at-width": "  1 0 1 1",
+    "digits-for-gaps-at-width": "101010101",
+    "sign-at-width": "+ 0 1 1 0",
+    "underscore-at-width": "1_0 1 1 0",
+    "short": "1 0 1 1",
+    "long": "1 0 1 1 0 1",
+    "bad-token": "1 0 x 1 0",
+    "blank": "   ",
+}
+
+
+def _outcome(read):
+    """What ``read()`` returns, or the type and message of what it raises."""
+    try:
+        return read()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("line", ROW_SPELLINGS.values(), ids=ROW_SPELLINGS.keys())
+def test_every_spelling_reads_as_the_token_oracle(line, q):
+    field = fc.field_make(q)
+    text = f"1 5 GF({q})\n{line}"
+    got = _outcome(lambda: fc.matrix_from_text(text)._rows)
+    want = _outcome(lambda: matrix_rows_oracle([line], 1, 5, field))
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        "1 0 1 1 0\n\n0 1 0 0 1\n \t\n1 1 0 0 0",  # blank lines inside the block
+        "1 0 1 1 0\n0 1 0 0 1",  # the file ends a row short
+        "1 0 1 1 0\n\n\n",  # blank lines, then the end
+        "1 0 1 1 0\n3 5 GF(2)\n0 1 0 0 1",  # a short block runs into a header
+        "1 0 1 1 0\n0 1 0 0 1\n1 1 0 0 0\n1 1 1 1 1",  # one row past the block
+    ],
+    ids=["blank-inside", "short-last-block", "blank-then-end", "short-then-header", "long"],
+)
+def test_a_block_reads_as_the_line_at_a_time_oracle(block):
+    field = fc.field_make(2)
+    lines = iter(f"3 5 GF(2)\n{block}".splitlines())
+    oracle_lines = iter(block.splitlines())
+    got = _outcome(lambda: matgf.read_matrix(lines)._rows)
+    want = _outcome(lambda: matrix_rows_oracle(oracle_lines, 3, 5, field))
+    assert got == want
+    # both stop at the same line, leaving the rest for the next reader
+    assert list(lines) == list(oracle_lines)
+
+
+def test_blank_lines_inside_blocks_of_a_code_file_are_skipped():
+    code = _random_code(2, 1, seed=9)
+    lines = fc.dump_flag_code(code).splitlines()
+    # a blank or whitespace-only line after the first row of every third block
+    headers = [i for i, ln in enumerate(lines) if "GF(" in ln]
+    for k, i in enumerate(reversed(headers)):
+        if k % 3 == 0:
+            lines.insert(i + 2, " \t" if k % 2 else "")
+    loaded = fc.load_flag_code("\n".join(lines) + "\n")
+    assert loaded == code
+    assert fc.dump_flag_code(loaded) == fc.dump_flag_code(code)
+
+
 class TestCodeHeaders:
     """A code header that claims what no field or code has is refused; an
     empty code has no field and no dimension to check it against."""
@@ -342,3 +438,54 @@ class TestCodeHeaders:
         assert text.startswith(f"flagcode {N} 2 ")
         with pytest.raises(ValueError, match="header says q = 6, but the flags are over GF"):
             fc.load_flag_code(text.replace(f"flagcode {N} 2 ", f"flagcode {N} 6 ", 1))
+
+
+class TestEarlyEnd:
+    """A code file that ends before the count of flags or words its header
+    declares names that count and where the file ended (exit 2 from the
+    CLI), as one flag or word too many names the count it passes."""
+
+    @staticmethod
+    def _spectrum(tmp_path, capsys, text):
+        path = tmp_path / "short.code"
+        path.write_text(text)
+        rc = cli.main(["spectrum", "--code", str(path)])
+        return rc, capsys.readouterr().err
+
+    def test_a_flag_code_one_flag_short(self, tmp_path, capsys):
+        gen = fc.build_generator_set(fc.ConstructionParams.make(2, 2, 0, 2))
+        text = fc.dump_flag_code(fc.build_full_flag_code(gen))
+        assert text.startswith("flagcode 4 2 5\n")
+        short = text.replace("flagcode 4 2 5", "flagcode 4 2 6", 1)
+        message = "the header declares 6 flags, but the file ends after 5"
+        with pytest.raises(ValueError, match=message):
+            fc.load_flag_code(short)
+        assert self._spectrum(tmp_path, capsys, short) == (2, f"error: {message}\n")
+
+    def test_a_flag_code_that_ends_between_the_parts_of_a_flag(self):
+        # the file of the flags up to the first one given by its parts, cut
+        # after that flag's first part, under the whole code's header
+        code = _random_code(2, 1, seed=6)
+        i = next(i for i, f in enumerate(code) if f.source is None)
+        lines = fc.dump_flag_code(fc.FlagCode(code.type, code.flags[: i + 1])).splitlines()
+        lines[0] = f"flagcode {N} 2 {len(code)}"
+        # that flag's r matrices take r header lines and sum(dims) rows; keep
+        # the first, a header and one row
+        first = len(lines) - code.type.r - sum(code.type.dims)
+        assert lines[first] == f"1 {N} GF(2)"
+        cut = "\n".join(lines[: first + 2]) + "\n"
+        with pytest.raises(
+            ValueError, match=f"the header declares {len(code)} flags, but the file ends after {i}"
+        ):
+            fc.load_flag_code(cut)
+
+    def test_a_subspace_code_one_word_short(self, tmp_path, capsys):
+        words = fc.projected_code_at_dim(_random_code(3, 1, seed=7), 2)
+        text = words.dump()
+        count = len(words)
+        head, _, body = text.partition("\n")
+        short = head.rsplit(" ", 1)[0] + f" {count + 1}\n" + body
+        message = f"the header declares {count + 1} words, but the file ends after {count}"
+        with pytest.raises(ValueError, match=message):
+            fc.SubspaceCode.load(short)
+        assert self._spectrum(tmp_path, capsys, short) == (2, f"error: {message}\n")
