@@ -25,7 +25,7 @@ import pytest
 import flagcodes as fc
 from flagcodes import cli
 from flagcodes import matgf
-from flagcodes.errors import AmbientMismatch, NotPrime
+from flagcodes.errors import AmbientMismatch, NotPrime, RankDeficientPrefix
 from flagcodes.field import field_name
 
 from _checks import matrix_rows_oracle, row_line_oracle, rref_oracle
@@ -489,3 +489,73 @@ class TestEarlyEnd:
         with pytest.raises(ValueError, match=message):
             fc.SubspaceCode.load(short)
         assert self._spectrum(tmp_path, capsys, short) == (2, f"error: {message}\n")
+
+
+class TestLoadErrorOrder:
+    """The flags of a code file are checked in file order: a rank-deficient
+    flag 2 is what load_flag_code reports, whatever fails after it in flag
+    5 or past the last flag, and each later failure is reported when flag 2
+    is sound."""
+
+    LATER = {
+        "a short row": (ValueError, "row has 4 entries, expected 5"),
+        "a bad header": (ValueError, "bad matrix header"),
+        "another width": (AmbientMismatch, "4-column matrix for ambient 5"),
+        "parts that do not nest": (RankDeficientPrefix, "component of dim 1 not inside"),
+        "an early end": (ValueError, "the header declares 6 flags, but the file ends after 4"),
+        "text after the flags": (ValueError, "text after the 4 flags"),
+        "a repeated flag": (ValueError, "the header declares 5 flags, but 4 are distinct"),
+    }
+
+    @staticmethod
+    def _matrices(field, rng, count):
+        """``count`` random N - 1 by N matrices whose every row prefix has
+        full rank."""
+        out = []
+        while len(out) < count:
+            w = fc.MatrixGF(field, [[rng.randrange(field.q) for _ in range(N)] for _ in range(N - 1)])
+            if all(rref_oracle(w.first_rows(t))[1] == t for t in range(1, N)):
+                out.append(w)
+        return out
+
+    def _text(self, p, later, deficient):
+        field = fc.field_make(p, 1)
+        ws = self._matrices(field, random.Random(p), 5)
+        if deficient:
+            rows = list(ws[1].int_rows())
+            rows[2] = rows[0]
+            ws[1] = fc.MatrixGF(field, rows)
+        blocks = [_matrix_text(w) for w in ws[:4]]
+        count = 5
+        fifth = _matrix_text(ws[4])
+        if later == "a short row":
+            fifth[1] = fifth[1].rsplit(" ", 1)[0]
+        elif later == "a bad header":
+            fifth[0] = fifth[0].replace("4", "four", 1)
+        elif later == "another width":
+            fifth = _matrix_text(fc.MatrixGF(field, [row[:4] for row in ws[4].int_rows()]))
+        elif later == "parts that do not nest":
+            rows = ws[4].int_rows()
+            # part 2 is rows 2 and 3, which do not span row 1
+            fifth = _matrix_text(fc.MatrixGF(field, rows[:1])) + _matrix_text(fc.MatrixGF(field, rows[1:3]))
+            for t in range(3, N):
+                fifth += _matrix_text(fc.MatrixGF(field, rows[:t]))
+        elif later == "an early end":
+            count, fifth = 6, []
+        elif later == "text after the flags":
+            count, fifth = 4, ["junk"]
+        elif later == "a repeated flag":
+            fifth = blocks[0]
+        lines = [f"flagcode {N} {p} {count}", "type 1,2,3,4"]
+        for block in blocks + [fifth]:
+            lines += block
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("later", sorted(LATER))
+    def test_a_rank_deficient_flag_2_is_reported_first(self, p, later):
+        error, message = self.LATER[later]
+        with pytest.raises(error, match=message):
+            fc.load_flag_code(self._text(p, later, deficient=False))
+        with pytest.raises(RankDeficientPrefix, match="^first 3 rows have rank 2$"):
+            fc.load_flag_code(self._text(p, later, deficient=True))

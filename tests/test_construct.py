@@ -21,6 +21,7 @@ from flagcodes.errors import (
     DimMismatch,
     FactorizationTooLarge,
     NotASubsequence,
+    RankDeficientPrefix,
     ResourceBudgetExceeded,
     Singular,
     TheoremViolated,
@@ -640,6 +641,86 @@ class TestHyperplaneNormal:
         monkeypatch.setattr(flags, "_back_substitute", refused)
         gen = fc.build_generator_set(params)
         assert len({e.normal for e in gen.entries}) == params.expected_size
+
+
+class TestErrorOrder:
+    """The first failure in the build's order wins: for each family its
+    products A_i g^t by t (a lost row rank before a block-form mismatch at
+    the same t), then B_i, then after every family M.  A singular B_i or M
+    raises flag_from_matrix's own error."""
+
+    @staticmethod
+    def _dependent(m: fc.MatrixGF, row: int = 2) -> fc.MatrixGF:
+        # ``row`` repeats row 1: the first ``row`` rows have rank row - 1
+        rows = list(m.int_rows())
+        rows[row - 1] = rows[0]
+        return fc.MatrixGF(m.field, rows)
+
+    def _singular_B(self, monkeypatch, family: int):
+        real = construct.build_B
+
+        def build_B(params, i):
+            m = real(params, i)
+            return self._dependent(m) if i == family else m
+
+        monkeypatch.setattr(construct, "build_B", build_B)
+
+    @staticmethod
+    def _wrong_window(monkeypatch, params, family: int):
+        # the recurrence of another primitive polynomial of the same degree
+        f = construct._family_poly(params, family)
+        other = next(g for g in fc.iter_primitive_polys(params.field, f.degree) if g != f)
+        real = construct._recurring_sequence
+        monkeypatch.setattr(
+            construct, "_recurring_sequence",
+            lambda g, length: real(other if g == f else g, length),
+        )
+
+    def _flag_error(self, m: fc.MatrixGF, n: int) -> str:
+        with pytest.raises(RankDeficientPrefix) as err:
+            fc.flag_from_matrix(m, fc.TypeVector.full(n))
+        return str(err.value)
+
+    @pytest.mark.parametrize("qkhs", [(2, 2, 1, 3), (3, 2, 0, 3)], ids=_params_id)
+    @pytest.mark.parametrize("family", [1, 2])
+    def test_a_singular_B_raises_the_flag_error(self, qkhs, family, monkeypatch):
+        params = fc.ConstructionParams.make(*qkhs)
+        message = self._flag_error(self._dependent(construct.build_B(params, family)), params.n)
+        assert message == "first 2 rows have rank 1"
+        self._singular_B(monkeypatch, family)
+        with pytest.raises(RankDeficientPrefix, match=f"^{message}$"):
+            fc.build_generator_set(params)
+
+    @pytest.mark.parametrize("qkhs", [(2, 2, 1, 3), (3, 2, 0, 3)], ids=_params_id)
+    def test_a_singular_B_1_wins_over_a_later_family_mismatch(self, qkhs, monkeypatch):
+        params = fc.ConstructionParams.make(*qkhs)
+        self._wrong_window(monkeypatch, params, 2)
+        with pytest.raises(TheoremViolated, match=r"A_2 g\^1 does not match its block form"):
+            fc.build_generator_set(params)
+        self._singular_B(monkeypatch, 1)
+        with pytest.raises(RankDeficientPrefix, match="first 2 rows have rank 1"):
+            fc.build_generator_set(params)
+
+    @pytest.mark.parametrize("qkhs", [(2, 2, 1, 3), (3, 2, 0, 3)], ids=_params_id)
+    def test_a_mismatch_wins_over_a_later_singular_B(self, qkhs, monkeypatch):
+        params = fc.ConstructionParams.make(*qkhs)
+        self._singular_B(monkeypatch, 1)
+        self._wrong_window(monkeypatch, params, 1)
+        with pytest.raises(TheoremViolated, match=r"A_1 g\^1 does not match its block form"):
+            fc.build_generator_set(params)
+
+    @pytest.mark.parametrize("qkhs", [(2, 2, 1, 3), (3, 2, 0, 3)], ids=_params_id)
+    def test_a_singular_M_raises_the_flag_error_last(self, qkhs, monkeypatch):
+        params = fc.ConstructionParams.make(*qkhs)
+        m = self._dependent(construct.build_M(params), 3)
+        message = self._flag_error(m, params.n)
+        assert message == "first 3 rows have rank 2"
+        monkeypatch.setattr(construct, "build_M", lambda params: m)
+        with pytest.raises(RankDeficientPrefix, match=f"^{message}$"):
+            fc.build_generator_set(params)
+        self._singular_B(monkeypatch, params.s - 1)
+        with pytest.raises(RankDeficientPrefix, match="first 2 rows have rank 1"):
+            fc.build_generator_set(params)
 
 
 class TestFullFlagCodes:
