@@ -50,13 +50,13 @@ from .flags import (
     FlagCode,
     TypeVector,
     _distances_at,
+    _flags_from_matrices,
     _words_at,
     ab_indices,
     admissible_type_check,
     classify,
     code_flag_min_distance,
     distance_decomposition_check,
-    flag_from_matrix,
     is_cardinality_consistent,
     max_flag_distance,
     optimum_check_ab,
@@ -490,6 +490,12 @@ def build_generator_set(params: ConstructionParams) -> GeneratorSet:
     N = q^(ik+h) - 1; no power of P_i and no block matrix is formed per t.
     Then the distinct row spaces must number sum q^(ik+h) + 1.
 
+    Each product is checked against its windows as it is formed, and the
+    flags and normals of every matrix are made in one batch after
+    (flags._flags_from_matrices).  The first failure in entry order is
+    raised: a product that loses rank before a mismatch at the same t, and
+    a singular B_i or M with flag_from_matrix's own error.
+
     That check also gives g^N = I, with no power of g formed: x^t mod f_i
     has period N for the primitive f_i, so the windows at t = N are those at
     t = 0, which are A_i's rows, and A_i g^N = A_i.  The last column block
@@ -497,13 +503,14 @@ def build_generator_set(params: ConstructionParams) -> GeneratorSet:
     The group order claim of run_claim_suite forms g^N once, on the g_i
     kept in ``families``, and still raises when it is not the identity."""
     _check_size(params)
-    entries: list[GeneratorEntry] = []
+    n = params.n
     families: list[tuple[MatrixGF, MatrixGF]] = []
-    full_tv = TypeVector.full(params.n)
-
-    def entry(kind, i, t, flag):
-        return GeneratorEntry(kind, i, t, flag, _hyperplane_normal(flag._rows, params.n, params.field))
-
+    full_tv = TypeVector.full(n)
+    # every generator matrix, in entry order, with its (kind, i, t), up to
+    # the first that fails its block form
+    mats: list[MatrixGF] = []
+    labels: list[tuple] = []
+    mismatch = None
     for i in range(1, params.s):
         gen = build_G_generator(params, i)
         m_t = build_A(params, i)
@@ -513,17 +520,35 @@ def build_generator_set(params: ConstructionParams) -> GeneratorSet:
         step = gen._tabulated()  # g with product tables, for this loop only
         for t in range(1, order + 1):
             m_t = m_t @ step
-            try:
-                flag = flag_from_matrix(m_t, full_tv)
-            except RankDeficientPrefix:
-                raise TheoremViolated(f"A_{i} g^{t} lost row rank") from None
+            mats.append(m_t)
+            labels.append(("A", i, t))
             if m_t._rows != windows(t):
-                raise TheoremViolated(
-                    f"A_{i} g^{t} does not match its block form"
-                )
-            entries.append(entry("A", i, t, flag))
-        entries.append(entry("B", i, None, flag_from_matrix(build_B(params, i), full_tv)))
-    entries.append(entry("M", None, None, flag_from_matrix(build_M(params), full_tv)))
+                mismatch = f"A_{i} g^{t} does not match its block form"
+                break
+        if mismatch:
+            break
+        mats.append(build_B(params, i))
+        labels.append(("B", i, None))
+    else:
+        mats.append(build_M(params))
+        labels.append(("M", None, None))
+
+    # the flags and normals of all of them in one batch; a matrix that
+    # loses rank comes before any later one, and before a mismatch at its t
+    try:
+        flags, lanes = _flags_from_matrices(mats, full_tv)
+    except RankDeficientPrefix as err:
+        kind, i, t = labels[err.index]
+        if kind != "A":
+            raise
+        raise TheoremViolated(f"A_{i} g^{t} lost row rank") from None
+    if mismatch:
+        raise TheoremViolated(mismatch)
+    if lanes is None:
+        normals = [_hyperplane_normal(f._rows, n, params.field) for f in flags]
+    else:
+        normals = lanes.normals()
+    entries = [GeneratorEntry(*label, f, c) for label, f, c in zip(labels, flags, normals)]
 
     # a hyperplane is its normal; no Subspace or key rows are made here
     distinct = len({e.normal for e in entries})

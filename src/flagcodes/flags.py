@@ -18,6 +18,7 @@ from itertools import accumulate
 from .errors import (
     AmbientMismatch,
     EllOutOfRange,
+    FlagCodesError,
     Frozen,
     IndexOutOfRange,
     NotASubsequence,
@@ -31,6 +32,7 @@ from .field import DEFAULT_FACTOR_BUDGET, _shown, factorize
 from .matgf import (
     MatrixGF,
     _back_substitute,
+    _GF2Lanes,
     _echelon,
     _expect_end,
     _matrix_lines,
@@ -304,6 +306,33 @@ def flag_from_matrix(w: MatrixGF, type_: TypeVector) -> Flag:
         t, rank = next((t, rank) for t, rank in zip(dims, ranks) if rank != t)
         raise RankDeficientPrefix(f"first {t} rows have rank {rank}")
     return Flag.__new__(Flag)._set(type_, w.field, w, rows, None, None)
+
+
+def _flags_from_matrices(mats: Sequence[MatrixGF], type_: TypeVector) -> tuple[list[Flag], _GF2Lanes | None]:
+    """The flag_from_matrix of each of ``mats`` (over one field), in
+    order, and the lanes they were made on, or None.
+
+    Over GF(2) one lane-packed elimination (matgf._GF2Lanes) makes every
+    normal form.  If a matrix has a shape flag_from_matrix refuses, or a
+    row in the span of the rows before it, flag_from_matrix runs on each
+    matrix in turn instead, as over every other field, so the first it
+    refuses raises its own error, with ``index`` set to its place in
+    ``mats``."""
+    n, top = type_.n, type_.dims[-1]
+    if mats and mats[0].field.q == 2 and all(w.ncols == n and w.nrows >= top for w in mats):
+        lanes = _GF2Lanes([w._rows for w in mats], top, n)
+        if lanes.bad is None:
+            field = mats[0].field
+            forms = lanes.forms(type_.dims, field)
+            return [Flag.__new__(Flag)._set(type_, field, w, rows, None, None) for w, rows in zip(mats, forms)], lanes
+    flags: list[Flag] = []
+    for j, w in enumerate(mats):
+        try:
+            flags.append(flag_from_matrix(w, type_))
+        except FlagCodesError as err:
+            err.index = j
+            raise
+    return flags, None
 
 
 class FlagCode:
@@ -642,7 +671,10 @@ def load_flag_code(text: str) -> FlagCode:
     """The flag code of a dump_flag_code file.  A header or row line that
     repeats is parsed once (matgf._read_matrix), and every check runs on
     every flag.  A matrix whose field name declares an order other than
-    the header's q is refused before its field is built."""
+    the header's q is refused before its field is built.  The flags given
+    by one matrix are made in one batch once the file is read
+    (_flags_from_matrices), and a flag that fails its checks is still
+    reported before anything that fails after it in the file."""
     lines = iter(text.splitlines())
     header = next((ln for ln in lines if ln.strip()), None)
     if header is None:
@@ -666,15 +698,30 @@ def load_flag_code(text: str) -> FlagCode:
     tv = _parse_type_line(type_line, n)
     memo: dict = {}
     order = (q, "the flags are")
-    flags: list[Flag] = []
+    flags: list = []
+    # the flags of one matrix block: made in one batch after the reading
+    singles: list[MatrixGF] = []
+    places: list[int] = []
+    error = None
     try:
         for _ in range(count):
-            flags.append(_read_flag_body(lines, tv, _read_matrix(lines, memo, order), memo, order))
+            first = _read_matrix(lines, memo, order)
+            if first.nrows == tv.dims[-1]:
+                places.append(len(flags))
+                singles.append(first)
+                flags.append(None)
+            else:
+                flags.append(_read_flag_body(lines, tv, first, memo, order))
+        _expect_end(lines, f"the {count} flags the header declares")
     except _NoMatrix:
-        raise ValueError(
-            f"the header declares {count} flags, but the file ends after {len(flags)}"
-        ) from None
-    _expect_end(lines, f"the {count} flags the header declares")
+        error = ValueError(f"the header declares {count} flags, but the file ends after {len(flags)}")
+    except Exception as err:
+        error = err
+    # a flag that fails its own checks is reported before what fails after it
+    for at, flag in zip(places, _flags_from_matrices(singles, tv)[0]):
+        flags[at] = flag
+    if error is not None:
+        raise error
     code = FlagCode(tv, flags)
     if len(code) != count:
         raise ValueError(f"the header declares {count} flags, but {len(code)} are distinct")

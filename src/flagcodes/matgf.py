@@ -88,8 +88,10 @@ def _echelon(rows: Sequence, lengths: Iterable[int], field: FieldSpec) -> tuple[
         basis: dict = {}  # pivot bit_length() -> kept row
         mask = 0  # the pivot bits
         for row in rows[: lengths[-1]] if lengths else ():
-            while row & mask:
-                row ^= basis[(row & mask).bit_length()]
+            hit = row & mask
+            while hit:
+                row ^= basis[hit.bit_length()]
+                hit = row & mask
             if row:
                 top = row.bit_length()
                 basis[top] = row
@@ -142,8 +144,10 @@ def _back_substitute(rows: Sequence, field: FieldSpec) -> tuple:
     if field.q == 2:
         mask = 0
         for row in reversed(rows):
-            while row & mask:
-                row ^= done[(row & mask).bit_length()]
+            hit = row & mask
+            while hit:
+                row ^= done[hit.bit_length()]
+                hit = row & mask
             top = row.bit_length()
             done[top] = row
             mask |= 1 << top - 1
@@ -157,6 +161,136 @@ def _back_substitute(rows: Sequence, field: FieldSpec) -> tuple:
                     row = tuple([add[a][times[b]] for a, b in zip(row, base)])
             done[row.index(1)] = row
     return tuple(sorted(done.values(), reverse=True))
+
+
+def _lane_codec(width: int, count: int) -> tuple:
+    """(pack, unpack) for ``count`` lanes of ``width`` bits: pack makes one
+    int of a sequence of ``count`` ints below 2^width, the m-th at bits
+    m*width up, and unpack gives the tuple back.  Lanes of up to 64 bits
+    go through one struct of little-endian words (``struct`` is imported
+    here, on first use, so ``import flagcodes`` does not load it); wider
+    ones through the bytes of each lane."""
+    if width <= 64:
+        import struct
+
+        # B, H, I and Q are the words of 8, 16, 32 and 64 bits
+        words = struct.Struct(f"<{count}{'BHIQ'[width.bit_length() - 4]}")
+        return (
+            lambda lanes: int.from_bytes(words.pack(*lanes), "little"),
+            lambda x: words.unpack(x.to_bytes(words.size, "little")),
+        )
+    size = width // 8
+
+    def unpack(x: int) -> tuple:
+        data = x.to_bytes(size * count, "little")
+        return tuple([int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)])
+
+    return lambda lanes: int.from_bytes(b"".join([v.to_bytes(size, "little") for v in lanes]), "little"), unpack
+
+
+class _GF2Lanes:
+    """One forward elimination of a batch of GF(2) chains of ``n``-column
+    bitmask rows, the first ``top`` rows of each, as _echelon makes it for
+    each chain alone, with every chain in the same Python-level steps.
+
+    Row r of every chain is packed into one int, chain m in lane m: bits
+    m*width up, ``width`` the least of 8, 16, 32, 64, 128, ... that holds n,
+    so lane arithmetic never carries into the next lane.  ``piv[c]`` holds
+    in each lane the kept row with pivot at bit c (column n - 1 - c), or 0,
+    and ``free[c]`` has bit 0 of each lane where c is no pivot.  A row is
+    reduced in one pass over the columns, left to right: ``b``, bit c of
+    each lane, is final when the pass reaches c, since only kept rows with
+    pivots to the left of c have been added, and each is 0 left of its
+    pivot.  The lanes of ``b`` where c is a pivot add that kept row, through
+    the spread mask ``(b << width) - b`` (all ones in those lanes); the
+    lanes where it is not, and which have no pivot yet in this row, take c
+    as the row's pivot (``b & avail & free[c]``).  The pass goes on to the
+    last column, so the row is 0 at every pivot kept before it, left or
+    right of its own.  Then each new pivot's lanes keep the reduced row.
+
+    ``rows`` and ``pivots`` are the packed reduced rows and their pivot
+    bits, and ``bad`` is the least chain with a row that found no pivot
+    (a row in the span of the rows before it), or None.
+    """
+
+    __slots__ = ("n", "width", "unpack", "ones", "rows", "pivots", "bad")
+
+    def __init__(self, rowsets: Sequence[Sequence[int]], top: int, n: int):
+        width = 8
+        while width < n:
+            width <<= 1
+        pack, self.unpack = _lane_codec(width, len(rowsets))
+        ones = pack((1,) * len(rowsets))
+        piv = [0] * n
+        free = [ones] * n
+        rows, pivots = [], []
+        failed = 0
+        for lanes in islice(zip(*rowsets), top):
+            x = pack(lanes)
+            avail = ones  # the lanes that have no pivot yet in this row
+            found = []
+            for c in range(n - 1, -1, -1):
+                kept = piv[c]
+                if not (kept or avail):
+                    continue
+                b = x >> c & ones
+                if kept:
+                    x ^= ((b << width) - b) & kept
+                if avail:
+                    new = b & avail & free[c]
+                    if new:
+                        avail ^= new
+                        found.append((c, new))
+            bits = 0
+            for c, new in found:
+                piv[c] |= ((new << width) - new) & x
+                free[c] ^= new
+                bits |= new << c
+            rows.append(x)
+            pivots.append(bits)
+            failed |= avail
+        self.n = n
+        self.width = width
+        self.ones = ones
+        self.rows = rows
+        self.pivots = pivots
+        self.bad = ((failed & -failed).bit_length() - 1) // width if failed else None
+
+    def forms(self, dims: Sequence[int], field: FieldSpec) -> list[tuple]:
+        """The normal form of each chain at the nondecreasing ``dims``
+        (the last ``top``): its reduced rows, with each level that adds
+        more than one row back-substituted (_back_substitute over
+        ``field``, GF(2))."""
+        forms = list(zip(*map(self.unpack, self.rows)))
+        lo = 0
+        for hi in dims:
+            if hi - lo > 1:
+                forms = [f[:lo] + _back_substitute(f[lo:hi], field) + f[hi:] for f in forms]
+            lo = hi
+        return forms
+
+    def normals(self) -> tuple:
+        """The normal of each chain's span, a hyperplane of GF(2)^n, as
+        subspace._hyperplane_normal solves it from the chain's rows, all
+        lanes at once: c starts as 1 at the one column of each lane that
+        holds no pivot, and from the last row R to the first, R's pivot
+        bit is set in the lanes where R & c has odd parity.  The parity of
+        a lane gathers at its bit 0 by folding it in halves."""
+        n, width, ones = self.n, self.width, self.ones
+        if len(self.rows) != n - 1:
+            raise DimMismatch(f"a dim-{len(self.rows)} subspace of GF(2)^{n} is not a hyperplane")
+        c = (ones << n) - ones
+        for bits in self.pivots:
+            c ^= bits
+        for x, bits in zip(reversed(self.rows), reversed(self.pivots)):
+            x &= c
+            half = width >> 1
+            while half:
+                x ^= x >> half
+                half >>= 1
+            x &= ones
+            c |= ((x << width) - x) & bits
+        return self.unpack(c)
 
 
 class MatrixGF:
