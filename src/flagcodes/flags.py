@@ -33,6 +33,7 @@ from .matgf import (
     MatrixGF,
     _back_substitute,
     _GF2Lanes,
+    _GFqSlices,
     _echelon,
     _expect_end,
     _matrix_lines,
@@ -308,21 +309,29 @@ def flag_from_matrix(w: MatrixGF, type_: TypeVector) -> Flag:
     return Flag.__new__(Flag)._set(type_, w.field, w, rows, None, None)
 
 
-def _flags_from_matrices(mats: Sequence[MatrixGF], type_: TypeVector) -> tuple[list[Flag], _GF2Lanes | None]:
-    """The flag_from_matrix of each of ``mats`` (over one field), in
-    order, and the lanes they were made on, or None.
+def _flags_from_matrices(
+    mats: Sequence[MatrixGF], type_: TypeVector
+) -> tuple[list[Flag], _GF2Lanes | _GFqSlices | None]:
+    """The flag_from_matrix of each of ``mats``, in order, and the batch
+    they were made on, or None.
 
     Over GF(2) one lane-packed elimination (matgf._GF2Lanes) makes every
-    normal form.  If a matrix has a shape flag_from_matrix refuses, or a
-    row in the span of the rows before it, flag_from_matrix runs on each
-    matrix in turn instead, as over every other field, so the first it
-    refuses raises its own error, with ``index`` set to its place in
-    ``mats``."""
+    normal form, and over GF(q), 2 < q <= 16, one byte-sliced elimination
+    (matgf._GFqSlices).  If a matrix is over a field other than the
+    first one's (the same order under another modulus counts), has a
+    shape flag_from_matrix refuses, or has a row in the span of the rows
+    before it, flag_from_matrix runs on each matrix in turn instead, as
+    over every larger field, so the first it refuses raises its own
+    error, with ``index`` set to its place in ``mats``."""
     n, top = type_.n, type_.dims[-1]
-    if mats and mats[0].field.q == 2 and all(w.ncols == n and w.nrows >= top for w in mats):
-        lanes = _GF2Lanes([w._rows for w in mats], top, n)
+    field = mats[0].field if mats else None
+    if (
+        field is not None and field.q <= 16
+        and all((w.field is field or w.field == field) and w.ncols == n and w.nrows >= top for w in mats)
+    ):
+        rowsets = [w._rows for w in mats]
+        lanes = _GF2Lanes(rowsets, top, n) if field.q == 2 else _GFqSlices(rowsets, top, n, field)
         if lanes.bad is None:
-            field = mats[0].field
             forms = lanes.forms(type_.dims, field)
             return [Flag.__new__(Flag)._set(type_, field, w, rows, None, None) for w, rows in zip(mats, forms)], lanes
     flags: list[Flag] = []

@@ -163,6 +163,18 @@ def _back_substitute(rows: Sequence, field: FieldSpec) -> tuple:
     return tuple(sorted(done.values(), reverse=True))
 
 
+def _leveled(forms: list, dims: Sequence[int], field: FieldSpec) -> list[tuple]:
+    """The normal forms of a batch's chains at the nondecreasing ``dims``
+    from their forward-reduced rows ``forms``: each level that adds more
+    than one row is back-substituted (_back_substitute)."""
+    lo = 0
+    for hi in dims:
+        if hi - lo > 1:
+            forms = [f[:lo] + _back_substitute(f[lo:hi], field) + f[hi:] for f in forms]
+        lo = hi
+    return forms
+
+
 def _lane_codec(width: int, count: int) -> tuple:
     """(pack, unpack) for ``count`` lanes of ``width`` bits: pack makes one
     int of a sequence of ``count`` ints below 2^width, the m-th at bits
@@ -258,16 +270,8 @@ class _GF2Lanes:
 
     def forms(self, dims: Sequence[int], field: FieldSpec) -> list[tuple]:
         """The normal form of each chain at the nondecreasing ``dims``
-        (the last ``top``): its reduced rows, with each level that adds
-        more than one row back-substituted (_back_substitute over
-        ``field``, GF(2))."""
-        forms = list(zip(*map(self.unpack, self.rows)))
-        lo = 0
-        for hi in dims:
-            if hi - lo > 1:
-                forms = [f[:lo] + _back_substitute(f[lo:hi], field) + f[hi:] for f in forms]
-            lo = hi
-        return forms
+        (the last ``top``): its reduced rows, leveled (_leveled)."""
+        return _leveled(list(zip(*map(self.unpack, self.rows))), dims, field)
 
     def normals(self) -> tuple:
         """The normal of each chain's span, a hyperplane of GF(2)^n, as
@@ -291,6 +295,107 @@ class _GF2Lanes:
             x &= ones
             c |= ((x << width) - x) & bits
         return self.unpack(c)
+
+
+class _GFqSlices:
+    """_GF2Lanes over GF(q), 2 < q <= 16, with the same interface: one
+    forward elimination of the first ``top`` code-tuple rows of every
+    chain, as _echelon makes it for each chain alone.
+
+    Entry (r, c) of every chain is one byte of one int, chain m in byte m
+    of its big-endian bytes: row r is n such slices.  A field operation on
+    slices a and b reads one 256-byte table T at a*q + b (``op``); q^2 <=
+    256, so no byte carries into the next.  ``base[c]`` holds in each lane
+    the kept row with pivot c, pivot 1 and 0 left of c, or 0, and
+    ``pivm[c]`` has byte 1 in the lanes where c is a pivot.  A row is
+    reduced in one pass over the columns, left to right: v = x[c] is final
+    when the pass reaches c, and x[c'] -= v*base[c][c'] for c' >= c clears c
+    in the lanes where it is a pivot and changes no other lane.  Where v is
+    nonzero, c is no pivot and the row has no pivot yet, c is the row's
+    pivot; the row is then scaled by the inverse of its pivot's value.
+    ``bad`` is as in _GF2Lanes.
+    """
+
+    __slots__ = ("n", "size", "field", "q", "ops", "ones", "base", "pivm", "rows", "bad")
+
+    def __init__(self, rowsets: Sequence[Sequence[tuple]], top: int, n: int, field: FieldSpec):
+        q, size = field.q, len(rowsets)
+        self.n, self.size, self.field, self.q = n, size, field, q
+        add, mul, neg, inv = field.tables()
+        # a - b and a b at a*q + b; 1/a and "a is nonzero" at a*q, any b
+        self.ops = [b"".join(map(bytes, t)).ljust(256, b"\0") for t in (
+            [[row[b] for b in neg] for row in add], mul,
+            [[v] * q for v in inv], [[min(v, 1)] * q for v in range(q)])]
+        sub_t, mul_t, inv_t, nz_t = self.ops
+        op = self.op
+        ones = self.ones = int.from_bytes(b"\1" * size, "big")
+        base = self.base = [[0] * n for _ in range(n)]
+        pivm = self.pivm = [0] * n
+        rows = self.rows = []
+        failed = 0
+        for lanes in islice(zip(*rowsets), top):
+            x = [int.from_bytes(bytes(col), "big") for col in zip(*lanes)]
+            avail = ones  # the lanes that have no pivot yet in this row
+            pv = 0  # each lane's pivot value
+            found = []
+            for c in range(n):
+                v = x[c]
+                if not v:
+                    continue
+                kept = base[c]
+                if pivm[c]:
+                    for j in range(c, n):
+                        if kept[j]:
+                            x[j] = op(sub_t, x[j], op(mul_t, v, kept[j]))
+                if avail:
+                    new = op(nz_t, v) & avail & (ones ^ pivm[c])
+                    if new:
+                        avail ^= new
+                        pv |= v & new * 255
+                        found.append((c, new))
+            if pv & ~ones:  # a pivot value other than 1
+                pv = op(inv_t, pv)
+                x = [op(mul_t, pv, y) if y else 0 for y in x]
+            for c, new in found:
+                kept, spread = base[c], new * 255
+                for j in range(c, n):
+                    kept[j] |= x[j] & spread
+                pivm[c] |= new
+            rows.append(x)
+            failed |= avail
+        self.bad = size - 1 - (failed.bit_length() - 1) // 8 if failed else None
+
+    def op(self, table: bytes, a: int, b: int = 0) -> int:
+        """The slice of ``table`` at a*q + b in every lane."""
+        return int.from_bytes((a * self.q + b).to_bytes(self.size, "big").translate(table), "big")
+
+    def chains(self, slices: list[int]) -> Iterator[tuple]:
+        """Each chain's codes in ``slices``, chain 0 first."""
+        return zip(*[v.to_bytes(self.size, "big") for v in slices])
+
+    def forms(self, dims: Sequence[int], field: FieldSpec) -> list[tuple]:
+        """The normal form of each chain at the nondecreasing ``dims``
+        (the last ``top``): its reduced rows, leveled (_leveled)."""
+        return _leveled(list(zip(*map(self.chains, self.rows))), dims, field)
+
+    def normals(self) -> tuple:
+        """The normal of each chain's span, a hyperplane of GF(q)^n, as
+        subspace._hyperplane_normal solves it from the chain's rows, all
+        lanes at once, from the last column back:
+        c[p] = -sum_(c' > p) base[p][c'] c[c'] (each term subtracted), plus
+        1 where p is no pivot."""
+        n, op = self.n, self.op
+        if len(self.rows) != n - 1:
+            raise DimMismatch(f"a dim-{len(self.rows)} subspace of {self.field}^{n} is not a hyperplane")
+        sub_t, mul_t = self.ops[:2]
+        c = [0] * n
+        for p in range(n - 1, -1, -1):
+            kept, acc = self.base[p], 0
+            for j in range(p + 1, n):
+                if kept[j] and c[j]:
+                    acc = op(sub_t, acc, op(mul_t, kept[j], c[j]))
+            c[p] = acc | self.ones ^ self.pivm[p]
+        return tuple(self.chains(c))
 
 
 class MatrixGF:

@@ -681,8 +681,14 @@ class TestErrorOrder:
             fc.flag_from_matrix(m, fc.TypeVector.full(n))
         return str(err.value)
 
-    @pytest.mark.parametrize("qkhs", [(2, 2, 1, 3), (3, 2, 0, 3)], ids=_params_id)
-    @pytest.mark.parametrize("family", [1, 2])
+    # (q, k, h, s) with each family 1..s-1 it has: over GF(2), GF(3), and
+    # the extension fields GF(4) and GF(9), which the build normal-forms in
+    # one byte-sliced batch (matgf._GFqSlices)
+    SINGULAR_B = [(qkhs, family) for qkhs in [(2, 2, 1, 3), (3, 2, 0, 3), (4, 2, 0, 3), (4, 2, 1, 2), (9, 2, 0, 2)]
+                  for family in range(1, qkhs[3])]
+
+    @pytest.mark.parametrize("qkhs,family", SINGULAR_B,
+                             ids=[f"{family}-{_params_id(qkhs)}" for qkhs, family in SINGULAR_B])
     def test_a_singular_B_raises_the_flag_error(self, qkhs, family, monkeypatch):
         params = fc.ConstructionParams.make(*qkhs)
         message = self._flag_error(self._dependent(construct.build_B(params, family)), params.n)
@@ -691,7 +697,8 @@ class TestErrorOrder:
         with pytest.raises(RankDeficientPrefix, match=f"^{message}$"):
             fc.build_generator_set(params)
 
-    @pytest.mark.parametrize("qkhs", [(2, 2, 1, 3), (3, 2, 0, 3)], ids=_params_id)
+    # a later family needs s >= 3: (4,2,1,2) and (9,2,0,2) have one family
+    @pytest.mark.parametrize("qkhs", [(2, 2, 1, 3), (3, 2, 0, 3), (4, 2, 0, 3), (9, 2, 0, 3)], ids=_params_id)
     def test_a_singular_B_1_wins_over_a_later_family_mismatch(self, qkhs, monkeypatch):
         params = fc.ConstructionParams.make(*qkhs)
         self._wrong_window(monkeypatch, params, 2)
