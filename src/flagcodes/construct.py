@@ -14,14 +14,19 @@ vector:
   2k(k+h+1) + 2h for s = 4 when 2k+h is kept in the type.
 
 Every claimed cardinality, spread property, and distance is re-verified here
-by exhaustive computation; the verify_* functions return structured
-pass/fail reports rather than aborting.
+by exhaustive computation.  The claims come in groups, each a generator of
+(id, statement, expected, compute) per claim.  run_claim_suite runs an
+ordered table of them (_claim_groups) through one loop (_run_claims) into
+one pass/fail report, and each verify_* function and build_*_code builder
+runs its one group through the same loop.  A compute that raises is one
+failed claim and the run goes on; an error in a group's own work between
+its claims aborts the run.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import islice
 from time import perf_counter
 
@@ -587,9 +592,10 @@ def build_full_flag_code(gen: GeneratorSet) -> FlagCode:
 
 def build_optimum_code(gen: GeneratorSet) -> FlagCode:
     """The admissible-type code of ``gen``, once run_claim_suite's optimum
-    claims (_optimum_claims) pass on it: its size, the maximum distance and
-    the equivalent tests of optimality (_checked_code)."""
-    return _checked_code(gen, _optimum_claims)
+    claim group (_optimum_claims) passes on it: its size, the maximum
+    distance and the equivalent tests of optimality (_check_group)."""
+    _check_group(gen, _optimum_claims(gen))
+    return gen.flag_code(admissible_type(gen.params))
 
 
 def _longer_type(params: ConstructionParams, type_: TypeVector | None) -> TypeVector:
@@ -615,22 +621,22 @@ def _longer_type(params: ConstructionParams, type_: TypeVector | None) -> TypeVe
 
 def build_longer_type_code(gen: GeneratorSet, type_: TypeVector | None = None) -> FlagCode:
     """The master-type code of ``gen`` or any subsequence of it (_longer_type),
-    once run_claim_suite's longer-type claims (_longer_claims) pass on it:
-    its size, distance and cardinality consistency (_checked_code)."""
-    return _checked_code(gen, _longer_claims, _longer_type(gen.params, type_))
+    once run_claim_suite's longer-type claim group (_longer_claims) passes
+    on it: its size, distance and cardinality consistency (_check_group)."""
+    tv = _longer_type(gen.params, type_)
+    _check_group(gen, _longer_claims(gen, tv))
+    return gen.flag_code(tv)
 
 
-def _checked_code(gen: GeneratorSet, claims: Callable[..., FlagCode], *args) -> FlagCode:
-    """The code that the claim group ``claims`` checks on a report of its
-    own; TheoremViolated names every claim of the group that failed."""
+def _check_group(gen: GeneratorSet, group: ClaimGroup) -> None:
+    """Run the claim group ``group`` of ``gen`` (_run_claims);
+    TheoremViolated names every claim of it that failed."""
     _check_kernel_prime(gen.params.field.p)  # a refused scan breaks no theorem
-    rep = VerificationReport(gen.params.describe())
-    code = claims(rep, gen, *args)
+    rep = _run_claims(gen.params, [group])
     failed = "; ".join(f"{c.claim_id}: expected {c.expected!r}, computed {c.computed!r}"
                        for c in rep.claims if not c.passed)
     if failed:
         raise TheoremViolated(failed)
-    return code
 
 
 # -- verification reports -------------------------------------------------------
@@ -675,12 +681,6 @@ class VerificationReport(Record):
         passed = computed == expected
         self.claims.append(Claim(claim_id, statement, expected, computed, passed, elapsed))
         return passed
-
-    def skip(self, claim_id: str, statement: str, reason: str) -> None:
-        self.claims.append(Claim(claim_id, statement, reason, reason, True, 0.0))
-
-    def extend(self, other: VerificationReport) -> None:
-        self.claims.extend(other.claims)
 
     @property
     def all_pass(self) -> bool:
@@ -730,50 +730,261 @@ def _jsonable(value: object) -> object:
     return repr(value)
 
 
-# -- verification operations ----------------------------------------------------
+# -- claim groups -----------------------------------------------------------------
+
+# A claim group yields one (claim_id, statement, expected, compute) per claim,
+# in report order.  compute is None for a claim that does not apply, and
+# expected then gives the reason.
+ClaimGroup = Iterable[tuple]
 
 
-def verify_spread_projections(gen: GeneratorSet) -> VerificationReport:
-    """Check the k-projection (a partial k-spread of full size) and the
-    (n-k)-projection (maximum distance 2k, full size) of ``gen``'s full
-    code; the report names ``gen.params``."""
-    params = gen.params
-    rep = VerificationReport(params.describe())
-    k, n = params.k, params.n
-    size = params.expected_size
+def _run_claims(
+    params: ConstructionParams,
+    groups: Iterable[ClaimGroup],
+    type_dims: tuple[int, ...] | None = None,
+) -> VerificationReport:
+    """The one report of every claim that ``groups`` yield, in order.
 
-    full = gen.full
-    rep.check(
-        "projected.k.partial_spread",
-        f"the {k}-projected code is a partial {k}-spread",
-        True,
-        lambda: all(d == 2 * k for d in _distances_at(full, k - 1)),
-    )
-    rep.check(
-        "projected.k.cardinality",
-        f"the {k}-projected code has sum(q^(ik+h)) + 1 = {size} words",
-        size,
-        lambda: _words_at(full, k - 1),
-    )
-    rep.check(
-        "projected.n_minus_k.min_distance",
-        f"the {n - k}-projected code attains the maximum distance 2k = {2 * k}",
-        2 * k,
-        lambda: min(_distances_at(full, n - k - 1)),
-    )
-    rep.check(
-        "projected.n_minus_k.cardinality",
-        f"the {n - k}-projected code has {size} words",
-        size,
-        lambda: _words_at(full, n - k - 1),
-    )
+    A claim that does not apply passes, its reason as both its expected and
+    its computed value.  Any other claim passes when its compute() equals
+    its expected value (VerificationReport.check), and there are two ways
+    to fail:
+
+    * a compute that raises is one failed claim, computed "ExcType: msg",
+      and the run goes on;
+    * an exception a group raises between its yields (classify in
+      _deficit_claims, _normal_walk in _orbit_claims) is no claim: it
+      aborts the run and propagates, as one from build_generator_set before
+      the run does.
+    """
+    rep = VerificationReport(params.describe(), type_dims)
+    for group in groups:
+        for claim_id, statement, expected, compute in group:
+            if compute is None:
+                rep.claims.append(Claim(claim_id, statement, expected, expected, True, 0.0))
+            else:
+                rep.check(claim_id, statement, expected, compute)
     return rep
 
 
+def _claim_groups(
+    gen: GeneratorSet, tv: TypeVector, loaded: FlagCode | None
+) -> dict[str, ClaimGroup]:
+    """run_claim_suite's claim groups by phase, in report order.  The
+    longer-type group, on ``tv``, runs only for s >= 3, and the loaded group
+    only with a ``loaded`` code; a group that does not run is empty."""
+    return {
+        "generator": _generator_claims(gen),
+        "projected": _spread_claims(gen),
+        "full": _full_claims(gen),
+        "optimum": _optimum_claims(gen),
+        "longer": _longer_claims(gen, tv) if gen.params.s >= 3 else (),
+        "middle": _middle_claims(gen),
+        "orbit": _orbit_claims(gen),
+        "maximality": _maximality_claims(gen),
+        "loaded": _loaded_claims(gen, loaded) if loaded is not None else (),
+    }
+
+
+def run_claim_suite(
+    params: ConstructionParams,
+    type_: TypeVector | None = None,
+    loaded: FlagCode | None = None,
+) -> VerificationReport:
+    """Build the generator set of ``params`` and run its claim groups
+    (_claim_groups) into one report (_run_claims).
+
+    ``type_`` overrides the master type used for the longer-type family,
+    which runs only for s >= 3; a ``type_`` at s = 2 raises ValueError, and
+    one that _longer_type refuses raises before the set is built.  Before
+    either, a field whose pair scans _check_kernel_prime refuses is refused
+    first of all, and then an instance _check_size refuses.
+    ``loaded`` optionally checks an externally supplied flag code against the
+    freshly constructed family of the same type.
+    """
+    _check_kernel_prime(params.field.p)
+    _check_size(params)
+    if type_ is not None and params.s < 3:
+        raise ValueError(
+            f"type {type_.dims} applies to the longer-type family, which runs only "
+            f"for s >= 3, but s = {params.s}"
+        )
+    tv = _longer_type(params, type_)
+    gen = build_generator_set(params)
+    return _run_claims(params, _claim_groups(gen, tv, loaded).values(), tv.dims)
+
+
+def verify_spread_projections(gen: GeneratorSet) -> VerificationReport:
+    """The report of the spread-projection claims of ``gen`` (_spread_claims)."""
+    return _run_claims(gen.params, [_spread_claims(gen)])
+
+
 def verify_intermediate_distances(gen: GeneratorSet) -> VerificationReport:
-    """Check the projected codes of ``gen`` at every middle dimension of the
-    master type (distance 2k, or 2h at 2k+h when s = 4) and the witness pair
-    (A_i g^k, B_i), which must sit at distance exactly 2k at each level.
+    """The report of the middle-dimension and witness claims of ``gen``
+    (_middle_claims)."""
+    return _run_claims(gen.params, [_middle_claims(gen)])
+
+
+def verify_orbit_decomposition(gen: GeneratorSet) -> VerificationReport:
+    """The report of the orbit claims of ``gen`` (_orbit_claims)."""
+    return _run_claims(gen.params, [_orbit_claims(gen)])
+
+
+def verify_maximality(gen: GeneratorSet) -> VerificationReport:
+    """The report of the maximality claim of ``gen`` (_maximality_claims)."""
+    return _run_claims(gen.params, [_maximality_claims(gen)])
+
+
+def _generator_claims(gen: GeneratorSet) -> ClaimGroup:
+    """The generator family has sum q^(ik+h) + 1 distinct row spaces, and
+    each G_i has order q^(ik+h) - 1 (_group_order)."""
+    params = gen.params
+    size = params.expected_size
+    yield ("generator.cardinality",
+           f"the generator family has sum(q^(ik+h)) + 1 = {size} distinct row spaces",
+           size, lambda: len({e.normal for e in gen.entries}))
+    for i, (g, _) in enumerate(gen.families, start=1):
+        order = params.q ** (i * params.k + params.h) - 1
+        yield (f"group.family{i}.order", f"G_{i} has order q^(ik+h) - 1 = {order}",
+               order, lambda g=g, order=order: _group_order(g, order))
+
+
+def _spread_claims(gen: GeneratorSet) -> ClaimGroup:
+    """The k-projection of ``gen``'s full code is a partial k-spread of full
+    size, and the (n-k)-projection has maximum distance 2k and full size."""
+    params = gen.params
+    k, n = params.k, params.n
+    size = params.expected_size
+    full = gen.full
+    yield ("projected.k.partial_spread", f"the {k}-projected code is a partial {k}-spread",
+           True, lambda: all(d == 2 * k for d in _distances_at(full, k - 1)))
+    yield ("projected.k.cardinality",
+           f"the {k}-projected code has sum(q^(ik+h)) + 1 = {size} words",
+           size, lambda: _words_at(full, k - 1))
+    yield ("projected.n_minus_k.min_distance",
+           f"the {n - k}-projected code attains the maximum distance 2k = {2 * k}",
+           2 * k, lambda: min(_distances_at(full, n - k - 1)))
+    yield ("projected.n_minus_k.cardinality", f"the {n - k}-projected code has {size} words",
+           size, lambda: _words_at(full, n - k - 1))
+
+
+def _full_claims(gen: GeneratorSet) -> ClaimGroup:
+    """The full-type code has its size; for s = 2 also distance 2k(k+h),
+    cardinality consistency and its classification; then its deficit
+    claims."""
+    params = gen.params
+    size = params.expected_size
+    k, h = params.k, params.h
+    full_code = gen.full
+    yield "full.cardinality", f"the full-type code has {size} flags", size, lambda: len(full_code)
+    if params.s == 2:
+        expected_d = 2 * k * (k + h)
+        yield ("full.min_distance", f"the full-type code has distance 2k(k+h) = {expected_d}",
+               expected_d, lambda: code_flag_min_distance(full_code))
+        yield ("full.cardinality_consistent", "the full-type code is cardinality-consistent",
+               True, lambda: is_cardinality_consistent(full_code))
+        top = max_flag_distance(full_code.type)
+        yield ("full.classification", "classification of the full-type code",
+               Classification(expected_d, top, (top - expected_d) // 2).label,
+               lambda: classify(full_code).label)
+    yield from _deficit_claims("full", full_code)
+
+
+def _deficit_claims(prefix: str, code: FlagCode) -> ClaimGroup:
+    """Claims driven by the observed deficit ell of a code: the inner/outer
+    split equivalence, the additive split of the maximum distance, prefix
+    cardinalities, and full-type cardinality consistency."""
+    tv = code.type
+    ell = classify(code).deficit
+    ab = ab_indices(tv)
+    if ab.a is None or ab.b is None or ell < 1:
+        return
+    if ell <= min(ab.a - 1, tv.r - ab.b):
+        inner, outer = split_type(tv, ell)
+        yield (f"{prefix}.split_additivity",
+               f"max distance of {tv.dims} splits across {inner.dims} + {outer.dims}",
+               True, lambda: distance_decomposition_check(tv, ell))
+        inner_code = subsequence_code(code, inner)
+        yield (f"{prefix}.split_inner_distance",
+               f"the {inner.dims} restriction has distance max - {2 * ell}",
+               max_flag_distance(inner) - 2 * ell, lambda: code_flag_min_distance(inner_code))
+        outer_code = subsequence_code(code, outer)
+        yield (f"{prefix}.split_outer_optimum",
+               f"the {outer.dims} restriction attains its maximum distance",
+               True, lambda: classify(outer_code).is_optimum)
+        yield (f"{prefix}.prefix_cardinalities",
+               f"the first {ab.a} projected codes all have |C| words",
+               True, lambda: all(_words_at(code, i) == len(code) for i in range(ab.a)))
+    if tv.is_full and ell <= min(ab.a - 1, tv.n - 1 - ab.b):
+        yield (f"{prefix}.cardinality_consistent_by_deficit",
+               "a full-type code this close to the maximum is cardinality-consistent",
+               True, lambda: is_cardinality_consistent(code))
+
+
+def _optimum_claims(gen: GeneratorSet) -> ClaimGroup:
+    """The admissible-type code of ``gen`` has its size and attains the
+    maximum distance, and the equivalent tests of optimality agree."""
+    params = gen.params
+    size = params.expected_size
+    tv = admissible_type(params)
+    code = gen.flag_code(tv)
+    yield ("optimum.admissible_type",
+           f"every type dimension is <= k or >= n-k and k is present: {tv.dims}",
+           True, lambda: admissible_type_check(tv, params.k))
+    yield ("optimum.cardinality", f"the admissible-type code has {size} flags",
+           size, lambda: len(code))
+    yield ("optimum.min_distance",
+           f"the admissible-type code attains the maximum distance {max_flag_distance(tv)}",
+           max_flag_distance(tv), lambda: code_flag_min_distance(code))
+    yield ("optimum.classification", "the admissible-type code classifies as optimum",
+           "optimum", lambda: classify(code).label)
+    yield ("optimum.ab_equivalence",
+           "optimality matches the projected-code test at the pivotal indices",
+           True, lambda: optimum_check_ab(code))
+    yield ("optimum.cardinality_consistent", "the admissible-type code is cardinality-consistent",
+           True, lambda: is_cardinality_consistent(code))
+    yield ("optimum.projected_equivalence",
+           "optimum iff cardinality-consistent with every projection at max distance",
+           True, lambda: _projected_equivalence(code))
+
+
+def _projected_equivalence(code: FlagCode) -> bool:
+    tv = code.type
+    consistent = is_cardinality_consistent(code)
+    # the i-th projected code's minimum distance (None for a single word)
+    all_max = all(
+        min(_distances_at(code, i), default=None) == 2 * min(d, tv.n - d)
+        for i, d in enumerate(tv.dims)
+    )
+    return (consistent and all_max) == classify(code).is_optimum
+
+
+def _longer_claims(gen: GeneratorSet, tv: TypeVector) -> ClaimGroup:
+    """The code of type ``tv`` (_longer_type) has its size, distance and
+    consistency, then its deficit claims."""
+    params = gen.params
+    size = params.expected_size
+    code = gen.flag_code(tv)
+    expected_d = expected_restricted_distance(params, tv)
+    yield ("longer.cardinality", f"the type {tv.dims} code has {size} flags",
+           size, lambda: len(code))
+    yield ("longer.min_distance", f"the type {tv.dims} code has distance {expected_d}",
+           expected_d, lambda: code_flag_min_distance(code))
+    statement = f"the type {tv.dims} code is cardinality-consistent"
+    unguaranteed = _unguaranteed_dims(params, tv)
+    if unguaranteed:
+        yield ("longer.cardinality_consistent", statement,
+               _unguaranteed_reason(*unguaranteed), None)
+    else:
+        yield ("longer.cardinality_consistent", statement,
+               True, lambda: is_cardinality_consistent(code))
+    yield from _deficit_claims("longer", code)
+
+
+def _middle_claims(gen: GeneratorSet) -> ClaimGroup:
+    """The projected codes of ``gen`` at every middle dimension of the
+    master type have distance 2k (2h at 2k+h when s = 4), and the witness
+    pair (A_i g^k, B_i) sits at distance exactly 2k at each such level.
 
     The minimum distance at dimension m is read over the flag pairs of the
     full-type code, which is the projected code's minimum whenever the
@@ -781,35 +992,27 @@ def verify_intermediate_distances(gen: GeneratorSet) -> VerificationReport:
     the guaranteed distance is positive: at 2h = 0 two flags may share their
     m-dimensional part."""
     params = gen.params
-    rep = VerificationReport(params.describe())
     k, h, s = params.k, params.h, params.s
     size = params.expected_size
 
     for m in middle_dims(params):
         expected_d = _guaranteed_distance(params, m)
-        rep.check(
-            f"middle.dim{m}.min_distance",
-            f"the {m}-projected code has minimum distance {expected_d}",
-            expected_d,
-            lambda m=m: min(vec[m - 1] for vec in gen.full.distance_profile()),
-        )
+        yield (f"middle.dim{m}.min_distance",
+               f"the {m}-projected code has minimum distance {expected_d}",
+               expected_d, lambda m=m: min(vec[m - 1] for vec in gen.full.distance_profile()))
+        claim_id = f"middle.dim{m}.cardinality"
         statement = f"the {m}-projected code has {size} words"
         if expected_d:
-            rep.check(f"middle.dim{m}.cardinality", statement, size,
-                      lambda m=m: _words_at(gen.full, m - 1))
+            yield claim_id, statement, size, lambda m=m: _words_at(gen.full, m - 1)
         else:
-            rep.skip(f"middle.dim{m}.cardinality", statement, _unguaranteed_reason(m))
+            yield claim_id, statement, _unguaranteed_reason(m), None
     for i in range(1, s):
         if i == 1 and h == 0:
             continue  # k+1 > ik+h: the witness argument needs i >= 2 or h >= 1
         for m in middle_dims(params):
-            rep.check(
-                f"witness.family{i}.dim{m}",
-                f"distance of (A_{i} g^k, B_{i}) at level {m} equals 2k",
-                2 * k,
-                lambda i=i, m=m: _witness_distance(gen, i, m),
-            )
-    return rep
+            yield (f"witness.family{i}.dim{m}",
+                   f"distance of (A_{i} g^k, B_{i}) at level {m} equals 2k",
+                   2 * k, lambda i=i, m=m: _witness_distance(gen, i, m))
 
 
 def _unguaranteed_reason(*dims: int) -> str:
@@ -825,10 +1028,9 @@ def _witness_distance(gen: GeneratorSet, i: int, m: int) -> int:
     return subspace_distance(a_flag._part(m - 1), b_flag._part(m - 1))
 
 
-def verify_orbit_decomposition(gen: GeneratorSet) -> VerificationReport:
-    """Check that the generator family ``gen`` is the disjoint union of s-1
-    full orbits (trivial stabilizers) plus the s extra spaces from the B_i
-    and M.
+def _orbit_claims(gen: GeneratorSet) -> ClaimGroup:
+    """The generator family of ``gen`` is the disjoint union of s-1 full
+    orbits (trivial stabilizers) plus the s extra spaces from the B_i and M.
 
     Every space here is a hyperplane, and each is compared by its normal
     vector (_hyperplane_normal): a generator matrix's is the one its entry
@@ -842,7 +1044,6 @@ def verify_orbit_decomposition(gen: GeneratorSet) -> VerificationReport:
     arithmetic with the set's products A_i g^t.  The orbit is the set of
     the c_t, and the stabilizer counts the c_t equal to c_0."""
     params = gen.params
-    rep = VerificationReport(params.describe())
     k, h, s, n, field = params.k, params.h, params.s, params.n, params.field
 
     orbit_keys: list[set] = []
@@ -852,338 +1053,58 @@ def verify_orbit_decomposition(gen: GeneratorSet) -> VerificationReport:
         walk = _normal_walk(seed, g, order)
         orbit = set(walk)
         orbit_keys.append(orbit)
-        rep.check(
-            f"orbit.family{i}.size",
-            f"the orbit of A_{i} under G_{i} has q^(ik+h) - 1 = {order} spaces",
-            order,
-            lambda orbit=orbit: len(orbit),
-        )
-        rep.check(
-            f"orbit.family{i}.stabilizer",
-            f"the stabilizer of A_{i} in G_{i} is trivial",
-            1,
-            lambda walk=walk, seed=seed: walk.count(seed),
-        )
-    rep.check(
-        "orbit.pairwise_disjoint",
-        "distinct family orbits share no row space",
-        True,
-        lambda: all(
-            not (orbit_keys[i] & orbit_keys[j])
-            for i in range(len(orbit_keys))
-            for j in range(i + 1, len(orbit_keys))
-        ),
-    )
+        yield (f"orbit.family{i}.size",
+               f"the orbit of A_{i} under G_{i} has q^(ik+h) - 1 = {order} spaces",
+               order, lambda orbit=orbit: len(orbit))
+        yield (f"orbit.family{i}.stabilizer", f"the stabilizer of A_{i} in G_{i} is trivial",
+               1, lambda walk=walk, seed=seed: walk.count(seed))
+    yield ("orbit.pairwise_disjoint", "distinct family orbits share no row space",
+           True, lambda: all(not (orbit_keys[i] & orbit_keys[j])
+                             for i in range(len(orbit_keys))
+                             for j in range(i + 1, len(orbit_keys))))
     extras = [gen.entry("B", i) for i in range(1, s)] + [gen.entry("M")]
     extra_keys = {e.normal for e in extras}
-    rep.check(
-        "orbit.extras_distinct",
-        "the B_i and M spaces are mutually distinct and outside every orbit",
-        True,
-        lambda: len(extra_keys) == s
-        and all(not (extra_keys & ok) for ok in orbit_keys),
-    )
-    rep.check(
-        "orbit.union_matches",
-        "orbits plus extras reproduce the whole generator family",
-        True,
-        lambda: set.union(extra_keys, *orbit_keys) == {e.normal for e in gen.entries},
-    )
-    return rep
+    yield ("orbit.extras_distinct",
+           "the B_i and M spaces are mutually distinct and outside every orbit",
+           True, lambda: len(extra_keys) == s and all(not (extra_keys & ok) for ok in orbit_keys))
+    yield ("orbit.union_matches", "orbits plus extras reproduce the whole generator family",
+           True, lambda: set.union(extra_keys, *orbit_keys) == {e.normal for e in gen.entries})
 
 
-def verify_maximality(gen: GeneratorSet) -> VerificationReport:
+def _maximality_claims(gen: GeneratorSet) -> ClaimGroup:
     """When k > (q^h - 1)/(q - 1), the size of ``gen``'s master-type code
     must match the closed-form maximum partial-spread size; otherwise the
-    bound is recorded as not applicable."""
+    bound does not apply."""
     params = gen.params
-    rep = VerificationReport(params.describe())
     statement = "code size attains the maximum partial-spread cardinality"
     try:
         bound = max_partial_spread_size(params.q, params.k, params.n)
     except HypothesisUnmet as exc:
-        rep.skip("maximality.cardinality", statement, f"skipped: {exc}")
-        return rep
-    rep.check(
-        "maximality.cardinality",
-        statement,
-        bound,
-        lambda: len(gen.flag_code(master_type(params))),
-    )
-    return rep
-
-
-def _deficit_claims(
-    rep: VerificationReport, prefix: str, code: FlagCode
-) -> None:
-    """Claims driven by the observed deficit ell of a code: the inner/outer
-    split equivalence, the additive split of the maximum distance, prefix
-    cardinalities, and full-type cardinality consistency."""
-    tv = code.type
-    cls = classify(code)
-    ell = cls.deficit
-    ab = ab_indices(tv)
-    r = tv.r
-    if ab.a is None or ab.b is None or ell < 1:
+        yield "maximality.cardinality", statement, f"skipped: {exc}", None
         return
-    if ell <= min(ab.a - 1, r - ab.b):
-        inner, outer = split_type(tv, ell)
-        rep.check(
-            f"{prefix}.split_additivity",
-            f"max distance of {tv.dims} splits across {inner.dims} + {outer.dims}",
-            True,
-            lambda: distance_decomposition_check(tv, ell),
-        )
-        inner_code = subsequence_code(code, inner)
-        rep.check(
-            f"{prefix}.split_inner_distance",
-            f"the {inner.dims} restriction has distance max - {2 * ell}",
-            max_flag_distance(inner) - 2 * ell,
-            lambda: code_flag_min_distance(inner_code),
-        )
-        outer_code = subsequence_code(code, outer)
-        rep.check(
-            f"{prefix}.split_outer_optimum",
-            f"the {outer.dims} restriction attains its maximum distance",
-            True,
-            lambda: classify(outer_code).is_optimum,
-        )
-        rep.check(
-            f"{prefix}.prefix_cardinalities",
-            f"the first {ab.a} projected codes all have |C| words",
-            True,
-            lambda: all(_words_at(code, i) == len(code) for i in range(ab.a)),
-        )
-    if tv.is_full and ell <= min(ab.a - 1, tv.n - 1 - ab.b):
-        rep.check(
-            f"{prefix}.cardinality_consistent_by_deficit",
-            "a full-type code this close to the maximum is cardinality-consistent",
-            True,
-            lambda: is_cardinality_consistent(code),
-        )
+    yield ("maximality.cardinality", statement,
+           bound, lambda: len(gen.flag_code(master_type(params))))
 
 
-def run_claim_suite(
-    params: ConstructionParams,
-    type_: TypeVector | None = None,
-    loaded: FlagCode | None = None,
-) -> VerificationReport:
-    """Build the generator set of ``params``, run every claim applicable to
-    it and return one report.
-
-    ``type_`` overrides the master type used for the longer-type family,
-    which runs only for s >= 3; a ``type_`` at s = 2 raises ValueError, and
-    one that _longer_type refuses raises before the set is built.  Before
-    either, a field whose pair scans _check_kernel_prime refuses is refused
-    first of all, and then an instance _check_size refuses.
-    ``loaded`` optionally checks an externally supplied flag code against the
-    freshly constructed family of the same type.
-    """
-    _check_kernel_prime(params.field.p)
-    _check_size(params)
-    rep = VerificationReport(params.describe())
-    size = params.expected_size
-    k, h, s = params.k, params.h, params.s
-    if type_ is not None and s < 3:
-        raise ValueError(
-            f"type {type_.dims} applies to the longer-type family, which runs only "
-            f"for s >= 3, but s = {s}"
-        )
-    tv = _longer_type(params, type_)
-    rep.type_dims = tv.dims
-
-    gen = build_generator_set(params)
-    rep.check(
-        "generator.cardinality",
-        f"the generator family has sum(q^(ik+h)) + 1 = {size} distinct row spaces",
-        size,
-        lambda: len({e.normal for e in gen.entries}),
-    )
-    for i, (g, _) in enumerate(gen.families, start=1):
-        order = params.q ** (i * k + h) - 1
-        rep.check(
-            f"group.family{i}.order",
-            f"G_{i} has order q^(ik+h) - 1 = {order}",
-            order,
-            lambda g=g, order=order: _group_order(g, order),
-        )
-
-    rep.extend(verify_spread_projections(gen))
-
-    full_code = gen.full
-    rep.check(
-        "full.cardinality",
-        f"the full-type code has {size} flags",
-        size,
-        lambda: len(full_code),
-    )
-    if s == 2:
-        expected_d = 2 * k * (k + h)
-        rep.check(
-            "full.min_distance",
-            f"the full-type code has distance 2k(k+h) = {expected_d}",
-            expected_d,
-            lambda: code_flag_min_distance(full_code),
-        )
-        rep.check(
-            "full.cardinality_consistent",
-            "the full-type code is cardinality-consistent",
-            True,
-            lambda: is_cardinality_consistent(full_code),
-        )
-        top = max_flag_distance(full_code.type)
-        rep.check(
-            "full.classification",
-            "classification of the full-type code",
-            Classification(expected_d, top, (top - expected_d) // 2).label,
-            lambda: classify(full_code).label,
-        )
-    _deficit_claims(rep, "full", full_code)
-
-    _optimum_claims(rep, gen)
-    if s >= 3:
-        _longer_claims(rep, gen, tv)
-
-    rep.extend(verify_intermediate_distances(gen))
-    rep.extend(verify_orbit_decomposition(gen))
-    rep.extend(verify_maximality(gen))
-
-    if loaded is not None:
-        _loaded_claims(rep, gen, loaded)
-    return rep
-
-
-def _optimum_claims(rep: VerificationReport, gen: GeneratorSet) -> FlagCode:
-    """The optimum family's claims on ``rep``: the admissible-type code of
-    ``gen``, returned, has its size and attains the maximum distance."""
-    params = gen.params
-    size = params.expected_size
-    tv = admissible_type(params)
-    code = gen.flag_code(tv)
-    rep.check(
-        "optimum.admissible_type",
-        f"every type dimension is <= k or >= n-k and k is present: {tv.dims}",
-        True,
-        lambda: admissible_type_check(tv, params.k),
-    )
-    rep.check(
-        "optimum.cardinality",
-        f"the admissible-type code has {size} flags",
-        size,
-        lambda: len(code),
-    )
-    rep.check(
-        "optimum.min_distance",
-        f"the admissible-type code attains the maximum distance {max_flag_distance(tv)}",
-        max_flag_distance(tv),
-        lambda: code_flag_min_distance(code),
-    )
-    rep.check(
-        "optimum.classification",
-        "the admissible-type code classifies as optimum",
-        "optimum",
-        lambda: classify(code).label,
-    )
-    rep.check(
-        "optimum.ab_equivalence",
-        "optimality matches the projected-code test at the pivotal indices",
-        True,
-        lambda: optimum_check_ab(code),
-    )
-    rep.check(
-        "optimum.cardinality_consistent",
-        "the admissible-type code is cardinality-consistent",
-        True,
-        lambda: is_cardinality_consistent(code),
-    )
-    rep.check(
-        "optimum.projected_equivalence",
-        "optimum iff cardinality-consistent with every projection at max distance",
-        True,
-        lambda: _projected_equivalence(code),
-    )
-    return code
-
-
-def _longer_claims(rep: VerificationReport, gen: GeneratorSet, tv: TypeVector) -> FlagCode:
-    """The longer-type family's claims on ``rep``: the code of type ``tv``
-    (_longer_type), returned, has its size, distance and consistency."""
-    params = gen.params
-    size = params.expected_size
-    code = gen.flag_code(tv)
-    expected_d = expected_restricted_distance(params, tv)
-    rep.check(
-        "longer.cardinality",
-        f"the type {tv.dims} code has {size} flags",
-        size,
-        lambda: len(code),
-    )
-    rep.check(
-        "longer.min_distance",
-        f"the type {tv.dims} code has distance {expected_d}",
-        expected_d,
-        lambda: code_flag_min_distance(code),
-    )
-    statement = f"the type {tv.dims} code is cardinality-consistent"
-    unguaranteed = _unguaranteed_dims(params, tv)
-    if unguaranteed:
-        rep.skip("longer.cardinality_consistent", statement, _unguaranteed_reason(*unguaranteed))
-    else:
-        rep.check(
-            "longer.cardinality_consistent",
-            statement,
-            True,
-            lambda: is_cardinality_consistent(code),
-        )
-    _deficit_claims(rep, "longer", code)
-    return code
-
-
-def _projected_equivalence(code: FlagCode) -> bool:
-    tv = code.type
-    consistent = is_cardinality_consistent(code)
-    # the i-th projected code's minimum distance (None for a single word)
-    all_max = all(
-        min(_distances_at(code, i), default=None) == 2 * min(d, tv.n - d)
-        for i, d in enumerate(tv.dims)
-    )
-    return (consistent and all_max) == classify(code).is_optimum
-
-
-def _loaded_claims(rep: VerificationReport, gen: GeneratorSet, loaded: FlagCode) -> None:
+def _loaded_claims(gen: GeneratorSet, loaded: FlagCode) -> ClaimGroup:
     """Validate an externally loaded code against the constructed family of
     the same type."""
     params = gen.params
     tv = loaded.type
     size = params.expected_size
-    rep.check(
-        "loaded.cardinality",
-        f"the loaded code has {size} flags",
-        size,
-        lambda: len(loaded),
-    )
+    yield "loaded.cardinality", f"the loaded code has {size} flags", size, lambda: len(loaded)
     # a longer type of guaranteed distance 0 is one the family refuses
     expected_d = expected_restricted_distance(params, tv)
     longer = tv.is_subsequence_of(master_type(params)) and expected_d > 0
     if not (longer or tv in (TypeVector.full(params.n), admissible_type(params))):
-        rep.check(
-            "loaded.type_recognized",
-            f"the loaded type {tv.dims} matches a constructible family",
-            True,
-            lambda: False,
-        )
+        yield ("loaded.type_recognized",
+               f"the loaded type {tv.dims} matches a constructible family",
+               True, lambda: False)
         return
     ref = gen.flag_code(tv)
-    rep.check(
-        "loaded.matches_construction",
-        f"the loaded code equals the constructed type {tv.dims} family",
-        True,
-        lambda: ref == loaded,
-    )
+    yield ("loaded.matches_construction",
+           f"the loaded code equals the constructed type {tv.dims} family",
+           True, lambda: ref == loaded)
     if longer:
-        rep.check(
-            "loaded.min_distance",
-            f"the loaded code has distance {expected_d}",
-            expected_d,
-            lambda: code_flag_min_distance(loaded),
-        )
+        yield ("loaded.min_distance", f"the loaded code has distance {expected_d}",
+               expected_d, lambda: code_flag_min_distance(loaded))

@@ -822,15 +822,77 @@ class TestBuildersRunTheClaimGroups:
         for family, build in (("optimum", fc.build_optimum_code), ("longer", fc.build_longer_type_code)):
             assert self.named_claims(build) == [c for c in failed if c.startswith(family + ".")]
 
-    def test_group_ids_are_the_suites(self):
+    @pytest.mark.parametrize("qkhs,choice", SWEEP_CHOICES, ids=choice_ids(SWEEP_CHOICES))
+    def test_the_suite_is_its_groups_in_order(self, qkhs, choice, monkeypatch):
+        # each group run on its own, in the suite's order: through its
+        # public verify_* function or builder where it has one, else alone
+        params = fc.ConstructionParams.make(*qkhs, poly_choice=choice)
+        gen = fc.build_generator_set(params)
+        suite = [c.claim_id for c in fc.run_claim_suite(params, loaded=gen.full).claims]
+        built = []  # the report each builder ran its group into
+        run = construct._run_claims
+
+        def spy(*args):
+            built.append(run(*args))
+            return built[-1]
+
+        monkeypatch.setattr(construct, "_run_claims", spy)
+
+        def through_builder(build):
+            build(gen)
+            return built.pop()
+
+        groups = {
+            "generator": lambda: run(params, [construct._generator_claims(gen)]),
+            "projected": lambda: fc.verify_spread_projections(gen),
+            "full": lambda: run(params, [construct._full_claims(gen)]),
+            "optimum": lambda: through_builder(fc.build_optimum_code),
+            "longer": lambda: through_builder(fc.build_longer_type_code),
+            "middle": lambda: fc.verify_intermediate_distances(gen),
+            "orbit": lambda: fc.verify_orbit_decomposition(gen),
+            "maximality": lambda: fc.verify_maximality(gen),
+            "loaded": lambda: run(params, [construct._loaded_claims(gen, gen.full)]),
+        }
+        assert list(construct._claim_groups(gen, fc.master_type(params), gen.full)) == list(groups)
+        if params.s < 3:
+            del groups["longer"]  # the longer-type family needs s >= 3
+        ids = []
+        for name, group in groups.items():
+            rep = group()
+            assert rep.all_pass, rep.to_text()
+            ids += [c.claim_id for c in rep.claims]
+        assert ids == suite
+
+
+class TestClaimFailures:
+    """The claim loop's two failure outcomes: a claim whose compute raises
+    is one failed claim, and an error in a group's own work between its
+    claims aborts the suite."""
+
+    def test_a_compute_that_raises_is_one_failed_claim(self, monkeypatch):
         ids = [c.claim_id for c in fc.run_claim_suite(P223).claims]
-        for group, args in ((construct._optimum_claims, ()), (construct._longer_claims, (fc.master_type(P223),))):
-            rep = fc.VerificationReport(P223.describe())
-            code = group(rep, GEN223, *args)
-            assert rep.all_pass and len(code) == P223.expected_size
-            own = [c.claim_id for c in rep.claims]
-            start = ids.index(own[0])
-            assert ids[start : start + len(own)] == own
+
+        def boom(code):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(construct, "is_cardinality_consistent", boom)
+        rep = fc.run_claim_suite(P223)
+        assert [c.claim_id for c in rep.claims] == ids
+        failed = [c for c in rep.claims if not c.passed]
+        assert {c.claim_id for c in failed} >= {
+            "optimum.cardinality_consistent", "optimum.projected_equivalence",
+            "longer.cardinality_consistent",
+        }
+        assert all(c.computed == "RuntimeError: boom" for c in failed)
+
+    @pytest.mark.parametrize("name", ["classify", "_normal_walk"])
+    def test_an_error_between_claims_aborts_the_suite(self, monkeypatch, name):
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(construct, name, boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            fc.run_claim_suite(P223)
 
 
 class TestMasterType:
