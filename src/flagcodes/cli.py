@@ -19,6 +19,7 @@ import io
 import json
 import sys
 from collections import Counter
+from functools import cache
 from pathlib import Path
 
 from .construct import (
@@ -66,7 +67,10 @@ def _int(text: str) -> int:
 _int.__name__ = "int"  # argparse names it in its messages
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process: parsing changes none of it, and each
+    parse_args makes its own Namespace."""
     parser = argparse.ArgumentParser(
         prog="flagcodes",
         description="Construct and exhaustively verify flag codes over GF(q).",
@@ -256,8 +260,7 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "construct":
             return _cmd_construct(args)

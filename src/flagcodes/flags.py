@@ -36,6 +36,7 @@ from .matgf import (
     _GFqSlices,
     _echelon,
     _expect_end,
+    _leveled,
     _matrix_lines,
     _NoMatrix,
     _read_matrix,
@@ -228,11 +229,13 @@ class Flag:
         return Flag.__new__(Flag)._set(sub, self.field, self.source, None, None, parent)
 
     def __getattr__(self, name: str):
-        """A restriction's ``_rows``, made on first read by one echelon pass
-        over its parent's, which reduces only the levels it merges."""
+        """A restriction's ``_rows``, made on first read from its parent's,
+        which are already forward-reduced: only the levels it merges are
+        reduced (matgf._leveled)."""
         if name != "_rows" or self._parent is None:
             raise AttributeError(name)
-        self._rows = _echelon(self._parent[0]._rows, self.type.dims, self.field)[0]
+        dims = self.type.dims
+        self._rows = _leveled([self._parent[0]._rows[: dims[-1]]], dims, self.field)[0]
         return self._rows
 
     @property

@@ -66,28 +66,24 @@ def _digits(bits: int, ncols: int) -> str:
     return f"{bits | 1 << ncols:b}"[1:]
 
 
-def _echelon(rows: Sequence, lengths: Iterable[int], field: FieldSpec) -> tuple[tuple, list[int]]:
-    """The normal-form rows of the span of the first t of ``rows`` for each
-    t of the nondecreasing ``lengths`` (each at most len(rows)), and the
-    rank of each span.
+def _forward(rows: Iterable, field: FieldSpec) -> tuple[list, list[int]]:
+    """The one elimination loop: each of ``rows`` is reduced by the rows
+    kept before it and kept, its pivot scaled to 1, if not 0.  Returns the
+    kept rows, in the order kept, and the indices of the rows that reduce
+    to 0.
 
-    Each row is reduced by the rows kept before (in the order kept; over
-    GF(2) pivot order) and kept, pivot 1, if not 0.  The rows a length
-    adds, reduced among themselves, are its RREF rows at their pivots.
-
-    A reduced row is the unique vector of its coset that is 0 at every
-    pivot kept before it, whatever the lengths, so over GF(2) one forward
-    pass reduces the rows up to the last length, noting each row that
-    reduces to 0, and only the levels that add more than one row are then
-    back-substituted.  A kept row is keyed by its pivot's bit_length().
+    A kept row is 0 at the pivots of the rows kept before it, so taking
+    them in the order kept never brings back a cleared pivot.  Over GF(2)
+    the row is instead cleared at its leading pivot while its AND with the
+    mask of pivots is nonzero, the kept rows keyed by their pivot's
+    bit_length().
     """
+    out: list = []
+    dropped = []
+    basis: dict = {}  # pivot (bit_length() over GF(2), else column) -> kept row
     if field.q == 2:
-        lengths = tuple(lengths)
-        out: list = []
-        dropped = []  # the indices of the rows that reduce to 0
-        basis: dict = {}  # pivot bit_length() -> kept row
         mask = 0  # the pivot bits
-        for row in rows[: lengths[-1]] if lengths else ():
+        for row in rows:
             hit = row & mask
             while hit:
                 row ^= basis[hit.bit_length()]
@@ -99,74 +95,63 @@ def _echelon(rows: Sequence, lengths: Iterable[int], field: FieldSpec) -> tuple[
                 out.append(row)
             else:
                 dropped.append(len(out) + len(dropped))
-        ranks = [t - bisect_left(dropped, t) for t in lengths] if dropped else list(lengths)
-        lo = 0
-        for hi in ranks:
-            if hi - lo > 1:
-                out[lo:hi] = _back_substitute(out[lo:hi], field)
-            lo = hi
-        return tuple(out), ranks
-    out = []
-    ranks = []
-    done = 0
-    basis = {}  # pivot column -> kept row
+        return out, dropped
     add, mul, neg, inv = field.tables()
-    for t in lengths:
-        start = len(out)
-        for row in rows[done:t]:
-            for c, base in basis.items():
-                x = row[c]
-                if x:
-                    times = mul[neg[x]]
-                    row = tuple([add[a][times[b]] for a, b in zip(row, base)])
-            top = next((j for j, x in enumerate(row) if x), None)
-            if top is None:
-                continue
-            if row[top] != 1:
-                row = tuple(map(mul[inv[row[top]]].__getitem__, row))
-            basis[top] = row
-            out.append(row)
-        if len(out) - start > 1:
-            out[start:] = _back_substitute(out[start:], field)
-        ranks.append(len(out))
-        done = t
-    return tuple(out), ranks
+    for row in rows:
+        for c, base in basis.items():
+            x = row[c]
+            if x:
+                times = mul[neg[x]]
+                row = tuple([add[a][times[b]] for a, b in zip(row, base)])
+        x = next(filter(None, row), 0)  # the leading entry
+        if not x:
+            dropped.append(len(out) + len(dropped))
+            continue
+        top = row.index(x)
+        if x != 1:
+            row = tuple(map(mul[inv[x]].__getitem__, row))
+        basis[top] = row
+        out.append(row)
+    return out, dropped
+
+
+def _echelon(rows: Sequence, lengths: Iterable[int], field: FieldSpec) -> tuple[tuple, list[int]]:
+    """The normal-form rows of the span of the first t of ``rows`` for each
+    t of the nondecreasing ``lengths`` (each at most len(rows)), and the
+    rank of each span.
+
+    A reduced row is the unique vector of its coset that is 0 at every
+    pivot kept before it, whatever the lengths, so one forward pass
+    (_forward) reduces the rows up to the last length, each rank is read
+    off the rows that reduce to 0, and the levels that add more than one
+    row are then back-substituted (_leveled): the rows a length adds,
+    reduced among themselves, are its RREF rows at their pivots.
+    """
+    lengths = tuple(lengths)
+    out, dropped = _forward(rows[: lengths[-1]] if lengths else (), field)
+    ranks = [t - bisect_left(dropped, t) for t in lengths] if dropped else list(lengths)
+    return _leveled([tuple(out)], ranks, field)[0], ranks
 
 
 def _back_substitute(rows: Sequence, field: FieldSpec) -> tuple:
     """The RREF, in pivot order (decreasing order), of rows with pivots 1,
-    each 0 at the pivots before it.  Each, from the last, is cleared at the
-    later pivots.  Over GF(2) a running mask finds them, one AND if none:
-    the rows cleared so far are 0 at each other's pivots, so each XOR clears
-    the highest pivot bit left and no other.
+    each 0 at the pivots of the rows before it: one forward pass (_forward)
+    over them from the last row up.
+
+    Each row is 0 left of its pivot and 0 at the pivots of the rows above
+    it, and the rows below it, as the pass leaves them, are too.  So
+    clearing it at the pivots of the rows below it adds only rows that are
+    0 at and left of its own pivot (a row below whose pivot is left of it
+    meets a 0 there), and its pivot and leading 1 stay in place: every row
+    is kept, 0 at every other pivot.
     """
-    done: dict = {}  # pivot (bit_length() over GF(2)) -> row
-    if field.q == 2:
-        mask = 0
-        for row in reversed(rows):
-            hit = row & mask
-            while hit:
-                row ^= done[hit.bit_length()]
-                hit = row & mask
-            top = row.bit_length()
-            done[top] = row
-            mask |= 1 << top - 1
-    else:
-        add, mul, neg, _ = field.tables()
-        for row in reversed(rows):
-            for c, base in done.items():
-                x = row[c]
-                if x:
-                    times = mul[neg[x]]
-                    row = tuple([add[a][times[b]] for a, b in zip(row, base)])
-            done[row.index(1)] = row
-    return tuple(sorted(done.values(), reverse=True))
+    return tuple(sorted(_forward(reversed(rows), field)[0], reverse=True))
 
 
 def _leveled(forms: list, dims: Sequence[int], field: FieldSpec) -> list[tuple]:
-    """The normal forms of a batch's chains at the nondecreasing ``dims``
-    from their forward-reduced rows ``forms``: each level that adds more
-    than one row is back-substituted (_back_substitute)."""
+    """The normal forms of chains at the nondecreasing ``dims`` from their
+    forward-reduced rows ``forms`` (a batch's, or one chain's): each level
+    that adds more than one row is back-substituted (_back_substitute)."""
     lo = 0
     for hi in dims:
         if hi - lo > 1:
@@ -542,7 +527,8 @@ class MatrixGF:
         return MatrixGF._wrap(field, ncols, rows), rank
 
     def rank(self) -> int:
-        return self.rref()[1]
+        """The count of rows one forward pass (_forward) keeps."""
+        return len(_forward(self._rows, self.field)[0])
 
     # -- row slicing (1-based, mirroring the constructions) -------------------
 

@@ -30,6 +30,7 @@ from .matgf import (
     MatrixGF,
     _echelon,
     _expect_end,
+    _forward,
     _matrix_lines,
     _NoMatrix,
     _read_matrix,
@@ -123,8 +124,9 @@ def _check_ambient(u: Subspace, v: Subspace) -> None:
 
 
 def _stacked_rank(u: Subspace, v: Subspace) -> int:
-    """rk of the stacked canonical generators, from one echelon pass."""
-    return _echelon(u._key[1] + v._key[1], (u.dim + v.dim,), u.field)[1][0]
+    """rk of the stacked canonical generators: the rows one forward pass
+    keeps."""
+    return len(_forward(u._key[1] + v._key[1], u.field)[0])
 
 
 def subspace_distance(u: Subspace, v: Subspace) -> int:

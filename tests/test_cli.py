@@ -15,6 +15,7 @@ from time import perf_counter
 import pytest
 
 import flagcodes as fc
+from flagcodes import cli
 from flagcodes.cli import main
 from flagcodes.field import parse_field_name
 
@@ -30,6 +31,23 @@ def run_refused_by_parser(capsys, *argv):
         main(list(argv))
     captured = capsys.readouterr()
     return exc.value.code, captured.out, captured.err
+
+
+class TestParser:
+    def test_one_parser_per_process(self, capsys):
+        # each call parses into its own Namespace: the json format of the
+        # first verify does not carry over to the second
+        build = cli._build_parser
+        build.cache_clear()
+        rc, stdout, _ = run(capsys, "verify", "--q", "2", "--k", "2", "--h", "0", "--s", "2", "--format", "json")
+        assert rc == 0 and json.loads(stdout)["totals"]["failed"] == 0
+        rc, stdout, _ = run(capsys, "spectrum", "--q", "2", "--k", "2", "--h", "0", "--s", "2")
+        assert rc == 0 and stdout.strip() == "8,10"
+        rc, _, stderr = run(capsys, "construct", "--q", "6", "--k", "2", "--h", "0", "--s", "2")
+        assert rc == 2 and "error" in stderr
+        rc, stdout, _ = run(capsys, "verify", "--q", "2", "--k", "2", "--h", "0", "--s", "2")
+        assert rc == 0 and "PASS" in stdout and "FAIL" not in stdout and not stdout.startswith("{")
+        assert build.cache_info().misses == 1 and build.cache_info().hits == 3
 
 
 class TestConstruct:

@@ -1,19 +1,20 @@
 """A flag is keyed by its normal form, whichever route made it.
 
-For random flags of random types over GF(2), GF(3), GF(4) and GF(9),
-including levels that add several rows, four routes must give the key that
-``normal_form_oracle`` computes by whole-matrix elimination, with equal
-hashes and equality: flag_from_matrix, Flag(type, parts) on parts spanned by
-other bases, and subsequence_code from a full-type flag made from the
-matrix and from a longer-type flag made from parts, whose levels it merges.
-Every part of each, read in any order, must equal ``subspace_of`` of its
-prefix and its ``rref_oracle``.
+For random flags of random types over GF(2), GF(3), GF(4), GF(9) and
+GF(25) (q > 16, so no batch route), including levels that add several
+rows, four routes must give the key that ``normal_form_oracle`` computes
+by whole-matrix elimination, with equal hashes and equality:
+flag_from_matrix, Flag(type, parts) on parts spanned by other bases, and
+subsequence_code from a full-type flag made from the matrix and from a
+longer-type flag made from parts, whose levels it merges.  Every part of
+each, read in any order, must equal ``subspace_of`` of its prefix and its
+``rref_oracle``.
 
-Over GF(2) and GF(3) the echelon pass also meets prefixes that are not of
-full rank (zero rows, dependent rows, repeated lengths, lengths that stop
-before the last row, no lengths): its ranks must be ``rref_oracle``'s, and
-``flag_from_matrix`` must refuse exactly the matrices with a deficient
-prefix.
+Over each of these fields the echelon pass also meets prefixes that are
+not of full rank (zero rows, dependent rows, repeated lengths, lengths
+that stop before the last row, no lengths): its ranks must be
+``rref_oracle``'s, and ``flag_from_matrix`` must refuse exactly the
+matrices with a deficient prefix.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from _checks import (
     rref_oracle,
 )
 
-# GF(2), GF(3), GF(4), GF(9)
-FIELDS = [(2,), (3,), (2, 2), (3, 2)]
-IDS = ["GF2", "GF3", "GF4", "GF9"]
+# GF(2), GF(3), GF(4), GF(9), GF(25)
+FIELDS = [(2,), (3,), (2, 2), (3, 2), (5, 2)]
+IDS = ["GF2", "GF3", "GF4", "GF9", "GF25"]
 
 
 def _cases(field, seed, count=50):
@@ -159,7 +160,7 @@ def _spans_normal_form(w, lengths):
     return tuple(key)
 
 
-@pytest.mark.parametrize("field_args", [(2,), (3,)], ids=["GF2", "GF3"])
+@pytest.mark.parametrize("field_args", FIELDS, ids=IDS)
 def test_echelon_of_deficient_prefixes(field_args):
     field = fc.field_make(*field_args)
     deficient = full = 0
@@ -179,7 +180,7 @@ def test_echelon_of_deficient_prefixes(field_args):
     assert _echelon(w._rows, (), field) == ((), [])
 
 
-@pytest.mark.parametrize("field_args", [(2,), (3,)], ids=["GF2", "GF3"])
+@pytest.mark.parametrize("field_args", FIELDS, ids=IDS)
 def test_flag_from_matrix_refuses_exactly_the_deficient_prefixes(field_args):
     field = fc.field_make(*field_args)
     refused = built = 0

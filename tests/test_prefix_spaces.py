@@ -186,36 +186,37 @@ def test_canon_made_on_first_read(field_args):
         assert not hasattr(space, "_canon")
 
 
-def _counting_rref(monkeypatch) -> list:
-    """Record every matrix that MatrixGF.rref (and so rank()) is called on."""
+def _counting(monkeypatch, name: str) -> list:
+    """Record every matrix that MatrixGF.<name> is called on."""
     calls = []
-    rref = fc.MatrixGF.rref
+    real = getattr(fc.MatrixGF, name)
 
     def counting(self):
         calls.append(self)
-        return rref(self)
+        return real(self)
 
-    monkeypatch.setattr(fc.MatrixGF, "rref", counting)
+    monkeypatch.setattr(fc.MatrixGF, name, counting)
     return calls
 
 
 def test_flag_builds_make_no_rref(monkeypatch):
     params = fc.ConstructionParams.make(2, 2, 1, 4)
-    calls = _counting_rref(monkeypatch)
+    rrefs = _counting(monkeypatch, "rref")
+    ranks = _counting(monkeypatch, "rank")
     gen = fc.build_generator_set(params)
     # only the fixed full-rank checks of A_1..A_3, B_1..B_3 and M, however
-    # many generator matrices (169) there are
+    # many generator matrices (169) there are, and none by rref
     assert len(gen.entries) == 169
-    assert len(calls) == 7
-    assert all((m.nrows, m.ncols) == (params.n - 1, params.n) for m in calls)
-    calls.clear()
+    assert len(ranks) == 7 and rrefs == []
+    assert all((m.nrows, m.ncols) == (params.n - 1, params.n) for m in ranks)
+    ranks.clear()
     tv = fc.TypeVector.full(params.n)
     for e in gen.entries:
         fc.flag_from_matrix(e.flag.source, tv)
         fc.subspace_of(e.flag.source)
     loaded = fc.load_flag_code(fc.dump_flag_code(gen.full))
     assert loaded == gen.full
-    assert calls == []
+    assert ranks == [] and rrefs == []
 
 
 # GF(2), GF(3), GF(4), GF(5), GF(7), GF(9), GF(25)
