@@ -41,7 +41,6 @@ __all__ = [
     "is_primitive",
     "iter_primitive_polys",
     "poly_from_text",
-    "poly_to_text",
 ]
 
 DEFAULT_FACTOR_BUDGET = 10**6
@@ -50,9 +49,11 @@ DEFAULT_FACTOR_BUDGET = 10**6
 # desk scale.
 _TABLE_LIMIT = 1 << 10
 
-# A prime field tabulates its arithmetic on first use up to this p, the
-# pair-scan kernel's bound (subspace._MAX_KERNEL_PRIME): two p x p tables
-# grow as p^2, so a larger p computes each lookup mod p instead (_ModView).
+# The largest p that a prime field tabulates and a pair scan runs over.  Two
+# p x p tables and the source of the scan's kernel (subspace._odd_kernel)
+# grow as p^2: at p = 509 the kernel's compile alone took 24.6 s and
+# 1.74 GB (Python 3.11, 2 vCPUs).  A larger p computes each lookup mod p
+# instead (_ModView), and its pair scan is refused.
 _PRIME_TABLE_LIMIT = 257
 
 
@@ -143,30 +144,11 @@ class FieldSpec:
         self.modulus = mod
         self._build_tables()
 
-    # -- element-code arithmetic ------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p if self.e == 1 else self._add_t[a][b]
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p if self.e == 1 else self._add_t[a][self._neg_t[b]]
-
-    def neg(self, a: int) -> int:
-        return -a % self.p if self.e == 1 else self._neg_t[a]
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p if self.e == 1 else self._mul_t[a][b]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero(f"inverse of zero in {self}")
-        return pow(a, -1, self.p) if self.e == 1 else self._inv_t[a]
-
     def tables(self) -> tuple:
-        """(add, mul, neg, inv) indexed by codes, which the per-entry loops
-        read in place of the methods: add[a][b] = a + b, mul[a][b] = a b,
-        neg[a] = -a, inv[a] = 1/a and inv[0] = 0.  A prime field builds
-        them on first use, or views them (_ModView) past the limit."""
+        """(add, mul, neg, inv) indexed by codes, the field's one
+        arithmetic: add[a][b] = a + b, mul[a][b] = a b, neg[a] = -a,
+        inv[a] = 1/a and inv[0] = 0.  A prime field builds them on first
+        use, or views them (_ModView) past the limit."""
         p = self.p
         if self._add_t is None and p <= _PRIME_TABLE_LIMIT:
             self._build_tables()
@@ -408,11 +390,12 @@ def is_irreducible(f: Poly) -> bool:
     if d < 1:
         raise DegreeMismatch("irreducibility needs degree >= 1")
     field, mod = f.field, f.coeffs
+    add, _, neg, _ = field.tables()
     g = [0, 1]
     for _ in range(d // 2):
         g = _pow_mod(field, g, field.q, mod)
         h = g + [0, 0]  # g - x
-        h[1] = field.sub(h[1], 1)
+        h[1] = add[h[1]][neg[1]]
         if len(_gcd(field, h, mod)) != 1:
             return False
     return True
@@ -555,11 +538,6 @@ def _poly_term_text(f: Poly) -> str:
             xs = "x" if i == 1 else f"x^{i}"
             terms.append(xs if c == 1 else f"{c}*{xs}")
     return "+".join(terms)
-
-
-def poly_to_text(f: Poly) -> str:
-    """Render a polynomial as ``x^3+x+1 over GF(2)``."""
-    return f"{_poly_term_text(f)} over {f.field}"
 
 
 _TERM_RE = re.compile(r"^(?:(\d+)\*?)?x(?:\^(\d+))?$")

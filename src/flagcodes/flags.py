@@ -324,12 +324,13 @@ def _flags_from_matrices(
     first one's (the same order under another modulus counts), has a
     shape flag_from_matrix refuses, or has a row in the span of the rows
     before it, flag_from_matrix runs on each matrix in turn instead, as
-    over every larger field, so the first it refuses raises its own
-    error, with ``index`` set to its place in ``mats``."""
+    over every larger field and over GF(2) past 64 columns (no generator
+    set under the flag bound has more than 34), so the first it refuses
+    raises its own error, with ``index`` set to its place in ``mats``."""
     n, top = type_.n, type_.dims[-1]
     field = mats[0].field if mats else None
     if (
-        field is not None and field.q <= 16
+        field is not None and field.q <= 16 and (field.q > 2 or n <= 64)
         and all((w.field is field or w.field == field) and w.ncols == n and w.nrows >= top for w in mats)
     ):
         rowsets = [w._rows for w in mats]

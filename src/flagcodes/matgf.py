@@ -1,13 +1,12 @@
 """Dense exact matrices over GF(q).
 
 Provides products, reduced row-echelon forms, ranks, companion matrices,
-block assembly, multiplicative orders, and the 1-based row-slicing accessors
-(first j rows, rows after j, a single row, an inclusive row range) that the
-subspace constructions use throughout.  Matrices are immutable.  A GF(2)
-matrix stores each row as one bitmask, column 0 the most significant bit,
-and every operation here works on them; the external contract stays a grid
-of int element codes, which int_rows() makes from the bitmasks on each
-call.
+block assembly, multiplicative orders, and the two 1-based row-slicing
+accessors (first j rows, rows after j) that the constructions use.
+Matrices are immutable.  A GF(2) matrix stores each row as one bitmask,
+column 0 the most significant bit, and every operation here works on
+them; the external contract stays a grid of int element codes, which
+int_rows() makes from the bitmasks on each call.
 """
 
 from __future__ import annotations
@@ -161,38 +160,30 @@ def _leveled(forms: list, dims: Sequence[int], field: FieldSpec) -> list[tuple]:
 
 
 def _lane_codec(width: int, count: int) -> tuple:
-    """(pack, unpack) for ``count`` lanes of ``width`` bits: pack makes one
-    int of a sequence of ``count`` ints below 2^width, the m-th at bits
-    m*width up, and unpack gives the tuple back.  Lanes of up to 64 bits
-    go through one struct of little-endian words (``struct`` is imported
-    here, on first use, so ``import flagcodes`` does not load it); wider
-    ones through the bytes of each lane."""
-    if width <= 64:
-        import struct
+    """(pack, unpack) for ``count`` lanes of ``width`` bits, 8, 16, 32 or
+    64: pack makes one int of a sequence of ``count`` ints below 2^width,
+    the m-th at bits m*width up, and unpack gives the tuple back, both
+    through one struct of little-endian words (``struct`` is imported here,
+    on first use, so ``import flagcodes`` does not load it)."""
+    import struct
 
-        # B, H, I and Q are the words of 8, 16, 32 and 64 bits
-        words = struct.Struct(f"<{count}{'BHIQ'[width.bit_length() - 4]}")
-        return (
-            lambda lanes: int.from_bytes(words.pack(*lanes), "little"),
-            lambda x: words.unpack(x.to_bytes(words.size, "little")),
-        )
-    size = width // 8
-
-    def unpack(x: int) -> tuple:
-        data = x.to_bytes(size * count, "little")
-        return tuple([int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)])
-
-    return lambda lanes: int.from_bytes(b"".join([v.to_bytes(size, "little") for v in lanes]), "little"), unpack
+    # B, H, I and Q are the words of 8, 16, 32 and 64 bits
+    words = struct.Struct(f"<{count}{'BHIQ'[width.bit_length() - 4]}")
+    return (
+        lambda lanes: int.from_bytes(words.pack(*lanes), "little"),
+        lambda x: words.unpack(x.to_bytes(words.size, "little")),
+    )
 
 
 class _GF2Lanes:
     """One forward elimination of a batch of GF(2) chains of ``n``-column
-    bitmask rows, the first ``top`` rows of each, as _echelon makes it for
-    each chain alone, with every chain in the same Python-level steps.
+    bitmask rows, n <= 64, the first ``top`` rows of each, as _echelon
+    makes it for each chain alone, with every chain in the same
+    Python-level steps.
 
     Row r of every chain is packed into one int, chain m in lane m: bits
-    m*width up, ``width`` the least of 8, 16, 32, 64, 128, ... that holds n,
-    so lane arithmetic never carries into the next lane.  ``piv[c]`` holds
+    m*width up, ``width`` the least of 8, 16, 32 and 64 that holds n, so
+    lane arithmetic never carries into the next lane.  ``piv[c]`` holds
     in each lane the kept row with pivot at bit c (column n - 1 - c), or 0,
     and ``free[c]`` has bit 0 of each lane where c is no pivot.  A row is
     reduced in one pass over the columns, left to right: ``b``, bit c of
@@ -467,10 +458,6 @@ class MatrixGF:
         ncols = self.ncols
         return tuple([tuple(map(int, _digits(b, ncols))) for b in self._rows])
 
-    @property
-    def is_zero(self) -> bool:
-        return all(not any(r) for r in self.int_rows())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MatrixGF):
             return NotImplemented
@@ -506,14 +493,6 @@ class MatrixGF:
             n >>= 1
         return result
 
-    def transpose(self) -> MatrixGF:
-        rows = self.int_rows()
-        return MatrixGF(
-            self.field,
-            [[rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
-
     def rref(self) -> tuple[MatrixGF, int]:
         """Reduced row-echelon form and rank.
 
@@ -534,25 +513,15 @@ class MatrixGF:
 
     def first_rows(self, j: int) -> MatrixGF:
         """The submatrix of the first j rows; requires 1 <= j <= nrows."""
-        return self._rows_between(1, j, 1 <= j <= self.nrows, f"first {j} rows")
+        if not 1 <= j <= self.nrows:
+            raise SliceOutOfRange(f"first {j} rows of a {self.nrows}-row matrix")
+        return MatrixGF._wrap(self.field, self.ncols, self._rows[:j])
 
     def rows_after(self, j: int) -> MatrixGF:
         """The submatrix of rows j+1..nrows; requires 1 <= j < nrows."""
-        return self._rows_between(j + 1, self.nrows, 1 <= j < self.nrows, f"rows after {j}")
-
-    def single_row(self, j: int) -> MatrixGF:
-        """Row j as a 1-row matrix; requires 1 <= j <= nrows."""
-        return self._rows_between(j, j, 1 <= j <= self.nrows, f"row {j}")
-
-    def row_range(self, i: int, j: int) -> MatrixGF:
-        """Rows i..j inclusive; requires 1 <= i <= j <= nrows."""
-        return self._rows_between(i, j, 1 <= i <= j <= self.nrows, f"rows {i}..{j}")
-
-    def _rows_between(self, i: int, j: int, valid: bool, what: str) -> MatrixGF:
-        """Rows i..j inclusive, or SliceOutOfRange naming ``what``."""
-        if not valid:
-            raise SliceOutOfRange(f"{what} of a {self.nrows}-row matrix")
-        return MatrixGF._wrap(self.field, self.ncols, self._rows[i - 1 : j])
+        if not 1 <= j < self.nrows:
+            raise SliceOutOfRange(f"rows after {j} of a {self.nrows}-row matrix")
+        return MatrixGF._wrap(self.field, self.ncols, self._rows[j:])
 
 
 def _product_tables(rows: tuple) -> tuple[list[int], ...]:
@@ -709,8 +678,9 @@ def companion(f: Poly) -> MatrixGF:
     if k < 1:
         raise DimMismatch("companion matrix needs degree >= 1")
     field = f.field
+    neg = field.tables()[2]
     rows = [[1 if j == i + 1 else 0 for j in range(k)] for i in range(k - 1)]
-    rows.append([field.neg(c) for c in f.coeffs[:k]])
+    rows.append([neg[c] for c in f.coeffs[:k]])
     return MatrixGF(field, rows, ncols=k)
 
 

@@ -25,7 +25,7 @@ from .errors import (
     TooFewWords,
     ZeroRank,
 )
-from .field import FieldSpec
+from .field import _PRIME_TABLE_LIMIT, FieldSpec
 from .matgf import (
     MatrixGF,
     _echelon,
@@ -509,18 +509,14 @@ def kernel(row, has, pivots, active):
 """
 
 
-# the largest p whose kernel _odd_kernel writes out: its source grows as p^2,
-# and at p = 509 the compile alone took 24.6 s and 1.74 GB (Python 3.11, 2 vCPUs)
-_MAX_KERNEL_PRIME = 257
-
-
 def _check_kernel_prime(p: int) -> None:
-    """Refuse a pair scan over characteristic p above _MAX_KERNEL_PRIME
-    before its kernel is written, with ResourceBudgetExceeded."""
-    if p > _MAX_KERNEL_PRIME:
+    """Refuse a pair scan over characteristic p above _PRIME_TABLE_LIMIT,
+    the largest p whose kernel _odd_kernel writes out, before its kernel is
+    written, with ResourceBudgetExceeded."""
+    if p > _PRIME_TABLE_LIMIT:
         raise ResourceBudgetExceeded(
             f"a pair scan over characteristic p = {p} needs a kernel that grows as p^2; "
-            f"p above {_MAX_KERNEL_PRIME} is refused"
+            f"p above {_PRIME_TABLE_LIMIT} is refused"
         )
 
 

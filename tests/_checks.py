@@ -28,14 +28,19 @@ its RREF key (``normal_oracle``), and an extension field's tables from
 digit-by-digit sums and polynomial products over GF(p) reduced mod the
 modulus instead of FieldSpec's recurrences on codes
 (``field_tables_oracle``), and polynomial products, remainders and the
-recurring sequence x^t mod f by schoolbook sums and long division with the
-field's methods (``poly_mul_oracle``, ``poly_rem_oracle``,
+recurring sequence x^t mod f by schoolbook sums and long division in that
+arithmetic (``poly_mul_oracle``, ``poly_rem_oracle``,
 ``recurring_sequence_oracle``) instead of the table-indexed code-list
 arithmetic of the primitive-polynomial search and the generator set, and
 the text codec's row lines one at a time (``row_line_oracle``,
 ``row_parse_oracle``, ``matrix_rows_oracle``: each row's digits joined by
 spaces, each line split into int tokens) instead of the byte-table render
 and the numeral read of the writer's GF(2) spelling.
+
+Every oracle over GF(q) computes with ``field_ops``: each operation mod p
+over a prime field, and over an extension the tables of
+``field_tables_oracle``; none reads the tables of ``FieldSpec.tables()``
+that the code under test reads.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from __future__ import annotations
 import functools
 import importlib.util
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import combinations, islice, product
 from pathlib import Path
@@ -209,7 +214,8 @@ def normal_oracle(u: fc.Subspace):
     bitmask over GF(2) (column 0 the most significant bit) and a code tuple
     otherwise."""
     field = u.field
-    add, mul = field.add, field.mul
+    ops = field_ops(field)
+    add, mul = ops.add, ops.mul
     rows = u.canon.int_rows()
     found = []
     for c in scaled_vectors(field, u.ambient):
@@ -225,6 +231,31 @@ def normal_oracle(u: fc.Subspace):
     assert len(found) == 1, f"{len(found)} normals: not a hyperplane"
     c = found[0]
     return int("".join(map(str, c)), 2) if field.q == 2 else c
+
+
+# -- GF(q) arithmetic apart from FieldSpec's tables ----------------------------
+
+
+FieldOps = namedtuple("FieldOps", "add sub neg mul inv")
+
+
+@lru_cache(maxsize=None)
+def field_ops(field: fc.FieldSpec) -> FieldOps:
+    """The oracles' arithmetic of GF(q) on element codes, made once per
+    field: over GF(p) each operation mod p, over GF(p^e) lookups in the
+    tables of field_tables_oracle.  It reads no table of the field, so a
+    wrong entry there cannot hide in an oracle that agrees with it."""
+    p = field.p
+    if field.e == 1:
+        return FieldOps(
+            lambda a, b: (a + b) % p, lambda a, b: (a - b) % p, lambda a: -a % p,
+            lambda a, b: a * b % p, lambda a: pow(a, -1, p),
+        )
+    add, mul, neg, inv = field_tables_oracle(field)
+    return FieldOps(
+        lambda a, b: add[a][b], lambda a, b: add[a][neg[b]], neg.__getitem__,
+        lambda a, b: mul[a][b], inv.__getitem__,
+    )
 
 
 def field_tables_oracle(field: fc.FieldSpec) -> tuple[list, list, list, list]:
@@ -265,6 +296,12 @@ def field_tables_oracle(field: fc.FieldSpec) -> tuple[list, list, list, list]:
 # -- polynomial oracles on plain code lists -------------------------------------
 
 
+def poly_text(f: fc.Poly) -> str:
+    """A polynomial's text as poly_from_text reads it, ``x^3+x+1 over
+    GF(2)``: its repr without the ``Poly(...)`` around it."""
+    return repr(f)[len("Poly("):-1]
+
+
 def x_order(f: fc.Poly) -> int:
     """Multiplicative order of x modulo the monic f by successive
     multiplication by x, on code lists: shift up one degree, then subtract
@@ -272,6 +309,8 @@ def x_order(f: fc.Poly) -> int:
     factored primitivity test and of Poly arithmetic; requires a nonzero
     constant term so that x is a unit in the quotient."""
     field, coeffs = f.field, f.coeffs
+    ops = field_ops(field)
+    sub, mul = ops.sub, ops.mul
     d = len(coeffs) - 1
     assert d >= 1 and coeffs[0] != 0 and coeffs[d] == 1
     one = [1] + [0] * (d - 1)
@@ -279,7 +318,7 @@ def x_order(f: fc.Poly) -> int:
     bound = field.q**d
     for t in range(1, bound):
         top = g[-1]
-        g = [field.sub(a, field.mul(top, c)) for a, c in zip([0] + g[:-1], coeffs)]
+        g = [sub(a, mul(top, c)) for a, c in zip([0] + g[:-1], coeffs)]
         if g == one:
             return t
     raise AssertionError("order search ran away")
@@ -288,14 +327,16 @@ def x_order(f: fc.Poly) -> int:
 def poly_rem_oracle(field: fc.FieldSpec, f, g) -> list[int]:
     """f mod the monic g on code lists, lowest degree first, with no
     trailing zero: long division that takes off f's top term, one degree at
-    a time, with the field's methods."""
+    a time, in field_ops."""
+    ops = field_ops(field)
+    sub, mul = ops.sub, ops.mul
     rem = list(f)
     m = len(g) - 1
     while len(rem) > m:
         top = rem.pop()
         shift = len(rem) - m
         for j in range(m):
-            rem[shift + j] = field.sub(rem[shift + j], field.mul(top, g[j]))
+            rem[shift + j] = sub(rem[shift + j], mul(top, g[j]))
     while rem and not rem[-1]:
         rem.pop()
     return rem
@@ -303,9 +344,11 @@ def poly_rem_oracle(field: fc.FieldSpec, f, g) -> list[int]:
 
 def poly_mul_oracle(field: fc.FieldSpec, a, b) -> list[int]:
     """The schoolbook product of two code lists, every coefficient a sum
-    of products over all index pairs, with the field's methods."""
+    of products over all index pairs, in field_ops."""
+    ops = field_ops(field)
+    add, mul = ops.add, ops.mul
     return [
-        functools.reduce(field.add, (field.mul(a[i], b[t - i]) for i in range(len(a)) if 0 <= t - i < len(b)), 0)
+        functools.reduce(add, (mul(a[i], b[t - i]) for i in range(len(a)) if 0 <= t - i < len(b)), 0)
         for t in range(len(a) + len(b) - 1)
     ]
 
@@ -336,7 +379,8 @@ def brute_force_irreducible(f: fc.Poly) -> bool:
 
 
 def _row_times_matrix(field: fc.FieldSpec, row: tuple[int, ...], mat: fc.MatrixGF) -> tuple[int, ...]:
-    add, mul = field.add, field.mul
+    ops = field_ops(field)
+    add, mul = ops.add, ops.mul
     rows = mat.int_rows()
     out = [0] * mat.ncols
     for j, v in enumerate(row):
@@ -350,7 +394,7 @@ def _row_times_matrix(field: fc.FieldSpec, row: tuple[int, ...], mat: fc.MatrixG
 def mat_mul_oracle(a: fc.MatrixGF, b: fc.MatrixGF) -> tuple[tuple[int, ...], ...]:
     """The product a*b as a tuple grid of element codes: one explicit
     row-times-matrix product per row of ``a``, on the int_rows() grids and
-    the field's add and mul, independent of the packed GF(2) product."""
+    field_ops, independent of the packed GF(2) product."""
     assert a.field == b.field and a.ncols == b.nrows
     return tuple(_row_times_matrix(a.field, row, b) for row in a.int_rows())
 
@@ -395,6 +439,17 @@ def check_companion_row_identities(q: int, k: int) -> None:
             power = power @ p
 
 
+def transpose(m: fc.MatrixGF) -> fc.MatrixGF:
+    """The transpose of ``m``, rebuilt from its int_rows() grid."""
+    rows = m.int_rows()
+    return fc.MatrixGF(m.field, [[row[j] for row in rows] for j in range(m.ncols)], ncols=m.nrows)
+
+
+def _row_window(m: fc.MatrixGF, i: int, j: int) -> fc.MatrixGF:
+    """Rows i..j of ``m``, 1-based and inclusive."""
+    return fc.MatrixGF(m.field, m.int_rows()[i - 1 : j], ncols=m.ncols)
+
+
 def check_row_window_propagation(q: int, k: int, trials: int, seed: int) -> int:
     """Search for cases where every row of a window of P^a lies in the row
     span of a window of P^b, and check the containment survives extending
@@ -414,12 +469,12 @@ def check_row_window_propagation(q: int, k: int, trials: int, seed: int) -> int:
         y = rng.randrange(x + 1, k)
         x2 = rng.randrange(1, k - 1)
         y2 = rng.randrange(x2 + 1, k)
-        inner = powers[a].row_range(x, y)
-        outer = powers[b].row_range(x2, y2)
+        inner = _row_window(powers[a], x, y)
+        outer = _row_window(powers[b], x2, y2)
         if fc.rows_in_row_space(inner, outer):
             found += 1
             assert fc.rows_in_row_space(
-                powers[a].row_range(x, y + 1), powers[b].row_range(x2, y2 + 1)
+                _row_window(powers[a], x, y + 1), _row_window(powers[b], x2, y2 + 1)
             )
     return found
 
@@ -575,12 +630,12 @@ def pairwise_profile(chains) -> Counter:
     """The per-level distance profile of nested chains over any field, one
     elimination basis per pair: the oracle for the bit-sliced scan.  Rows
     are each part's canonical generator rows: over GF(2) as bitmasks,
-    reduced by XOR, and otherwise as code tuples, reduced with the field's
-    own ``sub`` and ``mul``.  Each chain's level rows are the canonical rows
-    independent of its lower levels, and a pair's basis takes both chains'
-    level rows in turn, rk[U_i; V_i] being its rank after level i."""
+    reduced by XOR, and otherwise as code tuples, reduced in field_ops.
+    Each chain's level rows are the canonical rows independent of its lower
+    levels, and a pair's basis takes both chains' level rows in turn,
+    rk[U_i; V_i] being its rank after level i."""
 
-    def insert_bits(piv: dict, row: int, field) -> bool:
+    def insert_bits(piv: dict, row: int, ops) -> bool:
         # pivots are keyed by their lowest bit, which XOR with a row that
         # has the same lowest bit clears
         while row:
@@ -592,28 +647,28 @@ def pairwise_profile(chains) -> Counter:
             row ^= base
         return False
 
-    def insert_codes(piv: dict, row, field) -> bool:
-        sub, mul = field.sub, field.mul
+    def insert_codes(piv: dict, row, ops) -> bool:
+        sub, mul = ops.sub, ops.mul
         for c in range(len(row)):
             x = row[c]
             if x:
                 base = piv.get(c)
                 if base is None:
-                    inv = field.inv(x)
+                    inv = ops.inv(x)
                     piv[c] = [mul(inv, y) for y in row]
                     return True
                 row = [sub(a, mul(x, b)) if b else a for a, b in zip(row, base)]
         return False
 
     def level(piv: dict, part):
-        # (the part's rows independent of the lower levels, its dim, field,
+        # (the part's rows independent of the lower levels, its dim, field_ops,
         # insertion and ambient dimension)
-        field, rows = part.field, part.canon.int_rows()
+        ops, rows = field_ops(part.field), part.canon.int_rows()
         insert = insert_codes
-        if field.q == 2:
+        if part.field.q == 2:
             insert = insert_bits
             rows = [sum(x << j for j, x in enumerate(row)) for row in rows]
-        return ([row for row in rows if insert(piv, row, field)], part.dim, field, insert,
+        return ([row for row in rows if insert(piv, row, ops)], part.dim, ops, insert,
                 part.ambient)
 
     levels = []
@@ -626,11 +681,11 @@ def pairwise_profile(chains) -> Counter:
             piv = {}
             rank = 0
             vec = []
-            for (rows_a, dim_a, field, insert, n), (rows_b, dim_b, *_) in zip(a, b):
+            for (rows_a, dim_a, ops, insert, n), (rows_b, dim_b, *_) in zip(a, b):
                 for row in rows_a + rows_b:
                     if rank == n:
                         break  # the basis spans GF(q)^n: no row adds to it
-                    rank += insert(piv, row, field)
+                    rank += insert(piv, row, ops)
                 vec.append(2 * rank - dim_a - dim_b)
             profile[tuple(vec)] += 1
     return profile
@@ -692,7 +747,8 @@ def _rref_gf2(packed: list[int], ncols: int) -> tuple[list[int], list[int]]:
 
 
 def _rref_generic(rows: list[list[int]], field: fc.FieldSpec) -> tuple[list[list[int]], list[int]]:
-    sub, mul, inv = field.sub, field.mul, field.inv
+    ops = field_ops(field)
+    sub, mul, inv = ops.sub, ops.mul, ops.inv
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []

@@ -1,8 +1,10 @@
 """The arithmetic tables that every per-entry loop indexes
-(FieldSpec.tables), and those loops against oracles that use the field's
-methods instead: matrix products, RREF, hyperplane normals, the recurring
-sequence x^t mod f and the code-list polynomial arithmetic of the
-primitive-polynomial search.  GF(1031) is above the prime-table limit, so
+(FieldSpec.tables), and those loops against oracles that compute in the
+tests' own arithmetic instead (_checks.field_ops: mod p over a prime
+field, field_tables_oracle's tables over an extension): matrix products,
+RREF, hyperplane normals, the recurring sequence x^t mod f and the
+code-list polynomial arithmetic of the primitive-polynomial search.  A
+wrong table entry must show as a disagreement with those oracles.  GF(1031) is above the prime-table limit, so
 its loops read the views that compute each lookup mod p.  Also the two
 public parsers' refusals of a declared size, under an address-space cap."""
 
@@ -26,6 +28,7 @@ from flagcodes.subspace import _hyperplane_normal
 
 from _checks import (
     _random_matrix,
+    field_ops,
     mat_mul_oracle,
     normal_oracle,
     poly_mul_oracle,
@@ -40,13 +43,15 @@ ORDERS = [3, 4, 5, 9, 25, 1031]
 
 
 def assert_tables_agree(field, codes):
-    """Every table entry at the ``codes`` equals the field's method."""
+    """Every table entry at the ``codes`` equals the oracles' arithmetic
+    (field_ops)."""
     add, mul, neg, inv = field.tables()
+    ops = field_ops(field)
     for a in codes:
         for b in codes:
-            assert (add[a][b], mul[a][b]) == (field.add(a, b), field.mul(a, b))
-        assert neg[a] == field.neg(a)
-        assert inv[a] == (field.inv(a) if a else 0)
+            assert (add[a][b], mul[a][b]) == (ops.add(a, b), ops.mul(a, b))
+        assert neg[a] == ops.neg(a)
+        assert inv[a] == (ops.inv(a) if a else 0)
 
 
 class TestTables:
@@ -86,7 +91,7 @@ class TestTables:
         assert field == other and hash(field) == before == hash(other)
         for twin in (pickle.loads(pickle.dumps(field)), copy.deepcopy(field)):
             assert twin == field and hash(twin) == before
-            assert twin.tables()[1][2][2] == field.mul(2, 2)
+            assert twin.tables()[1][2][2] == field_ops(field).mul(2, 2)
 
     def test_the_modulus_stays_part_of_the_identity(self):
         # GF(9) under x^2 + 1 and under x^2 + x + 2: equal orders, other fields
@@ -95,6 +100,26 @@ class TestTables:
         assert f1.tables()[1] != f2.tables()[1]
         assert f1 != f2 and (hash(f1), hash(f2)) == (h1, h2)
         assert f1 == fc.field_make(3, 2, [1, 0, 1]) and hash(f1) == hash(fc.field_make(3, 2, [1, 0, 1]))
+
+
+class TestOracleIndependence:
+    """The oracles read none of the tables they check: a GF(9) whose
+    multiplication table has two entries swapped makes a product and an
+    RREF that read one of them disagree with mat_mul_oracle and
+    rref_oracle."""
+
+    def test_a_wrong_table_entry_shows(self):
+        field = fc.FieldSpec(3, 2)
+        a, b = 2, 3
+        _, mul, _, inv = field.tables()
+        x = inv[a]  # [[a, b]] is scaled by 1/a: its RREF reads mul[x][b]
+        m = fc.MatrixGF(field, [[a, b]])
+        left, right = fc.MatrixGF(field, [[x]]), fc.MatrixGF(field, [[b]])
+        assert (left @ right).int_rows() == mat_mul_oracle(left, right)
+        assert m.rref() == rref_oracle(m)
+        mul[x][b], mul[x][b + 1] = mul[x][b + 1], mul[x][b]
+        assert (left @ right).int_rows() != mat_mul_oracle(left, right)
+        assert m.rref()[0].int_rows() != rref_oracle(m)[0].int_rows()
 
 
 @pytest.mark.parametrize("q", ORDERS)

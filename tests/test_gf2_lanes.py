@@ -6,10 +6,13 @@ makes the flags of a batch of matrices on it, as ``build_generator_set``
 and ``load_flag_code`` do.  Here its normal forms must be those of
 ``normal_form_oracle`` at every width on either side of a lane boundary
 (8, 16, 32 and 64 bits), for batches of 1, 2 and 40 chains and for types
-with levels that add several rows.  The first rank-deficient matrix of a
-batch, wherever it stands, must raise what ``flag_from_matrix`` raises on
-it alone, and the batched hyperplane normals must be ``normal_oracle``'s
-on every GF(2) generator set of the standard sweep.  ``struct``, which
+with levels that add several rows.  Past 64 columns a batch takes the
+per-matrix route (``flag_from_matrix``, and ``_hyperplane_normal`` for
+the normals), whose results must match the same oracles.  The first
+rank-deficient matrix of a batch, wherever it stands, must raise what
+``flag_from_matrix`` raises on it alone, and the batched hyperplane
+normals must be ``normal_oracle``'s on every GF(2) generator set of the
+standard sweep.  ``struct``, which
 packs the lanes, is imported by the first batch, not by ``import
 flagcodes``.
 """
@@ -87,14 +90,17 @@ def test_forms_match_the_oracle_at_every_lane_width(n, count):
     for top in sorted({n, max(1, n - 1), rng.randrange(1, n + 1)}):
         dims = _dims(rng, top)
         mats = [_matrix(rng, n, top, top + rng.randrange(2) * (n > top)) for _ in range(count)]
-        lanes = _GF2Lanes([w._rows for w in mats], top, n)
-        assert lanes.bad is None
-        assert lanes.forms(dims, GF2) == [normal_form_oracle(w, dims) for w in mats]
+        want = [normal_form_oracle(w, dims) for w in mats]
+        if n <= 64:
+            lanes = _GF2Lanes([w._rows for w in mats], top, n)
+            assert lanes.bad is None
+            assert lanes.forms(dims, GF2) == want
         if top < n:
             tv = fc.TypeVector(n, dims)
-            flags, _ = _flags_from_matrices(mats, tv)
+            flags, lanes = _flags_from_matrices(mats, tv)
+            assert (lanes is None) == (n > 64)
             assert flags == [fc.flag_from_matrix(w, tv) for w in mats]
-            assert all(f.source is w and f.key == normal_form_oracle(w, dims) for f, w in zip(flags, mats))
+            assert all(f.source is w and f.key == k for f, w, k in zip(flags, mats, want))
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -116,7 +122,8 @@ def test_the_first_rank_deficient_matrix_raises_as_flag_from_matrix(n, where):
         _flags_from_matrices(mats, tv)
     assert str(batched.value) == str(alone.value)
     assert batched.value.index == at
-    assert _GF2Lanes([w._rows for w in mats], top, n).bad == at
+    if n <= 64:
+        assert _GF2Lanes([w._rows for w in mats], top, n).bad == at
 
 
 def test_a_matrix_of_another_width_raises_in_its_place():
@@ -142,9 +149,17 @@ def test_an_empty_batch_makes_no_flags():
 def test_normals_at_every_lane_width(n, count):
     rng = random.Random(7 * n + count)
     mats = [_matrix(rng, n, n - 1, n - 1) for _ in range(count)]
-    normals = _GF2Lanes([w._rows for w in mats], n - 1, n).normals()
+    if n <= 64:
+        normals = _GF2Lanes([w._rows for w in mats], n - 1, n).normals()
+    else:
+        # the route of build_generator_set when no batch was made
+        flags, lanes = _flags_from_matrices(mats, fc.TypeVector(n, (n - 1,)))
+        assert lanes is None
+        normals = [_hyperplane_normal(f._rows, n, GF2) for f in flags]
     # the RREF rows of the span, a valid input of _hyperplane_normal
     assert list(normals) == [_hyperplane_normal(normal_form_oracle(w, (n - 1,)), n, GF2) for w in mats]
+    # over GF(2) the one nonzero vector orthogonal to every row
+    assert all(c and not any((row & c).bit_count() & 1 for row in w._rows) for c, w in zip(normals, mats))
     if n <= 9:
         assert list(normals) == [normal_oracle(fc.subspace_of(w)) for w in mats]
 

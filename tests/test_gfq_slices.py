@@ -29,7 +29,7 @@ from flagcodes.flags import _flags_from_matrices
 from flagcodes.matgf import _GFqSlices
 from flagcodes.subspace import _hyperplane_normal
 
-from _checks import SWEEP_CHOICES, choice_ids, normal_form_oracle, normal_oracle, poly_choices
+from _checks import SWEEP_CHOICES, choice_ids, field_ops, normal_form_oracle, normal_oracle, poly_choices
 
 ORDERS = [3, 4, 5, 7, 8, 9, 16]
 BATCHES = [1, 2, 5, 40]
@@ -66,11 +66,13 @@ def _deficient(rng: random.Random, w: fc.MatrixGF, r: int) -> fc.MatrixGF:
     """``w`` with row ``r`` (0-based) replaced by a combination, with
     random nonzero coefficients, of rows before it (a zero row at r = 0)."""
     field = w.field
+    ops = field_ops(field)
+    add, mul = ops.add, ops.mul
     rows = [list(row) for row in w.int_rows()]
     rows[r] = [0] * w.ncols
     for j in rng.sample(range(r), rng.randrange(1, r + 1) if r else 0):
         a = rng.randrange(1, field.q)
-        rows[r] = [field.add(x, field.mul(a, y)) for x, y in zip(rows[r], rows[j])]
+        rows[r] = [add(x, mul(a, y)) for x, y in zip(rows[r], rows[j])]
     return fc.MatrixGF(field, rows, ncols=w.ncols)
 
 

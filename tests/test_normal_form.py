@@ -30,6 +30,7 @@ from flagcodes.matgf import _echelon
 from _checks import (
     _random_invertible,
     _random_matrix,
+    field_ops,
     key_rows_oracle,
     normal_form_oracle,
     prefix_subspace_oracle,
@@ -118,6 +119,8 @@ def _deficient_cases(field, seed, count=60):
     rows mixed into random ones, so some prefixes lose rank; the lengths
     repeat, may stop before the last row, and are sometimes empty."""
     rng = random.Random(seed)
+    ops = field_ops(field)
+    add, mul = ops.add, ops.mul
     cases = []
     for _ in range(count):
         n = rng.randrange(1, 9)
@@ -130,7 +133,7 @@ def _deficient_cases(field, seed, count=60):
                 # a combination of two earlier rows
                 a, b = rng.choice(rows), rng.choice(rows)
                 x, y = rng.randrange(field.q), rng.randrange(field.q)
-                rows.append([field.add(field.mul(x, u), field.mul(y, v)) for u, v in zip(a, b)])
+                rows.append([add(mul(x, u), mul(y, v)) for u, v in zip(a, b)])
             else:
                 rows.append([rng.randrange(field.q) for _ in range(n)])
         w = fc.MatrixGF(field, rows, ncols=n)

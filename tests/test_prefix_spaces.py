@@ -34,6 +34,7 @@ from _checks import (
     check_lazy_parts,
     check_parts_built,
     choice_ids,
+    field_ops,
     key_rows_oracle,
     prefix_subspace_oracle,
     rref_oracle,
@@ -84,6 +85,8 @@ def test_generator_entries_match_oracle(qkhs, choice):
 def _random_rows(field, rng, nrows, ncols, dependent=(), zero=()):
     """Random rows; a row index in ``dependent`` is a random combination of
     the rows before it, one in ``zero`` is all zero."""
+    ops = field_ops(field)
+    add, mul = ops.add, ops.mul
     rows: list[list[int]] = []
     for j in range(nrows):
         if j in zero:
@@ -92,7 +95,7 @@ def _random_rows(field, rng, nrows, ncols, dependent=(), zero=()):
             row = [0] * ncols
             for earlier in rows:
                 c = rng.randrange(field.q)
-                row = [field.add(x, field.mul(c, y)) for x, y in zip(row, earlier)]
+                row = [add(x, mul(c, y)) for x, y in zip(row, earlier)]
         else:
             row = [rng.randrange(field.q) for _ in range(ncols)]
         rows.append(row)
