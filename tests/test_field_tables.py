@@ -4,9 +4,10 @@ tests' own arithmetic instead (_checks.field_ops: mod p over a prime
 field, field_tables_oracle's tables over an extension): matrix products,
 RREF, hyperplane normals, the recurring sequence x^t mod f and the
 code-list polynomial arithmetic of the primitive-polynomial search.  A
-wrong table entry must show as a disagreement with those oracles.  GF(1031) is above the prime-table limit, so
-its loops read the views that compute each lookup mod p.  Also the two
-public parsers' refusals of a declared size, under an address-space cap."""
+wrong table entry must show as a disagreement with those oracles.
+GF(1031) is above the prime-table limit, so its loops read the views that
+compute each lookup mod p.  Also the two public parsers' refusals of a
+declared size, under an address-space cap."""
 
 from __future__ import annotations
 
