@@ -264,8 +264,9 @@ def _distance_profile(rows: Sequence[tuple], dims: tuple[int, ...], field: Field
     U_(l-1) and V_(l-1), after which the basis rank is rk[U_l; V_l] and
     d(U_l, V_l) = 2 (rk[U_l; V_l] - dims[l]).  One bit-sliced elimination
     over GF(p) serves a batch of consecutive chains and all their later
-    partners at once, each pair one bit (_sliced_profile).  This is the
-    package's only scan of a code's pairs.
+    partners at once, each pair one bit, and the last batch every pair of
+    the chains left (_sliced_profile).  This is the package's only scan of
+    a code's pairs.
 
     A row r over GF(q) becomes the e rows r, x r, ..., x^(e-1) r over GF(p),
     entry j written as its e base-p digits in columns je .. je+e-1.  Their
@@ -317,8 +318,9 @@ def _distance_profile(rows: Sequence[tuple], dims: tuple[int, ...], field: Field
     return scaled
 
 
-# the bits of one batch of _sliced_profile: how many (chain, partner) pairs
-# one elimination serves
+# the bits of one batch of _sliced_profile, pad and dropped bits included:
+# about how many (chain, partner) pairs one elimination serves; the chains
+# left are one cyclic batch once they fit, up to 361 chains at 2^16 bits
 _BATCH_BITS = 1 << 16
 
 
@@ -368,24 +370,37 @@ def _sliced_profile(chains: Sequence[Sequence[int]], dims: tuple[int, ...], n: i
     row is an int over (p - 1) n plane columns, column 0 its most
     significant bit, with plane column (v - 1) n + c set when its entry at
     column c is v: over GF(2) its bitmask, over an odd p one one-hot plane
-    per nonzero value.  Chain m is bit m of every plane (_bit_planes).
+    per nonzero value.  Chain i is bit i of every plane (_bit_planes).
 
-    One bit of the ints the kernel works on is one pair (a, b), a < b.  A
-    batch of k consecutive chains a = start .. start + k - 1 puts each in a
-    block of ``size`` bits, one per partner after the batch's first chain:
+    One bit of the ints the kernel works on is one pair of chains, and each
+    pair is in one batch.  Once the m chains left, start .. N - 1 of N, fit
+    a cyclic batch of m // 2 blocks of m + 1 bits in _BATCH_BITS, all their
+    m(m - 1)/2 pairs form that one last batch: bit a < m of block d - 1,
+    d = 1 .. m // 2, is the pair (start + a, start + (a + d) mod m), and
+    bit m pads the block.  The own rows are the m chains' planes copied
+    into every block; the partner of int bit t is chain
+    start + (t + 1) mod m, so the partners' rows are the planes rotated
+    down by one chain and copied every m bits (_blocks).  The ``active``
+    mask drops the pad bits and, for even m, the bits a >= m/2 of the last
+    block, whose pairs d = m/2 lists twice.  Until then a batch takes k
+    consecutive chains a = start .. start + k - 1, each in a block of
+    ``size`` = m - 1 bits, one per partner after the batch's first chain:
     bit b - start - 1 of block j is the pair (start + j, b).  The partners'
-    rows are the shifted planes copied into every block (_blocks), and the
-    ``active`` mask drops the pairs with b <= a, the low j bits of block j
+    rows are the shifted planes copied into every block, the own rows of
+    chain start + j fill block j above its bit j, and ``active`` drops the
+    pairs with b <= a, the low j bits of block j
     (k(k - 1)/2 bits, all inside the batch).  k is as large as _BATCH_BITS
-    allows, and at least 1; with k = 1 each chain is its own batch.  One
-    elimination serves the whole batch (_sliced_insert over GF(2),
-    _odd_kernel(p) over odd p): the batch chains' own rows enter as blocks
-    of all or no active bits, then the partners' rows, level by level.  A
-    bit-sliced counter per level adds up the rank g that level gains for
-    each pair.  One split of the batch's active pairs by those counters,
-    level by level, gives each distance vector's class of pairs: with
-    ``rank`` the basis rank below level l, the pair's entry at level l is
-    2 (rank + g - dims[l]).  Each class is counted with int.bit_count().
+    allows, and at least 1; with k = 1 each chain is its own batch.  Only
+    the last batch is cyclic: an own row there spans all m chains, where k
+    consecutive chains more often leave a column all zero, which the kernel
+    skips.  One elimination serves the whole batch (_sliced_insert over
+    GF(2), _odd_kernel(p) over odd p): the batch chains' own rows enter
+    first, then the partners' rows, level by level.  A bit-sliced counter
+    per level adds up the rank g that level gains for each pair.  One split
+    of the batch's active pairs by those counters, level by level, gives
+    each distance vector's class of pairs: with ``rank`` the basis rank
+    below level l, the pair's entry at level l is 2 (rank + g - dims[l]).
+    Each class is counted with int.bit_count().
     """
     count_n = len(chains)
     width = (p - 1) * n
@@ -394,20 +409,43 @@ def _sliced_profile(chains: Sequence[Sequence[int]], dims: tuple[int, ...], n: i
     profile: Counter = Counter()
     start = 0
     while start < count_n - 1:
-        size = count_n - start - 1  # the partners after the batch's first chain
-        k = min(max(1, _BATCH_BITS // size), size)
-        diag = _blocks(1, size + 1, k)  # bit j of block j
-        active = (_blocks(1, size, k) << size) - diag
+        left = count_n - start  # the chains not yet scanned
+        half = left // 2
+        if half * (left + 1) <= _BATCH_BITS:
+            # every pair left, in one cyclic batch
+            k = left
+            chain_bits = (1 << left) - 1
+            active = _blocks(chain_bits, left + 1, half)
+            if not left & 1:
+                # d = left/2 lists each pair twice: keep its bits a < d
+                active ^= chain_bits >> half << (half - 1) * (left + 1) + half
 
-        def own(mask: int) -> int:
-            """All active bits of block j for each batch chain start + j in
-            the chain mask: bit j of block j, filled upward."""
-            y = _blocks(mask >> start & (1 << k) - 1, size, k) & diag
-            return ((y << size) - y) & active
+            def own(mask: int) -> int:
+                """The chains left in the chain mask, in every block."""
+                return _blocks(mask >> start & chain_bits, left + 1, half)
 
-        def partners(mask: int) -> int:
-            """The partners in the chain mask, in every block."""
-            return _blocks(mask >> start + 1, size, k)
+            def partners(mask: int) -> int:
+                """Int bit t holds chain start + (t + 1) mod left of the
+                chain mask: the chains left rotated down by one, copied
+                every left bits across the blocks."""
+                x = mask >> start & chain_bits
+                return _blocks(x >> 1 | (x & 1) << left - 1, left, half + 1)
+
+        else:
+            size = left - 1  # the partners after the batch's first chain
+            k = min(max(1, _BATCH_BITS // size), size)
+            diag = _blocks(1, size + 1, k)  # bit j of block j
+            active = (_blocks(1, size, k) << size) - diag
+
+            def own(mask: int) -> int:
+                """All active bits of block j for each batch chain start + j
+                in the chain mask: bit j of block j, filled upward."""
+                y = _blocks(mask >> start & (1 << k) - 1, size, k) & diag
+                return ((y << size) - y) & active
+
+            def partners(mask: int) -> int:
+                """The partners in the chain mask, in every block."""
+                return _blocks(mask >> start + 1, size, k)
 
         has = [0] * n  # has[c]: pairs whose basis has a pivot row at c
         pivots = [[0] * width for _ in range(n)]  # pivots[c][i]: bit i of that row

@@ -5,9 +5,11 @@ for (2,2,1,5), (3,2,1,3), (3,2,0,4) and (5,2,0,3), at each poly choice the
 field allows, the distance profile of the full-type code: its
 ``[vector, count]`` entries sorted by vector.  The profile depends on the
 polynomial assignment, so each choice is pinned on its own.  The four
-larger instances have 271 to 820 flags, and the pair scan splits each of
-them into several batches (``subspace._BATCH_BITS``).  A change to the scan that only restructures it must leave every profile
-identical.  When a profile changes on purpose, re-record with
+larger instances have 271 to 820 flags: the pair scan runs (2,2,1,5),
+(3,2,0,4) and (5,2,0,3) in several batches and then one cyclic batch of
+the chains left, and (3,2,1,3) in one cyclic batch
+(``subspace._BATCH_BITS``).  A change to the scan that only restructures
+it must leave every profile identical.  When a profile changes on purpose, re-record with
 
     PYTHONPATH=src python tests/test_profile_pins.py
 

@@ -18,7 +18,10 @@ sliced into levels at the dims (``subspace._bit_planes``), must equal
 too-wide row is refused with ValueError.  The batch
 tests shrink the scan's private bit budget (``subspace._BATCH_BITS``) so
 that small codes span several batches, and pin the batch plan: which
-chains share an elimination, and how many kernel calls a scan makes.
+chains share an elimination, and how many kernel calls a scan makes.  The
+last batch is cyclic, its pairs in blocks of one bit per chain left; every
+count of chains up to 40 is one such batch at the default budget, and
+every pair of it is scanned once, never a chain with itself.
 """
 
 from __future__ import annotations
@@ -383,47 +386,81 @@ def _plan_pairs(count: int, starts: list[int]) -> list[int]:
 
 
 def test_batch_plan_follows_the_bit_budget(monkeypatch, gf2):
-    # 13 chains in 24 bits: a block is one bit per partner after the
-    # batch's first chain, so blocks of 12 and 10 bits fit two chains a
-    # batch, blocks of 8 bits three and blocks of 5 bits four; the last
-    # batch is chain 11 alone, as k is at most its 1 partner
+    # 13 chains in 24 bits: until the chains left fit one cyclic batch, a
+    # block is one bit per partner after the batch's first chain, so
+    # blocks of 12 and 10 bits fit two chains a batch and blocks of 8 bits
+    # three; the last 6 chains pair up in 3 cyclic blocks of 7 bits (6
+    # chains and a pad bit), the last block keeping its low 3 bits, as its
+    # other 3 list the same pairs again
     actives = _spy_batches(monkeypatch, 24)
     code = _random_flag_code(gf2, fc.TypeVector(5, (1, 3)), 13, seed=1)
     check_chains(f.parts for f in code)
-    assert _batch_pairs(actives) == _plan_pairs(13, [0, 2, 4, 7, 11])
-    assert _plan_pairs(13, [0, 2, 4, 7, 11]) == [23, 19, 21, 14, 1]
+    assert _batch_pairs(actives) == _plan_pairs(13, [0, 2, 4, 7])
+    assert _plan_pairs(13, [0, 2, 4, 7]) == [23, 19, 21, 15]
+    assert actives[-1] == 0b111 << 14 | 0b111111 << 7 | 0b111111
 
 
 def test_sweep_scan_is_one_batch(monkeypatch):
     # (2,2,1,4): 169 full flags of GF(2)^9 add one row at each of 8 levels,
-    # so one batch makes 2 kernel calls a level; one chain a batch (a
-    # budget of 1 bit) makes 2 x 8 x 168
+    # so one batch, cyclic (84 blocks of 170 bits), makes 2 kernel calls a
+    # level; one chain a batch (a budget of 1 bit, too small for any
+    # cyclic batch) makes 2 x 8 x 168
     gen = fc.build_generator_set(fc.ConstructionParams.make(2, 2, 1, 4))
     chains, dims = _scan_chains(gen.full)
     field = gen.full.flags[0].field
     actives = _spy_batches(monkeypatch)
     profile = _distance_profile(chains, dims, field, 9)
     assert len(actives) == 16 and _batch_pairs(actives) == [169 * 168 // 2]
+    assert actives[0].bit_length() <= 84 * 170
     actives.clear()
     monkeypatch.setattr(subspace, "_BATCH_BITS", 1)
     assert _distance_profile(chains, dims, field, 9) == profile
     assert len(actives) == 2688 and _batch_pairs(actives) == list(range(168, 0, -1))
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_chains_left_in_one_cyclic_batch_match_oracle(monkeypatch, q):
+    # m chains, m = 2..40, fit one cyclic batch at the default budget: all
+    # m(m - 1)/2 pairs in m // 2 blocks of m + 1 bits
+    actives = _spy_batches(monkeypatch)
+    field = fc.field_from_order(q)
+    for m in range(2, 41):
+        actives.clear()
+        code = _random_flag_code(field, fc.TypeVector(4, (1, 2, 3)), m, seed=m * 10 + q)
+        assert check_chains(f.parts for f in code) == m * (m - 1) // 2
+        assert _batch_pairs(actives) == [m * (m - 1) // 2]
+        assert max(a.bit_length() for a in actives) <= m // 2 * (m + 1)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_cyclic_batch_scans_each_pair_once(q):
+    # m distinct points but chain j a copy of chain i: the one pair at
+    # distance 0 is (i, j), so it is scanned once, and no chain is paired
+    # with itself; a point is one row of 0s and 1s, its RREF as it stands
+    field = fc.field_from_order(q)
+    points = [(v if q == 2 else tuple(v >> 4 - t & 1 for t in range(5)),) for v in range(1, 17)]
+    for m in range(2, 17):
+        for i in range(m):
+            for j in range(i + 1, m):
+                chains = points[:j] + [points[i]] + points[j + 1 : m]
+                assert _distance_profile(chains, (1,), field, 5) == Counter({(0,): 1, (2,): m * (m - 1) // 2 - 1})
+
+
 BATCH_BITS = [8, 24, 64, 200]
 
 
 @pytest.mark.parametrize("bits", BATCH_BITS)
-@pytest.mark.parametrize("count", [0, 1, 2, 37])
+@pytest.mark.parametrize("count", [0, 1, 2, 4, 36, 37])
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 25])
 def test_batched_random_codes_match_oracle(monkeypatch, q, count, bits):
-    # 37 chains is no multiple of 8; every budget here splits them into
-    # several batches
+    # 37 chains is no multiple of 8; every budget here splits them, and 36,
+    # into several batches; an even count of chains left in the cyclic
+    # last batch keeps half of its last block
     actives = _spy_batches(monkeypatch, bits)
     field = fc.field_from_order(q)
     code = _random_flag_code(field, fc.TypeVector(4, (1, 2, 3)), count, seed=count + bits)
     assert check_chains(f.parts for f in code) == sum(_batch_pairs(actives))
-    if count == 37:
+    if count >= 36:
         assert len(_batch_pairs(actives)) > 1
 
 
